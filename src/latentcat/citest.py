@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ContingencyTable, Dataset, JointPmf, frequency_pmf, tabulate
+from .data import (
+    ContingencyTable, Dataset, JointPmf, frequency_pmf, nearest_rank, tabulate
+)
 from .errors import DomainError, IndependenceTestError
 
 __all__ = [
@@ -173,11 +175,6 @@ def _replicate_stats(
     return stats
 
 
-def _quantile(sorted_values: np.ndarray, level: float) -> float:
-    rank = int(np.ceil(level * sorted_values.size))
-    return float(sorted_values[max(rank, 1) - 1])
-
-
 def _test_from_table(table: ContingencyTable, b: int, seed_seq) -> TestReport:
     if np.count_nonzero(table.counts) < 2:
         raise IndependenceTestError(
@@ -189,7 +186,7 @@ def _test_from_table(table: ContingencyTable, b: int, seed_seq) -> TestReport:
     center, _ = _factorization_gap(pmf.probs)
     rng = np.random.default_rng(seed_seq)
     stats_b = np.sort(_replicate_stats(table.counts, table.n, b, rng, center))
-    cvs = {lv: _quantile(stats_b, lv) for lv in LEVELS}
+    cvs = {lv: nearest_rank(stats_b, lv) for lv in LEVELS}
     p_value = (1 + int(np.count_nonzero(stats_b >= stat))) / (b + 1)
     return TestReport(
         statistic=stat,

@@ -15,6 +15,7 @@ identification, or estimation failures; 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .citest import DEFAULT_B, MIN_CELL_COUNT, bootstrap_test, conditional_test_suite
-from .data import Dataset, ingest, load_schema, tabulate, w_cell_bits
+from .data import Dataset, cell_rows, frequency_pmf, ingest, load_schema, tabulate
 from .errors import (
     ConfigurationError,
     DataError,
@@ -40,11 +41,9 @@ from .errors import (
 )
 from .generate import GeneratorSpec, ProbitParams, draw, make_cell_weights, make_model
 from .mle import CmleConfig, fit
-from .ordered import latent_conditional
-from .pipeline import bootstrap_std_errors, parametric_fit
+from .pipeline import SKEDASTIC, bootstrap_std_errors, parametric_fit
 from .report import render, render_csv, render_exclusions
 from .spectral import MisclassificationModel, eigendecompose_identify
-from .data import frequency_pmf
 
 USAGE_EXIT = 64
 INPUT_EXIT = 1
@@ -201,11 +200,10 @@ def _parse_generator_config(path: str) -> tuple[GeneratorSpec, np.ndarray | None
 
 
 def _write_dataset_csv(path: str, data: Dataset) -> None:
-    n_cols = len(data.w_columns)
     header = ["x", "y", "z", *data.w_columns]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        bits = np.asarray([w_cell_bits(c, n_cols) for c in range(data.n_w_cells)])
+        bits = cell_rows(len(data.w_columns))[:, 1:].astype(np.int64)
         for i in range(data.n):
             row = [str(int(data.x[i])), str(int(data.y[i])), str(int(data.z[i]))]
             row.extend(str(int(b)) for b in bits[data.w[i]])
@@ -261,19 +259,7 @@ def _cmd_simulate(args) -> int:
     manifest = _Manifest("simulate", vars(args))
     spec, weights = _parse_generator_config(args.spec)
     manifest.add_input(args.spec)
-    spec = GeneratorSpec(
-        s_x=spec.s_x,
-        s_z=spec.s_z,
-        n_w_cells=spec.n_w_cells,
-        misclassification_strength=spec.misclassification_strength,
-        eigenvalue_separation=spec.eigenvalue_separation,
-        seed=args.seed,
-        probit_params=spec.probit_params,
-        ord_margin=spec.ord_margin,
-        min_singular_value=spec.min_singular_value,
-        z_mix=spec.z_mix,
-        latent_uniform_mix=spec.latent_uniform_mix,
-    )
+    spec = dataclasses.replace(spec, seed=args.seed)
     models = make_model(spec)
     if weights is None:
         weights = make_cell_weights(spec.n_w_cells)
@@ -348,12 +334,7 @@ def _identify_cell(table, method: str, args, cell_seed: int,
     except (OptimizationError, DomainError) as exc:
         entry["error"] = str(exc)
         return entry
-    entry["model"] = result.model.to_dict()
-    entry["loglik"] = result.loglik
-    entry["n_starts_converged"] = result.n_starts_converged
-    entry["n_starts_agreeing"] = result.n_starts_agreeing
-    entry["boundary_flags"] = list(result.boundary_flags)
-    entry["starts"] = [s.to_dict() for s in result.starts]
+    entry.update(result.to_dict())
     if args.boot and cell_data is not None:
         entry.update(_identify_boot_se(cell_data, result, args, cell_seed))
     return entry
@@ -439,57 +420,45 @@ def _cmd_identify(args) -> int:
 
 
 def _models_from_artifact(payload: dict, data: Dataset) -> list[MisclassificationModel]:
+    """One model per covariate cell, refusing cells that fail the monotone
+    ordering: the latent state labels feed the normal-quantile transforms."""
     by_label: dict[str, dict] = {}
     for entry in payload.get("cells", []):
         if "model" in entry:
             by_label[entry.get("w_cell") or "pooled"] = entry["model"]
-    models = []
-    missing = []
-    for cell in range(data.n_w_cells):
-        label = data.w_labels[cell]
-        if label not in by_label:
-            missing.append(label)
-            continue
-        models.append(MisclassificationModel.from_dict(by_label[label]))
+    labels = data.w_labels
+    missing = [label for label in labels if label not in by_label]
     if missing:
         raise ConfigurationError(f"models artifact lacks cells: {missing}")
+    models = [MisclassificationModel.from_dict(by_label[label]) for label in labels]
+    unordered = [label for label, m in zip(labels, models) if not m.ord_satisfied]
+    if unordered:
+        raise EstimationError(
+            f"models artifact has cells failing the monotone-reporting check: "
+            f"{unordered}; identify them with --ord enforce"
+        )
     return models
 
 
 def _cmd_estimate(args) -> int:
+    if args.skedastic == "exponential" and (args.model, args.target) != (
+        "hoprobit", "reported"
+    ):
+        print("latentcat estimate: error: --skedastic exponential applies only to "
+              "--model hoprobit --target reported", file=sys.stderr)
+        return USAGE_EXIT
     manifest = _Manifest("estimate", vars(args))
     data = _load_data(args.data, args.schema, manifest)
     config = CmleConfig(n_starts=args.starts, seed=args.seed, ord_constraint="enforce")
-    from .ordered import (
-        exponential_skedastic_probit,
-        hetero_ordered_probit,
-        homo_ordered_probit,
-        linear_projection,
-        skedastic,
-    )
-
-    warm = None
+    models = None
     if args.target == "latent":
         if not args.models:
             raise ConfigurationError("--models is required for the latent target")
         artifact = _read_json(args.models)
         manifest.add_input(args.models)
         models = _models_from_artifact(artifact, data)
-        weights = data.cell_counts() / data.n
-        names = ("const", *data.w_columns) if data.w_columns else ()
-        lc = latent_conditional(models, weights, column_names=names)
-        if args.model == "linear":
-            point = linear_projection(lc, target="latent")
-        elif args.model == "oprobit":
-            point = homo_ordered_probit(lc, target="latent", clamp=args.clamp)
-        else:
-            sigma, _ = skedastic(lc, clamp=args.clamp)
-            point = hetero_ordered_probit(lc, sigma, target="latent", clamp=args.clamp)
-        warm = models
-    elif args.model == "hoprobit" and args.skedastic == "exponential":
-        point = exponential_skedastic_probit(data)
-    else:
-        point = parametric_fit(data, args.model, "reported", config, clamp=args.clamp)
+    point = parametric_fit(data, args.model, args.target, config, clamp=args.clamp,
+                           models=models, skedastic_kind=args.skedastic)
     manifest.stage("point_fit")
 
     boot_meta = None
@@ -505,7 +474,9 @@ def _cmd_estimate(args) -> int:
             replicate_starts=args.boot_starts,
             threads=args.threads,
             stratify=args.stratify,
-            warm_models=warm,
+            warm_models=models,
+            clamp=args.clamp,
+            skedastic_kind=args.skedastic,
         )
         boot_meta = {"b": args.boot, "n_dropped": dropped, "seed": args.seed}
         manifest.stage("bootstrap")
@@ -629,7 +600,7 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--starts", type=int, default=10)
     p_est.add_argument("--seed", type=_seed_arg, required=True)
     p_est.add_argument("--clamp", type=float, default=1e-6)
-    p_est.add_argument("--skedastic", choices=["nonparametric", "exponential"],
+    p_est.add_argument("--skedastic", choices=SKEDASTIC,
                        default="nonparametric",
                        help="reported-target heteroskedastic scale: closed-form "
                             "per-cell inversion or exponential-index ML benchmark")

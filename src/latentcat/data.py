@@ -3,9 +3,10 @@
 The observable record is a 4-tuple of discrete codes: a reported outcome
 ``x`` in {1..S_X}, a binary auxiliary indicator ``y`` in {0,1}, a second
 discretized auxiliary measure ``z`` in {1..S_Z}, and a covariate-cell index
-``w`` packing a short vector of binary covariates. Everything downstream
-(tests, identification, estimation) consumes either the per-record code
-arrays or the (x, y, z) contingency table of one covariate cell.
+``w`` packing a short vector of binary covariates. A ``Dataset`` counts
+its records once into a (cell, x, y, z) table; everything downstream (tests,
+identification, estimation) reads that table, and the per-record code arrays
+serve only ingestion, bootstrap redraws and the CSV writer.
 
 Discretization conventions
 --------------------------
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import configparser
 import csv
-import io
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, SchemaError
+from .errors import DataError, SchemaError
 
 MAX_W_COLUMNS = 8
 
@@ -42,7 +43,8 @@ __all__ = [
     "tercile_bin",
     "tabulate",
     "frequency_pmf",
-    "w_cell_bits",
+    "nearest_rank",
+    "cell_rows",
     "w_cell_label",
 ]
 
@@ -229,9 +231,14 @@ class ExclusionReport:
         }
 
 
-def w_cell_bits(cell: int, n_cols: int) -> tuple[int, ...]:
-    """Unpack a little-endian cell index into its covariate bits."""
-    return tuple((cell >> k) & 1 for k in range(n_cols))
+def cell_rows(n_cols: int) -> np.ndarray:
+    """Covariate rows [1, bits] of all 2^n_cols cells, one per cell index.
+
+    Bits are unpacked little-endian, so row c is (1, c & 1, (c >> 1) & 1, ...).
+    """
+    cells = np.arange(2**n_cols)[:, None]
+    bits = (cells >> np.arange(n_cols)) & 1
+    return np.hstack([np.ones_like(cells), bits]).astype(float)
 
 
 def w_cell_label(cell: int, letters: tuple[str, ...]) -> str:
@@ -246,6 +253,7 @@ class Dataset:
 
     ``x`` in {1..S_X}, ``y`` in {0,1}, ``z`` in {1..S_Z}, ``w`` in
     {0..2^|W|-1}. ``w_labels`` holds one display label per covariate cell.
+    Every statistic reads the (cell, x, y, z) count table ``counts``.
     """
 
     x: np.ndarray
@@ -283,6 +291,17 @@ class Dataset:
         if len(set(self.w_labels)) != n_cells:
             raise DataError("covariate cell labels must be unique")
 
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        """``counts[w, x-1, y, z-1]``: records with those codes, counted once,
+        on first use (after ingest has freed its row buffers)."""
+        s_x, _, s_z = self.support
+        flat = ((self.w * s_x + self.x - 1) * 2 + self.y) * s_z + self.z - 1
+        counts = np.bincount(flat, minlength=self.n_w_cells * s_x * 2 * s_z)
+        counts = counts.reshape(self.n_w_cells, s_x, 2, s_z)
+        counts.setflags(write=False)
+        return counts
+
     @property
     def n(self) -> int:
         return int(self.x.shape[0])
@@ -293,7 +312,7 @@ class Dataset:
 
     def cell_counts(self) -> np.ndarray:
         """Record count per covariate cell, length 2^|W|."""
-        return np.bincount(self.w, minlength=self.n_w_cells)
+        return self.counts.sum(axis=(1, 2, 3))
 
     def restrict(self, w_cell: int) -> Dataset:
         """Records of a single covariate cell, as a 0-covariate dataset."""
@@ -324,7 +343,8 @@ def median_split(values) -> np.ndarray:
     return (arr > np.median(arr)).astype(np.int64)
 
 
-def _nearest_rank(sorted_values: np.ndarray, level: float) -> float:
+def nearest_rank(sorted_values: np.ndarray, level: float) -> float:
+    """The order statistic at ceil(level * n) of an ascending array."""
     rank = int(np.ceil(level * sorted_values.size))
     return float(sorted_values[max(rank, 1) - 1])
 
@@ -339,8 +359,8 @@ def tercile_bin(values) -> np.ndarray:
     if arr.size == 0:
         raise DataError("tercile_bin of an empty list")
     ordered = np.sort(arr)
-    p33 = _nearest_rank(ordered, 0.33)
-    p66 = _nearest_rank(ordered, 0.66)
+    p33 = nearest_rank(ordered, 0.33)
+    p66 = nearest_rank(ordered, 0.66)
     codes = np.ones(arr.size, dtype=np.int64)
     codes[arr > p33] = 2
     codes[arr > p66] = 3
@@ -479,11 +499,6 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
     return data, report
 
 
-def ingest_text(text: str, schema: Schema) -> tuple[Dataset, ExclusionReport]:
-    """Convenience wrapper: ingest from an in-memory CSV string."""
-    return ingest(io.StringIO(text), schema)
-
-
 # ---------------------------------------------------------------------------
 # Tables and pmfs
 # ---------------------------------------------------------------------------
@@ -537,24 +552,14 @@ class JointPmf:
 
 
 def tabulate(data: Dataset, w_cell: int | None = None) -> ContingencyTable:
-    """Count records over the full (x, y, z) grid, optionally for one W-cell."""
-    s_x, _, s_z = data.support
+    """The (x, y, z) counts of the whole sample or of one W-cell."""
     if w_cell is None:
-        mask = slice(None)
-        label = None
-        n = data.n
-    else:
-        mask = data.w == w_cell
-        n = int(np.count_nonzero(mask))
-        label = data.w_labels[w_cell]
-        if n == 0:
-            raise DataError(f"covariate cell {label!r} has no records")
-    flat = (
-        (data.x[mask] - 1) * (2 * s_z)
-        + data.y[mask] * s_z
-        + (data.z[mask] - 1)
-    )
-    counts = np.bincount(flat, minlength=s_x * 2 * s_z).reshape(s_x, 2, s_z)
+        return ContingencyTable(counts=data.counts.sum(axis=0), n=data.n)
+    counts = data.counts[w_cell]
+    label = data.w_labels[w_cell]
+    n = int(counts.sum())
+    if n == 0:
+        raise DataError(f"covariate cell {label!r} has no records")
     return ContingencyTable(counts=counts, n=n, w_cell=label)
 
 
@@ -563,12 +568,3 @@ def frequency_pmf(table: ContingencyTable) -> JointPmf:
     if table.n <= 0:
         raise DataError("cannot normalize an empty table")
     return JointPmf(probs=table.counts / table.n, support=table.support)
-
-
-def pmf_from_probs(probs: np.ndarray) -> JointPmf:
-    """Wrap a raw (x, y, z) probability array, renormalizing rounding slack."""
-    arr = np.asarray(probs, dtype=float)
-    total = float(arr.sum())
-    if total <= 0:
-        raise ConfigurationError("probability array sums to zero")
-    return JointPmf(probs=arr / total, support=tuple(arr.shape))  # type: ignore[arg-type]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .data import Dataset, w_cell_label
+from .data import Dataset, cell_rows, w_cell_label
 from .errors import ConfigurationError, GeneratorError
 from .spectral import MisclassificationModel
 
@@ -154,11 +154,6 @@ def _probit_cell_probs(params: ProbitParams, q_tilde: np.ndarray, cell: int) -> 
     return np.diff(cdf)
 
 
-def _cell_q_tilde(cell: int, n_cols: int) -> np.ndarray:
-    bits = [(cell >> k) & 1 for k in range(n_cols)]
-    return np.asarray([1.0, *bits], dtype=float)
-
-
 def make_model(spec: GeneratorSpec) -> list[MisclassificationModel]:
     """Draw one valid misclassification model per covariate cell.
 
@@ -173,6 +168,7 @@ def make_model(spec: GeneratorSpec) -> list[MisclassificationModel]:
     s = spec.misclassification_strength
     models: list[MisclassificationModel] = []
     letters = tuple(chr(ord("A") + k) for k in range(spec.n_w_columns))
+    rows = cell_rows(spec.n_w_columns)
     for cell in range(spec.n_w_cells):
         for attempt in range(RETRY_CAP):
             if s == 0.0:
@@ -193,9 +189,7 @@ def make_model(spec: GeneratorSpec) -> list[MisclassificationModel]:
             ) * _random_stochastic_columns(rng, spec.s_z, spec.s_x)
             m_z = m_z / m_z.sum(axis=0)
             if spec.probit_params is not None:
-                f_xstar = _probit_cell_probs(
-                    spec.probit_params, _cell_q_tilde(cell, spec.n_w_columns), cell
-                )
+                f_xstar = _probit_cell_probs(spec.probit_params, rows[cell], cell)
             else:
                 raw = rng.dirichlet(np.ones(spec.s_x))
                 f_xstar = (
@@ -336,7 +330,7 @@ def probit_population(params: ProbitParams, cells: list[tuple[int, ...]],
 
 def all_binary_cells(n_cols: int) -> list[tuple[int, ...]]:
     """All 2^k covariate-bit vectors in little-endian cell order."""
-    return [tuple((c >> k) & 1 for k in range(n_cols)) for c in range(2**n_cols)]
+    return [tuple(int(b) for b in row[1:]) for row in cell_rows(n_cols)]
 
 
 def random_probit_params(

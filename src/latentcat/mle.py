@@ -20,14 +20,21 @@ priori can mask conflicts with the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import optimize
+from scipy import linalg, optimize
 
 from .data import ContingencyTable, frequency_pmf
 from .errors import DomainError, OptimizationError
-from .spectral import MisclassificationModel
+from .spectral import (
+    MisclassificationModel,
+    _joint_pmf,
+    branch_operator,
+    build_matrices,
+    check_rank,
+    order_by_last_row,
+)
 
 __all__ = [
     "CmleConfig",
@@ -92,15 +99,7 @@ class StartDiagnostics:
     message: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "start_loglik": self.start_loglik,
-            "final_loglik": self.final_loglik,
-            "converged": self.converged,
-            "n_iterations": self.n_iterations,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -130,17 +129,6 @@ class CmleResult:
 # ---------------------------------------------------------------------------
 
 
-def _mixture_pmf(model: MisclassificationModel) -> np.ndarray:
-    b2 = np.stack([1.0 - model.f_y_given_xstar, model.f_y_given_xstar])
-    return np.einsum(
-        "xs,ys,zs,s->xyz",
-        model.m_x_given_xstar,
-        b2,
-        model.m_z_given_xstar,
-        model.f_xstar,
-    )
-
-
 def loglik(model: MisclassificationModel, table: ContingencyTable) -> float:
     """Conditional log-likelihood of the counts under a parameter bundle.
 
@@ -151,7 +139,7 @@ def loglik(model: MisclassificationModel, table: ContingencyTable) -> float:
     model.validate()
     if model.s_x != table.support[0] or model.s_z != table.support[2]:
         raise DomainError("model support does not match the table")
-    p = _mixture_pmf(model)
+    p = _joint_pmf(*model.blocks())
     m = table.counts
     active = m > 0
     if np.any(p[active] <= 0):
@@ -161,7 +149,7 @@ def loglik(model: MisclassificationModel, table: ContingencyTable) -> float:
 
 def loglik_unchecked(model: MisclassificationModel, counts: np.ndarray) -> float:
     """loglik without domain validation (floored, never -inf); optimizer use."""
-    p = np.maximum(_mixture_pmf(model), P_FLOOR)
+    p = np.maximum(_joint_pmf(*model.blocks()), P_FLOOR)
     return float(np.sum(counts * np.log(p)))
 
 
@@ -223,12 +211,15 @@ class _Parameterization:
 
     # -- reporting-matrix block ------------------------------------------
 
-    def _a_from_block(self, ta: np.ndarray) -> np.ndarray:
-        if not self.enforce_ord:
-            return _softmax_gauged(ta)
-        # Row ta[0] drives the stick-breaking of the (strictly increasing)
-        # last row; rows ta[1:] are gauged softmax logits for the rest of
-        # each column, scaled to the leftover mass.
+    def _stick_breaking(self, ta: np.ndarray):
+        """Reporting matrix with a strictly increasing last row, plus the
+        stick fractions ``s``, last row ``r`` and column ``rest`` that the
+        gradient's chain rule needs.
+
+        Row ta[0] drives the stick-breaking of the last row; rows ta[1:]
+        are gauged softmax logits for the rest of each column, scaled to
+        the leftover mass.
+        """
         s = _sigmoid(ta[0])
         r = np.empty(self.s_x)
         acc = 0.0
@@ -239,7 +230,7 @@ class _Parameterization:
         a = np.empty((self.s_x, self.s_x))
         a[: self.s_x - 1, :] = rest * (1.0 - r)[None, :]
         a[-1, :] = r
-        return a
+        return a, (s, r, rest)
 
     def _block_from_a(self, a: np.ndarray) -> np.ndarray:
         if not self.enforce_ord:
@@ -259,39 +250,43 @@ class _Parameterization:
 
     # -- full bundle ------------------------------------------------------
 
-    def model(self, theta: np.ndarray) -> MisclassificationModel:
+    def blocks(self, theta: np.ndarray):
+        """``_joint_pmf``'s (a, b2, c, pi) at ``theta``, plus the stick-breaking
+        intermediates (None unless the ordering is enforced)."""
         ta, tb, tc, tpi = self.split(theta)
+        if self.enforce_ord:
+            a, sticks = self._stick_breaking(ta)
+        else:
+            a, sticks = _softmax_gauged(ta), None
+        fy = _sigmoid(tb)
+        b2 = np.stack([1.0 - fy, fy])
+        pi = _softmax_gauged(tpi[:, None]).ravel()
+        return (a, b2, _softmax_gauged(tc), pi), sticks
+
+    def model(self, theta: np.ndarray) -> MisclassificationModel:
+        (a, b2, c, pi), _ = self.blocks(theta)
         return MisclassificationModel(
-            m_x_given_xstar=self._a_from_block(ta),
-            f_y_given_xstar=_sigmoid(tb),
-            m_z_given_xstar=_softmax_gauged(tc),
-            f_xstar=_softmax_gauged(tpi[:, None]).ravel(),
+            m_x_given_xstar=a, f_y_given_xstar=b2[1], m_z_given_xstar=c, f_xstar=pi
         )
 
     def theta(self, model: MisclassificationModel) -> np.ndarray:
-        a = model.m_x_given_xstar
+        a, f_y = model.m_x_given_xstar, model.f_y_given_xstar
+        c, pi = model.m_z_given_xstar, model.f_xstar
         if self.enforce_ord and np.any(np.diff(a[-1, :]) <= 0):
             order = np.argsort(a[-1, :], kind="stable")
-            a = a[:, order]
-            model = MisclassificationModel(
-                m_x_given_xstar=a,
-                f_y_given_xstar=model.f_y_given_xstar[order],
-                m_z_given_xstar=model.m_z_given_xstar[:, order],
-                f_xstar=model.f_xstar[order],
-            )
-            a = model.m_x_given_xstar
+            a, f_y, c, pi = a[:, order], f_y[order], c[:, order], pi[order]
         parts = [
             self._block_from_a(a).ravel(),
-            _logit(model.f_y_given_xstar),
-            _logits_from_probs(model.m_z_given_xstar).ravel(),
-            _logits_from_probs(model.f_xstar[:, None]).ravel(),
+            _logit(f_y),
+            _logits_from_probs(c).ravel(),
+            _logits_from_probs(pi[:, None]).ravel(),
         ]
         return np.concatenate(parts)
 
 
 def _block_grads(a, b2, c, pi, counts):
     """Log-likelihood value and its gradient w.r.t. the probability blocks."""
-    p = np.einsum("xs,ys,zs,s->xyz", a, b2, c, pi)
+    p = _joint_pmf(a, b2, c, pi)
     p_safe = np.maximum(p, P_FLOOR)
     ll = float(np.sum(counts * np.log(p_safe)))
     g = counts / p_safe
@@ -309,31 +304,13 @@ def _softmax_chain(dp: np.ndarray, p_col: np.ndarray) -> np.ndarray:
 
 def _nll_and_grad(theta: np.ndarray, par: _Parameterization, counts: np.ndarray):
     """Negative log-likelihood and gradient through the chosen bijection."""
-    ta, tb, tc, tpi = par.split(theta)
-    fy = _sigmoid(tb)
-    b2 = np.stack([1.0 - fy, fy])
-    c = _softmax_gauged(tc)
-    pi = _softmax_gauged(tpi[:, None]).ravel()
-
-    if not par.enforce_ord:
-        a = _softmax_gauged(ta)
-        ll, da, db2, dc, dpi = _block_grads(a, b2, c, pi, counts)
+    (a, b2, c, pi), sticks = par.blocks(theta)
+    ll, da, db2, dc, dpi = _block_grads(a, b2, c, pi, counts)
+    if sticks is None:
         ga = _softmax_chain(da, a).ravel()
     else:
         s_x = par.s_x
-        s = _sigmoid(ta[0])
-        r = np.empty(s_x)
-        acc = 0.0
-        for j in range(s_x):
-            acc = acc + (1.0 - acc) * s[j]
-            r[j] = acc
-        rest = _softmax_gauged(ta[1:, :]) if s_x > 2 else np.ones((1, s_x))
-        a = np.empty((s_x, s_x))
-        a[: s_x - 1, :] = rest * (1.0 - r)[None, :]
-        a[-1, :] = r
-
-        ll, da, db2, dc, dpi = _block_grads(a, b2, c, pi, counts)
-
+        s, r, rest = sticks
         # Chain rule through the scaled softmax rows and the stick-breaking
         # recursion r_j = r_{j-1} + (1 - r_{j-1}) s_j.
         d_rest = da[: s_x - 1, :] * (1.0 - r)[None, :]
@@ -351,6 +328,7 @@ def _nll_and_grad(theta: np.ndarray, par: _Parameterization, counts: np.ndarray)
         else:
             ga = ga_top
 
+    fy = b2[1]
     grad = np.concatenate(
         [
             np.asarray(ga).ravel(),
@@ -431,20 +409,15 @@ def _projected_spectral_start(table: ContingencyTable) -> MisclassificationModel
     taken, entries clipped interior, columns renormalized. The result only
     has to land in the right basin with the right latent-state ordering.
     """
-    from scipy import linalg
-
     s_x, _, s_z = table.support
     if s_x != s_z:
         return None
-    pmf = frequency_pmf(table).probs
-    m_xz = pmf.sum(axis=1)
-    m1 = np.ascontiguousarray(pmf[:, 1, :])
+    pmf = frequency_pmf(table)
+    m_xz, m_per_y = build_matrices(pmf)
     try:
-        svals = linalg.svdvals(m_xz)
-        if svals[-1] <= 1e-10 * svals[0]:
+        if not check_rank(m_xz, tol=1e-10).rank_ok:
             return None
-        a_op = linalg.solve(m_xz.T, m1.T).T
-        vals, vecs = linalg.eig(a_op)
+        vals, vecs = linalg.eig(branch_operator(m_xz, m_per_y[1]))
     except linalg.LinAlgError:
         return None
     vals = vals.real
@@ -452,9 +425,7 @@ def _projected_spectral_start(table: ContingencyTable) -> MisclassificationModel
     sums = vecs.sum(axis=0)
     if np.any(np.abs(sums) < 1e-12):
         return None
-    vecs = vecs / sums
-    order = np.argsort(vecs[-1, :], kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = order_by_last_row(vals, vecs / sums)
 
     def interior_cols(m):
         m = np.clip(m, 1e-6, None)
@@ -463,7 +434,7 @@ def _projected_spectral_start(table: ContingencyTable) -> MisclassificationModel
     m_x = interior_cols(vecs)
     f_y = np.clip(vals, 1e-6, 1.0 - 1e-6)
     try:
-        f_xstar = linalg.solve(m_x, pmf.sum(axis=(1, 2)))
+        f_xstar = linalg.solve(m_x, pmf.probs.sum(axis=(1, 2)))
         f_xstar = interior_cols(f_xstar[:, None]).ravel()
         m_z = interior_cols((linalg.solve(m_x, m_xz) / f_xstar[:, None]).T)
     except linalg.LinAlgError:
@@ -573,14 +544,7 @@ def fit(
     tol = config.agree_rtol * max(1.0, abs(best_ll))
     agreeing = [r for r in converged if best_ll - r.final_loglik <= tol]
     winner = min(agreeing, key=lambda r: r.index)
-    model = par.model(thetas[winner.index])
-    model = MisclassificationModel(
-        m_x_given_xstar=model.m_x_given_xstar,
-        f_y_given_xstar=model.f_y_given_xstar,
-        m_z_given_xstar=model.m_z_given_xstar,
-        f_xstar=model.f_xstar,
-        w_cell=table.w_cell,
-    )
+    model = replace(par.model(thetas[winner.index]), w_cell=table.w_cell)
     return CmleResult(
         model=model,
         loglik=winner.final_loglik,

@@ -25,13 +25,13 @@ about mean rankings, and reports label them accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
 from scipy.stats import norm
 
-from .data import Dataset
+from .data import Dataset, cell_rows
 from .errors import ConfigurationError, EstimationError
 from .spectral import MisclassificationModel
 
@@ -191,19 +191,17 @@ def latent_conditional(
     if any(m is None for m in models):
         missing = [i for i, m in enumerate(models) if m is None]
         raise ConfigurationError(f"missing identified model for cells {missing}")
-    n_cols = max(n_cells - 1, 0).bit_length()
-    cells = []
-    for c, model in enumerate(models):
-        bits = [(c >> k) & 1 for k in range(n_cols)]
-        cells.append(
-            CellConditional(
-                q_tilde=np.asarray([1.0, *bits]),
-                weight=float(weights[c]),
-                probs=model.f_xstar,
-                label=model.w_cell or str(c),
-            )
+    rows = cell_rows(max(n_cells - 1, 0).bit_length())
+    cells = tuple(
+        CellConditional(
+            q_tilde=rows[c],
+            weight=float(weights[c]),
+            probs=model.f_xstar,
+            label=model.w_cell or str(c),
         )
-    return LatentConditional(cells=tuple(cells), column_names=tuple(column_names))
+        for c, model in enumerate(models)
+    )
+    return LatentConditional(cells=cells, column_names=tuple(column_names))
 
 
 def reported_conditional(data: Dataset) -> LatentConditional:
@@ -212,23 +210,19 @@ def reported_conditional(data: Dataset) -> LatentConditional:
     if np.any(counts == 0):
         empty = [data.w_labels[i] for i in np.flatnonzero(counts == 0)]
         raise ConfigurationError(f"empty covariate cells: {empty}")
-    s_x = data.support[0]
-    n_cols = len(data.w_columns)
-    cells = []
-    for c in range(data.n_w_cells):
-        mask = data.w == c
-        hist = np.bincount(data.x[mask] - 1, minlength=s_x).astype(float)
-        bits = [(c >> k) & 1 for k in range(n_cols)]
-        cells.append(
-            CellConditional(
-                q_tilde=np.asarray([1.0, *bits]),
-                weight=float(counts[c] / data.n),
-                probs=hist / hist.sum(),
-                label=data.w_labels[c],
-            )
+    hist = data.counts.sum(axis=(2, 3)).astype(float)
+    rows = cell_rows(len(data.w_columns))
+    cells = tuple(
+        CellConditional(
+            q_tilde=rows[c],
+            weight=float(counts[c] / data.n),
+            probs=hist[c] / hist[c].sum(),
+            label=data.w_labels[c],
         )
+        for c in range(data.n_w_cells)
+    )
     names = ("const", *data.w_columns) if data.w_columns else ()
-    return LatentConditional(cells=tuple(cells), column_names=names)
+    return LatentConditional(cells=cells, column_names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +379,8 @@ def homo_ordered_probit(source, target: str = "latent",
     lc: LatentConditional = source
     unit = {c.label: 1.0 for c in lc.cells}
     fit_ = hetero_ordered_probit(lc, unit, target=target, clamp=clamp)
-    return ParametricFit(
-        kind="ordered-probit-homoskedastic",
-        target=target,
-        beta=fit_.beta,
-        column_names=fit_.column_names,
-        cutpoints=fit_.cutpoints,
-        sigma_by_cell=None,
-        clamp_events=fit_.clamp_events,
-        scale=1.0,
-        norm_identity_max_dev=fit_.norm_identity_max_dev,
-        cutpoint_spread=fit_.cutpoint_spread,
-    )
+    return replace(fit_, kind="ordered-probit-homoskedastic", sigma_by_cell=None,
+                   scale=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +389,14 @@ def homo_ordered_probit(source, target: str = "latent",
 
 
 def _cell_design(data: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Per-cell covariate rows and outcome count matrix from records."""
-    s_x = data.support[0]
-    n_cols = len(data.w_columns)
-    rows = []
-    counts = []
-    for c in range(data.n_w_cells):
-        mask = data.w == c
-        if not mask.any():
-            continue
-        bits = [(c >> k) & 1 for k in range(n_cols)]
-        rows.append([1.0, *bits])
-        counts.append(np.bincount(data.x[mask] - 1, minlength=s_x))
+    """Covariate rows and outcome count matrix of the populated cells."""
+    if data.support[0] < 3:
+        raise ConfigurationError("need at least three outcome levels")
+    hist = data.counts.sum(axis=(2, 3))
+    populated = hist.sum(axis=1) > 0
+    rows = cell_rows(len(data.w_columns))[populated]
     names = ("const", *data.w_columns) if data.w_columns else ("const",)
-    return np.asarray(rows), np.asarray(counts, dtype=float), names
+    return rows, hist[populated].astype(float), names
 
 
 def _ordered_nll(index: np.ndarray, scale: np.ndarray, cuts: np.ndarray,
@@ -433,8 +411,6 @@ def _homo_probit_mle(data: Dataset) -> ParametricFit:
     """Standard ordered-probit MLE, re-normalized to the (0, 1) scheme."""
     q, counts, names = _cell_design(data)
     n_levels = counts.shape[1]
-    if n_levels < 3:
-        raise ConfigurationError("need at least three outcome levels")
     k = q.shape[1] - 1
 
     def unpack(theta):
@@ -477,8 +453,6 @@ def exponential_skedastic_probit(data: Dataset) -> ParametricFit:
     """
     q, counts, names = _cell_design(data)
     n_levels = counts.shape[1]
-    if n_levels < 3:
-        raise ConfigurationError("need at least three outcome levels")
     dim = q.shape[1]
 
     def unpack(theta):
@@ -503,11 +477,9 @@ def exponential_skedastic_probit(data: Dataset) -> ParametricFit:
             f"heteroskedastic probit MLE did not converge: {res.message}"
         )
     beta, gamma, cuts = unpack(res.x)
-    sigma = {}
-    for c in range(data.n_w_cells):
-        bits = [(c >> k) & 1 for k in range(len(data.w_columns))]
-        q_t = np.asarray([1.0, *bits])
-        sigma[data.w_labels[c]] = float(np.exp(q_t @ gamma))
+    rows = cell_rows(len(data.w_columns))
+    sigma = {label: float(np.exp(row @ gamma))
+             for label, row in zip(data.w_labels, rows)}
     return ParametricFit(
         kind="ordered-probit-heteroskedastic",
         target="reported",

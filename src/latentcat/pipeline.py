@@ -5,7 +5,8 @@ per cell -> assemble the latent conditional with empirical cell weights ->
 closed-form parametric layer. Per-cell fits run with the monotone-reporting
 restriction enforced: the parametric layer feeds latent-state labels into
 normal-quantile transforms, so the ordering has to be guaranteed, not just
-checked. Bootstrap standard errors re-run this whole pipeline per
+checked. ``parametric_fit`` is the one dispatch from a (model, target,
+skedastic) choice to an estimator; bootstrap standard errors re-run it per
 replicate (no analytic sandwich), warm-starting each replicate's cell fits
 at the parent point estimates.
 """
@@ -17,11 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, tabulate
-from .errors import EstimationError
+from .errors import ConfigurationError, EstimationError
 from .mle import CmleConfig, CmleResult, fit
 from .ordered import (
     LatentConditional,
     ParametricFit,
+    exponential_skedastic_probit,
     hetero_ordered_probit,
     homo_ordered_probit,
     latent_conditional,
@@ -41,6 +43,7 @@ __all__ = [
 ]
 
 PIPELINE_CONFIG = CmleConfig(ord_constraint="enforce")
+SKEDASTIC = ("nonparametric", "exponential")
 
 
 @dataclass(frozen=True)
@@ -81,17 +84,24 @@ def conditional_for_target(
     data: Dataset,
     target: str,
     config: CmleConfig = PIPELINE_CONFIG,
-    cell_fits: CellFits | None = None,
+    models: list[MisclassificationModel] | None = None,
 ) -> tuple[LatentConditional, CellFits | None]:
-    """Outcome conditional for either target; latent runs the cell fits."""
+    """Outcome conditional for either target.
+
+    The latent target uses the given cell ``models``, else runs the cell
+    fits and returns them too.
+    """
     names = ("const", *data.w_columns) if data.w_columns else ()
     if target == "reported":
         return reported_conditional(data), None
     if target != "latent":
         raise EstimationError(f"unknown target {target!r}")
-    fits = cell_fits if cell_fits is not None else fit_cells(data, config)
-    lc = latent_conditional(fits.models, fits.weights, column_names=names)
-    return lc, fits
+    fits = None
+    if models is None:
+        fits = fit_cells(data, config)
+        models = fits.models
+    weights = data.cell_counts() / data.n
+    return latent_conditional(models, weights, column_names=names), fits
 
 
 def parametric_fit(
@@ -100,17 +110,27 @@ def parametric_fit(
     target: str,
     config: CmleConfig = PIPELINE_CONFIG,
     clamp: float = 1e-6,
-    cell_fits: CellFits | None = None,
+    models: list[MisclassificationModel] | None = None,
+    skedastic_kind: str = "nonparametric",
 ) -> ParametricFit:
     """One named fit: model in {linear, oprobit, hoprobit}, either target.
 
     The reported-target homoskedastic probit is the conventional ML
-    benchmark on raw records; everything else goes through the conditional
-    representation and the closed forms.
+    benchmark on the counts; ``skedastic_kind="exponential"`` selects the
+    exponential-index ML benchmark for the reported-target heteroskedastic
+    probit. Everything else goes through the conditional representation
+    and the closed forms, the latent target on the given cell ``models``
+    (fitted here when None).
     """
+    if skedastic_kind != "nonparametric":
+        if (model, target, skedastic_kind) != ("hoprobit", "reported", "exponential"):
+            raise ConfigurationError(
+                f"skedastic kind {skedastic_kind!r} needs the reported hoprobit"
+            )
+        return exponential_skedastic_probit(data)
     if model == "oprobit" and target == "reported":
         return homo_ordered_probit(data, target="reported")
-    lc, _ = conditional_for_target(data, target, config, cell_fits)
+    lc, _ = conditional_for_target(data, target, config, models)
     if model == "linear":
         return linear_projection(lc, target=target)
     if model == "oprobit":
@@ -133,43 +153,28 @@ def bootstrap_std_errors(
     threads: int = 1,
     stratify: bool = False,
     warm_models: list[MisclassificationModel] | None = None,
+    clamp: float = 1e-6,
+    skedastic_kind: str = "nonparametric",
 ) -> tuple[ParametricFit, int]:
     """Re-run the full pipeline per bootstrap replicate; attach s.e. vector.
 
-    Returns the fit with ``std_errors`` filled plus the dropped-replicate
-    count. Replicate cell fits warm-start at the parent point estimates
-    with a couple of fresh random starts.
+    Every replicate calls ``parametric_fit`` with the point estimate's
+    choices. Returns the fit with ``std_errors`` filled plus the
+    dropped-replicate count. Replicate cell fits warm-start at the parent
+    point estimates with a couple of fresh random starts.
     """
-    warm = warm_models
     rep_config = replace(config, n_starts=replicate_starts)
 
     def estimator(redraw: Dataset):
+        models, flagged = None, False
         if target == "latent":
-            fits = fit_cells(redraw, rep_config, warm_starts=warm)
-            flagged = fits.any_boundary()
-        else:
-            fits = None
-            flagged = False
+            fits = fit_cells(redraw, rep_config, warm_starts=warm_models)
+            models, flagged = fits.models, fits.any_boundary()
         rep = parametric_fit(
-            redraw, model, target, rep_config, cell_fits=fits
+            redraw, model, target, rep_config, clamp, models, skedastic_kind
         )
         return rep.beta, flagged
 
     plan = ResamplePlan(b=b, master_seed=seed, stratify_by_cell=stratify)
     run = run_plan(plan, data, estimator, threads=threads)
-    se = run.se()
-    updated = ParametricFit(
-        kind=point.kind,
-        target=point.target,
-        beta=point.beta,
-        column_names=point.column_names,
-        cutpoints=point.cutpoints,
-        sigma_by_cell=point.sigma_by_cell,
-        std_errors=se,
-        clamp_events=point.clamp_events,
-        scale=point.scale,
-        norm_identity_max_dev=point.norm_identity_max_dev,
-        cutpoint_spread=point.cutpoint_spread,
-        effect_scale=point.effect_scale,
-    )
-    return updated, run.n_dropped
+    return replace(point, std_errors=run.se()), run.n_dropped

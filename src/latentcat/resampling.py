@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, nearest_rank
 from .errors import DataError, DomainError, EstimationError
 
 __all__ = [
@@ -88,8 +88,7 @@ def percentile(replicate_values, level: float) -> float:
         raise DomainError("no replicate values")
     if not 0.0 < level < 1.0:
         raise DomainError("level must be in (0, 1)")
-    rank = int(np.ceil(level * arr.size))
-    return float(arr[max(rank, 1) - 1])
+    return nearest_rank(arr, level)
 
 
 def boot_se(replicate_estimates, boundary_hits: int = 0) -> np.ndarray:

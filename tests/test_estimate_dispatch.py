@@ -1,0 +1,100 @@
+"""`estimate` runs one estimator for the point estimate and its bootstrap,
+and refuses option combinations and models artifacts it cannot honour."""
+
+import json
+
+import numpy as np
+import pytest
+
+from latentcat.cli import run
+from latentcat.data import ingest, load_schema
+from latentcat.ordered import exponential_skedastic_probit
+from latentcat.resampling import ResamplePlan, run_plan
+
+GEN_CFG = """\
+[generator]
+s_x = 3
+s_z = 3
+w_cells = 4
+strength = 0.3
+separation = 0.3
+z_mix = 0.8
+latent_uniform_mix = 0.8
+min_singular_value = 0.1
+"""
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("dispatch")
+    (root / "gen.cfg").write_text(GEN_CFG)
+    paths = {
+        "root": root,
+        "synth": root / "synth.csv",
+        "schema": root / "synth.schema.cfg",
+        "models": root / "models.json",
+    }
+    assert run(["simulate", "--spec", str(root / "gen.cfg"), "--n", "12000",
+                "--seed", "3", "--out", str(paths["synth"])]) == 0
+    assert run(["identify", "--input", str(paths["synth"]), "--schema",
+                str(paths["schema"]), "--by-cell", "--method", "cmle",
+                "--starts", "3", "--seed", "7", "--ord", "enforce",
+                "--out", str(paths["models"])]) == 0
+    return paths
+
+
+def estimate(inputs, out, *options):
+    return run(["estimate", "--data", str(inputs["synth"]), "--schema",
+                str(inputs["schema"]), "--seed", "4", "--threads", "1",
+                "--out", str(out), *options])
+
+
+def test_exponential_bootstrap_refits_the_exponential_model(inputs):
+    boot = ["--model", "hoprobit", "--target", "reported", "--boot", "8"]
+    exp_out = inputs["root"] / "fit-exp.json"
+    closed_out = inputs["root"] / "fit-closed.json"
+    assert estimate(inputs, exp_out, *boot, "--skedastic", "exponential") == 0
+    assert estimate(inputs, closed_out, *boot) == 0
+    exp_se = np.asarray(json.loads(exp_out.read_text())["fit"]["std_errors"])
+    closed_se = np.asarray(json.loads(closed_out.read_text())["fit"]["std_errors"])
+    assert not np.allclose(exp_se, closed_se)
+
+    data, _ = ingest(str(inputs["synth"]), load_schema(str(inputs["schema"])))
+    refits = run_plan(ResamplePlan(b=8, master_seed=4), data,
+                      lambda redraw: exponential_skedastic_probit(redraw).beta)
+    assert np.array_equal(exp_se, refits.se())
+
+
+@pytest.mark.parametrize("model,target", [("hoprobit", "latent"), ("linear", "reported")])
+def test_exponential_skedastic_is_a_usage_error_elsewhere(inputs, capsys, model, target):
+    out = inputs["root"] / "fit-unused.json"
+    code = estimate(inputs, out, "--models", str(inputs["models"]), "--model", model,
+                    "--target", target, "--skedastic", "exponential")
+    assert code == 64
+    assert "--skedastic" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_latent_estimate_refuses_unordered_cells(inputs, capsys):
+    artifact = json.loads(inputs["models"].read_text())
+    cell = artifact["cells"][1]
+    model = cell["model"]
+    # Relabel the latent states in reverse: the same distribution, but the
+    # last reporting row now decreases.
+    for name in ("m_x_given_xstar", "m_z_given_xstar"):
+        block = model[name]
+        data = np.asarray(block["data"]).reshape(block["rows"], block["cols"])
+        block["data"] = data[:, ::-1].ravel().tolist()
+    for name in ("f_y_given_xstar", "f_xstar"):
+        model[name] = model[name][::-1]
+    edited = inputs["root"] / "models-unordered.json"
+    edited.write_text(json.dumps(artifact))
+
+    out = inputs["root"] / "fit-unordered.json"
+    code = estimate(inputs, out, "--models", str(edited), "--model", "hoprobit",
+                    "--target", "latent")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert repr(cell["w_cell"]) in err
+    assert repr(artifact["cells"][0]["w_cell"]) not in err
+    assert not out.exists()
