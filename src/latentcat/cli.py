@@ -39,7 +39,9 @@ from .errors import (
     SchemaError,
     IndependenceTestError,
 )
-from .generate import GeneratorSpec, ProbitParams, draw, make_cell_weights, make_model
+from .generate import (
+    GeneratorSpec, ProbitParams, SyntheticSample, draw, make_cell_weights, make_model
+)
 from .mle import CmleConfig, fit
 from .pipeline import SKEDASTIC, bootstrap_std_errors, parametric_fit
 from .report import render, render_csv, render_exclusions
@@ -199,14 +201,14 @@ def _parse_generator_config(path: str) -> tuple[GeneratorSpec, np.ndarray | None
     return spec, weights
 
 
-def _write_dataset_csv(path: str, data: Dataset) -> None:
-    header = ["x", "y", "z", *data.w_columns]
+def _write_dataset_csv(path: str, sample: SyntheticSample) -> None:
+    w_columns = sample.data.w_columns
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        bits = cell_rows(len(data.w_columns))[:, 1:].astype(np.int64)
-        for i in range(data.n):
-            row = [str(int(data.x[i])), str(int(data.y[i])), str(int(data.z[i]))]
-            row.extend(str(int(b)) for b in bits[data.w[i]])
+        handle.write(",".join(["x", "y", "z", *w_columns]) + "\n")
+        bits = cell_rows(len(w_columns))[:, 1:].astype(np.int64)
+        for x, y, z, w in zip(sample.x, sample.y, sample.z, sample.w):
+            row = [str(int(x)), str(int(y)), str(int(z))]
+            row.extend(str(int(b)) for b in bits[w])
             handle.write(",".join(row) + "\n")
 
 
@@ -267,7 +269,7 @@ def _cmd_simulate(args) -> int:
     keep_truth = args.truth is not None
     sample = draw(models, weights, args.n, seed=args.seed, keep_truth=keep_truth)
     manifest.stage("draw")
-    _write_dataset_csv(args.out, sample.data)
+    _write_dataset_csv(args.out, sample)
     if keep_truth:
         with open(args.truth, "w", encoding="utf-8", newline="") as handle:
             handle.write("x_latent\n")
@@ -343,7 +345,7 @@ def _identify_cell(table, method: str, args, cell_seed: int,
 def _identify_boot_se(cell_data: Dataset, result, args, cell_seed: int) -> dict:
     """Bootstrap standard errors of every model parameter in one cell.
 
-    Replicates resample the cell's records, refit with the monotone
+    Replicates redraw the cell's counts, refit with the monotone
     restriction enforced (inference-grade), warm-started at the point
     estimate; the s.e. is the componentwise replicate standard deviation.
     """
@@ -364,11 +366,7 @@ def _identify_boot_se(cell_data: Dataset, result, args, cell_seed: int) -> dict:
         "std_errors": _model_se_blocks(
             se, result.model.s_x, result.model.s_z
         ),
-        "boot": {
-            "b": args.boot,
-            "n_dropped": boot.n_dropped,
-            "boundary_hits": boot.boundary_hits,
-        },
+        "boot": boot.to_dict(),
     }
 
 
@@ -421,12 +419,17 @@ def _cmd_identify(args) -> int:
 
 def _models_from_artifact(payload: dict, data: Dataset) -> list[MisclassificationModel]:
     """One model per covariate cell, refusing cells that fail the monotone
-    ordering: the latent state labels feed the normal-quantile transforms."""
+    ordering: the latent state labels feed the normal-quantile transforms.
+
+    An unlabelled (pooled) entry is the model of the only cell of a
+    one-cell dataset; a dataset with covariates needs one entry per cell.
+    """
+    labels = data.w_labels
     by_label: dict[str, dict] = {}
     for entry in payload.get("cells", []):
         if "model" in entry:
-            by_label[entry.get("w_cell") or "pooled"] = entry["model"]
-    labels = data.w_labels
+            label = entry.get("w_cell") or (labels[0] if len(labels) == 1 else "pooled")
+            by_label[label] = entry["model"]
     missing = [label for label in labels if label not in by_label]
     if missing:
         raise ConfigurationError(f"models artifact lacks cells: {missing}")
@@ -463,7 +466,7 @@ def _cmd_estimate(args) -> int:
 
     boot_meta = None
     if args.boot:
-        point, dropped = bootstrap_std_errors(
+        point, run = bootstrap_std_errors(
             data,
             args.model,
             args.target,
@@ -478,7 +481,7 @@ def _cmd_estimate(args) -> int:
             clamp=args.clamp,
             skedastic_kind=args.skedastic,
         )
-        boot_meta = {"b": args.boot, "n_dropped": dropped, "seed": args.seed}
+        boot_meta = {**run.to_dict(), "seed": args.seed}
         manifest.stage("bootstrap")
 
     payload = {"schema_version": "1", "fit": point.to_dict(), "boot": boot_meta}

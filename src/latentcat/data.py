@@ -3,10 +3,11 @@
 The observable record is a 4-tuple of discrete codes: a reported outcome
 ``x`` in {1..S_X}, a binary auxiliary indicator ``y`` in {0,1}, a second
 discretized auxiliary measure ``z`` in {1..S_Z}, and a covariate-cell index
-``w`` packing a short vector of binary covariates. A ``Dataset`` counts
-its records once into a (cell, x, y, z) table; everything downstream (tests,
-identification, estimation) reads that table, and the per-record code arrays
-serve only ingestion, bootstrap redraws and the CSV writer.
+``w`` packing a short vector of binary covariates. Records exist only while
+they are read: ``ingest`` (or ``Dataset.from_records``) counts them once into
+a (cell, x, y, z) table, and a ``Dataset`` is that table and nothing else.
+Everything downstream (tests, identification, estimation, bootstrap
+redraws) reads it.
 
 Discretization conventions
 --------------------------
@@ -22,12 +23,11 @@ from __future__ import annotations
 
 import configparser
 import csv
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, EmptyCellError, SchemaError
 
 MAX_W_COLUMNS = 8
 
@@ -206,7 +206,7 @@ def load_schema(path_or_text) -> Schema:
 
 
 # ---------------------------------------------------------------------------
-# Core record container
+# The count table
 # ---------------------------------------------------------------------------
 
 
@@ -249,62 +249,64 @@ def w_cell_label(cell: int, letters: tuple[str, ...]) -> str:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Recoded survey records, immutable after construction.
+    """A survey sample as its (cell, x, y, z) count table, immutable.
 
-    ``x`` in {1..S_X}, ``y`` in {0,1}, ``z`` in {1..S_Z}, ``w`` in
-    {0..2^|W|-1}. ``w_labels`` holds one display label per covariate cell.
-    Every statistic reads the (cell, x, y, z) count table ``counts``.
+    ``counts[w, x-1, y, z-1]`` is the number of records in covariate cell
+    ``w`` with codes (x, y, z); the support is the table's (S_X, 2, S_Z)
+    shape. ``w_labels`` holds one display label per covariate cell.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
-    support: tuple[int, int, int]
+    counts: np.ndarray
     w_columns: tuple[str, ...] = ()
     w_labels: tuple[str, ...] = ("0",)
 
     def __post_init__(self):
-        for name in ("x", "y", "z", "w"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        s_x, s_y, s_z = self.support
-        if s_y != 2:
-            raise DataError("the auxiliary indicator must be binary")
-        n = self.x.shape[0]
-        if n == 0:
-            raise DataError("empty dataset")
-        if not (self.y.shape[0] == self.z.shape[0] == self.w.shape[0] == n):
-            raise DataError("code arrays differ in length")
+        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
         n_cells = 2 ** len(self.w_columns)
-        for arr, lo, hi, name in (
-            (self.x, 1, s_x, "x"),
-            (self.y, 0, 1, "y"),
-            (self.z, 1, s_z, "z"),
-            (self.w, 0, n_cells - 1, "w"),
-        ):
-            if arr.size and (arr.min() < lo or arr.max() > hi):
-                raise DataError(f"{name} codes outside declared support [{lo},{hi}]")
+        if counts.ndim != 4 or counts.shape[0] != n_cells:
+            raise DataError("counts must be a (2^|w_columns|, S_X, 2, S_Z) table")
+        if counts.shape[2] != 2:
+            raise DataError("the auxiliary indicator must be binary")
+        if (counts < 0).any():
+            raise DataError("negative cell count")
+        if self.n == 0:
+            raise DataError("empty dataset")
         if len(self.w_labels) != n_cells:
             raise DataError("w_labels length must be 2^|w_columns|")
         if len(set(self.w_labels)) != n_cells:
             raise DataError("covariate cell labels must be unique")
 
-    @functools.cached_property
-    def counts(self) -> np.ndarray:
-        """``counts[w, x-1, y, z-1]``: records with those codes, counted once,
-        on first use (after ingest has freed its row buffers)."""
-        s_x, _, s_z = self.support
-        flat = ((self.w * s_x + self.x - 1) * 2 + self.y) * s_z + self.z - 1
-        counts = np.bincount(flat, minlength=self.n_w_cells * s_x * 2 * s_z)
-        counts = counts.reshape(self.n_w_cells, s_x, 2, s_z)
-        counts.setflags(write=False)
-        return counts
+    @classmethod
+    def from_records(cls, x, y, z, w, support: tuple[int, int, int],
+                     w_columns: tuple[str, ...] = (),
+                     w_labels: tuple[str, ...] = ("0",)) -> Dataset:
+        """Count recoded records: ``x`` in {1..S_X}, ``y`` in {0,1}, ``z`` in
+        {1..S_Z}, ``w`` in {0..2^|W|-1}, one entry per record."""
+        x, y, z, w = (np.asarray(a, dtype=np.int64) for a in (x, y, z, w))
+        s_x, s_y, s_z = support
+        if s_y != 2:
+            raise DataError("the auxiliary indicator must be binary")
+        if not (x.shape == y.shape == z.shape == w.shape) or x.ndim != 1:
+            raise DataError("code arrays differ in length")
+        n_cells = 2 ** len(w_columns)
+        for arr, lo, hi, name in (
+            (x, 1, s_x, "x"), (y, 0, 1, "y"), (z, 1, s_z, "z"), (w, 0, n_cells - 1, "w"),
+        ):
+            if arr.size and (arr.min() < lo or arr.max() > hi):
+                raise DataError(f"{name} codes outside declared support [{lo},{hi}]")
+        flat = ((w * s_x + x - 1) * 2 + y) * s_z + z - 1
+        counts = np.bincount(flat, minlength=n_cells * s_x * 2 * s_z)
+        return cls(counts.reshape(n_cells, s_x, 2, s_z), w_columns, w_labels)
+
+    @property
+    def support(self) -> tuple[int, int, int]:
+        return self.counts.shape[1:]  # type: ignore[return-value]
 
     @property
     def n(self) -> int:
-        return int(self.x.shape[0])
+        return int(self.counts.sum())
 
     @property
     def n_w_cells(self) -> int:
@@ -315,19 +317,11 @@ class Dataset:
         return self.counts.sum(axis=(1, 2, 3))
 
     def restrict(self, w_cell: int) -> Dataset:
-        """Records of a single covariate cell, as a 0-covariate dataset."""
-        mask = self.w == w_cell
-        if not mask.any():
-            raise DataError(f"covariate cell {self.w_labels[w_cell]!r} is empty")
-        return Dataset(
-            x=self.x[mask],
-            y=self.y[mask],
-            z=self.z[mask],
-            w=np.zeros(int(mask.sum()), dtype=np.int64),
-            support=self.support,
-            w_columns=(),
-            w_labels=(self.w_labels[w_cell],),
-        )
+        """The table of a single covariate cell, as a 0-covariate dataset."""
+        counts = self.counts[w_cell : w_cell + 1]
+        if not counts.any():
+            raise EmptyCellError(f"covariate cell {self.w_labels[w_cell]!r} is empty")
+        return Dataset(counts, w_columns=(), w_labels=(self.w_labels[w_cell],))
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +466,12 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
             f"(read {n_read}, dropped {report.n_excluded})"
         )
 
+    x = np.asarray(x_raw, dtype=np.int64)
+    w = np.asarray(w_cells, dtype=np.int64)
     y_vals = np.asarray(y_raw, dtype=float)
     z_vals = np.asarray(z_raw, dtype=float)
+    # Free the row buffers first, so that counting does not add to the peak.
+    del x_raw, y_raw, z_raw, w_cells
     if schema.y_binning == "median":
         y_codes = median_split(y_vals)
     else:
@@ -487,11 +485,8 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
     labels = tuple(
         w_cell_label(c, letters) for c in range(schema.n_w_cells)
     )
-    data = Dataset(
-        x=np.asarray(x_raw, dtype=np.int64),
-        y=y_codes,
-        z=z_codes,
-        w=np.asarray(w_cells, dtype=np.int64),
+    data = Dataset.from_records(
+        x, y_codes, z_codes, w,
         support=(schema.s_x, 2, schema.s_z),
         w_columns=schema.w_columns,
         w_labels=labels,
@@ -559,7 +554,7 @@ def tabulate(data: Dataset, w_cell: int | None = None) -> ContingencyTable:
     label = data.w_labels[w_cell]
     n = int(counts.sum())
     if n == 0:
-        raise DataError(f"covariate cell {label!r} has no records")
+        raise EmptyCellError(f"covariate cell {label!r} has no records")
     return ContingencyTable(counts=counts, n=n, w_cell=label)
 
 

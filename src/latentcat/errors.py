@@ -18,6 +18,10 @@ class DataError(LatentcatError):
     """The input data cannot support the requested operation."""
 
 
+class EmptyCellError(DataError):
+    """A covariate cell that the operation needs holds no records."""
+
+
 class ConfigurationError(LatentcatError):
     """Valid inputs combined in an unsupported way (e.g. non-square support)."""
 

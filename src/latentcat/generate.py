@@ -3,9 +3,8 @@
 Models are drawn to satisfy the identification conditions by construction
 (full-rank observable matrix, separated P(Y=1 | latent) values, strictly
 monotone last reporting row), with rejection resampling and a retry cap.
-``draw`` then produces record-level datasets whose population pmf is known
-exactly, which is what makes every estimator in this package testable
-without survey data.
+``draw`` then samples records whose population pmf is known exactly, which
+is what makes every estimator in this package testable without survey data.
 
 The ordered-probit helpers forward-generate exact cell probabilities from
 (beta, per-cell scale, cutpoints), serving as the oracle for the parametric
@@ -120,12 +119,17 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class SyntheticSample:
-    """A drawn dataset plus (opt-in) the hidden true latent codes.
+    """A drawn dataset, its record codes (for writing the records out), and
+    (opt-in) the hidden true latent codes.
 
     ``truth`` is never part of the Dataset, so no estimator can read it.
     """
 
     data: Dataset
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
     truth: np.ndarray | None = None
 
 
@@ -286,16 +290,14 @@ def draw(
 
     letters = tuple(chr(ord("A") + k) for k in range(n_cols))
     labels = tuple(w_cell_label(c, letters) for c in range(n_cells))
-    data = Dataset(
-        x=x,
-        y=y,
-        z=z,
-        w=w.astype(np.int64),
+    w = w.astype(np.int64)
+    data = Dataset.from_records(
+        x, y, z, w,
         support=(s_x, 2, s_z),
         w_columns=tuple(f"w{k + 1}" for k in range(n_cols)),
         w_labels=labels,
     )
-    return SyntheticSample(data=data, truth=xstar if keep_truth else None)
+    return SyntheticSample(data, x, y, z, w, truth=xstar if keep_truth else None)
 
 
 def probit_population(params: ProbitParams, cells: list[tuple[int, ...]],

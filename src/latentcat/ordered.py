@@ -3,8 +3,8 @@
 Everything here consumes a ``LatentConditional``: per covariate cell, the
 extended covariate vector (1, W), a cell weight, and a pmf over outcome
 levels {1..I}. Built from identified per-cell models it describes the
-latent outcome; built from raw records it describes the reported one, and
-every closed form below applies to either target unchanged.
+latent outcome; built from the reported counts it describes the reported
+one, and every closed form below applies to either target unchanged.
 
 Under the ordered-response normalization that pins the first two interior
 cutpoints at 0 and 1, the disturbance scale per cell is
@@ -32,7 +32,7 @@ from scipy import optimize
 from scipy.stats import norm
 
 from .data import Dataset, cell_rows
-from .errors import ConfigurationError, EstimationError
+from .errors import ConfigurationError, EmptyCellError, EstimationError
 from .spectral import MisclassificationModel
 
 __all__ = [
@@ -209,7 +209,7 @@ def reported_conditional(data: Dataset) -> LatentConditional:
     counts = data.cell_counts()
     if np.any(counts == 0):
         empty = [data.w_labels[i] for i in np.flatnonzero(counts == 0)]
-        raise ConfigurationError(f"empty covariate cells: {empty}")
+        raise EmptyCellError(f"empty covariate cells: {empty}")
     hist = data.counts.sum(axis=(2, 3)).astype(float)
     rows = cell_rows(len(data.w_columns))
     cells = tuple(
@@ -367,13 +367,13 @@ def homo_ordered_probit(source, target: str = "latent",
 
     Given a LatentConditional: the exact-inversion formulas with the scale
     pinned to 1 (any target). Given a Dataset (reported target only):
-    conventional maximum likelihood on the raw records, re-normalized to
+    conventional maximum likelihood on the reported counts, re-normalized to
     the (0, 1) cutpoint scheme with the constant scale in ``scale``.
     """
     if isinstance(source, Dataset):
         if target != "reported":
             raise ConfigurationError(
-                "raw-record fits are for the reported outcome"
+                "count-level ML fits are for the reported outcome"
             )
         return _homo_probit_mle(source)
     lc: LatentConditional = source

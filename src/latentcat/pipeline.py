@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, tabulate
-from .errors import ConfigurationError, EstimationError
+from .errors import ConfigurationError, EmptyCellError, EstimationError
 from .mle import CmleConfig, CmleResult, fit
 from .ordered import (
     LatentConditional,
@@ -31,7 +31,7 @@ from .ordered import (
     reported_conditional,
     skedastic,
 )
-from .resampling import ResamplePlan, run_plan
+from .resampling import BootstrapRun, ResamplePlan, run_plan
 from .spectral import MisclassificationModel
 
 __all__ = [
@@ -70,7 +70,7 @@ def fit_cells(
     counts = data.cell_counts()
     if np.any(counts == 0):
         empty = [data.w_labels[i] for i in np.flatnonzero(counts == 0)]
-        raise EstimationError(f"cannot fit empty covariate cells: {empty}")
+        raise EmptyCellError(f"cannot fit empty covariate cells: {empty}")
     results = []
     for cell in range(data.n_w_cells):
         table = tabulate(data, cell)
@@ -155,13 +155,14 @@ def bootstrap_std_errors(
     warm_models: list[MisclassificationModel] | None = None,
     clamp: float = 1e-6,
     skedastic_kind: str = "nonparametric",
-) -> tuple[ParametricFit, int]:
+) -> tuple[ParametricFit, BootstrapRun]:
     """Re-run the full pipeline per bootstrap replicate; attach s.e. vector.
 
     Every replicate calls ``parametric_fit`` with the point estimate's
-    choices. Returns the fit with ``std_errors`` filled plus the
-    dropped-replicate count. Replicate cell fits warm-start at the parent
-    point estimates with a couple of fresh random starts.
+    choices. Returns the fit with ``std_errors`` filled plus the run, which
+    counts dropped replicates by reason and boundary hits. Replicate cell
+    fits warm-start at the parent point estimates with a couple of fresh
+    random starts.
     """
     rep_config = replace(config, n_starts=replicate_starts)
 
@@ -177,4 +178,4 @@ def bootstrap_std_errors(
 
     plan = ResamplePlan(b=b, master_seed=seed, stratify_by_cell=stratify)
     run = run_plan(plan, data, estimator, threads=threads)
-    return replace(point, std_errors=run.se()), run.n_dropped
+    return replace(point, std_errors=run.se()), run

@@ -127,6 +127,8 @@ def render_models(payload: dict) -> str:
             notes.append("boundary: " + "; ".join(entry["boundary_flags"]))
         if notes:
             lines.append("  [" + " | ".join(notes) + "]")
+        if entry.get("boot"):
+            lines.append("  " + _boot_line(entry["boot"]))
     return "\n".join(lines) + "\n"
 
 
@@ -159,12 +161,20 @@ def render_fit(payload: dict) -> str:
             f"{k}={_fmt(v, 3)}" for k, v in sorted(sig.items())
         ) + "\n"
     if payload.get("boot"):
-        boot = payload["boot"]
-        out += (
-            f"bootstrap: B={boot['b']}, dropped={boot['n_dropped']}, "
-            f"seed={boot['seed']}\n"
-        )
+        out += _boot_line(payload["boot"]) + "\n"
     return out
+
+
+def _boot_items(boot: dict) -> list[tuple[str, object]]:
+    """Bootstrap telemetry as (name, value) pairs; drops are split by reason."""
+    items = [("b", boot["b"]), ("n_dropped", boot["n_dropped"])]
+    items += [(f"dropped_{k}", v) for k, v in sorted(boot.get("dropped", {}).items())]
+    items += [(k, boot[k]) for k in ("boundary_hits", "seed") if k in boot]
+    return items
+
+
+def _boot_line(boot: dict) -> str:
+    return "bootstrap: " + ", ".join(f"{k}={v}" for k, v in _boot_items(boot))
 
 
 def render_exclusions(payload: dict) -> str:
@@ -214,6 +224,21 @@ def render_csv(payload: dict) -> str:
         for i, name in enumerate(fit["column_names"]):
             se_txt = "" if se is None else repr(se[i])
             lines.append(f"{name},{fit['beta'][i]!r},{se_txt}")
+        if payload.get("boot"):
+            lines.append("")
+            lines.append("bootstrap,value")
+            lines.extend(f"{k},{v}" for k, v in _boot_items(payload["boot"]))
+    elif "cells" in payload and "method" in payload:
+        lines.append("w_cell,n,loglik,b,n_dropped,dropped_emptied_cell,"
+                     "dropped_estimator_failed,boundary_hits")
+        for entry in payload["cells"]:
+            boot = entry.get("boot") or {}
+            reasons = boot.get("dropped", {})
+            values = [entry.get("w_cell") or "pooled", entry.get("n"),
+                      entry.get("loglik"), boot.get("b"), boot.get("n_dropped"),
+                      reasons.get("emptied_cell"), reasons.get("estimator_failed"),
+                      boot.get("boundary_hits")]
+            lines.append(",".join("" if v is None else str(v) for v in values))
     else:
         raise DataError("no CSV rendering for this artifact")
     return "\n".join(lines) + "\n"

@@ -1,24 +1,28 @@
 """Shared nonparametric bootstrap engine.
 
-Replicates draw records with replacement (optionally within covariate
-cells, preserving cell counts exactly) from independent random streams
-derived as SeedSequence((master_seed, replicate_index[, cell_index])), so
-results are identical under any execution order or thread count. Replicates
-whose estimator raises an estimation error are dropped and counted rather
-than poisoning the aggregate, and boundary-flagged replicates trigger a
-warning because interior-solution asymptotics are in doubt there.
+Every statistic depends on the sample only through its (cell, x, y, z)
+count table, so a replicate redraws that table: one multinomial over all
+entries, or one per covariate cell when stratified (preserving cell counts
+exactly). This has the same distribution as redrawing n records with
+replacement. Each replicate has its own random stream, derived as
+SeedSequence((master_seed, replicate_index)), so results are identical
+under any execution order or thread count. Replicates whose estimator
+fails are dropped and counted by reason (an emptied covariate cell, or an
+estimation error) rather than poisoning the aggregate; boundary-flagged
+replicates are counted too and trigger a warning, because
+interior-solution asymptotics are in doubt there.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset, nearest_rank
-from .errors import DataError, DomainError, EstimationError
+from .errors import DomainError, EmptyCellError, EstimationError
 
 __all__ = [
     "ResamplePlan",
@@ -49,36 +53,22 @@ class ResamplePlan:
 
 
 def resample(data: Dataset, seed, stratify_by_cell: bool = False) -> Dataset:
-    """One bootstrap redraw of n records with replacement.
+    """One bootstrap redraw of the n records, as a redraw of the count table.
 
-    ``seed`` may be an int or a SeedSequence. With stratification, records
-    are redrawn within each covariate cell, so per-cell counts are
-    preserved exactly.
+    ``seed`` may be an int or a SeedSequence. Unstratified, the table is one
+    Multinomial(n, counts / n) draw over all (cell, x, y, z) entries; with
+    stratification, each covariate cell is its own multinomial at the
+    cell's total, so per-cell counts are preserved exactly.
     """
-    if data.n == 0:
-        raise DataError("cannot resample an empty dataset")
     rng = np.random.default_rng(seed)
-    if not stratify_by_cell:
-        idx = rng.integers(0, data.n, size=data.n)
+    counts = data.counts
+    if stratify_by_cell:
+        cells = counts.reshape(counts.shape[0], -1)
+        totals = cells.sum(axis=1)
+        redraw = rng.multinomial(totals, cells / np.maximum(totals, 1)[:, None])
     else:
-        idx = np.empty(data.n, dtype=np.int64)
-        pos = 0
-        for cell in range(data.n_w_cells):
-            members = np.flatnonzero(data.w == cell)
-            if members.size == 0:
-                continue
-            take = rng.integers(0, members.size, size=members.size)
-            idx[pos : pos + members.size] = members[take]
-            pos += members.size
-    return Dataset(
-        x=data.x[idx],
-        y=data.y[idx],
-        z=data.z[idx],
-        w=data.w[idx],
-        support=data.support,
-        w_columns=data.w_columns,
-        w_labels=data.w_labels,
-    )
+        redraw = rng.multinomial(data.n, counts.ravel() / data.n)
+    return replace(data, counts=redraw.reshape(counts.shape))
 
 
 def percentile(replicate_values, level: float) -> float:
@@ -112,14 +102,23 @@ def boot_se(replicate_estimates, boundary_hits: int = 0) -> np.ndarray:
     return stack.std(axis=0, ddof=1)
 
 
+# Why a replicate was dropped: its redraw emptied a covariate cell the
+# estimator needs, or the estimator failed on it.
+DROP_REASONS = ("emptied_cell", "estimator_failed")
+
+
 @dataclass(frozen=True)
 class BootstrapRun:
-    """Replicate estimates (survivors only) and the drop/boundary tallies."""
+    """Replicate estimates (survivors only), drops by reason, boundary hits."""
 
     estimates: np.ndarray
     n_requested: int
-    n_dropped: int
+    dropped: dict[str, int]
     boundary_hits: int
+
+    @property
+    def n_dropped(self) -> int:
+        return sum(self.dropped.values())
 
     @property
     def n_kept(self) -> int:
@@ -128,14 +127,22 @@ class BootstrapRun:
     def se(self) -> np.ndarray:
         return boot_se(self.estimates, boundary_hits=self.boundary_hits)
 
+    def to_dict(self) -> dict:
+        return {
+            "b": self.n_requested,
+            "n_dropped": self.n_dropped,
+            "dropped": dict(self.dropped),
+            "boundary_hits": self.boundary_hits,
+        }
+
 
 def run_plan(plan: ResamplePlan, data: Dataset, estimator, threads: int = 1) -> BootstrapRun:
     """Apply a pure estimator to every replicate of the plan.
 
     ``estimator(dataset)`` returns either a 1-d parameter vector or a
-    ``(vector, boundary_flagged: bool)`` pair. Estimation errors drop the
-    replicate. The aggregation is a deterministic fold in replicate order,
-    so thread count cannot change the result.
+    ``(vector, boundary_flagged: bool)`` pair. An ``EmptyCellError`` or an
+    estimation error drops the replicate. The aggregation is a deterministic
+    fold in replicate order, so thread count cannot change the result.
     """
 
     def one(index: int):
@@ -144,8 +151,10 @@ def run_plan(plan: ResamplePlan, data: Dataset, estimator, threads: int = 1) -> 
         )
         try:
             out = estimator(redraw)
+        except EmptyCellError:
+            return "emptied_cell"
         except EstimationError:
-            return None
+            return "estimator_failed"
         if isinstance(out, tuple):
             vec, flagged = out
             return np.asarray(vec, dtype=float), bool(flagged)
@@ -157,14 +166,13 @@ def run_plan(plan: ResamplePlan, data: Dataset, estimator, threads: int = 1) -> 
     else:
         results = [one(i) for i in range(plan.b)]
 
-    kept = [r for r in results if r is not None]
+    kept = [r for r in results if not isinstance(r, str)]
+    dropped = {reason: results.count(reason) for reason in DROP_REASONS}
     if not kept:
-        raise EstimationError("every bootstrap replicate failed")
-    estimates = np.vstack([vec for vec, _ in kept])
-    boundary_hits = sum(1 for _, flagged in kept if flagged)
+        raise EstimationError(f"every bootstrap replicate was dropped: {dropped}")
     return BootstrapRun(
-        estimates=estimates,
+        estimates=np.vstack([vec for vec, _ in kept]),
         n_requested=plan.b,
-        n_dropped=plan.b - len(kept),
-        boundary_hits=boundary_hits,
+        dropped=dropped,
+        boundary_hits=sum(1 for _, flagged in kept if flagged),
     )

@@ -84,7 +84,7 @@ def test_ts_bounded_on_random_pmfs():
 # ---------------------------------------------------------------------------
 
 
-def sample_dataset(strength, n, seed, n_cells=1, **kwargs):
+def sample_records(strength, n, seed, n_cells=1, **kwargs):
     spec = GeneratorSpec(
         misclassification_strength=strength,
         eigenvalue_separation=0.2,
@@ -94,7 +94,19 @@ def sample_dataset(strength, n, seed, n_cells=1, **kwargs):
     )
     models = make_model(spec)
     weights = np.full(n_cells, 1.0 / n_cells)
-    return draw(models, weights, n, seed=seed + 1).data
+    return draw(models, weights, n, seed=seed + 1)
+
+
+def sample_dataset(strength, n, seed, n_cells=1, **kwargs):
+    return sample_records(strength, n, seed, n_cells, **kwargs).data
+
+
+def shuffled_dataset(sample, perm):
+    data = sample.data
+    return Dataset.from_records(
+        x=sample.x[perm], y=sample.y[perm], z=sample.z[perm], w=sample.w[perm],
+        support=data.support, w_columns=data.w_columns, w_labels=data.w_labels,
+    )
 
 
 def test_bootstrap_test_report_fields():
@@ -127,7 +139,7 @@ def test_bootstrap_minimum_replicates():
 
 
 def test_bootstrap_degenerate_sample():
-    data = Dataset(
+    data = Dataset.from_records(
         x=np.array([1, 1, 1]), y=np.array([0, 0, 0]), z=np.array([2, 2, 2]),
         w=np.zeros(3, dtype=int), support=(3, 2, 3),
     )
@@ -136,12 +148,10 @@ def test_bootstrap_degenerate_sample():
 
 
 def test_bootstrap_record_order_invariance():
-    data = sample_dataset(0.5, 2000, seed=7)
+    sample = sample_records(0.5, 2000, seed=7)
+    data = sample.data
     perm = np.random.default_rng(8).permutation(data.n)
-    shuffled = Dataset(
-        x=data.x[perm], y=data.y[perm], z=data.z[perm], w=data.w[perm],
-        support=data.support, w_columns=data.w_columns, w_labels=data.w_labels,
-    )
+    shuffled = shuffled_dataset(sample, perm)
     a = bootstrap_test(data, b=199, seed=11)
     b = bootstrap_test(shuffled, b=199, seed=11)
     assert a.to_dict() == b.to_dict()
@@ -190,7 +200,7 @@ def test_pvalue_monotone_in_dependence():
             ).reshape(3, 2, 3)
             flat = np.repeat(np.arange(18), counts.ravel())
             x, y, z = np.unravel_index(flat, (3, 2, 3))
-            data = Dataset(
+            data = Dataset.from_records(
                 x=x + 1, y=y, z=z + 1, w=np.zeros(flat.size, dtype=int),
                 support=(3, 2, 3),
             )
@@ -215,10 +225,10 @@ def test_suite_shapes_and_skips():
 
 
 def test_suite_constant_covariate_skips_half():
-    base = sample_dataset(0.5, 1200, seed=15)
-    data = Dataset(
-        x=base.x, y=base.y, z=base.z, w=np.zeros(base.n, dtype=int),
-        support=base.support, w_columns=("c1", "c2"),
+    base = sample_records(0.5, 1200, seed=15)
+    data = Dataset.from_records(
+        x=base.x, y=base.y, z=base.z, w=np.zeros(base.data.n, dtype=int),
+        support=base.data.support, w_columns=("c1", "c2"),
         w_labels=("0", "A", "B", "AB"),
     )
     suite = conditional_test_suite(data, b=149, seed=4)
@@ -228,12 +238,10 @@ def test_suite_constant_covariate_skips_half():
 
 
 def test_suite_deterministic_under_permutation():
-    data = sample_dataset(0.5, 2400, seed=16, n_cells=2)
+    sample = sample_records(0.5, 2400, seed=16, n_cells=2)
+    data = sample.data
     perm = np.random.default_rng(17).permutation(data.n)
-    shuffled = Dataset(
-        x=data.x[perm], y=data.y[perm], z=data.z[perm], w=data.w[perm],
-        support=data.support, w_columns=data.w_columns, w_labels=data.w_labels,
-    )
+    shuffled = shuffled_dataset(sample, perm)
     a = conditional_test_suite(data, b=149, seed=5)
     b = conditional_test_suite(shuffled, b=149, seed=5)
     assert a.to_dict() == b.to_dict()

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,56 @@ def test_estimate_latent_bootstrap_se(pipeline, tmp_path):
     assert se is not None and len(se) == 2
     assert all(v > 0 for v in se)
     assert payload["boot"]["b"] == 12
+
+
+def test_estimate_boot_telemetry_in_artifact_and_report(pipeline, tmp_path, capsys):
+    out = tmp_path / "fit_boot.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["estimate", "--models", str(pipeline["models"]), "--data",
+                    str(pipeline["synth"]), "--schema", str(pipeline["schema"]),
+                    "--model", "linear", "--target", "latent", "--boot", "4",
+                    "--boot-starts", "2", "--threads", "1", "--seed", "11",
+                    "--out", str(out)]) == 0
+    boot = json.loads(out.read_text())["boot"]
+    assert set(boot["dropped"]) == {"emptied_cell", "estimator_failed"}
+    assert boot["n_dropped"] == sum(boot["dropped"].values())
+    hits = boot["boundary_hits"]
+    # The warning stays, and the artifact holds the same count.
+    warned = [str(w.message) for w in caught if "boundary" in str(w.message)]
+    assert warned == ([f"{hits} bootstrap replicate(s) hit a parameter boundary; "
+                       "interior-solution asymptotics may not apply"] if hits else [])
+    capsys.readouterr()
+    assert run(["report", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert f"boundary_hits={hits}" in text
+    assert f"dropped_emptied_cell={boot['dropped']['emptied_cell']}" in text
+    assert run(["report", str(out), "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert f"boundary_hits,{hits}" in rows
+    assert f"dropped_estimator_failed,{boot['dropped']['estimator_failed']}" in rows
+
+
+def test_identify_boot_telemetry_in_artifact_and_report(pipeline, tmp_path, capsys):
+    out = tmp_path / "models_boot.json"
+    assert run(["identify", "--input", str(pipeline["synth"]), "--schema",
+                str(pipeline["schema"]), "--by-cell", "--method", "cmle",
+                "--starts", "2", "--seed", "7", "--ord", "enforce", "--boot", "3",
+                "--boot-starts", "1", "--threads", "1", "--out", str(out)]) == 0
+    cells = json.loads(out.read_text())["cells"]
+    capsys.readouterr()
+    assert run(["report", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert run(["report", str(out), "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == ("w_cell,n,loglik,b,n_dropped,dropped_emptied_cell,"
+                       "dropped_estimator_failed,boundary_hits")
+    for entry, row in zip(cells, rows[1:]):
+        boot = entry["boot"]
+        assert set(boot["dropped"]) == {"emptied_cell", "estimator_failed"}
+        assert f"boundary_hits={boot['boundary_hits']}" in text
+        assert row.split(",")[0] == entry["w_cell"]
+        assert row.split(",")[-1] == str(boot["boundary_hits"])
 
 
 def test_simulate_malformed_spec_exit(tmp_path):

@@ -1,15 +1,18 @@
 """Property tests: every statistic reads the (cell, x, y, z) count table.
 
 The references below count records with per-cell masks, the way the
-statistics were computed before the count table existed.
+statistics were computed before the count table existed. Ingest's table
+and exclusion tallies do not depend on the order of the rows.
 """
+
+import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentcat.data import ContingencyTable, Dataset, tabulate
+from latentcat.data import ContingencyTable, Dataset, Schema, ingest, tabulate
 from latentcat.errors import ConfigurationError, DataError
 from latentcat.mle import loglik
 from latentcat.ordered import _cell_design, reported_conditional
@@ -34,26 +37,26 @@ def datasets(draw):
 
 
 def make(rows, support, n_cols):
-    return Dataset(
+    return Dataset.from_records(
         x=rows[:, 0], y=rows[:, 1], z=rows[:, 2], w=rows[:, 3], support=support,
         w_columns=tuple(f"w{k + 1}" for k in range(n_cols)),
         w_labels=tuple(str(c) for c in range(2**n_cols)),
     )
 
 
-def mask_table(data, cell):
-    mask = np.ones(data.n, dtype=bool) if cell is None else data.w == cell
-    s_x, _, s_z = data.support
+def mask_table(rows, support, cell):
+    mask = np.ones(len(rows), dtype=bool) if cell is None else rows[:, 3] == cell
+    s_x, _, s_z = support
     counts = np.zeros((s_x, 2, s_z), dtype=np.int64)
-    for x, y, z in zip(data.x[mask], data.y[mask], data.z[mask]):
+    for x, y, z in rows[mask, :3]:
         counts[x - 1, y, z - 1] += 1
     return counts
 
 
-def mask_x_hist(data):
+def mask_x_hist(rows, support, n_cells):
     return np.asarray([
-        np.bincount(data.x[data.w == c] - 1, minlength=data.support[0])
-        for c in range(data.n_w_cells)
+        np.bincount(rows[rows[:, 3] == c, 0] - 1, minlength=support[0])
+        for c in range(n_cells)
     ])
 
 
@@ -64,7 +67,7 @@ def test_tables_match_record_masks_and_ignore_order(case):
     data = make(rows, support, n_cols)
     shuffled = make(rows[order], support, n_cols)
     assert np.array_equal(data.counts, shuffled.counts)
-    sizes = [int((data.w == c).sum()) for c in range(data.n_w_cells)]
+    sizes = [int((rows[:, 3] == c).sum()) for c in range(data.n_w_cells)]
     assert data.cell_counts().tolist() == sizes
     assert shuffled.cell_counts().tolist() == sizes
     for cell in (None, *range(data.n_w_cells)):
@@ -72,7 +75,7 @@ def test_tables_match_record_masks_and_ignore_order(case):
             with pytest.raises(DataError):
                 tabulate(data, cell)
             continue
-        expected = mask_table(data, cell)
+        expected = mask_table(rows, support, cell)
         for d in (data, shuffled):
             table = tabulate(d, cell)
             assert isinstance(table, ContingencyTable)
@@ -86,7 +89,7 @@ def test_outcome_conditionals_match_record_masks(case):
     rows, order, support, n_cols = case
     data = make(rows, support, n_cols)
     shuffled = make(rows[order], support, n_cols)
-    hist = mask_x_hist(data)
+    hist = mask_x_hist(rows, support, data.n_w_cells)
     populated = hist.sum(axis=1) > 0
     bits = [[1.0, *((c >> k) & 1 for k in range(n_cols))] for c in range(data.n_w_cells)]
     for d in (data, shuffled):
@@ -144,3 +147,47 @@ def test_batched_joint_pmf_equals_items(seed, batch, s_x, s_z):
     assert batched.shape == (batch, s_x, 2, s_z)
     for got, blocks in zip(batched, items):
         assert np.array_equal(got, _joint_pmf(*blocks))
+
+
+SCHEMA = Schema(
+    x_column="ls", y_column="neuro", z_column="ghq", w_columns=("female", "married"),
+    x_recode={1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3, 7: 3},
+    z_binning="tercile", y_binning="median",
+)
+
+
+@st.composite
+def extracts(draw):
+    """CSV rows with valid and excludable fields, plus a row permutation."""
+    raw_x = st.sampled_from(["1", "2", "3", "4", "5", "6", "7", "9", "4.5", "", "x"])
+    value = st.one_of(
+        st.integers(-3, 3).map(str), st.floats(-2, 2).map(repr),
+        st.sampled_from(["", "nan"]),
+    )
+    bit = st.sampled_from(["0", "1", "1.0", "2", ""])
+    rows = draw(st.lists(st.tuples(raw_x, value, value, bit, bit), min_size=1,
+                         max_size=40))
+    order = draw(st.permutations(range(len(rows))))
+    return rows, order
+
+
+def ingest_rows(rows):
+    text = "ls,neuro,ghq,female,married\n" + "".join(",".join(r) + "\n" for r in rows)
+    try:
+        data, report = ingest(io.StringIO(text), SCHEMA)
+    except DataError as exc:
+        return str(exc), None
+    return data.counts, report.to_dict()
+
+
+@SETTINGS
+@given(extracts())
+def test_ingest_ignores_row_order(case):
+    rows, order = case
+    counts, tallies = ingest_rows(rows)
+    shuffled_counts, shuffled_tallies = ingest_rows([rows[i] for i in order])
+    assert tallies == shuffled_tallies
+    if tallies is None:  # every row excluded: the same refusal either way
+        assert counts == shuffled_counts
+    else:
+        assert np.array_equal(counts, shuffled_counts)

@@ -21,6 +21,13 @@ from latentcat.errors import DataError, SchemaError
 from conftest import ingest_text
 
 
+def records_of(data):
+    """One (x, y, z, w) code per record, expanded from the count table."""
+    flat = np.repeat(np.arange(data.counts.size), data.counts.ravel())
+    w, x, y, z = np.unravel_index(flat, data.counts.shape)
+    return x + 1, y, z + 1, w
+
+
 def make_csv(rows, header="ls,neuro,ghq,female,married"):
     return header + "\n" + "\n".join(",".join(str(v) for v in r) for r in rows) + "\n"
 
@@ -33,7 +40,8 @@ def make_csv(rows, header="ls,neuro,ghq,female,married"):
 def test_ingest_applies_recode_groups(basic_schema):
     text = make_csv([(6, 1.0, 10, 0, 0), (7, 2.0, 20, 0, 0), (2, 3.0, 30, 0, 0)])
     data, report = ingest_text(text, basic_schema)
-    assert data.x.tolist() == [3, 3, 1]
+    # x codes 3, 3, 1 (one record coded 1, none 2, two 3)
+    assert data.counts.sum(axis=(0, 2, 3)).tolist() == [1, 0, 2]
     assert report.n_excluded == 0
 
 
@@ -81,7 +89,8 @@ def test_ingest_from_path(tmp_path, basic_schema):
     path.write_text(make_csv([(6, 1.0, 5, 1, 0), (1, 2.0, 25, 0, 1)]))
     data, _ = ingest(str(path), basic_schema)
     assert data.n == 2
-    assert data.w.tolist() == [1, 2]
+    # cells 1 (female) and 2 (married)
+    assert data.cell_counts().tolist() == [0, 1, 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +152,7 @@ def test_tercile_boundary_tie_goes_down():
 
 
 def two_cell_dataset():
-    return Dataset(
+    return Dataset.from_records(
         x=np.array([1, 1, 2, 3, 3, 1, 2, 2, 3, 1, 2, 1]),
         y=np.array([0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]),
         z=np.array([1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3]),
@@ -155,7 +164,7 @@ def two_cell_dataset():
 
 
 def test_tabulate_two_identical_records():
-    data = Dataset(
+    data = Dataset.from_records(
         x=np.array([1, 1]),
         y=np.array([0, 0]),
         z=np.array([1, 1]),
@@ -185,7 +194,7 @@ def test_tabulate_hand_tally():
 
 
 def test_tabulate_empty_cell_names_cell():
-    data = Dataset(
+    data = Dataset.from_records(
         x=np.array([1]), y=np.array([0]), z=np.array([1]), w=np.array([0]),
         support=(3, 2, 3), w_columns=("female",), w_labels=("0", "F"),
     )
@@ -210,9 +219,10 @@ def test_frequency_pmf_uniform():
 
 def test_frequency_pmf_order_invariance():
     data = two_cell_dataset()
+    x, y, z, w = records_of(data)
     perm = np.random.default_rng(3).permutation(data.n)
-    shuffled = Dataset(
-        x=data.x[perm], y=data.y[perm], z=data.z[perm], w=data.w[perm],
+    shuffled = Dataset.from_records(
+        x=x[perm], y=y[perm], z=z[perm], w=w[perm],
         support=data.support, w_columns=data.w_columns, w_labels=data.w_labels,
     )
     a = frequency_pmf(tabulate(data))
@@ -230,16 +240,14 @@ def test_recode_idempotence(basic_schema):
         z_binning=(1.0, 2.0),
         y_binning=0.5,
     )
+    x, y, z, w = records_of(data)
     rows = [
-        (int(x), int(y), int(z), b0, b1)
-        for x, y, z, b0, b1 in zip(
-            data.x, data.y, data.z, data.w & 1, (data.w >> 1) & 1
-        )
+        (int(xv), int(yv), int(zv), b0, b1)
+        for xv, yv, zv, b0, b1 in zip(x, y, z, w & 1, (w >> 1) & 1)
     ]
     again, _ = ingest_text(make_csv(rows), identity_schema)
-    assert again.x.tolist() == data.x.tolist()
-    assert again.z.tolist() == data.z.tolist()
-    assert again.w.tolist() == data.w.tolist()
+    # the joint (w, x, z) table: the count form of equal x, z and w codes
+    assert np.array_equal(again.counts.sum(axis=2), data.counts.sum(axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +271,7 @@ def test_joint_pmf_validates_sum():
 
 def test_dataset_rejects_out_of_support():
     with pytest.raises(DataError):
-        Dataset(
+        Dataset.from_records(
             x=np.array([4]), y=np.array([0]), z=np.array([1]), w=np.array([0]),
             support=(3, 2, 3),
         )
@@ -344,4 +352,5 @@ def test_restrict_returns_single_cell_view():
     sub = data.restrict(1)
     assert sub.n == 6
     assert sub.w_labels == ("F",)
-    assert np.all(sub.w == 0)
+    assert sub.counts.shape[0] == 1
+    assert np.array_equal(sub.counts[0], data.counts[1])

@@ -89,8 +89,8 @@ def test_latent_conditional_weights_match_empirical():
 def test_reported_conditional_from_records():
     spec = GeneratorSpec(n_w_cells=2, seed=7)
     models = make_model(spec)
-    sample = draw(models, [0.5, 0.5], 5000, seed=8).data
-    lc = reported_conditional(sample)
+    sample = draw(models, [0.5, 0.5], 5000, seed=8)
+    lc = reported_conditional(sample.data)
     assert len(lc.cells) == 2
     hist = np.bincount(sample.x[sample.w == 0] - 1, minlength=3)
     assert np.allclose(lc.cells[0].probs, hist / hist.sum())

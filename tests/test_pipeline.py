@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latentcat.data import Dataset
 from latentcat.errors import EstimationError
 from latentcat.generate import GeneratorSpec, ProbitParams, draw, make_model
 from latentcat.mle import CmleConfig
@@ -79,12 +80,33 @@ def test_bootstrap_std_errors_linear_reported(probit_sample):
     _, _, data = probit_sample
     config = CmleConfig(n_starts=2, seed=4, ord_constraint="enforce")
     point = parametric_fit(data, "linear", "reported", config)
-    updated, dropped = bootstrap_std_errors(
+    updated, run = bootstrap_std_errors(
         data, "linear", "reported", point, b=60, seed=5, config=config
     )
-    assert dropped == 0
+    assert run.n_dropped == 0
     assert updated.std_errors is not None
     assert updated.std_errors.shape == point.beta.shape
     assert np.all(updated.std_errors > 0)
     # cell means at n=10k per cell put coefficient se around 0.01-0.03
     assert np.all(updated.std_errors < 0.1)
+
+
+def test_reported_bootstrap_drops_replicates_that_empty_a_cell():
+    # 298 records in cell 0 and 2 in cell A: an unstratified replicate empties
+    # cell A with probability (298/300)^300, about 0.13.
+    rng = np.random.default_rng(0)
+    n = 300
+    data = Dataset.from_records(
+        x=rng.integers(1, 4, size=n), y=rng.integers(0, 2, size=n),
+        z=rng.integers(1, 4, size=n), w=(np.arange(n) < 2).astype(int),
+        support=(3, 2, 3), w_columns=("a",), w_labels=("0", "A"),
+    )
+    point = parametric_fit(data, "linear", "reported")
+    updated, run = bootstrap_std_errors(data, "linear", "reported", point, b=50, seed=1)
+    assert run.dropped["emptied_cell"] >= 1
+    assert run.dropped["estimator_failed"] == 0
+    assert run.estimates.shape[0] == 50 - run.n_dropped
+    assert np.all(np.isfinite(updated.std_errors))
+    stratified, run = bootstrap_std_errors(data, "linear", "reported", point, b=50,
+                                           seed=1, stratify=True)
+    assert run.n_dropped == 0

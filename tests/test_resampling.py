@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from latentcat.data import Dataset, tabulate
-from latentcat.errors import DomainError, EstimationError
+from latentcat.errors import DomainError, EmptyCellError, EstimationError
 from latentcat.generate import GeneratorSpec, draw, make_model
 from latentcat.mle import CmleConfig, fit
+from latentcat.ordered import linear_projection, reported_conditional
 from latentcat.resampling import (
     ResamplePlan,
     boot_se,
@@ -14,10 +15,29 @@ from latentcat.resampling import (
 )
 
 
-def small_dataset(n=40, seed=0, n_cells=2):
+def small_sample(n=40, seed=0, n_cells=2):
     spec = GeneratorSpec(n_w_cells=n_cells, seed=seed)
     models = make_model(spec)
-    return draw(models, np.full(n_cells, 1 / n_cells), n, seed=seed + 1).data
+    return draw(models, np.full(n_cells, 1 / n_cells), n, seed=seed + 1)
+
+
+def small_dataset(n=40, seed=0, n_cells=2):
+    return small_sample(n, seed, n_cells).data
+
+
+def mean_x(d):
+    return float(d.counts.sum(axis=(0, 2, 3)) @ np.arange(1, d.support[0] + 1)) / d.n
+
+
+def mean_y(d):
+    return float(d.counts[:, :, 1].sum()) / d.n
+
+
+def more_x1_than(data):
+    # Replicate-level event with probability near 1/2: more x = 1 records
+    # than the sample it was redrawn from.
+    base = data.counts[:, 0].sum()
+    return lambda d: bool(d.counts[:, 0].sum() > base)
 
 
 # ---------------------------------------------------------------------------
@@ -26,20 +46,20 @@ def small_dataset(n=40, seed=0, n_cells=2):
 
 
 def test_resample_single_record():
-    data = Dataset(
+    data = Dataset.from_records(
         x=np.array([2]), y=np.array([1]), z=np.array([3]), w=np.array([0]),
         support=(3, 2, 3),
     )
     redraw = resample(data, seed=5)
     assert redraw.n == 1
-    assert redraw.x[0] == 2 and redraw.y[0] == 1 and redraw.z[0] == 3
+    assert redraw.counts[0, 2 - 1, 1, 3 - 1] == 1
 
 
 def test_resample_same_seed_identical():
     data = small_dataset()
     a = resample(data, seed=7)
     b = resample(data, seed=7)
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.w, b.w)
+    assert np.array_equal(a.counts, b.counts)
 
 
 def test_resample_stratified_preserves_cell_counts():
@@ -50,22 +70,18 @@ def test_resample_stratified_preserves_cell_counts():
 
 def test_resample_expected_record_frequency():
     # Record 0 appears Binomial(R*n, 1/n) times across R replicates of size n.
-    data = small_dataset(n=10, seed=4, n_cells=1)
-    marker = (data.x[0], data.y[0], data.z[0])
+    sample = small_sample(n=10, seed=4, n_cells=1)
+    data = sample.data
+    marker = (0, sample.x[0] - 1, sample.y[0], sample.z[0] - 1)
     matches_record0 = np.flatnonzero(
-        (data.x == marker[0]) & (data.y == marker[1]) & (data.z == marker[2])
+        (sample.x == sample.x[0]) & (sample.y == sample.y[0])
+        & (sample.z == sample.z[0])
     )
     r = 2000
     hits = 0
     for i in range(r):
         redraw = resample(data, seed=1000 + i)
-        hits += int(
-            np.count_nonzero(
-                (redraw.x == marker[0])
-                & (redraw.y == marker[1])
-                & (redraw.z == marker[2])
-            )
-        )
+        hits += int(redraw.counts[marker])
     mean = r * matches_record0.size  # each slot hits with prob k/n over n slots
     sd = np.sqrt(r * 10 * (matches_record0.size / 10) * (1 - matches_record0.size / 10))
     assert abs(hits - mean) <= 3 * sd
@@ -133,7 +149,7 @@ def test_run_plan_deterministic_across_threads():
     data = small_dataset(n=120, seed=9, n_cells=2)
 
     def estimator(d):
-        return np.array([d.x.mean(), d.y.mean()])
+        return np.array([mean_x(d), mean_y(d)])
 
     plan = ResamplePlan(b=24, master_seed=13)
     serial = run_plan(plan, data, estimator, threads=1)
@@ -144,12 +160,13 @@ def test_run_plan_deterministic_across_threads():
 def test_run_plan_drops_failed_replicates():
     data = small_dataset(n=60, seed=10, n_cells=1)
     calls = {"n": 0}
+    fails = more_x1_than(data)
 
     def estimator(d):
         calls["n"] += 1
-        if d.x[0] == 1:
+        if fails(d):
             raise EstimationError("synthetic failure")
-        return np.array([d.x.mean()])
+        return np.array([mean_x(d)])
 
     plan = ResamplePlan(b=40, master_seed=14)
     run = run_plan(plan, data, estimator, threads=1)
@@ -161,8 +178,10 @@ def test_run_plan_drops_failed_replicates():
 def test_run_plan_counts_boundary_flags():
     data = small_dataset(n=60, seed=11, n_cells=1)
 
+    flagged = more_x1_than(data)
+
     def estimator(d):
-        return np.array([d.x.mean()]), bool(d.x[0] == 1)
+        return np.array([mean_x(d)]), flagged(d)
 
     run = run_plan(ResamplePlan(b=30, master_seed=15), data, estimator)
     assert 0 < run.boundary_hits < 30
@@ -199,3 +218,93 @@ def test_boot_se_matches_monte_carlo_sd():
         mc.append(estimator(d))
     mc_sd = np.vstack(mc).std(axis=0, ddof=1)
     assert np.all(np.abs(se - mc_sd) <= 0.30 * mc_sd)
+
+
+# ---------------------------------------------------------------------------
+# count-table redraws against the record gather they replaced
+# ---------------------------------------------------------------------------
+
+
+def record_gather(sample, seed, stratify_by_cell=False):
+    """The former engine: draw n records with replacement (within each
+    covariate cell when stratified), then count them."""
+    rng = np.random.default_rng(seed)
+    n = sample.x.size
+    if not stratify_by_cell:
+        idx = rng.integers(0, n, size=n)
+    else:
+        idx = np.empty(n, dtype=np.int64)
+        pos = 0
+        for cell in range(sample.data.n_w_cells):
+            members = np.flatnonzero(sample.w == cell)
+            if members.size == 0:
+                continue
+            take = rng.integers(0, members.size, size=members.size)
+            idx[pos : pos + members.size] = members[take]
+            pos += members.size
+    data = sample.data
+    return Dataset.from_records(
+        sample.x[idx], sample.y[idx], sample.z[idx], sample.w[idx],
+        support=data.support, w_columns=data.w_columns, w_labels=data.w_labels,
+    )
+
+
+@pytest.mark.parametrize("stratify", [False, True])
+def test_count_redraws_match_record_redraws_in_distribution(stratify):
+    # Bootstrap SEs of the reported linear-projection coefficients from
+    # B = 2000 replicates of each engine. Each SE has a relative Monte Carlo
+    # sd of about 1/sqrt(2(B-1)) = 1.6%, so the ratio of two independent
+    # ones has sd of about 2.2%; the 10% bound is 4.5 sd, over 3
+    # coefficients.
+    sample = small_sample(n=400, seed=21, n_cells=4)
+    data = sample.data
+
+    def beta(d):
+        return linear_projection(reported_conditional(d), target="reported").beta
+
+    b = 2000
+    counts = run_plan(ResamplePlan(b=b, master_seed=31, stratify_by_cell=stratify),
+                      data, beta)
+    assert counts.n_dropped == 0
+    records = np.vstack([
+        beta(record_gather(sample, np.random.SeedSequence((32, i)), stratify))
+        for i in range(b)
+    ])
+    ratio = counts.se() / records.std(axis=0, ddof=1)
+    assert np.all(np.abs(ratio - 1.0) < 0.10), ratio
+
+
+def test_stratified_redraws_keep_every_cell_total():
+    data = small_dataset(n=300, seed=22, n_cells=8)
+    unstratified_moved = False
+    for i in range(50):
+        redraw = resample(data, np.random.SeedSequence((5, i)), stratify_by_cell=True)
+        assert np.array_equal(redraw.cell_counts(), data.cell_counts())
+        plain = resample(data, np.random.SeedSequence((5, i)))
+        assert plain.n == data.n
+        unstratified_moved |= not np.array_equal(plain.cell_counts(), data.cell_counts())
+    assert unstratified_moved
+
+
+def test_run_plan_counts_drops_by_reason():
+    data = small_dataset(n=60, seed=12, n_cells=2)
+    empties = more_x1_than(data)
+
+    def estimator(d):
+        if empties(d):
+            raise EmptyCellError("synthetic empty cell")
+        if d.counts[:, 1].sum() > data.counts[:, 1].sum():
+            raise EstimationError("synthetic failure")
+        return np.array([mean_x(d)])
+
+    run = run_plan(ResamplePlan(b=40, master_seed=16), data, estimator)
+    assert run.dropped["emptied_cell"] >= 1 and run.dropped["estimator_failed"] >= 1
+    assert run.n_dropped == sum(run.dropped.values())
+    assert run.to_dict()["dropped"] == run.dropped
+    assert run.estimates.shape[0] == 40 - run.n_dropped
+
+    def always_empty(d):
+        raise EmptyCellError("synthetic empty cell")
+
+    with pytest.raises(EstimationError, match="'emptied_cell': 5"):
+        run_plan(ResamplePlan(b=5, master_seed=16), data, always_empty)
