@@ -34,6 +34,7 @@ from .ordered import (
     homo_ordered_probit,
     latent_conditional,
     linear_projection,
+    ordered_probit_mle,
     skedastic,
 )
 from .resampling import ResamplePlan, boot_se, percentile, resample
@@ -80,6 +81,7 @@ __all__ = [
     "skedastic",
     "hetero_ordered_probit",
     "homo_ordered_probit",
+    "ordered_probit_mle",
     "ResamplePlan",
     "resample",
     "percentile",

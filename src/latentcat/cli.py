@@ -63,10 +63,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def _seed_arg(value: str) -> int:
     seed = int(value)
     if seed < 0:
@@ -360,7 +356,7 @@ def _identify_boot_se(cell_data: Dataset, result, args, cell_seed: int) -> dict:
         return _model_param_vector(rep.model), bool(rep.boundary_flags)
 
     plan = ResamplePlan(b=args.boot, master_seed=cell_seed)
-    boot = run_plan(plan, cell_data, estimator, threads=args.threads)
+    boot = run_plan(plan, cell_data, estimator)
     se = boot.se()
     return {
         "std_errors": _model_se_blocks(
@@ -475,7 +471,6 @@ def _cmd_estimate(args) -> int:
             seed=args.seed,
             config=config,
             replicate_starts=args.boot_starts,
-            threads=args.threads,
             stratify=args.stratify,
             warm_models=models,
             clamp=args.clamp,
@@ -514,7 +509,17 @@ def _cmd_report(args) -> int:
 def _cmd_replay(args) -> int:
     manifest = _read_json(args.manifest)
     command = manifest["command"]
-    options = dict(manifest["options"])
+    # Options this version does not take are dropped: the only one retired,
+    # the bootstrap worker count of older manifests, never changed an artifact.
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parser = sub.choices.get(command)
+    known = {action.dest for action in parser._actions} if parser else set()
+    options = {k: v for k, v in manifest["options"].items() if k in known}
+    if len(options) < len(manifest["options"]):
+        ignored = sorted(set(manifest["options"]) - known)
+        print(f"replay: ignoring options this version does not take: {ignored}",
+              file=sys.stderr)
     for path, digest in manifest.get("inputs", {}).items():
         if not os.path.exists(path):
             raise DataError(f"replay input missing: {path}")
@@ -587,7 +592,6 @@ def _build_parser() -> _Parser:
     p_id.add_argument("--boot", type=int, default=0,
                       help="bootstrap replicates for parameter standard errors")
     p_id.add_argument("--boot-starts", type=int, default=3, dest="boot_starts")
-    p_id.add_argument("--threads", type=int, default=_default_threads())
     p_id.add_argument("--out", required=True)
     p_id.set_defaults(func=_cmd_identify)
 
@@ -609,7 +613,6 @@ def _build_parser() -> _Parser:
                             "per-cell inversion or exponential-index ML benchmark")
     p_est.add_argument("--stratify", action="store_true",
                        help="stratify bootstrap redraws by covariate cell")
-    p_est.add_argument("--threads", type=int, default=_default_threads())
     p_est.add_argument("--out", required=True)
     p_est.set_defaults(func=_cmd_estimate)
 

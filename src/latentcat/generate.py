@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import Dataset, cell_rows, w_cell_label
 from .errors import ConfigurationError, GeneratorError
+from .ordered import CellConditional, LatentConditional, _cell_probs
 from .spectral import MisclassificationModel
 
 __all__ = [
@@ -151,11 +151,9 @@ def _separated_uniform(rng, k: int, lo: float, hi: float, gap: float) -> np.ndar
 
 
 def _probit_cell_probs(params: ProbitParams, q_tilde: np.ndarray, cell: int) -> np.ndarray:
-    index = float(q_tilde @ params.beta)
-    sigma = float(params.sigma_by_cell[cell])
-    edges = np.concatenate(([-np.inf], (params.cutpoints - index) / sigma, [np.inf]))
-    cdf = norm.cdf(edges)
-    return np.diff(cdf)
+    index = np.asarray([q_tilde @ params.beta], dtype=float)
+    sigma = np.asarray([params.sigma_by_cell[cell]], dtype=float)
+    return _cell_probs(index, sigma, params.cutpoints)[0]
 
 
 def make_model(spec: GeneratorSpec) -> list[MisclassificationModel]:
@@ -307,8 +305,6 @@ def probit_population(params: ProbitParams, cells: list[tuple[int, ...]],
     Returns a LatentConditional over the given covariate-bit cells; weights
     default to uniform.
     """
-    from .ordered import CellConditional, LatentConditional
-
     n_cells = len(cells)
     if n_cells == 0:
         raise ConfigurationError("need at least one covariate cell")

@@ -20,6 +20,7 @@ priori can mask conflicts with the data.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -47,7 +48,13 @@ __all__ = [
 
 LOGIT_MAX = 30.0
 P_FLOOR = 1e-300
+# L-BFGS-B iteration cap and projected-gradient tolerance per start.
+MAX_ITERATIONS = 3000
+GRADIENT_TOLERANCE = 1e-9
+# Starts agree when their log-likelihoods tie the best within this (relative).
 AGREE_RTOL = 1e-6
+# A probability (or last-row gap) this close to 0 or 1 is a boundary flag.
+BOUNDARY_TOL = 1e-2
 
 
 def param_count(s_x: int, s_y: int, s_z: int) -> int:
@@ -59,23 +66,19 @@ def param_count(s_x: int, s_y: int, s_z: int) -> int:
 
 @dataclass(frozen=True)
 class CmleConfig:
-    """Optimizer controls.
+    """The multi-start choices a caller makes.
 
     ``ord_constraint`` is "check-only" (fit unrestricted, flag violations)
     or "enforce" (reparameterize the last reporting row as strictly
     increasing). ``n_starts`` counts total optimizations; start 0 is the
-    closed-form spectral solution when ``spectral_start`` and it exists,
-    the rest are seeded flat draws from the simplex interior.
+    closed-form spectral solution when it exists, the rest are flat draws
+    from the simplex interior seeded by ``seed``. Iteration limits and
+    tolerances are the module constants.
     """
 
     n_starts: int = 10
-    max_iterations: int = 3000
-    gradient_tolerance: float = 1e-9
     ord_constraint: str = "check-only"
     seed: int = 0
-    spectral_start: bool = True
-    agree_rtol: float = AGREE_RTOL
-    boundary_tol: float = 1e-2
 
     def __post_init__(self):
         if self.n_starts < 1:
@@ -434,10 +437,13 @@ def _projected_spectral_start(table: ContingencyTable) -> MisclassificationModel
     m_x = interior_cols(vecs)
     f_y = np.clip(vals, 1e-6, 1.0 - 1e-6)
     try:
-        f_xstar = linalg.solve(m_x, pmf.probs.sum(axis=(1, 2)))
-        f_xstar = interior_cols(f_xstar[:, None]).ravel()
-        m_z = interior_cols((linalg.solve(m_x, m_xz) / f_xstar[:, None]).T)
-    except linalg.LinAlgError:
+        with warnings.catch_warnings():
+            # An ill-conditioned m_x fails the start, as a singular one does.
+            warnings.simplefilter("error", linalg.LinAlgWarning)
+            f_xstar = linalg.solve(m_x, pmf.probs.sum(axis=(1, 2)))
+            f_xstar = interior_cols(f_xstar[:, None]).ravel()
+            m_z = interior_cols((linalg.solve(m_x, m_xz) / f_xstar[:, None]).T)
+    except (linalg.LinAlgError, linalg.LinAlgWarning):
         return None
     return MisclassificationModel(
         m_x_given_xstar=m_x, f_y_given_xstar=f_y,
@@ -445,7 +451,7 @@ def _projected_spectral_start(table: ContingencyTable) -> MisclassificationModel
     )
 
 
-def _boundary_flags(model: MisclassificationModel, tol: float) -> tuple[str, ...]:
+def _boundary_flags(model: MisclassificationModel) -> tuple[str, ...]:
     flags: list[str] = []
 
     def scan(name: str, arr: np.ndarray):
@@ -453,9 +459,9 @@ def _boundary_flags(model: MisclassificationModel, tol: float) -> tuple[str, ...
         for v in it:
             val = float(v)
             where = ",".join(str(i + 1) for i in it.multi_index)
-            if val < tol:
+            if val < BOUNDARY_TOL:
                 flags.append(f"{name}[{where}] ~ 0")
-            elif val > 1.0 - tol:
+            elif val > 1.0 - BOUNDARY_TOL:
                 flags.append(f"{name}[{where}] ~ 1")
 
     scan("p_x_given_latent", model.m_x_given_xstar)
@@ -464,7 +470,7 @@ def _boundary_flags(model: MisclassificationModel, tol: float) -> tuple[str, ...
     scan("p_latent", model.f_xstar)
     last = model.m_x_given_xstar[-1, :]
     for j, gap in enumerate(np.diff(last)):
-        if abs(gap) < tol:
+        if abs(gap) < BOUNDARY_TOL:
             flags.append(f"ord_gap[{j + 1},{j + 2}] ~ 0")
     return tuple(flags)
 
@@ -480,7 +486,7 @@ def fit(
     the closed-form spectral solution on this table's frequency pmf when it
     exists; remaining starts are flat draws from the simplex interior. The
     winner is the lowest-indexed start whose value ties the best within
-    ``agree_rtol`` (relative), so a well-ordered warm start beats permuted
+    ``AGREE_RTOL`` (relative), so a well-ordered warm start beats permuted
     copies of the same optimum. Raises OptimizationError when no start
     converges.
     """
@@ -494,7 +500,7 @@ def fit(
     starts: list[tuple[str, MisclassificationModel]] = []
     if warm_start is not None:
         starts.append(("warm", warm_start))
-    elif config.spectral_start:
+    else:
         projected = _projected_spectral_start(table)
         if projected is not None:
             starts.append(("spectral", projected))
@@ -517,8 +523,8 @@ def fit(
             jac=True,
             bounds=bounds,
             options={
-                "maxiter": config.max_iterations,
-                "gtol": config.gradient_tolerance,
+                "maxiter": MAX_ITERATIONS,
+                "gtol": GRADIENT_TOLERANCE,
                 "ftol": 1e-13,
             },
         )
@@ -541,7 +547,7 @@ def fit(
             f"none of {config.n_starts} starts converged", start_diagnostics=records
         )
     best_ll = max(r.final_loglik for r in converged)
-    tol = config.agree_rtol * max(1.0, abs(best_ll))
+    tol = AGREE_RTOL * max(1.0, abs(best_ll))
     agreeing = [r for r in converged if best_ll - r.final_loglik <= tol]
     winner = min(agreeing, key=lambda r: r.index)
     model = replace(par.model(thetas[winner.index]), w_cell=table.w_cell)
@@ -550,6 +556,6 @@ def fit(
         loglik=winner.final_loglik,
         n_starts_converged=len(converged),
         n_starts_agreeing=len(agreeing),
-        boundary_flags=_boundary_flags(model, config.boundary_tol),
+        boundary_flags=_boundary_flags(model),
         starts=tuple(records),
     )

@@ -45,6 +45,7 @@ __all__ = [
     "skedastic",
     "hetero_ordered_probit",
     "homo_ordered_probit",
+    "ordered_probit_mle",
     "exponential_skedastic_probit",
 ]
 
@@ -307,29 +308,21 @@ def hetero_ordered_probit(
     sigma: dict[str, float],
     target: str = "latent",
     clamp: float = DEFAULT_CLAMP,
-    branch: str = "first",
 ) -> ParametricFit:
     """Heteroskedastic ordered-probit coefficients by exact inversion.
 
-    The transformed outcome is -sigma(q) * PhiInv(P[V=1|q]) (``branch``
-    "second" uses the equivalent 1 - sigma(q) * PhiInv(P[V<=2|q]) form);
-    coefficients solve the weighted normal equations. Extra cutpoints (more
-    than three levels) are weight-averaged across cells with their spread
-    reported. The (0,1) normalization identity is verified per cell and its
-    worst deviation recorded.
+    The transformed outcome is -sigma(q) * PhiInv(P[V=1|q]); coefficients
+    solve the weighted normal equations. Extra cutpoints (more than three
+    levels) are weight-averaged across cells with their spread reported.
+    ``norm_identity_max_dev`` is the worst per-cell deviation between that
+    outcome and the second cutpoint's form 1 - sigma(q) * PhiInv(P[V<=2|q]).
     """
     q, w, p = lc.design()
     sig = _sigma_vector(lc, sigma)
     cum = np.cumsum(p, axis=1)
     ppf1, e1 = _clamped_ppf(cum[:, 0], clamp)
     ppf2, e2 = _clamped_ppf(cum[:, 1], clamp)
-    if branch == "first":
-        transformed = -sig * ppf1
-    elif branch == "second":
-        transformed = 1.0 - sig * ppf2
-    else:
-        raise ConfigurationError(f"unknown branch {branch!r}")
-    beta = _weighted_solve(q, w, transformed, lc.column_names)
+    beta = _weighted_solve(q, w, -sig * ppf1, lc.column_names)
 
     norm_dev = float(np.max(np.abs(sig * ppf1 - (sig * ppf2 - 1.0))))
 
@@ -361,22 +354,13 @@ def hetero_ordered_probit(
     )
 
 
-def homo_ordered_probit(source, target: str = "latent",
+def homo_ordered_probit(lc: LatentConditional, target: str = "latent",
                         clamp: float = DEFAULT_CLAMP) -> ParametricFit:
-    """Homoskedastic ordered probit.
+    """Homoskedastic ordered probit by exact inversion, scale pinned to 1.
 
-    Given a LatentConditional: the exact-inversion formulas with the scale
-    pinned to 1 (any target). Given a Dataset (reported target only):
-    conventional maximum likelihood on the reported counts, re-normalized to
-    the (0, 1) cutpoint scheme with the constant scale in ``scale``.
+    Applies to either target's conditional; ``ordered_probit_mle`` is the
+    maximum-likelihood benchmark on the reported counts.
     """
-    if isinstance(source, Dataset):
-        if target != "reported":
-            raise ConfigurationError(
-                "count-level ML fits are for the reported outcome"
-            )
-        return _homo_probit_mle(source)
-    lc: LatentConditional = source
     unit = {c.label: 1.0 for c in lc.cells}
     fit_ = hetero_ordered_probit(lc, unit, target=target, clamp=clamp)
     return replace(fit_, kind="ordered-probit-homoskedastic", sigma_by_cell=None,
@@ -399,16 +383,25 @@ def _cell_design(data: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]
     return rows, hist[populated].astype(float), names
 
 
-def _ordered_nll(index: np.ndarray, scale: np.ndarray, cuts: np.ndarray,
-                 counts: np.ndarray) -> float:
+def _cell_probs(index: np.ndarray, scale: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Ordered-probit pmf over outcome levels, one row per (index, scale)."""
     edges = np.concatenate(([-np.inf], cuts, [np.inf]))
     z = (edges[None, :] - index[:, None]) / scale[:, None]
-    cell_probs = np.diff(norm.cdf(z), axis=1)
-    return -float(np.sum(counts * np.log(np.maximum(cell_probs, 1e-300))))
+    return np.diff(norm.cdf(z), axis=1)
 
 
-def _homo_probit_mle(data: Dataset) -> ParametricFit:
-    """Standard ordered-probit MLE, re-normalized to the (0, 1) scheme."""
+def _ordered_nll(index: np.ndarray, scale: np.ndarray, cuts: np.ndarray,
+                 counts: np.ndarray) -> float:
+    probs = np.maximum(_cell_probs(index, scale, cuts), 1e-300)
+    return -float(np.sum(counts * np.log(probs)))
+
+
+def ordered_probit_mle(data: Dataset) -> ParametricFit:
+    """Homoskedastic ordered-probit ML benchmark on the reported counts.
+
+    Conventional maximum likelihood, re-normalized to the (0, 1) cutpoint
+    scheme with the constant disturbance scale in ``scale``.
+    """
     q, counts, names = _cell_design(data)
     n_levels = counts.shape[1]
     k = q.shape[1] - 1

@@ -28,6 +28,7 @@ from .ordered import (
     homo_ordered_probit,
     latent_conditional,
     linear_projection,
+    ordered_probit_mle,
     reported_conditional,
     skedastic,
 )
@@ -129,7 +130,7 @@ def parametric_fit(
             )
         return exponential_skedastic_probit(data)
     if model == "oprobit" and target == "reported":
-        return homo_ordered_probit(data, target="reported")
+        return ordered_probit_mle(data)
     lc, _ = conditional_for_target(data, target, config, models)
     if model == "linear":
         return linear_projection(lc, target=target)
@@ -150,7 +151,6 @@ def bootstrap_std_errors(
     seed: int,
     config: CmleConfig = PIPELINE_CONFIG,
     replicate_starts: int = 3,
-    threads: int = 1,
     stratify: bool = False,
     warm_models: list[MisclassificationModel] | None = None,
     clamp: float = 1e-6,
@@ -177,5 +177,5 @@ def bootstrap_std_errors(
         return rep.beta, flagged
 
     plan = ResamplePlan(b=b, master_seed=seed, stratify_by_cell=stratify)
-    run = run_plan(plan, data, estimator, threads=threads)
+    run = run_plan(plan, data, estimator)
     return replace(point, std_errors=run.se()), run

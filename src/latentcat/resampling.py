@@ -5,18 +5,17 @@ count table, so a replicate redraws that table: one multinomial over all
 entries, or one per covariate cell when stratified (preserving cell counts
 exactly). This has the same distribution as redrawing n records with
 replacement. Each replicate has its own random stream, derived as
-SeedSequence((master_seed, replicate_index)), so results are identical
-under any execution order or thread count. Replicates whose estimator
-fails are dropped and counted by reason (an emptied covariate cell, or an
-estimation error) rather than poisoning the aggregate; boundary-flagged
-replicates are counted too and trigger a warning, because
-interior-solution asymptotics are in doubt there.
+SeedSequence((master_seed, replicate_index)), so replicate i's estimate
+depends only on the data, the plan and i; replicates run serially in index
+order. Replicates whose estimator fails are dropped and counted by reason
+(an emptied covariate cell, or an estimation error) rather than poisoning
+the aggregate; boundary-flagged replicates are counted too and trigger a
+warning, because interior-solution asymptotics are in doubt there.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,13 +135,12 @@ class BootstrapRun:
         }
 
 
-def run_plan(plan: ResamplePlan, data: Dataset, estimator, threads: int = 1) -> BootstrapRun:
-    """Apply a pure estimator to every replicate of the plan.
+def run_plan(plan: ResamplePlan, data: Dataset, estimator) -> BootstrapRun:
+    """Apply a pure estimator to every replicate of the plan, in replicate order.
 
     ``estimator(dataset)`` returns either a 1-d parameter vector or a
     ``(vector, boundary_flagged: bool)`` pair. An ``EmptyCellError`` or an
-    estimation error drops the replicate. The aggregation is a deterministic
-    fold in replicate order, so thread count cannot change the result.
+    estimation error drops the replicate.
     """
 
     def one(index: int):
@@ -160,12 +158,7 @@ def run_plan(plan: ResamplePlan, data: Dataset, estimator, threads: int = 1) -> 
             return np.asarray(vec, dtype=float), bool(flagged)
         return np.asarray(out, dtype=float), False
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(plan.b)))
-    else:
-        results = [one(i) for i in range(plan.b)]
-
+    results = [one(i) for i in range(plan.b)]
     kept = [r for r in results if not isinstance(r, str)]
     dropped = {reason: results.count(reason) for reason in DROP_REASONS}
     if not kept:

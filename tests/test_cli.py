@@ -84,6 +84,27 @@ def test_replay_reproduces_bytes(pipeline, tmp_path):
     assert original == replayed
 
 
+def test_replay_drops_the_retired_threads_option(pipeline, tmp_path, capsys):
+    out = tmp_path / "fit_boot.json"
+    estimate = ["estimate", "--models", str(pipeline["models"]), "--data",
+                str(pipeline["synth"]), "--schema", str(pipeline["schema"]),
+                "--model", "linear", "--target", "latent", "--boot", "3",
+                "--boot-starts", "1", "--seed", "11", "--out", str(out)]
+    assert run([*estimate, "--threads", "2"]) == 64
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert run(estimate) == 0
+    # A manifest written while the option existed records it.
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    manifest["options"]["threads"] = 2
+    old_manifest = tmp_path / "old.manifest.json"
+    old_manifest.write_text(json.dumps(manifest))
+    out_dir = tmp_path / "replayed"
+    assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 0
+    assert "ignoring options this version does not take: ['threads']" in (
+        capsys.readouterr().err)
+    assert (out_dir / out.name).read_bytes() == out.read_bytes()
+
+
 def test_replay_rejects_changed_inputs(pipeline, tmp_path):
     manifest = json.loads((str(pipeline["models"]) + ".manifest.json") and
                           Path(str(pipeline["models"]) + ".manifest.json").read_text())
@@ -141,7 +162,7 @@ def test_estimate_latent_bootstrap_se(pipeline, tmp_path):
     assert run(["estimate", "--models", str(pipeline["models"]), "--data",
                 str(pipeline["synth"]), "--schema", str(pipeline["schema"]),
                 "--model", "linear", "--target", "latent", "--boot", "12",
-                "--boot-starts", "2", "--threads", "1", "--seed", "11",
+                "--boot-starts", "2", "--seed", "11",
                 "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     se = payload["fit"]["std_errors"]
@@ -157,7 +178,7 @@ def test_estimate_boot_telemetry_in_artifact_and_report(pipeline, tmp_path, caps
         assert run(["estimate", "--models", str(pipeline["models"]), "--data",
                     str(pipeline["synth"]), "--schema", str(pipeline["schema"]),
                     "--model", "linear", "--target", "latent", "--boot", "4",
-                    "--boot-starts", "2", "--threads", "1", "--seed", "11",
+                    "--boot-starts", "2", "--seed", "11",
                     "--out", str(out)]) == 0
     boot = json.loads(out.read_text())["boot"]
     assert set(boot["dropped"]) == {"emptied_cell", "estimator_failed"}
@@ -183,7 +204,7 @@ def test_identify_boot_telemetry_in_artifact_and_report(pipeline, tmp_path, caps
     assert run(["identify", "--input", str(pipeline["synth"]), "--schema",
                 str(pipeline["schema"]), "--by-cell", "--method", "cmle",
                 "--starts", "2", "--seed", "7", "--ord", "enforce", "--boot", "3",
-                "--boot-starts", "1", "--threads", "1", "--out", str(out)]) == 0
+                "--boot-starts", "1", "--out", str(out)]) == 0
     cells = json.loads(out.read_text())["cells"]
     capsys.readouterr()
     assert run(["report", str(out)]) == 0
@@ -289,7 +310,7 @@ def test_identify_boot_standard_errors(pipeline, tmp_path):
     assert run(["identify", "--input", str(pipeline["synth"]), "--schema",
                 str(pipeline["schema"]), "--method", "cmle", "--starts", "3",
                 "--seed", "7", "--ord", "enforce", "--boot", "30",
-                "--boot-starts", "2", "--threads", "1", "--out", str(out)]) == 0
+                "--boot-starts", "2", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     entry = payload["cells"][0]
     assert "std_errors" in entry

@@ -45,8 +45,8 @@ def inputs(tmp_path_factory):
 
 def estimate(inputs, out, *options):
     return run(["estimate", "--data", str(inputs["synth"]), "--schema",
-                str(inputs["schema"]), "--seed", "4", "--threads", "1",
-                "--out", str(out), *options])
+                str(inputs["schema"]), "--seed", "4", "--out",
+                str(out), *options])
 
 
 def test_exponential_bootstrap_refits_the_exponential_model(inputs):

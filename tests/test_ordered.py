@@ -20,6 +20,7 @@ from latentcat.ordered import (
     homo_ordered_probit,
     latent_conditional,
     linear_projection,
+    ordered_probit_mle,
     reported_conditional,
     skedastic,
 )
@@ -224,9 +225,15 @@ def test_hetero_probit_second_branch_equivalent():
     params = random_probit_params(rng, 3)
     lc = probit_population(params, all_binary_cells(3))
     sigma, _ = skedastic(lc)
-    first = hetero_ordered_probit(lc, sigma, branch="first")
-    second = hetero_ordered_probit(lc, sigma, branch="second")
-    assert np.allclose(first.beta, second.beta, atol=1e-10)
+    first = hetero_ordered_probit(lc, sigma)
+    # The same coefficients solve the normal equations of the second
+    # cutpoint's outcome 1 - sigma(q) * PhiInv(P[V<=2|q]).
+    q, w, p = lc.design()
+    sig = np.asarray([sigma[c.label] for c in lc.cells])
+    second = 1.0 - sig * norm.ppf(p[:, 0] + p[:, 1])
+    beta = np.linalg.solve((q * w[:, None]).T @ q, (q * w[:, None]).T @ second)
+    assert np.allclose(first.beta, beta, atol=1e-10)
+    assert first.norm_identity_max_dev < 1e-10
 
 
 def test_hetero_probit_recovers_extra_cutpoints():
@@ -284,7 +291,7 @@ def test_homo_probit_mle_recovers_truth():
         cutpoints=np.array([0.0, 1.0]),
     )
     data = probit_dataset(params, 20_000, seed=13)
-    fit_ = homo_ordered_probit(data, target="reported")
+    fit_ = ordered_probit_mle(data)
     # se of a cell mean at n=5k scales like 0.02; allow 4 sigma
     assert np.abs(fit_.beta - params.beta).max() < 0.08
     assert fit_.scale == pytest.approx(0.8, abs=0.08)
@@ -297,20 +304,10 @@ def test_latent_and_reported_agree_without_misclassification():
         cutpoints=np.array([0.0, 1.0]),
     )
     data = probit_dataset(params, 40_000, seed=14, strength=0.0)
-    reported_mle = homo_ordered_probit(data, target="reported")
+    reported_mle = ordered_probit_mle(data)
     lc = reported_conditional(data)
     latent_closed = homo_ordered_probit(lc, target="latent")
     assert np.abs(reported_mle.beta - latent_closed.beta).max() < 0.02
-
-
-def test_homo_probit_mle_requires_reported_target():
-    params = ProbitParams(
-        beta=np.array([0.5, 0.1]), sigma_by_cell=np.ones(2),
-        cutpoints=np.array([0.0, 1.0]),
-    )
-    data = probit_dataset(params, 1000, seed=15)
-    with pytest.raises(ConfigurationError):
-        homo_ordered_probit(data, target="latent")
 
 
 def test_exponential_skedastic_probit_benchmark():

@@ -145,16 +145,20 @@ def test_boot_se_needs_two():
 # ---------------------------------------------------------------------------
 
 
-def test_run_plan_deterministic_across_threads():
+def test_run_plan_rows_follow_replicate_seeds():
+    # Row i is the estimator on the redraw keyed by replicate_seed(i) alone,
+    # however the replicates are scheduled.
     data = small_dataset(n=120, seed=9, n_cells=2)
 
     def estimator(d):
-        return np.array([mean_x(d), mean_y(d)])
+        return np.array([mean_x(d), mean_y(d), *d.cell_counts()])
 
-    plan = ResamplePlan(b=24, master_seed=13)
-    serial = run_plan(plan, data, estimator, threads=1)
-    threaded = run_plan(plan, data, estimator, threads=4)
-    assert np.array_equal(serial.estimates, threaded.estimates)
+    for stratify in (False, True):
+        plan = ResamplePlan(b=24, master_seed=13, stratify_by_cell=stratify)
+        run = run_plan(plan, data, estimator)
+        keyed = [estimator(resample(data, plan.replicate_seed(i), stratify))
+                 for i in range(plan.b)]
+        assert np.array_equal(run.estimates, np.vstack(keyed))
 
 
 def test_run_plan_drops_failed_replicates():
@@ -169,7 +173,7 @@ def test_run_plan_drops_failed_replicates():
         return np.array([mean_x(d)])
 
     plan = ResamplePlan(b=40, master_seed=14)
-    run = run_plan(plan, data, estimator, threads=1)
+    run = run_plan(plan, data, estimator)
     assert run.n_requested == 40
     assert run.n_dropped >= 1
     assert run.estimates.shape[0] == 40 - run.n_dropped
