@@ -1,13 +1,15 @@
 """Constrained maximum likelihood for the misclassification model.
 
-One covariate cell at a time, the sampler's free parameters are the
-reporting matrix P(X|latent), the auxiliary probabilities P(Y=1|latent),
-the second-measure matrix P(Z|latent), and the latent marginal. The
-conditional log-likelihood of the (x, y, z) contingency counts is
+In each covariate cell the free parameters are the reporting matrix
+P(X|latent), the auxiliary probabilities P(Y=1|latent), the second-measure
+matrix P(Z|latent), and the latent marginal. The conditional log-likelihood
+of the cell's (x, y, z) contingency counts is
 
     sum_j m_j * log sum_s P(x_j|s) P(y_j|s) P(z_j|s) P(s),
 
-a non-concave mixture objective, so fits are multi-start by default.
+a non-concave mixture objective, so fits are multi-start. Every start is
+warmed up by EM, then polished by L-BFGS-B. The EM warm-up is batched across
+every cell and start; L-BFGS still runs per start.
 
 Simplex constraints are not handled by projection: every probability block
 is expressed through a smooth bijection onto the open simplex (softmax with
@@ -44,6 +46,7 @@ __all__ = [
     "param_count",
     "loglik",
     "fit",
+    "fit_tables",
 ]
 
 LOGIT_MAX = 30.0
@@ -51,6 +54,9 @@ P_FLOOR = 1e-300
 # L-BFGS-B iteration cap and projected-gradient tolerance per start.
 MAX_ITERATIONS = 3000
 GRADIENT_TOLERANCE = 1e-9
+# EM warm-up iteration cap and relative log-likelihood stop tolerance per start.
+EM_MAX_ITERATIONS = 500
+EM_RTOL = 1e-10
 # Starts agree when their log-likelihoods tie the best within this (relative).
 AGREE_RTOL = 1e-6
 # A probability (or last-row gap) this close to 0 or 1 is a boundary flag.
@@ -288,16 +294,17 @@ class _Parameterization:
 
 
 def _block_grads(a, b2, c, pi, counts):
-    """Log-likelihood value and its gradient w.r.t. the probability blocks."""
-    p = _joint_pmf(a, b2, c, pi)
-    p_safe = np.maximum(p, P_FLOOR)
-    ll = float(np.sum(counts * np.log(p_safe)))
+    """Log-likelihood and its gradient w.r.t. a, b2 and c, plus ``counts / p``.
+
+    Leading axes shared by all inputs are a batch, as in ``_joint_pmf``.
+    """
+    p_safe = np.maximum(_joint_pmf(a, b2, c, pi), P_FLOOR)
+    ll = np.sum(counts * np.log(p_safe), axis=(-3, -2, -1))
     g = counts / p_safe
-    da = np.einsum("xyz,ys,zs,s->xs", g, b2, c, pi)
-    db2 = np.einsum("xyz,xs,zs,s->ys", g, a, c, pi)
-    dc = np.einsum("xyz,xs,ys,s->zs", g, a, b2, pi)
-    dpi = np.einsum("xyz,xs,ys,zs->s", g, a, b2, c)
-    return ll, da, db2, dc, dpi
+    da = np.einsum("...xyz,...ys,...zs,...s->...xs", g, b2, c, pi)
+    db2 = np.einsum("...xyz,...xs,...zs,...s->...ys", g, a, c, pi)
+    dc = np.einsum("...xyz,...xs,...ys,...s->...zs", g, a, b2, pi)
+    return ll, da, db2, dc, g
 
 
 def _softmax_chain(dp: np.ndarray, p_col: np.ndarray) -> np.ndarray:
@@ -308,7 +315,8 @@ def _softmax_chain(dp: np.ndarray, p_col: np.ndarray) -> np.ndarray:
 def _nll_and_grad(theta: np.ndarray, par: _Parameterization, counts: np.ndarray):
     """Negative log-likelihood and gradient through the chosen bijection."""
     (a, b2, c, pi), sticks = par.blocks(theta)
-    ll, da, db2, dc, dpi = _block_grads(a, b2, c, pi, counts)
+    ll, da, db2, dc, g = _block_grads(a, b2, c, pi, counts)
+    dpi = np.einsum("xyz,xs,ys,zs->s", g, a, b2, c)
     if sticks is None:
         ga = _softmax_chain(da, a).ravel()
     else:
@@ -332,15 +340,13 @@ def _nll_and_grad(theta: np.ndarray, par: _Parameterization, counts: np.ndarray)
             ga = ga_top
 
     fy = b2[1]
-    grad = np.concatenate(
-        [
-            np.asarray(ga).ravel(),
-            (fy * (1.0 - fy) * (db2[1] - db2[0])).ravel(),
-            _softmax_chain(dc, c).ravel(),
-            _softmax_chain(dpi[:, None], pi[:, None]).ravel(),
-        ]
-    )
-    return -ll, -grad
+    grad = np.concatenate([
+        np.asarray(ga).ravel(),
+        (fy * (1.0 - fy) * (db2[1] - db2[0])).ravel(),
+        _softmax_chain(dc, c).ravel(),
+        _softmax_chain(dpi[:, None], pi[:, None]).ravel(),
+    ])
+    return -float(ll), -grad
 
 
 # ---------------------------------------------------------------------------
@@ -348,44 +354,48 @@ def _nll_and_grad(theta: np.ndarray, par: _Parameterization, counts: np.ndarray)
 # ---------------------------------------------------------------------------
 
 
-def _em_polish(model: MisclassificationModel, counts: np.ndarray,
-               max_iter: int = 500, rtol: float = 1e-10) -> MisclassificationModel:
-    """Multiplicative EM updates for the latent-class mixture.
+def _interior(p: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+    """Columns (axis -2) clipped to ``floor`` and renormalized to sum to 1."""
+    p = np.clip(p, floor, None)
+    return p / p.sum(axis=-2, keepdims=True)
 
-    Monotone in the likelihood and cheap on a contingency table; used to
-    pull every start into a good basin before the quasi-Newton polish.
+
+def _em_warmup(starts: list[MisclassificationModel],
+               counts: np.ndarray) -> list[MisclassificationModel]:
+    """Multiplicative EM updates for a batch of latent-class mixtures, item i
+    from ``starts[i]`` on the table ``counts[i]`` (one support for all).
+
+    Cheap and monotone in the likelihood, it pulls every start into a good
+    basin before the quasi-Newton polish. Each item stops updating where its
+    own stop test fires, so its result does not depend on the batch.
     """
-    a = model.m_x_given_xstar.copy()
-    fy = model.f_y_given_xstar.copy()
-    c = model.m_z_given_xstar.copy()
-    pi = model.f_xstar.copy()
-    n = counts.sum()
-    last = -np.inf
-    for _ in range(max_iter):
-        b2 = np.stack([1.0 - fy, fy])
-        ll, da, db2, dc, dpi = _block_grads(a, b2, c, pi, counts)
-        if ll - last <= rtol * max(1.0, abs(ll)):
+    a = np.stack([m.m_x_given_xstar for m in starts])
+    fy = np.stack([m.f_y_given_xstar for m in starts])
+    c = np.stack([m.m_z_given_xstar for m in starts])
+    pi = np.stack([m.f_xstar for m in starts])
+    n = counts.sum(axis=(1, 2, 3))
+    last = np.full(len(starts), -np.inf)
+    active = np.arange(len(starts))
+    for _ in range(EM_MAX_ITERATIONS):
+        a_, fy_, c_, pi_ = a[active], fy[active], c[active], pi[active]
+        b2 = np.stack([1.0 - fy_, fy_], axis=1)
+        ll, da, db2, dc, _ = _block_grads(a_, b2, c_, pi_, counts[active])
+        moving = ~(ll - last[active] <= EM_RTOL * np.maximum(1.0, np.abs(ll)))
+        if not moving.any():
             break
-        last = ll
-        weighted_a = a * da            # column s: posterior-weighted counts
-        n_s = weighted_a.sum(axis=0)
-        n_s = np.maximum(n_s, 1e-12)
-        a = weighted_a / n_s
-        wb = b2 * db2
-        fy = wb[1] / np.maximum(wb.sum(axis=0), 1e-12)
-        wc = c * dc
-        c = wc / np.maximum(wc.sum(axis=0), 1e-12)
-        pi = n_s / n
-        pi = pi / pi.sum()
-        # Keep strictly interior so the logit maps stay finite.
-        a = np.clip(a, 1e-12, None)
-        a /= a.sum(axis=0)
-        c = np.clip(c, 1e-12, None)
-        c /= c.sum(axis=0)
-        fy = np.clip(fy, 1e-12, 1.0 - 1e-12)
-    return MisclassificationModel(
-        m_x_given_xstar=a, f_y_given_xstar=fy, m_z_given_xstar=c, f_xstar=pi
-    )
+        active = active[moving]
+        last[active] = ll[moving]
+        # Posterior-weighted counts per latent state s, item by item.
+        wa, wb, wc = (a_ * da)[moving], (b2 * db2)[moving], (c_ * dc)[moving]
+        n_s = np.maximum(wa.sum(axis=1, keepdims=True), 1e-12)
+        # Kept strictly interior so the logit maps stay finite.
+        a[active] = _interior(wa / n_s)
+        fy_ = wb[:, 1] / np.maximum(wb.sum(axis=1), 1e-12)
+        fy[active] = np.clip(fy_, 1e-12, 1.0 - 1e-12)
+        c[active] = _interior(wc / np.maximum(wc.sum(axis=1, keepdims=True), 1e-12))
+        pi_ = n_s[:, 0] / n[active, None]
+        pi[active] = pi_ / pi_.sum(axis=1, keepdims=True)
+    return [MisclassificationModel(*blocks) for blocks in zip(a, fy, c, pi)]
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +439,15 @@ def _projected_spectral_start(table: ContingencyTable) -> MisclassificationModel
     if np.any(np.abs(sums) < 1e-12):
         return None
     vals, vecs = order_by_last_row(vals, vecs / sums)
-
-    def interior_cols(m):
-        m = np.clip(m, 1e-6, None)
-        return m / m.sum(axis=0)
-
-    m_x = interior_cols(vecs)
+    m_x = _interior(vecs, 1e-6)
     f_y = np.clip(vals, 1e-6, 1.0 - 1e-6)
     try:
         with warnings.catch_warnings():
             # An ill-conditioned m_x fails the start, as a singular one does.
             warnings.simplefilter("error", linalg.LinAlgWarning)
             f_xstar = linalg.solve(m_x, pmf.probs.sum(axis=(1, 2)))
-            f_xstar = interior_cols(f_xstar[:, None]).ravel()
-            m_z = interior_cols((linalg.solve(m_x, m_xz) / f_xstar[:, None]).T)
+            f_xstar = _interior(f_xstar[:, None], 1e-6).ravel()
+            m_z = _interior((linalg.solve(m_x, m_xz) / f_xstar[:, None]).T, 1e-6)
     except (linalg.LinAlgError, linalg.LinAlgWarning):
         return None
     return MisclassificationModel(
@@ -475,6 +480,89 @@ def _boundary_flags(model: MisclassificationModel) -> tuple[str, ...]:
     return tuple(flags)
 
 
+def _starts(table: ContingencyTable, config: CmleConfig,
+            warm_start: MisclassificationModel | None):
+    """(kind, model) per start: the warm or projected spectral start, then
+    seeded flat draws from the simplex interior."""
+    if table.n <= 0:
+        raise DomainError("empty table")
+    if warm_start is not None:
+        starts = [("warm", warm_start)]
+    else:
+        projected = _projected_spectral_start(table)
+        starts = [] if projected is None else [("spectral", projected)]
+    s_x, _, s_z = table.support
+    enforce_ord = config.ord_constraint == "enforce"
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x636D6C65)))
+    while len(starts) < config.n_starts:
+        starts.append(("random", _random_model(rng, s_x, s_z, enforce_ord)))
+    return starts
+
+
+def _polish(table: ContingencyTable, config: CmleConfig, starts,
+            warmed: list[MisclassificationModel]) -> CmleResult | OptimizationError:
+    """L-BFGS-B from every EM-warmed start, then the winner rule."""
+    s_x, _, s_z = table.support
+    par = _Parameterization(s_x, s_z, config.ord_constraint == "enforce")
+    assert par.size == param_count(s_x, 2, s_z)
+    counts = table.counts.astype(float)
+    bounds = [(-LOGIT_MAX - 5.0, LOGIT_MAX + 5.0)] * par.size
+    records: list[StartDiagnostics] = []
+    thetas: list[np.ndarray | None] = []
+    for idx, ((kind, start_model), warm) in enumerate(zip(starts, warmed)):
+        res = optimize.minimize(
+            _nll_and_grad, par.theta(warm), args=(par, counts), method="L-BFGS-B",
+            jac=True, bounds=bounds, options={
+                "maxiter": MAX_ITERATIONS, "gtol": GRADIENT_TOLERANCE, "ftol": 1e-13},
+        )
+        records.append(StartDiagnostics(
+            index=idx, kind=kind, start_loglik=loglik_unchecked(start_model, counts),
+            final_loglik=float(-res.fun), converged=bool(res.success),
+            n_iterations=int(res.nit), message=str(res.message),
+        ))
+        thetas.append(res.x if res.success else None)
+
+    converged = [r for r in records if r.converged]
+    if not converged:
+        return OptimizationError(
+            f"none of {config.n_starts} starts converged", start_diagnostics=records
+        )
+    best_ll = max(r.final_loglik for r in converged)
+    tol = AGREE_RTOL * max(1.0, abs(best_ll))
+    agreeing = [r for r in converged if best_ll - r.final_loglik <= tol]
+    winner = min(agreeing, key=lambda r: r.index)
+    model = replace(par.model(thetas[winner.index]), w_cell=table.w_cell)
+    return CmleResult(
+        model=model, loglik=winner.final_loglik, n_starts_converged=len(converged),
+        n_starts_agreeing=len(agreeing), boundary_flags=_boundary_flags(model),
+        starts=tuple(records),
+    )
+
+
+def fit_tables(
+    tables: list[ContingencyTable],
+    configs: list[CmleConfig],
+    warm_starts: list[MisclassificationModel | None] | None = None,
+) -> list[CmleResult | OptimizationError]:
+    """``fit`` on one or more tables of one support: per table, the result or
+    the OptimizationError that ``fit`` would raise on it alone.
+
+    Every start of every table goes through one batched EM warm-up; L-BFGS-B
+    still runs per start. An empty table or mixed supports raise DomainError.
+    """
+    if len({table.support for table in tables}) != 1:
+        raise DomainError("fit_tables needs one or more tables of one support")
+    if warm_starts is None:
+        warm_starts = [None] * len(tables)
+    starts = [_starts(*args) for args in zip(tables, configs, warm_starts, strict=True)]
+    counts = np.stack([t.counts for t, ts in zip(tables, starts) for _ in ts])
+    warmed = iter(_em_warmup([m for ts in starts for _, m in ts], counts.astype(float)))
+    return [
+        _polish(table, config, ts, [next(warmed) for _ in ts])
+        for table, config, ts in zip(tables, configs, starts)
+    ]
+
+
 def fit(
     table: ContingencyTable,
     config: CmleConfig = CmleConfig(),
@@ -484,78 +572,14 @@ def fit(
 
     Start 0 is (in order of preference) the caller's ``warm_start``, else
     the closed-form spectral solution on this table's frequency pmf when it
-    exists; remaining starts are flat draws from the simplex interior. The
-    winner is the lowest-indexed start whose value ties the best within
-    ``AGREE_RTOL`` (relative), so a well-ordered warm start beats permuted
-    copies of the same optimum. Raises OptimizationError when no start
-    converges.
+    exists; remaining starts are flat draws from the simplex interior. Each
+    start is warmed up by EM, then polished by L-BFGS-B. The winner is the
+    lowest-indexed start whose value ties the best within ``AGREE_RTOL``
+    (relative), so a well-ordered warm start beats permuted copies of the
+    same optimum. A batch of one for ``fit_tables``. Raises
+    OptimizationError when no start converges.
     """
-    if table.n <= 0:
-        raise DomainError("empty table")
-    s_x, _, s_z = table.support
-    par = _Parameterization(s_x, s_z, config.ord_constraint == "enforce")
-    assert par.size == param_count(s_x, 2, s_z)
-    counts = table.counts.astype(float)
-
-    starts: list[tuple[str, MisclassificationModel]] = []
-    if warm_start is not None:
-        starts.append(("warm", warm_start))
-    else:
-        projected = _projected_spectral_start(table)
-        if projected is not None:
-            starts.append(("spectral", projected))
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x636D6C65)))
-    while len(starts) < config.n_starts:
-        starts.append(("random", _random_model(rng, s_x, s_z, par.enforce_ord)))
-
-    bounds = [(-LOGIT_MAX - 5.0, LOGIT_MAX + 5.0)] * par.size
-    records: list[StartDiagnostics] = []
-    thetas: list[np.ndarray | None] = []
-    for idx, (kind, start_model) in enumerate(starts):
-        start_ll = loglik_unchecked(start_model, counts)
-        warmed = _em_polish(start_model, counts)
-        theta0 = par.theta(warmed)
-        res = optimize.minimize(
-            _nll_and_grad,
-            theta0,
-            args=(par, counts),
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-            options={
-                "maxiter": MAX_ITERATIONS,
-                "gtol": GRADIENT_TOLERANCE,
-                "ftol": 1e-13,
-            },
-        )
-        records.append(
-            StartDiagnostics(
-                index=idx,
-                kind=kind,
-                start_loglik=float(start_ll),
-                final_loglik=float(-res.fun),
-                converged=bool(res.success),
-                n_iterations=int(res.nit),
-                message=str(res.message),
-            )
-        )
-        thetas.append(res.x if res.success else None)
-
-    converged = [r for r in records if r.converged]
-    if not converged:
-        raise OptimizationError(
-            f"none of {config.n_starts} starts converged", start_diagnostics=records
-        )
-    best_ll = max(r.final_loglik for r in converged)
-    tol = AGREE_RTOL * max(1.0, abs(best_ll))
-    agreeing = [r for r in converged if best_ll - r.final_loglik <= tol]
-    winner = min(agreeing, key=lambda r: r.index)
-    model = replace(par.model(thetas[winner.index]), w_cell=table.w_cell)
-    return CmleResult(
-        model=model,
-        loglik=winner.final_loglik,
-        n_starts_converged=len(converged),
-        n_starts_agreeing=len(agreeing),
-        boundary_flags=_boundary_flags(model),
-        starts=tuple(records),
-    )
+    [result] = fit_tables([table], [config], [warm_start])
+    if isinstance(result, OptimizationError):
+        raise result
+    return result

@@ -1,14 +1,16 @@
 """End-to-end estimation: per-cell likelihood fits feeding parametric models.
 
-The latent pipeline is tabulate each covariate cell -> constrained ML fit
-per cell -> assemble the latent conditional with empirical cell weights ->
-closed-form parametric layer. Per-cell fits run with the monotone-reporting
-restriction enforced: the parametric layer feeds latent-state labels into
-normal-quantile transforms, so the ordering has to be guaranteed, not just
-checked. ``parametric_fit`` is the one dispatch from a (model, target,
-skedastic) choice to an estimator; bootstrap standard errors re-run it per
-replicate (no analytic sandwich), warm-starting each replicate's cell fits
-at the parent point estimates.
+The latent pipeline is tabulate each covariate cell -> constrained ML fits
+of all cells as one ``fit_tables`` batch (one vectorized EM warm-up for
+every cell and start, then L-BFGS per start) -> assemble the latent
+conditional with empirical cell weights -> closed-form parametric layer.
+Per-cell fits run with the monotone-reporting restriction enforced: the
+parametric layer feeds latent-state labels into normal-quantile transforms,
+so the ordering has to be guaranteed, not just checked. ``parametric_fit``
+is the one dispatch from a (model, target, skedastic) choice to an
+estimator; bootstrap standard errors re-run it per replicate (no analytic
+sandwich), warm-starting each replicate's cell fits at the parent point
+estimates.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, tabulate
-from .errors import ConfigurationError, EmptyCellError, EstimationError
-from .mle import CmleConfig, CmleResult, fit
+from .errors import (ConfigurationError, EmptyCellError, EstimationError,
+                     OptimizationError)
+from .mle import CmleConfig, CmleResult, fit_tables
 from .ordered import (
     LatentConditional,
     ParametricFit,
@@ -67,17 +70,21 @@ def fit_cells(
     config: CmleConfig = PIPELINE_CONFIG,
     warm_starts: list[MisclassificationModel] | None = None,
 ) -> CellFits:
-    """Constrained ML fit in every covariate cell (all cells must be populated)."""
+    """Constrained ML fits of every cell (none may be empty), as one batch;
+    raises the first failing cell's OptimizationError."""
     counts = data.cell_counts()
     if np.any(counts == 0):
         empty = [data.w_labels[i] for i in np.flatnonzero(counts == 0)]
         raise EmptyCellError(f"cannot fit empty covariate cells: {empty}")
-    results = []
-    for cell in range(data.n_w_cells):
-        table = tabulate(data, cell)
-        warm = warm_starts[cell] if warm_starts is not None else None
-        cell_config = replace(config, seed=config.seed + 7919 * cell)
-        results.append(fit(table, cell_config, warm_start=warm))
+    cells = range(data.n_w_cells)
+    results = fit_tables(
+        [tabulate(data, cell) for cell in cells],
+        [replace(config, seed=config.seed + 7919 * cell) for cell in cells],
+        warm_starts,
+    )
+    for result in results:
+        if isinstance(result, OptimizationError):
+            raise result
     return CellFits(results=tuple(results), weights=counts / data.n)
 
 

@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latentcat.data import ContingencyTable, tabulate
-from latentcat.errors import DomainError
+from latentcat.errors import DomainError, GeneratorError, OptimizationError
 from latentcat.generate import GeneratorSpec, draw, make_model
-from latentcat.mle import CmleConfig, fit, loglik, param_count
+from latentcat.mle import (
+    EM_MAX_ITERATIONS,
+    EM_RTOL,
+    CmleConfig,
+    _em_warmup,
+    _random_model,
+    fit,
+    fit_tables,
+    loglik,
+    param_count,
+)
 from latentcat.spectral import MisclassificationModel, eigendecompose_identify
 
 from conftest import (
@@ -254,3 +266,135 @@ def test_fit_agreement_with_spectral_on_population():
 def test_fit_empty_table_rejected(valid_model):
     with pytest.raises(DomainError):
         fit(ContingencyTable(counts=np.zeros((3, 2, 3), dtype=int), n=0))
+
+
+# ---------------------------------------------------------------------------
+# Batched EM warm-up and fit_tables
+# ---------------------------------------------------------------------------
+
+
+def serial_em(model, counts):
+    """The former one-start EM warm-up; returns the model and the number of
+    updates it made before its stop test fired."""
+    a = model.m_x_given_xstar.copy()
+    fy = model.f_y_given_xstar.copy()
+    c = model.m_z_given_xstar.copy()
+    pi = model.f_xstar.copy()
+    n = counts.sum()
+    last = -np.inf
+    updates = 0
+    for _ in range(EM_MAX_ITERATIONS):
+        b2 = np.stack([1.0 - fy, fy])
+        p_safe = np.maximum(np.einsum("xs,ys,zs,s->xyz", a, b2, c, pi), 1e-300)
+        ll = float(np.sum(counts * np.log(p_safe)))
+        g = counts / p_safe
+        da = np.einsum("xyz,ys,zs,s->xs", g, b2, c, pi)
+        db2 = np.einsum("xyz,xs,zs,s->ys", g, a, c, pi)
+        dc = np.einsum("xyz,xs,ys,s->zs", g, a, b2, pi)
+        if ll - last <= EM_RTOL * max(1.0, abs(ll)):
+            break
+        last = ll
+        updates += 1
+        weighted_a = a * da            # column s: posterior-weighted counts
+        n_s = weighted_a.sum(axis=0)
+        n_s = np.maximum(n_s, 1e-12)
+        a = weighted_a / n_s
+        wb = b2 * db2
+        fy = wb[1] / np.maximum(wb.sum(axis=0), 1e-12)
+        wc = c * dc
+        c = wc / np.maximum(wc.sum(axis=0), 1e-12)
+        pi = n_s / n
+        pi = pi / pi.sum()
+        # Keep strictly interior so the logit maps stay finite.
+        a = np.clip(a, 1e-12, None)
+        a /= a.sum(axis=0)
+        c = np.clip(c, 1e-12, None)
+        c /= c.sum(axis=0)
+        fy = np.clip(fy, 1e-12, 1.0 - 1e-12)
+    warmed = MisclassificationModel(
+        m_x_given_xstar=a, f_y_given_xstar=fy, m_z_given_xstar=c, f_xstar=pi
+    )
+    return warmed, updates
+
+
+def blocks_of(model):
+    return (model.m_x_given_xstar, model.f_y_given_xstar,
+            model.m_z_given_xstar, model.f_xstar)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s_x=st.integers(2, 4),
+    s_z=st.integers(2, 4),
+    batch=st.integers(1, 8),
+)
+def test_batched_em_equals_serial_em_item_by_item(seed, s_x, s_z, batch):
+    rng = np.random.default_rng(seed)
+    # Small random tables (zero cells included) and flat random starts: the
+    # items stop after different numbers of updates.
+    counts = rng.integers(0, 60, size=(batch, s_x, 2, s_z)).astype(float)
+    counts[:, 0, 0, 0] += 1.0
+    starts = [_random_model(rng, s_x, s_z, bool(rng.integers(2))) for _ in range(batch)]
+    serial = [serial_em(m, k) for m, k in zip(starts, counts)]
+    updates = [u for _, u in serial]
+    assume(batch == 1 or len(set(updates)) > 1)
+    batched = _em_warmup(starts, counts)
+    assert len(batched) == batch
+    for (expected, _), got in zip(serial, batched):
+        for e, g in zip(blocks_of(expected), blocks_of(got)):
+            assert np.array_equal(e, g)
+
+
+def outcome(result):
+    if isinstance(result, OptimizationError):
+        return ("error", str(result), [d.to_dict() for d in result.start_diagnostics])
+    return result.to_dict()
+
+
+def fit_alone(table, config, warm):
+    try:
+        return fit(table, config, warm).to_dict()
+    except OptimizationError as exc:
+        return outcome(exc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16), s=st.sampled_from([2, 3]), data=st.data())
+def test_fit_tables_independent_of_batch(seed, s, data):
+    # ROADMAP item 4: a table's fit does not depend on what else is in the
+    # batch (warm and cold starts, both orderings), nor on its position there.
+    try:
+        models = make_model(GeneratorSpec(
+            s_x=s, s_z=s, n_w_cells=4, misclassification_strength=0.3,
+            eigenvalue_separation=0.2, seed=seed,
+        ))
+    except GeneratorError:
+        assume(False)
+    sample = draw(models, np.full(4, 0.25), 40_000, seed=seed + 1).data
+    picked = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    tables = [tabulate(sample, cell) for cell in picked]
+    configs = [
+        CmleConfig(
+            n_starts=data.draw(st.integers(1, 2)),
+            ord_constraint=data.draw(st.sampled_from(["check-only", "enforce"])),
+            seed=data.draw(st.integers(0, 1000)),
+        )
+        for _ in picked
+    ]
+    warms = [models[i] if data.draw(st.booleans()) else None for i in picked]
+    alone = [fit_alone(t, c, w) for t, c, w in zip(tables, configs, warms)]
+    assert [outcome(r) for r in fit_tables(tables, configs, warms)] == alone
+    order = data.draw(st.permutations(range(len(picked))))
+    permuted = fit_tables([tables[i] for i in order], [configs[i] for i in order],
+                          [warms[i] for i in order])
+    assert [outcome(r) for r in permuted] == [alone[i] for i in order]
+
+
+def test_fit_tables_needs_one_support():
+    small = ContingencyTable(counts=np.ones((2, 2, 2), dtype=int), n=8)
+    large = ContingencyTable(counts=np.ones((3, 2, 3), dtype=int), n=18)
+    with pytest.raises(DomainError):
+        fit_tables([small, large], [CmleConfig(n_starts=1)] * 2)
+    with pytest.raises(DomainError):
+        fit_tables([], [])
