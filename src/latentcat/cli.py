@@ -45,7 +45,6 @@ from .generate import (
 from .mle import CmleConfig, fit, fit_tables
 from .pipeline import SKEDASTIC, bootstrap_std_errors, parametric_fit
 from .report import render, render_csv, render_exclusions
-from .resampling import ResamplePlan, run_plan
 from .spectral import MisclassificationModel, eigendecompose_identify
 
 USAGE_EXIT = 64
@@ -228,8 +227,14 @@ def _schema_sidecar(path: str, data: Dataset) -> None:
 
 
 def _model_param_vector(model: MisclassificationModel) -> np.ndarray:
-    return np.concatenate([model.m_x_given_xstar.ravel(), model.f_y_given_xstar,
-                           model.m_z_given_xstar.ravel(), model.f_xstar])
+    return np.concatenate(
+        [
+            model.m_x_given_xstar.ravel(),
+            model.f_y_given_xstar,
+            model.m_z_given_xstar.ravel(),
+            model.f_xstar,
+        ]
+    )
 
 
 def _model_se_blocks(se: np.ndarray, s_x: int, s_z: int) -> dict:
@@ -237,9 +242,13 @@ def _model_se_blocks(se: np.ndarray, s_x: int, s_z: int) -> dict:
     i1 = i0 + s_x
     i2 = i1 + s_z * s_x
     return {
-        "m_x_given_xstar": {"rows": s_x, "cols": s_x, "data": se[:i0].tolist()},
+        "m_x_given_xstar": {
+            "rows": s_x, "cols": s_x, "data": se[:i0].tolist(),
+        },
         "f_y_given_xstar": se[i0:i1].tolist(),
-        "m_z_given_xstar": {"rows": s_z, "cols": s_x, "data": se[i1:i2].tolist()},
+        "m_z_given_xstar": {
+            "rows": s_z, "cols": s_x, "data": se[i1:i2].tolist(),
+        },
         "f_xstar": se[i2:].tolist(),
     }
 
@@ -303,7 +312,8 @@ def _cmd_test(args) -> int:
 
 def _identify_cell(table, fitted, args, cell_seed: int,
                    cell_data: Dataset | None = None) -> dict:
-    """One cell's entry: its spectral solution, or its cmle fit (or error) and s.e."""
+    """One cell's entry: its spectral solution, or its cmle fit (``fitted``,
+    a CmleResult or OptimizationError) and bootstrap s.e."""
     entry: dict = {"w_cell": table.w_cell, "n": table.n}
     if args.method == "spectral":
         try:
@@ -332,6 +342,8 @@ def _identify_boot_se(cell_data: Dataset, result, args, cell_seed: int) -> dict:
     restriction enforced (inference-grade), warm-started at the point
     estimate; the s.e. is the componentwise replicate standard deviation.
     """
+    from .resampling import ResamplePlan, run_plan
+
     rep_config = CmleConfig(
         n_starts=args.boot_starts, seed=cell_seed, ord_constraint="enforce"
     )
@@ -342,34 +354,58 @@ def _identify_boot_se(cell_data: Dataset, result, args, cell_seed: int) -> dict:
 
     plan = ResamplePlan(b=args.boot, master_seed=cell_seed)
     boot = run_plan(plan, cell_data, estimator)
-    se = _model_se_blocks(boot.se(), result.model.s_x, result.model.s_z)
-    return {"std_errors": se, "boot": boot.to_dict()}
+    se = boot.se()
+    return {
+        "std_errors": _model_se_blocks(
+            se, result.model.s_x, result.model.s_z
+        ),
+        "boot": boot.to_dict(),
+    }
+
+
+def _identify_fits(tables: list, seeds: list[int], args) -> list:
+    """Per table, its cmle fit or OptimizationError, all fitted as one batch;
+    None per table for the spectral method."""
+    if args.method == "spectral":
+        return [None] * len(tables)
+    return fit_tables(tables, [
+        CmleConfig(n_starts=args.starts, seed=seed, ord_constraint=args.ord)
+        for seed in seeds
+    ])
 
 
 def _cmd_identify(args) -> int:
     manifest = _Manifest("identify", vars(args))
     data = _load_data(args.input, args.schema, manifest)
+    cells: list[dict] = []
     if args.by_cell:
         counts = data.cell_counts()
-        parts = [
-            (tabulate(data, cell), args.seed + cell,
-             data.restrict(cell) if args.boot else None)
-            for cell in range(data.n_w_cells) if counts[cell] > 0
-        ]
+        populated = [cell for cell in range(data.n_w_cells) if counts[cell] > 0]
+        tables = [tabulate(data, cell) for cell in populated]
+        seeds = [args.seed + cell for cell in populated]
+        fitted = iter(zip(tables, _identify_fits(tables, seeds, args)))
+        for cell in range(data.n_w_cells):
+            if counts[cell] == 0:
+                cells.append(
+                    {"w_cell": data.w_labels[cell], "n": 0, "error": "empty cell"}
+                )
+                continue
+            table, result = next(fitted)
+            cells.append(
+                _identify_cell(
+                    table, result, args, args.seed + cell,
+                    cell_data=data.restrict(cell) if args.boot else None,
+                )
+            )
     else:
-        parts = [(tabulate(data), args.seed, data if args.boot else None)]
-    fitted = [None] * len(parts)
-    if args.method == "cmle":
-        fitted = fit_tables([table for table, _, _ in parts], [
-            CmleConfig(n_starts=args.starts, seed=seed, ord_constraint=args.ord)
-            for _, seed, _ in parts
-        ])
-    cells = [_identify_cell(table, result, args, seed, cell_data)
-             for (table, seed, cell_data), result in zip(parts, fitted)]
-    if args.by_cell:
-        for cell in np.flatnonzero(counts == 0):  # ascending: lands at index cell
-            cells.insert(cell, {"w_cell": data.w_labels[cell], "n": 0,
-                                "error": "empty cell"})
+        table = tabulate(data)
+        [result] = _identify_fits([table], [args.seed], args)
+        cells.append(
+            _identify_cell(
+                table, result, args, args.seed,
+                cell_data=data if args.boot else None,
+            )
+        )
     payload = {
         "schema_version": "1",
         "method": args.method,
@@ -441,9 +477,18 @@ def _cmd_estimate(args) -> int:
     boot_meta = None
     if args.boot:
         point, run = bootstrap_std_errors(
-            data, args.model, args.target, point, b=args.boot, seed=args.seed,
-            config=config, replicate_starts=args.boot_starts, stratify=args.stratify,
-            warm_models=models, clamp=args.clamp, skedastic_kind=args.skedastic,
+            data,
+            args.model,
+            args.target,
+            point,
+            b=args.boot,
+            seed=args.seed,
+            config=config,
+            replicate_starts=args.boot_starts,
+            stratify=args.stratify,
+            warm_models=models,
+            clamp=args.clamp,
+            skedastic_kind=args.skedastic,
         )
         boot_meta = {**run.to_dict(), "seed": args.seed}
         manifest.stage("bootstrap")

@@ -340,12 +340,14 @@ def _nll_and_grad(theta: np.ndarray, par: _Parameterization, counts: np.ndarray)
             ga = ga_top
 
     fy = b2[1]
-    grad = np.concatenate([
-        np.asarray(ga).ravel(),
-        (fy * (1.0 - fy) * (db2[1] - db2[0])).ravel(),
-        _softmax_chain(dc, c).ravel(),
-        _softmax_chain(dpi[:, None], pi[:, None]).ravel(),
-    ])
+    grad = np.concatenate(
+        [
+            np.asarray(ga).ravel(),
+            (fy * (1.0 - fy) * (db2[1] - db2[0])).ravel(),
+            _softmax_chain(dc, c).ravel(),
+            _softmax_chain(dpi[:, None], pi[:, None]).ravel(),
+        ]
+    )
     return -float(ll), -grad
 
 
@@ -499,44 +501,14 @@ def _starts(table: ContingencyTable, config: CmleConfig,
     return starts
 
 
-def _polish(table: ContingencyTable, config: CmleConfig, starts,
-            warmed: list[MisclassificationModel]) -> CmleResult | OptimizationError:
-    """L-BFGS-B from every EM-warmed start, then the winner rule."""
-    s_x, _, s_z = table.support
-    par = _Parameterization(s_x, s_z, config.ord_constraint == "enforce")
-    assert par.size == param_count(s_x, 2, s_z)
-    counts = table.counts.astype(float)
-    bounds = [(-LOGIT_MAX - 5.0, LOGIT_MAX + 5.0)] * par.size
-    records: list[StartDiagnostics] = []
-    thetas: list[np.ndarray | None] = []
-    for idx, ((kind, start_model), warm) in enumerate(zip(starts, warmed)):
-        res = optimize.minimize(
-            _nll_and_grad, par.theta(warm), args=(par, counts), method="L-BFGS-B",
-            jac=True, bounds=bounds, options={
-                "maxiter": MAX_ITERATIONS, "gtol": GRADIENT_TOLERANCE, "ftol": 1e-13},
-        )
-        records.append(StartDiagnostics(
-            index=idx, kind=kind, start_loglik=loglik_unchecked(start_model, counts),
-            final_loglik=float(-res.fun), converged=bool(res.success),
-            n_iterations=int(res.nit), message=str(res.message),
-        ))
-        thetas.append(res.x if res.success else None)
-
-    converged = [r for r in records if r.converged]
-    if not converged:
-        return OptimizationError(
-            f"none of {config.n_starts} starts converged", start_diagnostics=records
-        )
-    best_ll = max(r.final_loglik for r in converged)
-    tol = AGREE_RTOL * max(1.0, abs(best_ll))
-    agreeing = [r for r in converged if best_ll - r.final_loglik <= tol]
-    winner = min(agreeing, key=lambda r: r.index)
-    model = replace(par.model(thetas[winner.index]), w_cell=table.w_cell)
-    return CmleResult(
-        model=model, loglik=winner.final_loglik, n_starts_converged=len(converged),
-        n_starts_agreeing=len(agreeing), boundary_flags=_boundary_flags(model),
-        starts=tuple(records),
-    )
+def _warmed_starts(tables: list[ContingencyTable], configs: list[CmleConfig],
+                   warm_starts: list[MisclassificationModel | None]):
+    """Per table, its starts as (kind, start, EM-warmed model) triples; one
+    EM warm-up runs over every start of every table."""
+    starts = [_starts(*args) for args in zip(tables, configs, warm_starts, strict=True)]
+    counts = np.stack([t.counts for t, ts in zip(tables, starts) for _ in ts])
+    warmed = iter(_em_warmup([m for ts in starts for _, m in ts], counts.astype(float)))
+    return [[(kind, model, next(warmed)) for kind, model in ts] for ts in starts]
 
 
 def fit_tables(
@@ -547,26 +519,30 @@ def fit_tables(
     """``fit`` on one or more tables of one support: per table, the result or
     the OptimizationError that ``fit`` would raise on it alone.
 
-    Every start of every table goes through one batched EM warm-up; L-BFGS-B
-    still runs per start. An empty table or mixed supports raise DomainError.
+    Every start of every table goes through one batched EM warm-up; then
+    ``fit`` polishes each table's warmed starts by L-BFGS-B, one start at a
+    time. An empty table or mixed supports raise DomainError.
     """
     if len({table.support for table in tables}) != 1:
         raise DomainError("fit_tables needs one or more tables of one support")
     if warm_starts is None:
         warm_starts = [None] * len(tables)
-    starts = [_starts(*args) for args in zip(tables, configs, warm_starts, strict=True)]
-    counts = np.stack([t.counts for t, ts in zip(tables, starts) for _ in ts])
-    warmed = iter(_em_warmup([m for ts in starts for _, m in ts], counts.astype(float)))
-    return [
-        _polish(table, config, ts, [next(warmed) for _ in ts])
-        for table, config, ts in zip(tables, configs, starts)
-    ]
+    results: list[CmleResult | OptimizationError] = []
+    for table, config, warmed in zip(tables, configs,
+                                     _warmed_starts(tables, configs, warm_starts)):
+        try:
+            results.append(fit(table, config, warmed=warmed))
+        except OptimizationError as exc:
+            results.append(exc)
+    return results
 
 
 def fit(
     table: ContingencyTable,
     config: CmleConfig = CmleConfig(),
     warm_start: MisclassificationModel | None = None,
+    *,
+    warmed: list[tuple] | None = None,
 ) -> CmleResult:
     """Maximize the conditional log-likelihood with multiple seeded starts.
 
@@ -576,10 +552,67 @@ def fit(
     start is warmed up by EM, then polished by L-BFGS-B. The winner is the
     lowest-indexed start whose value ties the best within ``AGREE_RTOL``
     (relative), so a well-ordered warm start beats permuted copies of the
-    same optimum. A batch of one for ``fit_tables``. Raises
-    OptimizationError when no start converges.
+    same optimum. Raises OptimizationError when no start converges.
+
+    Alone, ``fit`` warms up its starts as a batch of one. ``fit_tables``
+    warms up the starts of many tables in one batch and passes each table's
+    as ``warmed``, (kind, start, EM-warmed model) per start; ``warm_start``
+    is then unused.
     """
-    [result] = fit_tables([table], [config], [warm_start])
-    if isinstance(result, OptimizationError):
-        raise result
-    return result
+    if warmed is None:
+        [warmed] = _warmed_starts([table], [config], [warm_start])
+    s_x, _, s_z = table.support
+    par = _Parameterization(s_x, s_z, config.ord_constraint == "enforce")
+    assert par.size == param_count(s_x, 2, s_z)
+    counts = table.counts.astype(float)
+
+    bounds = [(-LOGIT_MAX - 5.0, LOGIT_MAX + 5.0)] * par.size
+    records: list[StartDiagnostics] = []
+    thetas: list[np.ndarray | None] = []
+    for idx, (kind, start_model, warm) in enumerate(warmed):
+        start_ll = loglik_unchecked(start_model, counts)
+        theta0 = par.theta(warm)
+        res = optimize.minimize(
+            _nll_and_grad,
+            theta0,
+            args=(par, counts),
+            method="L-BFGS-B",
+            jac=True,
+            bounds=bounds,
+            options={
+                "maxiter": MAX_ITERATIONS,
+                "gtol": GRADIENT_TOLERANCE,
+                "ftol": 1e-13,
+            },
+        )
+        records.append(
+            StartDiagnostics(
+                index=idx,
+                kind=kind,
+                start_loglik=float(start_ll),
+                final_loglik=float(-res.fun),
+                converged=bool(res.success),
+                n_iterations=int(res.nit),
+                message=str(res.message),
+            )
+        )
+        thetas.append(res.x if res.success else None)
+
+    converged = [r for r in records if r.converged]
+    if not converged:
+        raise OptimizationError(
+            f"none of {config.n_starts} starts converged", start_diagnostics=records
+        )
+    best_ll = max(r.final_loglik for r in converged)
+    tol = AGREE_RTOL * max(1.0, abs(best_ll))
+    agreeing = [r for r in converged if best_ll - r.final_loglik <= tol]
+    winner = min(agreeing, key=lambda r: r.index)
+    model = replace(par.model(thetas[winner.index]), w_cell=table.w_cell)
+    return CmleResult(
+        model=model,
+        loglik=winner.final_loglik,
+        n_starts_converged=len(converged),
+        n_starts_agreeing=len(agreeing),
+        boundary_flags=_boundary_flags(model),
+        starts=tuple(records),
+    )

@@ -11,7 +11,8 @@ similar to a diagonal matrix: its eigenvalues are P(Y=1 | latent state) and
 its eigenvectors, normalized to sum 1, are the columns of the reporting
 matrix P(X | latent state). Eigenpairs are ordered by the monotone-reporting
 restriction (last row of the reporting matrix increasing in the latent
-state); the latent marginal and the Z matrix then follow by linear solves.
+state; states whose last-row entries tie are ordered by the row above); the
+latent marginal and the Z matrix then follow by linear solves.
 
 The decomposition is exact on population pmfs. On finite samples it can
 produce complex pairs or negative entries; those are tolerance-gated errors
@@ -21,6 +22,7 @@ likelihood module.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -190,9 +192,20 @@ def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
     return vectors / sums
 
 
-def order_by_last_row(values: np.ndarray, vectors: np.ndarray):
-    """Reorder eigenpairs so the vectors' last row increases (monotone reporting)."""
-    order = np.argsort(vectors[-1, :], kind="stable")
+def order_by_last_row(values: np.ndarray, vectors: np.ndarray, tol: float = 0.0):
+    """Reorder eigenpairs so the vectors' last row increases (monotone reporting).
+
+    Columns whose last-row entries tie within ``tol`` are ordered by the row
+    above, and so on up: without misclassification the reporting matrix is
+    the identity, whose last row ties in all but one state.
+    """
+    def compare(i: int, j: int) -> int:
+        for a, b in zip(vectors[::-1, i], vectors[::-1, j]):
+            if abs(a - b) > tol:
+                return -1 if a < b else 1
+        return 0
+
+    order = sorted(range(vectors.shape[1]), key=functools.cmp_to_key(compare))
     return values[order], vectors[:, order]
 
 
@@ -215,7 +228,7 @@ def _decompose_branch(a: np.ndarray, tol: float):
         )
     vals = eigvals.real.copy()
     vecs = _normalize_columns(eigvecs.real.copy())
-    vals, vecs = order_by_last_row(vals, vecs)
+    vals, vecs = order_by_last_row(vals, vecs, tol)
     return vals, vecs, complex_mag
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latentcat.data import JointPmf, frequency_pmf, tabulate
@@ -123,12 +123,15 @@ def test_population_recovery_across_models():
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    # Strength 0 gives the identity, whose last row ties (0, ..., 0, 1): the
-    # labels of the tied states are not identified, so no exact recovery.
-    strength=st.floats(0.0, 1.0, exclude_min=True),
+    strength=st.floats(0.0, 1.0),
     separation=st.floats(0.05, 0.3),
     n_w_cells=st.sampled_from([1, 2, 4]),
 )
+# Strength 0 gives identity reporting matrices, whose last row ties in all
+# but one state: ordering by the last row alone once swapped two states here
+# and failed the y-branch cross-check here.
+@example(seed=0, strength=0.0, separation=0.168, n_w_cells=2)
+@example(seed=0, strength=0.0, separation=0.25, n_w_cells=1)
 def test_population_round_trip_on_random_specs(seed, strength, separation, n_w_cells):
     # ROADMAP item 4: every admissible generator draw is recovered from its
     # own population pmf, cell by cell.
