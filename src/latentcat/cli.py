@@ -42,8 +42,8 @@ from .errors import (
 from .generate import (
     GeneratorSpec, ProbitParams, SyntheticSample, draw, make_cell_weights, make_model
 )
-from .mle import CmleConfig, fit, fit_tables
-from .pipeline import SKEDASTIC, bootstrap_std_errors, parametric_fit
+from .mle import CmleConfig, CmleResult, fit_tables
+from .pipeline import SKEDASTIC, bootstrap_std_errors, model_std_errors, parametric_fit
 from .report import render, render_csv, render_exclusions
 from .spectral import MisclassificationModel, eigendecompose_identify
 
@@ -226,33 +226,6 @@ def _schema_sidecar(path: str, data: Dataset) -> None:
         handle.write(text)
 
 
-def _model_param_vector(model: MisclassificationModel) -> np.ndarray:
-    return np.concatenate(
-        [
-            model.m_x_given_xstar.ravel(),
-            model.f_y_given_xstar,
-            model.m_z_given_xstar.ravel(),
-            model.f_xstar,
-        ]
-    )
-
-
-def _model_se_blocks(se: np.ndarray, s_x: int, s_z: int) -> dict:
-    i0 = s_x * s_x
-    i1 = i0 + s_x
-    i2 = i1 + s_z * s_x
-    return {
-        "m_x_given_xstar": {
-            "rows": s_x, "cols": s_x, "data": se[:i0].tolist(),
-        },
-        "f_y_given_xstar": se[i0:i1].tolist(),
-        "m_z_given_xstar": {
-            "rows": s_z, "cols": s_x, "data": se[i1:i2].tolist(),
-        },
-        "f_xstar": se[i2:].tolist(),
-    }
-
-
 def _cmd_simulate(args) -> int:
     manifest = _Manifest("simulate", vars(args))
     spec, weights = _parse_generator_config(args.spec)
@@ -310,10 +283,9 @@ def _cmd_test(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _identify_cell(table, fitted, args, cell_seed: int,
-                   cell_data: Dataset | None = None) -> dict:
+def _identify_cell(table, fitted, args) -> dict:
     """One cell's entry: its spectral solution, or its cmle fit (``fitted``,
-    a CmleResult or OptimizationError) and bootstrap s.e."""
+    a CmleResult or OptimizationError)."""
     entry: dict = {"w_cell": table.w_cell, "n": table.n}
     if args.method == "spectral":
         try:
@@ -330,37 +302,7 @@ def _identify_cell(table, fitted, args, cell_seed: int,
         entry["error"] = str(fitted)
         return entry
     entry.update(fitted.to_dict())
-    if args.boot and cell_data is not None:
-        entry.update(_identify_boot_se(cell_data, fitted, args, cell_seed))
     return entry
-
-
-def _identify_boot_se(cell_data: Dataset, result, args, cell_seed: int) -> dict:
-    """Bootstrap standard errors of every model parameter in one cell.
-
-    Replicates redraw the cell's counts, refit with the monotone
-    restriction enforced (inference-grade), warm-started at the point
-    estimate; the s.e. is the componentwise replicate standard deviation.
-    """
-    from .resampling import ResamplePlan, run_plan
-
-    rep_config = CmleConfig(
-        n_starts=args.boot_starts, seed=cell_seed, ord_constraint="enforce"
-    )
-
-    def estimator(redraw: Dataset):
-        rep = fit(tabulate(redraw), rep_config, warm_start=result.model)
-        return _model_param_vector(rep.model), bool(rep.boundary_flags)
-
-    plan = ResamplePlan(b=args.boot, master_seed=cell_seed)
-    boot = run_plan(plan, cell_data, estimator)
-    se = boot.se()
-    return {
-        "std_errors": _model_se_blocks(
-            se, result.model.s_x, result.model.s_z
-        ),
-        "boot": boot.to_dict(),
-    }
 
 
 def _identify_fits(tables: list, seeds: list[int], args) -> list:
@@ -377,35 +319,31 @@ def _identify_fits(tables: list, seeds: list[int], args) -> list:
 def _cmd_identify(args) -> int:
     manifest = _Manifest("identify", vars(args))
     data = _load_data(args.input, args.schema, manifest)
+    counts = data.cell_counts()
+    # Cell indices, or [None] for the pooled table; cell c fits at seed + c.
+    indices = list(range(data.n_w_cells)) if args.by_cell else [None]
+    populated = [c for c in indices if c is None or counts[c] > 0]
+    tables = [tabulate(data, c) for c in populated]
+    fitted = iter(zip(tables, _identify_fits(
+        tables, [args.seed + (c or 0) for c in populated], args)))
     cells: list[dict] = []
-    if args.by_cell:
-        counts = data.cell_counts()
-        populated = [cell for cell in range(data.n_w_cells) if counts[cell] > 0]
-        tables = [tabulate(data, cell) for cell in populated]
-        seeds = [args.seed + cell for cell in populated]
-        fitted = iter(zip(tables, _identify_fits(tables, seeds, args)))
-        for cell in range(data.n_w_cells):
-            if counts[cell] == 0:
-                cells.append(
-                    {"w_cell": data.w_labels[cell], "n": 0, "error": "empty cell"}
-                )
-                continue
-            table, result = next(fitted)
-            cells.append(
-                _identify_cell(
-                    table, result, args, args.seed + cell,
-                    cell_data=data.restrict(cell) if args.boot else None,
-                )
-            )
-    else:
-        table = tabulate(data)
-        [result] = _identify_fits([table], [args.seed], args)
-        cells.append(
-            _identify_cell(
-                table, result, args, args.seed,
-                cell_data=data if args.boot else None,
-            )
-        )
+    point_fits: list[tuple] = []  # (cell index, CmleResult, entry) per fitted cell
+    for cell in indices:
+        if cell is not None and counts[cell] == 0:
+            cells.append({"w_cell": data.w_labels[cell], "n": 0, "error": "empty cell"})
+            continue
+        table, result = next(fitted)
+        cells.append(_identify_cell(table, result, args))
+        if isinstance(result, CmleResult):
+            point_fits.append((cell, result, cells[-1]))
+    if args.boot and point_fits:
+        index, results, entries = zip(*point_fits)
+        runs = model_std_errors(data, list(index), list(results), args.boot,
+                                args.seed, args.boot_starts)
+        for entry, result, run in zip(entries, results, runs):
+            entry["std_errors"] = MisclassificationModel.unpack(
+                run.se(), result.model.s_x, result.model.s_z)
+            entry["boot"] = run.to_dict()
     payload = {
         "schema_version": "1",
         "method": args.method,

@@ -521,7 +521,9 @@ def fit_tables(
 
     Every start of every table goes through one batched EM warm-up; then
     ``fit`` polishes each table's warmed starts by L-BFGS-B, one start at a
-    time. An empty table or mixed supports raise DomainError.
+    time. The pipeline's cell fits, ``identify``'s point fits and each
+    replicate of ``pipeline.model_std_errors`` are one call each. An empty
+    list or mixed supports raise DomainError.
     """
     if len({table.support for table in tables}) != 1:
         raise DomainError("fit_tables needs one or more tables of one support")

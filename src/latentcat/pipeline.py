@@ -10,12 +10,14 @@ so the ordering has to be guaranteed, not just checked. ``parametric_fit``
 is the one dispatch from a (model, target, skedastic) choice to an
 estimator; bootstrap standard errors re-run it per replicate (no analytic
 sandwich), warm-starting each replicate's cell fits at the parent point
-estimates.
+estimates. ``model_std_errors`` bootstraps the cell models themselves (the
+s.e. of ``identify --boot``): every replicate refits all cells as one
+``fit_tables`` batch. Both bootstraps go through ``resampling.run_plan``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,37 +41,22 @@ from .resampling import BootstrapRun, ResamplePlan, run_plan
 from .spectral import MisclassificationModel
 
 __all__ = [
-    "CellFits",
     "fit_cells",
     "conditional_for_target",
     "parametric_fit",
     "bootstrap_std_errors",
+    "model_std_errors",
 ]
 
 PIPELINE_CONFIG = CmleConfig(ord_constraint="enforce")
 SKEDASTIC = ("nonparametric", "exponential")
 
 
-@dataclass(frozen=True)
-class CellFits:
-    """Per-cell likelihood fits plus the empirical cell weights."""
-
-    results: tuple[CmleResult, ...]
-    weights: np.ndarray
-
-    @property
-    def models(self) -> list[MisclassificationModel]:
-        return [r.model for r in self.results]
-
-    def any_boundary(self) -> bool:
-        return any(r.boundary_flags for r in self.results)
-
-
 def fit_cells(
     data: Dataset,
     config: CmleConfig = PIPELINE_CONFIG,
     warm_starts: list[MisclassificationModel] | None = None,
-) -> CellFits:
+) -> tuple[CmleResult, ...]:
     """Constrained ML fits of every cell (none may be empty), as one batch;
     raises the first failing cell's OptimizationError."""
     counts = data.cell_counts()
@@ -85,7 +72,7 @@ def fit_cells(
     for result in results:
         if isinstance(result, OptimizationError):
             raise result
-    return CellFits(results=tuple(results), weights=counts / data.n)
+    return tuple(results)
 
 
 def conditional_for_target(
@@ -93,23 +80,20 @@ def conditional_for_target(
     target: str,
     config: CmleConfig = PIPELINE_CONFIG,
     models: list[MisclassificationModel] | None = None,
-) -> tuple[LatentConditional, CellFits | None]:
+) -> LatentConditional:
     """Outcome conditional for either target.
 
-    The latent target uses the given cell ``models``, else runs the cell
-    fits and returns them too.
+    The latent target uses the given cell ``models``, else fits them.
     """
     names = ("const", *data.w_columns) if data.w_columns else ()
     if target == "reported":
-        return reported_conditional(data), None
+        return reported_conditional(data)
     if target != "latent":
         raise EstimationError(f"unknown target {target!r}")
-    fits = None
     if models is None:
-        fits = fit_cells(data, config)
-        models = fits.models
+        models = [result.model for result in fit_cells(data, config)]
     weights = data.cell_counts() / data.n
-    return latent_conditional(models, weights, column_names=names), fits
+    return latent_conditional(models, weights, column_names=names)
 
 
 def parametric_fit(
@@ -138,7 +122,7 @@ def parametric_fit(
         return exponential_skedastic_probit(data)
     if model == "oprobit" and target == "reported":
         return ordered_probit_mle(data)
-    lc, _ = conditional_for_target(data, target, config, models)
+    lc = conditional_for_target(data, target, config, models)
     if model == "linear":
         return linear_projection(lc, target=target)
     if model == "oprobit":
@@ -177,7 +161,8 @@ def bootstrap_std_errors(
         models, flagged = None, False
         if target == "latent":
             fits = fit_cells(redraw, rep_config, warm_starts=warm_models)
-            models, flagged = fits.models, fits.any_boundary()
+            models = [result.model for result in fits]
+            flagged = any(result.boundary_flags for result in fits)
         rep = parametric_fit(
             redraw, model, target, rep_config, clamp, models, skedastic_kind
         )
@@ -186,3 +171,44 @@ def bootstrap_std_errors(
     plan = ResamplePlan(b=b, master_seed=seed, stratify_by_cell=stratify)
     run = run_plan(plan, data, estimator)
     return replace(point, std_errors=run.se()), run
+
+
+def model_std_errors(
+    data: Dataset,
+    cells: list[int | None],
+    results: list[CmleResult],
+    b: int,
+    seed: int,
+    n_starts: int,
+) -> list[BootstrapRun]:
+    """Bootstrap every parameter of the listed cells' models, all cells at once.
+
+    ``cells`` holds the cell indices of the point fits ``results``, or
+    ``[None]`` for the pooled table. Replicate redraws are stratified by cell
+    unless pooled. Each replicate refits every listed cell in one
+    ``fit_tables`` batch, with the monotone restriction enforced, warm-started
+    at the point models, cell c's starts seeded ``seed + c``; a replicate in
+    which any cell's fit fails is dropped for every cell. Returns one run per
+    cell: its columns of the replicate estimates (``MisclassificationModel.pack``
+    order) and the kept replicates in which its own fit flagged a boundary.
+    """
+    configs = [CmleConfig(n_starts=n_starts, seed=seed + (cell or 0),
+                          ord_constraint="enforce") for cell in cells]
+    warm = [result.model for result in results]
+
+    def estimator(redraw: Dataset):
+        fits = fit_tables([tabulate(redraw, cell) for cell in cells], configs, warm)
+        for fit in fits:
+            if isinstance(fit, OptimizationError):
+                raise fit
+        return (np.concatenate([fit.model.pack() for fit in fits]),
+                [bool(fit.boundary_flags) for fit in fits])
+
+    plan = ResamplePlan(b=b, master_seed=seed, stratify_by_cell=cells != [None])
+    run = run_plan(plan, data, estimator)
+    # The cells share one support, so their vectors have one length.
+    return [
+        replace(run, estimates=block, boundary_hits=hits)
+        for block, hits in zip(np.split(run.estimates, len(cells), axis=1),
+                               run.boundary_hits)
+    ]

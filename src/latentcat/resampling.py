@@ -9,13 +9,12 @@ SeedSequence((master_seed, replicate_index)), so replicate i's estimate
 depends only on the data, the plan and i; replicates run serially in index
 order. Replicates whose estimator fails are dropped and counted by reason
 (an emptied covariate cell, or an estimation error) rather than poisoning
-the aggregate; boundary-flagged replicates are counted too and trigger a
-warning, because interior-solution asymptotics are in doubt there.
+the aggregate; boundary-flagged replicates are counted too, because
+interior-solution asymptotics are in doubt there.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,24 +79,13 @@ def percentile(replicate_values, level: float) -> float:
     return nearest_rank(arr, level)
 
 
-def boot_se(replicate_estimates, boundary_hits: int = 0) -> np.ndarray:
-    """Componentwise sample standard deviation across replicate estimates.
-
-    ``boundary_hits`` is the number of replicates that flagged a boundary
-    parameter; any positive count emits a warning since the bootstrap is
-    untrustworthy without an interior solution.
-    """
+def boot_se(replicate_estimates) -> np.ndarray:
+    """Componentwise sample standard deviation across replicate estimates."""
     stack = np.asarray(replicate_estimates, dtype=float)
     if stack.ndim == 1:
         stack = stack[:, None]
     if stack.shape[0] < 2:
         raise DomainError("need at least two replicates for a standard error")
-    if boundary_hits > 0:
-        warnings.warn(
-            f"{boundary_hits} bootstrap replicate(s) hit a parameter boundary; "
-            "interior-solution asymptotics may not apply",
-            stacklevel=2,
-        )
     return stack.std(axis=0, ddof=1)
 
 
@@ -108,12 +96,14 @@ DROP_REASONS = ("emptied_cell", "estimator_failed")
 
 @dataclass(frozen=True)
 class BootstrapRun:
-    """Replicate estimates (survivors only), drops by reason, boundary hits."""
+    """Replicate estimates (survivors only), drops by reason, boundary hits:
+    a count of kept replicates, or one count per model when the estimator
+    flags several."""
 
     estimates: np.ndarray
     n_requested: int
     dropped: dict[str, int]
-    boundary_hits: int
+    boundary_hits: int | list[int]
 
     @property
     def n_dropped(self) -> int:
@@ -124,7 +114,7 @@ class BootstrapRun:
         return self.n_requested - self.n_dropped
 
     def se(self) -> np.ndarray:
-        return boot_se(self.estimates, boundary_hits=self.boundary_hits)
+        return boot_se(self.estimates)
 
     def to_dict(self) -> dict:
         return {
@@ -139,7 +129,8 @@ def run_plan(plan: ResamplePlan, data: Dataset, estimator) -> BootstrapRun:
     """Apply a pure estimator to every replicate of the plan, in replicate order.
 
     ``estimator(dataset)`` returns either a 1-d parameter vector or a
-    ``(vector, boundary_flagged: bool)`` pair. An ``EmptyCellError`` or an
+    ``(vector, flagged)`` pair, ``flagged`` one bool or one bool per model
+    (summed elementwise into the boundary hits). An ``EmptyCellError`` or an
     estimation error drops the replicate.
     """
 
@@ -153,10 +144,8 @@ def run_plan(plan: ResamplePlan, data: Dataset, estimator) -> BootstrapRun:
             return "emptied_cell"
         except EstimationError:
             return "estimator_failed"
-        if isinstance(out, tuple):
-            vec, flagged = out
-            return np.asarray(vec, dtype=float), bool(flagged)
-        return np.asarray(out, dtype=float), False
+        vec, flagged = out if isinstance(out, tuple) else (out, False)
+        return np.asarray(vec, dtype=float), np.asarray(flagged, dtype=bool)
 
     results = [one(i) for i in range(plan.b)]
     kept = [r for r in results if not isinstance(r, str)]
@@ -167,5 +156,5 @@ def run_plan(plan: ResamplePlan, data: Dataset, estimator) -> BootstrapRun:
         estimates=np.vstack([vec for vec, _ in kept]),
         n_requested=plan.b,
         dropped=dropped,
-        boundary_hits=sum(1 for _, flagged in kept if flagged),
+        boundary_hits=np.sum([flagged for _, flagged in kept], axis=0).tolist(),
     )

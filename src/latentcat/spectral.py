@@ -105,16 +105,29 @@ class MisclassificationModel:
         if abs(self.f_xstar.sum() - 1.0) > tol:
             raise DomainError("f_xstar does not sum to 1")
 
-    def to_dict(self) -> dict:
-        def mat(m):
-            return {"rows": m.shape[0], "cols": m.shape[1], "data": m.ravel().tolist()}
+    def pack(self) -> np.ndarray:
+        """Every parameter in one vector, block by block in ``unpack`` order."""
+        return np.concatenate([self.m_x_given_xstar.ravel(), self.f_y_given_xstar,
+                               self.m_z_given_xstar.ravel(), self.f_xstar])
 
+    @staticmethod
+    def unpack(vector: np.ndarray, s_x: int, s_z: int) -> dict:
+        """The JSON blocks of a ``pack``-ordered vector: a model's parameters
+        or their standard errors."""
+        i0 = s_x * s_x
+        i1 = i0 + s_x
+        i2 = i1 + s_z * s_x
+        return {
+            "m_x_given_xstar": {"rows": s_x, "cols": s_x, "data": vector[:i0].tolist()},
+            "f_y_given_xstar": vector[i0:i1].tolist(),
+            "m_z_given_xstar": {"rows": s_z, "cols": s_x, "data": vector[i1:i2].tolist()},
+            "f_xstar": vector[i2:].tolist(),
+        }
+
+    def to_dict(self) -> dict:
         return {
             "w_cell": self.w_cell,
-            "m_x_given_xstar": mat(self.m_x_given_xstar),
-            "f_y_given_xstar": self.f_y_given_xstar.tolist(),
-            "m_z_given_xstar": mat(self.m_z_given_xstar),
-            "f_xstar": self.f_xstar.tolist(),
+            **self.unpack(self.pack(), self.s_x, self.s_z),
             "ord_satisfied": self.ord_satisfied,
         }
 

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -173,21 +172,15 @@ def test_estimate_latent_bootstrap_se(pipeline, tmp_path):
 
 def test_estimate_boot_telemetry_in_artifact_and_report(pipeline, tmp_path, capsys):
     out = tmp_path / "fit_boot.json"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run(["estimate", "--models", str(pipeline["models"]), "--data",
-                    str(pipeline["synth"]), "--schema", str(pipeline["schema"]),
-                    "--model", "linear", "--target", "latent", "--boot", "4",
-                    "--boot-starts", "2", "--seed", "11",
-                    "--out", str(out)]) == 0
+    assert run(["estimate", "--models", str(pipeline["models"]), "--data",
+                str(pipeline["synth"]), "--schema", str(pipeline["schema"]),
+                "--model", "linear", "--target", "latent", "--boot", "4",
+                "--boot-starts", "2", "--seed", "11",
+                "--out", str(out)]) == 0
     boot = json.loads(out.read_text())["boot"]
     assert set(boot["dropped"]) == {"emptied_cell", "estimator_failed"}
     assert boot["n_dropped"] == sum(boot["dropped"].values())
     hits = boot["boundary_hits"]
-    # The warning stays, and the artifact holds the same count.
-    warned = [str(w.message) for w in caught if "boundary" in str(w.message)]
-    assert warned == ([f"{hits} bootstrap replicate(s) hit a parameter boundary; "
-                       "interior-solution asymptotics may not apply"] if hits else [])
     capsys.readouterr()
     assert run(["report", str(out)]) == 0
     text = capsys.readouterr().out
@@ -219,6 +212,32 @@ def test_identify_boot_telemetry_in_artifact_and_report(pipeline, tmp_path, caps
         assert f"boundary_hits={boot['boundary_hits']}" in text
         assert row.split(",")[0] == entry["w_cell"]
         assert row.split(",")[-1] == str(boot["boundary_hits"])
+    out_dir = tmp_path / "replayed"
+    assert run(["replay", str(out) + ".manifest.json", "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / out.name).read_bytes() == out.read_bytes()
+
+
+def test_identify_boot_fits_every_cell_in_one_batch_per_replicate(
+        pipeline, tmp_path, monkeypatch):
+    import latentcat.cli
+    import latentcat.pipeline
+    from latentcat.mle import fit_tables
+
+    calls = []
+
+    def counted(tables, *rest):
+        calls.append(len(tables))
+        return fit_tables(tables, *rest)
+
+    monkeypatch.setattr(latentcat.cli, "fit_tables", counted)
+    monkeypatch.setattr(latentcat.pipeline, "fit_tables", counted)
+    out = tmp_path / "models_boot.json"
+    assert run(["identify", "--input", str(pipeline["synth"]), "--schema",
+                str(pipeline["schema"]), "--by-cell", "--method", "cmle",
+                "--starts", "2", "--seed", "7", "--ord", "enforce", "--boot", "3",
+                "--boot-starts", "1", "--out", str(out)]) == 0
+    # The point fits, then one batch of both cells per replicate.
+    assert calls == [2] * 4
 
 
 def test_simulate_malformed_spec_exit(tmp_path):

@@ -9,6 +9,7 @@ from latentcat.pipeline import (
     bootstrap_std_errors,
     conditional_for_target,
     fit_cells,
+    model_std_errors,
     parametric_fit,
 )
 
@@ -38,17 +39,42 @@ def probit_sample():
 def test_fit_cells_covers_every_cell(probit_sample):
     _, models, data = probit_sample
     config = CmleConfig(n_starts=4, seed=1, ord_constraint="enforce")
-    fits = fit_cells(data, config)
-    assert len(fits.results) == 4
-    assert fits.weights.sum() == pytest.approx(1.0)
-    for result, truth in zip(fits.results, models):
+    results = fit_cells(data, config)
+    assert len(results) == 4
+    for result, truth in zip(results, models):
         assert np.abs(result.model.f_xstar - truth.f_xstar).max() < 0.05
+
+
+def test_model_std_errors_per_cell_independent_of_the_batch(probit_sample):
+    # Stratified redraws give each cell the same counts whichever cells are
+    # listed, and fit_tables fits each table as it would alone; so a cell's
+    # s.e. and boundary count do not depend on the other cells.
+    _, _, data = probit_sample
+    config = CmleConfig(n_starts=2, seed=1, ord_constraint="enforce")
+    results = list(fit_cells(data, config))
+    together = model_std_errors(data, [0, 1, 2, 3], results, b=3, seed=9, n_starts=1)
+    assert all(run.n_dropped == 0 for run in together)
+    # At this seed only cell 3's fits touch a boundary, so a shared count
+    # would show.
+    assert [run.boundary_hits for run in together] == [0, 0, 0, 2]
+    for cell in (0, 3):
+        [alone] = model_std_errors(data, [cell], [results[cell]], b=3, seed=9,
+                                   n_starts=1)
+        assert alone.n_dropped == 0
+        assert np.array_equal(alone.estimates, together[cell].estimates)
+        assert np.array_equal(alone.se(), together[cell].se())
+        assert alone.boundary_hits == together[cell].boundary_hits
+    # Cell 0's rows come first in the stratified stream, so they equal a
+    # pooled bootstrap of that cell alone at the same seed.
+    [pooled] = model_std_errors(data.restrict(0), [None], results[:1], b=3, seed=9,
+                                n_starts=1)
+    assert np.array_equal(pooled.se(), together[0].se())
+    assert pooled.boundary_hits == together[0].boundary_hits
 
 
 def test_conditional_for_target_routes(probit_sample):
     _, _, data = probit_sample
-    lc_rep, fits = conditional_for_target(data, "reported")
-    assert fits is None
+    lc_rep = conditional_for_target(data, "reported")
     assert len(lc_rep.cells) == 4
     with pytest.raises(EstimationError):
         conditional_for_target(data, "unknown")

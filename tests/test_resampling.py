@@ -130,11 +130,6 @@ def test_boot_se_two_point():
     assert np.allclose(se, np.abs(v) * np.sqrt(2))
 
 
-def test_boot_se_boundary_warning():
-    with pytest.warns(UserWarning, match="boundary"):
-        boot_se([np.ones(2), np.zeros(2)], boundary_hits=1)
-
-
 def test_boot_se_needs_two():
     with pytest.raises(DomainError):
         boot_se([np.ones(2)])
@@ -189,8 +184,10 @@ def test_run_plan_counts_boundary_flags():
 
     run = run_plan(ResamplePlan(b=30, master_seed=15), data, estimator)
     assert 0 < run.boundary_hits < 30
-    with pytest.warns(UserWarning):
-        run.se()
+    # One flag per model: each model's hits are counted on their own.
+    per_model = run_plan(ResamplePlan(b=30, master_seed=15), data,
+                         lambda d: (np.array([mean_x(d)]), [flagged(d), True, False]))
+    assert per_model.boundary_hits == [run.boundary_hits, 30, 0]
 
 
 def test_boot_se_matches_monte_carlo_sd():
