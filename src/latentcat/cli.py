@@ -199,13 +199,11 @@ def _parse_generator_config(path: str) -> tuple[GeneratorSpec, np.ndarray | None
 
 def _write_dataset_csv(path: str, sample: SyntheticSample) -> None:
     w_columns = sample.data.w_columns
+    bits = cell_rows(len(w_columns))[:, 1:].astype(np.int64)
+    records = np.column_stack([sample.x, sample.y, sample.z, bits[sample.w]])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(["x", "y", "z", *w_columns]) + "\n")
-        bits = cell_rows(len(w_columns))[:, 1:].astype(np.int64)
-        for x, y, z, w in zip(sample.x, sample.y, sample.z, sample.w):
-            row = [str(int(x)), str(int(y)), str(int(z))]
-            row.extend(str(int(b)) for b in bits[w])
-            handle.write(",".join(row) + "\n")
+        np.savetxt(handle, records, fmt="%d", delimiter=",",
+                   header=",".join(["x", "y", "z", *w_columns]), comments="")
 
 
 def _schema_sidecar(path: str, data: Dataset) -> None:
@@ -317,6 +315,10 @@ def _identify_fits(tables: list, seeds: list[int], args) -> list:
 
 
 def _cmd_identify(args) -> int:
+    if args.method == "spectral" and args.boot > 0:
+        print("latentcat identify: error: --boot applies only to --method cmle",
+              file=sys.stderr)
+        return USAGE_EXIT
     manifest = _Manifest("identify", vars(args))
     data = _load_data(args.input, args.schema, manifest)
     counts = data.cell_counts()
@@ -400,7 +402,7 @@ def _cmd_estimate(args) -> int:
         return USAGE_EXIT
     manifest = _Manifest("estimate", vars(args))
     data = _load_data(args.data, args.schema, manifest)
-    config = CmleConfig(n_starts=args.starts, seed=args.seed, ord_constraint="enforce")
+    config = CmleConfig(seed=args.seed, ord_constraint="enforce")
     models = None
     if args.target == "latent":
         if not args.models:
@@ -461,8 +463,8 @@ def _cmd_report(args) -> int:
 def _cmd_replay(args) -> int:
     manifest = _read_json(args.manifest)
     command = manifest["command"]
-    # Options this version does not take are dropped: the only one retired,
-    # the bootstrap worker count of older manifests, never changed an artifact.
+    # Options this version does not take are dropped. The retired ones (the
+    # bootstrap worker count, estimate's start count) never changed an artifact.
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     parser = sub.choices.get(command)
@@ -556,7 +558,6 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--target", choices=["latent", "reported"], required=True)
     p_est.add_argument("--boot", type=int, default=0)
     p_est.add_argument("--boot-starts", type=int, default=3, dest="boot_starts")
-    p_est.add_argument("--starts", type=int, default=10)
     p_est.add_argument("--seed", type=_seed_arg, required=True)
     p_est.add_argument("--clamp", type=float, default=1e-6)
     p_est.add_argument("--skedastic", choices=SKEDASTIC,

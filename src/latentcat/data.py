@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -316,13 +317,6 @@ class Dataset:
         """Record count per covariate cell, length 2^|W|."""
         return self.counts.sum(axis=(1, 2, 3))
 
-    def restrict(self, w_cell: int) -> Dataset:
-        """The table of a single covariate cell, as a 0-covariate dataset."""
-        counts = self.counts[w_cell : w_cell + 1]
-        if not counts.any():
-            raise EmptyCellError(f"covariate cell {self.w_labels[w_cell]!r} is empty")
-        return Dataset(counts, w_columns=(), w_labels=(self.w_labels[w_cell],))
-
 
 # ---------------------------------------------------------------------------
 # Discretization
@@ -373,23 +367,29 @@ def _apply_cuts(values: np.ndarray, cuts: tuple[float, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _parse_number(token: str) -> float:
-    token = token.strip()
-    if not token:
-        raise ValueError("empty field")
-    value = float(token)
-    if not np.isfinite(value):
-        raise ValueError("non-finite field")
-    return value
+INGEST_CHUNK_ROWS = 8192
+
+
+def _number(row: list[str], i: int) -> float:
+    """Field i of a row as a float; NaN when it is absent, empty or unparsable."""
+    try:
+        return float(row[i].strip())
+    except (ValueError, IndexError):
+        return np.nan
 
 
 def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
     """Read a delimited extract, apply the schema, and drop unusable rows.
 
     ``source`` is a path or an open text stream with a header row naming all
-    schema columns. Rows with missing/unparsable fields, x codes absent from
-    the recode map, or non-binary covariate values are excluded (listwise)
-    and tallied by reason in the returned report.
+    schema columns. Blank rows are skipped and not counted. The others are
+    read in chunks of ``INGEST_CHUNK_ROWS``. Each needed field is parsed with
+    ``float``, as NaN when it is missing, empty or unparsable. The exclusion
+    rules are column masks, in priority order: ``missing_or_nonnumeric`` (any
+    non-finite field), ``noninteger_x``, ``unmapped_x`` (an x code absent from
+    the recode map), ``nonbinary_w`` (a covariate other than 0/1). Excluded
+    rows are dropped listwise and tallied in the returned report under the
+    first rule they fail; a rule that never fires has no entry.
     """
     if hasattr(source, "read"):
         stream = source
@@ -411,67 +411,46 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
         missing = [c for c in needed if c not in header]
         if missing:
             raise SchemaError(f"input is missing declared columns: {missing}")
-        idx = {c: header.index(c) for c in needed}
-
-        x_raw: list[int] = []
-        y_raw: list[float] = []
-        z_raw: list[float] = []
-        w_cells: list[int] = []
+        cols = [header.index(c) for c in needed]
+        bit_values = 1 << np.arange(len(schema.w_columns))
         reasons: dict[str, int] = {}
+        kept: list[tuple[np.ndarray, ...]] = []
         n_read = 0
-
-        def drop(reason: str) -> None:
-            reasons[reason] = reasons.get(reason, 0) + 1
-
-        for row in reader:
-            if not row or all(not f.strip() for f in row):
-                continue
-            n_read += 1
-            try:
-                xv = _parse_number(row[idx[schema.x_column]])
-                yv = _parse_number(row[idx[schema.y_column]])
-                zv = _parse_number(row[idx[schema.z_column]])
-                wv = [_parse_number(row[idx[c]]) for c in schema.w_columns]
-            except (ValueError, IndexError):
-                drop("missing_or_nonnumeric")
-                continue
-            if xv != int(xv):
-                drop("noninteger_x")
-                continue
-            if int(xv) not in schema.x_recode:
-                drop("unmapped_x")
-                continue
-            bits = []
-            ok = True
-            for v in wv:
-                if v not in (0.0, 1.0):
-                    ok = False
-                    break
-                bits.append(int(v))
-            if not ok:
-                drop("nonbinary_w")
-                continue
-            x_raw.append(schema.x_recode[int(xv)])
-            y_raw.append(yv)
-            z_raw.append(zv)
-            w_cells.append(sum(b << k for k, b in enumerate(bits)))
+        while chunk := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
+            rows = [row for row in chunk if "".join(row).strip()]
+            n_read += len(rows)
+            fields = np.column_stack([[_number(row, i) for row in rows] for i in cols])
+            x, w = fields[:, 0], fields[:, 3:]
+            integral = np.isfinite(x) & (x == np.floor(x))
+            x_codes = np.zeros(len(rows), dtype=np.int64)  # recode targets start at 1
+            x_codes[integral] = [schema.x_recode.get(int(v), 0) for v in x[integral]]
+            rules = {  # in priority order: a row is tallied under the first it fails
+                "missing_or_nonnumeric": ~np.isfinite(fields).all(axis=1),
+                "noninteger_x": ~integral,
+                "unmapped_x": x_codes == 0,
+                "nonbinary_w": ((w != 0) & (w != 1)).any(axis=1),
+            }
+            first = np.select(list(rules.values()), range(len(rules)),
+                              default=len(rules))
+            for reason, n in zip(rules, np.bincount(first, minlength=len(rules))):
+                if n:
+                    reasons[reason] = reasons.get(reason, 0) + int(n)
+            keep = first == len(rules)
+            kept.append((x_codes[keep], fields[keep, 1], fields[keep, 2],
+                         w[keep].astype(np.int64) @ bit_values))
     finally:
         if close:
             stream.close()
 
-    report = ExclusionReport(n_read=n_read, n_kept=len(x_raw), reasons=reasons)
-    if not x_raw:
+    report = ExclusionReport(n_read=n_read, n_kept=n_read - sum(reasons.values()),
+                             reasons=reasons)
+    if not report.n_kept:
         raise DataError(
             f"no usable records after exclusions "
             f"(read {n_read}, dropped {report.n_excluded})"
         )
 
-    x = np.asarray(x_raw, dtype=np.int64)
-    w = np.asarray(w_cells, dtype=np.int64)
-    y_vals = np.asarray(y_raw, dtype=float)
-    z_vals = np.asarray(z_raw, dtype=float)
-    # Free the row buffers first, so that counting does not add to the peak.
-    del x_raw, y_raw, z_raw, w_cells
+    x, y_vals, z_vals, w = (np.concatenate(c) for c in zip(*kept))
     if schema.y_binning == "median":
         y_codes = median_split(y_vals)
     else:

@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import norm
+from scipy import optimize, special
 
 from .data import Dataset, cell_rows
 from .errors import ConfigurationError, EmptyCellError, EstimationError
@@ -265,7 +264,7 @@ def linear_projection(lc: LatentConditional, target: str = "latent") -> Parametr
 def _clamped_ppf(cum: np.ndarray, clamp: float) -> tuple[np.ndarray, int]:
     clipped = np.clip(cum, clamp, 1.0 - clamp)
     events = int(np.count_nonzero(clipped != cum))
-    return norm.ppf(clipped), events
+    return special.ndtri(clipped), events
 
 
 def skedastic(
@@ -387,7 +386,7 @@ def _cell_probs(index: np.ndarray, scale: np.ndarray, cuts: np.ndarray) -> np.nd
     """Ordered-probit pmf over outcome levels, one row per (index, scale)."""
     edges = np.concatenate(([-np.inf], cuts, [np.inf]))
     z = (edges[None, :] - index[:, None]) / scale[:, None]
-    return np.diff(norm.cdf(z), axis=1)
+    return np.diff(special.ndtr(z), axis=1)
 
 
 def _ordered_nll(index: np.ndarray, scale: np.ndarray, cuts: np.ndarray,

@@ -89,19 +89,22 @@ def test_replay_drops_the_retired_threads_option(pipeline, tmp_path, capsys):
                 str(pipeline["synth"]), "--schema", str(pipeline["schema"]),
                 "--model", "linear", "--target", "latent", "--boot", "3",
                 "--boot-starts", "1", "--seed", "11", "--out", str(out)]
-    assert run([*estimate, "--threads", "2"]) == 64
-    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    for retired in (["--threads", "2"], ["--starts", "10"]):
+        assert run([*estimate, *retired]) == 64
+        assert f"unrecognized arguments: {' '.join(retired)}" in (
+            capsys.readouterr().err)
     assert run(estimate) == 0
-    # A manifest written while the option existed records it.
-    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
-    manifest["options"]["threads"] = 2
-    old_manifest = tmp_path / "old.manifest.json"
-    old_manifest.write_text(json.dumps(manifest))
-    out_dir = tmp_path / "replayed"
-    assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 0
-    assert "ignoring options this version does not take: ['threads']" in (
-        capsys.readouterr().err)
-    assert (out_dir / out.name).read_bytes() == out.read_bytes()
+    # A manifest written while an option existed records it.
+    for option, value in (("threads", 2), ("starts", 10)):
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        manifest["options"][option] = value
+        old_manifest = tmp_path / f"old-{option}.manifest.json"
+        old_manifest.write_text(json.dumps(manifest))
+        out_dir = tmp_path / f"replayed-{option}"
+        assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 0
+        assert f"ignoring options this version does not take: ['{option}']" in (
+            capsys.readouterr().err)
+        assert (out_dir / out.name).read_bytes() == out.read_bytes()
 
 
 def test_replay_rejects_changed_inputs(pipeline, tmp_path):
@@ -271,6 +274,14 @@ def test_exit_codes_subprocess():
     assert code(["report"]) == 64
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.5 s of every stage's interpreter start.
+    probe = "import sys, latentcat.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_missing_input_file_exit(tmp_path):
     schema = tmp_path / "s.cfg"
     schema.write_text(
@@ -314,6 +325,16 @@ def test_identify_spectral_method(pipeline, tmp_path):
             assert mat["rows"] == 3 and mat["cols"] == 3
             assert len(mat["data"]) == 9
             assert "diagnostics" in entry
+
+
+def test_identify_spectral_refuses_boot(pipeline, tmp_path, capsys):
+    out = tmp_path / "spectral-boot.json"
+    code = run(["identify", "--input", str(pipeline["synth"]), "--schema",
+                str(pipeline["schema"]), "--by-cell", "--method", "spectral",
+                "--boot", "3", "--seed", "1", "--out", str(out)])
+    assert code == 64
+    assert "--boot applies only to --method cmle" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_identify_cmle_includes_start_diagnostics(pipeline):

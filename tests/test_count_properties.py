@@ -2,18 +2,33 @@
 
 The references below count records with per-cell masks, the way the
 statistics were computed before the count table existed. Ingest's table
-and exclusion tallies do not depend on the order of the rows.
+and exclusion tallies do not depend on the order of the rows, and equal
+those of the row-by-row loop that ingest's column masks replaced.
 """
 
+import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentcat.data import ContingencyTable, Dataset, Schema, ingest, tabulate
-from latentcat.errors import ConfigurationError, DataError
+from latentcat import data as data_module
+from latentcat.data import (
+    ContingencyTable,
+    Dataset,
+    ExclusionReport,
+    Schema,
+    _apply_cuts,
+    ingest,
+    median_split,
+    tabulate,
+    tercile_bin,
+    w_cell_label,
+)
+from latentcat.errors import ConfigurationError, DataError, SchemaError
 from latentcat.mle import loglik
 from latentcat.ordered import _cell_design, reported_conditional
 from latentcat.spectral import MisclassificationModel, _joint_pmf
@@ -191,3 +206,200 @@ def test_ingest_ignores_row_order(case):
         assert counts == shuffled_counts
     else:
         assert np.array_equal(counts, shuffled_counts)
+
+
+# ---------------------------------------------------------------------------
+# ingest's column masks against the row loop they replaced
+# ---------------------------------------------------------------------------
+
+
+def _parse_number(token: str) -> float:
+    token = token.strip()
+    if not token:
+        raise ValueError("empty field")
+    value = float(token)
+    if not np.isfinite(value):
+        raise ValueError("non-finite field")
+    return value
+
+
+def row_loop_ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
+    """Read a delimited extract, apply the schema, and drop unusable rows.
+
+    ``source`` is a path or an open text stream with a header row naming all
+    schema columns. Rows with missing/unparsable fields, x codes absent from
+    the recode map, or non-binary covariate values are excluded (listwise)
+    and tallied by reason in the returned report.
+    """
+    if hasattr(source, "read"):
+        stream = source
+        close = False
+    else:
+        try:
+            stream = open(source, encoding="utf-8", newline="")
+        except OSError as exc:
+            raise DataError(f"cannot read input: {exc}") from exc
+        close = True
+    try:
+        reader = csv.reader(stream)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("input has no header row") from None
+        header = [h.strip() for h in header]
+        needed = [schema.x_column, schema.y_column, schema.z_column, *schema.w_columns]
+        missing = [c for c in needed if c not in header]
+        if missing:
+            raise SchemaError(f"input is missing declared columns: {missing}")
+        idx = {c: header.index(c) for c in needed}
+
+        x_raw: list[int] = []
+        y_raw: list[float] = []
+        z_raw: list[float] = []
+        w_cells: list[int] = []
+        reasons: dict[str, int] = {}
+        n_read = 0
+
+        def drop(reason: str) -> None:
+            reasons[reason] = reasons.get(reason, 0) + 1
+
+        for row in reader:
+            if not row or all(not f.strip() for f in row):
+                continue
+            n_read += 1
+            try:
+                xv = _parse_number(row[idx[schema.x_column]])
+                yv = _parse_number(row[idx[schema.y_column]])
+                zv = _parse_number(row[idx[schema.z_column]])
+                wv = [_parse_number(row[idx[c]]) for c in schema.w_columns]
+            except (ValueError, IndexError):
+                drop("missing_or_nonnumeric")
+                continue
+            if xv != int(xv):
+                drop("noninteger_x")
+                continue
+            if int(xv) not in schema.x_recode:
+                drop("unmapped_x")
+                continue
+            bits = []
+            ok = True
+            for v in wv:
+                if v not in (0.0, 1.0):
+                    ok = False
+                    break
+                bits.append(int(v))
+            if not ok:
+                drop("nonbinary_w")
+                continue
+            x_raw.append(schema.x_recode[int(xv)])
+            y_raw.append(yv)
+            z_raw.append(zv)
+            w_cells.append(sum(b << k for k, b in enumerate(bits)))
+    finally:
+        if close:
+            stream.close()
+
+    report = ExclusionReport(n_read=n_read, n_kept=len(x_raw), reasons=reasons)
+    if not x_raw:
+        raise DataError(
+            f"no usable records after exclusions "
+            f"(read {n_read}, dropped {report.n_excluded})"
+        )
+
+    x = np.asarray(x_raw, dtype=np.int64)
+    w = np.asarray(w_cells, dtype=np.int64)
+    y_vals = np.asarray(y_raw, dtype=float)
+    z_vals = np.asarray(z_raw, dtype=float)
+    # Free the row buffers first, so that counting does not add to the peak.
+    del x_raw, y_raw, z_raw, w_cells
+    if schema.y_binning == "median":
+        y_codes = median_split(y_vals)
+    else:
+        y_codes = (y_vals > float(schema.y_binning)).astype(np.int64)
+    if schema.z_binning == "tercile":
+        z_codes = tercile_bin(z_vals)
+    else:
+        z_codes = _apply_cuts(z_vals, schema.z_binning)
+
+    letters = schema.letters()
+    labels = tuple(
+        w_cell_label(c, letters) for c in range(schema.n_w_cells)
+    )
+    data = Dataset.from_records(
+        x, y_codes, z_codes, w,
+        support=(schema.s_x, 2, schema.s_z),
+        w_columns=schema.w_columns,
+        w_labels=labels,
+    )
+    return data, report
+
+
+INGEST_SCHEMAS = (
+    SCHEMA,
+    Schema(x_column="ls", y_column="neuro", z_column="ghq", w_columns=(),
+           x_recode={1: 1, 3: 2, 5: 2}, z_binning=(0.5,), y_binning=0.0),
+    Schema(x_column="ls", y_column="neuro", z_column="ghq",
+           w_columns=("female", "married", "degree"), x_recode={0: 1, 2: 2},
+           z_binning=(-1.0, 1.0), y_binning="median"),
+)
+# Dirty and unparsable fields: padded, quoted, non-finite, overflowing, and
+# whitespace that str.strip removes but float alone rejects ("\x1c").
+DIRTY = st.one_of(
+    st.sampled_from([
+        "2", "9", "-1", "1.0", "-0.0", "4.5", "1e400", " 4 ", "1_0", "", "  ",
+        "nan", "inf", "-inf", "NaN", "x", "\x1c1", "\u00a01", "1,5", '"3"', "0x1",
+    ]),
+    st.floats(-3, 3).map(repr),
+)
+BLANK = st.lists(st.sampled_from(["", " ", "\t"]), max_size=3)
+
+
+def rarely(draw):
+    return draw(st.sampled_from([False] * 9 + [True]))
+
+
+@st.composite
+def dirty_extracts(draw):
+    """CSV text over one of INGEST_SCHEMAS, with a chunk size to read it in."""
+    schema = draw(st.sampled_from(INGEST_SCHEMAS))
+    # Mostly usable fields, with non-integer or unmapped x codes and
+    # non-binary covariates among them.
+    codes = [str(k) for k in schema.x_recode] + ["0", "8", "2.5"]
+    bits = st.sampled_from(["0", "1", "0", "1", "2"])
+    valid = {schema.x_column: st.sampled_from(codes),
+             **dict.fromkeys(schema.w_columns, bits)}
+    names = [schema.x_column, schema.y_column, schema.z_column, *schema.w_columns]
+    names = draw(st.permutations(names + (["id"] if rarely(draw) else [])))
+    if rarely(draw):  # a declared column is absent
+        names = names[1:]
+    fields = [st.sampled_from([valid.get(n, st.floats(-3, 3).map(repr))] * 9 + [DIRTY])
+              .flatmap(lambda field: field) for n in names]
+    row = st.tuples(*fields).map(list).flatmap(lambda r: st.sampled_from(
+        [r] * 6 + [r[:-1], r[:-2], r + ["0"], r + ["", "x"]]))
+    rows = draw(st.lists(st.one_of(row, row, row, BLANK), min_size=5, max_size=40))
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL,
+                                                            csv.QUOTE_ALL])))
+    if not rarely(draw):  # else the input has no header row
+        writer.writerow([f" {n}" if draw(st.booleans()) else n for n in names])
+        writer.writerows(rows)
+    chunk_rows = draw(st.sampled_from([1, 2, 3, 5, data_module.INGEST_CHUNK_ROWS]))
+    return out.getvalue(), schema, chunk_rows
+
+
+def ingest_outcome(read, text, schema):
+    """The count table, labels and report of one ingest, or its error."""
+    try:
+        data, report = read(io.StringIO(text), schema)
+    except Exception as exc:  # noqa: BLE001 - the error is part of the outcome
+        return type(exc), str(exc)
+    return data.counts.tolist(), data.w_labels, report
+
+
+@settings(max_examples=300, deadline=None)
+@given(dirty_extracts())
+def test_ingest_equals_the_row_loop(case):
+    text, schema, chunk_rows = case
+    with mock.patch.object(data_module, "INGEST_CHUNK_ROWS", chunk_rows):
+        got = ingest_outcome(ingest, text, schema)
+    assert got == ingest_outcome(row_loop_ingest, text, schema)

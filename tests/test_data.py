@@ -345,12 +345,3 @@ y = above 0.5
 def test_load_schema_bad_recode_pair():
     with pytest.raises(SchemaError):
         load_schema("[columns]\nx=a\ny=b\nz=c\n\n[recode]\nx = 1-2\n")
-
-
-def test_restrict_returns_single_cell_view():
-    data = two_cell_dataset()
-    sub = data.restrict(1)
-    assert sub.n == 6
-    assert sub.w_labels == ("F",)
-    assert sub.counts.shape[0] == 1
-    assert np.array_equal(sub.counts[0], data.counts[1])

@@ -66,8 +66,8 @@ def test_model_std_errors_per_cell_independent_of_the_batch(probit_sample):
         assert alone.boundary_hits == together[cell].boundary_hits
     # Cell 0's rows come first in the stratified stream, so they equal a
     # pooled bootstrap of that cell alone at the same seed.
-    [pooled] = model_std_errors(data.restrict(0), [None], results[:1], b=3, seed=9,
-                                n_starts=1)
+    cell_0 = Dataset(data.counts[:1], w_labels=data.w_labels[:1])
+    [pooled] = model_std_errors(cell_0, [None], results[:1], b=3, seed=9, n_starts=1)
     assert np.array_equal(pooled.se(), together[0].se())
     assert pooled.boundary_hits == together[0].boundary_hits
 
