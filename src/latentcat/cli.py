@@ -63,11 +63,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _seed_arg(value: str) -> int:
-    seed = int(value)
-    if seed < 0:
-        raise argparse.ArgumentTypeError("seeds must be non-negative")
-    return seed
+def _int_at_least(minimum: int):
+    """argparse type for an integer option (a seed or a count) of at least
+    ``minimum``; anything smaller is a usage error, refused before ingest."""
+    def integer(value: str) -> int:
+        number = int(value)
+        if number < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return number
+    return integer
 
 
 def _sha256(path: str) -> str:
@@ -515,7 +519,7 @@ def _build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="draw a synthetic dataset")
     p_sim.add_argument("--spec", required=True, help="generator config file")
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--seed", type=_seed_arg, required=True)
+    p_sim.add_argument("--seed", type=_int_at_least(0), required=True)
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.add_argument("--truth", metavar="PATH",
                        help="also write the hidden latent codes to PATH")
@@ -526,7 +530,7 @@ def _build_parser() -> _Parser:
     p_test.add_argument("--schema", required=True)
     p_test.add_argument("--by-cell", action="store_true", dest="by_cell")
     p_test.add_argument("--B", type=int, default=DEFAULT_B)
-    p_test.add_argument("--seed", type=_seed_arg, required=True)
+    p_test.add_argument("--seed", type=_int_at_least(0), required=True)
     p_test.add_argument("--min-cell", type=int, default=MIN_CELL_COUNT,
                         dest="min_cell")
     p_test.add_argument("--out", required=True)
@@ -537,15 +541,16 @@ def _build_parser() -> _Parser:
     p_id.add_argument("--schema", required=True)
     p_id.add_argument("--by-cell", action="store_true", dest="by_cell")
     p_id.add_argument("--method", choices=["spectral", "cmle"], default="cmle")
-    p_id.add_argument("--starts", type=int, default=10)
-    p_id.add_argument("--seed", type=_seed_arg, required=True)
+    p_id.add_argument("--starts", type=_int_at_least(1), default=10)
+    p_id.add_argument("--seed", type=_int_at_least(0), required=True)
     p_id.add_argument("--ord", choices=["check-only", "enforce"],
                       default="check-only")
     p_id.add_argument("--tol", type=float, default=1e-6,
                       help="spectral assumption-check tolerance")
-    p_id.add_argument("--boot", type=int, default=0,
+    p_id.add_argument("--boot", type=_int_at_least(0), default=0,
                       help="bootstrap replicates for parameter standard errors")
-    p_id.add_argument("--boot-starts", type=int, default=3, dest="boot_starts")
+    p_id.add_argument("--boot-starts", type=_int_at_least(1), default=3,
+                      dest="boot_starts")
     p_id.add_argument("--out", required=True)
     p_id.set_defaults(func=_cmd_identify)
 
@@ -556,9 +561,10 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--model", choices=["linear", "oprobit", "hoprobit"],
                        required=True)
     p_est.add_argument("--target", choices=["latent", "reported"], required=True)
-    p_est.add_argument("--boot", type=int, default=0)
-    p_est.add_argument("--boot-starts", type=int, default=3, dest="boot_starts")
-    p_est.add_argument("--seed", type=_seed_arg, required=True)
+    p_est.add_argument("--boot", type=_int_at_least(0), default=0)
+    p_est.add_argument("--boot-starts", type=_int_at_least(1), default=3,
+                       dest="boot_starts")
+    p_est.add_argument("--seed", type=_int_at_least(0), required=True)
     p_est.add_argument("--clamp", type=float, default=1e-6)
     p_est.add_argument("--skedastic", choices=SKEDASTIC,
                        default="nonparametric",

@@ -7,17 +7,14 @@ of the cell's (x, y, z) contingency counts is
 
     sum_j m_j * log sum_s P(x_j|s) P(y_j|s) P(z_j|s) P(s),
 
-a non-concave mixture objective, so fits are multi-start. Every start is
-warmed up by EM, then polished by L-BFGS-B. The EM warm-up is batched across
-every cell and start; L-BFGS still runs per start.
-
-Simplex constraints are not handled by projection: every probability block
-is expressed through a smooth bijection onto the open simplex (softmax with
-a fixed gauge), which keeps quasi-Newton optimizers usable. The monotone-
-reporting restriction (last reporting row increasing in the latent state)
-can additionally be enforced through a stick-breaking parameterization of
-that row; the default only checks it after the fit, because imposing it a
-priori can mask conflicts with the data.
+a non-concave mixture objective, so fits are multi-start. Every start runs
+EM to convergence, accelerated by SQUAREM (Varadhan & Roland 2008), in one
+batched loop over every cell and start. EM keeps each probability block on
+its simplex, so the fit needs no parameterization. The likelihood does not
+change when the latent states are relabelled, so the monotone-reporting
+restriction (last reporting row increasing in the latent state) is enforced,
+when asked, by sorting each fitted start's states. The default only checks
+it and flags a violation, which sorting would hide.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 
 from .data import ContingencyTable, frequency_pmf
 from .errors import DomainError, OptimizationError
@@ -49,14 +46,10 @@ __all__ = [
     "fit_tables",
 ]
 
-LOGIT_MAX = 30.0
 P_FLOOR = 1e-300
-# L-BFGS-B iteration cap and projected-gradient tolerance per start.
-MAX_ITERATIONS = 3000
-GRADIENT_TOLERANCE = 1e-9
-# EM warm-up iteration cap and relative log-likelihood stop tolerance per start.
-EM_MAX_ITERATIONS = 500
-EM_RTOL = 1e-10
+# Accelerated-EM iteration cap and relative log-likelihood stop tolerance per start.
+EM_MAX_ITERATIONS = 5000
+EM_RTOL = 1e-13
 # Starts agree when their log-likelihoods tie the best within this (relative).
 AGREE_RTOL = 1e-6
 # A probability (or last-row gap) this close to 0 or 1 is a boundary flag.
@@ -75,8 +68,8 @@ class CmleConfig:
     """The multi-start choices a caller makes.
 
     ``ord_constraint`` is "check-only" (fit unrestricted, flag violations)
-    or "enforce" (reparameterize the last reporting row as strictly
-    increasing). ``n_starts`` counts total optimizations; start 0 is the
+    or "enforce" (sort each fitted start's latent states by the last
+    reporting row). ``n_starts`` counts total optimizations; start 0 is the
     closed-form spectral solution when it exists, the rest are flat draws
     from the simplex interior seeded by ``seed``. Iteration limits and
     tolerances are the module constants.
@@ -157,144 +150,13 @@ def loglik(model: MisclassificationModel, table: ContingencyTable) -> float:
 
 
 def loglik_unchecked(model: MisclassificationModel, counts: np.ndarray) -> float:
-    """loglik without domain validation (floored, never -inf); optimizer use."""
+    """loglik without domain validation (floored, never -inf); fit use."""
     p = np.maximum(_joint_pmf(*model.blocks()), P_FLOOR)
     return float(np.sum(counts * np.log(p)))
 
 
-# ---------------------------------------------------------------------------
-# Unconstrained parameterizations
-# ---------------------------------------------------------------------------
-
-
-def _softmax_gauged(logits: np.ndarray) -> np.ndarray:
-    """Columnwise softmax of [0; logits]: a bijection onto the open simplex."""
-    full = np.vstack([np.zeros((1, logits.shape[1])), logits])
-    full = full - full.max(axis=0)
-    e = np.exp(full)
-    return e / e.sum(axis=0)
-
-
-def _logits_from_probs(p: np.ndarray) -> np.ndarray:
-    safe = np.clip(p, 1e-13, None)
-    logits = np.log(safe[1:, :]) - np.log(safe[0:1, :])
-    return np.clip(logits, -LOGIT_MAX, LOGIT_MAX)
-
-
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def _logit(p: np.ndarray) -> np.ndarray:
-    safe = np.clip(p, 1e-13, 1.0 - 1e-13)
-    return np.clip(np.log(safe) - np.log1p(-safe), -LOGIT_MAX, LOGIT_MAX)
-
-
-class _Parameterization:
-    """Packs/unpacks the four probability blocks into one flat vector."""
-
-    def __init__(self, s_x: int, s_z: int, enforce_ord: bool):
-        self.s_x = s_x
-        self.s_z = s_z
-        self.enforce_ord = enforce_ord
-        self.n_a = (s_x - 1) * s_x
-        self.n_b = s_x
-        self.n_c = (s_z - 1) * s_x
-        self.n_pi = s_x - 1
-        self.size = self.n_a + self.n_b + self.n_c + self.n_pi
-
-    def split(self, theta: np.ndarray):
-        i0 = self.n_a
-        i1 = i0 + self.n_b
-        i2 = i1 + self.n_c
-        ta = theta[:i0].reshape(self.s_x - 1, self.s_x)
-        tb = theta[i0:i1]
-        tc = theta[i1:i2].reshape(self.s_z - 1, self.s_x)
-        tpi = theta[i2:]
-        return ta, tb, tc, tpi
-
-    # -- reporting-matrix block ------------------------------------------
-
-    def _stick_breaking(self, ta: np.ndarray):
-        """Reporting matrix with a strictly increasing last row, plus the
-        stick fractions ``s``, last row ``r`` and column ``rest`` that the
-        gradient's chain rule needs.
-
-        Row ta[0] drives the stick-breaking of the last row; rows ta[1:]
-        are gauged softmax logits for the rest of each column, scaled to
-        the leftover mass.
-        """
-        s = _sigmoid(ta[0])
-        r = np.empty(self.s_x)
-        acc = 0.0
-        for j in range(self.s_x):
-            acc = acc + (1.0 - acc) * s[j]
-            r[j] = acc
-        rest = _softmax_gauged(ta[1:, :]) if self.s_x > 2 else np.ones((1, self.s_x))
-        a = np.empty((self.s_x, self.s_x))
-        a[: self.s_x - 1, :] = rest * (1.0 - r)[None, :]
-        a[-1, :] = r
-        return a, (s, r, rest)
-
-    def _block_from_a(self, a: np.ndarray) -> np.ndarray:
-        if not self.enforce_ord:
-            return _logits_from_probs(a)
-        r = np.clip(a[-1, :], 1e-12, 1.0 - 1e-12)
-        s = np.empty(self.s_x)
-        prev = 0.0
-        for j in range(self.s_x):
-            s[j] = (r[j] - prev) / (1.0 - prev)
-            prev = r[j]
-        ta = np.empty((self.s_x - 1, self.s_x))
-        ta[0] = _logit(np.clip(s, 1e-12, 1.0 - 1e-12))
-        if self.s_x > 2:
-            rest = a[: self.s_x - 1, :] / np.clip(1.0 - r, 1e-12, None)[None, :]
-            ta[1:, :] = _logits_from_probs(rest)
-        return ta
-
-    # -- full bundle ------------------------------------------------------
-
-    def blocks(self, theta: np.ndarray):
-        """``_joint_pmf``'s (a, b2, c, pi) at ``theta``, plus the stick-breaking
-        intermediates (None unless the ordering is enforced)."""
-        ta, tb, tc, tpi = self.split(theta)
-        if self.enforce_ord:
-            a, sticks = self._stick_breaking(ta)
-        else:
-            a, sticks = _softmax_gauged(ta), None
-        fy = _sigmoid(tb)
-        b2 = np.stack([1.0 - fy, fy])
-        pi = _softmax_gauged(tpi[:, None]).ravel()
-        return (a, b2, _softmax_gauged(tc), pi), sticks
-
-    def model(self, theta: np.ndarray) -> MisclassificationModel:
-        (a, b2, c, pi), _ = self.blocks(theta)
-        return MisclassificationModel(
-            m_x_given_xstar=a, f_y_given_xstar=b2[1], m_z_given_xstar=c, f_xstar=pi
-        )
-
-    def theta(self, model: MisclassificationModel) -> np.ndarray:
-        a, f_y = model.m_x_given_xstar, model.f_y_given_xstar
-        c, pi = model.m_z_given_xstar, model.f_xstar
-        if self.enforce_ord and np.any(np.diff(a[-1, :]) <= 0):
-            order = np.argsort(a[-1, :], kind="stable")
-            a, f_y, c, pi = a[:, order], f_y[order], c[:, order], pi[order]
-        parts = [
-            self._block_from_a(a).ravel(),
-            _logit(f_y),
-            _logits_from_probs(c).ravel(),
-            _logits_from_probs(pi[:, None]).ravel(),
-        ]
-        return np.concatenate(parts)
-
-
 def _block_grads(a, b2, c, pi, counts):
-    """Log-likelihood and its gradient w.r.t. a, b2 and c, plus ``counts / p``.
+    """Log-likelihood and its gradient w.r.t. a, b2 and c.
 
     Leading axes shared by all inputs are a batch, as in ``_joint_pmf``.
     """
@@ -304,55 +166,11 @@ def _block_grads(a, b2, c, pi, counts):
     da = np.einsum("...xyz,...ys,...zs,...s->...xs", g, b2, c, pi)
     db2 = np.einsum("...xyz,...xs,...zs,...s->...ys", g, a, c, pi)
     dc = np.einsum("...xyz,...xs,...ys,...s->...zs", g, a, b2, pi)
-    return ll, da, db2, dc, g
-
-
-def _softmax_chain(dp: np.ndarray, p_col: np.ndarray) -> np.ndarray:
-    inner = (p_col * dp).sum(axis=0, keepdims=True)
-    return (p_col * (dp - inner))[1:, :]
-
-
-def _nll_and_grad(theta: np.ndarray, par: _Parameterization, counts: np.ndarray):
-    """Negative log-likelihood and gradient through the chosen bijection."""
-    (a, b2, c, pi), sticks = par.blocks(theta)
-    ll, da, db2, dc, g = _block_grads(a, b2, c, pi, counts)
-    dpi = np.einsum("xyz,xs,ys,zs->s", g, a, b2, c)
-    if sticks is None:
-        ga = _softmax_chain(da, a).ravel()
-    else:
-        s_x = par.s_x
-        s, r, rest = sticks
-        # Chain rule through the scaled softmax rows and the stick-breaking
-        # recursion r_j = r_{j-1} + (1 - r_{j-1}) s_j.
-        d_rest = da[: s_x - 1, :] * (1.0 - r)[None, :]
-        d_r = da[-1, :] - (da[: s_x - 1, :] * rest).sum(axis=0)
-        d_s = np.empty(s_x)
-        carry = 0.0
-        for j in range(s_x - 1, -1, -1):
-            total = d_r[j] + carry
-            prev_r = r[j - 1] if j > 0 else 0.0
-            d_s[j] = total * (1.0 - prev_r)
-            carry = total * (1.0 - s[j])
-        ga_top = s * (1.0 - s) * d_s
-        if s_x > 2:
-            ga = np.vstack([ga_top[None, :], _softmax_chain(d_rest, rest)]).ravel()
-        else:
-            ga = ga_top
-
-    fy = b2[1]
-    grad = np.concatenate(
-        [
-            np.asarray(ga).ravel(),
-            (fy * (1.0 - fy) * (db2[1] - db2[0])).ravel(),
-            _softmax_chain(dc, c).ravel(),
-            _softmax_chain(dpi[:, None], pi[:, None]).ravel(),
-        ]
-    )
-    return -float(ll), -grad
+    return ll, da, db2, dc
 
 
 # ---------------------------------------------------------------------------
-# EM warm-up
+# Accelerated EM
 # ---------------------------------------------------------------------------
 
 
@@ -362,42 +180,92 @@ def _interior(p: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     return p / p.sum(axis=-2, keepdims=True)
 
 
-def _em_warmup(starts: list[MisclassificationModel],
-               counts: np.ndarray) -> list[MisclassificationModel]:
-    """Multiplicative EM updates for a batch of latent-class mixtures, item i
-    from ``starts[i]`` on the table ``counts[i]`` (one support for all).
+def _split(theta: np.ndarray, s_x: int, s_z: int):
+    """The four blocks of ``MisclassificationModel.pack`` vectors (last axis)."""
+    i0 = s_x * s_x
+    i1 = i0 + s_x
+    i2 = i1 + s_z * s_x
+    lead = theta.shape[:-1]
+    return (theta[..., :i0].reshape(*lead, s_x, s_x), theta[..., i0:i1],
+            theta[..., i1:i2].reshape(*lead, s_z, s_x), theta[..., i2:])
 
-    Cheap and monotone in the likelihood, it pulls every start into a good
-    basin before the quasi-Newton polish. Each item stops updating where its
-    own stop test fires, so its result does not depend on the batch.
+
+def _em_map(theta: np.ndarray, counts: np.ndarray, s_x: int, s_z: int):
+    """Log-likelihood of each packed row of ``theta`` on its table, and the
+    EM update F of that row.
+
+    F reweights every block by the posterior of the latent state and keeps
+    its output strictly inside the simplex.
     """
-    a = np.stack([m.m_x_given_xstar for m in starts])
-    fy = np.stack([m.f_y_given_xstar for m in starts])
-    c = np.stack([m.m_z_given_xstar for m in starts])
-    pi = np.stack([m.f_xstar for m in starts])
-    n = counts.sum(axis=(1, 2, 3))
-    last = np.full(len(starts), -np.inf)
+    a, fy, c, pi = _split(theta, s_x, s_z)
+    b2 = np.stack([1.0 - fy, fy], axis=1)
+    ll, da, db2, dc = _block_grads(a, b2, c, pi, counts)
+    # Posterior-weighted counts per latent state s, item by item.
+    wa, wb, wc = a * da, b2 * db2, c * dc
+    n_s = np.maximum(wa.sum(axis=1, keepdims=True), 1e-12)
+    a = _interior(wa / n_s)
+    fy = np.clip(wb[:, 1] / np.maximum(wb.sum(axis=1), 1e-12), 1e-12, 1.0 - 1e-12)
+    c = _interior(wc / np.maximum(wc.sum(axis=1, keepdims=True), 1e-12))
+    pi = n_s[:, 0] / counts.sum(axis=(1, 2, 3))[:, None]
+    pi = pi / pi.sum(axis=1, keepdims=True)
+    rows = len(theta)
+    return ll, np.concatenate([a.reshape(rows, -1), fy, c.reshape(rows, -1), pi], axis=1)
+
+
+def _em_fit(starts: list[MisclassificationModel], counts: np.ndarray):
+    """EM to convergence for a batch of latent-class mixtures, item i from
+    ``starts[i]`` on the table ``counts[i]`` (one support for all), as
+    (fitted model, iterations, converged) per item.
+
+    Each iteration is one SQUAREM step (SqS3, Varadhan & Roland 2008): with
+    r = F(t) - t and v = F(F(t)) - F(t) - r, the extrapolation
+    t - 2 a r + a^2 v, a = min(-|r|/|v|, -1), keeps columns summing to 1.
+    While it leaves the open simplex, a moves halfway to -1, where the step
+    is F(F(t)). The step is then stabilised by one more F, and replaced by
+    F(F(t)) if that lowers the log-likelihood, so every step is monotone.
+    An item stops when its log-likelihood gains at most EM_RTOL (relative)
+    in one step; ``converged`` is False if EM_MAX_ITERATIONS came first.
+    Every item keeps its own step, backtracking and stop test, so its
+    iterates do not depend on the batch.
+    """
+    s_x, s_z = starts[0].s_x, starts[0].s_z
+    theta = np.stack([m.pack() for m in starts])
+    ll, f_theta = _em_map(theta, counts, s_x, s_z)
+    n_iter = np.zeros(len(starts), dtype=int)
+    converged = np.zeros(len(starts), dtype=bool)
     active = np.arange(len(starts))
     for _ in range(EM_MAX_ITERATIONS):
-        a_, fy_, c_, pi_ = a[active], fy[active], c[active], pi[active]
-        b2 = np.stack([1.0 - fy_, fy_], axis=1)
-        ll, da, db2, dc, _ = _block_grads(a_, b2, c_, pi_, counts[active])
-        moving = ~(ll - last[active] <= EM_RTOL * np.maximum(1.0, np.abs(ll)))
-        if not moving.any():
+        if not active.size:
             break
-        active = active[moving]
-        last[active] = ll[moving]
-        # Posterior-weighted counts per latent state s, item by item.
-        wa, wb, wc = (a_ * da)[moving], (b2 * db2)[moving], (c_ * dc)[moving]
-        n_s = np.maximum(wa.sum(axis=1, keepdims=True), 1e-12)
-        # Kept strictly interior so the logit maps stay finite.
-        a[active] = _interior(wa / n_s)
-        fy_ = wb[:, 1] / np.maximum(wb.sum(axis=1), 1e-12)
-        fy[active] = np.clip(fy_, 1e-12, 1.0 - 1e-12)
-        c[active] = _interior(wc / np.maximum(wc.sum(axis=1, keepdims=True), 1e-12))
-        pi_ = n_s[:, 0] / n[active, None]
-        pi[active] = pi_ / pi_.sum(axis=1, keepdims=True)
-    return [MisclassificationModel(*blocks) for blocks in zip(a, fy, c, pi)]
+        k, t0, t1 = counts[active], theta[active], f_theta[active]
+        _, t2 = _em_map(t1, k, s_x, s_z)
+        r = t1 - t0
+        v = t2 - t1 - r
+        rr, vv = (r * r).sum(axis=1), (v * v).sum(axis=1)
+        alpha = np.minimum(-np.sqrt(np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0)),
+                           -1.0)
+        step = np.empty_like(t0)
+        pending = np.ones(len(active), dtype=bool)
+        while pending.any():
+            al = alpha[pending, None]
+            step[pending] = np.where(al == -1.0, t2[pending],
+                                     t0[pending] - 2.0 * al * r[pending] + al * al * v[pending])
+            inside = ((step > 0.0) & (step < 1.0)).all(axis=1) | (alpha == -1.0)
+            pending &= ~inside
+            alpha[pending] = (alpha[pending] - 1.0) / 2.0
+        _, t_new = _em_map(step, k, s_x, s_z)
+        ll_new, f_new = _em_map(t_new, k, s_x, s_z)
+        worse = ll_new < ll[active]
+        if worse.any():
+            t_new[worse] = t2[worse]
+            ll_new[worse], f_new[worse] = _em_map(t2[worse], k[worse], s_x, s_z)
+        done = ll_new - ll[active] <= EM_RTOL * np.maximum(1.0, np.abs(ll_new))
+        theta[active], ll[active], f_theta[active] = t_new, ll_new, f_new
+        n_iter[active] += 1
+        converged[active[done]] = True
+        active = active[~done]
+    models = (MisclassificationModel(*_split(row, s_x, s_z)) for row in theta)
+    return list(zip(models, n_iter.tolist(), converged.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +273,9 @@ def _em_warmup(starts: list[MisclassificationModel],
 # ---------------------------------------------------------------------------
 
 
-def _random_model(rng, s_x: int, s_z: int, enforce_ord: bool) -> MisclassificationModel:
-    a = rng.dirichlet(np.ones(s_x), size=s_x).T
-    if enforce_ord:
-        a = a[:, np.argsort(a[-1, :])]
+def _random_model(rng, s_x: int, s_z: int) -> MisclassificationModel:
     return MisclassificationModel(
-        m_x_given_xstar=a,
+        m_x_given_xstar=rng.dirichlet(np.ones(s_x), size=s_x).T,
         f_y_given_xstar=rng.uniform(0.05, 0.95, size=s_x),
         m_z_given_xstar=rng.dirichlet(np.ones(s_z), size=s_x).T,
         f_xstar=rng.dirichlet(np.ones(s_x)),
@@ -494,21 +359,33 @@ def _starts(table: ContingencyTable, config: CmleConfig,
         projected = _projected_spectral_start(table)
         starts = [] if projected is None else [("spectral", projected)]
     s_x, _, s_z = table.support
-    enforce_ord = config.ord_constraint == "enforce"
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x636D6C65)))
     while len(starts) < config.n_starts:
-        starts.append(("random", _random_model(rng, s_x, s_z, enforce_ord)))
+        starts.append(("random", _random_model(rng, s_x, s_z)))
     return starts
 
 
-def _warmed_starts(tables: list[ContingencyTable], configs: list[CmleConfig],
+def _fitted_starts(tables: list[ContingencyTable], configs: list[CmleConfig],
                    warm_starts: list[MisclassificationModel | None]):
-    """Per table, its starts as (kind, start, EM-warmed model) triples; one
-    EM warm-up runs over every start of every table."""
+    """Per table, its starts as (kind, start, fitted model, iterations,
+    converged) tuples; one accelerated EM runs over every start of every
+    table."""
     starts = [_starts(*args) for args in zip(tables, configs, warm_starts, strict=True)]
     counts = np.stack([t.counts for t, ts in zip(tables, starts) for _ in ts])
-    warmed = iter(_em_warmup([m for ts in starts for _, m in ts], counts.astype(float)))
-    return [[(kind, model, next(warmed)) for kind, model in ts] for ts in starts]
+    fitted = iter(_em_fit([m for ts in starts for _, m in ts], counts.astype(float)))
+    return [[(kind, model, *next(fitted)) for kind, model in ts] for ts in starts]
+
+
+def _relabelled(model: MisclassificationModel) -> MisclassificationModel:
+    """``model`` with its latent states sorted by the last reporting row,
+    ties ordered by the rows above (``order_by_last_row``)."""
+    order, _ = order_by_last_row(np.arange(model.s_x), model.m_x_given_xstar)
+    return MisclassificationModel(
+        m_x_given_xstar=model.m_x_given_xstar[:, order],
+        f_y_given_xstar=model.f_y_given_xstar[order],
+        m_z_given_xstar=model.m_z_given_xstar[:, order],
+        f_xstar=model.f_xstar[order],
+    )
 
 
 def fit_tables(
@@ -519,11 +396,11 @@ def fit_tables(
     """``fit`` on one or more tables of one support: per table, the result or
     the OptimizationError that ``fit`` would raise on it alone.
 
-    Every start of every table goes through one batched EM warm-up; then
-    ``fit`` polishes each table's warmed starts by L-BFGS-B, one start at a
-    time. The pipeline's cell fits, ``identify``'s point fits and each
-    replicate of ``pipeline.model_std_errors`` are one call each. An empty
-    list or mixed supports raise DomainError.
+    Every start of every table runs in one batched, accelerated EM; then
+    ``fit`` builds each table's result from its fitted starts. The
+    pipeline's cell fits, ``identify``'s point fits and each replicate of
+    ``pipeline.model_std_errors`` are one call each. An empty list or mixed
+    supports raise DomainError.
     """
     if len({table.support for table in tables}) != 1:
         raise DomainError("fit_tables needs one or more tables of one support")
@@ -531,7 +408,7 @@ def fit_tables(
         warm_starts = [None] * len(tables)
     results: list[CmleResult | OptimizationError] = []
     for table, config, warmed in zip(tables, configs,
-                                     _warmed_starts(tables, configs, warm_starts)):
+                                     _fitted_starts(tables, configs, warm_starts)):
         try:
             results.append(fit(table, config, warmed=warmed))
         except OptimizationError as exc:
@@ -551,54 +428,40 @@ def fit(
     Start 0 is (in order of preference) the caller's ``warm_start``, else
     the closed-form spectral solution on this table's frequency pmf when it
     exists; remaining starts are flat draws from the simplex interior. Each
-    start is warmed up by EM, then polished by L-BFGS-B. The winner is the
-    lowest-indexed start whose value ties the best within ``AGREE_RTOL``
-    (relative), so a well-ordered warm start beats permuted copies of the
-    same optimum. Raises OptimizationError when no start converges.
+    start runs SQUAREM-accelerated EM to convergence. Under
+    ``ord_constraint="enforce"`` each fitted start's latent states are then
+    sorted by the last reporting row, which leaves the likelihood unchanged.
+    The winner is the lowest-indexed start whose value ties the best within
+    ``AGREE_RTOL`` (relative), so a well-ordered warm start beats permuted
+    copies of the same optimum. Raises OptimizationError when no start
+    converges.
 
-    Alone, ``fit`` warms up its starts as a batch of one. ``fit_tables``
-    warms up the starts of many tables in one batch and passes each table's
-    as ``warmed``, (kind, start, EM-warmed model) per start; ``warm_start``
-    is then unused.
+    Alone, ``fit`` fits its starts as a batch of one. ``fit_tables`` fits
+    the starts of many tables in one batch and passes each table's as
+    ``warmed``, (kind, start, fitted model, iterations, converged) per
+    start; ``warm_start`` is then unused.
     """
     if warmed is None:
-        [warmed] = _warmed_starts([table], [config], [warm_start])
-    s_x, _, s_z = table.support
-    par = _Parameterization(s_x, s_z, config.ord_constraint == "enforce")
-    assert par.size == param_count(s_x, 2, s_z)
+        [warmed] = _fitted_starts([table], [config], [warm_start])
     counts = table.counts.astype(float)
-
-    bounds = [(-LOGIT_MAX - 5.0, LOGIT_MAX + 5.0)] * par.size
     records: list[StartDiagnostics] = []
-    thetas: list[np.ndarray | None] = []
-    for idx, (kind, start_model, warm) in enumerate(warmed):
-        start_ll = loglik_unchecked(start_model, counts)
-        theta0 = par.theta(warm)
-        res = optimize.minimize(
-            _nll_and_grad,
-            theta0,
-            args=(par, counts),
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-            options={
-                "maxiter": MAX_ITERATIONS,
-                "gtol": GRADIENT_TOLERANCE,
-                "ftol": 1e-13,
-            },
-        )
+    models: list[MisclassificationModel] = []
+    for idx, (kind, start_model, model, n_iter, converged) in enumerate(warmed):
+        if config.ord_constraint == "enforce":
+            model = _relabelled(model)
+        models.append(model)
         records.append(
             StartDiagnostics(
                 index=idx,
                 kind=kind,
-                start_loglik=float(start_ll),
-                final_loglik=float(-res.fun),
-                converged=bool(res.success),
-                n_iterations=int(res.nit),
-                message=str(res.message),
+                start_loglik=loglik_unchecked(start_model, counts),
+                final_loglik=loglik_unchecked(model, counts),
+                converged=converged,
+                n_iterations=n_iter,
+                message=("log-likelihood gain below EM_RTOL" if converged
+                         else "stopped at EM_MAX_ITERATIONS"),
             )
         )
-        thetas.append(res.x if res.success else None)
 
     converged = [r for r in records if r.converged]
     if not converged:
@@ -609,7 +472,7 @@ def fit(
     tol = AGREE_RTOL * max(1.0, abs(best_ll))
     agreeing = [r for r in converged if best_ll - r.final_loglik <= tol]
     winner = min(agreeing, key=lambda r: r.index)
-    model = replace(par.model(thetas[winner.index]), w_cell=table.w_cell)
+    model = replace(models[winner.index], w_cell=table.w_cell)
     return CmleResult(
         model=model,
         loglik=winner.final_loglik,

@@ -1,9 +1,9 @@
 """End-to-end estimation: per-cell likelihood fits feeding parametric models.
 
 The latent pipeline is tabulate each covariate cell -> constrained ML fits
-of all cells as one ``fit_tables`` batch (one vectorized EM warm-up for
-every cell and start, then L-BFGS per start) -> assemble the latent
-conditional with empirical cell weights -> closed-form parametric layer.
+of all cells as one ``fit_tables`` batch (one vectorized, accelerated EM
+over every cell and start) -> assemble the latent conditional with
+empirical cell weights -> closed-form parametric layer.
 Per-cell fits run with the monotone-reporting restriction enforced: the
 parametric layer feeds latent-state labels into normal-quantile transforms,
 so the ordering has to be guaranteed, not just checked. ``parametric_fit``

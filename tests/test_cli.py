@@ -337,6 +337,32 @@ def test_identify_spectral_refuses_boot(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+IDENTIFY_CMLE = ["identify", "--by-cell", "--method", "cmle"]
+IDENTIFY_SPECTRAL = ["identify", "--by-cell", "--method", "spectral"]
+ESTIMATE_LATENT = ["estimate", "--model", "hoprobit", "--target", "latent"]
+
+
+@pytest.mark.parametrize("command,option,value", [
+    *[(IDENTIFY_CMLE, option, value) for option, value in
+      [("--boot", "-1"), ("--starts", "0"), ("--boot-starts", "0"), ("--seed", "-1")]],
+    (IDENTIFY_SPECTRAL, "--boot", "-1"),
+    (ESTIMATE_LATENT, "--boot", "-1"),
+    (ESTIMATE_LATENT, "--boot-starts", "0"),
+])
+def test_counts_below_their_minimum_refused_before_ingest(tmp_path, capsys,
+                                                          command, option, value):
+    # The input does not exist: reaching ingest would exit 1, not 64.
+    missing = str(tmp_path / "missing.csv")
+    inputs = (["--input", missing] if command[0] == "identify"
+              else ["--models", missing, "--data", missing])
+    args = {"--seed": ["--seed", value]}.get(option, [option, value, "--seed", "1"])
+    out = tmp_path / "out.json"
+    assert run([*command, *inputs, "--schema", missing, *args,
+                "--out", str(out)]) == 64
+    assert f"argument {option}: must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_identify_cmle_includes_start_diagnostics(pipeline):
     payload = json.loads(pipeline["models"].read_text())
     entry = payload["cells"][0]
