@@ -378,32 +378,79 @@ def _number(row: list[str], i: int) -> float:
         return np.nan
 
 
+def _csv_fields(rows, cols: list[int]) -> np.ndarray:
+    """Fields ``cols`` of the non-blank csv rows as floats, one row each."""
+    rows = [row for row in rows if "".join(row).strip()]
+    return np.column_stack([[_number(row, i) for row in rows] for i in cols])
+
+
+def _field_chunks(lines, cols: list[int]):
+    """Fields ``cols`` of the data rows, a chunk at a time (see ``ingest``)."""
+    while chunk := list(itertools.islice(lines, INGEST_CHUNK_ROWS)):
+        text = "".join(chunk)
+        if '"' in text:
+            reader = csv.reader(itertools.chain(chunk, lines))
+            while rows := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
+                yield _csv_fields(rows, cols)
+            return
+        if not text.strip("\r\n"):
+            continue  # empty lines only, which loadtxt would warn about
+        try:
+            fields = np.loadtxt(chunk, delimiter=",", usecols=cols, comments=None,
+                                quotechar=None, dtype=float, ndmin=2)
+        except ValueError:
+            fields = _csv_fields(csv.reader(chunk), cols)
+        yield fields
+
+
+def _not_utf8(source, exc: UnicodeDecodeError) -> DataError:
+    """The error for input that is not UTF-8, naming the first bad byte."""
+    where = ""
+    if not hasattr(source, "read"):  # exc.start counts from the decoder's buffer
+        try:
+            with open(source, "rb") as raw:
+                raw.read().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc, where = whole, f" at byte offset {whole.start}"
+    bad = exc.object[exc.start]
+    return DataError(f"input is not UTF-8 text: byte 0x{bad:02x}{where} ({exc.reason})")
+
+
 def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
     """Read a delimited extract, apply the schema, and drop unusable rows.
 
-    ``source`` is a path or an open text stream with a header row naming all
-    schema columns. Blank rows are skipped and not counted. The others are
-    read in chunks of ``INGEST_CHUNK_ROWS``. Each needed field is parsed with
-    ``float``, as NaN when it is missing, empty or unparsable. The exclusion
-    rules are column masks, in priority order: ``missing_or_nonnumeric`` (any
-    non-finite field), ``noninteger_x``, ``unmapped_x`` (an x code absent from
-    the recode map), ``nonbinary_w`` (a covariate other than 0/1). Excluded
-    rows are dropped listwise and tallied in the returned report under the
-    first rule they fail; a rule that never fires has no entry.
+    ``source`` is a path (UTF-8, a leading BOM ignored) or an open text
+    stream with a header row naming all schema columns. Blank rows are
+    skipped and not counted. Each needed field is ``float(field.strip())``,
+    or NaN when it is missing, empty or unparsable. The exclusion rules are
+    column masks, in priority order: ``missing_or_nonnumeric`` (any
+    non-finite field), ``noninteger_x``, ``unmapped_x`` (an x code absent
+    from the recode map), ``nonbinary_w`` (a covariate other than 0/1).
+    Excluded rows are dropped listwise and tallied in the returned report
+    under the first rule they fail; a rule that never fires has no entry.
+
+    The lines after the header are read in chunks of ``INGEST_CHUNK_ROWS``.
+    ``np.loadtxt`` parses a chunk without a quote character. Where it accepts
+    a field, the value is ``float``'s; it rejects more (``1_0``, non-ASCII
+    digits, empty fields, short rows, whitespace-only lines), and a chunk it
+    rejects is parsed again by ``csv.reader`` and ``float``. Both skip empty
+    lines, so every chunk gives the fields the ``csv.reader`` path alone
+    would. From the first chunk with a quote, ``csv.reader`` reads the rest
+    of the input, because a quoted field may span lines and chunks.
     """
     if hasattr(source, "read"):
         stream = source
         close = False
     else:
         try:
-            stream = open(source, encoding="utf-8", newline="")
+            stream = open(source, encoding="utf-8-sig", newline="")
         except OSError as exc:
             raise DataError(f"cannot read input: {exc}") from exc
         close = True
     try:
-        reader = csv.reader(stream)
+        lines = iter(stream)
         try:
-            header = next(reader)
+            header = next(csv.reader(lines))
         except StopIteration:
             raise DataError("input has no header row") from None
         header = [h.strip() for h in header]
@@ -416,14 +463,13 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
         reasons: dict[str, int] = {}
         kept: list[tuple[np.ndarray, ...]] = []
         n_read = 0
-        while chunk := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
-            rows = [row for row in chunk if "".join(row).strip()]
-            n_read += len(rows)
-            fields = np.column_stack([[_number(row, i) for row in rows] for i in cols])
+        for fields in _field_chunks(lines, cols):
+            n_read += len(fields)
             x, w = fields[:, 0], fields[:, 3:]
             integral = np.isfinite(x) & (x == np.floor(x))
-            x_codes = np.zeros(len(rows), dtype=np.int64)  # recode targets start at 1
-            x_codes[integral] = [schema.x_recode.get(int(v), 0) for v in x[integral]]
+            x_codes = np.zeros(len(fields), dtype=np.int64)  # recode targets start at 1
+            for raw, code in schema.x_recode.items():
+                x_codes[x == raw] = code
             rules = {  # in priority order: a row is tallied under the first it fails
                 "missing_or_nonnumeric": ~np.isfinite(fields).all(axis=1),
                 "noninteger_x": ~integral,
@@ -438,6 +484,8 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
             keep = first == len(rules)
             kept.append((x_codes[keep], fields[keep, 1], fields[keep, 2],
                          w[keep].astype(np.int64) @ bit_values))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(source, exc) from None
     finally:
         if close:
             stream.close()

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import linalg
 
 from .data import ContingencyTable, frequency_pmf
 from .errors import DomainError, OptimizationError
@@ -289,6 +288,8 @@ def _projected_spectral_start(table: ContingencyTable) -> MisclassificationModel
     taken, entries clipped interior, columns renormalized. The result only
     has to land in the right basin with the right latent-state ordering.
     """
+    from scipy import linalg
+
     s_x, _, s_z = table.support
     if s_x != s_z:
         return None

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, special
 
 from .data import Dataset, cell_rows
 from .errors import ConfigurationError, EmptyCellError, EstimationError
@@ -262,6 +261,8 @@ def linear_projection(lc: LatentConditional, target: str = "latent") -> Parametr
 
 
 def _clamped_ppf(cum: np.ndarray, clamp: float) -> tuple[np.ndarray, int]:
+    from scipy import special
+
     clipped = np.clip(cum, clamp, 1.0 - clamp)
     events = int(np.count_nonzero(clipped != cum))
     return special.ndtri(clipped), events
@@ -384,6 +385,8 @@ def _cell_design(data: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]
 
 def _cell_probs(index: np.ndarray, scale: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Ordered-probit pmf over outcome levels, one row per (index, scale)."""
+    from scipy import special
+
     edges = np.concatenate(([-np.inf], cuts, [np.inf]))
     z = (edges[None, :] - index[:, None]) / scale[:, None]
     return np.diff(special.ndtr(z), axis=1)
@@ -415,6 +418,8 @@ def ordered_probit_mle(data: Dataset) -> ParametricFit:
         slopes, cuts = unpack(theta)
         index = q[:, 1:] @ slopes
         return _ordered_nll(index, np.ones(q.shape[0]), cuts, counts)
+
+    from scipy import optimize
 
     theta0 = np.zeros(k + n_levels - 1)
     theta0[k] = -0.5
@@ -459,6 +464,8 @@ def exponential_skedastic_probit(data: Dataset) -> ParametricFit:
         index = q @ beta
         scale = np.exp(np.clip(q @ gamma, -20, 20))
         return _ordered_nll(index, scale, cuts, counts)
+
+    from scipy import optimize
 
     theta0 = np.zeros(2 * dim + max(n_levels - 3, 0))
     theta0[0] = 0.5

@@ -26,7 +26,6 @@ import functools
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import linalg
 
 from .data import JointPmf
 from .errors import ConfigurationError, DomainError, IdentificationError
@@ -188,6 +187,8 @@ def check_rank(m_xz: np.ndarray, tol: float = 1e-8) -> IdentificationDiagnostics
     m = np.asarray(m_xz, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigurationError("rank check needs a square matrix")
+    from scipy import linalg
+
     svals = linalg.svdvals(m)
     smax = float(svals[0]) if svals.size else 0.0
     smin = float(svals[-1]) if svals.size else 0.0
@@ -224,11 +225,15 @@ def order_by_last_row(values: np.ndarray, vectors: np.ndarray, tol: float = 0.0)
 
 def branch_operator(m_xz: np.ndarray, m_y: np.ndarray) -> np.ndarray:
     """M_xyz[y] @ inv(M_xz), by a right solve against M_xz (LU, no explicit inverse)."""
+    from scipy import linalg
+
     return linalg.solve(m_xz.T, m_y.T).T
 
 
 def _decompose_branch(a: np.ndarray, tol: float):
     """Eigendecompose one branch operator; returns ordered real (values, columns)."""
+    from scipy import linalg
+
     eigvals, eigvecs = linalg.eig(a)
     complex_mag = max(
         float(np.abs(eigvals.imag).max()), float(np.abs(eigvecs.imag).max())
@@ -279,6 +284,8 @@ def eigendecompose_identify(
     eigenvalue gap, and negative-entry clipping. Diagnostic-grade output:
     prefer the likelihood estimator for finite-sample work.
     """
+    from scipy import linalg
+
     if float(pmf.probs.sum()) <= 0:
         raise DomainError("all-zero pmf")
     m_xz, m_per_y = build_matrices(pmf)

@@ -274,12 +274,55 @@ def test_exit_codes_subprocess():
     assert code(["report"]) == 64
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 0.5 s of every stage's interpreter start.
-    probe = "import sys, latentcat.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+def scipy_loaded(code: str) -> set[str]:
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    probe = code + "\nprint(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + probe],
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Each stage is its own process, so its imports are paid on every run.
+
+    Importing scipy.stats alone took about 0.5 s, and the whole of scipy
+    about 1 s. ``spectral``, ``mle`` and ``ordered`` import the scipy
+    submodule they call inside the function that calls it.
+    """
+    assert scipy_loaded("import latentcat, latentcat.cli") == set()
+
+
+def test_stages_load_only_the_scipy_they_call(pipeline, tmp_path):
+    data = ["--schema", str(pipeline["schema"]), "--seed", "1"]
+    stage = ("from latentcat.cli import run\n"
+             "assert run({!r}) == 0").format
+    test = ["test", "--input", str(pipeline["synth"]), *data, "--B", "99",
+            "--out", str(tmp_path / "r.json")]
+    assert scipy_loaded(stage(test)) == set()
+    identify = ["identify", "--input", str(pipeline["synth"]), *data, "--by-cell",
+                "--method", "cmle", "--starts", "2", "--out", str(tmp_path / "m.json")]
+    loaded = scipy_loaded(stage(identify))
+    assert "scipy.linalg" in loaded
+    assert not any(m.startswith("scipy.optimize") for m in loaded)
+
+
+def test_input_that_is_not_utf8_is_one_error_line(tmp_path):
+    schema = tmp_path / "s.cfg"
+    schema.write_text("[columns]\nx=x\ny=y\nz=z\nw=w\n\n[recode]\nx = 1:1 2:2 3:3\n")
+    head = b"x,y,z,w\n" + b"1,0.5,2,0\n" * 50 + b"2,0.1,3,"
+    data = tmp_path / "d.csv"
+    data.write_bytes(head + b"\xff\n" + b"3,0.2,1,1\n" * 50)
+    out = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "latentcat.cli", "test", "--input", str(data),
+         "--schema", str(schema), "--seed", "1", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: input is not UTF-8 text: byte 0xff at byte offset {len(head)} "
+        "(invalid start byte)"]
+    assert set(tmp_path.iterdir()) == {schema, data}  # no artifact, no manifest
 
 
 def test_missing_input_file_exit(tmp_path):

@@ -342,12 +342,15 @@ INGEST_SCHEMAS = (
            w_columns=("female", "married", "degree"), x_recode={0: 1, 2: 2},
            z_binning=(-1.0, 1.0), y_binning="median"),
 )
-# Dirty and unparsable fields: padded, quoted, non-finite, overflowing, and
-# whitespace that str.strip removes but float alone rejects ("\x1c").
+# Dirty and unparsable fields: padded, quoted, non-finite, overflowing,
+# whitespace that str.strip removes but float alone rejects ("\x1c"), digits
+# that float reads but np.loadtxt does not ("1_0", "\u0663"), and a line break,
+# which csv.writer quotes into a field that spans lines and chunks.
 DIRTY = st.one_of(
     st.sampled_from([
         "2", "9", "-1", "1.0", "-0.0", "4.5", "1e400", " 4 ", "1_0", "", "  ",
         "nan", "inf", "-inf", "NaN", "x", "\x1c1", "\u00a01", "1,5", '"3"', "0x1",
+        "\u0663", "1\n2",
     ]),
     st.floats(-3, 3).map(repr),
 )
@@ -377,14 +380,19 @@ def dirty_extracts(draw):
     row = st.tuples(*fields).map(list).flatmap(lambda r: st.sampled_from(
         [r] * 6 + [r[:-1], r[:-2], r + ["0"], r + ["", "x"]]))
     rows = draw(st.lists(st.one_of(row, row, row, BLANK), min_size=5, max_size=40))
-    out = io.StringIO()
-    writer = csv.writer(out, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL,
-                                                            csv.QUOTE_ALL])))
+    lines = []
     if not rarely(draw):  # else the input has no header row
-        writer.writerow([f" {n}" if draw(st.booleans()) else n for n in names])
-        writer.writerows(rows)
+        lines = [[f" {n}" if draw(st.booleans()) else n for n in names], *rows]
+    end = draw(st.sampled_from(["\r\n", "\n"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL, None]))
+    if quoting is None:  # plain text: fields joined by commas, never quoted
+        text = "".join(",".join(line) + end for line in lines)
+    else:
+        out = io.StringIO()
+        csv.writer(out, quoting=quoting, lineterminator=end).writerows(lines)
+        text = out.getvalue()
     chunk_rows = draw(st.sampled_from([1, 2, 3, 5, data_module.INGEST_CHUNK_ROWS]))
-    return out.getvalue(), schema, chunk_rows
+    return text, schema, chunk_rows
 
 
 def ingest_outcome(read, text, schema):
@@ -396,10 +404,32 @@ def ingest_outcome(read, text, schema):
     return data.counts.tolist(), data.w_labels, report
 
 
-@settings(max_examples=300, deadline=None)
-@given(dirty_extracts())
-def test_ingest_equals_the_row_loop(case):
-    text, schema, chunk_rows = case
-    with mock.patch.object(data_module, "INGEST_CHUNK_ROWS", chunk_rows):
-        got = ingest_outcome(ingest, text, schema)
-    assert got == ingest_outcome(row_loop_ingest, text, schema)
+def test_ingest_equals_the_row_loop():
+    loadtxt = np.loadtxt
+    parsed = []  # per example, the chunks that np.loadtxt accepted
+    rejected = 0
+
+    def counted_loadtxt(*args, **kwargs):
+        nonlocal rejected
+        try:
+            fields = loadtxt(*args, **kwargs)
+        except ValueError:
+            rejected += 1
+            raise
+        parsed[-1] += 1
+        return fields
+
+    @settings(max_examples=300, deadline=None)
+    @given(dirty_extracts())
+    def agrees(case):
+        text, schema, chunk_rows = case
+        parsed.append(0)
+        with mock.patch.object(data_module, "INGEST_CHUNK_ROWS", chunk_rows):
+            got = ingest_outcome(ingest, text, schema)
+        assert got == ingest_outcome(row_loop_ingest, text, schema)
+
+    with mock.patch.object(np, "loadtxt", counted_loadtxt):
+        agrees()
+    # Both of ingest's parsers must carry a real share of the examples.
+    assert sum(n > 0 for n in parsed) >= len(parsed) / 4
+    assert rejected >= len(parsed) / 4

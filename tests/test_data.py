@@ -93,6 +93,20 @@ def test_ingest_from_path(tmp_path, basic_schema):
     assert data.cell_counts().tolist() == [0, 1, 1, 0]
 
 
+def test_ingest_ignores_a_byte_order_mark(tmp_path, basic_schema):
+    # Excel and Stata exports start the header with one.
+    text = make_csv([(6, 1.0, 5, 1, 0), (1, 2.0, 25, 0, 1), (9, 3.0, 15, 0, 0)])
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    data, report = ingest(str(plain), basic_schema)
+    bom_data, bom_report = ingest(str(marked), basic_schema)
+    assert np.array_equal(bom_data.counts, data.counts)
+    assert bom_data.w_labels == data.w_labels
+    assert bom_report == report
+    assert report.reasons == {"unmapped_x": 1}
+
+
 # ---------------------------------------------------------------------------
 # discretization
 # ---------------------------------------------------------------------------
