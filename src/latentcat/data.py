@@ -436,7 +436,9 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
     rejects is parsed again by ``csv.reader`` and ``float``. Both skip empty
     lines, so every chunk gives the fields the ``csv.reader`` path alone
     would. From the first chunk with a quote, ``csv.reader`` reads the rest
-    of the input, because a quoted field may span lines and chunks.
+    of the input, because a quoted field may span lines and chunks. Input
+    that ``csv.reader`` refuses (a field over its size limit, a bare ``\r``
+    inside a line) is a ``DataError``.
     """
     if hasattr(source, "read"):
         stream = source
@@ -486,6 +488,8 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
                          w[keep].astype(np.int64) @ bit_values))
     except UnicodeDecodeError as exc:
         raise _not_utf8(source, exc) from None
+    except csv.Error as exc:  # an oversized field, a bare "\r" inside a line
+        raise DataError(f"cannot parse input as CSV: {exc}") from None
     finally:
         if close:
             stream.close()

@@ -19,7 +19,6 @@ it and flags a violation, which sorting would hide.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -288,8 +287,6 @@ def _projected_spectral_start(table: ContingencyTable) -> MisclassificationModel
     taken, entries clipped interior, columns renormalized. The result only
     has to land in the right basin with the right latent-state ordering.
     """
-    from scipy import linalg
-
     s_x, _, s_z = table.support
     if s_x != s_z:
         return None
@@ -298,8 +295,8 @@ def _projected_spectral_start(table: ContingencyTable) -> MisclassificationModel
     try:
         if not check_rank(m_xz, tol=1e-10).rank_ok:
             return None
-        vals, vecs = linalg.eig(branch_operator(m_xz, m_per_y[1]))
-    except linalg.LinAlgError:
+        vals, vecs = np.linalg.eig(branch_operator(m_xz, m_per_y[1]))
+    except np.linalg.LinAlgError:
         return None
     vals = vals.real
     vecs = vecs.real
@@ -309,15 +306,13 @@ def _projected_spectral_start(table: ContingencyTable) -> MisclassificationModel
     vals, vecs = order_by_last_row(vals, vecs / sums)
     m_x = _interior(vecs, 1e-6)
     f_y = np.clip(vals, 1e-6, 1.0 - 1e-6)
-    try:
-        with warnings.catch_warnings():
-            # An ill-conditioned m_x fails the start, as a singular one does.
-            warnings.simplefilter("error", linalg.LinAlgWarning)
-            f_xstar = linalg.solve(m_x, pmf.probs.sum(axis=(1, 2)))
-            f_xstar = _interior(f_xstar[:, None], 1e-6).ravel()
-            m_z = _interior((linalg.solve(m_x, m_xz) / f_xstar[:, None]).T, 1e-6)
-    except (linalg.LinAlgError, linalg.LinAlgWarning):
+    # A singular m_x has an infinite condition number; an ill-conditioned one
+    # fails the start as well.
+    if np.linalg.cond(m_x, 1) * np.finfo(float).eps >= 1.0:
         return None
+    f_xstar = np.linalg.solve(m_x, pmf.probs.sum(axis=(1, 2)))
+    f_xstar = _interior(f_xstar[:, None], 1e-6).ravel()
+    m_z = _interior((np.linalg.solve(m_x, m_xz) / f_xstar[:, None]).T, 1e-6)
     return MisclassificationModel(
         m_x_given_xstar=m_x, f_y_given_xstar=f_y,
         m_z_given_xstar=m_z, f_xstar=f_xstar,

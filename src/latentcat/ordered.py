@@ -15,8 +15,11 @@ and the coefficient vector solves a weighted least-squares system in the
 transformed outcome -sigma(q) * PhiInv(P[V=1|q]). No optimization is
 involved; these are exact inversions of the model's cell probabilities.
 Maximum-likelihood fits on the reported outcome (the conventional
-benchmarks) are also provided, re-normalized into the same (0, 1) cutpoint
-scheme so coefficient vectors are directly comparable.
+benchmarks) are also provided, fitted by Fisher scoring on the analytic
+derivatives of the cell pmf and re-normalized into the same (0, 1) cutpoint
+scheme so coefficient vectors are directly comparable. The normal cdf and
+quantile come from the standard library (``math.erfc``,
+``statistics.NormalDist``), so this module needs numpy alone.
 
 Probit coefficients are statements about the conditional *median* of the
 underlying continuous index; with a non-constant scale they say nothing
@@ -25,6 +28,8 @@ about mean rankings, and reports label them accordingly.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,6 +54,16 @@ __all__ = [
 
 DEFAULT_CLAMP = 1e-6
 EFFECT_SCALE_NOTE = "conditional-median scale"
+
+# Fisher scoring stops once the decrement score' inv(information) score falls
+# below SCORING_TOL; each step is halved at most SCORING_MAX_HALVINGS times.
+SCORING_TOL = 1e-10
+SCORING_MAX_ITERATIONS = 100
+SCORING_MAX_HALVINGS = 50
+
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 @dataclass(frozen=True)
@@ -260,12 +275,23 @@ def linear_projection(lc: LatentConditional, target: str = "latent") -> Parametr
     )
 
 
-def _clamped_ppf(cum: np.ndarray, clamp: float) -> tuple[np.ndarray, int]:
-    from scipy import special
+def _norm_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal cdf, elementwise: 0.5 * erfc(-x / sqrt(2))."""
+    return np.reshape([0.5 * math.erfc(-v / _SQRT2) for v in np.ravel(x).tolist()],
+                      np.shape(x))
 
+
+def _norm_ppf(u: float) -> float:
+    """Standard normal quantile (AS241); -inf at 0 and +inf at 1."""
+    if 0.0 < u < 1.0:
+        return _STANDARD_NORMAL.inv_cdf(u)
+    return -math.inf if u <= 0.0 else math.inf
+
+
+def _clamped_ppf(cum: np.ndarray, clamp: float) -> tuple[np.ndarray, int]:
     clipped = np.clip(cum, clamp, 1.0 - clamp)
     events = int(np.count_nonzero(clipped != cum))
-    return special.ndtri(clipped), events
+    return np.asarray([_norm_ppf(u) for u in clipped.tolist()]), events
 
 
 def skedastic(
@@ -385,49 +411,108 @@ def _cell_design(data: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]
 
 def _cell_probs(index: np.ndarray, scale: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Ordered-probit pmf over outcome levels, one row per (index, scale)."""
-    from scipy import special
-
     edges = np.concatenate(([-np.inf], cuts, [np.inf]))
     z = (edges[None, :] - index[:, None]) / scale[:, None]
-    return np.diff(special.ndtr(z), axis=1)
+    return np.diff(_norm_cdf(z), axis=1)
 
 
-def _ordered_nll(index: np.ndarray, scale: np.ndarray, cuts: np.ndarray,
-                 counts: np.ndarray) -> float:
-    probs = np.maximum(_cell_probs(index, scale, cuts), 1e-300)
-    return -float(np.sum(counts * np.log(probs)))
+def _pmf_and_jacobian(index, log_scale, cuts, d_index, d_log_scale, d_cuts):
+    """Cell pmf rows and their derivatives in the parameters (last axis).
+
+    ``d_index`` and ``d_log_scale`` are (cells, p) and ``d_cuts`` is
+    (cutpoints, p). At an interior edge z = (cut - index) / scale, so
+    dz = (d_cut - d_index) / scale - z * d_log_scale, and each level's
+    probability moves by the difference of pdf(z) * dz across its edges.
+    """
+    scale = np.exp(log_scale)
+    probs = _cell_probs(index, scale, cuts)
+    z = (cuts[None, :] - index[:, None]) / scale[:, None]
+    dz = ((d_cuts[None] - d_index[:, None]) / scale[:, None, None]
+          - z[..., None] * d_log_scale[:, None])
+    d_cdf = (np.exp(-0.5 * z * z) / _SQRT_2PI)[..., None] * dz
+    tails = np.zeros_like(d_cdf[:, :1])
+    return probs, np.diff(np.concatenate((tails, d_cdf, tails), axis=1), axis=1)
+
+
+def _chained_cuts(anchor, log_gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """anchor + (0, cumsum(exp(log_gaps))) and its Jacobian in ``log_gaps``."""
+    gaps = np.exp(log_gaps)
+    cuts = anchor + np.concatenate(([0.0], np.cumsum(gaps)))
+    below = np.tril(np.broadcast_to(gaps, (gaps.size, gaps.size)))
+    return cuts, np.vstack((np.zeros(gaps.size), below))
+
+
+def _loglik(probs: np.ndarray, counts: np.ndarray) -> float:
+    return float(np.sum(counts * np.log(np.maximum(probs, 1e-300))))
+
+
+def _fisher_scoring(model, theta: np.ndarray, counts: np.ndarray, what: str) -> np.ndarray:
+    """Maximize sum(counts * log P(theta)) by Fisher scoring.
+
+    ``model(theta)`` returns the cell pmf rows P and their Jacobian dP. The
+    score is sum(n / P * dP) and the information sum(N_r / P * dP dP'),
+    which is positive semi-definite. Each step is halved until the
+    log-likelihood does not fall; the fit stops when the decrement
+    score' step drops below ``SCORING_TOL``.
+    """
+    totals = counts.sum(axis=1)
+    probs, jac = model(theta)
+    loglik = _loglik(probs, counts)
+    for _ in range(SCORING_MAX_ITERATIONS):
+        safe = np.maximum(probs, 1e-300)
+        score = np.einsum("rj,rjp->p", counts / safe, jac)
+        info = np.einsum("r,rjp,rjq->pq", totals, jac / safe[..., None], jac)
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            step = np.full_like(score, np.nan)
+        if not np.isfinite(step).all():
+            raise EstimationError(f"{what} did not converge: singular information matrix")
+        if float(score @ step) < SCORING_TOL:
+            return theta
+        for halving in range(SCORING_MAX_HALVINGS):
+            trial = theta + step / 2.0**halving
+            trial_probs, trial_jac = model(trial)
+            trial_loglik = _loglik(trial_probs, counts)
+            if trial_loglik >= loglik:
+                break
+        else:
+            raise EstimationError(f"{what} did not converge: line search failed")
+        theta, probs, jac, loglik = trial, trial_probs, trial_jac, trial_loglik
+    raise EstimationError(
+        f"{what} did not converge: iteration cap of {SCORING_MAX_ITERATIONS} reached"
+    )
 
 
 def ordered_probit_mle(data: Dataset) -> ParametricFit:
     """Homoskedastic ordered-probit ML benchmark on the reported counts.
 
     Conventional maximum likelihood, re-normalized to the (0, 1) cutpoint
-    scheme with the constant disturbance scale in ``scale``.
+    scheme with the constant disturbance scale in ``scale``. The parameters
+    are the slopes, the first cutpoint and the log gaps between cutpoints.
     """
     q, counts, names = _cell_design(data)
     n_levels = counts.shape[1]
     k = q.shape[1] - 1
+    n_cells, n_params = q.shape[0], k + n_levels - 1
+    d_index = np.zeros((n_cells, n_params))
+    d_index[:, :k] = q[:, 1:]
+    d_cuts = np.zeros((n_levels - 1, n_params))
+    d_cuts[:, k] = 1.0
 
     def unpack(theta):
-        slopes = theta[:k]
-        c1 = theta[k]
-        cuts = c1 + np.concatenate(([0.0], np.cumsum(np.exp(theta[k + 1 :]))))
-        return slopes, cuts
+        return theta[:k], _chained_cuts(theta[k], theta[k + 1 :])
 
-    def nll(theta):
-        slopes, cuts = unpack(theta)
-        index = q[:, 1:] @ slopes
-        return _ordered_nll(index, np.ones(q.shape[0]), cuts, counts)
+    def model(theta):
+        slopes, (cuts, d_gaps) = unpack(theta)
+        d_cuts[:, k + 1 :] = d_gaps
+        return _pmf_and_jacobian(q[:, 1:] @ slopes, np.zeros(n_cells), cuts,
+                                 d_index, np.zeros((n_cells, n_params)), d_cuts)
 
-    from scipy import optimize
-
-    theta0 = np.zeros(k + n_levels - 1)
+    theta0 = np.zeros(n_params)
     theta0[k] = -0.5
-    res = optimize.minimize(nll, theta0, method="L-BFGS-B",
-                            options={"maxiter": 2000, "ftol": 1e-13})
-    if not res.success:
-        raise EstimationError(f"ordered-probit MLE did not converge: {res.message}")
-    slopes, cuts = unpack(res.x)
+    theta = _fisher_scoring(model, theta0, counts, "ordered-probit MLE")
+    slopes, (cuts, _) = unpack(theta)
     gap = cuts[1] - cuts[0]
     beta = np.concatenate(([-cuts[0] / gap], slopes / gap))
     norm_cuts = (cuts - cuts[0]) / gap
@@ -447,35 +532,34 @@ def exponential_skedastic_probit(data: Dataset) -> ParametricFit:
     Scale specified as exp(gamma0 + W' gamma) with the (0, 1) cutpoint
     normalization, which identifies the whole parameter vector. Fully
     parametric ML; the nonparametric route is the closed-form estimator.
+    The parameters are beta, gamma and the log gaps past the second cutpoint.
     """
     q, counts, names = _cell_design(data)
     n_levels = counts.shape[1]
     dim = q.shape[1]
+    n_params = 2 * dim + max(n_levels - 3, 0)
+    d_index = np.zeros((q.shape[0], n_params))
+    d_index[:, :dim] = q
+    d_cuts = np.zeros((n_levels - 1, n_params))
 
     def unpack(theta):
-        beta = theta[:dim]
-        gamma = theta[dim : 2 * dim]
-        extra = np.exp(theta[2 * dim :])
-        cuts = np.concatenate(([0.0, 1.0], 1.0 + np.cumsum(extra)))
-        return beta, gamma, cuts
+        cuts, d_gaps = _chained_cuts(1.0, theta[2 * dim :])
+        return theta[:dim], theta[dim : 2 * dim], np.concatenate(([0.0], cuts)), d_gaps
 
-    def nll(theta):
-        beta, gamma, cuts = unpack(theta)
-        index = q @ beta
-        scale = np.exp(np.clip(q @ gamma, -20, 20))
-        return _ordered_nll(index, scale, cuts, counts)
+    def model(theta):
+        beta, gamma, cuts, d_gaps = unpack(theta)
+        d_cuts[1:, 2 * dim :] = d_gaps
+        log_scale = q @ gamma
+        inside = np.abs(log_scale) < 20  # the scale is exp(clip(q @ gamma, -20, 20))
+        d_log_scale = np.zeros_like(d_index)
+        d_log_scale[:, dim : 2 * dim] = q * inside[:, None]
+        return _pmf_and_jacobian(q @ beta, np.clip(log_scale, -20, 20), cuts,
+                                 d_index, d_log_scale, d_cuts)
 
-    from scipy import optimize
-
-    theta0 = np.zeros(2 * dim + max(n_levels - 3, 0))
+    theta0 = np.zeros(n_params)
     theta0[0] = 0.5
-    res = optimize.minimize(nll, theta0, method="L-BFGS-B",
-                            options={"maxiter": 5000, "ftol": 1e-13})
-    if not res.success:
-        raise EstimationError(
-            f"heteroskedastic probit MLE did not converge: {res.message}"
-        )
-    beta, gamma, cuts = unpack(res.x)
+    theta = _fisher_scoring(model, theta0, counts, "heteroskedastic probit MLE")
+    beta, gamma, cuts, _ = unpack(theta)
     rows = cell_rows(len(data.w_columns))
     sigma = {label: float(np.exp(row @ gamma))
              for label, row in zip(data.w_labels, rows)}

@@ -187,9 +187,7 @@ def check_rank(m_xz: np.ndarray, tol: float = 1e-8) -> IdentificationDiagnostics
     m = np.asarray(m_xz, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigurationError("rank check needs a square matrix")
-    from scipy import linalg
-
-    svals = linalg.svdvals(m)
+    svals = np.linalg.svd(m, compute_uv=False)
     smax = float(svals[0]) if svals.size else 0.0
     smin = float(svals[-1]) if svals.size else 0.0
     ok = smax > 0 and smin > tol * smax
@@ -225,16 +223,12 @@ def order_by_last_row(values: np.ndarray, vectors: np.ndarray, tol: float = 0.0)
 
 def branch_operator(m_xz: np.ndarray, m_y: np.ndarray) -> np.ndarray:
     """M_xyz[y] @ inv(M_xz), by a right solve against M_xz (LU, no explicit inverse)."""
-    from scipy import linalg
-
-    return linalg.solve(m_xz.T, m_y.T).T
+    return np.linalg.solve(m_xz.T, m_y.T).T
 
 
 def _decompose_branch(a: np.ndarray, tol: float):
     """Eigendecompose one branch operator; returns ordered real (values, columns)."""
-    from scipy import linalg
-
-    eigvals, eigvecs = linalg.eig(a)
+    eigvals, eigvecs = np.linalg.eig(a)
     complex_mag = max(
         float(np.abs(eigvals.imag).max()), float(np.abs(eigvecs.imag).max())
     )
@@ -284,8 +278,6 @@ def eigendecompose_identify(
     eigenvalue gap, and negative-entry clipping. Diagnostic-grade output:
     prefer the likelihood estimator for finite-sample work.
     """
-    from scipy import linalg
-
     if float(pmf.probs.sum()) <= 0:
         raise DomainError("all-zero pmf")
     m_xz, m_per_y = build_matrices(pmf)
@@ -330,7 +322,7 @@ def eigendecompose_identify(
     f_y, clip_y = _clip_unit(vals1, tol, "P(Y=1 | latent)", upper=1.0)
 
     f_x = pmf.probs.sum(axis=(1, 2))
-    f_xstar = linalg.solve(m_x, f_x)
+    f_xstar = np.linalg.solve(m_x, f_x)
     f_xstar, clip_s = _clip_unit(f_xstar, max(tol, 1e-7), "latent marginal")
     total = f_xstar.sum()
     if total <= 0:
@@ -340,7 +332,7 @@ def eigendecompose_identify(
     # Z matrix from the marginal system: M_xz = M_x diag(f_xstar) M_z^T.
     if np.any(f_xstar < 1e-12):
         raise IdentificationError("a latent state has (near) zero mass")
-    m_z_t = linalg.solve(m_x, m_xz) / f_xstar[:, None]
+    m_z_t = np.linalg.solve(m_x, m_xz) / f_xstar[:, None]
     m_z, clip_z = _clip_unit(m_z_t.T, max(tol, 1e-7), "second-measure matrix")
     m_z = m_z / m_z.sum(axis=0)
 

@@ -286,24 +286,36 @@ def test_cli_import_leaves_scipy_unloaded():
     """Each stage is its own process, so its imports are paid on every run.
 
     Importing scipy.stats alone took about 0.5 s, and the whole of scipy
-    about 1 s. ``spectral``, ``mle`` and ``ordered`` import the scipy
-    submodule they call inside the function that calls it.
+    about 1 s. The package runs on numpy and the standard library alone.
     """
     assert scipy_loaded("import latentcat, latentcat.cli") == set()
 
 
 def test_stages_load_only_the_scipy_they_call(pipeline, tmp_path):
-    data = ["--schema", str(pipeline["schema"]), "--seed", "1"]
+    """No stage loads scipy: the linear algebra is numpy's, the normal cdf and
+    quantile are the standard library's, and the ordered ML benchmarks are
+    fitted by Fisher scoring in numpy."""
+    synth, schema = str(pipeline["synth"]), str(pipeline["schema"])
+    data = ["--schema", schema, "--seed", "1"]
     stage = ("from latentcat.cli import run\n"
              "assert run({!r}) == 0").format
-    test = ["test", "--input", str(pipeline["synth"]), *data, "--B", "99",
-            "--out", str(tmp_path / "r.json")]
-    assert scipy_loaded(stage(test)) == set()
-    identify = ["identify", "--input", str(pipeline["synth"]), *data, "--by-cell",
-                "--method", "cmle", "--starts", "2", "--out", str(tmp_path / "m.json")]
-    loaded = scipy_loaded(stage(identify))
-    assert "scipy.linalg" in loaded
-    assert not any(m.startswith("scipy.optimize") for m in loaded)
+    stages = {
+        "simulate": ["simulate", "--spec", str(pipeline["spec"]), "--n", "2000",
+                     "--seed", "1", "--out", str(tmp_path / "s.csv")],
+        "test": ["test", "--input", synth, *data, "--B", "99",
+                 "--out", str(tmp_path / "r.json")],
+        "identify": ["identify", "--input", synth, *data, "--by-cell", "--method",
+                     "cmle", "--starts", "2", "--out", str(tmp_path / "m.json")],
+        "latent estimate --boot": [
+            "estimate", "--models", str(pipeline["models"]), "--data", synth, *data,
+            "--model", "hoprobit", "--target", "latent", "--boot", "2",
+            "--boot-starts", "1", "--out", str(tmp_path / "fl.json")],
+        "reported estimate --boot": [
+            "estimate", "--data", synth, *data, "--model", "oprobit",
+            "--target", "reported", "--boot", "5", "--out", str(tmp_path / "fr.json")],
+    }
+    for name, args in stages.items():
+        assert scipy_loaded(stage(args)) == set(), name
 
 
 def test_input_that_is_not_utf8_is_one_error_line(tmp_path):
@@ -322,6 +334,25 @@ def test_input_that_is_not_utf8_is_one_error_line(tmp_path):
     assert proc.stderr.splitlines() == [
         f"error: input is not UTF-8 text: byte 0xff at byte offset {len(head)} "
         "(invalid start byte)"]
+    assert set(tmp_path.iterdir()) == {schema, data}  # no artifact, no manifest
+
+
+def test_field_over_the_csv_limit_is_one_error_line(tmp_path):
+    schema = tmp_path / "s.cfg"
+    schema.write_text("[columns]\nx=x\ny=y\nz=z\nw=w\n\n[recode]\nx = 1:1 2:2 3:3\n")
+    rows = ["x,y,z,w,note", *["1,0.5,2,0,"] * 150, '2,0.1,3,1,"quoted"',
+            "3,0.2,1,1," + "a" * 140_000, *["3,0.2,1,1,"] * 150]
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "latentcat.cli", "test", "--input", str(data),
+         "--schema", str(schema), "--seed", "1", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: cannot parse input as CSV: field larger than field limit (131072)"]
     assert set(tmp_path.iterdir()) == {schema, data}  # no artifact, no manifest
 
 

@@ -50,6 +50,13 @@ def test_ingest_empty_file_is_data_error(basic_schema):
         ingest_text("ls,neuro,ghq,female,married\n", basic_schema)
 
 
+def test_ingest_bare_carriage_return_is_data_error(basic_schema):
+    # A text stream splits lines at "\n" only, so csv.reader sees the "\r".
+    text = make_csv([(6, 1.0, 10, 0, 0), ("7\r", 2.0, 20, 0, 0)])
+    with pytest.raises(DataError, match="cannot parse input as CSV: new-line"):
+        ingest_text(text, basic_schema)
+
+
 def test_ingest_unmapped_codes_are_tallied(basic_schema):
     rows = []
     for i in range(10):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from latentcat import mle
 from latentcat.data import ContingencyTable, tabulate
 from latentcat.errors import DomainError, GeneratorError, OptimizationError
 from latentcat.generate import GeneratorSpec, draw, make_model
@@ -12,6 +13,8 @@ from latentcat.mle import (
     EM_RTOL,
     CmleConfig,
     _em_fit,
+    _interior,
+    _projected_spectral_start,
     _random_model,
     fit,
     fit_tables,
@@ -171,6 +174,22 @@ def recovery_spec(seed):
         min_singular_value=0.12,
         seed=seed,
     )
+
+
+def test_spectral_start_fails_on_an_ill_conditioned_reporting_matrix(
+        valid_model, monkeypatch):
+    """An m_x whose 1-norm condition number is at least 1/eps is no start,
+    though LU factors it without a zero pivot."""
+    table = population_table(valid_model, n=100_000)
+    assert _projected_spectral_start(table) is not None
+    tiny = 2.0**-54
+    near_twins = np.array([[0.25, 0.25, 0.6], [0.25, 0.25 + tiny, 0.2],
+                           [0.5, 0.5 - tiny, 0.2]])
+    m_x = _interior(near_twins, 1e-6)
+    assert np.linalg.cond(m_x, 1) * np.finfo(float).eps >= 1.0
+    assert np.isfinite(np.linalg.solve(m_x, np.full(3, 1 / 3))).all()
+    monkeypatch.setattr(mle, "order_by_last_row", lambda vals, vecs: (vals, near_twins))
+    assert _projected_spectral_start(table) is None
 
 
 def test_fit_recovers_single_model():

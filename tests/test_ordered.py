@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize, special
 from scipy.stats import norm
 
+from latentcat.data import Dataset, cell_rows
 from latentcat.errors import ConfigurationError, EstimationError
 from latentcat.generate import (
     GeneratorSpec,
@@ -15,6 +19,10 @@ from latentcat.generate import (
 from latentcat.ordered import (
     CellConditional,
     LatentConditional,
+    ParametricFit,
+    _cell_design,
+    _clamped_ppf,
+    _norm_cdf,
     exponential_skedastic_probit,
     hetero_ordered_probit,
     homo_ordered_probit,
@@ -331,3 +339,169 @@ def test_effect_scale_labels():
     assert "mean" in linear_projection(lc).effect_scale
     sigma, _ = skedastic(lc)
     assert "median" in hetero_ordered_probit(lc, sigma).effect_scale
+
+
+# ---------------------------------------------------------------------------
+# Fisher scoring against the L-BFGS-B fits it replaced
+# ---------------------------------------------------------------------------
+
+
+def test_normal_cdf_and_ppf_match_scipy():
+    x = np.concatenate([np.linspace(-38.0, 38.0, 200_001), [-np.inf, np.inf]])
+    assert np.abs(_norm_cdf(x) - special.ndtr(x)).max() <= 1e-14
+    u = np.concatenate([np.linspace(1e-6, 1 - 1e-6, 100_001),
+                        np.geomspace(1e-6, 0.5, 10_001), 1 - np.geomspace(1e-6, 0.5, 10_001)])
+    ppf, events = _clamped_ppf(u, 1e-6)
+    assert events == 0
+    assert np.abs(ppf - special.ndtri(u)).max() <= 1e-14
+
+
+def _reference_nll(index, scale, cuts, counts):
+    edges = np.concatenate(([-np.inf], cuts, [np.inf]))
+    z = (edges[None, :] - index[:, None]) / scale[:, None]
+    probs = np.maximum(np.diff(special.ndtr(z), axis=1), 1e-300)
+    return -float(np.sum(counts * np.log(probs)))
+
+
+def lbfgs_ordered_probit_mle(data: Dataset) -> ParametricFit:
+    """``ordered_probit_mle`` as fitted by scipy's L-BFGS-B (the reference)."""
+    q, counts, names = _cell_design(data)
+    n_levels = counts.shape[1]
+    k = q.shape[1] - 1
+
+    def unpack(theta):
+        slopes = theta[:k]
+        c1 = theta[k]
+        cuts = c1 + np.concatenate(([0.0], np.cumsum(np.exp(theta[k + 1 :]))))
+        return slopes, cuts
+
+    def nll(theta):
+        slopes, cuts = unpack(theta)
+        index = q[:, 1:] @ slopes
+        return _reference_nll(index, np.ones(q.shape[0]), cuts, counts)
+
+    theta0 = np.zeros(k + n_levels - 1)
+    theta0[k] = -0.5
+    res = optimize.minimize(nll, theta0, method="L-BFGS-B",
+                            options={"maxiter": 2000, "ftol": 1e-13})
+    if not res.success:
+        raise EstimationError(f"ordered-probit MLE did not converge: {res.message}")
+    slopes, cuts = unpack(res.x)
+    gap = cuts[1] - cuts[0]
+    beta = np.concatenate(([-cuts[0] / gap], slopes / gap))
+    norm_cuts = (cuts - cuts[0]) / gap
+    return ParametricFit(
+        kind="ordered-probit-homoskedastic",
+        target="reported",
+        beta=beta,
+        column_names=names,
+        cutpoints=norm_cuts,
+        scale=1.0 / gap,
+    )
+
+
+def lbfgs_exponential_skedastic_probit(data: Dataset) -> ParametricFit:
+    """``exponential_skedastic_probit`` as fitted by scipy's L-BFGS-B (the reference)."""
+    q, counts, names = _cell_design(data)
+    n_levels = counts.shape[1]
+    dim = q.shape[1]
+
+    def unpack(theta):
+        beta = theta[:dim]
+        gamma = theta[dim : 2 * dim]
+        extra = np.exp(theta[2 * dim :])
+        cuts = np.concatenate(([0.0, 1.0], 1.0 + np.cumsum(extra)))
+        return beta, gamma, cuts
+
+    def nll(theta):
+        beta, gamma, cuts = unpack(theta)
+        index = q @ beta
+        scale = np.exp(np.clip(q @ gamma, -20, 20))
+        return _reference_nll(index, scale, cuts, counts)
+
+    theta0 = np.zeros(2 * dim + max(n_levels - 3, 0))
+    theta0[0] = 0.5
+    res = optimize.minimize(nll, theta0, method="L-BFGS-B",
+                            options={"maxiter": 5000, "ftol": 1e-13})
+    if not res.success:
+        raise EstimationError(
+            f"heteroskedastic probit MLE did not converge: {res.message}"
+        )
+    beta, gamma, cuts = unpack(res.x)
+    rows = cell_rows(len(data.w_columns))
+    sigma = {label: float(np.exp(row @ gamma))
+             for label, row in zip(data.w_labels, rows)}
+    return ParametricFit(
+        kind="ordered-probit-heteroskedastic",
+        target="reported",
+        beta=beta,
+        column_names=names,
+        cutpoints=cuts,
+        sigma_by_cell=sigma,
+    )
+
+
+def fit_loglik(fit_: ParametricFit, data: Dataset) -> float:
+    """Log-likelihood of a reported-outcome ML fit on the populated cells."""
+    q, counts, _ = _cell_design(data)
+    if fit_.sigma_by_cell is None:
+        scale = np.full(q.shape[0], fit_.scale)
+    else:
+        labels = np.asarray(data.w_labels)[data.cell_counts() > 0]
+        scale = np.asarray([fit_.sigma_by_cell[label] for label in labels])
+    return -_reference_nll(q @ fit_.beta, scale, fit_.cutpoints, counts)
+
+
+def probit_counts(params, n: int, seed: int) -> Dataset:
+    """n reported outcomes drawn from the probit's cell pmfs, as a Dataset."""
+    n_cols = params.beta.size - 1
+    lc = probit_population(params, all_binary_cells(n_cols))
+    rng = np.random.default_rng(seed)
+    per_cell = rng.multinomial(n, [c.weight for c in lc.cells])
+    counts = np.zeros((len(lc.cells), lc.n_levels, 2, 1), dtype=np.int64)
+    for c, (m, cell) in enumerate(zip(per_cell, lc.cells)):
+        counts[c, :, 0, 0] = rng.multinomial(m, cell.probs)
+    letters = tuple(chr(ord("A") + k) for k in range(n_cols))
+    return Dataset(counts, w_columns=letters, w_labels=tuple(c.label for c in lc.cells))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_cols=st.integers(1, 5),
+       n_levels=st.integers(3, 5), n=st.sampled_from([2_000, 20_000, 200_000]))
+def test_fisher_scoring_matches_the_lbfgs_reference(seed, n_cols, n_levels, n):
+    """Both ML benchmarks reach at least the reference's optimum, at its betas."""
+    rng = np.random.default_rng(seed)
+    data = probit_counts(random_probit_params(rng, n_cols, n_levels), n, seed)
+    for fit_ml, reference in (
+        (ordered_probit_mle, lbfgs_ordered_probit_mle),
+        (exponential_skedastic_probit, lbfgs_exponential_skedastic_probit),
+    ):
+        got = fit_ml(data)
+        try:
+            ref = reference(data)
+        except EstimationError:
+            continue  # L-BFGS-B stopped abnormally (1 of 300 draws); scoring fitted
+        ref_loglik = fit_loglik(ref, data)
+        assert fit_loglik(got, data) >= ref_loglik - 1e-9 * abs(ref_loglik)
+        assert np.abs(got.beta - ref.beta).max() <= 1e-5
+
+
+def test_fisher_scoring_failures_are_estimation_errors(monkeypatch):
+    from latentcat import ordered
+
+    rng = np.random.default_rng(17)
+    data = probit_counts(random_probit_params(rng, 2), 5_000, 17)
+    # Covariate B is 0 in every populated cell, so its slope is not identified.
+    lone_b = Dataset(data.counts * (cell_rows(2)[:, 2] == 0)[:, None, None, None],
+                     data.w_columns, data.w_labels)
+    for fit_ml in (ordered_probit_mle, exponential_skedastic_probit):
+        with pytest.raises(EstimationError, match="singular information matrix"):
+            fit_ml(lone_b)
+        with monkeypatch.context() as patch:
+            patch.setattr(ordered, "SCORING_MAX_ITERATIONS", 1)
+            with pytest.raises(EstimationError, match="iteration cap of 1 reached"):
+                fit_ml(data)
+        with monkeypatch.context() as patch:
+            patch.setattr(ordered, "SCORING_MAX_HALVINGS", 0)
+            with pytest.raises(EstimationError, match="line search failed"):
+                fit_ml(data)
