@@ -178,16 +178,6 @@ def _interior(p: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     return p / p.sum(axis=-2, keepdims=True)
 
 
-def _split(theta: np.ndarray, s_x: int, s_z: int):
-    """The four blocks of ``MisclassificationModel.pack`` vectors (last axis)."""
-    i0 = s_x * s_x
-    i1 = i0 + s_x
-    i2 = i1 + s_z * s_x
-    lead = theta.shape[:-1]
-    return (theta[..., :i0].reshape(*lead, s_x, s_x), theta[..., i0:i1],
-            theta[..., i1:i2].reshape(*lead, s_z, s_x), theta[..., i2:])
-
-
 def _em_map(theta: np.ndarray, counts: np.ndarray, s_x: int, s_z: int):
     """Log-likelihood of each packed row of ``theta`` on its table, and the
     EM update F of that row.
@@ -195,7 +185,7 @@ def _em_map(theta: np.ndarray, counts: np.ndarray, s_x: int, s_z: int):
     F reweights every block by the posterior of the latent state and keeps
     its output strictly inside the simplex.
     """
-    a, fy, c, pi = _split(theta, s_x, s_z)
+    a, fy, c, pi = MisclassificationModel.split(theta, s_x, s_z)
     b2 = np.stack([1.0 - fy, fy], axis=1)
     ll, da, db2, dc = _block_grads(a, b2, c, pi, counts)
     # Posterior-weighted counts per latent state s, item by item.
@@ -262,7 +252,8 @@ def _em_fit(starts: list[MisclassificationModel], counts: np.ndarray):
         n_iter[active] += 1
         converged[active[done]] = True
         active = active[~done]
-    models = (MisclassificationModel(*_split(row, s_x, s_z)) for row in theta)
+    models = (MisclassificationModel(*MisclassificationModel.split(row, s_x, s_z))
+              for row in theta)
     return list(zip(models, n_iter.tolist(), converged.tolist()))
 
 

@@ -110,17 +110,26 @@ class MisclassificationModel:
                                self.m_z_given_xstar.ravel(), self.f_xstar])
 
     @staticmethod
-    def unpack(vector: np.ndarray, s_x: int, s_z: int) -> dict:
-        """The JSON blocks of a ``pack``-ordered vector: a model's parameters
-        or their standard errors."""
+    def split(vector: np.ndarray, s_x: int, s_z: int):
+        """The four blocks of ``pack``-ordered vectors (last axis; leading axes
+        are a batch): P(X|s) as S_X x S_X, P(Y=1|s), P(Z|s) as S_Z x S_X, P(s)."""
         i0 = s_x * s_x
         i1 = i0 + s_x
         i2 = i1 + s_z * s_x
+        lead = vector.shape[:-1]
+        return (vector[..., :i0].reshape(*lead, s_x, s_x), vector[..., i0:i1],
+                vector[..., i1:i2].reshape(*lead, s_z, s_x), vector[..., i2:])
+
+    @staticmethod
+    def unpack(vector: np.ndarray, s_x: int, s_z: int) -> dict:
+        """The JSON blocks of a ``pack``-ordered vector: a model's parameters
+        or their standard errors."""
+        m_x, f_y, m_z, f_xstar = MisclassificationModel.split(vector, s_x, s_z)
         return {
-            "m_x_given_xstar": {"rows": s_x, "cols": s_x, "data": vector[:i0].tolist()},
-            "f_y_given_xstar": vector[i0:i1].tolist(),
-            "m_z_given_xstar": {"rows": s_z, "cols": s_x, "data": vector[i1:i2].tolist()},
-            "f_xstar": vector[i2:].tolist(),
+            "m_x_given_xstar": {"rows": s_x, "cols": s_x, "data": m_x.ravel().tolist()},
+            "f_y_given_xstar": f_y.tolist(),
+            "m_z_given_xstar": {"rows": s_z, "cols": s_x, "data": m_z.ravel().tolist()},
+            "f_xstar": f_xstar.tolist(),
         }
 
     def to_dict(self) -> dict:

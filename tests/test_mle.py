@@ -294,14 +294,10 @@ def test_fit_empty_table_rejected(valid_model):
 # ---------------------------------------------------------------------------
 
 
-def serial_em_update(theta, counts, s_x, s_z):
-    """One EM update of one packed start: its log-likelihood and F(theta)."""
-    i0, i1 = s_x * s_x, s_x * s_x + s_x
-    i2 = i1 + s_z * s_x
-    a = theta[:i0].reshape(s_x, s_x)
-    fy = theta[i0:i1]
-    c = theta[i1:i2].reshape(s_z, s_x)
-    pi = theta[i2:]
+def einsum_em_update(theta, counts, s_x, s_z):
+    """One EM update of one packed start, from the gradient of the
+    log-likelihood: its log-likelihood and F(theta)."""
+    a, fy, c, pi = MisclassificationModel.split(theta, s_x, s_z)
     b2 = np.stack([1.0 - fy, fy])
     p_safe = np.maximum(np.einsum("xs,ys,zs,s->xyz", a, b2, c, pi), 1e-300)
     ll = float(np.sum(counts * np.log(p_safe)))
@@ -323,6 +319,30 @@ def serial_em_update(theta, counts, s_x, s_z):
     return ll, np.concatenate([a.ravel(), fy, c.ravel(), pi])
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s_x=st.integers(2, 4),
+    s_z=st.integers(2, 4),
+    batch=st.integers(1, 8),
+    scale=st.sampled_from([1, 60, 100_000]),
+)
+def test_em_map_matches_einsum_update(seed, s_x, s_z, batch, scale):
+    # The batched EM map against the gradient form as straight code, item by
+    # item: tables with zero cells, flat random starts and starts with
+    # entries at EM's 1e-12 floor.
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, scale + 1, size=(batch, s_x, 2, s_z)).astype(float)
+    counts[:, 0, 0, 0] += 1.0
+    theta = np.stack([_random_model(rng, s_x, s_z).pack() for _ in range(batch)])
+    theta[rng.random(theta.shape) < 0.1] = 1e-12
+    ll, f_theta = mle._em_map(theta, counts, s_x, s_z)
+    for row, k, got_ll, got_f in zip(theta, counts, ll, f_theta):
+        want_ll, want_f = einsum_em_update(row, k, s_x, s_z)
+        assert abs(got_ll - want_ll) <= 1e-12 * abs(want_ll)
+        assert np.max(np.abs(got_f - want_f)) <= 1e-12
+
+
 def serial_em(model, counts):
     """One start's SQUAREM-accelerated EM (SqS3) as a straight loop; returns
     the fitted model, the accelerated iterations it took and whether its
@@ -330,7 +350,7 @@ def serial_em(model, counts):
     s_x, s_z = model.s_x, model.s_z
 
     def em(theta):
-        return serial_em_update(theta, counts, s_x, s_z)
+        return einsum_em_update(theta, counts, s_x, s_z)
 
     theta = model.pack()
     ll, f_theta = em(theta)
