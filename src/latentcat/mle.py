@@ -9,8 +9,10 @@ of the cell's (x, y, z) contingency counts is
 
 a non-concave mixture objective, so fits are multi-start. Every start runs
 EM to convergence, accelerated by SQUAREM (Varadhan & Roland 2008), in one
-batched loop over every cell and start. EM keeps each probability block on
-its simplex, so the fit needs no parameterization. The likelihood does not
+batched loop over every cell and start. Each EM map reads the
+log-likelihood and every block's update off one posterior tensor (the
+per-state terms of the joint pmf). EM keeps each probability block on its
+simplex, so the fit needs no parameterization. The likelihood does not
 change when the latent states are relabelled, so the monotone-reporting
 restriction (last reporting row increasing in the latent state) is enforced,
 when asked, by sorting each fitted start's states. The default only checks
@@ -28,6 +30,7 @@ from .errors import DomainError, OptimizationError
 from .spectral import (
     MisclassificationModel,
     _joint_pmf,
+    _joint_terms,
     branch_operator,
     build_matrices,
     check_rank,
@@ -147,26 +150,6 @@ def loglik(model: MisclassificationModel, table: ContingencyTable) -> float:
     return float(np.sum(m[active] * np.log(p[active])))
 
 
-def loglik_unchecked(model: MisclassificationModel, counts: np.ndarray) -> float:
-    """loglik without domain validation (floored, never -inf); fit use."""
-    p = np.maximum(_joint_pmf(*model.blocks()), P_FLOOR)
-    return float(np.sum(counts * np.log(p)))
-
-
-def _block_grads(a, b2, c, pi, counts):
-    """Log-likelihood and its gradient w.r.t. a, b2 and c.
-
-    Leading axes shared by all inputs are a batch, as in ``_joint_pmf``.
-    """
-    p_safe = np.maximum(_joint_pmf(a, b2, c, pi), P_FLOOR)
-    ll = np.sum(counts * np.log(p_safe), axis=(-3, -2, -1))
-    g = counts / p_safe
-    da = np.einsum("...xyz,...ys,...zs,...s->...xs", g, b2, c, pi)
-    db2 = np.einsum("...xyz,...xs,...zs,...s->...ys", g, a, c, pi)
-    dc = np.einsum("...xyz,...xs,...ys,...s->...zs", g, a, b2, pi)
-    return ll, da, db2, dc
-
-
 # ---------------------------------------------------------------------------
 # Accelerated EM
 # ---------------------------------------------------------------------------
@@ -182,14 +165,17 @@ def _em_map(theta: np.ndarray, counts: np.ndarray, s_x: int, s_z: int):
     """Log-likelihood of each packed row of ``theta`` on its table, and the
     EM update F of that row.
 
-    F reweights every block by the posterior of the latent state and keeps
-    its output strictly inside the simplex.
+    Both come from the per-state terms q of the joint pmf: the posterior
+    count of latent state s in cell (x, y, z) is counts / p * q, and F sets
+    every block to those counts summed over the other axes, normalized. F
+    keeps its output strictly inside the simplex.
     """
     a, fy, c, pi = MisclassificationModel.split(theta, s_x, s_z)
-    b2 = np.stack([1.0 - fy, fy], axis=1)
-    ll, da, db2, dc = _block_grads(a, b2, c, pi, counts)
-    # Posterior-weighted counts per latent state s, item by item.
-    wa, wb, wc = a * da, b2 * db2, c * dc
+    q = _joint_terms(a, np.stack([1.0 - fy, fy], axis=1), c, pi)
+    p = np.maximum(q.sum(axis=-1), P_FLOOR)
+    ll = np.sum(counts * np.log(p), axis=(1, 2, 3))
+    post = (counts / p)[..., None] * q
+    wa, wb, wc = post.sum(axis=(2, 3)), post.sum(axis=(1, 3)), post.sum(axis=(1, 2))
     n_s = np.maximum(wa.sum(axis=1, keepdims=True), 1e-12)
     a = _interior(wa / n_s)
     fy = np.clip(wb[:, 1] / np.maximum(wb.sum(axis=1), 1e-12), 1e-12, 1.0 - 1e-12)
@@ -203,7 +189,9 @@ def _em_map(theta: np.ndarray, counts: np.ndarray, s_x: int, s_z: int):
 def _em_fit(starts: list[MisclassificationModel], counts: np.ndarray):
     """EM to convergence for a batch of latent-class mixtures, item i from
     ``starts[i]`` on the table ``counts[i]`` (one support for all), as
-    (fitted model, iterations, converged) per item.
+    (fitted model, start loglik, final loglik, iterations, converged) per
+    item. Both log-likelihoods are floored at P_FLOOR per cell, never -inf,
+    and come from the first and last EM maps of the item.
 
     Each iteration is one SQUAREM step (SqS3, Varadhan & Roland 2008): with
     r = F(t) - t and v = F(F(t)) - F(t) - r, the extrapolation
@@ -219,6 +207,7 @@ def _em_fit(starts: list[MisclassificationModel], counts: np.ndarray):
     s_x, s_z = starts[0].s_x, starts[0].s_z
     theta = np.stack([m.pack() for m in starts])
     ll, f_theta = _em_map(theta, counts, s_x, s_z)
+    start_ll = ll.copy()
     n_iter = np.zeros(len(starts), dtype=int)
     converged = np.zeros(len(starts), dtype=bool)
     active = np.arange(len(starts))
@@ -254,7 +243,8 @@ def _em_fit(starts: list[MisclassificationModel], counts: np.ndarray):
         active = active[~done]
     models = (MisclassificationModel(*MisclassificationModel.split(row, s_x, s_z))
               for row in theta)
-    return list(zip(models, n_iter.tolist(), converged.tolist()))
+    return list(zip(models, start_ll.tolist(), ll.tolist(), n_iter.tolist(),
+                    converged.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +344,13 @@ def _starts(table: ContingencyTable, config: CmleConfig,
 
 def _fitted_starts(tables: list[ContingencyTable], configs: list[CmleConfig],
                    warm_starts: list[MisclassificationModel | None]):
-    """Per table, its starts as (kind, start, fitted model, iterations,
-    converged) tuples; one accelerated EM runs over every start of every
-    table."""
+    """Per table, its starts as (kind, fitted model, start loglik, final
+    loglik, iterations, converged) tuples; one accelerated EM runs over
+    every start of every table."""
     starts = [_starts(*args) for args in zip(tables, configs, warm_starts, strict=True)]
     counts = np.stack([t.counts for t, ts in zip(tables, starts) for _ in ts])
     fitted = iter(_em_fit([m for ts in starts for _, m in ts], counts.astype(float)))
-    return [[(kind, model, *next(fitted)) for kind, model in ts] for ts in starts]
+    return [[(kind, *next(fitted)) for kind, _ in ts] for ts in starts]
 
 
 def _relabelled(model: MisclassificationModel) -> MisclassificationModel:
@@ -425,15 +415,15 @@ def fit(
 
     Alone, ``fit`` fits its starts as a batch of one. ``fit_tables`` fits
     the starts of many tables in one batch and passes each table's as
-    ``warmed``, (kind, start, fitted model, iterations, converged) per
-    start; ``warm_start`` is then unused.
+    ``warmed``, (kind, fitted model, start loglik, final loglik, iterations,
+    converged) per start; ``warm_start`` is then unused. The log-likelihoods
+    are the EM's own, floored at P_FLOOR per cell.
     """
     if warmed is None:
         [warmed] = _fitted_starts([table], [config], [warm_start])
-    counts = table.counts.astype(float)
     records: list[StartDiagnostics] = []
     models: list[MisclassificationModel] = []
-    for idx, (kind, start_model, model, n_iter, converged) in enumerate(warmed):
+    for idx, (kind, model, start_ll, final_ll, n_iter, converged) in enumerate(warmed):
         if config.ord_constraint == "enforce":
             model = _relabelled(model)
         models.append(model)
@@ -441,8 +431,8 @@ def fit(
             StartDiagnostics(
                 index=idx,
                 kind=kind,
-                start_loglik=loglik_unchecked(start_model, counts),
-                final_loglik=loglik_unchecked(model, counts),
+                start_loglik=start_ll,
+                final_loglik=final_ll,
                 converged=converged,
                 n_iterations=n_iter,
                 message=("log-likelihood gain below EM_RTOL" if converged

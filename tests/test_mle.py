@@ -296,7 +296,8 @@ def test_fit_empty_table_rejected(valid_model):
 
 def einsum_em_update(theta, counts, s_x, s_z):
     """One EM update of one packed start, from the gradient of the
-    log-likelihood: its log-likelihood and F(theta)."""
+    log-likelihood: the engine the posterior kernel replaced, kept as its
+    reference. Returns the log-likelihood and F(theta)."""
     a, fy, c, pi = MisclassificationModel.split(theta, s_x, s_z)
     b2 = np.stack([1.0 - fy, fy])
     p_safe = np.maximum(np.einsum("xs,ys,zs,s->xyz", a, b2, c, pi), 1e-300)
@@ -319,6 +320,28 @@ def einsum_em_update(theta, counts, s_x, s_z):
     return ll, np.concatenate([a.ravel(), fy, c.ravel(), pi])
 
 
+def serial_em_update(theta, counts, s_x, s_z):
+    """One EM update of one packed start, from the posterior of the latent
+    state in each cell, as straight code: its log-likelihood and F(theta)."""
+    a, fy, c, pi = MisclassificationModel.split(theta, s_x, s_z)
+    b2 = np.stack([1.0 - fy, fy])
+    q = (a * pi)[:, None, None, :] * b2[None, :, None, :] * c[None, None, :, :]
+    p_safe = np.maximum(q.sum(axis=-1), 1e-300)
+    ll = float(np.sum(counts * np.log(p_safe)))
+    post = (counts / p_safe)[..., None] * q
+    n_s = np.maximum(post.sum(axis=(1, 2)).sum(axis=0), 1e-12)
+    a = np.clip(post.sum(axis=(1, 2)) / n_s, 1e-12, None)
+    a /= a.sum(axis=0)
+    wb = post.sum(axis=(0, 2))
+    fy = np.clip(wb[1] / np.maximum(wb.sum(axis=0), 1e-12), 1e-12, 1.0 - 1e-12)
+    wc = post.sum(axis=(0, 1))
+    c = np.clip(wc / np.maximum(wc.sum(axis=0), 1e-12), 1e-12, None)
+    c /= c.sum(axis=0)
+    pi = n_s / counts.sum()
+    pi = pi / pi.sum()
+    return ll, np.concatenate([a.ravel(), fy, c.ravel(), pi])
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -328,7 +351,7 @@ def einsum_em_update(theta, counts, s_x, s_z):
     scale=st.sampled_from([1, 60, 100_000]),
 )
 def test_em_map_matches_einsum_update(seed, s_x, s_z, batch, scale):
-    # The batched EM map against the gradient form as straight code, item by
+    # The posterior kernel against the gradient form it replaced, item by
     # item: tables with zero cells, flat random starts and starts with
     # entries at EM's 1e-12 floor.
     rng = np.random.default_rng(seed)
@@ -345,15 +368,17 @@ def test_em_map_matches_einsum_update(seed, s_x, s_z, batch, scale):
 
 def serial_em(model, counts):
     """One start's SQUAREM-accelerated EM (SqS3) as a straight loop; returns
-    the fitted model, the accelerated iterations it took and whether its
-    stop test fired before EM_MAX_ITERATIONS."""
+    the fitted model, its start and final log-likelihoods, the accelerated
+    iterations it took and whether its stop test fired before
+    EM_MAX_ITERATIONS."""
     s_x, s_z = model.s_x, model.s_z
 
     def em(theta):
-        return einsum_em_update(theta, counts, s_x, s_z)
+        return serial_em_update(theta, counts, s_x, s_z)
 
     theta = model.pack()
     ll, f_theta = em(theta)
+    start_ll = ll
     iterations, converged = 0, False
     while iterations < EM_MAX_ITERATIONS and not converged:
         t1 = f_theta
@@ -378,13 +403,8 @@ def serial_em(model, counts):
         converged = ll_new - ll <= EM_RTOL * max(1.0, abs(ll_new))
         theta, ll, f_theta = t_new, ll_new, f_new
         iterations += 1
-    i0, i1 = s_x * s_x, s_x * s_x + s_x
-    i2 = i1 + s_z * s_x
-    fitted = MisclassificationModel(
-        m_x_given_xstar=theta[:i0].reshape(s_x, s_x), f_y_given_xstar=theta[i0:i1],
-        m_z_given_xstar=theta[i1:i2].reshape(s_z, s_x), f_xstar=theta[i2:],
-    )
-    return fitted, iterations, converged
+    fitted = MisclassificationModel(*MisclassificationModel.split(theta, s_x, s_z))
+    return fitted, start_ll, ll, iterations, converged
 
 
 def blocks_of(model):
@@ -407,11 +427,11 @@ def test_batched_em_equals_serial_em_item_by_item(seed, s_x, s_z, batch):
     counts[:, 0, 0, 0] += 1.0
     starts = [_random_model(rng, s_x, s_z) for _ in range(batch)]
     serial = [serial_em(m, k) for m, k in zip(starts, counts)]
-    assume(batch == 1 or len({n for _, n, _ in serial}) > 1)
+    assume(batch == 1 or len({n for *_, n, _ in serial}) > 1)
     batched = _em_fit(starts, counts)
     assert len(batched) == batch
-    for (expected, n_expected, ok_expected), (got, n_got, ok_got) in zip(serial, batched):
-        assert (n_got, ok_got) == (n_expected, ok_expected)
+    for (expected, *trace_expected), (got, *trace_got) in zip(serial, batched):
+        assert trace_got == trace_expected
         for e, g in zip(blocks_of(expected), blocks_of(got)):
             assert np.array_equal(e, g)
 
