@@ -229,9 +229,12 @@ def conditional_test_suite(
     """Pooled test plus one per-cell test for every sufficiently large cell.
 
     Cells under ``min_cell_count`` records (including empty ones) are
-    reported as skipped. Per-cell seeds derive from the master seed and the
-    cell index, so reports do not depend on evaluation order.
+    reported as skipped, so ``min_cell_count`` must be at least 1. Per-cell
+    seeds derive from the master seed and the cell index, so reports do not
+    depend on evaluation order.
     """
+    if min_cell_count < 1:
+        raise DomainError(f"min_cell_count must be at least 1, got {min_cell_count}")
     pooled = bootstrap_test(data, None, b, seed)
     counts = data.cell_counts()
     reports: list[TestReport] = []

@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .citest import DEFAULT_B, MIN_CELL_COUNT, bootstrap_test, conditional_test_suite
+from .citest import DEFAULT_B, MIN_B, MIN_CELL_COUNT, bootstrap_test, conditional_test_suite
 from .data import Dataset, cell_rows, frequency_pmf, ingest, load_schema, tabulate
 from .errors import (
     ConfigurationError,
@@ -529,9 +529,9 @@ def _build_parser() -> _Parser:
     p_test.add_argument("--input", required=True)
     p_test.add_argument("--schema", required=True)
     p_test.add_argument("--by-cell", action="store_true", dest="by_cell")
-    p_test.add_argument("--B", type=int, default=DEFAULT_B)
+    p_test.add_argument("--B", type=_int_at_least(MIN_B), default=DEFAULT_B)
     p_test.add_argument("--seed", type=_int_at_least(0), required=True)
-    p_test.add_argument("--min-cell", type=int, default=MIN_CELL_COUNT,
+    p_test.add_argument("--min-cell", type=_int_at_least(1), default=MIN_CELL_COUNT,
                         dest="min_cell")
     p_test.add_argument("--out", required=True)
     p_test.set_defaults(func=_cmd_test)

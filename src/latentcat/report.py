@@ -64,24 +64,26 @@ def _layout(header: list[str], rows: list[list[str]], footer: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_test_suite(payload: dict) -> str:
-    """Text table for a test-suite artifact (pooled plus per-cell rows)."""
-    reports = [payload["pooled"], *payload.get("cells", [])]
+def _test_reports(payload: dict) -> list[dict]:
+    """The reports of a test artifact: the pooled one, then one per cell; a
+    single test (no ``pooled``) is its own report."""
+    if "pooled" not in payload:
+        return [payload]
+    return [payload["pooled"], *payload.get("cells", [])]
+
+
+def render_test(payload: dict) -> str:
+    """Text table for a test artifact: a single test, or a suite (pooled
+    plus per-cell rows, then any skipped cells)."""
     header = ["group", "TS", "90%", "95%", "99%", "N"]
     out = "Conditional-independence misclassification test\n"
-    out += _layout(header, _test_rows(reports), STAR_NOTE)
+    out += _layout(header, _test_rows(_test_reports(payload)), STAR_NOTE)
     skipped = payload.get("skipped", [])
     if skipped:
         out += "skipped cells: " + ", ".join(
             f"{s['w_cell']} (n={s['n']}, {s['reason']})" for s in skipped
         ) + "\n"
     return out
-
-
-def render_single_test(payload: dict) -> str:
-    header = ["group", "TS", "90%", "95%", "99%", "N"]
-    out = "Conditional-independence misclassification test\n"
-    return out + _layout(header, _test_rows([payload]), STAR_NOTE)
 
 
 def _matrix_lines(name: str, mat: dict) -> list[str]:
@@ -189,10 +191,8 @@ def render_exclusions(payload: dict) -> str:
 
 def render(payload: dict) -> str:
     """Dispatch on artifact shape."""
-    if "pooled" in payload:
-        return render_test_suite(payload)
-    if "statistic" in payload:
-        return render_single_test(payload)
+    if "pooled" in payload or "statistic" in payload:
+        return render_test(payload)
     if "cells" in payload and "method" in payload:
         return render_models(payload)
     if "fit" in payload:
@@ -204,13 +204,8 @@ def render_csv(payload: dict) -> str:
     """Flat numeric export of an artifact."""
     lines = []
     if "pooled" in payload or "statistic" in payload:
-        reports = (
-            [payload["pooled"], *payload.get("cells", [])]
-            if "pooled" in payload
-            else [payload]
-        )
         lines.append("group,statistic,cv90,cv95,cv99,p_value,n")
-        for rep in reports:
+        for rep in _test_reports(payload):
             cvs = rep["critical_values"]
             lines.append(
                 f"{rep.get('w_cell') or 'pooled'},{rep['statistic']!r},"

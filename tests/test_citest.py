@@ -237,6 +237,15 @@ def test_suite_constant_covariate_skips_half():
     assert len(empty) == 3
 
 
+@pytest.mark.parametrize("min_cell_count", [0, -1])
+def test_suite_refuses_min_cell_count_below_one(min_cell_count):
+    # Every cell is populated, so the refusal is the bound itself; with an
+    # empty cell a bound below 1 would run a test on no records.
+    data = sample_dataset(0.5, 1200, seed=14, n_cells=2)
+    with pytest.raises(DomainError, match="min_cell_count must be at least 1"):
+        conditional_test_suite(data, b=99, seed=2, min_cell_count=min_cell_count)
+
+
 def test_suite_deterministic_under_permutation():
     sample = sample_records(0.5, 2400, seed=16, n_cells=2)
     data = sample.data

@@ -414,6 +414,7 @@ def test_identify_spectral_refuses_boot(pipeline, tmp_path, capsys):
 IDENTIFY_CMLE = ["identify", "--by-cell", "--method", "cmle"]
 IDENTIFY_SPECTRAL = ["identify", "--by-cell", "--method", "spectral"]
 ESTIMATE_LATENT = ["estimate", "--model", "hoprobit", "--target", "latent"]
+TEST_BY_CELL = ["test", "--by-cell"]
 
 
 @pytest.mark.parametrize("command,option,value", [
@@ -422,12 +423,14 @@ ESTIMATE_LATENT = ["estimate", "--model", "hoprobit", "--target", "latent"]
     (IDENTIFY_SPECTRAL, "--boot", "-1"),
     (ESTIMATE_LATENT, "--boot", "-1"),
     (ESTIMATE_LATENT, "--boot-starts", "0"),
+    (TEST_BY_CELL, "--B", "98"),
+    (TEST_BY_CELL, "--min-cell", "0"),
 ])
 def test_counts_below_their_minimum_refused_before_ingest(tmp_path, capsys,
                                                           command, option, value):
     # The input does not exist: reaching ingest would exit 1, not 64.
     missing = str(tmp_path / "missing.csv")
-    inputs = (["--input", missing] if command[0] == "identify"
+    inputs = (["--input", missing] if command[0] in ("identify", "test")
               else ["--models", missing, "--data", missing])
     args = {"--seed": ["--seed", value]}.get(option, [option, value, "--seed", "1"])
     out = tmp_path / "out.json"
