@@ -201,13 +201,42 @@ def _parse_generator_config(path: str) -> tuple[GeneratorSpec, np.ndarray | None
     return spec, weights
 
 
+# Rows formatted per block by _write_int_csv; bounds its temporaries.
+_CSV_BLOCK_ROWS = 16384
+
+
+def _write_int_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length columns of non-negative integers as CSV, the bytes
+    ``np.savetxt(fmt="%d", delimiter=",", header=..., comments="")`` writes.
+
+    A block of rows is one uint8 array holding, per column, a digit field as
+    wide as the block's largest value and a separator; a mask drops the
+    leading-zero slots, and the kept bytes are written at once.
+    """
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [c[start:start + _CSV_BLOCK_ROWS] for c in columns]
+            widths = [len(str(int(c.max()))) for c in block]
+            text = np.empty((len(block[0]), sum(widths) + len(block)), dtype=np.uint8)
+            keep = np.ones(text.shape, dtype=bool)
+            at = 0
+            for values, width in zip(block, widths):
+                powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+                text[:, at:at + width] = values[:, None] // powers % 10 + ord("0")
+                keep[:, at:at + width - 1] = values[:, None] >= powers[:-1]
+                at += width
+                text[:, at] = ord(",")
+                at += 1
+            text[:, -1] = ord("\n")
+            handle.write(text[keep].tobytes())
+
+
 def _write_dataset_csv(path: str, sample: SyntheticSample) -> None:
     w_columns = sample.data.w_columns
-    bits = cell_rows(len(w_columns))[:, 1:].astype(np.int64)
-    records = np.column_stack([sample.x, sample.y, sample.z, bits[sample.w]])
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        np.savetxt(handle, records, fmt="%d", delimiter=",",
-                   header=",".join(["x", "y", "z", *w_columns]), comments="")
+    bits = cell_rows(len(w_columns))[:, 1:].astype(np.int64)[sample.w]
+    _write_int_csv(path, ["x", "y", "z", *w_columns],
+                   [sample.x, sample.y, sample.z, *bits.T])
 
 
 def _schema_sidecar(path: str, data: Dataset) -> None:
@@ -242,10 +271,7 @@ def _cmd_simulate(args) -> int:
     manifest.stage("draw")
     _write_dataset_csv(args.out, sample)
     if keep_truth:
-        with open(args.truth, "w", encoding="utf-8", newline="") as handle:
-            handle.write("x_latent\n")
-            for v in sample.truth:
-                handle.write(f"{int(v)}\n")
+        _write_int_csv(args.truth, ["x_latent"], [sample.truth])
         manifest.add_output(args.truth)
     schema_path = os.path.splitext(args.out)[0] + ".schema.cfg"
     _schema_sidecar(schema_path, sample.data)
@@ -485,10 +511,9 @@ def _cmd_replay(args) -> int:
             raise DataError(f"replay input changed since the original run: {path}")
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        if "out" in options and options["out"]:
-            options["out"] = os.path.join(
-                args.out_dir, os.path.basename(options["out"])
-            )
+        for key in ("out", "truth"):
+            if options.get(key):
+                options[key] = os.path.join(args.out_dir, os.path.basename(options[key]))
     argv = [command]
     skip = {"by_cell", "stratify"}
     for key, value in options.items():
@@ -518,7 +543,7 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic dataset")
     p_sim.add_argument("--spec", required=True, help="generator config file")
-    p_sim.add_argument("--n", type=int, required=True)
+    p_sim.add_argument("--n", type=_int_at_least(1), required=True)
     p_sim.add_argument("--seed", type=_int_at_least(0), required=True)
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.add_argument("--truth", metavar="PATH",

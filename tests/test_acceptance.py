@@ -278,15 +278,18 @@ def test_criterion_8_manifest_determinism(tmp_path):
                 "latent", "--seed", "11", "--out", str(fit_out)]) == 0
 
     identical = True
-    for artifact in (report, models, fit_out):
+    for artifact, outputs in ((synth, (synth, schema)), (report, (report,)),
+                              (models, (models,)), (fit_out, (fit_out,))):
         out_dir = tmp_path / f"replay_{artifact.stem}"
         assert run(["replay", str(artifact) + ".manifest.json",
                     "--out-dir", str(out_dir)]) == 0
-        replayed = out_dir / artifact.name
-        identical = identical and artifact.read_bytes() == replayed.read_bytes()
+        for output in outputs:
+            replayed = out_dir / output.name
+            identical = identical and output.read_bytes() == replayed.read_bytes()
     _report(
         "8 manifest determinism",
         identical,
-        "replayed test/identify/estimate artifacts byte-identical to originals",
+        "replayed simulate (data and schema sidecar) and test/identify/estimate "
+        "artifacts byte-identical to originals",
     )
     assert identical

@@ -1,12 +1,21 @@
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from latentcat import cli
 from latentcat.cli import run
+from latentcat.generate import draw, make_cell_weights, make_model
 
 GEN_CFG = """\
 [generator]
@@ -379,8 +388,62 @@ def test_simulate_truth_sidecar(tmp_path):
     truth = tmp_path / "truth.csv"
     assert run(["simulate", "--spec", str(spec), "--n", "500", "--seed", "5",
                 "--out", str(out), "--truth", str(truth)]) == 0
-    assert truth.exists()
-    assert len(truth.read_text().splitlines()) == 501
+    generator, _ = cli._parse_generator_config(str(spec))
+    models = make_model(dataclasses.replace(generator, seed=5))
+    codes = draw(models, make_cell_weights(generator.n_w_cells), 500, seed=5,
+                 keep_truth=True).truth
+    expected = "x_latent\n" + "".join(f"{int(v)}\n" for v in codes)
+    assert truth.read_bytes() == expected.encode()
+
+
+def test_replay_out_dir_receives_the_truth_file(tmp_path):
+    spec = tmp_path / "gen.cfg"
+    spec.write_text(GEN_CFG)
+    out = tmp_path / "s.csv"
+    truth = tmp_path / "tr.csv"
+    assert run(["simulate", "--spec", str(spec), "--n", "300", "--seed", "2",
+                "--out", str(out), "--truth", str(truth)]) == 0
+    original = truth.read_bytes()
+    os.utime(truth, ns=(0, 0))  # a rewrite, even of the same bytes, moves the mtime
+    replayed = tmp_path / "rp"
+    assert run(["replay", str(out) + ".manifest.json",
+                "--out-dir", str(replayed)]) == 0
+    assert truth.read_bytes() == original
+    assert truth.stat().st_mtime_ns == 0
+    assert (replayed / "tr.csv").read_bytes() == original
+    assert (replayed / "s.csv").read_bytes() == out.read_bytes()
+
+
+# Values of every digit width an int64 holds, with the edges of the widths.
+INT_VALUES = st.one_of(
+    st.sampled_from([0, 9, 10, 10**18, 2**63 - 1]),
+    st.integers(1, 19).flatmap(
+        lambda d: st.integers(10 ** (d - 1), min(10**d - 1, 2**63 - 1))),
+)
+
+
+@st.composite
+def int_matrices(draw_from):
+    n_rows, n_cols = draw_from(st.integers(1, 40)), draw_from(st.integers(1, 9))
+    values = draw_from(st.lists(INT_VALUES, min_size=n_rows * n_cols,
+                                max_size=n_rows * n_cols))
+    return np.array(values, dtype=np.int64).reshape(n_rows, n_cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_matrices(), st.integers(1, 41))
+@example(np.arange(3 * (2 * cli._CSV_BLOCK_ROWS + 1)).reshape(-1, 3) * 7919,
+         cli._CSV_BLOCK_ROWS)
+def test_int_csv_writer_matches_savetxt(matrix, block_rows):
+    header = [f"c{k}" for k in range(matrix.shape[1])]
+    reference = io.BytesIO()
+    np.savetxt(reference, matrix, fmt="%d", delimiter=",", header=",".join(header),
+               comments="")
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+        path = Path(tmp) / "m.csv"
+        cli._write_int_csv(str(path), header, list(matrix.T))
+        assert path.read_bytes() == reference.getvalue()
 
 
 def test_identify_spectral_method(pipeline, tmp_path):
@@ -415,6 +478,7 @@ IDENTIFY_CMLE = ["identify", "--by-cell", "--method", "cmle"]
 IDENTIFY_SPECTRAL = ["identify", "--by-cell", "--method", "spectral"]
 ESTIMATE_LATENT = ["estimate", "--model", "hoprobit", "--target", "latent"]
 TEST_BY_CELL = ["test", "--by-cell"]
+SIMULATE = ["simulate"]
 
 
 @pytest.mark.parametrize("command,option,value", [
@@ -425,17 +489,20 @@ TEST_BY_CELL = ["test", "--by-cell"]
     (ESTIMATE_LATENT, "--boot-starts", "0"),
     (TEST_BY_CELL, "--B", "98"),
     (TEST_BY_CELL, "--min-cell", "0"),
+    (SIMULATE, "--n", "0"),
+    (SIMULATE, "--n", "-3"),
 ])
 def test_counts_below_their_minimum_refused_before_ingest(tmp_path, capsys,
                                                           command, option, value):
-    # The input does not exist: reaching ingest would exit 1, not 64.
+    # The inputs do not exist: reading one would exit 1, not 64.
     missing = str(tmp_path / "missing.csv")
-    inputs = (["--input", missing] if command[0] in ("identify", "test")
-              else ["--models", missing, "--data", missing])
+    inputs = {"identify": ["--input", missing, "--schema", missing],
+              "test": ["--input", missing, "--schema", missing],
+              "estimate": ["--models", missing, "--data", missing, "--schema", missing],
+              "simulate": ["--spec", missing]}[command[0]]
     args = {"--seed": ["--seed", value]}.get(option, [option, value, "--seed", "1"])
     out = tmp_path / "out.json"
-    assert run([*command, *inputs, "--schema", missing, *args,
-                "--out", str(out)]) == 64
+    assert run([*command, *inputs, *args, "--out", str(out)]) == 64
     assert f"argument {option}: must be at least" in capsys.readouterr().err
     assert not out.exists()
 
