@@ -43,6 +43,7 @@ from .generate import (
     GeneratorSpec, ProbitParams, SyntheticSample, draw, make_cell_weights, make_model
 )
 from .mle import CmleConfig, CmleResult, fit_tables
+from .ordered import check_clamp
 from .pipeline import SKEDASTIC, bootstrap_std_errors, model_std_errors, parametric_fit
 from .report import render, render_csv, render_exclusions
 from .spectral import MisclassificationModel, eigendecompose_identify
@@ -72,6 +73,24 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"must be at least {minimum}")
         return number
     return integer
+
+
+def _replicates(value: str) -> int:
+    """argparse type for ``--boot``: 0 for no bootstrap, or at least the two
+    replicates a standard error needs; refused before ingest."""
+    number = int(value)
+    if number < 2 and number != 0:
+        raise argparse.ArgumentTypeError("must be at least 2, or 0 for none")
+    return number
+
+
+def _clamp(value: str) -> float:
+    """argparse type for ``--clamp``: ``ordered.check_clamp``'s domain,
+    refused before ingest."""
+    try:
+        return check_clamp(float(value))
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _sha256(path: str) -> str:
@@ -572,7 +591,7 @@ def _build_parser() -> _Parser:
                       default="check-only")
     p_id.add_argument("--tol", type=float, default=1e-6,
                       help="spectral assumption-check tolerance")
-    p_id.add_argument("--boot", type=_int_at_least(0), default=0,
+    p_id.add_argument("--boot", type=_replicates, default=0,
                       help="bootstrap replicates for parameter standard errors")
     p_id.add_argument("--boot-starts", type=_int_at_least(1), default=3,
                       dest="boot_starts")
@@ -586,11 +605,11 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--model", choices=["linear", "oprobit", "hoprobit"],
                        required=True)
     p_est.add_argument("--target", choices=["latent", "reported"], required=True)
-    p_est.add_argument("--boot", type=_int_at_least(0), default=0)
+    p_est.add_argument("--boot", type=_replicates, default=0)
     p_est.add_argument("--boot-starts", type=_int_at_least(1), default=3,
                        dest="boot_starts")
     p_est.add_argument("--seed", type=_int_at_least(0), required=True)
-    p_est.add_argument("--clamp", type=float, default=1e-6)
+    p_est.add_argument("--clamp", type=_clamp, default=1e-6)
     p_est.add_argument("--skedastic", choices=SKEDASTIC,
                        default="nonparametric",
                        help="reported-target heteroskedastic scale: closed-form "

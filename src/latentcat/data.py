@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import io
 import itertools
 from dataclasses import dataclass, field
 
@@ -248,6 +249,26 @@ def w_cell_label(cell: int, letters: tuple[str, ...]) -> str:
     return "".join(marks) if marks else "0"
 
 
+def _count_codes(x, y, z, w, support: tuple[int, int, int],
+                 n_cells: int) -> np.ndarray:
+    """The (cell, x, y, z) count table of int64 code arrays, one entry per
+    record, each checked against its support: ``x`` in {1..S_X}, ``y`` in
+    {0,1}, ``z`` in {1..S_Z}, ``w`` in {0..n_cells-1}."""
+    s_x, s_y, s_z = support
+    if s_y != 2:
+        raise DataError("the auxiliary indicator must be binary")
+    if not (x.shape == y.shape == z.shape == w.shape) or x.ndim != 1:
+        raise DataError("code arrays differ in length")
+    for arr, lo, hi, name in (
+        (x, 1, s_x, "x"), (y, 0, 1, "y"), (z, 1, s_z, "z"), (w, 0, n_cells - 1, "w"),
+    ):
+        if arr.size and (arr.min() < lo or arr.max() > hi):
+            raise DataError(f"{name} codes outside declared support [{lo},{hi}]")
+    flat = ((w * s_x + x - 1) * 2 + y) * s_z + z - 1
+    counts = np.bincount(flat, minlength=n_cells * s_x * 2 * s_z)
+    return counts.reshape(n_cells, s_x, 2, s_z)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A survey sample as its (cell, x, y, z) count table, immutable.
@@ -286,20 +307,8 @@ class Dataset:
         """Count recoded records: ``x`` in {1..S_X}, ``y`` in {0,1}, ``z`` in
         {1..S_Z}, ``w`` in {0..2^|W|-1}, one entry per record."""
         x, y, z, w = (np.asarray(a, dtype=np.int64) for a in (x, y, z, w))
-        s_x, s_y, s_z = support
-        if s_y != 2:
-            raise DataError("the auxiliary indicator must be binary")
-        if not (x.shape == y.shape == z.shape == w.shape) or x.ndim != 1:
-            raise DataError("code arrays differ in length")
-        n_cells = 2 ** len(w_columns)
-        for arr, lo, hi, name in (
-            (x, 1, s_x, "x"), (y, 0, 1, "y"), (z, 1, s_z, "z"), (w, 0, n_cells - 1, "w"),
-        ):
-            if arr.size and (arr.min() < lo or arr.max() > hi):
-                raise DataError(f"{name} codes outside declared support [{lo},{hi}]")
-        flat = ((w * s_x + x - 1) * 2 + y) * s_z + z - 1
-        counts = np.bincount(flat, minlength=n_cells * s_x * 2 * s_z)
-        return cls(counts.reshape(n_cells, s_x, 2, s_z), w_columns, w_labels)
+        counts = _count_codes(x, y, z, w, support, 2 ** len(w_columns))
+        return cls(counts, w_columns, w_labels)
 
     @property
     def support(self) -> tuple[int, int, int]:
@@ -367,7 +376,60 @@ def _apply_cuts(values: np.ndarray, cuts: tuple[float, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-INGEST_CHUNK_ROWS = 8192
+# Characters ingest reads per block, before it finishes the block's last
+# line; what ingest holds at once is bounded by one block.
+INGEST_BLOCK_CHARS = 1 << 16
+
+# Widest field the integer parser reads: 18 digits are exact in int64.
+_INT_DIGITS = 18
+
+
+def _blocks(stream):
+    """The text of ``stream`` in blocks of whole lines."""
+    while text := stream.read(INGEST_BLOCK_CHARS):
+        if not text.endswith("\n"):
+            text += stream.readline()
+        yield text
+
+
+def _int_fields(text: str, n_fields: int, cols: list[int]) -> np.ndarray | None:
+    """Fields ``cols`` of a block of integer lines as floats, one row a line.
+
+    None unless the block is ASCII digits, commas and line ends ("\\n" or
+    "\\r\\n"), every line has ``n_fields`` fields, and every field has 1 to
+    ``_INT_DIGITS`` digits. A field's value is then exactly
+    ``float(field)``: the int64 it spells, rounded to the nearest double.
+    """
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    if buf[-1] != ord("\n"):  # the last line of the input lacks its line end
+        buf = np.append(buf, np.uint8(ord("\n")))
+    cr = buf == ord("\r")
+    if cr.any():
+        if (buf[np.flatnonzero(cr) + 1] != ord("\n")).any():
+            return None  # a bare "\r", which csv.reader refuses
+        buf = buf[~cr]
+    # Bytes above "9" are not digits; those below "0" must be "," or "\n",
+    # with a "\n" after every n_fields-th of them and nowhere else.
+    if buf.max() > ord("9"):
+        return None
+    seps = np.flatnonzero(buf < ord("0"))
+    n_lines = np.count_nonzero(buf == ord("\n"))
+    if (seps.size != n_lines * n_fields
+            or seps.size != n_lines + np.count_nonzero(buf == ord(","))
+            or (buf[seps[n_fields - 1::n_fields]] != ord("\n")).any()):
+        return None
+    gaps = np.diff(seps, prepend=-1)  # one more than each field's width
+    if gaps.min() < 2 or gaps.max() > _INT_DIGITS + 1:
+        return None
+    ends = seps.reshape(-1, n_fields)[:, cols]
+    values = buf[ends - 1].astype(np.int64) - ord("0")
+    widths = gaps.reshape(-1, n_fields)[:, cols] - 1
+    for k in range(1, int(widths.max())):  # the digit k places left of the last
+        digits = buf[ends - 1 - k].astype(np.int64) - ord("0")
+        values += np.where(widths > k, digits, 0) * 10**k
+    return values.astype(float)
 
 
 def _number(row: list[str], i: int) -> float:
@@ -384,22 +446,27 @@ def _csv_fields(rows, cols: list[int]) -> np.ndarray:
     return np.column_stack([[_number(row, i) for row in rows] for i in cols])
 
 
-def _field_chunks(lines, cols: list[int]):
-    """Fields ``cols`` of the data rows, a chunk at a time (see ``ingest``)."""
-    while chunk := list(itertools.islice(lines, INGEST_CHUNK_ROWS)):
-        text = "".join(chunk)
-        if '"' in text:
-            reader = csv.reader(itertools.chain(chunk, lines))
-            while rows := list(itertools.islice(reader, INGEST_CHUNK_ROWS)):
+def _field_blocks(stream, n_fields: int, cols: list[int]):
+    """Fields ``cols`` of the data rows, a block at a time (see ``ingest``)."""
+    for text in _blocks(stream):
+        if '"' in text:  # csv.reader reads the rest, this block's line count at a time
+            reader = csv.reader(itertools.chain(io.StringIO(text), stream))
+            n_rows = text.count("\n") + 1
+            while rows := list(itertools.islice(reader, n_rows)):
                 yield _csv_fields(rows, cols)
             return
+        fields = _int_fields(text, n_fields, cols)
+        if fields is not None:
+            yield fields
+            continue
         if not text.strip("\r\n"):
             continue  # empty lines only, which loadtxt would warn about
+        lines = io.StringIO(text).readlines()
         try:
-            fields = np.loadtxt(chunk, delimiter=",", usecols=cols, comments=None,
+            fields = np.loadtxt(lines, delimiter=",", usecols=cols, comments=None,
                                 quotechar=None, dtype=float, ndmin=2)
         except ValueError:
-            fields = _csv_fields(csv.reader(chunk), cols)
+            fields = _csv_fields(csv.reader(lines), cols)
         yield fields
 
 
@@ -419,9 +486,9 @@ def _not_utf8(source, exc: UnicodeDecodeError) -> DataError:
 def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
     """Read a delimited extract, apply the schema, and drop unusable rows.
 
-    ``source`` is a path (UTF-8, a leading BOM ignored) or an open text
-    stream with a header row naming all schema columns. Blank rows are
-    skipped and not counted. Each needed field is ``float(field.strip())``,
+    ``source`` is a path (UTF-8, a leading BOM ignored, any line ends) or an
+    open text stream whose lines end at "\\n", with a header row naming all
+    schema columns. Blank rows are skipped and not counted. Each needed field is ``float(field.strip())``,
     or NaN when it is missing, empty or unparsable. The exclusion rules are
     column masks, in priority order: ``missing_or_nonnumeric`` (any
     non-finite field), ``noninteger_x``, ``unmapped_x`` (an x code absent
@@ -429,30 +496,42 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
     Excluded rows are dropped listwise and tallied in the returned report
     under the first rule they fail; a rule that never fires has no entry.
 
-    The lines after the header are read in chunks of ``INGEST_CHUNK_ROWS``.
-    ``np.loadtxt`` parses a chunk without a quote character. Where it accepts
-    a field, the value is ``float``'s; it rejects more (``1_0``, non-ASCII
-    digits, empty fields, short rows, whitespace-only lines), and a chunk it
-    rejects is parsed again by ``csv.reader`` and ``float``. Both skip empty
-    lines, so every chunk gives the fields the ``csv.reader`` path alone
-    would. From the first chunk with a quote, ``csv.reader`` reads the rest
-    of the input, because a quoted field may span lines and chunks. Input
-    that ``csv.reader`` refuses (a field over its size limit, a bare ``\r``
-    inside a line) is a ``DataError``.
+    The lines after the header are read in blocks of ``INGEST_BLOCK_CHARS``
+    characters, each finished at the end of its last line. A block of
+    integer lines is parsed by ``_int_fields`` in one vectorized pass.
+    ``np.loadtxt`` parses any other block without a quote character. Where
+    it accepts a field, the value is ``float``'s; it rejects more (``1_0``,
+    non-ASCII digits, empty fields, short rows, whitespace-only lines), and
+    a block it rejects is parsed again by ``csv.reader`` and ``float``. Both
+    skip empty lines, so every block gives the fields the ``csv.reader``
+    path alone would. From the first block with a quote, ``csv.reader``
+    reads the rest of the input, because a quoted field may span lines and
+    blocks. Input that ``csv.reader`` refuses (a field over its size limit,
+    a bare ``\\r`` inside a line of a stream) is a ``DataError``.
+
+    Each block's kept rows are recoded, binned and added to the count table
+    at once, so with fixed binning of y and z no record outlives its block.
+    A ``median`` or ``tercile`` rule needs the whole column, so only then
+    are the kept rows' codes and raw values held until the input ends.
     """
     if hasattr(source, "read"):
         stream = source
         close = False
     else:
         try:
-            stream = open(source, encoding="utf-8-sig", newline="")
+            stream = open(source, encoding="utf-8-sig")
         except OSError as exc:
             raise DataError(f"cannot read input: {exc}") from exc
         close = True
+    support = (schema.s_x, 2, schema.s_z)
+    n_cells = schema.n_w_cells
+    fixed_y = schema.y_binning != "median"
+    fixed_z = schema.z_binning != "tercile"
+    counts = np.zeros((n_cells, *support), dtype=np.int64)
+    held: list[tuple[np.ndarray, ...]] = []  # kept rows, while a column is unbinned
     try:
-        lines = iter(stream)
         try:
-            header = next(csv.reader(lines))
+            header = next(csv.reader(stream))
         except StopIteration:
             raise DataError("input has no header row") from None
         header = [h.strip() for h in header]
@@ -463,9 +542,8 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
         cols = [header.index(c) for c in needed]
         bit_values = 1 << np.arange(len(schema.w_columns))
         reasons: dict[str, int] = {}
-        kept: list[tuple[np.ndarray, ...]] = []
         n_read = 0
-        for fields in _field_chunks(lines, cols):
+        for fields in _field_blocks(stream, len(header), cols):
             n_read += len(fields)
             x, w = fields[:, 0], fields[:, 3:]
             integral = np.isfinite(x) & (x == np.floor(x))
@@ -484,8 +562,16 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
                 if n:
                     reasons[reason] = reasons.get(reason, 0) + int(n)
             keep = first == len(rules)
-            kept.append((x_codes[keep], fields[keep, 1], fields[keep, 2],
-                         w[keep].astype(np.int64) @ bit_values))
+            y, z = fields[keep, 1], fields[keep, 2]
+            if fixed_y:
+                y = (y > float(schema.y_binning)).astype(np.int64)
+            if fixed_z:
+                z = _apply_cuts(z, schema.z_binning)
+            rows = (x_codes[keep], y, z, w[keep].astype(np.int64) @ bit_values)
+            if fixed_y and fixed_z:
+                counts += _count_codes(*rows, support, n_cells)
+            else:
+                held.append(rows)
     except UnicodeDecodeError as exc:
         raise _not_utf8(source, exc) from None
     except csv.Error as exc:  # an oversized field, a bare "\r" inside a line
@@ -501,28 +587,20 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
             f"no usable records after exclusions "
             f"(read {n_read}, dropped {report.n_excluded})"
         )
-
-    x, y_vals, z_vals, w = (np.concatenate(c) for c in zip(*kept))
-    if schema.y_binning == "median":
-        y_codes = median_split(y_vals)
-    else:
-        y_codes = (y_vals > float(schema.y_binning)).astype(np.int64)
-    if schema.z_binning == "tercile":
-        z_codes = tercile_bin(z_vals)
-    else:
-        z_codes = _apply_cuts(z_vals, schema.z_binning)
+    if held:
+        x, y, z, w = (np.concatenate(c) for c in zip(*held))
+        del held
+        if not fixed_y:
+            y = median_split(y)
+        if not fixed_z:
+            z = tercile_bin(z)
+        counts += _count_codes(x, y, z, w, support, n_cells)
 
     letters = schema.letters()
     labels = tuple(
-        w_cell_label(c, letters) for c in range(schema.n_w_cells)
+        w_cell_label(c, letters) for c in range(n_cells)
     )
-    data = Dataset.from_records(
-        x, y_codes, z_codes, w,
-        support=(schema.s_x, 2, schema.s_z),
-        w_columns=schema.w_columns,
-        w_labels=labels,
-    )
-    return data, report
+    return Dataset(counts, schema.w_columns, labels), report
 
 
 # ---------------------------------------------------------------------------

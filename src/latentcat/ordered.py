@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, cell_rows
-from .errors import ConfigurationError, EmptyCellError, EstimationError
+from .errors import ConfigurationError, DomainError, EmptyCellError, EstimationError
 from .spectral import MisclassificationModel
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "latent_conditional",
     "reported_conditional",
     "linear_projection",
+    "check_clamp",
     "skedastic",
     "hetero_ordered_probit",
     "homo_ordered_probit",
@@ -288,6 +289,14 @@ def _norm_ppf(u: float) -> float:
     return -math.inf if u <= 0.0 else math.inf
 
 
+def check_clamp(clamp: float) -> float:
+    """``clamp`` if it lies in (0, 0.5), where [clamp, 1-clamp] is a
+    nonempty interval inside (0, 1); else a ``DomainError``."""
+    if not 0.0 < clamp < 0.5:  # NaN fails too
+        raise DomainError(f"clamp must lie in (0, 0.5), got {clamp!r}")
+    return clamp
+
+
 def _clamped_ppf(cum: np.ndarray, clamp: float) -> tuple[np.ndarray, int]:
     clipped = np.clip(cum, clamp, 1.0 - clamp)
     events = int(np.count_nonzero(clipped != cum))
@@ -300,10 +309,11 @@ def skedastic(
     """Per-cell disturbance scale from the two pinned cutpoints.
 
     Cumulative probabilities are clamped into [clamp, 1-clamp] before
-    inversion; the clamp-event count comes back with the map. A
-    non-positive scale (possible only after clamping) is an estimation
-    error naming the cell.
+    inversion; the clamp-event count comes back with the map. A clamp
+    outside (0, 0.5) is a ``DomainError``. A non-positive scale (possible
+    only after clamping) is an estimation error naming the cell.
     """
+    check_clamp(clamp)
     if lc.n_levels < 3:
         raise ConfigurationError("need at least three outcome levels")
     _, _, p = lc.design()
@@ -342,7 +352,10 @@ def hetero_ordered_probit(
     levels) are weight-averaged across cells with their spread reported.
     ``norm_identity_max_dev`` is the worst per-cell deviation between that
     outcome and the second cutpoint's form 1 - sigma(q) * PhiInv(P[V<=2|q]).
+    Cumulative probabilities are clamped into [clamp, 1-clamp] as in
+    ``skedastic``; a clamp outside (0, 0.5) is a ``DomainError``.
     """
+    check_clamp(clamp)
     q, w, p = lc.design()
     sig = _sigma_vector(lc, sigma)
     cum = np.cumsum(p, axis=1)

@@ -491,6 +491,8 @@ SIMULATE = ["simulate"]
     (TEST_BY_CELL, "--min-cell", "0"),
     (SIMULATE, "--n", "0"),
     (SIMULATE, "--n", "-3"),
+    (IDENTIFY_CMLE, "--boot", "1"),
+    (ESTIMATE_LATENT, "--boot", "1"),
 ])
 def test_counts_below_their_minimum_refused_before_ingest(tmp_path, capsys,
                                                           command, option, value):
@@ -504,6 +506,17 @@ def test_counts_below_their_minimum_refused_before_ingest(tmp_path, capsys,
     out = tmp_path / "out.json"
     assert run([*command, *inputs, *args, "--out", str(out)]) == 64
     assert f"argument {option}: must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("clamp", ["nan", "-1", "0", "0.5", "0.7", "inf"])
+def test_clamp_outside_its_domain_refused_before_ingest(tmp_path, capsys, clamp):
+    missing = str(tmp_path / "missing.csv")
+    out = tmp_path / "out.json"
+    assert run([*ESTIMATE_LATENT, "--models", missing, "--data", missing,
+                "--schema", missing, "--clamp", clamp, "--seed", "1",
+                "--out", str(out)]) == 64
+    assert "argument --clamp: clamp must lie in (0, 0.5)" in capsys.readouterr().err
     assert not out.exists()
 
 

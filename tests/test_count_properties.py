@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latentcat import data as data_module
@@ -363,7 +363,7 @@ def rarely(draw):
 
 @st.composite
 def dirty_extracts(draw):
-    """CSV text over one of INGEST_SCHEMAS, with a chunk size to read it in."""
+    """CSV text over one of INGEST_SCHEMAS, with a block size to read it in."""
     schema = draw(st.sampled_from(INGEST_SCHEMAS))
     # Mostly usable fields, with non-integer or unmapped x codes and
     # non-binary covariates among them.
@@ -391,14 +391,18 @@ def dirty_extracts(draw):
         out = io.StringIO()
         csv.writer(out, quoting=quoting, lineterminator=end).writerows(lines)
         text = out.getvalue()
-    chunk_rows = draw(st.sampled_from([1, 2, 3, 5, data_module.INGEST_CHUNK_ROWS]))
-    return text, schema, chunk_rows
+    return text, schema, draw(BLOCK_CHARS)
 
 
-def ingest_outcome(read, text, schema):
+# Block sizes to read an extract in: a few characters, so that lines
+# straddle blocks and a block is one line, or the real size.
+BLOCK_CHARS = st.sampled_from([1, 5, 16, 64, data_module.INGEST_BLOCK_CHARS])
+
+
+def ingest_outcome(read, source, schema):
     """The count table, labels and report of one ingest, or its error."""
     try:
-        data, report = read(io.StringIO(text), schema)
+        data, report = read(source, schema)
     except Exception as exc:  # noqa: BLE001 - the error is part of the outcome
         return type(exc), str(exc)
     return data.counts.tolist(), data.w_labels, report
@@ -406,7 +410,7 @@ def ingest_outcome(read, text, schema):
 
 def test_ingest_equals_the_row_loop():
     loadtxt = np.loadtxt
-    parsed = []  # per example, the chunks that np.loadtxt accepted
+    parsed = []  # per example, the blocks that np.loadtxt accepted
     rejected = 0
 
     def counted_loadtxt(*args, **kwargs):
@@ -422,14 +426,79 @@ def test_ingest_equals_the_row_loop():
     @settings(max_examples=300, deadline=None)
     @given(dirty_extracts())
     def agrees(case):
-        text, schema, chunk_rows = case
+        text, schema, block_chars = case
         parsed.append(0)
-        with mock.patch.object(data_module, "INGEST_CHUNK_ROWS", chunk_rows):
-            got = ingest_outcome(ingest, text, schema)
-        assert got == ingest_outcome(row_loop_ingest, text, schema)
+        with mock.patch.object(data_module, "INGEST_BLOCK_CHARS", block_chars):
+            got = ingest_outcome(ingest, io.StringIO(text), schema)
+        assert got == ingest_outcome(row_loop_ingest, io.StringIO(text), schema)
 
     with mock.patch.object(np, "loadtxt", counted_loadtxt):
         agrees()
-    # Both of ingest's parsers must carry a real share of the examples.
+    # Both of ingest's text parsers must carry a real share of the examples.
     assert sum(n > 0 for n in parsed) >= len(parsed) / 4
     assert rejected >= len(parsed) / 4
+
+
+def digits(values):
+    """Integer fields of 1 to 19 digits, some with leading zeros."""
+    return st.tuples(values, st.sampled_from([0] * 6 + [2, 5, 19])).map(
+        lambda vz: str(vz[0]).zfill(vz[1]))
+
+
+@st.composite
+def integer_extracts(draw):
+    """An all-integer CSV over one of INGEST_SCHEMAS: (text, BOM, schema,
+    block size). Fields run to 19 digits, past 2**53 and past int64; a
+    blank line and a short or long row are rare."""
+    schema = draw(st.sampled_from(INGEST_SCHEMAS))
+    big = st.integers(2**53 - 2, 10**19 - 1)
+    small = st.integers(0, 3)
+    x_values = st.sampled_from([*schema.x_recode] * 3 + [0, 8, 2**53 + 1])
+    values = {schema.x_column: x_values,
+              **dict.fromkeys(schema.w_columns, st.sampled_from([0, 1, 0, 1, 2]))}
+    names = [schema.x_column, schema.y_column, schema.z_column, *schema.w_columns]
+    names = draw(st.permutations(names + (["id"] if rarely(draw) else [])))
+    fields = [digits(values.get(n, st.sampled_from([small] * 9 + [big])
+                                .flatmap(lambda v: v))) for n in names]
+    row = st.tuples(*fields).map(list)
+    odd = st.one_of(st.just([""]), row.map(lambda r: r[:-1]), row.map(lambda r: r + ["0"]))
+    rows = draw(st.lists(st.sampled_from([row] * 29 + [odd]).flatmap(lambda r: r),
+                         min_size=1, max_size=30))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(line) for line in [names, *rows])
+    if draw(st.booleans()):
+        text += end
+    return text, rarely(draw), schema, draw(BLOCK_CHARS)
+
+
+def test_integer_ingest_equals_the_row_loop(tmp_path):
+    int_fields = data_module._int_fields
+    parsed = []  # per example, the blocks that the integer parser read
+    path = tmp_path / "extract.csv"
+
+    def counted_int_fields(*args):
+        fields = int_fields(*args)
+        parsed[-1] += fields is not None
+        return fields
+
+    no_w = INGEST_SCHEMAS[1]  # ls, neuro, ghq; fixed binning
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_extracts())
+    # A short and a long row whose field counts add up; a field past int64,
+    # one of 19 digits that fits, and one just past 2**53.
+    @example(("ls,neuro,ghq\n1,1,1\n3,0\n5,1,1,7\n1,0,0\n", False, no_w, 1 << 16))
+    @example(("ls,neuro,ghq\r\n1,9999999999999999999,0\r\n"
+              "3,0000000000000000001,9007199254740993", True, no_w, 1 << 16))
+    def agrees(case):
+        text, bom, schema, block_chars = case
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("ascii"))
+        parsed.append(0)
+        expected = ingest_outcome(row_loop_ingest, io.StringIO(text), schema)
+        with mock.patch.object(data_module, "INGEST_BLOCK_CHARS", block_chars):
+            assert ingest_outcome(ingest, str(path), schema) == expected
+            assert ingest_outcome(ingest, io.StringIO(text), schema) == expected
+
+    with mock.patch.object(data_module, "_int_fields", counted_int_fields):
+        agrees()
+    assert sum(n > 0 for n in parsed) >= len(parsed) / 4

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,29 @@ def test_ingest_ignores_a_byte_order_mark(tmp_path, basic_schema):
     assert bom_data.w_labels == data.w_labels
     assert bom_report == report
     assert report.reasons == {"unmapped_x": 1}
+
+
+def test_ingest_memory_is_bounded_by_a_block(tmp_path):
+    # Fixed binning: every block is counted as it is read, so the peak does
+    # not grow with the input (at 200k rows it was 17 MB, 10 times 20k's).
+    schema = Schema(x_column="x", y_column="y", z_column="z",
+                    w_columns=("w1", "w2", "w3"), x_recode={1: 1, 2: 2, 3: 3},
+                    z_binning=(1.0, 2.0), y_binning=0.5)
+    rng = np.random.default_rng(3)
+    peaks = []
+    for n in (20_000, 200_000):
+        codes = rng.integers([1, 0, 1, 0, 0, 0], [4, 2, 4, 2, 2, 2], size=(n, 6))
+        path = tmp_path / f"{n}.csv"
+        np.savetxt(path, codes, fmt="%d", delimiter=",", header="x,y,z,w1,w2,w3",
+                   comments="")
+        tracemalloc.start()
+        try:
+            data, _ = ingest(str(path), schema)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert data.n == n
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from scipy import optimize, special
 from scipy.stats import norm
 
 from latentcat.data import Dataset, cell_rows
-from latentcat.errors import ConfigurationError, EstimationError
+from latentcat.errors import ConfigurationError, DomainError, EstimationError
 from latentcat.generate import (
     GeneratorSpec,
     ProbitParams,
@@ -199,6 +199,15 @@ def test_skedastic_nonpositive_scale_error():
     lc = lc_from_probs([[1.0 - 2e-10, 1e-10, 1e-10], [0.2, 0.5, 0.3]])
     with pytest.raises(EstimationError, match="cell"):
         skedastic(lc, clamp=1e-6)
+
+
+@pytest.mark.parametrize("clamp", [float("nan"), -1.0, 0.0, 0.5, 0.7, float("inf")])
+def test_clamp_outside_its_domain_is_refused(clamp):
+    lc = lc_from_probs([[0.2, 0.5, 0.3], [0.3, 0.4, 0.3]])
+    with pytest.raises(DomainError, match="clamp must lie in"):
+        skedastic(lc, clamp=clamp)
+    with pytest.raises(DomainError, match="clamp must lie in"):
+        hetero_ordered_probit(lc, {c.label: 1.0 for c in lc.cells}, clamp=clamp)
 
 
 def test_skedastic_needs_three_levels():
