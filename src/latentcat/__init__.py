@@ -9,6 +9,15 @@ identification), ``mle`` (constrained maximum likelihood), ``ordered``
 ``cli`` (wiring).
 """
 
+import os
+
+# OpenBLAS starts a thread per core when numpy loads it, which costs every
+# process tens of milliseconds; no linear algebra here is large enough for
+# threads to pay. This runs before any module imports numpy (``python -m
+# latentcat.cli`` runs it first), and an explicit setting wins.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 __version__ = "0.1.0"
 
 from .citest import bootstrap_test, conditional_test_suite, ts_statistic

@@ -2,11 +2,12 @@
 
 Every run writes its outputs plus a run manifest (<out>.manifest.json)
 recording the resolved configuration, explicit seed, package version,
-per-stage timings, and content digests of all inputs. ``replay`` re-executes
-a manifest (after verifying input digests) into a target directory and is
-the mechanism behind the bit-for-bit reproducibility contract: artifact
-JSON is written with sorted keys and repr-round-trip floats, so identical
-configuration plus identical inputs yields identical bytes.
+per-stage timings (and a bootstrap's chunk counters), and content digests
+of all inputs. ``replay`` re-executes a manifest (after verifying input
+digests) into a target directory and is the mechanism behind the
+bit-for-bit reproducibility contract: artifact JSON is written with sorted
+keys and repr-round-trip floats, so identical configuration plus identical
+inputs yields identical bytes.
 
 Exit codes: 0 success; 1 schema/data/configuration problems; 2 test,
 identification, or estimation failures; 64 usage errors.
@@ -391,6 +392,7 @@ def _cmd_identify(args) -> int:
         index, results, entries = zip(*point_fits)
         runs = model_std_errors(data, list(index), list(results), args.boot,
                                 args.seed, args.boot_starts)
+        manifest.payload["bootstrap"] = runs[0].counters()
         for entry, result, run in zip(entries, results, runs):
             entry["std_errors"] = MisclassificationModel.unpack(
                 run.se(), result.model.s_x, result.model.s_z)
@@ -481,6 +483,7 @@ def _cmd_estimate(args) -> int:
         )
         boot_meta = {**run.to_dict(), "seed": args.seed}
         manifest.stage("bootstrap")
+        manifest.payload["bootstrap"] = run.counters()
 
     payload = {"schema_version": "1", "fit": point.to_dict(), "boot": boot_meta}
     _write_json(args.out, payload)

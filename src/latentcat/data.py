@@ -365,10 +365,8 @@ def tercile_bin(values) -> np.ndarray:
 
 
 def _apply_cuts(values: np.ndarray, cuts: tuple[float, ...]) -> np.ndarray:
-    codes = np.ones(values.size, dtype=np.int64)
-    for cut in cuts:
-        codes[values > cut] += 1
-    return codes
+    """Codes 1 + the number of (strictly increasing) cuts below each finite value."""
+    return np.searchsorted(cuts, values, side="left").astype(np.int64) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +445,19 @@ def _csv_fields(rows, cols: list[int]) -> np.ndarray:
 
 
 def _field_blocks(stream, n_fields: int, cols: list[int]):
-    """Fields ``cols`` of the data rows, a block at a time (see ``ingest``)."""
+    """Fields ``cols`` of the data rows, a block at a time (see ``ingest``),
+    each with whether ``_int_fields`` parsed it (then every field is a
+    finite integer)."""
     for text in _blocks(stream):
         if '"' in text:  # csv.reader reads the rest, this block's line count at a time
             reader = csv.reader(itertools.chain(io.StringIO(text), stream))
             n_rows = text.count("\n") + 1
             while rows := list(itertools.islice(reader, n_rows)):
-                yield _csv_fields(rows, cols)
+                yield _csv_fields(rows, cols), False
             return
         fields = _int_fields(text, n_fields, cols)
         if fields is not None:
-            yield fields
+            yield fields, True
             continue
         if not text.strip("\r\n"):
             continue  # empty lines only, which loadtxt would warn about
@@ -467,7 +467,7 @@ def _field_blocks(stream, n_fields: int, cols: list[int]):
                                 quotechar=None, dtype=float, ndmin=2)
         except ValueError:
             fields = _csv_fields(csv.reader(lines), cols)
-        yield fields
+        yield fields, False
 
 
 def _not_utf8(source, exc: UnicodeDecodeError) -> DataError:
@@ -543,19 +543,18 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
         bit_values = 1 << np.arange(len(schema.w_columns))
         reasons: dict[str, int] = {}
         n_read = 0
-        for fields in _field_blocks(stream, len(header), cols):
+        for fields, integers in _field_blocks(stream, len(header), cols):
             n_read += len(fields)
             x, w = fields[:, 0], fields[:, 3:]
-            integral = np.isfinite(x) & (x == np.floor(x))
             x_codes = np.zeros(len(fields), dtype=np.int64)  # recode targets start at 1
             for raw, code in schema.x_recode.items():
                 x_codes[x == raw] = code
-            rules = {  # in priority order: a row is tallied under the first it fails
-                "missing_or_nonnumeric": ~np.isfinite(fields).all(axis=1),
-                "noninteger_x": ~integral,
-                "unmapped_x": x_codes == 0,
-                "nonbinary_w": ((w != 0) & (w != 1)).any(axis=1),
-            }
+            rules = {}  # in priority order: a row is tallied under the first it fails
+            if not integers:  # the first two rules cannot fire on integer fields
+                rules["missing_or_nonnumeric"] = ~np.isfinite(fields).all(axis=1)
+                rules["noninteger_x"] = ~(np.isfinite(x) & (x == np.floor(x)))
+            rules["unmapped_x"] = x_codes == 0
+            rules["nonbinary_w"] = ((w != 0) & (w != 1)).any(axis=1)
             first = np.select(list(rules.values()), range(len(rules)),
                               default=len(rules))
             for reason, n in zip(rules, np.bincount(first, minlength=len(rules))):

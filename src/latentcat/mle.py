@@ -9,14 +9,17 @@ of the cell's (x, y, z) contingency counts is
 
 a non-concave mixture objective, so fits are multi-start. Every start runs
 EM to convergence, accelerated by SQUAREM (Varadhan & Roland 2008), in one
-batched loop over every cell and start. Each EM map reads the
-log-likelihood and every block's update off one posterior tensor (the
-per-state terms of the joint pmf). EM keeps each probability block on its
-simplex, so the fit needs no parameterization. The likelihood does not
-change when the latent states are relabelled, so the monotone-reporting
-restriction (last reporting row increasing in the latent state) is enforced,
-when asked, by sorting each fitted start's states. The default only checks
-it and flags a violation, which sorting would hide.
+batched loop over every cell and start (and, in a bootstrap, every
+replicate of a chunk). Each EM map reads the log-likelihood and every
+block's update off one posterior tensor (the per-state terms of the joint
+pmf), with the batch on the last axis so that each op walks contiguous
+runs of items. No item's numbers depend on the batch around it. EM keeps
+each probability block on its simplex, so the fit needs no
+parameterization. The likelihood does not change when the latent states
+are relabelled, so the monotone-reporting restriction (last reporting row
+increasing in the latent state) is enforced, when asked, by sorting each
+fitted start's states. The default only checks it and flags a violation,
+which sorting would hide.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .errors import DomainError, OptimizationError
 from .spectral import (
     MisclassificationModel,
     _joint_pmf,
-    _joint_terms,
     branch_operator,
     build_matrices,
     check_rank,
@@ -161,29 +163,66 @@ def _interior(p: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     return p / p.sum(axis=-2, keepdims=True)
 
 
-def _em_map(theta: np.ndarray, counts: np.ndarray, s_x: int, s_z: int):
-    """Log-likelihood of each packed row of ``theta`` on its table, and the
-    EM update F of that row.
+# ``ndarray.sum`` without its Python wrapper: EM's map is mostly fixed
+# per-call overhead once few items are left running.
+_add = np.add.reduce
 
-    Both come from the per-state terms q of the joint pmf: the posterior
-    count of latent state s in cell (x, y, z) is counts / p * q, and F sets
-    every block to those counts summed over the other axes, normalized. F
-    keeps its output strictly inside the simplex.
+
+def _item_sums(x: np.ndarray) -> np.ndarray:
+    """Per-item sums of a batch-last array over all its other axes.
+
+    Each item's terms are summed as one contiguous row, so numpy rounds the
+    sum the same way at every batch size (a one-item column would be
+    contiguous, and summed pairwise, where a wider batch is not).
     """
-    a, fy, c, pi = MisclassificationModel.split(theta, s_x, s_z)
-    q = _joint_terms(a, np.stack([1.0 - fy, fy], axis=1), c, pi)
-    p = np.maximum(q.sum(axis=-1), P_FLOOR)
-    ll = np.sum(counts * np.log(p), axis=(1, 2, 3))
-    post = (counts / p)[..., None] * q
-    wa, wb, wc = post.sum(axis=(2, 3)), post.sum(axis=(1, 3)), post.sum(axis=(1, 2))
-    n_s = np.maximum(wa.sum(axis=1, keepdims=True), 1e-12)
-    a = _interior(wa / n_s)
-    fy = np.clip(wb[:, 1] / np.maximum(wb.sum(axis=1), 1e-12), 1e-12, 1.0 - 1e-12)
-    c = _interior(wc / np.maximum(wc.sum(axis=1, keepdims=True), 1e-12))
-    pi = n_s[:, 0] / counts.sum(axis=(1, 2, 3))[:, None]
-    pi = pi / pi.sum(axis=1, keepdims=True)
-    rows = len(theta)
-    return ll, np.concatenate([a.reshape(rows, -1), fy, c.reshape(rows, -1), pi], axis=1)
+    return _add(np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T), axis=1)
+
+
+def _em_map(theta: np.ndarray, counts: np.ndarray, totals: np.ndarray,
+            s_x: int, s_z: int, with_loglik: bool = True):
+    """Log-likelihood of each packed column of ``theta`` on its table (None
+    unless ``with_loglik``), and the EM update F of that column.
+
+    The batch is the last axis throughout: ``theta`` is (P, n), ``counts``
+    (S_X, 2, S_Z, n) and ``totals`` (n,) their sums, so every elementwise
+    op and every sum over x, y, z or s walks contiguous runs of items. Both
+    come from the per-state terms q[x, y, z, s] = P(x|s) P(y|s) P(z|s) P(s)
+    of the joint pmf: the posterior count of latent state s in cell (x, y, z)
+    is counts / p * q, and F sets every block to those counts summed over
+    the other axes, normalized (each clipped at 1e-12 first, as
+    ``_interior`` does). F keeps its output strictly inside the simplex.
+    Each item's numbers do not depend on the rest of the batch.
+    """
+    n = theta.shape[1]
+    i0, i1, i2 = s_x * s_x, s_x * s_x + s_x, s_x * (s_x + 1 + s_z)
+    b2 = np.empty((2, s_x, n))
+    np.subtract(1.0, theta[i0:i1], out=b2[0])
+    b2[1] = theta[i0:i1]
+    q = ((theta[:i0].reshape(s_x, s_x, n) * theta[i2:])[:, None, None]
+         * b2[:, None] * theta[i1:i2].reshape(s_z, s_x, n))
+    p = np.maximum(_add(q, axis=3), P_FLOOR)
+    ll = _item_sums(counts * np.log(p)) if with_loglik else None
+    post = (counts / p)[:, :, :, None] * q
+    wa, wb, wc = _add(post, axis=(1, 2)), _add(post, axis=(0, 2)), _add(post, axis=(0, 1))
+    out = np.empty_like(theta)
+    a, fy, c, pi = (out[:i0].reshape(s_x, s_x, n), out[i0:i1],
+                    out[i1:i2].reshape(s_z, s_x, n), out[i2:])
+    n_s = np.maximum(_add(wa, axis=0), 1e-12)
+    np.maximum(np.divide(wa, n_s, out=a), 1e-12, out=a)
+    a /= _add(a, axis=0)
+    np.divide(wb[1], np.maximum(wb[0] + wb[1], 1e-12), out=fy)
+    np.minimum(np.maximum(fy, 1e-12, out=fy), 1.0 - 1e-12, out=fy)
+    np.maximum(np.divide(wc, np.maximum(_add(wc, axis=0), 1e-12), out=c), 1e-12, out=c)
+    c /= _add(c, axis=0)
+    np.divide(n_s, totals, out=pi)
+    pi /= _add(pi, axis=0)
+    return ll, out
+
+
+def _take(keep: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The items ``keep`` of a batch-last array, still batch-last in memory
+    (``x[..., keep]`` would put the batch first)."""
+    return np.compress(keep, x, axis=-1)
 
 
 def _em_fit(starts: list[MisclassificationModel], counts: np.ndarray):
@@ -202,48 +241,60 @@ def _em_fit(starts: list[MisclassificationModel], counts: np.ndarray):
     An item stops when its log-likelihood gains at most EM_RTOL (relative)
     in one step; ``converged`` is False if EM_MAX_ITERATIONS came first.
     Every item keeps its own step, backtracking and stop test, so its
-    iterates do not depend on the batch.
+    iterates do not depend on the batch. The loop works on the running
+    items only, batch-last (see ``_em_map``); a stopped item leaves it.
     """
     s_x, s_z = starts[0].s_x, starts[0].s_z
-    theta = np.stack([m.pack() for m in starts])
-    ll, f_theta = _em_map(theta, counts, s_x, s_z)
+    n_items = len(starts)
+    theta = np.stack([m.pack() for m in starts], axis=1)
+    totals = counts.reshape(n_items, -1).sum(axis=1)
+    k = np.ascontiguousarray(np.moveaxis(counts, 0, -1))
+    ll, f_theta = _em_map(theta, k, totals, s_x, s_z)
     start_ll = ll.copy()
-    n_iter = np.zeros(len(starts), dtype=int)
-    converged = np.zeros(len(starts), dtype=bool)
-    active = np.arange(len(starts))
-    for _ in range(EM_MAX_ITERATIONS):
-        if not active.size:
-            break
-        k, t0, t1 = counts[active], theta[active], f_theta[active]
-        _, t2 = _em_map(t1, k, s_x, s_z)
+    fitted, final_ll = np.empty_like(theta), np.empty_like(ll)
+    n_iter = np.full(n_items, EM_MAX_ITERATIONS)
+    converged = np.zeros(n_items, dtype=bool)
+    items = np.arange(n_items)  # the running items, in batch order
+    for iteration in range(1, EM_MAX_ITERATIONS + 1):
+        t0, t1 = theta, f_theta
+        _, t2 = _em_map(t1, k, totals, s_x, s_z, with_loglik=False)
         r = t1 - t0
         v = t2 - t1 - r
-        rr, vv = (r * r).sum(axis=1), (v * v).sum(axis=1)
+        rr, vv = _item_sums(r * r), _item_sums(v * v)
         alpha = np.minimum(-np.sqrt(np.divide(rr, vv, out=np.ones_like(rr), where=vv > 0)),
                            -1.0)
-        step = np.empty_like(t0)
-        pending = np.ones(len(active), dtype=bool)
-        while pending.any():
-            al = alpha[pending, None]
-            step[pending] = np.where(al == -1.0, t2[pending],
-                                     t0[pending] - 2.0 * al * r[pending] + al * al * v[pending])
-            inside = ((step > 0.0) & (step < 1.0)).all(axis=1) | (alpha == -1.0)
-            pending &= ~inside
-            alpha[pending] = (alpha[pending] - 1.0) / 2.0
-        _, t_new = _em_map(step, k, s_x, s_z)
-        ll_new, f_new = _em_map(t_new, k, s_x, s_z)
-        worse = ll_new < ll[active]
+        flat = alpha == -1.0
+        step = np.where(flat, t2, t0 - 2.0 * alpha * r + alpha * alpha * v)
+        outside = ~(((step > 0.0) & (step < 1.0)).all(axis=0) | flat)
+        while outside.any():
+            alpha[outside] = al = (alpha[outside] - 1.0) / 2.0
+            step[:, outside] = np.where(
+                al == -1.0, t2[:, outside],
+                t0[:, outside] - 2.0 * al * r[:, outside] + al * al * v[:, outside])
+            outside &= ~(((step > 0.0) & (step < 1.0)).all(axis=0) | (alpha == -1.0))
+        _, theta = _em_map(step, k, totals, s_x, s_z, with_loglik=False)
+        ll_new, f_theta = _em_map(theta, k, totals, s_x, s_z)
+        worse = ll_new < ll
         if worse.any():
-            t_new[worse] = t2[worse]
-            ll_new[worse], f_new[worse] = _em_map(t2[worse], k[worse], s_x, s_z)
-        done = ll_new - ll[active] <= EM_RTOL * np.maximum(1.0, np.abs(ll_new))
-        theta[active], ll[active], f_theta[active] = t_new, ll_new, f_new
-        n_iter[active] += 1
-        converged[active[done]] = True
-        active = active[~done]
-    models = (MisclassificationModel(*MisclassificationModel.split(row, s_x, s_z))
-              for row in theta)
-    return list(zip(models, start_ll.tolist(), ll.tolist(), n_iter.tolist(),
+            t2 = _take(worse, t2)
+            theta[:, worse] = t2
+            ll_new[worse], f_theta[:, worse] = _em_map(t2, _take(worse, k),
+                                                       totals[worse], s_x, s_z)
+        done = ll_new - ll <= EM_RTOL * np.maximum(1.0, np.abs(ll_new))
+        ll = ll_new
+        if done.any():
+            stopped = items[done]
+            fitted[:, stopped], final_ll[stopped] = theta[:, done], ll[done]
+            n_iter[stopped], converged[stopped] = iteration, True
+            running = ~done
+            items, theta, f_theta, ll, k, totals = (
+                _take(running, x) for x in (items, theta, f_theta, ll, k, totals))
+            if not items.size:
+                break
+    fitted[:, items], final_ll[items] = theta, ll
+    models = (MisclassificationModel(*MisclassificationModel.split(column, s_x, s_z))
+              for column in np.ascontiguousarray(fitted.T))
+    return list(zip(models, start_ll.tolist(), final_ll.tolist(), n_iter.tolist(),
                     converged.tolist()))
 
 
@@ -375,9 +426,9 @@ def fit_tables(
 
     Every start of every table runs in one batched, accelerated EM; then
     ``fit`` builds each table's result from its fitted starts. The
-    pipeline's cell fits, ``identify``'s point fits and each replicate of
-    ``pipeline.model_std_errors`` are one call each. An empty list or mixed
-    supports raise DomainError.
+    pipeline's cell fits, ``identify``'s point fits and the cell refits of
+    each chunk of bootstrap replicates are one call each. An empty list or
+    mixed supports raise DomainError.
     """
     if len({table.support for table in tables}) != 1:
         raise DomainError("fit_tables needs one or more tables of one support")

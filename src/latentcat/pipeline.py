@@ -8,11 +8,13 @@ Per-cell fits run with the monotone-reporting restriction enforced: the
 parametric layer feeds latent-state labels into normal-quantile transforms,
 so the ordering has to be guaranteed, not just checked. ``parametric_fit``
 is the one dispatch from a (model, target, skedastic) choice to an
-estimator; bootstrap standard errors re-run it per replicate (no analytic
-sandwich), warm-starting each replicate's cell fits at the parent point
-estimates. ``model_std_errors`` bootstraps the cell models themselves (the
-s.e. of ``identify --boot``): every replicate refits all cells as one
-``fit_tables`` batch. Both bootstraps go through ``resampling.run_plan``.
+estimator. Bootstrap standard errors come from refits on redraws (no
+analytic sandwich), and both bootstraps go through ``resampling.run_plan``,
+which hands them a chunk of redraws at a time. ``bootstrap_std_errors``
+fits every cell of every redraw in a chunk as one ``fit_tables`` batch,
+warm-started at the parent point estimates, then runs ``parametric_fit``
+on each redraw. ``model_std_errors`` bootstraps the cell models themselves
+(the s.e. of ``identify --boot``), a chunk's refits again in one batch.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from .data import Dataset, tabulate
-from .errors import (ConfigurationError, EmptyCellError, EstimationError,
-                     OptimizationError)
+from .errors import ConfigurationError, EmptyCellError, EstimationError
 from .mle import CmleConfig, CmleResult, fit_tables
 from .ordered import (
     LatentConditional,
@@ -52,27 +53,56 @@ PIPELINE_CONFIG = CmleConfig(ord_constraint="enforce")
 SKEDASTIC = ("nonparametric", "exponential")
 
 
+def _fit_redraws(
+    redraws: list[Dataset],
+    cells: list[int | None],
+    configs: list[CmleConfig],
+    warm_starts: list[MisclassificationModel | None] | None,
+) -> list[list[CmleResult] | EmptyCellError | EstimationError]:
+    """Per dataset, the fits of the listed cells (``None``: the pooled
+    table), ``configs[j]`` and ``warm_starts[j]`` for ``cells[j]``; or the
+    error that drops it: an ``EmptyCellError`` naming its empty listed
+    cells, else its first failing cell's ``OptimizationError``. Every cell
+    of every dataset is fitted in one ``fit_tables`` batch."""
+    warm = warm_starts or [None] * len(cells)
+    outcomes: list = []
+    tables: list = []
+    for redraw in redraws:
+        counts = redraw.cell_counts()
+        empty = [redraw.w_labels[c] for c in cells if c is not None and counts[c] == 0]
+        if empty:
+            outcomes.append(EmptyCellError(f"cannot fit empty covariate cells: {empty}"))
+        else:
+            outcomes.append(None)  # filled in from the batch below
+            tables += [tabulate(redraw, c) for c in cells]
+    n_fitted = len(tables) // len(cells)
+    fits = iter(fit_tables(tables, configs * n_fitted, warm * n_fitted) if tables else ())
+    for i, outcome in enumerate(outcomes):
+        if outcome is None:
+            results = [next(fits) for _ in cells]
+            outcomes[i] = next((r for r in results if isinstance(r, EstimationError)),
+                               results)
+    return outcomes
+
+
 def fit_cells(
     data: Dataset,
     config: CmleConfig = PIPELINE_CONFIG,
     warm_starts: list[MisclassificationModel] | None = None,
 ) -> tuple[CmleResult, ...]:
-    """Constrained ML fits of every cell (none may be empty), as one batch;
-    raises the first failing cell's OptimizationError."""
-    counts = data.cell_counts()
-    if np.any(counts == 0):
-        empty = [data.w_labels[i] for i in np.flatnonzero(counts == 0)]
-        raise EmptyCellError(f"cannot fit empty covariate cells: {empty}")
-    cells = range(data.n_w_cells)
-    results = fit_tables(
-        [tabulate(data, cell) for cell in cells],
-        [replace(config, seed=config.seed + 7919 * cell) for cell in cells],
-        warm_starts,
-    )
-    for result in results:
-        if isinstance(result, OptimizationError):
-            raise result
-    return tuple(results)
+    """Constrained ML fits of every cell (none may be empty), as one batch,
+    cell c's starts seeded ``config.seed + 7919 * c``; raises the first
+    failing cell's OptimizationError."""
+    [fits] = _fit_redraws([data], *_cell_configs(data, config), warm_starts)
+    if not isinstance(fits, list):
+        raise fits
+    return tuple(fits)
+
+
+def _cell_configs(data: Dataset, config: CmleConfig):
+    """Every cell index of ``data``, and ``fit_cells``' config for each."""
+    cells = list(range(data.n_w_cells))
+    return cells, [replace(config, seed=config.seed + 7919 * cell) for cell in cells]
 
 
 def conditional_for_target(
@@ -147,26 +177,38 @@ def bootstrap_std_errors(
     clamp: float = 1e-6,
     skedastic_kind: str = "nonparametric",
 ) -> tuple[ParametricFit, BootstrapRun]:
-    """Re-run the full pipeline per bootstrap replicate; attach s.e. vector.
+    """Re-run the full pipeline on every bootstrap redraw; attach s.e. vector.
 
     Every replicate calls ``parametric_fit`` with the point estimate's
     choices. Returns the fit with ``std_errors`` filled plus the run, which
-    counts dropped replicates by reason and boundary hits. Replicate cell
-    fits warm-start at the parent point estimates with a couple of fresh
-    random starts.
+    counts dropped replicates by reason and boundary hits. For the latent
+    target, the cells of a chunk's redraws are fitted first, as in
+    ``fit_cells`` but all in one batch, warm-started at the parent point
+    estimates with a couple of fresh random starts.
     """
     rep_config = replace(config, n_starts=replicate_starts)
+    cells, configs = _cell_configs(data, rep_config)
 
-    def estimator(redraw: Dataset):
-        models, flagged = None, False
+    def estimator(redraws: list[Dataset]):
         if target == "latent":
-            fits = fit_cells(redraw, rep_config, warm_starts=warm_models)
-            models = [result.model for result in fits]
-            flagged = any(result.boundary_flags for result in fits)
-        rep = parametric_fit(
-            redraw, model, target, rep_config, clamp, models, skedastic_kind
-        )
-        return rep.beta, flagged
+            fitted = _fit_redraws(redraws, cells, configs, warm_models)
+        else:
+            fitted = [None] * len(redraws)
+        outcomes: list = []
+        for redraw, fits in zip(redraws, fitted):
+            if isinstance(fits, (EmptyCellError, EstimationError)):
+                outcomes.append(fits)
+                continue
+            models = None if fits is None else [result.model for result in fits]
+            try:
+                rep = parametric_fit(redraw, model, target, rep_config, clamp, models,
+                                     skedastic_kind)
+            except (EmptyCellError, EstimationError) as exc:
+                outcomes.append(exc)
+                continue
+            outcomes.append((rep.beta, fits is not None
+                             and any(result.boundary_flags for result in fits)))
+        return outcomes
 
     plan = ResamplePlan(b=b, master_seed=seed, stratify_by_cell=stratify)
     run = run_plan(plan, data, estimator)
@@ -185,24 +227,25 @@ def model_std_errors(
 
     ``cells`` holds the cell indices of the point fits ``results``, or
     ``[None]`` for the pooled table. Replicate redraws are stratified by cell
-    unless pooled. Each replicate refits every listed cell in one
-    ``fit_tables`` batch, with the monotone restriction enforced, warm-started
-    at the point models, cell c's starts seeded ``seed + c``; a replicate in
-    which any cell's fit fails is dropped for every cell. Returns one run per
-    cell: its columns of the replicate estimates (``MisclassificationModel.pack``
-    order) and the kept replicates in which its own fit flagged a boundary.
+    unless pooled. Every listed cell of every redraw in a chunk is refitted
+    in one ``fit_tables`` batch, with the monotone restriction enforced,
+    warm-started at the point models, cell c's starts seeded ``seed + c``; a
+    replicate in which any cell's fit fails is dropped for every cell.
+    Returns one run per cell: its columns of the replicate estimates
+    (``MisclassificationModel.pack`` order) and the kept replicates in which
+    its own fit flagged a boundary.
     """
     configs = [CmleConfig(n_starts=n_starts, seed=seed + (cell or 0),
                           ord_constraint="enforce") for cell in cells]
     warm = [result.model for result in results]
 
-    def estimator(redraw: Dataset):
-        fits = fit_tables([tabulate(redraw, cell) for cell in cells], configs, warm)
-        for fit in fits:
-            if isinstance(fit, OptimizationError):
-                raise fit
-        return (np.concatenate([fit.model.pack() for fit in fits]),
+    def estimator(redraws: list[Dataset]):
+        return [
+            fits if not isinstance(fits, list) else (
+                np.concatenate([fit.model.pack() for fit in fits]),
                 [bool(fit.boundary_flags) for fit in fits])
+            for fits in _fit_redraws(redraws, cells, configs, warm)
+        ]
 
     plan = ResamplePlan(b=b, master_seed=seed, stratify_by_cell=cells != [None])
     run = run_plan(plan, data, estimator)

@@ -6,15 +6,17 @@ entries, or one per covariate cell when stratified (preserving cell counts
 exactly). This has the same distribution as redrawing n records with
 replacement. Each replicate has its own random stream, derived as
 SeedSequence((master_seed, replicate_index)), so replicate i's estimate
-depends only on the data, the plan and i; replicates run serially in index
-order. Replicates whose estimator fails are dropped and counted by reason
-(an emptied covariate cell, or an estimation error) rather than poisoning
-the aggregate; boundary-flagged replicates are counted too, because
-interior-solution asymptotics are in doubt there.
+depends only on the data, the plan and i. The replicates are handed to the
+estimator ``BOOT_CHUNK`` at a time, in index order, so that it can fit a
+whole chunk as one batch. Replicates whose estimator fails are dropped and
+counted by reason (an emptied covariate cell, or an estimation error)
+rather than poisoning the aggregate; boundary-flagged replicates are
+counted too, because interior-solution asymptotics are in doubt there.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +32,11 @@ __all__ = [
     "boot_se",
     "run_plan",
 ]
+
+# Replicates per estimator call. Results do not depend on it: each redraw
+# has its own seed, and the estimators fit every item independently of the
+# batch around it.
+BOOT_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -89,21 +96,19 @@ def boot_se(replicate_estimates) -> np.ndarray:
     return stack.std(axis=0, ddof=1)
 
 
-# Why a replicate was dropped: its redraw emptied a covariate cell the
-# estimator needs, or the estimator failed on it.
-DROP_REASONS = ("emptied_cell", "estimator_failed")
-
-
 @dataclass(frozen=True)
 class BootstrapRun:
     """Replicate estimates (survivors only), drops by reason, boundary hits:
     a count of kept replicates, or one count per model when the estimator
-    flags several."""
+    flags several. ``chunk_s`` is the wall time of each chunk, which
+    ``counters`` summarizes for the run manifest; it never enters
+    ``to_dict``, so artifacts stay deterministic."""
 
     estimates: np.ndarray
     n_requested: int
     dropped: dict[str, int]
     boundary_hits: int | list[int]
+    chunk_s: tuple[float, ...] = ()
 
     @property
     def n_dropped(self) -> int:
@@ -124,37 +129,51 @@ class BootstrapRun:
             "boundary_hits": self.boundary_hits,
         }
 
+    def counters(self) -> dict:
+        """Chunks, the median (nearest rank) and largest wall time of one,
+        and replicates per second of chunk time."""
+        chunk_s = np.sort(self.chunk_s)
+        return {
+            "chunks": len(chunk_s),
+            "chunk_s_p50": round(nearest_rank(chunk_s, 0.5), 6),
+            "chunk_s_max": round(float(chunk_s[-1]), 6),
+            "replicates_per_s": round(self.n_requested / chunk_s.sum(), 3),
+        }
+
 
 def run_plan(plan: ResamplePlan, data: Dataset, estimator) -> BootstrapRun:
-    """Apply a pure estimator to every replicate of the plan, in replicate order.
+    """Apply a pure estimator to the plan's replicates, ``BOOT_CHUNK`` at a time.
 
-    ``estimator(dataset)`` returns either a 1-d parameter vector or a
-    ``(vector, flagged)`` pair, ``flagged`` one bool or one bool per model
-    (summed elementwise into the boundary hits). An ``EmptyCellError`` or an
-    estimation error drops the replicate.
+    ``estimator(redraws)`` gets a list of consecutive replicates' redraws,
+    replicate i's keyed by ``plan.replicate_seed(i)``, and returns one
+    outcome per redraw: a 1-d parameter vector, a ``(vector, flagged)``
+    pair with ``flagged`` one bool or one bool per model (summed
+    elementwise into the boundary hits), or the ``EmptyCellError`` or
+    ``EstimationError`` that drops that replicate alone.
     """
-
-    def one(index: int):
-        redraw = resample(
-            data, plan.replicate_seed(index), stratify_by_cell=plan.stratify_by_cell
-        )
-        try:
-            out = estimator(redraw)
-        except EmptyCellError:
-            return "emptied_cell"
-        except EstimationError:
-            return "estimator_failed"
-        vec, flagged = out if isinstance(out, tuple) else (out, False)
-        return np.asarray(vec, dtype=float), np.asarray(flagged, dtype=bool)
-
-    results = [one(i) for i in range(plan.b)]
-    kept = [r for r in results if not isinstance(r, str)]
-    dropped = {reason: results.count(reason) for reason in DROP_REASONS}
+    outcomes: list = []
+    chunk_s: list[float] = []
+    for lo in range(0, plan.b, BOOT_CHUNK):
+        t0 = time.perf_counter()
+        redraws = [resample(data, plan.replicate_seed(i), plan.stratify_by_cell)
+                   for i in range(lo, min(lo + BOOT_CHUNK, plan.b))]
+        outcomes += estimator(redraws)
+        chunk_s.append(time.perf_counter() - t0)
+    # Why a replicate was dropped: its redraw emptied a covariate cell the
+    # estimator needs, or the estimator failed on it.
+    dropped = {
+        "emptied_cell": sum(isinstance(o, EmptyCellError) for o in outcomes),
+        "estimator_failed": sum(isinstance(o, EstimationError) for o in outcomes),
+    }
+    kept = [o if isinstance(o, tuple) else (o, False) for o in outcomes
+            if not isinstance(o, (EmptyCellError, EstimationError))]
     if not kept:
         raise EstimationError(f"every bootstrap replicate was dropped: {dropped}")
     return BootstrapRun(
-        estimates=np.vstack([vec for vec, _ in kept]),
+        estimates=np.vstack([np.asarray(vec, dtype=float) for vec, _ in kept]),
         n_requested=plan.b,
         dropped=dropped,
-        boundary_hits=np.sum([flagged for _, flagged in kept], axis=0).tolist(),
+        boundary_hits=np.sum([np.asarray(flagged, dtype=bool) for _, flagged in kept],
+                             axis=0).tolist(),
+        chunk_s=tuple(chunk_s),
     )

@@ -362,25 +362,15 @@ def eigendecompose_identify(
     return model, diag
 
 
-def _joint_terms(a: np.ndarray, b2: np.ndarray, c: np.ndarray,
-                 pi: np.ndarray) -> np.ndarray:
-    """Per-state terms q[x, y, z, s] = a[x, s] b2[y, s] c[z, s] pi[s]; their
-    sum over s is the joint pmf, and q over that sum the posterior of s.
+def _joint_pmf(a: np.ndarray, b2: np.ndarray, c: np.ndarray,
+               pi: np.ndarray) -> np.ndarray:
+    """Mixture pmf p[x, y, z] = sum_s a[x, s] b2[y, s] c[z, s] pi[s].
 
-    Leading axes shared by all four blocks are a batch: one tensor per item.
-    EM's inner loop calls this, so it stays private: the benchmark's tracer
-    wraps every public function in a timing span.
+    Leading axes shared by all four blocks are a batch: one pmf per item.
     """
     ap = a * pi[..., None, :]
     return (ap[..., :, None, None, :] * b2[..., None, :, None, :]
-            * c[..., None, None, :, :])
-
-
-def _joint_pmf(a: np.ndarray, b2: np.ndarray, c: np.ndarray,
-               pi: np.ndarray) -> np.ndarray:
-    """Mixture pmf p[x, y, z] = sum_s a[x, s] b2[y, s] c[z, s] pi[s], the sum
-    of ``_joint_terms`` over the latent state; batched the same way."""
-    return _joint_terms(a, b2, c, pi).sum(axis=-1)
+            * c[..., None, None, :, :]).sum(axis=-1)
 
 
 def population_pmf(model: MisclassificationModel) -> JointPmf:

@@ -182,6 +182,36 @@ def test_estimate_latent_bootstrap_se(pipeline, tmp_path):
     assert payload["boot"]["b"] == 12
 
 
+@pytest.mark.parametrize("command", ["estimate", "identify"])
+def test_boot_artifacts_independent_of_the_chunk_size(pipeline, tmp_path, monkeypatch,
+                                                     command):
+    # The chunk size is a throughput setting: the artifact is the same byte
+    # for byte, and only the manifest's counters see the chunks.
+    import latentcat.resampling
+
+    data = ["--schema", str(pipeline["schema"]), "--seed", "11", "--boot", "5"]
+    if command == "estimate":
+        args = ["estimate", "--models", str(pipeline["models"]), "--data",
+                str(pipeline["synth"]), *data, "--model", "hoprobit",
+                "--target", "latent", "--boot-starts", "2"]
+    else:
+        args = ["identify", "--input", str(pipeline["synth"]), *data, "--by-cell",
+                "--method", "cmle", "--starts", "2", "--ord", "enforce",
+                "--boot-starts", "1"]
+    artifacts = []
+    for chunk in (1, 3, 16):
+        monkeypatch.setattr(latentcat.resampling, "BOOT_CHUNK", chunk)
+        out = tmp_path / f"{command}-{chunk}.json"
+        assert run([*args, "--out", str(out)]) == 0
+        artifacts.append(out.read_bytes())
+        counters = json.loads(Path(str(out) + ".manifest.json").read_text())["bootstrap"]
+        assert counters["chunks"] == -(-5 // chunk)
+        assert 0 < counters["chunk_s_p50"] <= counters["chunk_s_max"]
+        assert counters["replicates_per_s"] > 0
+    assert artifacts[0] == artifacts[1] == artifacts[2]
+    assert b"chunk" not in artifacts[0]
+
+
 def test_estimate_boot_telemetry_in_artifact_and_report(pipeline, tmp_path, capsys):
     out = tmp_path / "fit_boot.json"
     assert run(["estimate", "--models", str(pipeline["models"]), "--data",
@@ -229,10 +259,13 @@ def test_identify_boot_telemetry_in_artifact_and_report(pipeline, tmp_path, caps
     assert (out_dir / out.name).read_bytes() == out.read_bytes()
 
 
-def test_identify_boot_fits_every_cell_in_one_batch_per_replicate(
-        pipeline, tmp_path, monkeypatch):
+@pytest.mark.parametrize("chunk,batches", [(16, [6]), (2, [4, 2])],
+                         ids=["chunk16", "chunk2"])
+def test_identify_boot_fits_every_cell_of_a_chunk_in_one_batch(
+        pipeline, tmp_path, monkeypatch, chunk, batches):
     import latentcat.cli
     import latentcat.pipeline
+    import latentcat.resampling
     from latentcat.mle import fit_tables
 
     calls = []
@@ -243,13 +276,14 @@ def test_identify_boot_fits_every_cell_in_one_batch_per_replicate(
 
     monkeypatch.setattr(latentcat.cli, "fit_tables", counted)
     monkeypatch.setattr(latentcat.pipeline, "fit_tables", counted)
+    monkeypatch.setattr(latentcat.resampling, "BOOT_CHUNK", chunk)
     out = tmp_path / "models_boot.json"
     assert run(["identify", "--input", str(pipeline["synth"]), "--schema",
                 str(pipeline["schema"]), "--by-cell", "--method", "cmle",
                 "--starts", "2", "--seed", "7", "--ord", "enforce", "--boot", "3",
                 "--boot-starts", "1", "--out", str(out)]) == 0
-    # The point fits, then one batch of both cells per replicate.
-    assert calls == [2] * 4
+    # The point fits, then one batch of both cells of every replicate in a chunk.
+    assert calls == [2, *batches]
 
 
 def test_simulate_malformed_spec_exit(tmp_path):
@@ -281,6 +315,22 @@ def test_exit_codes_subprocess():
     assert code(["test", "--bogus"]) == 64
     assert code(["frobnicate"]) == 64
     assert code(["report"]) == 64
+
+
+@pytest.mark.parametrize("preset,expected", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
+    ({"OMP_NUM_THREADS": "2"}, "None"),
+])
+def test_import_starts_openblas_single_threaded_unless_set(preset, expected):
+    # ``import latentcat`` runs before numpy loads OpenBLAS, under ``python -m
+    # latentcat.cli`` too; an explicit thread setting is left alone.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    probe = "import os, latentcat\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**env, **preset}, check=True).stdout
+    assert out.strip() == expected
 
 
 def scipy_loaded(code: str) -> set[str]:

@@ -502,3 +502,21 @@ def test_integer_ingest_equals_the_row_loop(tmp_path):
     with mock.patch.object(data_module, "_int_fields", counted_int_fields):
         agrees()
     assert sum(n > 0 for n in parsed) >= len(parsed) / 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cuts=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6, unique=True).map(sorted),
+    values=st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e-300]),
+                    max_size=40),
+)
+def test_apply_cuts_equals_one_increment_per_cut(cuts, values):
+    # The one-pass binning against the loop it replaced, on finite values
+    # (ingest bins kept rows only) that include every cut, so ties are met.
+    values = np.array(values + cuts + [np.nextafter(c, np.inf) for c in cuts])
+    expected = np.ones(values.size, dtype=np.int64)
+    for cut in cuts:
+        expected[values > cut] += 1
+    got = _apply_cuts(values, tuple(cuts))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)

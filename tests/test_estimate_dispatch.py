@@ -11,6 +11,8 @@ from latentcat.data import ingest, load_schema
 from latentcat.ordered import exponential_skedastic_probit
 from latentcat.resampling import ResamplePlan, run_plan
 
+from conftest import per_redraw
+
 GEN_CFG = """\
 [generator]
 s_x = 3
@@ -60,8 +62,8 @@ def test_exponential_bootstrap_refits_the_exponential_model(inputs):
     assert not np.allclose(exp_se, closed_se)
 
     data, _ = ingest(str(inputs["synth"]), load_schema(str(inputs["schema"])))
-    refits = run_plan(ResamplePlan(b=8, master_seed=4), data,
-                      lambda redraw: exponential_skedastic_probit(redraw).beta)
+    refits = run_plan(ResamplePlan(b=8, master_seed=4), data, per_redraw(
+        lambda redraw: exponential_skedastic_probit(redraw).beta))
     assert np.array_equal(exp_se, refits.se())
 
 

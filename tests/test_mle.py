@@ -359,8 +359,9 @@ def test_em_map_matches_einsum_update(seed, s_x, s_z, batch, scale):
     counts[:, 0, 0, 0] += 1.0
     theta = np.stack([_random_model(rng, s_x, s_z).pack() for _ in range(batch)])
     theta[rng.random(theta.shape) < 0.1] = 1e-12
-    ll, f_theta = mle._em_map(theta, counts, s_x, s_z)
-    for row, k, got_ll, got_f in zip(theta, counts, ll, f_theta):
+    ll, f_theta = mle._em_map(theta.T, np.moveaxis(counts, 0, -1),
+                              counts.reshape(batch, -1).sum(axis=1), s_x, s_z)
+    for row, k, got_ll, got_f in zip(theta, counts, ll, f_theta.T):
         want_ll, want_f = einsum_em_update(row, k, s_x, s_z)
         assert abs(got_ll - want_ll) <= 1e-12 * abs(want_ll)
         assert np.max(np.abs(got_f - want_f)) <= 1e-12

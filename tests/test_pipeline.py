@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from latentcat import resampling
 from latentcat.data import Dataset
-from latentcat.errors import EstimationError
+from latentcat.errors import DomainError, EstimationError
 from latentcat.generate import GeneratorSpec, ProbitParams, draw, make_model
 from latentcat.mle import CmleConfig
 from latentcat.pipeline import (
@@ -136,3 +141,57 @@ def test_reported_bootstrap_drops_replicates_that_empty_a_cell():
     stratified, run = bootstrap_std_errors(data, "linear", "reported", point, b=50,
                                            seed=1, stratify=True)
     assert run.n_dropped == 0
+
+
+def run_fields(run):
+    return (run.estimates.tolist(), run.n_requested, run.dropped, run.boundary_hits)
+
+
+def outcome(call):
+    """``call()``'s BootstrapRun fields (one run or a list of them), or the
+    error it raised."""
+    try:
+        runs = call()
+    except (DomainError, EstimationError) as exc:
+        return repr(exc)
+    return [run_fields(run) for run in runs]
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**16), b=st.integers(2, 20))
+@example(seed=0, b=20)
+def test_bootstraps_independent_of_the_chunk_size(probit_sample, seed, b):
+    # Replicate i's redraw comes from its own seed and every fit is
+    # independent of its batch, so how many redraws are fitted together
+    # changes nothing. Cell 2 holds 3 records, so unstratified redraws
+    # empty it now and then, inside a chunk of redraws that do not.
+    _, _, data = probit_sample
+    counts = data.counts.copy()
+    cell = counts[2].ravel() / counts[2].sum()
+    counts[2] = np.random.default_rng(0).multinomial(3, cell).reshape(counts[2].shape)
+    sparse = Dataset(counts, data.w_columns, data.w_labels)
+    config = CmleConfig(n_starts=2, seed=seed, ord_constraint="enforce")
+    try:
+        results = list(fit_cells(sparse, config))
+        models = [result.model for result in results]
+        point = parametric_fit(sparse, "hoprobit", "latent", config, models=models)
+    except EstimationError:
+        assume(False)
+
+    def latent():
+        fitted, run = bootstrap_std_errors(sparse, "hoprobit", "latent", point, b=b,
+                                           seed=seed, config=config,
+                                           replicate_starts=2, warm_models=models)
+        assert np.array_equal(fitted.std_errors, run.se())
+        assert run.counters()["chunks"] == -(-b // resampling.BOOT_CHUNK)
+        return [run]
+
+    outcomes = []
+    for chunk in (1, 3, 16):
+        with mock.patch.object(resampling, "BOOT_CHUNK", chunk):
+            outcomes.append((outcome(latent), outcome(lambda: model_std_errors(
+                sparse, [0, 1, 2, 3], results, b=b, seed=seed, n_starts=1))))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    if (seed, b) == (0, 20):
+        [(_, _, dropped, _)] = outcomes[0][0]
+        assert dropped["emptied_cell"] > 0 and dropped["estimator_failed"] > 0

@@ -14,6 +14,8 @@ from latentcat.resampling import (
     run_plan,
 )
 
+from conftest import per_redraw
+
 
 def small_sample(n=40, seed=0, n_cells=2):
     spec = GeneratorSpec(n_w_cells=n_cells, seed=seed)
@@ -150,7 +152,7 @@ def test_run_plan_rows_follow_replicate_seeds():
 
     for stratify in (False, True):
         plan = ResamplePlan(b=24, master_seed=13, stratify_by_cell=stratify)
-        run = run_plan(plan, data, estimator)
+        run = run_plan(plan, data, per_redraw(estimator))
         keyed = [estimator(resample(data, plan.replicate_seed(i), stratify))
                  for i in range(plan.b)]
         assert np.array_equal(run.estimates, np.vstack(keyed))
@@ -168,7 +170,7 @@ def test_run_plan_drops_failed_replicates():
         return np.array([mean_x(d)])
 
     plan = ResamplePlan(b=40, master_seed=14)
-    run = run_plan(plan, data, estimator)
+    run = run_plan(plan, data, per_redraw(estimator))
     assert run.n_requested == 40
     assert run.n_dropped >= 1
     assert run.estimates.shape[0] == 40 - run.n_dropped
@@ -182,11 +184,11 @@ def test_run_plan_counts_boundary_flags():
     def estimator(d):
         return np.array([mean_x(d)]), flagged(d)
 
-    run = run_plan(ResamplePlan(b=30, master_seed=15), data, estimator)
+    run = run_plan(ResamplePlan(b=30, master_seed=15), data, per_redraw(estimator))
     assert 0 < run.boundary_hits < 30
     # One flag per model: each model's hits are counted on their own.
-    per_model = run_plan(ResamplePlan(b=30, master_seed=15), data,
-                         lambda d: (np.array([mean_x(d)]), [flagged(d), True, False]))
+    per_model = run_plan(ResamplePlan(b=30, master_seed=15), data, per_redraw(
+        lambda d: (np.array([mean_x(d)]), [flagged(d), True, False])))
     assert per_model.boundary_hits == [run.boundary_hits, 30, 0]
 
 
@@ -210,7 +212,7 @@ def test_boot_se_matches_monte_carlo_sd():
         return result.model.f_xstar
 
     base = draw([model], [1.0], 20_000, seed=1).data
-    run = run_plan(ResamplePlan(b=199, master_seed=99), base, estimator)
+    run = run_plan(ResamplePlan(b=199, master_seed=99), base, per_redraw(estimator))
     se = run.se()
 
     mc = []
@@ -265,7 +267,7 @@ def test_count_redraws_match_record_redraws_in_distribution(stratify):
 
     b = 2000
     counts = run_plan(ResamplePlan(b=b, master_seed=31, stratify_by_cell=stratify),
-                      data, beta)
+                      data, per_redraw(beta))
     assert counts.n_dropped == 0
     records = np.vstack([
         beta(record_gather(sample, np.random.SeedSequence((32, i)), stratify))
@@ -298,7 +300,7 @@ def test_run_plan_counts_drops_by_reason():
             raise EstimationError("synthetic failure")
         return np.array([mean_x(d)])
 
-    run = run_plan(ResamplePlan(b=40, master_seed=16), data, estimator)
+    run = run_plan(ResamplePlan(b=40, master_seed=16), data, per_redraw(estimator))
     assert run.dropped["emptied_cell"] >= 1 and run.dropped["estimator_failed"] >= 1
     assert run.n_dropped == sum(run.dropped.values())
     assert run.to_dict()["dropped"] == run.dropped
@@ -308,4 +310,4 @@ def test_run_plan_counts_drops_by_reason():
         raise EmptyCellError("synthetic empty cell")
 
     with pytest.raises(EstimationError, match="'emptied_cell': 5"):
-        run_plan(ResamplePlan(b=5, master_seed=16), data, always_empty)
+        run_plan(ResamplePlan(b=5, master_seed=16), data, per_redraw(always_empty))
