@@ -114,11 +114,14 @@ def _write_json(path: str, payload: dict) -> None:
 def _read_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            payload = json.load(handle)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path} does not hold a JSON object")
+    return payload
 
 
 class _Manifest:
@@ -172,10 +175,20 @@ def _load_data(input_path: str, schema_path: str, manifest: _Manifest) -> Datase
 # ---------------------------------------------------------------------------
 
 
+# The keys of a generator spec's [generator] section, by the GeneratorSpec
+# field each sets; a key left out takes the field's default.
+_GENERATOR_KEYS = {
+    "s_x": "s_x", "s_z": "s_z", "w_cells": "n_w_cells",
+    "strength": "misclassification_strength", "separation": "eigenvalue_separation",
+    "ord_margin": "ord_margin", "min_singular_value": "min_singular_value",
+    "z_mix": "z_mix", "latent_uniform_mix": "latent_uniform_mix",
+}
+
+
 def _parse_generator_config(path: str) -> tuple[GeneratorSpec, np.ndarray | None]:
     import configparser
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -197,27 +210,26 @@ def _parse_generator_config(path: str) -> tuple[GeneratorSpec, np.ndarray | None
             )
         except (KeyError, ValueError) as exc:
             raise ConfigurationError(f"bad [probit] section: {exc}") from exc
+    unknown = sorted(set(g) - set(_GENERATOR_KEYS))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown [generator] keys {unknown}; known: {list(_GENERATOR_KEYS)}")
+    defaults = {f.name: f.default for f in dataclasses.fields(GeneratorSpec)}
     try:
-        spec = GeneratorSpec(
-            s_x=g.getint("s_x", 3),
-            s_z=g.getint("s_z", 3),
-            n_w_cells=g.getint("w_cells", 1),
-            misclassification_strength=g.getfloat("strength", 0.5),
-            eigenvalue_separation=g.getfloat("separation", 0.1),
-            seed=0,
-            probit_params=probit,
-            ord_margin=g.getfloat("ord_margin", 0.05),
-            min_singular_value=g.getfloat("min_singular_value", 0.05),
-            z_mix=g.getfloat("z_mix", 0.6),
-            latent_uniform_mix=g.getfloat("latent_uniform_mix", 0.45),
-        )
+        spec = GeneratorSpec(probit_params=probit, **{
+            field: type(defaults[field])(g[key])
+            for key, field in _GENERATOR_KEYS.items() if key in g
+        })
     except ValueError as exc:
         raise ConfigurationError(f"bad [generator] value: {exc}") from exc
     weights = None
     if parser.has_option("weights", "cells"):
-        weights = np.asarray(
-            [float(v) for v in parser["weights"]["cells"].split(",")]
-        )
+        try:
+            weights = np.asarray(
+                [float(v) for v in parser["weights"]["cells"].split(",")]
+            )
+        except ValueError as exc:
+            raise ConfigurationError(f"bad [weights] cells: {exc}") from exc
     return spec, weights
 
 
@@ -426,15 +438,24 @@ def _models_from_artifact(payload: dict, data: Dataset) -> list[Misclassificatio
     one-cell dataset; a dataset with covariates needs one entry per cell.
     """
     labels = data.w_labels
+    entries = payload.get("cells", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise DataError("models artifact's cells are not a list of JSON objects")
     by_label: dict[str, dict] = {}
-    for entry in payload.get("cells", []):
+    for entry in entries:
         if "model" in entry:
             label = entry.get("w_cell") or (labels[0] if len(labels) == 1 else "pooled")
             by_label[label] = entry["model"]
     missing = [label for label in labels if label not in by_label]
     if missing:
         raise ConfigurationError(f"models artifact lacks cells: {missing}")
-    models = [MisclassificationModel.from_dict(by_label[label]) for label in labels]
+    models = []
+    for label in labels:
+        try:
+            models.append(MisclassificationModel.from_dict(by_label[label]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"models artifact cell {label!r} is not a model: "
+                            f"{type(exc).__name__} {exc}") from None
     unordered = [label for label, m in zip(labels, models) if not m.ord_satisfied]
     if unordered:
         raise EstimationError(
@@ -500,9 +521,14 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_report(args) -> int:
     sections = []
+    render_one = render_csv if args.format == "csv" else render
     for path in args.inputs:
         payload = _read_json(path)
-        sections.append(render_csv(payload) if args.format == "csv" else render(payload))
+        try:
+            sections.append(render_one(payload))
+        except (KeyError, TypeError, IndexError) as exc:
+            raise DataError(f"{path} is not a well-formed artifact: "
+                            f"{type(exc).__name__} {exc}") from None
     text = "\n".join(sections)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -514,6 +540,10 @@ def _cmd_report(args) -> int:
 
 def _cmd_replay(args) -> int:
     manifest = _read_json(args.manifest)
+    if not (isinstance(manifest.get("command"), str)
+            and isinstance(manifest.get("options"), dict)
+            and isinstance(manifest.get("inputs", {}), dict)):
+        raise DataError(f"{args.manifest} is not a run manifest")
     command = manifest["command"]
     # Options this version does not take are dropped. The retired ones (the
     # bootstrap worker count, estimate's start count) never changed an artifact.

@@ -47,7 +47,8 @@ __all__ = [
     "frequency_pmf",
     "nearest_rank",
     "cell_rows",
-    "w_cell_label",
+    "design_columns",
+    "cell_labels",
 ]
 
 
@@ -119,14 +120,12 @@ class Schema:
     def n_w_cells(self) -> int:
         return 2 ** len(self.w_columns)
 
-    def letters(self) -> tuple[str, ...]:
+    def letters(self) -> tuple[str, ...] | None:
+        """Declared letters, else the initials unless they collide (None)."""
         if self.w_letters is not None:
             return self.w_letters
         initials = tuple(c[0].upper() for c in self.w_columns)
-        if len(set(initials)) == len(initials):
-            return initials
-        # Colliding initials would merge cell labels; fall back to positions.
-        return tuple(chr(ord("A") + k) for k in range(len(self.w_columns)))
+        return initials if len(set(initials)) == len(initials) else None
 
 
 def load_schema(path_or_text) -> Schema:
@@ -135,7 +134,7 @@ def load_schema(path_or_text) -> Schema:
     Accepts a filesystem path, or an already-read text blob (anything
     containing a newline is treated as text).
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     text = str(path_or_text)
     try:
         if "\n" in text:
@@ -168,26 +167,26 @@ def load_schema(path_or_text) -> Schema:
         except ValueError as exc:
             raise SchemaError(f"bad recode pair {pair!r}") from exc
 
-    z_binning: str | tuple[float, ...] = "tercile"
-    y_binning: str | float = "median"
-    if parser.has_section("binning"):
-        binning = parser["binning"]
-        if "z" in binning:
-            spec = binning["z"].split()
-            if spec[0] == "tercile":
-                z_binning = "tercile"
-            elif spec[0] == "cuts":
-                z_binning = tuple(float(v) for v in spec[1:])
-            else:
-                raise SchemaError(f"unknown z binning rule {binning['z']!r}")
-        if "y" in binning:
-            spec = binning["y"].split()
-            if spec[0] == "median":
-                y_binning = "median"
-            elif spec[0] == "above":
-                y_binning = float(spec[1])
-            else:
-                raise SchemaError(f"unknown y binning rule {binning['y']!r}")
+    def binning(key: str, default: str, numeric: str, count: int | None):
+        """The ``key`` rule of [binning]: ``default`` alone, or ``numeric``
+        and its numbers (``count`` of them, if not None)."""
+        rule = parser.get("binning", key, fallback=default)
+        kind, *values = rule.split() or [""]
+        try:
+            if kind == default and not values:
+                return default
+            if kind == numeric and values and count in (None, len(values)):
+                return tuple(float(v) for v in values)
+        except ValueError:
+            pass
+        numbers = "one number" if count == 1 else "numbers"
+        raise SchemaError(f"bad {key} binning rule {rule!r}: expected {default!r}, "
+                          f"or {numeric!r} followed by {numbers}")
+
+    z_binning = binning("z", "tercile", "cuts", None)
+    y_binning = binning("y", "median", "above", 1)
+    if isinstance(y_binning, tuple):
+        [y_binning] = y_binning
 
     w_letters = None
     if parser.has_option("labels", "w_letters"):
@@ -243,10 +242,20 @@ def cell_rows(n_cols: int) -> np.ndarray:
     return np.hstack([np.ones_like(cells), bits]).astype(float)
 
 
-def w_cell_label(cell: int, letters: tuple[str, ...]) -> str:
-    """Display label for a covariate cell: letters of the set bits, '0' if none."""
-    marks = [letters[k] for k in range(len(letters)) if (cell >> k) & 1]
-    return "".join(marks) if marks else "0"
+def design_columns(w_columns: tuple[str, ...]) -> tuple[str, ...]:
+    """Names of the columns of ``cell_rows``: the intercept, then the covariates."""
+    return ("const", *w_columns)
+
+
+def cell_labels(n_cols: int, letters: tuple[str, ...] | None = None) -> tuple[str, ...]:
+    """Display labels of all 2^n_cols covariate cells, one per cell index: the
+    letters of the set bits, '0' if none. ``letters`` default to A, B, C, ..."""
+    if letters is None:
+        letters = tuple(chr(ord("A") + k) for k in range(n_cols))
+    return tuple(
+        "".join(letter for k, letter in enumerate(letters) if (cell >> k) & 1) or "0"
+        for cell in range(2**n_cols)
+    )
 
 
 def _count_codes(x, y, z, w, support: tuple[int, int, int],
@@ -325,6 +334,10 @@ class Dataset:
     def cell_counts(self) -> np.ndarray:
         """Record count per covariate cell, length 2^|W|."""
         return self.counts.sum(axis=(1, 2, 3))
+
+    def outcome_counts(self) -> np.ndarray:
+        """Record count per (covariate cell, outcome level), (2^|W|, S_X)."""
+        return self.counts.sum(axis=(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +608,7 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
             z = tercile_bin(z)
         counts += _count_codes(x, y, z, w, support, n_cells)
 
-    letters = schema.letters()
-    labels = tuple(
-        w_cell_label(c, letters) for c in range(n_cells)
-    )
+    labels = cell_labels(len(schema.w_columns), schema.letters())
     return Dataset(counts, schema.w_columns, labels), report
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, cell_rows, w_cell_label
+from .data import Dataset, cell_labels, cell_rows
 from .errors import ConfigurationError, GeneratorError
-from .ordered import CellConditional, LatentConditional, _cell_probs
+from .ordered import LatentConditional, _cell_probs
 from .spectral import MisclassificationModel
 
 __all__ = [
@@ -150,12 +150,6 @@ def _separated_uniform(rng, k: int, lo: float, hi: float, gap: float) -> np.ndar
     return lo + base + gap * np.arange(k)
 
 
-def _probit_cell_probs(params: ProbitParams, q_tilde: np.ndarray, cell: int) -> np.ndarray:
-    index = np.asarray([q_tilde @ params.beta], dtype=float)
-    sigma = np.asarray([params.sigma_by_cell[cell]], dtype=float)
-    return _cell_probs(index, sigma, params.cutpoints)[0]
-
-
 def make_model(spec: GeneratorSpec) -> list[MisclassificationModel]:
     """Draw one valid misclassification model per covariate cell.
 
@@ -169,8 +163,9 @@ def make_model(spec: GeneratorSpec) -> list[MisclassificationModel]:
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0x6D6F64)))
     s = spec.misclassification_strength
     models: list[MisclassificationModel] = []
-    letters = tuple(chr(ord("A") + k) for k in range(spec.n_w_columns))
-    rows = cell_rows(spec.n_w_columns)
+    labels = cell_labels(spec.n_w_columns)
+    if spec.probit_params is not None:
+        probit = probit_population(spec.probit_params).probs
     for cell in range(spec.n_w_cells):
         for attempt in range(RETRY_CAP):
             if s == 0.0:
@@ -191,7 +186,7 @@ def make_model(spec: GeneratorSpec) -> list[MisclassificationModel]:
             ) * _random_stochastic_columns(rng, spec.s_z, spec.s_x)
             m_z = m_z / m_z.sum(axis=0)
             if spec.probit_params is not None:
-                f_xstar = _probit_cell_probs(spec.probit_params, rows[cell], cell)
+                f_xstar = probit[cell]
             else:
                 raw = rng.dirichlet(np.ones(spec.s_x))
                 f_xstar = (
@@ -209,7 +204,7 @@ def make_model(spec: GeneratorSpec) -> list[MisclassificationModel]:
                     f_y_given_xstar=f_y,
                     m_z_given_xstar=m_z,
                     f_xstar=f_xstar,
-                    w_cell=w_cell_label(cell, letters),
+                    w_cell=labels[cell],
                 )
             )
             break
@@ -286,49 +281,35 @@ def draw(
         z[mask] = sample_codes(np.cumsum(model.m_z_given_xstar, axis=0), states,
                                rng.uniform(size=m))
 
-    letters = tuple(chr(ord("A") + k) for k in range(n_cols))
-    labels = tuple(w_cell_label(c, letters) for c in range(n_cells))
     w = w.astype(np.int64)
     data = Dataset.from_records(
         x, y, z, w,
         support=(s_x, 2, s_z),
         w_columns=tuple(f"w{k + 1}" for k in range(n_cols)),
-        w_labels=labels,
+        w_labels=cell_labels(n_cols),
     )
     return SyntheticSample(data, x, y, z, w, truth=xstar if keep_truth else None)
 
 
-def probit_population(params: ProbitParams, cells: list[tuple[int, ...]],
-                      weights=None):
+def probit_population(params: ProbitParams, weights=None) -> LatentConditional:
     """Exact latent cell pmfs from the ordered-response formula (no sampling).
 
-    Returns a LatentConditional over the given covariate-bit cells; weights
-    default to uniform.
+    Returns a LatentConditional over all 2^k cells of the k covariates that
+    follow the intercept in ``params.beta``; weights default to uniform.
     """
-    n_cells = len(cells)
-    if n_cells == 0:
-        raise ConfigurationError("need at least one covariate cell")
-    if weights is None:
-        weights = np.full(n_cells, 1.0 / n_cells)
-    weights = np.asarray(weights, dtype=float)
-    n_cols = len(cells[0])
-    letters = tuple(chr(ord("A") + k) for k in range(n_cols))
-    entries = []
-    for idx, bits in enumerate(cells):
-        q_tilde = np.asarray([1.0, *bits], dtype=float)
-        probs = _probit_cell_probs(params, q_tilde, idx)
-        label = w_cell_label(sum(b << k for k, b in enumerate(bits)), letters)
-        entries.append(
-            CellConditional(
-                q_tilde=q_tilde, weight=float(weights[idx]), probs=probs, label=label
-            )
-        )
-    return LatentConditional(cells=tuple(entries))
-
-
-def all_binary_cells(n_cols: int) -> list[tuple[int, ...]]:
-    """All 2^k covariate-bit vectors in little-endian cell order."""
-    return [tuple(int(b) for b in row[1:]) for row in cell_rows(n_cols)]
+    n_cols = params.beta.size - 1
+    q = cell_rows(n_cols)
+    if params.sigma_by_cell.size != len(q):
+        raise ConfigurationError("beta and sigma_by_cell imply different cell counts")
+    return LatentConditional(
+        q=q,
+        weights=np.full(len(q), 1.0 / len(q)) if weights is None else weights,
+        # Per-row dot products: q @ beta rounds differently, and make_model's
+        # latent marginals (so simulated records) rest on these bits.
+        probs=_cell_probs(np.array([row @ params.beta for row in q]),
+                          params.sigma_by_cell, params.cutpoints),
+        labels=cell_labels(n_cols),
+    )
 
 
 def random_probit_params(

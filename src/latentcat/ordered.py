@@ -1,10 +1,13 @@
 """Parametric models of the latent (or reported) outcome over covariate cells.
 
-Everything here consumes a ``LatentConditional``: per covariate cell, the
-extended covariate vector (1, W), a cell weight, and a pmf over outcome
-levels {1..I}. Built from identified per-cell models it describes the
-latent outcome; built from the reported counts it describes the reported
-one, and every closed form below applies to either target unchanged.
+Everything here consumes a ``LatentConditional``: the arrays the closed
+forms solve with, stacked over covariate cells, one row per cell. ``q``
+holds the extended covariate vectors (1, W), ``weights`` the cell weights,
+``probs`` the pmfs over outcome levels {1..I}, and ``labels`` the cell
+labels that key the per-cell scales. It is validated once, when built.
+Built from identified per-cell models it describes the latent outcome;
+built from the reported counts it describes the reported one, and every
+closed form below applies to either target unchanged.
 
 Under the ordered-response normalization that pins the first two interior
 cutpoints at 0 and 1, the disturbance scale per cell is
@@ -34,12 +37,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, cell_rows
+from .data import Dataset, cell_rows, design_columns
 from .errors import ConfigurationError, DomainError, EmptyCellError, EstimationError
 from .spectral import MisclassificationModel
 
 __all__ = [
-    "CellConditional",
     "LatentConditional",
     "ParametricFit",
     "latent_conditional",
@@ -68,61 +70,53 @@ _STANDARD_NORMAL = statistics.NormalDist()
 
 
 @dataclass(frozen=True)
-class CellConditional:
-    """One covariate cell: extended covariates, weight, outcome pmf."""
-
-    q_tilde: np.ndarray
-    weight: float
-    probs: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        for name in ("q_tilde", "probs"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.q_tilde[0] != 1.0:
-            raise ConfigurationError("q_tilde must start with the intercept slot 1")
-        if abs(self.probs.sum() - 1.0) > 1e-9 or (self.probs < 0).any():
-            raise ConfigurationError(f"cell {self.label!r} pmf is invalid")
-
-
-@dataclass(frozen=True)
 class LatentConditional:
-    """Weighted family of per-cell outcome pmfs; weights sum to 1."""
+    """Weighted family of per-cell outcome pmfs, one row per cell: covariate
+    rows (1, W) in ``q``, pmfs in ``probs``, ``weights`` summing to 1 and
+    unique ``labels``, which key the per-cell scales. ``column_names`` name
+    the columns of ``q``, by default "const", "q1", "q2", ..."""
 
-    cells: tuple[CellConditional, ...]
+    q: np.ndarray
+    weights: np.ndarray
+    probs: np.ndarray
+    labels: tuple[str, ...]
     column_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.cells:
+        try:
+            q, weights, probs = (np.array(a, dtype=float)
+                                 for a in (self.q, self.weights, self.probs))
+        except ValueError:  # numpy refuses a ragged stack of rows
+            raise ConfigurationError("ragged cell dimensions") from None
+        labels = self.labels
+        if not labels:
             raise ConfigurationError("no covariate cells")
-        total = sum(c.weight for c in self.cells)
+        if (q.ndim, probs.ndim) != (2, 2) or not (
+                len(q) == len(probs) == len(labels) and weights.shape == (len(labels),)):
+            raise ConfigurationError("ragged cell dimensions")
+        if not q.shape[1] or (q[:, 0] != 1.0).any():
+            raise ConfigurationError("q_tilde must start with the intercept slot 1")
+        invalid = (np.abs(probs.sum(axis=1) - 1.0) > 1e-9) | (probs < 0).any(axis=1)
+        if invalid.any():
+            label = labels[np.argmax(invalid)]
+            raise ConfigurationError(f"cell {label!r} pmf is invalid")
+        total = float(weights.sum())
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(f"cell weights sum to {total!r}, not 1")
-        dim = self.cells[0].q_tilde.size
-        levels = self.cells[0].probs.size
-        if any(c.q_tilde.size != dim or c.probs.size != levels for c in self.cells):
-            raise ConfigurationError("ragged cell dimensions")
-        labels = [c.label for c in self.cells]
         if len(set(labels)) != len(labels):
             raise ConfigurationError("cell labels must be unique (they key scales)")
-        if not self.column_names:
-            names = ["const"] + [f"q{k}" for k in range(1, dim)]
-            object.__setattr__(self, "column_names", tuple(names))
-        elif len(self.column_names) != dim:
+        names = self.column_names or design_columns(
+            tuple(f"q{k}" for k in range(1, q.shape[1])))
+        if len(names) != q.shape[1]:
             raise ConfigurationError("column_names must match q_tilde length")
+        for name, value in (("q", q), ("weights", weights), ("probs", probs)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "column_names", tuple(names))
 
     @property
     def n_levels(self) -> int:
-        return self.cells[0].probs.size
-
-    def design(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Q matrix, weights, probs matrix) stacked over cells."""
-        q = np.vstack([c.q_tilde for c in self.cells])
-        w = np.asarray([c.weight for c in self.cells])
-        p = np.vstack([c.probs for c in self.cells])
-        return q, w, p
+        return self.probs.shape[1]
 
 
 @dataclass(frozen=True)
@@ -203,20 +197,16 @@ def latent_conditional(
         raise ConfigurationError(
             f"{len(models)} models for {n_cells} covariate cells"
         )
-    if any(m is None for m in models):
-        missing = [i for i, m in enumerate(models) if m is None]
+    missing = [i for i, m in enumerate(models) if m is None]
+    if missing:
         raise ConfigurationError(f"missing identified model for cells {missing}")
-    rows = cell_rows(max(n_cells - 1, 0).bit_length())
-    cells = tuple(
-        CellConditional(
-            q_tilde=rows[c],
-            weight=float(weights[c]),
-            probs=model.f_xstar,
-            label=model.w_cell or str(c),
-        )
-        for c, model in enumerate(models)
+    return LatentConditional(
+        q=cell_rows(max(n_cells - 1, 0).bit_length())[:n_cells],
+        weights=weights,
+        probs=[model.f_xstar for model in models],
+        labels=tuple(model.w_cell or str(c) for c, model in enumerate(models)),
+        column_names=tuple(column_names),
     )
-    return LatentConditional(cells=cells, column_names=tuple(column_names))
 
 
 def reported_conditional(data: Dataset) -> LatentConditional:
@@ -225,19 +215,14 @@ def reported_conditional(data: Dataset) -> LatentConditional:
     if np.any(counts == 0):
         empty = [data.w_labels[i] for i in np.flatnonzero(counts == 0)]
         raise EmptyCellError(f"empty covariate cells: {empty}")
-    hist = data.counts.sum(axis=(2, 3)).astype(float)
-    rows = cell_rows(len(data.w_columns))
-    cells = tuple(
-        CellConditional(
-            q_tilde=rows[c],
-            weight=float(counts[c] / data.n),
-            probs=hist[c] / hist[c].sum(),
-            label=data.w_labels[c],
-        )
-        for c in range(data.n_w_cells)
+    hist = data.outcome_counts().astype(float)
+    return LatentConditional(
+        q=cell_rows(len(data.w_columns)),
+        weights=counts / data.n,
+        probs=hist / hist.sum(axis=1, keepdims=True),
+        labels=data.w_labels,
+        column_names=design_columns(data.w_columns),
     )
-    names = ("const", *data.w_columns) if data.w_columns else ()
-    return LatentConditional(cells=cells, column_names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +247,8 @@ def _weighted_solve(q: np.ndarray, w: np.ndarray, t: np.ndarray,
 
 def linear_projection(lc: LatentConditional, target: str = "latent") -> ParametricFit:
     """Least-squares projection of the conditional outcome mean on (1, W)."""
-    q, w, p = lc.design()
     levels = np.arange(1, lc.n_levels + 1, dtype=float)
-    cond_mean = p @ levels
-    beta = _weighted_solve(q, w, cond_mean, lc.column_names)
+    beta = _weighted_solve(lc.q, lc.weights, lc.probs @ levels, lc.column_names)
     return ParametricFit(
         kind="linear",
         target=target,
@@ -316,25 +299,19 @@ def skedastic(
     check_clamp(clamp)
     if lc.n_levels < 3:
         raise ConfigurationError("need at least three outcome levels")
-    _, _, p = lc.design()
-    cum1 = p[:, 0]
-    cum2 = p[:, 0] + p[:, 1]
-    ppf1, e1 = _clamped_ppf(cum1, clamp)
-    ppf2, e2 = _clamped_ppf(cum2, clamp)
+    p = lc.probs
+    ppf1, e1 = _clamped_ppf(p[:, 0], clamp)
+    ppf2, e2 = _clamped_ppf(p[:, 0] + p[:, 1], clamp)
     denom = ppf2 - ppf1
-    sigma: dict[str, float] = {}
-    for cell, d in zip(lc.cells, denom):
-        if d <= 0:
-            raise EstimationError(
-                f"cell {cell.label!r}: non-positive scale after clamping"
-            )
-        sigma[cell.label] = float(1.0 / d)
-    return sigma, e1 + e2
+    if (denom <= 0).any():
+        label = lc.labels[np.argmax(denom <= 0)]
+        raise EstimationError(f"cell {label!r}: non-positive scale after clamping")
+    return dict(zip(lc.labels, (1.0 / denom).tolist())), e1 + e2
 
 
 def _sigma_vector(lc: LatentConditional, sigma: dict[str, float]) -> np.ndarray:
     try:
-        return np.asarray([sigma[c.label] for c in lc.cells])
+        return np.asarray([sigma[label] for label in lc.labels])
     except KeyError as exc:
         raise ConfigurationError(f"no scale supplied for cell {exc}") from exc
 
@@ -356,12 +333,11 @@ def hetero_ordered_probit(
     ``skedastic``; a clamp outside (0, 0.5) is a ``DomainError``.
     """
     check_clamp(clamp)
-    q, w, p = lc.design()
     sig = _sigma_vector(lc, sigma)
-    cum = np.cumsum(p, axis=1)
+    cum = np.cumsum(lc.probs, axis=1)
     ppf1, e1 = _clamped_ppf(cum[:, 0], clamp)
     ppf2, e2 = _clamped_ppf(cum[:, 1], clamp)
-    beta = _weighted_solve(q, w, -sig * ppf1, lc.column_names)
+    beta = _weighted_solve(lc.q, lc.weights, -sig * ppf1, lc.column_names)
 
     norm_dev = float(np.max(np.abs(sig * ppf1 - (sig * ppf2 - 1.0))))
 
@@ -370,14 +346,14 @@ def hetero_ordered_probit(
     spread = None
     clamp_events = e1 + e2
     if n_levels > 3:
-        index = q @ beta
+        index = lc.q @ beta
         spreads = []
         for i in range(3, n_levels):
             ppf_i, e_i = _clamped_ppf(cum[:, i - 1], clamp)
             clamp_events += e_i
             per_cell = index + sig * ppf_i
-            mean = float(np.sum(w * per_cell))
-            spreads.append(float(np.sqrt(np.sum(w * (per_cell - mean) ** 2))))
+            mean = float(np.sum(lc.weights * per_cell))
+            spreads.append(float(np.sqrt(np.sum(lc.weights * (per_cell - mean) ** 2))))
             cuts.append(mean)
         spread = max(spreads)
     return ParametricFit(
@@ -400,7 +376,7 @@ def homo_ordered_probit(lc: LatentConditional, target: str = "latent",
     Applies to either target's conditional; ``ordered_probit_mle`` is the
     maximum-likelihood benchmark on the reported counts.
     """
-    unit = {c.label: 1.0 for c in lc.cells}
+    unit = dict.fromkeys(lc.labels, 1.0)
     fit_ = hetero_ordered_probit(lc, unit, target=target, clamp=clamp)
     return replace(fit_, kind="ordered-probit-homoskedastic", sigma_by_cell=None,
                    scale=1.0)
@@ -415,11 +391,10 @@ def _cell_design(data: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]
     """Covariate rows and outcome count matrix of the populated cells."""
     if data.support[0] < 3:
         raise ConfigurationError("need at least three outcome levels")
-    hist = data.counts.sum(axis=(2, 3))
+    hist = data.outcome_counts()
     populated = hist.sum(axis=1) > 0
     rows = cell_rows(len(data.w_columns))[populated]
-    names = ("const", *data.w_columns) if data.w_columns else ("const",)
-    return rows, hist[populated].astype(float), names
+    return rows, hist[populated].astype(float), design_columns(data.w_columns)
 
 
 def _cell_probs(index: np.ndarray, scale: np.ndarray, cuts: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .data import Dataset, tabulate
+from .data import Dataset, design_columns, tabulate
 from .errors import ConfigurationError, EmptyCellError, EstimationError
 from .mle import CmleConfig, CmleResult, fit_tables
 from .ordered import (
@@ -115,15 +115,14 @@ def conditional_for_target(
 
     The latent target uses the given cell ``models``, else fits them.
     """
-    names = ("const", *data.w_columns) if data.w_columns else ()
     if target == "reported":
         return reported_conditional(data)
     if target != "latent":
         raise EstimationError(f"unknown target {target!r}")
     if models is None:
         models = [result.model for result in fit_cells(data, config)]
-    weights = data.cell_counts() / data.n
-    return latent_conditional(models, weights, column_names=names)
+    return latent_conditional(models, data.cell_counts() / data.n,
+                              column_names=design_columns(data.w_columns))
 
 
 def parametric_fit(

@@ -16,7 +16,6 @@ from latentcat.cli import run
 from latentcat.data import tabulate
 from latentcat.generate import (
     GeneratorSpec,
-    all_binary_cells,
     draw,
     make_cell_weights,
     make_model,
@@ -169,23 +168,22 @@ def test_criterion_5_test_size_and_power():
 def test_criterion_6_heteroskedastic_probit_exactness():
     t0 = time.monotonic()
     rng = np.random.default_rng(606)
-    cells = all_binary_cells(5)
     worst = 0.0
     for _ in range(10):
         params = random_probit_params(rng, 5)
-        lc = probit_population(params, cells)
+        lc = probit_population(params)
         sigma, _ = skedastic(lc)
         fit_ = hetero_ordered_probit(lc, sigma)
         worst = max(worst, float(np.abs(fit_.beta - params.beta).max()))
         worst = max(
             worst,
             max(
-                abs(sigma[c.label] - params.sigma_by_cell[i])
-                for i, c in enumerate(lc.cells)
+                abs(sigma[label] - params.sigma_by_cell[i])
+                for i, label in enumerate(lc.labels)
             ),
         )
     unit = probit_population(
-        random_probit_params(rng, 5), cells
+        random_probit_params(rng, 5)
     )
     # sigma == 1: rebuild with unit scales, the inversion must return 1 exactly
     p1 = random_probit_params(rng, 5)
@@ -194,7 +192,7 @@ def test_criterion_6_heteroskedastic_probit_exactness():
     unit_params = ProbitParams(
         beta=p1.beta, sigma_by_cell=np.ones(32), cutpoints=p1.cutpoints
     )
-    sigma1, _ = skedastic(probit_population(unit_params, cells))
+    sigma1, _ = skedastic(probit_population(unit_params))
     unit_dev = max(abs(v - 1.0) for v in sigma1.values())
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and unit_dev <= 1e-12 and elapsed < 1.0

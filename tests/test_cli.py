@@ -286,20 +286,64 @@ def test_identify_boot_fits_every_cell_of_a_chunk_in_one_batch(
     assert calls == [2, *batches]
 
 
-def test_simulate_malformed_spec_exit(tmp_path):
+def test_simulate_malformed_spec_exit(tmp_path, capsys):
     spec = tmp_path / "bad.cfg"
-    spec.write_text("[generator]\nstrength = nine\n")
-    assert run(["simulate", "--spec", str(spec), "--n", "10", "--seed", "1",
-                "--out", str(tmp_path / "s.csv")]) == 1
-    spec.write_text("just text, no sections\n")
-    assert run(["simulate", "--spec", str(spec), "--n", "10", "--seed", "1",
-                "--out", str(tmp_path / "s.csv")]) == 1
+    for text, message in (
+        ("[generator]\nstrength = nine\n", "bad [generator] value"),
+        ("just text, no sections\n", "malformed generator spec"),
+        ("[generator]\nw_cels = 2\n", "unknown [generator] keys ['w_cels']"),
+        ("[generator]\nw_cells = 2\n\n[weights]\ncells = 0.5, abc\n",
+         "bad [weights] cells"),
+        ("[generator]\nw_cells = 2\n\n[probit]\nbeta = 0.5, 0.1, 0.2\n"
+         "sigma = 1, 1\ncutpoints = 0, 1\n",
+         "beta and sigma_by_cell imply different cell counts"),
+    ):
+        spec.write_text(text)
+        assert run(["simulate", "--spec", str(spec), "--n", "10", "--seed", "1",
+                    "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        if "sections" not in text:  # configparser's own message spans lines
+            assert len(err.splitlines()) == 1
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_report_schema_mismatch_exit(tmp_path):
     bogus = tmp_path / "bogus.json"
     bogus.write_text('{"mystery": 1}')
     assert run(["report", str(bogus)]) == 1
+
+
+def test_json_input_of_the_wrong_shape_is_one_error_line(pipeline, tmp_path, capsys):
+    def payload(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    model = json.loads(pipeline["models"].read_text())
+    del model["cells"][1]["model"]["m_x_given_xstar"]
+    data = ["--data", str(pipeline["synth"]), "--schema", str(pipeline["schema"])]
+    for argv, message in (
+        (["report", payload("fit.json", '{"fit": {}}')],
+         "is not a well-formed artifact: KeyError"),
+        (["report", "--format", "csv", payload("fit.json", '{"fit": {}}')],
+         "is not a well-formed artifact: KeyError"),
+        (["replay", payload("m.json", '{"command": "test"}')], "is not a run manifest"),
+        (["replay", payload("list.json", "[1, 2]")], "does not hold a JSON object"),
+        (["estimate", "--models", payload("models.json", json.dumps(model)), *data,
+          "--model", "linear", "--target", "latent", "--seed", "1",
+          "--out", str(tmp_path / "out.json")],
+         "models artifact cell 'W' is not a model: KeyError 'm_x_given_xstar'"),
+        (["estimate", "--models", payload("cells.json", '{"cells": ["model"]}'), *data,
+          "--model", "linear", "--target", "latent", "--seed", "1",
+          "--out", str(tmp_path / "out.json")],
+         "models artifact's cells are not a list of JSON objects"),
+    ):
+        assert run(argv) == 1
+        # estimate summarizes ingest on stderr first
+        *_, line = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_exit_codes_subprocess():

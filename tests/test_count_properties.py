@@ -22,11 +22,11 @@ from latentcat.data import (
     ExclusionReport,
     Schema,
     _apply_cuts,
+    cell_labels,
     ingest,
     median_split,
     tabulate,
     tercile_bin,
-    w_cell_label,
 )
 from latentcat.errors import ConfigurationError, DataError, SchemaError
 from latentcat.mle import loglik
@@ -119,10 +119,10 @@ def test_outcome_conditionals_match_record_masks(case):
         return
     for d in (data, shuffled):
         lc = reported_conditional(d)
-        for c, cell in enumerate(lc.cells):
-            assert np.array_equal(cell.probs, hist[c] / hist[c].sum())
-            assert cell.weight == hist[c].sum() / data.n
-            assert np.array_equal(cell.q_tilde, bits[c])
+        for c in range(data.n_w_cells):
+            assert np.array_equal(lc.probs[c], hist[c] / hist[c].sum())
+            assert lc.weights[c] == hist[c].sum() / data.n
+            assert np.array_equal(lc.q[c], bits[c])
 
 
 def random_model(rng, s_x, s_z):
@@ -321,10 +321,7 @@ def row_loop_ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
     else:
         z_codes = _apply_cuts(z_vals, schema.z_binning)
 
-    letters = schema.letters()
-    labels = tuple(
-        w_cell_label(c, letters) for c in range(schema.n_w_cells)
-    )
+    labels = cell_labels(len(schema.w_columns), schema.letters())
     data = Dataset.from_records(
         x, y_codes, z_codes, w,
         support=(schema.s_x, 2, schema.s_z),

@@ -9,13 +9,13 @@ from latentcat.data import (
     Dataset,
     JointPmf,
     Schema,
+    cell_labels,
     frequency_pmf,
     ingest,
     load_schema,
     median_split,
     tabulate,
     tercile_bin,
-    w_cell_label,
 )
 from latentcat.errors import DataError, SchemaError
 
@@ -362,9 +362,10 @@ w_letters = D, F, H, I, M
     assert schema.n_w_cells == 32
     assert schema.letters() == ("D", "F", "H", "I", "M")
     # Little-endian packing: the all-zero cell is "0", degree-only is "D".
-    assert w_cell_label(0, schema.letters()) == "0"
-    assert w_cell_label(1, schema.letters()) == "D"
-    assert w_cell_label(0b10110, schema.letters()) == "FHM"
+    labels = cell_labels(5, schema.letters())
+    assert labels[0] == "0"
+    assert labels[1] == "D"
+    assert labels[0b10110] == "FHM"
 
 
 def test_load_schema_explicit_cuts():
@@ -390,3 +391,14 @@ y = above 0.5
 def test_load_schema_bad_recode_pair():
     with pytest.raises(SchemaError):
         load_schema("[columns]\nx=a\ny=b\nz=c\n\n[recode]\nx = 1-2\n")
+
+
+@pytest.mark.parametrize("rule", [
+    "y = above", "y = above abc", "y = above 1 2", "y =", "y = mean",
+    "z = cuts 1 x", "z = cuts", "z =", "z = tercile 3",
+])
+def test_load_schema_malformed_binning_rule(rule):
+    key, _, value = (part.strip() for part in rule.partition("="))
+    text = f"[columns]\nx=a\ny=b\nz=c\n\n[recode]\nx = 1:1 2:2\n\n[binning]\n{rule}\n"
+    with pytest.raises(SchemaError, match=rf"bad {key} binning rule '{value}'"):
+        load_schema(text)

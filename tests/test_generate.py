@@ -7,7 +7,6 @@ from latentcat.errors import ConfigurationError, GeneratorError
 from latentcat.generate import (
     GeneratorSpec,
     ProbitParams,
-    all_binary_cells,
     draw,
     make_cell_weights,
     make_model,
@@ -118,10 +117,8 @@ def test_probit_population_constant_beta_zero():
         sigma_by_cell=np.ones(4),
         cutpoints=np.array([0.0, 1.0]),
     )
-    lc = probit_population(params, all_binary_cells(2))
-    base = lc.cells[0].probs
-    for cell in lc.cells[1:]:
-        assert np.allclose(cell.probs, base)
+    lc = probit_population(params)
+    assert np.allclose(lc.probs, lc.probs[0])
 
 
 def test_probit_population_probs_sum_to_one():
@@ -129,9 +126,8 @@ def test_probit_population_probs_sum_to_one():
     from latentcat.generate import random_probit_params
 
     params = random_probit_params(rng, 4, n_levels=5)
-    lc = probit_population(params, all_binary_cells(4))
-    for cell in lc.cells:
-        assert cell.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    lc = probit_population(params)
+    assert np.allclose(lc.probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_probit_params_validation():
@@ -168,6 +164,6 @@ def test_probit_params_drive_latent_marginals():
     )
     spec = GeneratorSpec(n_w_cells=2, seed=15, probit_params=params)
     models = make_model(spec)
-    lc = probit_population(params, all_binary_cells(1))
-    for model, cell in zip(models, lc.cells):
-        assert np.allclose(model.f_xstar, cell.probs, atol=1e-12)
+    lc = probit_population(params)
+    for model, probs in zip(models, lc.probs):
+        assert np.allclose(model.f_xstar, probs, atol=1e-12)

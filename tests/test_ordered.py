@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,12 @@ from latentcat.errors import ConfigurationError, DomainError, EstimationError
 from latentcat.generate import (
     GeneratorSpec,
     ProbitParams,
-    all_binary_cells,
     draw,
     make_model,
     probit_population,
     random_probit_params,
 )
 from latentcat.ordered import (
-    CellConditional,
     LatentConditional,
     ParametricFit,
     _cell_design,
@@ -36,20 +36,11 @@ from latentcat.ordered import (
 
 def lc_from_probs(prob_rows, weights=None, dim_names=()):
     n = len(prob_rows)
-    n_cols = max(n - 1, 0).bit_length()
     weights = [1.0 / n] * n if weights is None else weights
-    cells = []
-    for c, probs in enumerate(prob_rows):
-        bits = [(c >> k) & 1 for k in range(n_cols)]
-        cells.append(
-            CellConditional(
-                q_tilde=np.asarray([1.0, *bits]),
-                weight=weights[c],
-                probs=np.asarray(probs, dtype=float),
-                label=str(c),
-            )
-        )
-    return LatentConditional(cells=tuple(cells), column_names=dim_names)
+    return LatentConditional(q=cell_rows(max(n - 1, 0).bit_length())[:n],
+                             weights=weights, probs=prob_rows,
+                             labels=tuple(str(c) for c in range(n)),
+                             column_names=dim_names)
 
 
 # ---------------------------------------------------------------------------
@@ -60,20 +51,53 @@ def lc_from_probs(prob_rows, weights=None, dim_names=()):
 def test_latent_conditional_single_cell():
     [model] = make_model(GeneratorSpec(seed=1))
     lc = latent_conditional([model], [1.0])
-    assert len(lc.cells) == 1
-    assert lc.cells[0].weight == 1.0
-    assert np.allclose(lc.cells[0].probs, model.f_xstar)
+    assert lc.labels == ("0",)
+    assert lc.weights.tolist() == [1.0]
+    assert np.allclose(lc.probs[0], model.f_xstar)
 
 
 def test_latent_conditional_equal_cells_equal_means():
-    from dataclasses import replace
-
     [model] = make_model(GeneratorSpec(seed=2))
     models = [replace(model, w_cell="0"), replace(model, w_cell="A")]
     lc = latent_conditional(models, [0.5, 0.5])
     levels = np.arange(1, 4)
-    means = [c.probs @ levels for c in lc.cells]
+    means = lc.probs @ levels
     assert means[0] == pytest.approx(means[1])
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"q": np.empty((0, 2)), "weights": [], "probs": np.empty((0, 3)), "labels": ()},
+     "no covariate cells"),
+    ({"probs": [[0.2, 0.8], [0.2, 0.3, 0.5]]}, "ragged cell dimensions"),
+    ({"probs": [[0.2, 0.8, 0.0, 0.0], [0.2, 0.3, 0.5]]}, "ragged cell dimensions"),
+    ({"q": [[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]}, "ragged cell dimensions"),
+    ({"weights": [[0.5, 0.5]]}, "ragged cell dimensions"),
+    ({"q": [[1.0, 0.0], [0.0, 1.0]]}, "intercept slot"),
+    ({"probs": [[0.2, 0.3, 0.5], [0.2, 0.3, 0.6]]}, "cell 'A' pmf is invalid"),
+    ({"probs": [[-0.1, 0.6, 0.5], [0.2, 0.3, 0.5]]}, "cell '0' pmf is invalid"),
+    ({"weights": [0.5, 0.6]}, "cell weights sum to"),
+    ({"labels": ("0", "0")}, "cell labels must be unique"),
+    ({"column_names": ("const",)}, "column_names must match"),
+])
+def test_latent_conditional_refusals(change, message):
+    arrays = {"q": [[1.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5],
+              "probs": [[0.2, 0.3, 0.5], [0.1, 0.4, 0.5]], "labels": ("0", "A")}
+    with pytest.raises(ConfigurationError, match=message):
+        LatentConditional(**{**arrays, **change})
+
+
+def test_latent_conditional_is_stacked_and_read_only():
+    models = make_model(GeneratorSpec(n_w_cells=2, seed=3))
+    lc = latent_conditional(models, [0.25, 0.75], column_names=("const", "w1"))
+    assert lc.q.tolist() == [[1.0, 0.0], [1.0, 1.0]]
+    assert lc.weights.tolist() == [0.25, 0.75]
+    assert np.array_equal(lc.probs, [m.f_xstar for m in models])
+    assert lc.labels == ("0", "A")
+    for arr in (lc.q, lc.weights, lc.probs):
+        assert not arr.flags.writeable
+    ragged = [models[0], replace(models[1], f_xstar=np.full(4, 0.25))]
+    with pytest.raises(ConfigurationError, match="ragged cell dimensions"):
+        latent_conditional(ragged, [0.5, 0.5])
 
 
 def test_latent_conditional_missing_cell():
@@ -90,9 +114,9 @@ def test_latent_conditional_weights_match_empirical():
     sample = draw(models, weights, 60_000, seed=6).data
     empirical = sample.cell_counts() / sample.n
     lc = latent_conditional(models, empirical)
-    assert len(lc.cells) == 32
-    assert sum(c.weight for c in lc.cells) == pytest.approx(1.0)
-    assert np.allclose([c.weight for c in lc.cells], empirical)
+    assert len(lc.labels) == 32
+    assert lc.weights.sum() == pytest.approx(1.0)
+    assert np.allclose(lc.weights, empirical)
 
 
 def test_reported_conditional_from_records():
@@ -100,9 +124,9 @@ def test_reported_conditional_from_records():
     models = make_model(spec)
     sample = draw(models, [0.5, 0.5], 5000, seed=8)
     lc = reported_conditional(sample.data)
-    assert len(lc.cells) == 2
+    assert len(lc.labels) == 2
     hist = np.bincount(sample.x[sample.w == 0] - 1, minlength=3)
-    assert np.allclose(lc.cells[0].probs, hist / hist.sum())
+    assert np.allclose(lc.probs[0], hist / hist.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -134,25 +158,20 @@ def test_linear_projection_residual_orthogonality():
     weights = rng.dirichlet(np.full(8, 5.0))
     lc = lc_from_probs(list(probs), list(weights))
     fit_ = linear_projection(lc)
-    q, w, p = lc.design()
+    q, w, p = lc.q, lc.weights, lc.probs
     resid = p @ np.arange(1, 4) - q @ fit_.beta
     moment = (q * (w * resid)[:, None]).sum(axis=0)
     assert np.abs(moment).max() < 1e-10
 
 
 def test_linear_projection_rank_deficiency_names_columns():
-    probs = [[0.5, 0.3, 0.2], [0.1, 0.4, 0.5]]
-    cells = []
-    for c, p in enumerate(probs):
-        cells.append(
-            CellConditional(
-                q_tilde=np.asarray([1.0, c, c]),  # duplicated covariate
-                weight=0.5,
-                probs=np.asarray(p),
-                label=str(c),
-            )
-        )
-    lc = LatentConditional(cells=tuple(cells), column_names=("const", "dup1", "dup2"))
+    lc = LatentConditional(
+        q=[[1.0, 0, 0], [1.0, 1, 1]],  # duplicated covariate
+        weights=[0.5, 0.5],
+        probs=[[0.5, 0.3, 0.2], [0.1, 0.4, 0.5]],
+        labels=("0", "1"),
+        column_names=("const", "dup1", "dup2"),
+    )
     with pytest.raises(EstimationError, match="dup"):
         linear_projection(lc)
 
@@ -168,7 +187,7 @@ def test_skedastic_unit_scale_exact():
         sigma_by_cell=np.ones(4),
         cutpoints=np.array([0.0, 1.0]),
     )
-    lc = probit_population(params, all_binary_cells(2))
+    lc = probit_population(params)
     sigma, events = skedastic(lc)
     assert events == 0
     for value in sigma.values():
@@ -182,7 +201,7 @@ def test_skedastic_recovers_cell_scales():
         sigma_by_cell=np.array([0.5, 1.5]),
         cutpoints=np.array([0.0, 1.0]),
     )
-    lc = probit_population(params, all_binary_cells(1))
+    lc = probit_population(params)
     sigma, _ = skedastic(lc)
     assert sigma["0"] == pytest.approx(0.5, abs=1e-10)
     assert sigma["A"] == pytest.approx(1.5, abs=1e-10)
@@ -207,16 +226,13 @@ def test_clamp_outside_its_domain_is_refused(clamp):
     with pytest.raises(DomainError, match="clamp must lie in"):
         skedastic(lc, clamp=clamp)
     with pytest.raises(DomainError, match="clamp must lie in"):
-        hetero_ordered_probit(lc, {c.label: 1.0 for c in lc.cells}, clamp=clamp)
+        hetero_ordered_probit(lc, dict.fromkeys(lc.labels, 1.0), clamp=clamp)
 
 
 def test_skedastic_needs_three_levels():
-    cells = (
-        CellConditional(q_tilde=np.array([1.0]), weight=1.0,
-                        probs=np.array([0.4, 0.6]), label="0"),
-    )
+    lc = LatentConditional(q=[[1.0]], weights=[1.0], probs=[[0.4, 0.6]], labels=("0",))
     with pytest.raises(ConfigurationError):
-        skedastic(LatentConditional(cells=cells))
+        skedastic(lc)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +242,9 @@ def test_skedastic_needs_three_levels():
 
 def test_hetero_probit_round_trip():
     rng = np.random.default_rng(10)
-    cells = all_binary_cells(5)
     for _ in range(5):
         params = random_probit_params(rng, 5)
-        lc = probit_population(params, cells)
+        lc = probit_population(params)
         sigma, _ = skedastic(lc)
         fit_ = hetero_ordered_probit(lc, sigma)
         assert np.abs(fit_.beta - params.beta).max() < 1e-10
@@ -240,13 +255,13 @@ def test_hetero_probit_round_trip():
 def test_hetero_probit_second_branch_equivalent():
     rng = np.random.default_rng(11)
     params = random_probit_params(rng, 3)
-    lc = probit_population(params, all_binary_cells(3))
+    lc = probit_population(params)
     sigma, _ = skedastic(lc)
     first = hetero_ordered_probit(lc, sigma)
     # The same coefficients solve the normal equations of the second
     # cutpoint's outcome 1 - sigma(q) * PhiInv(P[V<=2|q]).
-    q, w, p = lc.design()
-    sig = np.asarray([sigma[c.label] for c in lc.cells])
+    q, w, p = lc.q, lc.weights, lc.probs
+    sig = np.asarray([sigma[label] for label in lc.labels])
     second = 1.0 - sig * norm.ppf(p[:, 0] + p[:, 1])
     beta = np.linalg.solve((q * w[:, None]).T @ q, (q * w[:, None]).T @ second)
     assert np.allclose(first.beta, beta, atol=1e-10)
@@ -256,7 +271,7 @@ def test_hetero_probit_second_branch_equivalent():
 def test_hetero_probit_recovers_extra_cutpoints():
     rng = np.random.default_rng(12)
     params = random_probit_params(rng, 3, n_levels=4)
-    lc = probit_population(params, all_binary_cells(3))
+    lc = probit_population(params)
     sigma, _ = skedastic(lc)
     fit_ = hetero_ordered_probit(lc, sigma)
     assert np.abs(fit_.beta - params.beta).max() < 1e-9
@@ -268,7 +283,7 @@ def test_hetero_with_unit_scale_equals_homo_closed_form():
     rng = np.random.default_rng(13)
     probs = rng.dirichlet(np.ones(3), size=4)
     lc = lc_from_probs(list(probs))
-    unit = {c.label: 1.0 for c in lc.cells}
+    unit = dict.fromkeys(lc.labels, 1.0)
     hetero = hetero_ordered_probit(lc, unit)
     homo = homo_ordered_probit(lc)
     assert np.allclose(hetero.beta, homo.beta, atol=1e-12)
@@ -280,7 +295,7 @@ def test_homo_probit_closed_form_unit_scale():
         sigma_by_cell=np.ones(4),
         cutpoints=np.array([0.0, 1.0]),
     )
-    lc = probit_population(params, all_binary_cells(2))
+    lc = probit_population(params)
     fit_ = homo_ordered_probit(lc)
     assert np.abs(fit_.beta - params.beta).max() < 1e-10
     assert fit_.kind == "ordered-probit-homoskedastic"
@@ -464,14 +479,14 @@ def fit_loglik(fit_: ParametricFit, data: Dataset) -> float:
 def probit_counts(params, n: int, seed: int) -> Dataset:
     """n reported outcomes drawn from the probit's cell pmfs, as a Dataset."""
     n_cols = params.beta.size - 1
-    lc = probit_population(params, all_binary_cells(n_cols))
+    lc = probit_population(params)
     rng = np.random.default_rng(seed)
-    per_cell = rng.multinomial(n, [c.weight for c in lc.cells])
-    counts = np.zeros((len(lc.cells), lc.n_levels, 2, 1), dtype=np.int64)
-    for c, (m, cell) in enumerate(zip(per_cell, lc.cells)):
-        counts[c, :, 0, 0] = rng.multinomial(m, cell.probs)
+    per_cell = rng.multinomial(n, lc.weights)
+    counts = np.zeros((len(lc.labels), lc.n_levels, 2, 1), dtype=np.int64)
+    for c, (m, probs) in enumerate(zip(per_cell, lc.probs)):
+        counts[c, :, 0, 0] = rng.multinomial(m, probs)
     letters = tuple(chr(ord("A") + k) for k in range(n_cols))
-    return Dataset(counts, w_columns=letters, w_labels=tuple(c.label for c in lc.cells))
+    return Dataset(counts, w_columns=letters, w_labels=lc.labels)
 
 
 @settings(max_examples=40, deadline=None)

@@ -80,7 +80,7 @@ def test_model_std_errors_per_cell_independent_of_the_batch(probit_sample):
 def test_conditional_for_target_routes(probit_sample):
     _, _, data = probit_sample
     lc_rep = conditional_for_target(data, "reported")
-    assert len(lc_rep.cells) == 4
+    assert len(lc_rep.labels) == 4
     with pytest.raises(EstimationError):
         conditional_for_target(data, "unknown")
 
