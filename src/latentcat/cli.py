@@ -188,7 +188,7 @@ _GENERATOR_KEYS = {
 def _parse_generator_config(path: str) -> tuple[GeneratorSpec, np.ndarray | None]:
     import configparser
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -365,17 +365,6 @@ def _identify_cell(table, fitted, args) -> dict:
     return entry
 
 
-def _identify_fits(tables: list, seeds: list[int], args) -> list:
-    """Per table, its cmle fit or OptimizationError, all fitted as one batch;
-    None per table for the spectral method."""
-    if args.method == "spectral":
-        return [None] * len(tables)
-    return fit_tables(tables, [
-        CmleConfig(n_starts=args.starts, seed=seed, ord_constraint=args.ord)
-        for seed in seeds
-    ])
-
-
 def _cmd_identify(args) -> int:
     if args.method == "spectral" and args.boot > 0:
         print("latentcat identify: error: --boot applies only to --method cmle",
@@ -384,26 +373,29 @@ def _cmd_identify(args) -> int:
     manifest = _Manifest("identify", vars(args))
     data = _load_data(args.input, args.schema, manifest)
     counts = data.cell_counts()
-    # Cell indices, or [None] for the pooled table; cell c fits at seed + c.
+    # Cell indices, or [None] for the pooled table; cell c fits at seed + c,
+    # and its bootstrap replicates refit with the same config.
     indices = list(range(data.n_w_cells)) if args.by_cell else [None]
     populated = [c for c in indices if c is None or counts[c] > 0]
     tables = [tabulate(data, c) for c in populated]
-    fitted = iter(zip(tables, _identify_fits(
-        tables, [args.seed + (c or 0) for c in populated], args)))
+    configs = [CmleConfig(n_starts=args.starts, seed=args.seed + (c or 0),
+                          ord_constraint=args.ord) for c in populated]
+    fits = [None] * len(tables) if args.method == "spectral" else fit_tables(tables, configs)
+    fitted = iter(zip(tables, configs, fits))
     cells: list[dict] = []
-    point_fits: list[tuple] = []  # (cell index, CmleResult, entry) per fitted cell
+    point_fits: list[tuple] = []  # (cell index, CmleResult, config, entry) per fitted cell
     for cell in indices:
         if cell is not None and counts[cell] == 0:
             cells.append({"w_cell": data.w_labels[cell], "n": 0, "error": "empty cell"})
             continue
-        table, result = next(fitted)
+        table, config, result = next(fitted)
         cells.append(_identify_cell(table, result, args))
         if isinstance(result, CmleResult):
-            point_fits.append((cell, result, cells[-1]))
+            point_fits.append((cell, result, config, cells[-1]))
     if args.boot and point_fits:
-        index, results, entries = zip(*point_fits)
-        runs = model_std_errors(data, list(index), list(results), args.boot,
-                                args.seed, args.boot_starts)
+        index, results, point_configs, entries = zip(*point_fits)
+        runs = model_std_errors(data, list(index), list(results), list(point_configs),
+                                args.boot, args.seed, args.boot_starts)
         manifest.payload["bootstrap"] = runs[0].counters()
         for entry, result, run in zip(entries, results, runs):
             entry["std_errors"] = MisclassificationModel.unpack(

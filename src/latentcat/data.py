@@ -134,7 +134,7 @@ def load_schema(path_or_text) -> Schema:
     Accepts a filesystem path, or an already-read text blob (anything
     containing a newline is treated as text).
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     text = str(path_or_text)
     try:
         if "\n" in text:

@@ -32,7 +32,7 @@ from .data import ContingencyTable, frequency_pmf
 from .errors import DomainError, OptimizationError
 from .spectral import (
     MisclassificationModel,
-    _joint_pmf,
+    _state_terms,
     branch_operator,
     build_matrices,
     check_rank,
@@ -144,7 +144,7 @@ def loglik(model: MisclassificationModel, table: ContingencyTable) -> float:
     model.validate()
     if model.s_x != table.support[0] or model.s_z != table.support[2]:
         raise DomainError("model support does not match the table")
-    p = _joint_pmf(*model.blocks())
+    p = _state_terms(model.pack()[:, None], model.s_x, model.s_z).sum(axis=3)[..., 0]
     m = table.counts
     active = m > 0
     if np.any(p[active] <= 0):
@@ -187,19 +187,16 @@ def _em_map(theta: np.ndarray, counts: np.ndarray, totals: np.ndarray,
     (S_X, 2, S_Z, n) and ``totals`` (n,) their sums, so every elementwise
     op and every sum over x, y, z or s walks contiguous runs of items. Both
     come from the per-state terms q[x, y, z, s] = P(x|s) P(y|s) P(z|s) P(s)
-    of the joint pmf: the posterior count of latent state s in cell (x, y, z)
-    is counts / p * q, and F sets every block to those counts summed over
-    the other axes, normalized (each clipped at 1e-12 first, as
-    ``_interior`` does). F keeps its output strictly inside the simplex.
-    Each item's numbers do not depend on the rest of the batch.
+    of the joint pmf (``spectral._state_terms``): the posterior count of
+    latent state s in cell (x, y, z) is counts / p * q, and F sets every
+    block to those counts summed over the other axes, normalized (each
+    clipped at 1e-12 first, as ``_interior`` does). F keeps its output
+    strictly inside the simplex. Each item's numbers do not depend on the
+    rest of the batch.
     """
     n = theta.shape[1]
     i0, i1, i2 = s_x * s_x, s_x * s_x + s_x, s_x * (s_x + 1 + s_z)
-    b2 = np.empty((2, s_x, n))
-    np.subtract(1.0, theta[i0:i1], out=b2[0])
-    b2[1] = theta[i0:i1]
-    q = ((theta[:i0].reshape(s_x, s_x, n) * theta[i2:])[:, None, None]
-         * b2[:, None] * theta[i1:i2].reshape(s_z, s_x, n))
+    q = _state_terms(theta, s_x, s_z)
     p = np.maximum(_add(q, axis=3), P_FLOOR)
     ll = _item_sums(counts * np.log(p)) if with_loglik else None
     post = (counts / p)[:, :, :, None] * q

@@ -218,6 +218,7 @@ def model_std_errors(
     data: Dataset,
     cells: list[int | None],
     results: list[CmleResult],
+    configs: list[CmleConfig],
     b: int,
     seed: int,
     n_starts: int,
@@ -225,17 +226,17 @@ def model_std_errors(
     """Bootstrap every parameter of the listed cells' models, all cells at once.
 
     ``cells`` holds the cell indices of the point fits ``results``, or
-    ``[None]`` for the pooled table. Replicate redraws are stratified by cell
-    unless pooled. Every listed cell of every redraw in a chunk is refitted
-    in one ``fit_tables`` batch, with the monotone restriction enforced,
-    warm-started at the point models, cell c's starts seeded ``seed + c``; a
-    replicate in which any cell's fit fails is dropped for every cell.
-    Returns one run per cell: its columns of the replicate estimates
-    (``MisclassificationModel.pack`` order) and the kept replicates in which
-    its own fit flagged a boundary.
+    ``[None]`` for the pooled table, and ``configs`` the config each point
+    fit ran with. Replicate redraws are stratified by cell unless pooled.
+    Every listed cell of every redraw in a chunk is refitted in one
+    ``fit_tables`` batch, with its point fit's config at ``n_starts``
+    starts (so its states are sorted only if the point's were),
+    warm-started at the point models; a replicate in which any cell's fit
+    fails is dropped for every cell. Returns one run per cell: its columns
+    of the replicate estimates (``MisclassificationModel.pack`` order) and
+    the kept replicates in which its own fit flagged a boundary.
     """
-    configs = [CmleConfig(n_starts=n_starts, seed=seed + (cell or 0),
-                          ord_constraint="enforce") for cell in cells]
+    configs = [replace(config, n_starts=n_starts) for config in configs]
     warm = [result.model for result in results]
 
     def estimator(redraws: list[Dataset]):

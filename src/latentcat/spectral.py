@@ -35,6 +35,8 @@ __all__ = [
     "IdentificationDiagnostics",
     "build_matrices",
     "check_rank",
+    "order_by_last_row",
+    "branch_operator",
     "eigendecompose_identify",
     "population_pmf",
 ]
@@ -74,11 +76,6 @@ class MisclassificationModel:
     @property
     def s_z(self) -> int:
         return self.m_z_given_xstar.shape[0]
-
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``_joint_pmf``'s inputs: P(X|s), P(Y|s) as a 2 x S_X block, P(Z|s), P(s)."""
-        f_y = np.stack([1.0 - self.f_y_given_xstar, self.f_y_given_xstar])
-        return self.m_x_given_xstar, f_y, self.m_z_given_xstar, self.f_xstar
 
     @property
     def ord_satisfied(self) -> bool:
@@ -362,19 +359,23 @@ def eigendecompose_identify(
     return model, diag
 
 
-def _joint_pmf(a: np.ndarray, b2: np.ndarray, c: np.ndarray,
-               pi: np.ndarray) -> np.ndarray:
-    """Mixture pmf p[x, y, z] = sum_s a[x, s] b2[y, s] c[z, s] pi[s].
-
-    Leading axes shared by all four blocks are a batch: one pmf per item.
-    """
-    ap = a * pi[..., None, :]
-    return (ap[..., :, None, None, :] * b2[..., None, :, None, :]
-            * c[..., None, None, :, :]).sum(axis=-1)
+def _state_terms(theta: np.ndarray, s_x: int, s_z: int) -> np.ndarray:
+    """Per-state terms q[x, y, z, s, i] = P(x|s) P(y|s) P(z|s) P(s) of the
+    joint pmf of each ``pack``-ordered column i of ``theta`` (P, n); their
+    sum over s is the pmf. The batch is the last axis, so each elementwise
+    op walks contiguous runs of items, and no item's numbers depend on the
+    batch around it."""
+    n = theta.shape[1]
+    i0, i1, i2 = s_x * s_x, s_x * s_x + s_x, s_x * (s_x + 1 + s_z)
+    b2 = np.empty((2, s_x, n))
+    np.subtract(1.0, theta[i0:i1], out=b2[0])
+    b2[1] = theta[i0:i1]
+    return ((theta[:i0].reshape(s_x, s_x, n) * theta[i2:])[:, None, None]
+            * b2[:, None] * theta[i1:i2].reshape(s_z, s_x, n))
 
 
 def population_pmf(model: MisclassificationModel) -> JointPmf:
     """Exact joint (x, y, z) pmf implied by a model (law of total probability)."""
-    probs = _joint_pmf(*model.blocks())
+    probs = _state_terms(model.pack()[:, None], model.s_x, model.s_z).sum(axis=3)[..., 0]
     total = float(probs.sum())
     return JointPmf(probs=probs / total, support=(model.s_x, 2, model.s_z))

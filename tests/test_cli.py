@@ -290,6 +290,7 @@ def test_simulate_malformed_spec_exit(tmp_path, capsys):
     spec = tmp_path / "bad.cfg"
     for text, message in (
         ("[generator]\nstrength = nine\n", "bad [generator] value"),
+        ("[generator]\nstrength = 0.4%\n", "bad [generator] value"),
         ("just text, no sections\n", "malformed generator spec"),
         ("[generator]\nw_cels = 2\n", "unknown [generator] keys ['w_cels']"),
         ("[generator]\nw_cells = 2\n\n[weights]\ncells = 0.5, abc\n",
@@ -368,13 +369,36 @@ def test_exit_codes_subprocess():
 ])
 def test_import_starts_openblas_single_threaded_unless_set(preset, expected):
     # ``import latentcat`` runs before numpy loads OpenBLAS, under ``python -m
-    # latentcat.cli`` too; an explicit thread setting is left alone.
+    # latentcat.cli`` too; an explicit thread setting is left alone. The
+    # package re-exports nothing, so importing it alone loads no numpy.
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    probe = "import os, latentcat\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    probe = ("import os, sys, latentcat\n"
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**env, **preset}, check=True).stdout
-    assert out.strip() == expected
+    assert out.split() == [expected, "False"]
+
+
+def test_every_public_definition_is_in_its_module_all():
+    """Each name has one import path, its defining module, whose ``__all__``
+    lists every function and class it defines without a leading underscore."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import latentcat
+
+    for info in pkgutil.iter_modules(latentcat.__path__):
+        module = importlib.import_module(f"latentcat.{info.name}")
+        if not hasattr(module, "__all__"):
+            continue
+        defined = {name for name, value in vars(module).items()
+                   if not name.startswith("_")
+                   and (inspect.isfunction(value) or inspect.isclass(value))
+                   and value.__module__ == module.__name__}
+        assert sorted(defined - set(module.__all__)) == [], module.__name__
+        assert all(hasattr(module, name) for name in module.__all__), module.__name__
 
 
 def scipy_loaded(code: str) -> set[str]:

@@ -31,7 +31,7 @@ from latentcat.data import (
 from latentcat.errors import ConfigurationError, DataError, SchemaError
 from latentcat.mle import loglik
 from latentcat.ordered import _cell_design, reported_conditional
-from latentcat.spectral import MisclassificationModel, _joint_pmf
+from latentcat.spectral import MisclassificationModel, _state_terms
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -156,12 +156,15 @@ def test_loglik_invariant_to_latent_relabeling(seed, s_x, s_z):
 def test_batched_joint_pmf_equals_items(seed, batch, s_x, s_z):
     rng = np.random.default_rng(seed)
     models = [random_model(rng, s_x, s_z) for _ in range(batch)]
-    items = [m.blocks() for m in models]
-    stacked = [np.stack(parts) for parts in zip(*items)]
-    batched = _joint_pmf(*stacked)
-    assert batched.shape == (batch, s_x, 2, s_z)
-    for got, blocks in zip(batched, items):
-        assert np.array_equal(got, _joint_pmf(*blocks))
+    batched = _state_terms(np.stack([m.pack() for m in models], axis=1), s_x, s_z)
+    assert batched.shape == (s_x, 2, s_z, s_x, batch)
+    for i, m in enumerate(models):
+        alone = _state_terms(m.pack()[:, None], s_x, s_z)[..., 0]
+        assert np.array_equal(batched[..., i], alone)
+        f_y = np.stack([1.0 - m.f_y_given_xstar, m.f_y_given_xstar])
+        expected = np.einsum("xs,ys,zs,s->xyzs", m.m_x_given_xstar, f_y,
+                             m.m_z_given_xstar, m.f_xstar)
+        np.testing.assert_allclose(alone, expected, rtol=1e-12, atol=0)
 
 
 SCHEMA = Schema(

@@ -393,6 +393,12 @@ def test_load_schema_bad_recode_pair():
         load_schema("[columns]\nx=a\ny=b\nz=c\n\n[recode]\nx = 1-2\n")
 
 
+def test_load_schema_reads_percent_signs_literally():
+    # No interpolation: "%" and "%(...)s" are part of a column's name.
+    schema = load_schema("[columns]\nx=a%b\ny=b\nz=c%(y)s\n\n[recode]\nx = 1:1 2:2\n")
+    assert (schema.x_column, schema.y_column, schema.z_column) == ("a%b", "b", "c%(y)s")
+
+
 @pytest.mark.parametrize("rule", [
     "y = above", "y = above abc", "y = above 1 2", "y =", "y = mean",
     "z = cuts 1 x", "z = cuts", "z =", "z = tercile 3",

@@ -6,10 +6,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latentcat import resampling
-from latentcat.data import Dataset
+from latentcat.data import Dataset, tabulate
 from latentcat.errors import DomainError, EstimationError
 from latentcat.generate import GeneratorSpec, ProbitParams, draw, make_model
-from latentcat.mle import CmleConfig
+from latentcat.mle import CmleConfig, fit
 from latentcat.pipeline import (
     bootstrap_std_errors,
     conditional_for_target,
@@ -41,6 +41,11 @@ def probit_sample():
     return params, models, data
 
 
+def enforced(cells, seed):
+    """``identify --ord enforce``'s configs: cell c's starts at seed + c."""
+    return [CmleConfig(seed=seed + (cell or 0), ord_constraint="enforce") for cell in cells]
+
+
 def test_fit_cells_covers_every_cell(probit_sample):
     _, models, data = probit_sample
     config = CmleConfig(n_starts=4, seed=1, ord_constraint="enforce")
@@ -57,14 +62,15 @@ def test_model_std_errors_per_cell_independent_of_the_batch(probit_sample):
     _, _, data = probit_sample
     config = CmleConfig(n_starts=2, seed=1, ord_constraint="enforce")
     results = list(fit_cells(data, config))
-    together = model_std_errors(data, [0, 1, 2, 3], results, b=3, seed=9, n_starts=1)
+    together = model_std_errors(data, [0, 1, 2, 3], results, enforced([0, 1, 2, 3], 9),
+                                b=3, seed=9, n_starts=1)
     assert all(run.n_dropped == 0 for run in together)
     # At this seed only cell 3's fits touch a boundary, so a shared count
     # would show.
     assert [run.boundary_hits for run in together] == [0, 0, 0, 2]
     for cell in (0, 3):
-        [alone] = model_std_errors(data, [cell], [results[cell]], b=3, seed=9,
-                                   n_starts=1)
+        [alone] = model_std_errors(data, [cell], [results[cell]], enforced([cell], 9),
+                                   b=3, seed=9, n_starts=1)
         assert alone.n_dropped == 0
         assert np.array_equal(alone.estimates, together[cell].estimates)
         assert np.array_equal(alone.se(), together[cell].se())
@@ -72,9 +78,28 @@ def test_model_std_errors_per_cell_independent_of_the_batch(probit_sample):
     # Cell 0's rows come first in the stratified stream, so they equal a
     # pooled bootstrap of that cell alone at the same seed.
     cell_0 = Dataset(data.counts[:1], w_labels=data.w_labels[:1])
-    [pooled] = model_std_errors(cell_0, [None], results[:1], b=3, seed=9, n_starts=1)
+    [pooled] = model_std_errors(cell_0, [None], results[:1], enforced([None], 9),
+                                b=3, seed=9, n_starts=1)
     assert np.array_equal(pooled.se(), together[0].se())
     assert pooled.boundary_hits == together[0].boundary_hits
+
+
+def test_model_std_errors_refit_with_the_point_config():
+    # With S_X != S_Z there is no spectral start, so a check-only fit's
+    # latent states keep the order its winning random start found, which
+    # fails the monotone check at these seeds. Replicates refitted with the
+    # point's config sit beside the point; sorted ones (the enforce config)
+    # sat a permutation away, at a distance of about 0.8.
+    for seed in range(4):
+        [model] = make_model(GeneratorSpec(s_x=3, s_z=4, seed=seed))
+        data = draw([model], [1.0], 5000, seed=seed).data
+        config = CmleConfig(n_starts=3, ord_constraint="check-only", seed=seed)
+        result = fit(tabulate(data), config)
+        assert not result.model.ord_satisfied
+        [run] = model_std_errors(data, [None], [result], [config], b=10, seed=seed,
+                                 n_starts=1)
+        assert run.n_dropped == 0
+        assert np.abs(run.estimates.mean(axis=0) - result.model.pack()).max() < 0.1
 
 
 def test_conditional_for_target_routes(probit_sample):
@@ -190,7 +215,8 @@ def test_bootstraps_independent_of_the_chunk_size(probit_sample, seed, b):
     for chunk in (1, 3, 16):
         with mock.patch.object(resampling, "BOOT_CHUNK", chunk):
             outcomes.append((outcome(latent), outcome(lambda: model_std_errors(
-                sparse, [0, 1, 2, 3], results, b=b, seed=seed, n_starts=1))))
+                sparse, [0, 1, 2, 3], results, enforced([0, 1, 2, 3], seed), b=b,
+                seed=seed, n_starts=1))))
     assert outcomes[0] == outcomes[1] == outcomes[2]
     if (seed, b) == (0, 20):
         [(_, _, dropped, _)] = outcomes[0][0]
