@@ -12,6 +12,7 @@ each replicate redraws the contingency counts multinomially from the
 empirical pmf and computes the max-abs of (replicate gap - sample gap),
 cell by cell before the max.
 
+Both read ``tabulate``'s count array; the empirical pmf is counts / n.
 Resampling happens at the count level, which is distributionally identical
 to record-level resampling (the statistic is a function of counts only) and
 makes reports invariant to record order.
@@ -23,9 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    ContingencyTable, Dataset, JointPmf, frequency_pmf, nearest_rank, tabulate
-)
+from .data import Dataset, nearest_rank, tabulate
 from .errors import DomainError, IndependenceTestError
 
 __all__ = [
@@ -131,16 +130,17 @@ def _factorization_gap(probs: np.ndarray):
     return gap, mask
 
 
-def ts_statistic(pmf: JointPmf) -> tuple[float, tuple[int, int, int]]:
-    """Max-abs conditional factorization gap and its attaining cell.
+def ts_statistic(probs: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """Max-abs conditional factorization gap of an (S_X, 2, S_Z) pmf array,
+    and its attaining cell.
 
     Strata with zero reported-outcome mass contribute nothing. The attaining
     cell is reported as 1-based (x, y, z) codes with y in {0,1}; ties go to
     the first maximal cell scanning x ascending, y=1 before y=0, z ascending.
     """
-    if float(pmf.probs.sum()) <= 0:
+    if float(probs.sum()) <= 0:
         raise DomainError("all-zero pmf")
-    gap, mask = _factorization_gap(pmf.probs)
+    gap, mask = _factorization_gap(probs)
     agap = np.abs(gap)
     agap[~mask, :, :] = -1.0
     # Scan order for the argmax: x ascending, y descending, z ascending.
@@ -175,30 +175,6 @@ def _replicate_stats(
     return stats
 
 
-def _test_from_table(table: ContingencyTable, b: int, seed_seq) -> TestReport:
-    if np.count_nonzero(table.counts) < 2:
-        raise IndependenceTestError(
-            f"degenerate (sub)sample: a single populated cell "
-            f"(w_cell={table.w_cell!r}); the statistic is identically zero"
-        )
-    pmf = frequency_pmf(table)
-    stat, arg = ts_statistic(pmf)
-    center, _ = _factorization_gap(pmf.probs)
-    rng = np.random.default_rng(seed_seq)
-    stats_b = np.sort(_replicate_stats(table.counts, table.n, b, rng, center))
-    cvs = {lv: nearest_rank(stats_b, lv) for lv in LEVELS}
-    p_value = (1 + int(np.count_nonzero(stats_b >= stat))) / (b + 1)
-    return TestReport(
-        statistic=stat,
-        critical_values=cvs,
-        p_value=p_value,
-        n=table.n,
-        b_replicates=b,
-        argmax_cell=arg,
-        w_cell=table.w_cell,
-    )
-
-
 def bootstrap_test(
     data: Dataset,
     w_cell: int | None = None,
@@ -214,10 +190,29 @@ def bootstrap_test(
         raise DomainError(f"need at least {MIN_B} bootstrap replicates, got {b}")
     if seed < 0:
         raise DomainError("seed must be non-negative")
-    table = tabulate(data, w_cell)
+    counts = tabulate(data, w_cell)
+    label = None if w_cell is None else data.w_labels[w_cell]
+    if np.count_nonzero(counts) < 2:
+        raise IndependenceTestError(
+            f"degenerate (sub)sample: a single populated cell "
+            f"(w_cell={label!r}); the statistic is identically zero"
+        )
+    n = int(counts.sum())
+    probs = counts / n
+    stat, arg = ts_statistic(probs)
+    center, _ = _factorization_gap(probs)
     cell_index = data.n_w_cells if w_cell is None else w_cell
-    seed_seq = np.random.SeedSequence((seed, cell_index, 0x6369))
-    return _test_from_table(table, b, seed_seq)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, cell_index, 0x6369)))
+    stats_b = np.sort(_replicate_stats(counts, n, b, rng, center))
+    return TestReport(
+        statistic=stat,
+        critical_values={lv: nearest_rank(stats_b, lv) for lv in LEVELS},
+        p_value=(1 + int(np.count_nonzero(stats_b >= stat))) / (b + 1),
+        n=n,
+        b_replicates=b,
+        argmax_cell=arg,
+        w_cell=label,
+    )
 
 
 def conditional_test_suite(

@@ -27,18 +27,15 @@ import numpy as np
 
 from . import __version__
 from .citest import DEFAULT_B, MIN_B, MIN_CELL_COUNT, bootstrap_test, conditional_test_suite
-from .data import Dataset, cell_rows, frequency_pmf, ingest, load_schema, tabulate
+from .data import Dataset, cell_rows, ingest, load_schema, tabulate
 from .errors import (
     ConfigurationError,
     DataError,
     DomainError,
     EstimationError,
-    GeneratorError,
     IdentificationError,
     LatentcatError,
     OptimizationError,
-    SchemaError,
-    IndependenceTestError,
 )
 from .generate import (
     GeneratorSpec, ProbitParams, SyntheticSample, draw, make_cell_weights, make_model
@@ -50,11 +47,6 @@ from .report import render, render_csv, render_exclusions
 from .spectral import MisclassificationModel, eigendecompose_identify
 
 USAGE_EXIT = 64
-INPUT_EXIT = 1
-ESTIMATION_EXIT = 2
-
-INPUT_ERRORS = (SchemaError, DataError, ConfigurationError, DomainError, GeneratorError)
-ESTIMATION_ERRORS = (IndependenceTestError, IdentificationError, EstimationError, OptimizationError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -343,25 +335,24 @@ def _cmd_test(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _identify_cell(table, fitted, args) -> dict:
-    """One cell's entry: its spectral solution, or its cmle fit (``fitted``,
-    a CmleResult or OptimizationError)."""
-    entry: dict = {"w_cell": table.w_cell, "n": table.n}
+def _identify_cell(label, counts, fitted, args) -> dict:
+    """One cell's entry, under its ``label`` (None when pooled): its spectral
+    solution, or its cmle fit (``fitted``, a CmleResult or OptimizationError)."""
+    entry: dict = {"w_cell": label, "n": int(counts.sum())}
     if args.method == "spectral":
         try:
-            model, diag = eigendecompose_identify(frequency_pmf(table), tol=args.tol)
-            entry["model"] = model.to_dict()
-            entry["model"]["w_cell"] = table.w_cell
-            entry["diagnostics"] = diag.to_dict()
+            model, diag = eigendecompose_identify(counts / counts.sum(), tol=args.tol)
+            entry.update(model=model.to_dict(), diagnostics=diag.to_dict())
         except (IdentificationError, DomainError, ConfigurationError) as exc:
             entry["error"] = str(exc)
             if getattr(exc, "diagnostics", None) is not None:
                 entry["diagnostics"] = exc.diagnostics.to_dict()
-        return entry
-    if isinstance(fitted, OptimizationError):
+    elif isinstance(fitted, OptimizationError):
         entry["error"] = str(fitted)
-        return entry
-    entry.update(fitted.to_dict())
+    else:
+        entry.update(fitted.to_dict())
+    if "model" in entry:
+        entry["model"]["w_cell"] = label
     return entry
 
 
@@ -389,7 +380,8 @@ def _cmd_identify(args) -> int:
             cells.append({"w_cell": data.w_labels[cell], "n": 0, "error": "empty cell"})
             continue
         table, config, result = next(fitted)
-        cells.append(_identify_cell(table, result, args))
+        label = None if cell is None else data.w_labels[cell]
+        cells.append(_identify_cell(label, table, result, args))
         if isinstance(result, CmleResult):
             point_fits.append((cell, result, config, cells[-1]))
     if args.boot and point_fits:
@@ -414,7 +406,7 @@ def _cmd_identify(args) -> int:
     if n_failed:
         print(f"{n_failed} of {len(cells)} cells failed identification",
               file=sys.stderr)
-    return 0 if n_failed == 0 else ESTIMATION_EXIT
+    return 0 if n_failed == 0 else IdentificationError.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +415,10 @@ def _cmd_identify(args) -> int:
 
 
 def _models_from_artifact(payload: dict, data: Dataset) -> list[MisclassificationModel]:
-    """One model per covariate cell, refusing cells that fail the monotone
-    ordering: the latent state labels feed the normal-quantile transforms.
+    """One model per covariate cell, refusing a model that is not valid
+    (``MisclassificationModel.validate``) or not of the data's support, and
+    cells that fail the monotone ordering: the latent state labels feed the
+    normal-quantile transforms.
 
     An unlabelled (pooled) entry is the model of the only cell of a
     one-cell dataset; a dataset with covariates needs one entry per cell.
@@ -444,10 +438,15 @@ def _models_from_artifact(payload: dict, data: Dataset) -> list[Misclassificatio
     models = []
     for label in labels:
         try:
-            models.append(MisclassificationModel.from_dict(by_label[label]))
-        except (KeyError, TypeError, ValueError) as exc:
+            model = MisclassificationModel.from_dict(by_label[label])
+            model.validate()
+        except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise DataError(f"models artifact cell {label!r} is not a model: "
                             f"{type(exc).__name__} {exc}") from None
+        if (model.s_x, 2, model.s_z) != data.support:
+            raise DataError(f"models artifact cell {label!r} has support "
+                            f"{(model.s_x, 2, model.s_z)}, the data {data.support}")
+        models.append(model)
     unordered = [label for label, m in zip(labels, models) if not m.ord_satisfied]
     if unordered:
         raise EstimationError(
@@ -667,15 +666,9 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_EXIT
-    except ESTIMATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ESTIMATION_EXIT
     except LatentcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return INPUT_EXIT
+        return exc.exit_code
 
 
 def main() -> None:

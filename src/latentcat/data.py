@@ -7,7 +7,8 @@ discretized auxiliary measure ``z`` in {1..S_Z}, and a covariate-cell index
 they are read: ``ingest`` (or ``Dataset.from_records``) counts them once into
 a (cell, x, y, z) table, and a ``Dataset`` is that table and nothing else.
 Everything downstream (tests, identification, estimation, bootstrap
-redraws) reads it.
+redraws) reads it, a cell at a time as ``tabulate``'s (S_X, 2, S_Z) count
+array, whose pmf is counts / n; cell labels live only in ``Dataset.w_labels``.
 
 Discretization conventions
 --------------------------
@@ -37,14 +38,11 @@ __all__ = [
     "Schema",
     "ExclusionReport",
     "Dataset",
-    "ContingencyTable",
-    "JointPmf",
     "load_schema",
     "ingest",
     "median_split",
     "tercile_bin",
     "tabulate",
-    "frequency_pmf",
     "nearest_rank",
     "cell_rows",
     "design_columns",
@@ -613,71 +611,18 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
 
 
 # ---------------------------------------------------------------------------
-# Tables and pmfs
+# Tables
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Integer counts over the full (x, y, z) grid of one (sub)sample.
-
-    ``counts[x-1, y, z-1]`` is the number of records with those codes; zero
-    cells are present, and the entries sum to ``n``.
-    """
-
-    counts: np.ndarray
-    n: int
-    w_cell: str | None = None
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.counts, dtype=np.int64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
-        if arr.ndim != 3:
-            raise DataError("counts must be a 3-d (x, y, z) array")
-        if (arr < 0).any():
-            raise DataError("negative cell count")
-        if int(arr.sum()) != self.n:
-            raise DataError("cell counts do not sum to n")
-
-    @property
-    def support(self) -> tuple[int, int, int]:
-        return tuple(self.counts.shape)  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class JointPmf:
-    """Joint probability mass over the (x, y, z) grid; sums to 1."""
-
-    probs: np.ndarray
-    support: tuple[int, int, int]
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.probs, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-        if arr.shape != tuple(self.support):
-            raise DataError("pmf shape does not match declared support")
-        if (arr < 0).any():
-            raise DataError("negative probability entry")
-        if abs(float(arr.sum()) - 1.0) > 1e-12:
-            raise DataError(f"pmf sums to {arr.sum()!r}, not 1")
-
-
-def tabulate(data: Dataset, w_cell: int | None = None) -> ContingencyTable:
-    """The (x, y, z) counts of the whole sample or of one W-cell."""
+def tabulate(data: Dataset, w_cell: int | None = None) -> np.ndarray:
+    """The (S_X, 2, S_Z) count array of the whole sample, or of one W-cell as
+    a read-only view of ``data.counts``: ``counts[x-1, y, z-1]`` records have
+    codes (x, y, z). Its frequency pmf is ``counts / counts.sum()``; the
+    cell's label is ``data.w_labels[w_cell]``."""
     if w_cell is None:
-        return ContingencyTable(counts=data.counts.sum(axis=0), n=data.n)
+        return data.counts.sum(axis=0)
     counts = data.counts[w_cell]
-    label = data.w_labels[w_cell]
-    n = int(counts.sum())
-    if n == 0:
-        raise EmptyCellError(f"covariate cell {label!r} has no records")
-    return ContingencyTable(counts=counts, n=n, w_cell=label)
-
-
-def frequency_pmf(table: ContingencyTable) -> JointPmf:
-    """Cell counts divided by n: the maximum-likelihood pmf estimate."""
-    if table.n <= 0:
-        raise DataError("cannot normalize an empty table")
-    return JointPmf(probs=table.counts / table.n, support=table.support)
+    if not counts.any():
+        raise EmptyCellError(f"covariate cell {data.w_labels[w_cell]!r} has no records")
+    return counts

@@ -1,13 +1,15 @@
 """Semantic exception hierarchy.
 
-Exit-code mapping used by the CLI: input-side problems (schema, data,
-configuration, generator specs) exit 1; numerical failures of the tests and
-estimators exit 2. Public functions raise these, never bare ValueError.
+The CLI exits with the class's ``exit_code``: 1 for input-side problems
+(schema, data, configuration, generator specs), 2 for numerical failures of
+the tests and estimators. Public functions raise these, never bare ValueError.
 """
 
 
 class LatentcatError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
 
 
 class SchemaError(LatentcatError):
@@ -37,12 +39,16 @@ class GeneratorError(LatentcatError):
 class IndependenceTestError(LatentcatError):
     """The independence test cannot be run on this (sub)sample."""
 
+    exit_code = 2
+
 
 class IdentificationError(LatentcatError):
     """Closed-form identification failed its assumption checks.
 
     Carries the diagnostics gathered up to the failure point when available.
     """
+
+    exit_code = 2
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -51,6 +57,8 @@ class IdentificationError(LatentcatError):
 
 class EstimationError(LatentcatError):
     """A maximum-likelihood or moment-based estimator failed."""
+
+    exit_code = 2
 
 
 class OptimizationError(EstimationError):

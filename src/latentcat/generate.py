@@ -112,10 +112,6 @@ class GeneratorSpec:
             if self.probit_params.sigma_by_cell.size != self.n_w_cells:
                 raise ConfigurationError("one scale per covariate cell required")
 
-    @property
-    def n_w_columns(self) -> int:
-        return self.n_w_cells.bit_length() - 1
-
 
 @dataclass(frozen=True)
 class SyntheticSample:
@@ -163,7 +159,6 @@ def make_model(spec: GeneratorSpec) -> list[MisclassificationModel]:
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0x6D6F64)))
     s = spec.misclassification_strength
     models: list[MisclassificationModel] = []
-    labels = cell_labels(spec.n_w_columns)
     if spec.probit_params is not None:
         probit = probit_population(spec.probit_params).probs
     for cell in range(spec.n_w_cells):
@@ -204,7 +199,6 @@ def make_model(spec: GeneratorSpec) -> list[MisclassificationModel]:
                     f_y_given_xstar=f_y,
                     m_z_given_xstar=m_z,
                     f_xstar=f_xstar,
-                    w_cell=labels[cell],
                 )
             )
             break

@@ -3,7 +3,7 @@
 In each covariate cell the free parameters are the reporting matrix
 P(X|latent), the auxiliary probabilities P(Y=1|latent), the second-measure
 matrix P(Z|latent), and the latent marginal. The conditional log-likelihood
-of the cell's (x, y, z) contingency counts is
+of the cell's (S_X, 2, S_Z) count array m (``data.tabulate``) is
 
     sum_j m_j * log sum_s P(x_j|s) P(y_j|s) P(z_j|s) P(s),
 
@@ -24,11 +24,10 @@ which sorting would hide.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ContingencyTable, frequency_pmf
 from .errors import DomainError, OptimizationError
 from .spectral import (
     MisclassificationModel,
@@ -134,22 +133,22 @@ class CmleResult:
 # ---------------------------------------------------------------------------
 
 
-def loglik(model: MisclassificationModel, table: ContingencyTable) -> float:
-    """Conditional log-likelihood of the counts under a parameter bundle.
+def loglik(model: MisclassificationModel, counts: np.ndarray) -> float:
+    """Conditional log-likelihood of an (S_X, 2, S_Z) count array under a
+    parameter bundle.
 
     Zero-count cells contribute nothing; a zero mixture probability under a
     positive count yields -inf. Parameters outside the simplex-product space
     raise DomainError.
     """
     model.validate()
-    if model.s_x != table.support[0] or model.s_z != table.support[2]:
+    if np.shape(counts) != (model.s_x, 2, model.s_z):
         raise DomainError("model support does not match the table")
     p = _state_terms(model.pack()[:, None], model.s_x, model.s_z).sum(axis=3)[..., 0]
-    m = table.counts
-    active = m > 0
+    active = counts > 0
     if np.any(p[active] <= 0):
         return -np.inf
-    return float(np.sum(m[active] * np.log(p[active])))
+    return float(np.sum(counts[active] * np.log(p[active])))
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +308,18 @@ def _random_model(rng, s_x: int, s_z: int) -> MisclassificationModel:
     )
 
 
-def _projected_spectral_start(table: ContingencyTable) -> MisclassificationModel | None:
+def _projected_spectral_start(counts: np.ndarray) -> MisclassificationModel | None:
     """Eigendecomposition start, projected into the open simplex.
 
     Unlike the identification routine this never rejects: real parts are
     taken, entries clipped interior, columns renormalized. The result only
     has to land in the right basin with the right latent-state ordering.
     """
-    s_x, _, s_z = table.support
+    s_x, _, s_z = counts.shape
     if s_x != s_z:
         return None
-    pmf = frequency_pmf(table)
-    m_xz, m_per_y = build_matrices(pmf)
+    probs = counts / counts.sum()
+    m_xz, m_per_y = build_matrices(probs)
     try:
         if not check_rank(m_xz, tol=1e-10).rank_ok:
             return None
@@ -339,7 +338,7 @@ def _projected_spectral_start(table: ContingencyTable) -> MisclassificationModel
     # fails the start as well.
     if np.linalg.cond(m_x, 1) * np.finfo(float).eps >= 1.0:
         return None
-    f_xstar = np.linalg.solve(m_x, pmf.probs.sum(axis=(1, 2)))
+    f_xstar = np.linalg.solve(m_x, probs.sum(axis=(1, 2)))
     f_xstar = _interior(f_xstar[:, None], 1e-6).ravel()
     m_z = _interior((np.linalg.solve(m_x, m_xz) / f_xstar[:, None]).T, 1e-6)
     return MisclassificationModel(
@@ -372,31 +371,36 @@ def _boundary_flags(model: MisclassificationModel) -> tuple[str, ...]:
     return tuple(flags)
 
 
-def _starts(table: ContingencyTable, config: CmleConfig,
+def _starts(counts: np.ndarray, config: CmleConfig,
             warm_start: MisclassificationModel | None):
     """(kind, model) per start: the warm or projected spectral start, then
     seeded flat draws from the simplex interior."""
-    if table.n <= 0:
+    counts = np.asarray(counts)
+    if counts.ndim != 3 or counts.shape[1] != 2:
+        raise DomainError(f"a table is an (S_X, 2, S_Z) array, not {counts.shape}")
+    if (counts < 0).any():
+        raise DomainError("negative cell count")
+    if not counts.any():
         raise DomainError("empty table")
     if warm_start is not None:
         starts = [("warm", warm_start)]
     else:
-        projected = _projected_spectral_start(table)
+        projected = _projected_spectral_start(counts)
         starts = [] if projected is None else [("spectral", projected)]
-    s_x, _, s_z = table.support
+    s_x, _, s_z = counts.shape
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x636D6C65)))
     while len(starts) < config.n_starts:
         starts.append(("random", _random_model(rng, s_x, s_z)))
     return starts
 
 
-def _fitted_starts(tables: list[ContingencyTable], configs: list[CmleConfig],
+def _fitted_starts(tables: list[np.ndarray], configs: list[CmleConfig],
                    warm_starts: list[MisclassificationModel | None]):
     """Per table, its starts as (kind, fitted model, start loglik, final
     loglik, iterations, converged) tuples; one accelerated EM runs over
     every start of every table."""
     starts = [_starts(*args) for args in zip(tables, configs, warm_starts, strict=True)]
-    counts = np.stack([t.counts for t, ts in zip(tables, starts) for _ in ts])
+    counts = np.stack([t for t, ts in zip(tables, starts) for _ in ts])
     fitted = iter(_em_fit([m for ts in starts for _, m in ts], counts.astype(float)))
     return [[(kind, *next(fitted)) for kind, _ in ts] for ts in starts]
 
@@ -414,20 +418,20 @@ def _relabelled(model: MisclassificationModel) -> MisclassificationModel:
 
 
 def fit_tables(
-    tables: list[ContingencyTable],
+    tables: list[np.ndarray],
     configs: list[CmleConfig],
     warm_starts: list[MisclassificationModel | None] | None = None,
 ) -> list[CmleResult | OptimizationError]:
-    """``fit`` on one or more tables of one support: per table, the result or
-    the OptimizationError that ``fit`` would raise on it alone.
+    """``fit`` on one or more count arrays of one shape: per table, the
+    result or the OptimizationError that ``fit`` would raise on it alone.
 
     Every start of every table runs in one batched, accelerated EM; then
     ``fit`` builds each table's result from its fitted starts. The
     pipeline's cell fits, ``identify``'s point fits and the cell refits of
     each chunk of bootstrap replicates are one call each. An empty list or
-    mixed supports raise DomainError.
+    mixed shapes raise DomainError.
     """
-    if len({table.support for table in tables}) != 1:
+    if len({np.shape(table) for table in tables}) != 1:
         raise DomainError("fit_tables needs one or more tables of one support")
     if warm_starts is None:
         warm_starts = [None] * len(tables)
@@ -442,17 +446,18 @@ def fit_tables(
 
 
 def fit(
-    table: ContingencyTable,
+    counts: np.ndarray,
     config: CmleConfig = CmleConfig(),
     warm_start: MisclassificationModel | None = None,
     *,
     warmed: list[tuple] | None = None,
 ) -> CmleResult:
-    """Maximize the conditional log-likelihood with multiple seeded starts.
+    """Maximize the conditional log-likelihood of an (S_X, 2, S_Z) count
+    array, such as ``data.tabulate``'s, with multiple seeded starts.
 
     Start 0 is (in order of preference) the caller's ``warm_start``, else
-    the closed-form spectral solution on this table's frequency pmf when it
-    exists; remaining starts are flat draws from the simplex interior. Each
+    the closed-form spectral solution on the pmf ``counts / counts.sum()``
+    when it exists; remaining starts are flat draws from the simplex interior. Each
     start runs SQUAREM-accelerated EM to convergence. Under
     ``ord_constraint="enforce"`` each fitted start's latent states are then
     sorted by the last reporting row, which leaves the likelihood unchanged.
@@ -465,10 +470,11 @@ def fit(
     the starts of many tables in one batch and passes each table's as
     ``warmed``, (kind, fitted model, start loglik, final loglik, iterations,
     converged) per start; ``warm_start`` is then unused. The log-likelihoods
-    are the EM's own, floored at P_FLOOR per cell.
+    are the EM's own, floored at P_FLOOR per cell. A table that is not 3-d,
+    has a negative count or is empty raises DomainError.
     """
     if warmed is None:
-        [warmed] = _fitted_starts([table], [config], [warm_start])
+        [warmed] = _fitted_starts([counts], [config], [warm_start])
     records: list[StartDiagnostics] = []
     models: list[MisclassificationModel] = []
     for idx, (kind, model, start_ll, final_ll, n_iter, converged) in enumerate(warmed):
@@ -497,7 +503,7 @@ def fit(
     tol = AGREE_RTOL * max(1.0, abs(best_ll))
     agreeing = [r for r in converged if best_ll - r.final_loglik <= tol]
     winner = min(agreeing, key=lambda r: r.index)
-    model = replace(models[winner.index], w_cell=table.w_cell)
+    model = models[winner.index]
     return CmleResult(
         model=model,
         loglik=winner.final_loglik,

@@ -185,11 +185,13 @@ def latent_conditional(
     models: list[MisclassificationModel],
     cell_weights,
     column_names: tuple[str, ...] = (),
+    labels: tuple[str, ...] = (),
 ) -> LatentConditional:
     """Assemble the latent-outcome conditional from per-cell identified models.
 
     One model per covariate cell in little-endian cell order; the covariate
-    vector of cell c is its bit pattern with an intercept prepended.
+    vector of cell c is its bit pattern with an intercept prepended, and its
+    label is ``labels[c]`` (by default ``str(c)``).
     """
     weights = np.asarray(cell_weights, dtype=float)
     n_cells = weights.size
@@ -204,7 +206,7 @@ def latent_conditional(
         q=cell_rows(max(n_cells - 1, 0).bit_length())[:n_cells],
         weights=weights,
         probs=[model.f_xstar for model in models],
-        labels=tuple(model.w_cell or str(c) for c, model in enumerate(models)),
+        labels=tuple(labels) or tuple(map(str, range(n_cells))),
         column_names=tuple(column_names),
     )
 

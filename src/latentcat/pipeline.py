@@ -122,7 +122,8 @@ def conditional_for_target(
     if models is None:
         models = [result.model for result in fit_cells(data, config)]
     return latent_conditional(models, data.cell_counts() / data.n,
-                              column_names=design_columns(data.w_columns))
+                              column_names=design_columns(data.w_columns),
+                              labels=data.w_labels)
 
 
 def parametric_fit(

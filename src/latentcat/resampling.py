@@ -28,7 +28,6 @@ __all__ = [
     "ResamplePlan",
     "BootstrapRun",
     "resample",
-    "percentile",
     "boot_se",
     "run_plan",
 ]
@@ -74,16 +73,6 @@ def resample(data: Dataset, seed, stratify_by_cell: bool = False) -> Dataset:
     else:
         redraw = rng.multinomial(data.n, counts.ravel() / data.n)
     return replace(data, counts=redraw.reshape(counts.shape))
-
-
-def percentile(replicate_values, level: float) -> float:
-    """Empirical quantile as the order statistic at ceil(level * B)."""
-    arr = np.sort(np.asarray(replicate_values, dtype=float))
-    if arr.size == 0:
-        raise DomainError("no replicate values")
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must be in (0, 1)")
-    return nearest_rank(arr, level)
 
 
 def boot_se(replicate_estimates) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Closed-form identification of the misclassification model.
 
-Stack the joint pmf into the observable matrices
+Stack the (S_X, 2, S_Z) joint pmf array (on a sample, ``tabulate``'s counts
+over their total) into the observable matrices
 
     M_xz[i, j]      = P(X = x_i, Z = z_j)
     M_xyz[y][i, j]  = P(X = x_i, Y = y, Z = z_j)
@@ -27,7 +28,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import JointPmf
 from .errors import ConfigurationError, DomainError, IdentificationError
 
 __all__ = [
@@ -61,7 +61,6 @@ class MisclassificationModel:
     f_y_given_xstar: np.ndarray
     m_z_given_xstar: np.ndarray
     f_xstar: np.ndarray
-    w_cell: str | None = None
 
     def __post_init__(self):
         for name in ("m_x_given_xstar", "f_y_given_xstar", "m_z_given_xstar", "f_xstar"):
@@ -83,7 +82,13 @@ class MisclassificationModel:
         return bool(np.all(np.diff(last) > 0))
 
     def validate(self, tol: float = STOCHASTIC_TOL) -> None:
-        """Raise DomainError unless all blocks are valid probability objects."""
+        """Raise DomainError unless the blocks fit one model and all are valid
+        probability objects."""
+        shapes = tuple(np.shape(block) for block in (
+            self.m_x_given_xstar, self.f_y_given_xstar, self.m_z_given_xstar, self.f_xstar))
+        s_x, s_z = self.s_x, self.s_z
+        if shapes != ((s_x, s_x), (s_x,), (s_z, s_x), (s_x,)):
+            raise DomainError(f"block shapes {shapes} do not fit one model")
         mats = {
             "m_x_given_xstar": self.m_x_given_xstar,
             "m_z_given_xstar": self.m_z_given_xstar,
@@ -131,7 +136,6 @@ class MisclassificationModel:
 
     def to_dict(self) -> dict:
         return {
-            "w_cell": self.w_cell,
             **self.unpack(self.pack(), self.s_x, self.s_z),
             "ord_satisfied": self.ord_satisfied,
         }
@@ -146,7 +150,6 @@ class MisclassificationModel:
             f_y_given_xstar=np.asarray(payload["f_y_given_xstar"], dtype=float),
             m_z_given_xstar=unmat(payload["m_z_given_xstar"]),
             f_xstar=np.asarray(payload["f_xstar"], dtype=float),
-            w_cell=payload.get("w_cell"),
         )
 
 
@@ -167,19 +170,20 @@ class IdentificationDiagnostics:
         return asdict(self)
 
 
-def build_matrices(pmf: JointPmf) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Observable matrices (M_xz, [M_xyz for y=0, y=1]) from a joint pmf.
+def build_matrices(probs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Observable matrices (M_xz, [M_xyz for y=0, y=1]) from an (S_X, 2, S_Z)
+    joint pmf array.
 
     Requires a square support (S_X == S_Z); coarsen the finer variable
     upstream if the raw supports differ.
     """
-    s_x, _, s_z = pmf.support
+    s_x, _, s_z = probs.shape
     if s_x != s_z:
         raise ConfigurationError(
             f"support is {s_x}x{s_z}; the reported outcome and the second "
             "measure must share a cardinality; coarsen the finer one"
         )
-    m_per_y = [np.ascontiguousarray(pmf.probs[:, y, :]) for y in (0, 1)]
+    m_per_y = [np.ascontiguousarray(probs[:, y, :]) for y in (0, 1)]
     return m_per_y[0] + m_per_y[1], m_per_y
 
 
@@ -270,9 +274,10 @@ def _clip_unit(
 
 
 def eigendecompose_identify(
-    pmf: JointPmf, tol: float = 1e-8
+    probs: np.ndarray, tol: float = 1e-8
 ) -> tuple[MisclassificationModel, IdentificationDiagnostics]:
-    """Recover the misclassification model from a (population-grade) pmf.
+    """Recover the misclassification model from a (population-grade)
+    (S_X, 2, S_Z) pmf array.
 
     Pipeline: rank gate on M_xz; eigendecomposition of the y=1 branch
     operator; column normalization and monotone-reporting ordering; latent
@@ -284,9 +289,9 @@ def eigendecompose_identify(
     eigenvalue gap, and negative-entry clipping. Diagnostic-grade output:
     prefer the likelihood estimator for finite-sample work.
     """
-    if float(pmf.probs.sum()) <= 0:
+    if float(probs.sum()) <= 0:
         raise DomainError("all-zero pmf")
-    m_xz, m_per_y = build_matrices(pmf)
+    m_xz, m_per_y = build_matrices(probs)
     diag = check_rank(m_xz, tol=tol)
     if not diag.rank_ok:
         raise IdentificationError(
@@ -327,7 +332,7 @@ def eigendecompose_identify(
     m_x = m_x / m_x.sum(axis=0)
     f_y, clip_y = _clip_unit(vals1, tol, "P(Y=1 | latent)", upper=1.0)
 
-    f_x = pmf.probs.sum(axis=(1, 2))
+    f_x = probs.sum(axis=(1, 2))
     f_xstar = np.linalg.solve(m_x, f_x)
     f_xstar, clip_s = _clip_unit(f_xstar, max(tol, 1e-7), "latent marginal")
     total = f_xstar.sum()
@@ -374,8 +379,8 @@ def _state_terms(theta: np.ndarray, s_x: int, s_z: int) -> np.ndarray:
             * b2[:, None] * theta[i1:i2].reshape(s_z, s_x, n))
 
 
-def population_pmf(model: MisclassificationModel) -> JointPmf:
-    """Exact joint (x, y, z) pmf implied by a model (law of total probability)."""
+def population_pmf(model: MisclassificationModel) -> np.ndarray:
+    """Exact (S_X, 2, S_Z) joint pmf array implied by a model (law of total
+    probability)."""
     probs = _state_terms(model.pack()[:, None], model.s_x, model.s_z).sum(axis=3)[..., 0]
-    total = float(probs.sum())
-    return JointPmf(probs=probs / total, support=(model.s_x, 2, model.s_z))
+    return probs / float(probs.sum())

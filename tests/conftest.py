@@ -57,22 +57,21 @@ def valid_model() -> MisclassificationModel:
 
 
 def population_table(model: MisclassificationModel, n: int = 10_000_000):
-    """Integer contingency table proportional to the model's population pmf.
+    """Integer count array proportional to the model's population pmf.
 
     Largest-remainder rounding keeps the total exactly n, so the empirical
     pmf differs from the population pmf by at most 1/n per cell.
     """
-    from latentcat.data import ContingencyTable
     from latentcat.spectral import population_pmf
 
-    probs = population_pmf(model).probs
+    probs = population_pmf(model)
     raw = probs * n
     base = np.floor(raw).astype(np.int64)
     short = n - int(base.sum())
     order = np.argsort((raw - base).ravel())[::-1]
     flat = base.ravel()
     flat[order[:short]] += 1
-    return ContingencyTable(counts=flat.reshape(probs.shape), n=n)
+    return flat.reshape(probs.shape)
 
 
 def model_distance(a: MisclassificationModel, b: MisclassificationModel) -> float:

@@ -9,14 +9,13 @@ from latentcat.citest import (
     conditional_test_suite,
     ts_statistic,
 )
-from latentcat.data import Dataset, JointPmf, frequency_pmf, tabulate
+from latentcat.data import Dataset, tabulate
 from latentcat.errors import DomainError, IndependenceTestError
 from latentcat.generate import GeneratorSpec, draw, make_model
 
 
 def product_pmf(f_x, f_y, f_z):
-    probs = np.einsum("x,y,z->xyz", f_x, f_y, f_z)
-    return JointPmf(probs=probs, support=probs.shape)
+    return np.einsum("x,y,z->xyz", f_x, f_y, f_z)
 
 
 def conditional_product_pmf(rng, s_x=3, s_z=3):
@@ -27,7 +26,7 @@ def conditional_product_pmf(rng, s_x=3, s_z=3):
         fy = rng.uniform(0.2, 0.8)
         fz = rng.dirichlet(np.ones(s_z))
         probs[x] = f_x[x] * np.outer([1 - fy, fy], fz)
-    return JointPmf(probs=probs, support=(s_x, 2, s_z))
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +56,7 @@ def test_ts_single_x_hand_enumeration():
     probs = np.zeros((1, 2, 3))
     probs[0, 1, 0] = 0.5
     probs[0, 0, 2] = 0.5
-    stat, cell = ts_statistic(JointPmf(probs=probs, support=(1, 2, 3)))
+    stat, cell = ts_statistic(probs)
     assert stat == pytest.approx(0.25)
     assert cell == (1, 1, 1)
 
@@ -66,7 +65,7 @@ def test_ts_skips_zero_mass_strata():
     probs = np.zeros((2, 2, 3))
     probs[0, 1, 0] = 0.5
     probs[0, 0, 2] = 0.5
-    stat, cell = ts_statistic(JointPmf(probs=probs, support=(2, 2, 3)))
+    stat, cell = ts_statistic(probs)
     assert stat == pytest.approx(0.25)
     assert cell[0] == 1
 
@@ -75,7 +74,7 @@ def test_ts_bounded_on_random_pmfs():
     rng = np.random.default_rng(2)
     for _ in range(50):
         probs = rng.dirichlet(np.ones(18)).reshape(3, 2, 3)
-        stat, _ = ts_statistic(JointPmf(probs=probs, support=(3, 2, 3)))
+        stat, _ = ts_statistic(probs)
         assert 0.0 <= stat <= 1.0
 
 
@@ -122,12 +121,12 @@ def test_bootstrap_test_report_fields():
     assert k == pytest.approx(round(k), abs=1e-9)
     assert 0 <= round(k) <= 199
     # and equals the stated formula recomputed from the replicate stream
-    table = tabulate(data)
-    pmf = frequency_pmf(table)
-    stat, _ = ts_statistic(pmf)
-    center, _ = _factorization_gap(pmf.probs)
+    counts = tabulate(data)
+    probs = counts / counts.sum()
+    stat, _ = ts_statistic(probs)
+    center, _ = _factorization_gap(probs)
     rng = np.random.default_rng(np.random.SeedSequence((9, data.n_w_cells, 0x6369)))
-    stats_b = _replicate_stats(table.counts, table.n, 199, rng, center)
+    stats_b = _replicate_stats(counts, data.n, 199, rng, center)
     assert rep.p_value == (1 + int(np.count_nonzero(stats_b >= stat))) / 200
     assert rep.statistic == stat
 
@@ -169,13 +168,12 @@ def test_centering_lowers_replicate_mean():
     # the uncentered ones on average (the uncentered bootstrap re-estimates
     # the dependence itself instead of the null fluctuation).
     data = sample_dataset(0.6, 3000, seed=13)
-    table = tabulate(data)
-    pmf = frequency_pmf(table)
-    center, _ = _factorization_gap(pmf.probs)
+    counts = tabulate(data)
+    center, _ = _factorization_gap(counts / counts.sum())
     rng1 = np.random.default_rng(21)
     rng2 = np.random.default_rng(21)
-    centered = _replicate_stats(table.counts, table.n, 300, rng1, center)
-    uncentered = _replicate_stats(table.counts, table.n, 300, rng2, None)
+    centered = _replicate_stats(counts, data.n, 300, rng1, center)
+    uncentered = _replicate_stats(counts, data.n, 300, rng2, None)
     assert centered.mean() < uncentered.mean()
 
 
@@ -183,7 +181,7 @@ def test_pvalue_monotone_in_dependence():
     # One-parameter family: mix a conditionally independent pmf with a
     # dependent one; median p-value across Monte Carlo runs must not rise.
     rng = np.random.default_rng(30)
-    base = conditional_product_pmf(rng).probs
+    base = conditional_product_pmf(rng)
     dep = np.zeros_like(base)
     f_x = base.sum(axis=(1, 2))
     for x in range(3):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from latentcat import cli
 from latentcat.cli import run
-from latentcat.generate import draw, make_cell_weights, make_model
+from latentcat.generate import GeneratorSpec, draw, make_cell_weights, make_model
 
 GEN_CFG = """\
 [generator]
@@ -323,6 +323,14 @@ def test_json_input_of_the_wrong_shape_is_one_error_line(pipeline, tmp_path, cap
 
     model = json.loads(pipeline["models"].read_text())
     del model["cells"][1]["model"]["m_x_given_xstar"]
+    # cell W's P(Z|latent) columns summing to 1/2, and cell W's model
+    # replaced by one of four levels, for three-level data
+    halved = json.loads(pipeline["models"].read_text())
+    m_z = halved["cells"][1]["model"]["m_z_given_xstar"]
+    m_z["data"] = [v / 2 for v in m_z["data"]]
+    wider = json.loads(pipeline["models"].read_text())
+    [four] = make_model(GeneratorSpec(s_x=4, s_z=4, seed=1))
+    wider["cells"][1]["model"] = four.to_dict()
     data = ["--data", str(pipeline["synth"]), "--schema", str(pipeline["schema"])]
     for argv, message in (
         (["report", payload("fit.json", '{"fit": {}}')],
@@ -335,6 +343,14 @@ def test_json_input_of_the_wrong_shape_is_one_error_line(pipeline, tmp_path, cap
           "--model", "linear", "--target", "latent", "--seed", "1",
           "--out", str(tmp_path / "out.json")],
          "models artifact cell 'W' is not a model: KeyError 'm_x_given_xstar'"),
+        (["estimate", "--models", payload("halved.json", json.dumps(halved)), *data,
+          "--model", "linear", "--target", "latent", "--seed", "1",
+          "--out", str(tmp_path / "out.json")],
+         "models artifact cell 'W' is not a model: DomainError m_z_given_xstar columns"),
+        (["estimate", "--models", payload("wider.json", json.dumps(wider)), *data,
+          "--model", "hoprobit", "--target", "latent", "--seed", "1", "--boot", "3",
+          "--out", str(tmp_path / "out.json")],
+         "models artifact cell 'W' has support (4, 2, 4), the data (3, 2, 3)"),
         (["estimate", "--models", payload("cells.json", '{"cells": ["model"]}'), *data,
           "--model", "linear", "--target", "latent", "--seed", "1",
           "--out", str(tmp_path / "out.json")],

@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from latentcat.data import (
-    ContingencyTable,
     Dataset,
-    JointPmf,
     Schema,
     cell_labels,
-    frequency_pmf,
     ingest,
     load_schema,
     median_split,
@@ -192,7 +189,7 @@ def test_tercile_boundary_tie_goes_down():
 
 
 # ---------------------------------------------------------------------------
-# tabulate / frequency_pmf
+# tabulate
 # ---------------------------------------------------------------------------
 
 
@@ -217,15 +214,15 @@ def test_tabulate_two_identical_records():
         support=(3, 2, 3),
     )
     table = tabulate(data)
-    assert table.counts[0, 0, 0] == 2
-    assert table.counts.sum() == 2
+    assert table[0, 0, 0] == 2
+    assert table.sum() == 2
 
 
 def test_tabulate_partition_identity():
     data = two_cell_dataset()
     pooled = tabulate(data)
     per_cell = [tabulate(data, c) for c in range(2)]
-    assert np.array_equal(pooled.counts, per_cell[0].counts + per_cell[1].counts)
+    assert np.array_equal(pooled, per_cell[0] + per_cell[1])
 
 
 def test_tabulate_hand_tally():
@@ -234,8 +231,9 @@ def test_tabulate_hand_tally():
     expected = np.zeros((3, 2, 3), dtype=int)
     for x, y, z in [(1, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 1), (3, 1, 2), (1, 0, 3)]:
         expected[x - 1, y, z - 1] += 1
-    assert np.array_equal(table.counts, expected)
-    assert table.w_cell == "0"
+    assert np.array_equal(table, expected)
+    # a read-only view of the dataset's table
+    assert np.shares_memory(table, data.counts) and not table.flags.writeable
 
 
 def test_tabulate_empty_cell_names_cell():
@@ -247,21 +245,6 @@ def test_tabulate_empty_cell_names_cell():
         tabulate(data, 1)
 
 
-def test_frequency_pmf_point_mass():
-    table = ContingencyTable(
-        counts=np.array([[[2, 0], [0, 0]], [[0, 0], [0, 0]]]), n=2
-    )
-    pmf = frequency_pmf(table)
-    assert pmf.probs[0, 0, 0] == 1.0
-    assert pmf.probs.sum() == 1.0
-
-
-def test_frequency_pmf_uniform():
-    table = ContingencyTable(counts=np.full((3, 2, 3), 5, dtype=int), n=90)
-    pmf = frequency_pmf(table)
-    assert np.allclose(pmf.probs, 1 / 18)
-
-
 def test_frequency_pmf_order_invariance():
     data = two_cell_dataset()
     x, y, z, w = records_of(data)
@@ -270,9 +253,9 @@ def test_frequency_pmf_order_invariance():
         x=x[perm], y=y[perm], z=z[perm], w=w[perm],
         support=data.support, w_columns=data.w_columns, w_labels=data.w_labels,
     )
-    a = frequency_pmf(tabulate(data))
-    b = frequency_pmf(tabulate(shuffled))
-    assert np.array_equal(a.probs, b.probs)
+    a = tabulate(data) / data.n
+    b = tabulate(shuffled) / shuffled.n
+    assert np.array_equal(a, b)
 
 
 def test_recode_idempotence(basic_schema):
@@ -298,20 +281,6 @@ def test_recode_idempotence(basic_schema):
 # ---------------------------------------------------------------------------
 # types and schema loading
 # ---------------------------------------------------------------------------
-
-
-def test_contingency_table_validates_total():
-    with pytest.raises(DataError):
-        ContingencyTable(counts=np.ones((2, 2, 2), dtype=int), n=5)
-
-
-def test_joint_pmf_validates_sum():
-    bad = np.full((3, 2, 3), 1 / 18)
-    bad[0, 0, 0] += 0.5
-    with pytest.raises(DataError):
-        JointPmf(probs=bad, support=(3, 2, 3))
-    with pytest.raises(DataError):
-        JointPmf(probs=np.zeros((3, 2, 3)), support=(3, 2, 3))
 
 
 def test_dataset_rejects_out_of_support():

@@ -58,8 +58,7 @@ def test_latent_conditional_single_cell():
 
 def test_latent_conditional_equal_cells_equal_means():
     [model] = make_model(GeneratorSpec(seed=2))
-    models = [replace(model, w_cell="0"), replace(model, w_cell="A")]
-    lc = latent_conditional(models, [0.5, 0.5])
+    lc = latent_conditional([model, model], [0.5, 0.5])
     levels = np.arange(1, 4)
     means = lc.probs @ levels
     assert means[0] == pytest.approx(means[1])
@@ -88,7 +87,8 @@ def test_latent_conditional_refusals(change, message):
 
 def test_latent_conditional_is_stacked_and_read_only():
     models = make_model(GeneratorSpec(n_w_cells=2, seed=3))
-    lc = latent_conditional(models, [0.25, 0.75], column_names=("const", "w1"))
+    lc = latent_conditional(models, [0.25, 0.75], column_names=("const", "w1"),
+                            labels=("0", "A"))
     assert lc.q.tolist() == [[1.0, 0.0], [1.0, 1.0]]
     assert lc.weights.tolist() == [0.25, 0.75]
     assert np.array_equal(lc.probs, [m.f_xstar for m in models])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latentcat.data import Dataset, tabulate
+from latentcat.data import Dataset, nearest_rank, tabulate
 from latentcat.errors import DomainError, EmptyCellError, EstimationError
 from latentcat.generate import GeneratorSpec, draw, make_model
 from latentcat.mle import CmleConfig, fit
@@ -9,7 +9,6 @@ from latentcat.ordered import linear_projection, reported_conditional
 from latentcat.resampling import (
     ResamplePlan,
     boot_se,
-    percentile,
     resample,
     run_plan,
 )
@@ -90,36 +89,29 @@ def test_resample_expected_record_frequency():
 
 
 # ---------------------------------------------------------------------------
-# percentile / boot_se
+# nearest-rank percentile / boot_se
 # ---------------------------------------------------------------------------
 
 
 def test_percentile_order_statistic():
-    assert percentile(np.arange(1, 101), 0.95) == 95.0
+    assert nearest_rank(np.arange(1, 101), 0.95) == 95.0
 
 
 def test_percentile_constant():
-    assert percentile([3.5] * 17, 0.25) == 3.5
-    assert percentile([3.5] * 17, 0.99) == 3.5
+    assert nearest_rank(np.full(17, 3.5), 0.25) == 3.5
+    assert nearest_rank(np.full(17, 3.5), 0.99) == 3.5
 
 
 def test_percentile_normal_quantile():
-    draws = np.random.default_rng(6).normal(size=999)
-    assert abs(percentile(draws, 0.975) - 1.96) < 0.15
+    draws = np.sort(np.random.default_rng(6).normal(size=999))
+    assert abs(nearest_rank(draws, 0.975) - 1.96) < 0.15
 
 
 def test_percentile_monotone_in_level():
     rng = np.random.default_rng(8)
-    values = rng.normal(size=250)
-    quantiles = [percentile(values, lv) for lv in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
+    values = np.sort(rng.normal(size=250))
+    quantiles = [nearest_rank(values, lv) for lv in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
     assert quantiles == sorted(quantiles)
-
-
-def test_percentile_domain():
-    with pytest.raises(DomainError):
-        percentile([], 0.5)
-    with pytest.raises(DomainError):
-        percentile([1.0], 1.5)
 
 
 def test_boot_se_identical_replicates():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from latentcat.data import JointPmf, frequency_pmf, tabulate
+from latentcat.data import tabulate
 from latentcat.errors import ConfigurationError, GeneratorError, IdentificationError
 from latentcat.generate import GeneratorSpec, draw, make_model
 from latentcat.spectral import (
@@ -39,7 +39,7 @@ def test_build_matrices_product_is_rank_one():
     f_y = np.array([0.4, 0.6])
     f_z = rng.dirichlet(np.ones(3))
     probs = np.einsum("x,y,z->xyz", f_x, f_y, f_z)
-    m_xz, _ = build_matrices(JointPmf(probs=probs, support=(3, 2, 3)))
+    m_xz, _ = build_matrices(probs)
     assert np.linalg.matrix_rank(m_xz, tol=1e-12) == 1
 
 
@@ -66,7 +66,7 @@ def test_build_matrices_match_direct_factorization():
 def test_build_matrices_rejects_nonsquare():
     probs = np.full((3, 2, 2), 1 / 12)
     with pytest.raises(ConfigurationError, match="coarsen"):
-        build_matrices(JointPmf(probs=probs, support=(3, 2, 2)))
+        build_matrices(probs)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_check_rank_sample_close_to_population():
     pop_m, _ = build_matrices(population_pmf(model))
     pop_smin = np.linalg.svd(pop_m, compute_uv=False)[-1]
     sample = draw([model], [1.0], 50_000, seed=4).data
-    emp_m, _ = build_matrices(frequency_pmf(tabulate(sample)))
+    emp_m, _ = build_matrices(tabulate(sample) / sample.n)
     diag = check_rank(emp_m)
     assert diag.rank_ok
     assert abs(diag.min_singular_value - pop_smin) <= 0.1 * pop_smin
@@ -155,14 +155,14 @@ def test_reconstruction_identity_both_branches():
     for y in (0, 1):
         fy = rec.f_y_given_xstar if y == 1 else 1 - rec.f_y_given_xstar
         recon = rec.m_x_given_xstar @ np.diag(fy) @ d_pi @ rec.m_z_given_xstar.T
-        assert np.allclose(recon, pmf.probs[:, y, :], atol=1e-10)
+        assert np.allclose(recon, pmf[:, y, :], atol=1e-10)
 
 
 def test_marginal_identity():
     [model] = make_model(spec_for(7))
     pmf = population_pmf(model)
     rec, _ = eigendecompose_identify(pmf)
-    f_x = pmf.probs.sum(axis=(1, 2))
+    f_x = pmf.sum(axis=(1, 2))
     assert np.allclose(rec.m_x_given_xstar @ rec.f_xstar, f_x, atol=1e-10)
 
 
@@ -170,7 +170,7 @@ def test_z_relabeling_only_permutes_z_rows():
     [model] = make_model(spec_for(8))
     pmf = population_pmf(model)
     perm = [2, 0, 1]
-    permuted = JointPmf(probs=pmf.probs[:, :, perm], support=pmf.support)
+    permuted = pmf[:, :, perm]
     rec_a, _ = eigendecompose_identify(pmf)
     rec_b, _ = eigendecompose_identify(permuted)
     assert np.allclose(rec_a.m_x_given_xstar, rec_b.m_x_given_xstar, atol=1e-10)
@@ -211,7 +211,7 @@ def test_finite_sample_negative_entries_rejected_not_repaired():
     # the identification routine must refuse rather than clip them away.
     [model] = make_model(spec_for(11, misclassification_strength=0.6))
     sample = draw([model], [1.0], 400, seed=12).data
-    pmf = frequency_pmf(tabulate(sample))
+    pmf = tabulate(sample) / sample.n
     try:
         rec, diag = eigendecompose_identify(pmf, tol=1e-8)
     except IdentificationError:
