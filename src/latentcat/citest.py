@@ -26,6 +26,7 @@ import numpy as np
 
 from .data import Dataset, nearest_rank, tabulate
 from .errors import DomainError, IndependenceTestError
+from .spectral import _check_table
 
 __all__ = [
     "TestReport",
@@ -137,8 +138,9 @@ def ts_statistic(probs: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     Strata with zero reported-outcome mass contribute nothing. The attaining
     cell is reported as 1-based (x, y, z) codes with y in {0,1}; ties go to
     the first maximal cell scanning x ascending, y=1 before y=0, z ascending.
+    Any other shape, or an all-zero pmf, raises DomainError.
     """
-    if float(probs.sum()) <= 0:
+    if float(_check_table(probs).sum()) <= 0:
         raise DomainError("all-zero pmf")
     gap, mask = _factorization_gap(probs)
     agap = np.abs(gap)

@@ -40,9 +40,11 @@ from .errors import (
 from .generate import (
     GeneratorSpec, ProbitParams, SyntheticSample, draw, make_cell_weights, make_model
 )
-from .mle import CmleConfig, CmleResult, fit_tables
+from .mle import CmleConfig, CmleResult
 from .ordered import check_clamp
-from .pipeline import SKEDASTIC, bootstrap_std_errors, model_std_errors, parametric_fit
+from .pipeline import (
+    SKEDASTIC, bootstrap_std_errors, fit_cells, model_std_errors, parametric_fit
+)
 from .report import render, render_csv, render_exclusions
 from .spectral import MisclassificationModel, eigendecompose_identify
 
@@ -368,20 +370,20 @@ def _cmd_identify(args) -> int:
     # and its bootstrap replicates refit with the same config.
     indices = list(range(data.n_w_cells)) if args.by_cell else [None]
     populated = [c for c in indices if c is None or counts[c] > 0]
-    tables = [tabulate(data, c) for c in populated]
     configs = [CmleConfig(n_starts=args.starts, seed=args.seed + (c or 0),
                           ord_constraint=args.ord) for c in populated]
-    fits = [None] * len(tables) if args.method == "spectral" else fit_tables(tables, configs)
-    fitted = iter(zip(tables, configs, fits))
+    [fits] = ([[None] * len(populated)] if args.method == "spectral"
+              else fit_cells([data], populated, configs))
+    fitted = iter(zip(configs, fits))
     cells: list[dict] = []
     point_fits: list[tuple] = []  # (cell index, CmleResult, config, entry) per fitted cell
     for cell in indices:
         if cell is not None and counts[cell] == 0:
             cells.append({"w_cell": data.w_labels[cell], "n": 0, "error": "empty cell"})
             continue
-        table, config, result = next(fitted)
+        config, result = next(fitted)
         label = None if cell is None else data.w_labels[cell]
-        cells.append(_identify_cell(label, table, result, args))
+        cells.append(_identify_cell(label, tabulate(data, cell), result, args))
         if isinstance(result, CmleResult):
             point_fits.append((cell, result, config, cells[-1]))
     if args.boot and point_fits:
@@ -465,7 +467,6 @@ def _cmd_estimate(args) -> int:
         return USAGE_EXIT
     manifest = _Manifest("estimate", vars(args))
     data = _load_data(args.data, args.schema, manifest)
-    config = CmleConfig(seed=args.seed, ord_constraint="enforce")
     models = None
     if args.target == "latent":
         if not args.models:
@@ -473,8 +474,8 @@ def _cmd_estimate(args) -> int:
         artifact = _read_json(args.models)
         manifest.add_input(args.models)
         models = _models_from_artifact(artifact, data)
-    point = parametric_fit(data, args.model, args.target, config, clamp=args.clamp,
-                           models=models, skedastic_kind=args.skedastic)
+    point = parametric_fit(data, args.model, args.target, models, clamp=args.clamp,
+                           skedastic_kind=args.skedastic)
     manifest.stage("point_fit")
 
     boot_meta = None
@@ -486,10 +487,9 @@ def _cmd_estimate(args) -> int:
             point,
             b=args.boot,
             seed=args.seed,
-            config=config,
+            models=models,
             replicate_starts=args.boot_starts,
             stratify=args.stratify,
-            warm_models=models,
             clamp=args.clamp,
             skedastic_kind=args.skedastic,
         )

@@ -17,8 +17,8 @@ runs of items. No item's numbers depend on the batch around it. EM keeps
 each probability block on its simplex, so the fit needs no
 parameterization. The likelihood does not change when the latent states
 are relabelled, so the monotone-reporting restriction (last reporting row
-increasing in the latent state) is enforced, when asked, by sorting each
-fitted start's states. The default only checks it and flags a violation,
+increasing in the latent state) is enforced, when asked, by sorting the
+winning start's states. The default only checks it and flags a violation,
 which sorting would hide.
 """
 
@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DomainError, OptimizationError
 from .spectral import (
     MisclassificationModel,
+    _check_table,
     _state_terms,
     branch_operator,
     build_matrices,
@@ -70,7 +71,7 @@ class CmleConfig:
     """The multi-start choices a caller makes.
 
     ``ord_constraint`` is "check-only" (fit unrestricted, flag violations)
-    or "enforce" (sort each fitted start's latent states by the last
+    or "enforce" (sort the winning start's latent states by the last
     reporting row). ``n_starts`` counts total optimizations; start 0 is the
     closed-form spectral solution when it exists, the rest are flat draws
     from the simplex interior seeded by ``seed``. Iteration limits and
@@ -375,9 +376,7 @@ def _starts(counts: np.ndarray, config: CmleConfig,
             warm_start: MisclassificationModel | None):
     """(kind, model) per start: the warm or projected spectral start, then
     seeded flat draws from the simplex interior."""
-    counts = np.asarray(counts)
-    if counts.ndim != 3 or counts.shape[1] != 2:
-        raise DomainError(f"a table is an (S_X, 2, S_Z) array, not {counts.shape}")
+    counts = _check_table(counts)
     if (counts < 0).any():
         raise DomainError("negative cell count")
     if not counts.any():
@@ -426,10 +425,10 @@ def fit_tables(
     result or the OptimizationError that ``fit`` would raise on it alone.
 
     Every start of every table runs in one batched, accelerated EM; then
-    ``fit`` builds each table's result from its fitted starts. The
-    pipeline's cell fits, ``identify``'s point fits and the cell refits of
-    each chunk of bootstrap replicates are one call each. An empty list or
-    mixed shapes raise DomainError.
+    ``fit`` builds each table's result from its fitted starts.
+    ``pipeline.fit_cells`` makes one call for ``identify``'s point fits and
+    one for the cell refits of each chunk of bootstrap replicates. An empty
+    list or mixed shapes raise DomainError.
     """
     if len({np.shape(table) for table in tables}) != 1:
         raise DomainError("fit_tables needs one or more tables of one support")
@@ -457,13 +456,13 @@ def fit(
 
     Start 0 is (in order of preference) the caller's ``warm_start``, else
     the closed-form spectral solution on the pmf ``counts / counts.sum()``
-    when it exists; remaining starts are flat draws from the simplex interior. Each
-    start runs SQUAREM-accelerated EM to convergence. Under
-    ``ord_constraint="enforce"`` each fitted start's latent states are then
-    sorted by the last reporting row, which leaves the likelihood unchanged.
-    The winner is the lowest-indexed start whose value ties the best within
+    when it exists; remaining starts are flat draws from the simplex
+    interior. Each start runs SQUAREM-accelerated EM to convergence. The
+    winner is the lowest-indexed start whose value ties the best within
     ``AGREE_RTOL`` (relative), so a well-ordered warm start beats permuted
-    copies of the same optimum. Raises OptimizationError when no start
+    copies of the same optimum. Under ``ord_constraint="enforce"`` the
+    winner's latent states are then sorted by the last reporting row, which
+    leaves the likelihood unchanged. Raises OptimizationError when no start
     converges.
 
     Alone, ``fit`` fits its starts as a batch of one. ``fit_tables`` fits
@@ -476,11 +475,7 @@ def fit(
     if warmed is None:
         [warmed] = _fitted_starts([counts], [config], [warm_start])
     records: list[StartDiagnostics] = []
-    models: list[MisclassificationModel] = []
-    for idx, (kind, model, start_ll, final_ll, n_iter, converged) in enumerate(warmed):
-        if config.ord_constraint == "enforce":
-            model = _relabelled(model)
-        models.append(model)
+    for idx, (kind, _, start_ll, final_ll, n_iter, converged) in enumerate(warmed):
         records.append(
             StartDiagnostics(
                 index=idx,
@@ -503,7 +498,9 @@ def fit(
     tol = AGREE_RTOL * max(1.0, abs(best_ll))
     agreeing = [r for r in converged if best_ll - r.final_loglik <= tol]
     winner = min(agreeing, key=lambda r: r.index)
-    model = models[winner.index]
+    model = warmed[winner.index][1]
+    if config.ord_constraint == "enforce":
+        model = _relabelled(model)
     return CmleResult(
         model=model,
         loglik=winner.final_loglik,

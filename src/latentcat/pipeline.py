@@ -1,20 +1,20 @@
 """End-to-end estimation: per-cell likelihood fits feeding parametric models.
 
-The latent pipeline is tabulate each covariate cell -> constrained ML fits
-of all cells as one ``fit_tables`` batch (one vectorized, accelerated EM
-over every cell and start) -> assemble the latent conditional with
-empirical cell weights -> closed-form parametric layer.
-Per-cell fits run with the monotone-reporting restriction enforced: the
-parametric layer feeds latent-state labels into normal-quantile transforms,
-so the ordering has to be guaranteed, not just checked. ``parametric_fit``
-is the one dispatch from a (model, target, skedastic) choice to an
-estimator. Bootstrap standard errors come from refits on redraws (no
-analytic sandwich), and both bootstraps go through ``resampling.run_plan``,
-which hands them a chunk of redraws at a time. ``bootstrap_std_errors``
-fits every cell of every redraw in a chunk as one ``fit_tables`` batch,
-warm-started at the parent point estimates, then runs ``parametric_fit``
-on each redraw. ``model_std_errors`` bootstraps the cell models themselves
-(the s.e. of ``identify --boot``), a chunk's refits again in one batch.
+``fit_cells`` is the one path from datasets to cell fits: it tabulates the
+listed covariate cells of every dataset and fits them all in one
+``fit_tables`` batch (one vectorized, accelerated EM over every cell and
+start); ``identify``'s point fits and both bootstraps' refits go through
+it. The latent conditional is assembled from cell models identified with
+``--ord enforce`` (the parametric layer feeds latent-state labels into
+normal-quantile transforms, so the ordering has to be guaranteed), with
+empirical cell weights. ``parametric_fit`` is the one dispatch from a
+(model, target, skedastic) choice to an estimator. Bootstrap standard
+errors come from refits on redraws (no analytic sandwich), and both
+bootstraps go through ``resampling.run_plan``, which hands them a chunk of
+redraws at a time: ``bootstrap_std_errors`` refits the chunk's cells in
+one ``fit_cells`` call, then runs ``parametric_fit`` on each redraw, and
+``model_std_errors`` bootstraps the cell models themselves (the s.e. of
+``identify --boot``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from dataclasses import replace
 import numpy as np
 
 from .data import Dataset, design_columns, tabulate
-from .errors import ConfigurationError, EmptyCellError, EstimationError
+from .errors import (
+    ConfigurationError, DomainError, EmptyCellError, EstimationError, OptimizationError
+)
 from .mle import CmleConfig, CmleResult, fit_tables
 from .ordered import (
     LatentConditional,
@@ -38,7 +40,7 @@ from .ordered import (
     reported_conditional,
     skedastic,
 )
-from .resampling import BootstrapRun, ResamplePlan, run_plan
+from .resampling import BootstrapRun, run_plan
 from .spectral import MisclassificationModel
 
 __all__ = [
@@ -49,78 +51,58 @@ __all__ = [
     "model_std_errors",
 ]
 
-PIPELINE_CONFIG = CmleConfig(ord_constraint="enforce")
 SKEDASTIC = ("nonparametric", "exponential")
 
 
-def _fit_redraws(
-    redraws: list[Dataset],
+def fit_cells(
+    datasets: list[Dataset],
     cells: list[int | None],
     configs: list[CmleConfig],
-    warm_starts: list[MisclassificationModel | None] | None,
-) -> list[list[CmleResult] | EmptyCellError | EstimationError]:
-    """Per dataset, the fits of the listed cells (``None``: the pooled
-    table), ``configs[j]`` and ``warm_starts[j]`` for ``cells[j]``; or the
-    error that drops it: an ``EmptyCellError`` naming its empty listed
-    cells, else its first failing cell's ``OptimizationError``. Every cell
-    of every dataset is fitted in one ``fit_tables`` batch."""
+    warm_starts: list[MisclassificationModel | None] | None = None,
+) -> list[list[CmleResult | OptimizationError] | EmptyCellError]:
+    """Constrained ML fits of the listed cells of every dataset, all tables
+    in one ``fit_tables`` batch.
+
+    ``None`` in ``cells`` stands for the pooled table. ``configs`` and
+    ``warm_starts`` hold one entry per cell, else DomainError, as for an
+    empty ``cells``. Returns, per dataset, one entry per listed cell, a
+    CmleResult or the OptimizationError that ``fit`` would raise on that
+    table; or an EmptyCellError naming the dataset's empty listed cells.
+    """
     warm = warm_starts or [None] * len(cells)
-    outcomes: list = []
-    tables: list = []
-    for redraw in redraws:
-        counts = redraw.cell_counts()
-        empty = [redraw.w_labels[c] for c in cells if c is not None and counts[c] == 0]
-        if empty:
-            outcomes.append(EmptyCellError(f"cannot fit empty covariate cells: {empty}"))
-        else:
-            outcomes.append(None)  # filled in from the batch below
-            tables += [tabulate(redraw, c) for c in cells]
+    if not cells or not len(configs) == len(warm) == len(cells):
+        raise DomainError("fit_cells needs one or more cells, a config and a warm start each")
+    empty = [[data.w_labels[c] for c in cells if c is not None and counts[c] == 0]
+             for data, counts in zip(datasets, map(Dataset.cell_counts, datasets))]
+    tables = [tabulate(data, c) for data, labels in zip(datasets, empty) if not labels
+              for c in cells]
     n_fitted = len(tables) // len(cells)
     fits = iter(fit_tables(tables, configs * n_fitted, warm * n_fitted) if tables else ())
-    for i, outcome in enumerate(outcomes):
-        if outcome is None:
-            results = [next(fits) for _ in cells]
-            outcomes[i] = next((r for r in results if isinstance(r, EstimationError)),
-                               results)
-    return outcomes
+    return [EmptyCellError(f"cannot fit empty covariate cells: {labels}") if labels
+            else [next(fits) for _ in cells] for labels in empty]
 
 
-def fit_cells(
-    data: Dataset,
-    config: CmleConfig = PIPELINE_CONFIG,
-    warm_starts: list[MisclassificationModel] | None = None,
-) -> tuple[CmleResult, ...]:
-    """Constrained ML fits of every cell (none may be empty), as one batch,
-    cell c's starts seeded ``config.seed + 7919 * c``; raises the first
-    failing cell's OptimizationError."""
-    [fits] = _fit_redraws([data], *_cell_configs(data, config), warm_starts)
-    if not isinstance(fits, list):
-        raise fits
-    return tuple(fits)
-
-
-def _cell_configs(data: Dataset, config: CmleConfig):
-    """Every cell index of ``data``, and ``fit_cells``' config for each."""
-    cells = list(range(data.n_w_cells))
-    return cells, [replace(config, seed=config.seed + 7919 * cell) for cell in cells]
+def _first_failure(fits: list | EmptyCellError) -> OptimizationError | EmptyCellError | None:
+    """What drops a bootstrap redraw: its ``fit_cells`` EmptyCellError, else
+    its first failing cell's OptimizationError; None when nothing does."""
+    if isinstance(fits, EmptyCellError):
+        return fits
+    return next((fit for fit in fits if isinstance(fit, OptimizationError)), None)
 
 
 def conditional_for_target(
     data: Dataset,
     target: str,
-    config: CmleConfig = PIPELINE_CONFIG,
     models: list[MisclassificationModel] | None = None,
 ) -> LatentConditional:
-    """Outcome conditional for either target.
-
-    The latent target uses the given cell ``models``, else fits them.
-    """
+    """Outcome conditional for either target, the latent one on the given
+    cell ``models`` (ConfigurationError without them)."""
     if target == "reported":
         return reported_conditional(data)
     if target != "latent":
         raise EstimationError(f"unknown target {target!r}")
     if models is None:
-        models = [result.model for result in fit_cells(data, config)]
+        raise ConfigurationError("the latent target needs cell models")
     return latent_conditional(models, data.cell_counts() / data.n,
                               column_names=design_columns(data.w_columns),
                               labels=data.w_labels)
@@ -130,9 +112,8 @@ def parametric_fit(
     data: Dataset,
     model: str,
     target: str,
-    config: CmleConfig = PIPELINE_CONFIG,
-    clamp: float = 1e-6,
     models: list[MisclassificationModel] | None = None,
+    clamp: float = 1e-6,
     skedastic_kind: str = "nonparametric",
 ) -> ParametricFit:
     """One named fit: model in {linear, oprobit, hoprobit}, either target.
@@ -141,8 +122,7 @@ def parametric_fit(
     benchmark on the counts; ``skedastic_kind="exponential"`` selects the
     exponential-index ML benchmark for the reported-target heteroskedastic
     probit. Everything else goes through the conditional representation
-    and the closed forms, the latent target on the given cell ``models``
-    (fitted here when None).
+    and the closed forms, the latent target on the given cell ``models``.
     """
     if skedastic_kind != "nonparametric":
         if (model, target, skedastic_kind) != ("hoprobit", "reported", "exponential"):
@@ -152,7 +132,7 @@ def parametric_fit(
         return exponential_skedastic_probit(data)
     if model == "oprobit" and target == "reported":
         return ordered_probit_mle(data)
-    lc = conditional_for_target(data, target, config, models)
+    lc = conditional_for_target(data, target, models)
     if model == "linear":
         return linear_projection(lc, target=target)
     if model == "oprobit":
@@ -170,48 +150,43 @@ def bootstrap_std_errors(
     point: ParametricFit,
     b: int,
     seed: int,
-    config: CmleConfig = PIPELINE_CONFIG,
+    models: list[MisclassificationModel] | None = None,
     replicate_starts: int = 3,
     stratify: bool = False,
-    warm_models: list[MisclassificationModel] | None = None,
     clamp: float = 1e-6,
     skedastic_kind: str = "nonparametric",
 ) -> tuple[ParametricFit, BootstrapRun]:
-    """Re-run the full pipeline on every bootstrap redraw; attach s.e. vector.
+    """Re-run the point fit on every bootstrap redraw; attach s.e. vector.
 
     Every replicate calls ``parametric_fit`` with the point estimate's
     choices. Returns the fit with ``std_errors`` filled plus the run, which
     counts dropped replicates by reason and boundary hits. For the latent
-    target, the cells of a chunk's redraws are fitted first, as in
-    ``fit_cells`` but all in one batch, warm-started at the parent point
-    estimates with a couple of fresh random starts.
+    target, a chunk's cells are refitted first in one ``fit_cells`` call:
+    cell c under ``enforce`` at ``replicate_starts`` starts seeded
+    ``seed + 7919 * c``, start 0 warm at the point ``models``.
     """
-    rep_config = replace(config, n_starts=replicate_starts)
-    cells, configs = _cell_configs(data, rep_config)
+    cells = list(range(data.n_w_cells))
+    configs = [CmleConfig(n_starts=replicate_starts, ord_constraint="enforce",
+                          seed=seed + 7919 * cell) for cell in cells]
+
+    def replicate(redraw: Dataset, fits):
+        """One redraw's (beta, boundary flagged), or the error that drops it;
+        ``fits`` are its cell fits, none for the reported target."""
+        if failure := _first_failure(fits):
+            return failure
+        try:
+            rep = parametric_fit(redraw, model, target, [fit.model for fit in fits] or None,
+                                 clamp, skedastic_kind)
+        except (EmptyCellError, EstimationError) as exc:
+            return exc
+        return rep.beta, any(fit.boundary_flags for fit in fits)
 
     def estimator(redraws: list[Dataset]):
-        if target == "latent":
-            fitted = _fit_redraws(redraws, cells, configs, warm_models)
-        else:
-            fitted = [None] * len(redraws)
-        outcomes: list = []
-        for redraw, fits in zip(redraws, fitted):
-            if isinstance(fits, (EmptyCellError, EstimationError)):
-                outcomes.append(fits)
-                continue
-            models = None if fits is None else [result.model for result in fits]
-            try:
-                rep = parametric_fit(redraw, model, target, rep_config, clamp, models,
-                                     skedastic_kind)
-            except (EmptyCellError, EstimationError) as exc:
-                outcomes.append(exc)
-                continue
-            outcomes.append((rep.beta, fits is not None
-                             and any(result.boundary_flags for result in fits)))
-        return outcomes
+        fitted = (fit_cells(redraws, cells, configs, models) if target == "latent"
+                  else [[]] * len(redraws))
+        return [replicate(redraw, fits) for redraw, fits in zip(redraws, fitted)]
 
-    plan = ResamplePlan(b=b, master_seed=seed, stratify_by_cell=stratify)
-    run = run_plan(plan, data, estimator)
+    run = run_plan(data, estimator, b, seed, stratify_by_cell=stratify)
     return replace(point, std_errors=run.se()), run
 
 
@@ -230,7 +205,7 @@ def model_std_errors(
     ``[None]`` for the pooled table, and ``configs`` the config each point
     fit ran with. Replicate redraws are stratified by cell unless pooled.
     Every listed cell of every redraw in a chunk is refitted in one
-    ``fit_tables`` batch, with its point fit's config at ``n_starts``
+    ``fit_cells`` call, with its point fit's config at ``n_starts``
     starts (so its states are sorted only if the point's were),
     warm-started at the point models; a replicate in which any cell's fit
     fails is dropped for every cell. Returns one run per cell: its columns
@@ -242,14 +217,13 @@ def model_std_errors(
 
     def estimator(redraws: list[Dataset]):
         return [
-            fits if not isinstance(fits, list) else (
+            _first_failure(fits) or (
                 np.concatenate([fit.model.pack() for fit in fits]),
                 [bool(fit.boundary_flags) for fit in fits])
-            for fits in _fit_redraws(redraws, cells, configs, warm)
+            for fits in fit_cells(redraws, cells, configs, warm)
         ]
 
-    plan = ResamplePlan(b=b, master_seed=seed, stratify_by_cell=cells != [None])
-    run = run_plan(plan, data, estimator)
+    run = run_plan(data, estimator, b, seed, stratify_by_cell=cells != [None])
     # The cells share one support, so their vectors have one length.
     return [
         replace(run, estimates=block, boundary_hits=hits)

@@ -4,11 +4,12 @@ Every statistic depends on the sample only through its (cell, x, y, z)
 count table, so a replicate redraws that table: one multinomial over all
 entries, or one per covariate cell when stratified (preserving cell counts
 exactly). This has the same distribution as redrawing n records with
-replacement. Each replicate has its own random stream, derived as
-SeedSequence((master_seed, replicate_index)), so replicate i's estimate
-depends only on the data, the plan and i. The replicates are handed to the
-estimator ``BOOT_CHUNK`` at a time, in index order, so that it can fit a
-whole chunk as one batch. Replicates whose estimator fails are dropped and
+replacement. ``run_plan(data, estimator, b, seed)`` runs b replicates.
+Replicate i has its own random stream, keyed SeedSequence((seed, i,
+0x7273)), so its estimate depends only on the data, the seed, the
+stratification and i. The replicates are handed to the estimator
+``BOOT_CHUNK`` at a time, in index order, so that it can fit a whole chunk
+as one batch. Replicates whose estimator fails are dropped and
 counted by reason (an emptied covariate cell, or an estimation error)
 rather than poisoning the aggregate; boundary-flagged replicates are
 counted too, because interior-solution asymptotics are in doubt there.
@@ -25,7 +26,6 @@ from .data import Dataset, nearest_rank
 from .errors import DomainError, EmptyCellError, EstimationError
 
 __all__ = [
-    "ResamplePlan",
     "BootstrapRun",
     "resample",
     "boot_se",
@@ -36,24 +36,6 @@ __all__ = [
 # has its own seed, and the estimators fit every item independently of the
 # batch around it.
 BOOT_CHUNK = 16
-
-
-@dataclass(frozen=True)
-class ResamplePlan:
-    """How many replicates, from which master seed, stratified or not."""
-
-    b: int
-    master_seed: int
-    stratify_by_cell: bool = False
-
-    def __post_init__(self):
-        if self.b < 1:
-            raise DomainError("need at least one replicate")
-        if self.master_seed < 0:
-            raise DomainError("master seed must be non-negative")
-
-    def replicate_seed(self, index: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence((self.master_seed, index, 0x7273))
 
 
 def resample(data: Dataset, seed, stratify_by_cell: bool = False) -> Dataset:
@@ -103,10 +85,6 @@ class BootstrapRun:
     def n_dropped(self) -> int:
         return sum(self.dropped.values())
 
-    @property
-    def n_kept(self) -> int:
-        return self.n_requested - self.n_dropped
-
     def se(self) -> np.ndarray:
         return boot_se(self.estimates)
 
@@ -130,22 +108,28 @@ class BootstrapRun:
         }
 
 
-def run_plan(plan: ResamplePlan, data: Dataset, estimator) -> BootstrapRun:
-    """Apply a pure estimator to the plan's replicates, ``BOOT_CHUNK`` at a time.
+def run_plan(data: Dataset, estimator, b: int, seed: int,
+             stratify_by_cell: bool = False) -> BootstrapRun:
+    """Apply a pure estimator to ``b`` replicates, ``BOOT_CHUNK`` at a time.
 
-    ``estimator(redraws)`` gets a list of consecutive replicates' redraws,
-    replicate i's keyed by ``plan.replicate_seed(i)``, and returns one
-    outcome per redraw: a 1-d parameter vector, a ``(vector, flagged)``
-    pair with ``flagged`` one bool or one bool per model (summed
-    elementwise into the boundary hits), or the ``EmptyCellError`` or
-    ``EstimationError`` that drops that replicate alone.
+    ``estimator(redraws)`` gets a list of consecutive replicates' redraws
+    (``resample``, stratified or not), replicate i's keyed by
+    SeedSequence((seed, i, 0x7273)), and returns one outcome per redraw:
+    a 1-d parameter vector, a ``(vector, flagged)`` pair with ``flagged``
+    one bool or one bool per model (summed elementwise into the boundary
+    hits), or the ``EmptyCellError`` or ``EstimationError`` that drops that
+    replicate alone. ``b < 1`` and a negative ``seed`` raise DomainError.
     """
+    if b < 1:
+        raise DomainError("need at least one replicate")
+    if seed < 0:
+        raise DomainError("master seed must be non-negative")
     outcomes: list = []
     chunk_s: list[float] = []
-    for lo in range(0, plan.b, BOOT_CHUNK):
+    for lo in range(0, b, BOOT_CHUNK):
         t0 = time.perf_counter()
-        redraws = [resample(data, plan.replicate_seed(i), plan.stratify_by_cell)
-                   for i in range(lo, min(lo + BOOT_CHUNK, plan.b))]
+        redraws = [resample(data, np.random.SeedSequence((seed, i, 0x7273)),
+                            stratify_by_cell) for i in range(lo, min(lo + BOOT_CHUNK, b))]
         outcomes += estimator(redraws)
         chunk_s.append(time.perf_counter() - t0)
     # Why a replicate was dropped: its redraw emptied a covariate cell the
@@ -160,7 +144,7 @@ def run_plan(plan: ResamplePlan, data: Dataset, estimator) -> BootstrapRun:
         raise EstimationError(f"every bootstrap replicate was dropped: {dropped}")
     return BootstrapRun(
         estimates=np.vstack([np.asarray(vec, dtype=float) for vec, _ in kept]),
-        n_requested=plan.b,
+        n_requested=b,
         dropped=dropped,
         boundary_hits=np.sum([np.asarray(flagged, dtype=bool) for _, flagged in kept],
                              axis=0).tolist(),

@@ -170,14 +170,22 @@ class IdentificationDiagnostics:
         return asdict(self)
 
 
+def _check_table(table) -> np.ndarray:
+    """``table`` as an array, refused (DomainError) unless it is (S_X, 2, S_Z)."""
+    table = np.asarray(table)
+    if table.ndim != 3 or table.shape[1] != 2:
+        raise DomainError(f"a table is an (S_X, 2, S_Z) array, not {table.shape}")
+    return table
+
+
 def build_matrices(probs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Observable matrices (M_xz, [M_xyz for y=0, y=1]) from an (S_X, 2, S_Z)
-    joint pmf array.
+    joint pmf array; any other shape raises DomainError.
 
     Requires a square support (S_X == S_Z); coarsen the finer variable
     upstream if the raw supports differ.
     """
-    s_x, _, s_z = probs.shape
+    s_x, _, s_z = _check_table(probs).shape
     if s_x != s_z:
         raise ConfigurationError(
             f"support is {s_x}x{s_z}; the reported outcome and the second "

@@ -24,7 +24,7 @@ from latentcat.generate import (
 )
 from latentcat.mle import CmleConfig, fit, param_count
 from latentcat.ordered import hetero_ordered_probit, skedastic
-from latentcat.pipeline import parametric_fit
+from latentcat.pipeline import fit_cells, parametric_fit
 from latentcat.spectral import eigendecompose_identify, population_pmf
 
 from conftest import (
@@ -223,9 +223,12 @@ def test_criterion_7_end_to_end_latent_recovery():
     )
     models = make_model(spec)
     sample = draw(models, make_cell_weights(32), 100_000, seed=9).data
-    config = CmleConfig(ord_constraint="enforce", n_starts=10, seed=5)
-    latent = parametric_fit(sample, "hoprobit", "latent", config)
-    reported = parametric_fit(sample, "hoprobit", "reported", config)
+    cells = list(range(32))
+    [fits] = fit_cells([sample], cells, [
+        CmleConfig(ord_constraint="enforce", n_starts=10, seed=5 + 7919 * c) for c in cells
+    ])
+    latent = parametric_fit(sample, "hoprobit", "latent", [fit_.model for fit_ in fits])
+    reported = parametric_fit(sample, "hoprobit", "reported")
     err_latent = float(np.abs(latent.beta - params.beta).max())
     err_reported = float(np.abs(reported.beta - params.beta).max())
     elapsed = time.monotonic() - t0

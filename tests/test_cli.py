@@ -263,7 +263,6 @@ def test_identify_boot_telemetry_in_artifact_and_report(pipeline, tmp_path, caps
                          ids=["chunk16", "chunk2"])
 def test_identify_boot_fits_every_cell_of_a_chunk_in_one_batch(
         pipeline, tmp_path, monkeypatch, chunk, batches):
-    import latentcat.cli
     import latentcat.pipeline
     import latentcat.resampling
     from latentcat.mle import fit_tables
@@ -274,7 +273,6 @@ def test_identify_boot_fits_every_cell_of_a_chunk_in_one_batch(
         calls.append(len(tables))
         return fit_tables(tables, *rest)
 
-    monkeypatch.setattr(latentcat.cli, "fit_tables", counted)
     monkeypatch.setattr(latentcat.pipeline, "fit_tables", counted)
     monkeypatch.setattr(latentcat.resampling, "BOOT_CHUNK", chunk)
     out = tmp_path / "models_boot.json"

@@ -9,7 +9,7 @@ import pytest
 from latentcat.cli import run
 from latentcat.data import ingest, load_schema
 from latentcat.ordered import exponential_skedastic_probit
-from latentcat.resampling import ResamplePlan, run_plan
+from latentcat.resampling import run_plan
 
 from conftest import per_redraw
 
@@ -62,8 +62,8 @@ def test_exponential_bootstrap_refits_the_exponential_model(inputs):
     assert not np.allclose(exp_se, closed_se)
 
     data, _ = ingest(str(inputs["synth"]), load_schema(str(inputs["schema"])))
-    refits = run_plan(ResamplePlan(b=8, master_seed=4), data, per_redraw(
-        lambda redraw: exponential_skedastic_probit(redraw).beta))
+    refits = run_plan(data, per_redraw(
+        lambda redraw: exponential_skedastic_probit(redraw).beta), b=8, seed=4)
     assert np.array_equal(exp_se, refits.se())
 
 

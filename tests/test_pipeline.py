@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from latentcat import resampling
 from latentcat.data import Dataset, tabulate
-from latentcat.errors import DomainError, EstimationError
+from latentcat.errors import (
+    ConfigurationError, DomainError, EmptyCellError, EstimationError, OptimizationError
+)
 from latentcat.generate import GeneratorSpec, ProbitParams, draw, make_model
 from latentcat.mle import CmleConfig, fit
 from latentcat.pipeline import (
@@ -46,13 +49,71 @@ def enforced(cells, seed):
     return [CmleConfig(seed=seed + (cell or 0), ord_constraint="enforce") for cell in cells]
 
 
+def every_cell(data, config):
+    """Fits of every cell of ``data`` with ``config``, cell c's starts seeded
+    ``config.seed + 7919 * c``; raises the first failing cell's error."""
+    cells = list(range(data.n_w_cells))
+    [fits] = fit_cells([data], cells,
+                       [replace(config, seed=config.seed + 7919 * c) for c in cells])
+    for fit_ in fits:
+        if isinstance(fit_, OptimizationError):
+            raise fit_
+    return fits
+
+
 def test_fit_cells_covers_every_cell(probit_sample):
     _, models, data = probit_sample
     config = CmleConfig(n_starts=4, seed=1, ord_constraint="enforce")
-    results = fit_cells(data, config)
+    results = every_cell(data, config)
     assert len(results) == 4
     for result, truth in zip(results, models):
         assert np.abs(result.model.f_xstar - truth.f_xstar).max() < 0.05
+
+
+def test_fit_cells_fits_each_table_as_fit_alone(probit_sample):
+    _, _, data = probit_sample
+    redraw = resampling.resample(data, 3)
+    cells = [2, None, 0]
+    configs = [CmleConfig(n_starts=2, seed=7 + j, ord_constraint=kind)
+               for j, kind in enumerate(["enforce", "check-only", "enforce"])]
+    fitted = fit_cells([data, redraw], cells, configs)
+    assert len(fitted) == 2
+    for dataset, fits in zip([data, redraw], fitted):
+        assert len(fits) == len(cells)
+        for cell, config, result in zip(cells, configs, fits):
+            alone = fit(tabulate(dataset, cell), config)
+            assert result.model.pack().tobytes() == alone.model.pack().tobytes()
+            assert result.loglik == alone.loglik
+
+
+def test_fit_cells_drops_a_dataset_with_an_empty_listed_cell(probit_sample):
+    _, _, data = probit_sample
+    counts = data.counts.copy()
+    counts[1] = 0
+    emptied = Dataset(counts, data.w_columns, data.w_labels)
+    cells = [0, 1]
+    configs = [CmleConfig(n_starts=1, seed=c) for c in cells]
+    [alone] = fit_cells([data], cells, configs)
+    emptied_fits, kept = fit_cells([emptied, data], cells, configs)
+    assert isinstance(emptied_fits, EmptyCellError)
+    assert repr(data.w_labels[1]) in str(emptied_fits)
+    assert [r.model.pack().tobytes() for r in kept] == [
+        r.model.pack().tobytes() for r in alone]
+    assert [r.loglik for r in kept] == [r.loglik for r in alone]
+
+
+def test_fit_cells_refuses_lists_that_are_not_one_per_cell(probit_sample):
+    _, _, data = probit_sample
+    config = CmleConfig(n_starts=1)
+    for args in (([], []), ([0, 1], [config]), ([0], [config], [None, None])):
+        with pytest.raises(DomainError, match="one or more cells"):
+            fit_cells([data], *args)
+
+
+def test_latent_fit_needs_cell_models(probit_sample):
+    _, _, data = probit_sample
+    with pytest.raises(ConfigurationError, match="needs cell models"):
+        parametric_fit(data, "hoprobit", "latent")
 
 
 def test_model_std_errors_per_cell_independent_of_the_batch(probit_sample):
@@ -61,7 +122,7 @@ def test_model_std_errors_per_cell_independent_of_the_batch(probit_sample):
     # s.e. and boundary count do not depend on the other cells.
     _, _, data = probit_sample
     config = CmleConfig(n_starts=2, seed=1, ord_constraint="enforce")
-    results = list(fit_cells(data, config))
+    results = every_cell(data, config)
     together = model_std_errors(data, [0, 1, 2, 3], results, enforced([0, 1, 2, 3], 9),
                                 b=3, seed=9, n_starts=1)
     assert all(run.n_dropped == 0 for run in together)
@@ -113,8 +174,9 @@ def test_conditional_for_target_routes(probit_sample):
 def test_parametric_fit_latent_beats_reported(probit_sample):
     params, _, data = probit_sample
     config = CmleConfig(n_starts=6, seed=2, ord_constraint="enforce")
-    latent = parametric_fit(data, "hoprobit", "latent", config)
-    reported = parametric_fit(data, "hoprobit", "reported", config)
+    models = [result.model for result in every_cell(data, config)]
+    latent = parametric_fit(data, "hoprobit", "latent", models)
+    reported = parametric_fit(data, "hoprobit", "reported")
     err_latent = np.abs(latent.beta - params.beta).max()
     err_reported = np.abs(reported.beta - params.beta).max()
     assert err_latent < err_reported
@@ -122,23 +184,19 @@ def test_parametric_fit_latent_beats_reported(probit_sample):
 
 def test_parametric_fit_linear_and_oprobit(probit_sample):
     _, _, data = probit_sample
-    config = CmleConfig(n_starts=4, seed=3, ord_constraint="enforce")
-    linear = parametric_fit(data, "linear", "reported", config)
+    linear = parametric_fit(data, "linear", "reported")
     assert linear.kind == "linear"
-    oprobit = parametric_fit(data, "oprobit", "reported", config)
+    oprobit = parametric_fit(data, "oprobit", "reported")
     assert oprobit.kind == "ordered-probit-homoskedastic"
     assert oprobit.scale is not None
     with pytest.raises(EstimationError):
-        parametric_fit(data, "mystery", "reported", config)
+        parametric_fit(data, "mystery", "reported")
 
 
 def test_bootstrap_std_errors_linear_reported(probit_sample):
     _, _, data = probit_sample
-    config = CmleConfig(n_starts=2, seed=4, ord_constraint="enforce")
-    point = parametric_fit(data, "linear", "reported", config)
-    updated, run = bootstrap_std_errors(
-        data, "linear", "reported", point, b=60, seed=5, config=config
-    )
+    point = parametric_fit(data, "linear", "reported")
+    updated, run = bootstrap_std_errors(data, "linear", "reported", point, b=60, seed=5)
     assert run.n_dropped == 0
     assert updated.std_errors is not None
     assert updated.std_errors.shape == point.beta.shape
@@ -197,16 +255,16 @@ def test_bootstraps_independent_of_the_chunk_size(probit_sample, seed, b):
     sparse = Dataset(counts, data.w_columns, data.w_labels)
     config = CmleConfig(n_starts=2, seed=seed, ord_constraint="enforce")
     try:
-        results = list(fit_cells(sparse, config))
+        results = every_cell(sparse, config)
         models = [result.model for result in results]
-        point = parametric_fit(sparse, "hoprobit", "latent", config, models=models)
+        point = parametric_fit(sparse, "hoprobit", "latent", models)
     except EstimationError:
         assume(False)
 
     def latent():
         fitted, run = bootstrap_std_errors(sparse, "hoprobit", "latent", point, b=b,
-                                           seed=seed, config=config,
-                                           replicate_starts=2, warm_models=models)
+                                           seed=seed, models=models,
+                                           replicate_starts=2)
         assert np.array_equal(fitted.std_errors, run.se())
         assert run.counters()["chunks"] == -(-b // resampling.BOOT_CHUNK)
         return [run]

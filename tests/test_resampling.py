@@ -6,12 +6,7 @@ from latentcat.errors import DomainError, EmptyCellError, EstimationError
 from latentcat.generate import GeneratorSpec, draw, make_model
 from latentcat.mle import CmleConfig, fit
 from latentcat.ordered import linear_projection, reported_conditional
-from latentcat.resampling import (
-    ResamplePlan,
-    boot_se,
-    resample,
-    run_plan,
-)
+from latentcat.resampling import boot_se, resample, run_plan
 
 from conftest import per_redraw
 
@@ -134,8 +129,16 @@ def test_boot_se_needs_two():
 # ---------------------------------------------------------------------------
 
 
+def test_run_plan_domain():
+    data = small_dataset()
+    with pytest.raises(DomainError, match="at least one replicate"):
+        run_plan(data, per_redraw(mean_x), b=0, seed=1)
+    with pytest.raises(DomainError, match="master seed"):
+        run_plan(data, per_redraw(mean_x), b=2, seed=-1)
+
+
 def test_run_plan_rows_follow_replicate_seeds():
-    # Row i is the estimator on the redraw keyed by replicate_seed(i) alone,
+    # Row i is the estimator on the redraw keyed by (seed, i, 0x7273) alone,
     # however the replicates are scheduled.
     data = small_dataset(n=120, seed=9, n_cells=2)
 
@@ -143,10 +146,11 @@ def test_run_plan_rows_follow_replicate_seeds():
         return np.array([mean_x(d), mean_y(d), *d.cell_counts()])
 
     for stratify in (False, True):
-        plan = ResamplePlan(b=24, master_seed=13, stratify_by_cell=stratify)
-        run = run_plan(plan, data, per_redraw(estimator))
-        keyed = [estimator(resample(data, plan.replicate_seed(i), stratify))
-                 for i in range(plan.b)]
+        run = run_plan(data, per_redraw(estimator), b=24, seed=13,
+                       stratify_by_cell=stratify)
+        keyed = [estimator(resample(data, np.random.SeedSequence((13, i, 0x7273)),
+                                    stratify))
+                 for i in range(24)]
         assert np.array_equal(run.estimates, np.vstack(keyed))
 
 
@@ -161,8 +165,7 @@ def test_run_plan_drops_failed_replicates():
             raise EstimationError("synthetic failure")
         return np.array([mean_x(d)])
 
-    plan = ResamplePlan(b=40, master_seed=14)
-    run = run_plan(plan, data, per_redraw(estimator))
+    run = run_plan(data, per_redraw(estimator), b=40, seed=14)
     assert run.n_requested == 40
     assert run.n_dropped >= 1
     assert run.estimates.shape[0] == 40 - run.n_dropped
@@ -176,11 +179,11 @@ def test_run_plan_counts_boundary_flags():
     def estimator(d):
         return np.array([mean_x(d)]), flagged(d)
 
-    run = run_plan(ResamplePlan(b=30, master_seed=15), data, per_redraw(estimator))
+    run = run_plan(data, per_redraw(estimator), b=30, seed=15)
     assert 0 < run.boundary_hits < 30
     # One flag per model: each model's hits are counted on their own.
-    per_model = run_plan(ResamplePlan(b=30, master_seed=15), data, per_redraw(
-        lambda d: (np.array([mean_x(d)]), [flagged(d), True, False])))
+    per_model = run_plan(data, per_redraw(
+        lambda d: (np.array([mean_x(d)]), [flagged(d), True, False])), b=30, seed=15)
     assert per_model.boundary_hits == [run.boundary_hits, 30, 0]
 
 
@@ -204,7 +207,7 @@ def test_boot_se_matches_monte_carlo_sd():
         return result.model.f_xstar
 
     base = draw([model], [1.0], 20_000, seed=1).data
-    run = run_plan(ResamplePlan(b=199, master_seed=99), base, per_redraw(estimator))
+    run = run_plan(base, per_redraw(estimator), b=199, seed=99)
     se = run.se()
 
     mc = []
@@ -258,8 +261,7 @@ def test_count_redraws_match_record_redraws_in_distribution(stratify):
         return linear_projection(reported_conditional(d), target="reported").beta
 
     b = 2000
-    counts = run_plan(ResamplePlan(b=b, master_seed=31, stratify_by_cell=stratify),
-                      data, per_redraw(beta))
+    counts = run_plan(data, per_redraw(beta), b=b, seed=31, stratify_by_cell=stratify)
     assert counts.n_dropped == 0
     records = np.vstack([
         beta(record_gather(sample, np.random.SeedSequence((32, i)), stratify))
@@ -292,7 +294,7 @@ def test_run_plan_counts_drops_by_reason():
             raise EstimationError("synthetic failure")
         return np.array([mean_x(d)])
 
-    run = run_plan(ResamplePlan(b=40, master_seed=16), data, per_redraw(estimator))
+    run = run_plan(data, per_redraw(estimator), b=40, seed=16)
     assert run.dropped["emptied_cell"] >= 1 and run.dropped["estimator_failed"] >= 1
     assert run.n_dropped == sum(run.dropped.values())
     assert run.to_dict()["dropped"] == run.dropped
@@ -302,4 +304,4 @@ def test_run_plan_counts_drops_by_reason():
         raise EmptyCellError("synthetic empty cell")
 
     with pytest.raises(EstimationError, match="'emptied_cell': 5"):
-        run_plan(ResamplePlan(b=5, master_seed=16), data, per_redraw(always_empty))
+        run_plan(data, per_redraw(always_empty), b=5, seed=16)

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from latentcat.citest import ts_statistic
 from latentcat.data import tabulate
-from latentcat.errors import ConfigurationError, GeneratorError, IdentificationError
+from latentcat.errors import (
+    ConfigurationError, DomainError, GeneratorError, IdentificationError
+)
 from latentcat.generate import GeneratorSpec, draw, make_model
 from latentcat.spectral import (
     MisclassificationModel,
@@ -15,6 +18,19 @@ from latentcat.spectral import (
 )
 
 from conftest import model_distance
+
+
+@pytest.mark.parametrize("entry", [ts_statistic, build_matrices, eigendecompose_identify],
+                         ids=["ts_statistic", "build_matrices", "eigendecompose_identify"])
+@pytest.mark.parametrize("probs", [
+    np.full((3, 3), 1 / 9),
+    np.random.default_rng(0).dirichlet(np.ones(27)).reshape(3, 3, 3),
+], ids=["2-d", "3-level-y"])
+def test_pmf_entry_points_refuse_a_table_not_sx_2_sz(entry, probs):
+    # A 2-d array once failed with a bare IndexError or ValueError, and a
+    # 3-level middle axis was read as y in {0, 1}, its last slice dropped.
+    with pytest.raises(DomainError, match=r"a table is an \(S_X, 2, S_Z\) array"):
+        entry(probs)
 
 
 def spec_for(seed, **kwargs):
