@@ -46,7 +46,7 @@ from .pipeline import (
     SKEDASTIC, bootstrap_std_errors, fit_cells, model_std_errors, parametric_fit
 )
 from .report import render, render_csv, render_exclusions
-from .spectral import MisclassificationModel, eigendecompose_identify
+from .spectral import MisclassificationModel, check_tol, eigendecompose_identify
 
 USAGE_EXIT = 64
 
@@ -79,13 +79,14 @@ def _replicates(value: str) -> int:
     return number
 
 
-def _clamp(value: str) -> float:
-    """argparse type for ``--clamp``: ``ordered.check_clamp``'s domain,
-    refused before ingest."""
-    try:
-        return check_clamp(float(value))
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _number_in(check):
+    """argparse type for a float option in ``check``'s domain, refused before ingest."""
+    def number(value: str) -> float:
+        try:
+            return check(float(value))
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return number
 
 
 def _sha256(path: str) -> str:
@@ -613,7 +614,7 @@ def _build_parser() -> _Parser:
     p_id.add_argument("--seed", type=_int_at_least(0), required=True)
     p_id.add_argument("--ord", choices=["check-only", "enforce"],
                       default="check-only")
-    p_id.add_argument("--tol", type=float, default=1e-6,
+    p_id.add_argument("--tol", type=_number_in(check_tol), default=1e-6,
                       help="spectral assumption-check tolerance")
     p_id.add_argument("--boot", type=_replicates, default=0,
                       help="bootstrap replicates for parameter standard errors")
@@ -633,7 +634,7 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--boot-starts", type=_int_at_least(1), default=3,
                        dest="boot_starts")
     p_est.add_argument("--seed", type=_int_at_least(0), required=True)
-    p_est.add_argument("--clamp", type=_clamp, default=1e-6)
+    p_est.add_argument("--clamp", type=_number_in(check_clamp), default=1e-6)
     p_est.add_argument("--skedastic", choices=SKEDASTIC,
                        default="nonparametric",
                        help="reported-target heteroskedastic scale: closed-form "

@@ -92,12 +92,15 @@ class Schema:
             )
         if isinstance(self.z_binning, tuple):
             cuts = self.z_binning
-            if len(cuts) < 1 or any(a >= b for a, b in zip(cuts, cuts[1:])):
-                raise SchemaError("explicit z cuts must be strictly increasing")
+            if (len(cuts) < 1 or any(a >= b for a, b in zip(cuts, cuts[1:]))
+                    or not np.isfinite(cuts).all()):
+                raise SchemaError("explicit z cuts must be finite and strictly increasing")
         elif self.z_binning != "tercile":
             raise SchemaError(f"unknown z_binning {self.z_binning!r}")
         if isinstance(self.y_binning, str) and self.y_binning != "median":
             raise SchemaError(f"unknown y_binning {self.y_binning!r}")
+        if not isinstance(self.y_binning, str) and not np.isfinite(self.y_binning):
+            raise SchemaError(f"the y threshold must be finite, got {self.y_binning}")
         if self.w_letters is not None:
             if len(self.w_letters) != len(self.w_columns):
                 raise SchemaError("w_letters must match w_columns in length")

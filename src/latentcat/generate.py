@@ -13,7 +13,7 @@ layer's closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class ProbitParams:
     def __post_init__(self):
         for name in ("beta", "sigma_by_cell", "cutpoints"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
+            if not np.isfinite(arr).all():
+                raise ConfigurationError(f"probit {name} must be finite, got {arr}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         cuts = self.cutpoints
@@ -111,6 +113,10 @@ class GeneratorSpec:
                 )
             if self.probit_params.sigma_by_cell.size != self.n_w_cells:
                 raise ConfigurationError("one scale per covariate cell required")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -237,7 +243,7 @@ def draw(
     weights = np.asarray(cell_weights, dtype=float)
     if weights.size != len(models):
         raise ConfigurationError("one weight per cell model required")
-    if abs(weights.sum() - 1.0) > 1e-9 or (weights < 0).any():
+    if not (abs(weights.sum() - 1.0) <= 1e-9 and (weights >= 0).all()):  # NaN fails too
         raise ConfigurationError("cell weights must be a probability vector")
     n_cells = len(models)
     n_cols = max(n_cells - 1, 0).bit_length()

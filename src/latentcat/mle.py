@@ -12,14 +12,14 @@ EM to convergence, accelerated by SQUAREM (Varadhan & Roland 2008), in one
 batched loop over every cell and start (and, in a bootstrap, every
 replicate of a chunk). Each EM map reads the log-likelihood and every
 block's update off one posterior tensor (the per-state terms of the joint
-pmf), with the batch on the last axis so that each op walks contiguous
-runs of items. No item's numbers depend on the batch around it. EM keeps
-each probability block on its simplex, so the fit needs no
-parameterization. The likelihood does not change when the latent states
-are relabelled, so the monotone-reporting restriction (last reporting row
-increasing in the latent state) is enforced, when asked, by sorting the
-winning start's states. The default only checks it and flags a violation,
-which sorting would hide.
+pmf), with the batch on the last axis so that each op walks contiguous runs
+of items; ``MisclassificationModel.split`` cuts out the blocks. No item's
+numbers depend on the batch around it. EM keeps each probability block on
+its simplex, so the fit needs no parameterization. The likelihood does not
+change when the latent states are relabelled, so the monotone-reporting
+restriction (last reporting row increasing in the latent state) is
+enforced, when asked, by sorting the winning start's states. The default
+only checks it and flags a violation, which sorting would hide.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ EM_RTOL = 1e-13
 AGREE_RTOL = 1e-6
 # A probability (or last-row gap) this close to 0 or 1 is a boundary flag.
 BOUNDARY_TOL = 1e-2
+# The boundary flags' name of each block, in ``spectral.BLOCKS`` order.
+FLAG_NAMES = ("p_x_given_latent", "p_y_given_latent", "p_z_given_latent", "p_latent")
 
 
 def param_count(s_x: int, s_y: int, s_z: int) -> int:
@@ -194,16 +196,13 @@ def _em_map(theta: np.ndarray, counts: np.ndarray, totals: np.ndarray,
     strictly inside the simplex. Each item's numbers do not depend on the
     rest of the batch.
     """
-    n = theta.shape[1]
-    i0, i1, i2 = s_x * s_x, s_x * s_x + s_x, s_x * (s_x + 1 + s_z)
     q = _state_terms(theta, s_x, s_z)
     p = np.maximum(_add(q, axis=3), P_FLOOR)
     ll = _item_sums(counts * np.log(p)) if with_loglik else None
     post = (counts / p)[:, :, :, None] * q
     wa, wb, wc = _add(post, axis=(1, 2)), _add(post, axis=(0, 2)), _add(post, axis=(0, 1))
     out = np.empty_like(theta)
-    a, fy, c, pi = (out[:i0].reshape(s_x, s_x, n), out[i0:i1],
-                    out[i1:i2].reshape(s_z, s_x, n), out[i2:])
+    a, fy, c, pi = MisclassificationModel.split(out, s_x, s_z)
     n_s = np.maximum(_add(wa, axis=0), 1e-12)
     np.maximum(np.divide(wa, n_s, out=a), 1e-12, out=a)
     a /= _add(a, axis=0)
@@ -342,34 +341,20 @@ def _projected_spectral_start(counts: np.ndarray) -> MisclassificationModel | No
     f_xstar = np.linalg.solve(m_x, probs.sum(axis=(1, 2)))
     f_xstar = _interior(f_xstar[:, None], 1e-6).ravel()
     m_z = _interior((np.linalg.solve(m_x, m_xz) / f_xstar[:, None]).T, 1e-6)
-    return MisclassificationModel(
-        m_x_given_xstar=m_x, f_y_given_xstar=f_y,
-        m_z_given_xstar=m_z, f_xstar=f_xstar,
-    )
+    return MisclassificationModel(m_x, f_y, m_z, f_xstar)
 
 
-def _boundary_flags(model: MisclassificationModel) -> tuple[str, ...]:
-    flags: list[str] = []
-
-    def scan(name: str, arr: np.ndarray):
-        it = np.nditer(arr, flags=["multi_index"])
-        for v in it:
-            val = float(v)
-            where = ",".join(str(i + 1) for i in it.multi_index)
-            if val < BOUNDARY_TOL:
-                flags.append(f"{name}[{where}] ~ 0")
-            elif val > 1.0 - BOUNDARY_TOL:
-                flags.append(f"{name}[{where}] ~ 1")
-
-    scan("p_x_given_latent", model.m_x_given_xstar)
-    scan("p_y_given_latent", model.f_y_given_xstar)
-    scan("p_z_given_latent", model.m_z_given_xstar)
-    scan("p_latent", model.f_xstar)
-    last = model.m_x_given_xstar[-1, :]
-    for j, gap in enumerate(np.diff(last)):
-        if abs(gap) < BOUNDARY_TOL:
-            flags.append(f"ord_gap[{j + 1},{j + 2}] ~ 0")
-    return tuple(flags)
+def _boundary_flags(model: MisclassificationModel):
+    """Entries within BOUNDARY_TOL of 0 or 1, row-major by block, then near-tied gaps."""
+    for name, block in zip(FLAG_NAMES, model.blocks):
+        near_0 = block < BOUNDARY_TOL
+        near_1 = block > 1.0 - BOUNDARY_TOL
+        for index in zip(*np.nonzero(near_0 | near_1)):
+            where = ",".join(str(i + 1) for i in index)
+            yield f"{name}[{where}] ~ {0 if near_0[index] else 1}"
+    gaps = np.abs(np.diff(model.m_x_given_xstar[-1, :]))
+    for j in np.nonzero(gaps < BOUNDARY_TOL)[0]:
+        yield f"ord_gap[{j + 1},{j + 2}] ~ 0"
 
 
 def _starts(counts: np.ndarray, config: CmleConfig,
@@ -408,12 +393,7 @@ def _relabelled(model: MisclassificationModel) -> MisclassificationModel:
     """``model`` with its latent states sorted by the last reporting row,
     ties ordered by the rows above (``order_by_last_row``)."""
     order, _ = order_by_last_row(np.arange(model.s_x), model.m_x_given_xstar)
-    return MisclassificationModel(
-        m_x_given_xstar=model.m_x_given_xstar[:, order],
-        f_y_given_xstar=model.f_y_given_xstar[order],
-        m_z_given_xstar=model.m_z_given_xstar[:, order],
-        f_xstar=model.f_xstar[order],
-    )
+    return MisclassificationModel(*(block[..., order] for block in model.blocks))
 
 
 def fit_tables(
@@ -506,6 +486,6 @@ def fit(
         loglik=winner.final_loglik,
         n_starts_converged=len(converged),
         n_starts_agreeing=len(agreeing),
-        boundary_flags=_boundary_flags(model),
+        boundary_flags=tuple(_boundary_flags(model)),
         starts=tuple(records),
     )

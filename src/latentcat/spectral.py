@@ -19,6 +19,11 @@ The decomposition is exact on population pmfs. On finite samples it can
 produce complex pairs or negative entries; those are tolerance-gated errors
 here, never silently repaired, because estimation is the job of the
 likelihood module.
+
+``BLOCKS`` names the cell model's four blocks in pack order. With
+``MisclassificationModel.blocks``, ``pack`` and ``split`` (pack-ordered
+parameters, batch last, to views of the blocks) it states that layout
+once; the EM kernel and every other reader go through them.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "IdentificationDiagnostics",
     "build_matrices",
     "check_rank",
+    "check_tol",
     "order_by_last_row",
     "branch_operator",
     "eigendecompose_identify",
@@ -42,6 +48,9 @@ __all__ = [
 ]
 
 STOCHASTIC_TOL = 1e-9
+
+# P(X|s), P(Y=1|s), P(Z|s) and P(s), in pack order; matrices are named m_*.
+BLOCKS = ("m_x_given_xstar", "f_y_given_xstar", "m_z_given_xstar", "f_xstar")
 
 
 @dataclass(frozen=True)
@@ -63,10 +72,15 @@ class MisclassificationModel:
     f_xstar: np.ndarray
 
     def __post_init__(self):
-        for name in ("m_x_given_xstar", "f_y_given_xstar", "m_z_given_xstar", "f_xstar"):
+        for name in BLOCKS:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The four blocks, in ``BLOCKS`` order."""
+        return tuple(getattr(self, name) for name in BLOCKS)
 
     @property
     def s_x(self) -> int:
@@ -84,55 +98,50 @@ class MisclassificationModel:
     def validate(self, tol: float = STOCHASTIC_TOL) -> None:
         """Raise DomainError unless the blocks fit one model and all are valid
         probability objects."""
-        shapes = tuple(np.shape(block) for block in (
-            self.m_x_given_xstar, self.f_y_given_xstar, self.m_z_given_xstar, self.f_xstar))
+        shapes = tuple(np.shape(block) for block in self.blocks)
         s_x, s_z = self.s_x, self.s_z
         if shapes != ((s_x, s_x), (s_x,), (s_z, s_x), (s_x,)):
             raise DomainError(f"block shapes {shapes} do not fit one model")
-        mats = {
-            "m_x_given_xstar": self.m_x_given_xstar,
-            "m_z_given_xstar": self.m_z_given_xstar,
-        }
-        for name, mat in mats.items():
-            if (mat < -tol).any() or (mat > 1 + tol).any():
+        # The matrices first, then the vectors, each in pack order.
+        for name in sorted(BLOCKS, key=lambda name: -getattr(self, name).ndim):
+            block = getattr(self, name)
+            if (block < -tol).any() or (block > 1 + tol).any():
                 raise DomainError(f"{name} entries outside [0,1]")
-            dev = np.abs(mat.sum(axis=0) - 1.0).max()
-            if dev > tol:
-                raise DomainError(f"{name} columns sum to 1 +/- {dev:.2e}")
-        for name, vec, in (("f_y_given_xstar", self.f_y_given_xstar),
-                           ("f_xstar", self.f_xstar)):
-            if (vec < -tol).any() or (vec > 1 + tol).any():
-                raise DomainError(f"{name} entries outside [0,1]")
+            if block.ndim == 2:
+                dev = np.abs(block.sum(axis=0) - 1.0).max()
+                if dev > tol:
+                    raise DomainError(f"{name} columns sum to 1 +/- {dev:.2e}")
         if abs(self.f_xstar.sum() - 1.0) > tol:
             raise DomainError("f_xstar does not sum to 1")
 
     def pack(self) -> np.ndarray:
-        """Every parameter in one vector, block by block in ``unpack`` order."""
-        return np.concatenate([self.m_x_given_xstar.ravel(), self.f_y_given_xstar,
-                               self.m_z_given_xstar.ravel(), self.f_xstar])
+        """Every parameter in one vector, block by block in ``BLOCKS`` order."""
+        return np.concatenate([block.ravel() for block in self.blocks])
 
     @staticmethod
-    def split(vector: np.ndarray, s_x: int, s_z: int):
-        """The four blocks of ``pack``-ordered vectors (last axis; leading axes
-        are a batch): P(X|s) as S_X x S_X, P(Y=1|s), P(Z|s) as S_Z x S_X, P(s)."""
+    def split(packed: np.ndarray, s_x: int, s_z: int) -> tuple[np.ndarray, ...]:
+        """Views of the four blocks of ``pack``-ordered parameters, in ``BLOCKS``
+        order: P(X|s) as S_X x S_X, P(Y=1|s), P(Z|s) as S_Z x S_X, P(s). The
+        parameter axis is first; trailing axes are a batch and stay last."""
         i0 = s_x * s_x
         i1 = i0 + s_x
         i2 = i1 + s_z * s_x
-        lead = vector.shape[:-1]
-        return (vector[..., :i0].reshape(*lead, s_x, s_x), vector[..., i0:i1],
-                vector[..., i1:i2].reshape(*lead, s_z, s_x), vector[..., i2:])
+        batch = packed.shape[1:]
+        return (packed[:i0].reshape(s_x, s_x, *batch), packed[i0:i1],
+                packed[i1:i2].reshape(s_z, s_x, *batch), packed[i2:])
 
     @staticmethod
     def unpack(vector: np.ndarray, s_x: int, s_z: int) -> dict:
         """The JSON blocks of a ``pack``-ordered vector: a model's parameters
         or their standard errors."""
-        m_x, f_y, m_z, f_xstar = MisclassificationModel.split(vector, s_x, s_z)
-        return {
-            "m_x_given_xstar": {"rows": s_x, "cols": s_x, "data": m_x.ravel().tolist()},
-            "f_y_given_xstar": f_y.tolist(),
-            "m_z_given_xstar": {"rows": s_z, "cols": s_x, "data": m_z.ravel().tolist()},
-            "f_xstar": f_xstar.tolist(),
-        }
+        payload = {}
+        for name, block in zip(BLOCKS, MisclassificationModel.split(vector, s_x, s_z)):
+            if block.ndim == 2:
+                rows, cols = block.shape
+                payload[name] = {"rows": rows, "cols": cols, "data": block.ravel().tolist()}
+            else:
+                payload[name] = block.tolist()
+        return payload
 
     def to_dict(self) -> dict:
         return {
@@ -142,15 +151,13 @@ class MisclassificationModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> MisclassificationModel:
-        def unmat(m):
-            return np.asarray(m["data"], dtype=float).reshape(m["rows"], m["cols"])
+        def block(name):
+            entry = payload[name]
+            if not name.startswith("m_"):
+                return np.asarray(entry, dtype=float)
+            return np.asarray(entry["data"], dtype=float).reshape(entry["rows"], entry["cols"])
 
-        return cls(
-            m_x_given_xstar=unmat(payload["m_x_given_xstar"]),
-            f_y_given_xstar=np.asarray(payload["f_y_given_xstar"], dtype=float),
-            m_z_given_xstar=unmat(payload["m_z_given_xstar"]),
-            f_xstar=np.asarray(payload["f_xstar"], dtype=float),
-        )
+        return cls(**{name: block(name) for name in BLOCKS})
 
 
 @dataclass(frozen=True)
@@ -213,6 +220,14 @@ def check_rank(m_xz: np.ndarray, tol: float = 1e-8) -> IdentificationDiagnostics
     return IdentificationDiagnostics(
         rank_ok=bool(ok), min_singular_value=smin, condition_number=cond
     )
+
+
+def check_tol(tol: float) -> float:
+    """``tol`` if it lies in (0, 1), else a ``DomainError``: at 1 or more the
+    rank gate can never pass, at 0 or less the eigenvalue-gap gate never fires."""
+    if not 0.0 < tol < 1.0:  # NaN fails too
+        raise DomainError(f"tol must lie in (0, 1), got {tol!r}")
+    return tol
 
 
 def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
@@ -293,10 +308,11 @@ def eigendecompose_identify(
     independent decomposition of the y=0 branch (eigenvalues must complement
     to 1, eigenvectors must match).
 
-    ``tol`` gates the rank check, the complex-part rejection, the minimum
-    eigenvalue gap, and negative-entry clipping. Diagnostic-grade output:
-    prefer the likelihood estimator for finite-sample work.
+    ``tol``, in (0, 1), gates the rank check, the complex-part rejection, the
+    minimum eigenvalue gap, and negative-entry clipping. Diagnostic-grade
+    output: prefer the likelihood estimator for finite-sample work.
     """
+    check_tol(tol)
     if float(probs.sum()) <= 0:
         raise DomainError("all-zero pmf")
     m_xz, m_per_y = build_matrices(probs)
@@ -355,12 +371,7 @@ def eigendecompose_identify(
     m_z, clip_z = _clip_unit(m_z_t.T, max(tol, 1e-7), "second-measure matrix")
     m_z = m_z / m_z.sum(axis=0)
 
-    model = MisclassificationModel(
-        m_x_given_xstar=m_x,
-        f_y_given_xstar=f_y,
-        m_z_given_xstar=m_z,
-        f_xstar=f_xstar,
-    )
+    model = MisclassificationModel(m_x, f_y, m_z, f_xstar)
     diag = replace(
         diag,
         eigenvalue_gap=gap,
@@ -378,13 +389,11 @@ def _state_terms(theta: np.ndarray, s_x: int, s_z: int) -> np.ndarray:
     sum over s is the pmf. The batch is the last axis, so each elementwise
     op walks contiguous runs of items, and no item's numbers depend on the
     batch around it."""
-    n = theta.shape[1]
-    i0, i1, i2 = s_x * s_x, s_x * s_x + s_x, s_x * (s_x + 1 + s_z)
-    b2 = np.empty((2, s_x, n))
-    np.subtract(1.0, theta[i0:i1], out=b2[0])
-    b2[1] = theta[i0:i1]
-    return ((theta[:i0].reshape(s_x, s_x, n) * theta[i2:])[:, None, None]
-            * b2[:, None] * theta[i1:i2].reshape(s_z, s_x, n))
+    a, f_y, c, pi = MisclassificationModel.split(theta, s_x, s_z)
+    b2 = np.empty((2, *f_y.shape))
+    np.subtract(1.0, f_y, out=b2[0])
+    b2[1] = f_y
+    return (a * pi)[:, None, None] * b2[:, None] * c
 
 
 def population_pmf(model: MisclassificationModel) -> np.ndarray:

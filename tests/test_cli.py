@@ -296,6 +296,18 @@ def test_simulate_malformed_spec_exit(tmp_path, capsys):
         ("[generator]\nw_cells = 2\n\n[probit]\nbeta = 0.5, 0.1, 0.2\n"
          "sigma = 1, 1\ncutpoints = 0, 1\n",
          "beta and sigma_by_cell imply different cell counts"),
+        # Non-finite numbers once ended in a traceback or switched a gate off.
+        ("[generator]\nseparation = nan\n", "eigenvalue_separation must be finite"),
+        ("[generator]\nz_mix = nan\n", "z_mix must be finite"),
+        ("[generator]\nlatent_uniform_mix = nan\n", "latent_uniform_mix must be finite"),
+        ("[generator]\nmin_singular_value = nan\n", "min_singular_value must be finite"),
+        ("[generator]\nord_margin = nan\n", "ord_margin must be finite"),
+        ("[generator]\nw_cells = 2\n\n[probit]\nbeta = 0.5, 0.1\n"
+         "sigma = nan, 1\ncutpoints = 0, 1\n", "probit sigma_by_cell must be finite"),
+        ("[generator]\nw_cells = 2\n\n[probit]\nbeta = nan, 0.1\n"
+         "sigma = 1, 1\ncutpoints = 0, 1\n", "probit beta must be finite"),
+        ("[generator]\nw_cells = 2\n\n[weights]\ncells = nan, 0.5\n",
+         "cell weights must be a probability vector"),
     ):
         spec.write_text(text)
         assert run(["simulate", "--spec", str(spec), "--n", "10", "--seed", "1",
@@ -649,6 +661,18 @@ def test_clamp_outside_its_domain_refused_before_ingest(tmp_path, capsys, clamp)
                 "--schema", missing, "--clamp", clamp, "--seed", "1",
                 "--out", str(out)]) == 64
     assert "argument --clamp: clamp must lie in (0, 0.5)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "1", "nan", "inf"])
+def test_tol_outside_its_domain_refused_before_ingest(tmp_path, capsys, tol):
+    # A negative tol once failed every cell as complex, and nan or inf the
+    # rank gate of a full-rank table.
+    missing = str(tmp_path / "missing.csv")
+    out = tmp_path / "out.json"
+    assert run([*IDENTIFY_SPECTRAL, "--input", missing, "--schema", missing,
+                "--tol", tol, "--seed", "1", "--out", str(out)]) == 64
+    assert "argument --tol: tol must lie in (0, 1)" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -377,3 +377,13 @@ def test_load_schema_malformed_binning_rule(rule):
     text = f"[columns]\nx=a\ny=b\nz=c\n\n[recode]\nx = 1:1 2:2\n\n[binning]\n{rule}\n"
     with pytest.raises(SchemaError, match=rf"bad {key} binning rule '{value}'"):
         load_schema(text)
+
+
+@pytest.mark.parametrize("rule", [
+    "z = cuts nan", "y = above nan", "y = above inf", "z = cuts 1 inf", "z = cuts -inf 1",
+])
+def test_load_schema_refuses_non_finite_binning_numbers(rule):
+    # These once collapsed z or y to one code, or left a bin no value fills.
+    text = f"[columns]\nx=a\ny=b\nz=c\n\n[recode]\nx = 1:1 2:2\n\n[binning]\n{rule}\n"
+    with pytest.raises(SchemaError, match="must be finite"):
+        load_schema(text)

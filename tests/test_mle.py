@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latentcat import mle
 from latentcat.data import tabulate
@@ -9,9 +10,11 @@ from latentcat.errors import DomainError, GeneratorError, OptimizationError
 from latentcat.generate import GeneratorSpec, draw, make_model
 from latentcat.mle import (
     AGREE_RTOL,
+    BOUNDARY_TOL,
     EM_MAX_ITERATIONS,
     EM_RTOL,
     CmleConfig,
+    _boundary_flags,
     _em_fit,
     _interior,
     _projected_spectral_start,
@@ -219,6 +222,53 @@ def test_fit_identity_data_boundary_flags():
     assert result.boundary_flags
 
 
+def nditer_boundary_flags(model):
+    """The entry-by-entry scan that the vectorized flags replaced, kept as
+    their reference."""
+    flags = []
+
+    def scan(name, arr):
+        it = np.nditer(arr, flags=["multi_index"])
+        for v in it:
+            val = float(v)
+            where = ",".join(str(i + 1) for i in it.multi_index)
+            if val < BOUNDARY_TOL:
+                flags.append(f"{name}[{where}] ~ 0")
+            elif val > 1.0 - BOUNDARY_TOL:
+                flags.append(f"{name}[{where}] ~ 1")
+
+    scan("p_x_given_latent", model.m_x_given_xstar)
+    scan("p_y_given_latent", model.f_y_given_xstar)
+    scan("p_z_given_latent", model.m_z_given_xstar)
+    scan("p_latent", model.f_xstar)
+    last = model.m_x_given_xstar[-1, :]
+    for j, gap in enumerate(np.diff(last)):
+        if abs(gap) < BOUNDARY_TOL:
+            flags.append(f"ord_gap[{j + 1},{j + 2}] ~ 0")
+    return tuple(flags)
+
+
+# Entries at, just under and just over both flag thresholds, and at 0 and 1.
+EDGES = [v for t in (BOUNDARY_TOL, 1.0 - BOUNDARY_TOL)
+         for v in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0))] + [0.0, 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(s_x=st.integers(2, 5), s_z=st.integers(2, 5), data=st.data())
+def test_boundary_flags_match_the_nditer_scan(s_x, s_z, data):
+    entries = st.sampled_from(EDGES) | st.floats(0.0, 1.0)
+    shapes = [(s_x, s_x), (s_x,), (s_z, s_x), (s_x,)]
+    blocks = [data.draw(arrays(float, shape, elements=entries)) for shape in shapes]
+    # Tie some last-row entries exactly, or space them exactly BOUNDARY_TOL apart.
+    last = blocks[0][-1]
+    for j in range(1, s_x):
+        tie = data.draw(st.sampled_from(["free", "tied", "tol apart"]))
+        if tie != "free":
+            last[j] = last[j - 1] + (BOUNDARY_TOL if tie == "tol apart" else 0.0)
+    model = MisclassificationModel(*blocks)
+    assert tuple(_boundary_flags(model)) == nditer_boundary_flags(model)
+
+
 def test_fit_published_scale_recovery():
     # Simulate at the published group's sample size from its published
     # reporting matrix and latent marginal; the refit latent marginal must
@@ -411,11 +461,6 @@ def serial_em(model, counts):
     return fitted, start_ll, ll, iterations, converged
 
 
-def blocks_of(model):
-    return (model.m_x_given_xstar, model.f_y_given_xstar,
-            model.m_z_given_xstar, model.f_xstar)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -436,7 +481,7 @@ def test_batched_em_equals_serial_em_item_by_item(seed, s_x, s_z, batch):
     assert len(batched) == batch
     for (expected, *trace_expected), (got, *trace_got) in zip(serial, batched):
         assert trace_got == trace_expected
-        for e, g in zip(blocks_of(expected), blocks_of(got)):
+        for e, g in zip(expected.blocks, got.blocks):
             assert np.array_equal(e, g)
 
 
@@ -539,6 +584,6 @@ def test_enforce_is_check_only_with_sorted_states(seed, s, strength, warm):
         free, enforced = fits["check-only"], fits["enforce"]
         assert winning_index(enforced) == winning_index(free)
         assert enforced.loglik == pytest.approx(free.loglik, rel=1e-12)
-        for e, f in zip(blocks_of(enforced.model), blocks_of(sorted_states(free.model))):
+        for e, f in zip(enforced.model.blocks, sorted_states(free.model).blocks):
             assert np.allclose(e, f, rtol=1e-12, atol=1e-12)
         assert enforced.model.ord_satisfied

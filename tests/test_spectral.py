@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +11,9 @@ from latentcat.errors import (
     ConfigurationError, DomainError, GeneratorError, IdentificationError
 )
 from latentcat.generate import GeneratorSpec, draw, make_model
+from latentcat.mle import _random_model
 from latentcat.spectral import (
+    BLOCKS,
     MisclassificationModel,
     build_matrices,
     check_rank,
@@ -31,6 +35,43 @@ def test_pmf_entry_points_refuse_a_table_not_sx_2_sz(entry, probs):
     # 3-level middle axis was read as y in {0, 1}, its last slice dropped.
     with pytest.raises(DomainError, match=r"a table is an \(S_X, 2, S_Z\) array"):
         entry(probs)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, np.nan, np.inf])
+def test_eigendecompose_identify_refuses_tol_outside_0_1(tol):
+    # At 1 or more the rank gate can never pass; at 0 or less the
+    # eigenvalue-gap gate never fires.
+    [model] = make_model(spec_for(3))
+    with pytest.raises(DomainError, match=r"tol must lie in \(0, 1\)"):
+        eigendecompose_identify(population_pmf(model), tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# The model's layout: BLOCKS, blocks, pack and split
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), s_x=st.integers(2, 5), s_z=st.integers(2, 5),
+       batch=st.integers(1, 8))
+def test_split_of_stacked_columns_is_each_models_blocks(seed, s_x, s_z, batch):
+    rng = np.random.default_rng(seed)
+    models = [_random_model(rng, s_x, s_z) for _ in range(batch)]
+    packed = np.stack([m.pack() for m in models], axis=1)
+    split = MisclassificationModel.split(packed, s_x, s_z)
+    assert list(BLOCKS) == [f.name for f in fields(MisclassificationModel)]
+    for block in split:
+        assert np.shares_memory(block, packed)
+        assert block.shape[-1] == batch
+    for i, model in enumerate(models):
+        for got, want in zip(split, model.blocks):
+            assert got[..., i].tobytes() == want.tobytes()
+            assert got[..., i].shape == want.shape
+        vector = model.pack()
+        assert MisclassificationModel(*MisclassificationModel.split(
+            vector, s_x, s_z)).pack().tobytes() == vector.tobytes()
+        assert MisclassificationModel.from_dict(
+            model.to_dict()).pack().tobytes() == vector.tobytes()
 
 
 def spec_for(seed, **kwargs):
