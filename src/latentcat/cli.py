@@ -40,13 +40,13 @@ from .errors import (
 from .generate import (
     GeneratorSpec, ProbitParams, SyntheticSample, draw, make_cell_weights, make_model
 )
-from .mle import CmleConfig, CmleResult
+from .mle import CmleConfig, CmleResult, saturated_loglik
 from .ordered import check_clamp
 from .pipeline import (
     SKEDASTIC, bootstrap_std_errors, fit_cells, model_std_errors, parametric_fit
 )
 from .report import render, render_csv, render_exclusions
-from .spectral import MisclassificationModel, check_tol, eigendecompose_identify
+from .spectral import MisclassificationModel
 
 USAGE_EXIT = 64
 
@@ -338,32 +338,20 @@ def _cmd_test(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _identify_cell(label, counts, fitted, args) -> dict:
-    """One cell's entry, under its ``label`` (None when pooled): its spectral
-    solution, or its cmle fit (``fitted``, a CmleResult or OptimizationError)."""
+def _identify_cell(label, counts, fitted) -> dict:
+    """One cell's entry, under its ``label`` (None when pooled): its cmle
+    fit (``fitted``, a CmleResult or OptimizationError) and the fit's
+    ``saturation_gap``, the saturated log-likelihood minus the fit's."""
     entry: dict = {"w_cell": label, "n": int(counts.sum())}
-    if args.method == "spectral":
-        try:
-            model, diag = eigendecompose_identify(counts / counts.sum(), tol=args.tol)
-            entry.update(model=model.to_dict(), diagnostics=diag.to_dict())
-        except (IdentificationError, DomainError, ConfigurationError) as exc:
-            entry["error"] = str(exc)
-            if getattr(exc, "diagnostics", None) is not None:
-                entry["diagnostics"] = exc.diagnostics.to_dict()
-    elif isinstance(fitted, OptimizationError):
+    if isinstance(fitted, OptimizationError):
         entry["error"] = str(fitted)
-    else:
-        entry.update(fitted.to_dict())
-    if "model" in entry:
-        entry["model"]["w_cell"] = label
+        return entry
+    entry.update(fitted.to_dict(), saturation_gap=saturated_loglik(counts) - fitted.loglik)
+    entry["model"]["w_cell"] = label
     return entry
 
 
 def _cmd_identify(args) -> int:
-    if args.method == "spectral" and args.boot > 0:
-        print("latentcat identify: error: --boot applies only to --method cmle",
-              file=sys.stderr)
-        return USAGE_EXIT
     manifest = _Manifest("identify", vars(args))
     data = _load_data(args.input, args.schema, manifest)
     counts = data.cell_counts()
@@ -373,8 +361,7 @@ def _cmd_identify(args) -> int:
     populated = [c for c in indices if c is None or counts[c] > 0]
     configs = [CmleConfig(n_starts=args.starts, seed=args.seed + (c or 0),
                           ord_constraint=args.ord) for c in populated]
-    [fits] = ([[None] * len(populated)] if args.method == "spectral"
-              else fit_cells([data], populated, configs))
+    [fits] = fit_cells([data], populated, configs)
     fitted = iter(zip(configs, fits))
     cells: list[dict] = []
     point_fits: list[tuple] = []  # (cell index, CmleResult, config, entry) per fitted cell
@@ -384,7 +371,7 @@ def _cmd_identify(args) -> int:
             continue
         config, result = next(fitted)
         label = None if cell is None else data.w_labels[cell]
-        cells.append(_identify_cell(label, tabulate(data, cell), result, args))
+        cells.append(_identify_cell(label, tabulate(data, cell), result))
         if isinstance(result, CmleResult):
             point_fits.append((cell, result, config, cells[-1]))
     if args.boot and point_fits:
@@ -609,13 +596,11 @@ def _build_parser() -> _Parser:
     p_id.add_argument("--input", required=True)
     p_id.add_argument("--schema", required=True)
     p_id.add_argument("--by-cell", action="store_true", dest="by_cell")
-    p_id.add_argument("--method", choices=["spectral", "cmle"], default="cmle")
+    p_id.add_argument("--method", choices=["cmle"], default="cmle")
     p_id.add_argument("--starts", type=_int_at_least(1), default=10)
     p_id.add_argument("--seed", type=_int_at_least(0), required=True)
     p_id.add_argument("--ord", choices=["check-only", "enforce"],
                       default="check-only")
-    p_id.add_argument("--tol", type=_number_in(check_tol), default=1e-6,
-                      help="spectral assumption-check tolerance")
     p_id.add_argument("--boot", type=_replicates, default=0,
                       help="bootstrap replicates for parameter standard errors")
     p_id.add_argument("--boot-starts", type=_int_at_least(1), default=3,

@@ -2,7 +2,9 @@
 
 The CLI exits with the class's ``exit_code``: 1 for input-side problems
 (schema, data, configuration, generator specs), 2 for numerical failures of
-the tests and estimators. Public functions raise these, never bare ValueError.
+the tests and estimators. Public functions raise these, never bare ValueError;
+``IdentificationError`` is raised by none and only names ``identify``'s exit
+code for a cell that failed.
 """
 
 
@@ -43,16 +45,10 @@ class IndependenceTestError(LatentcatError):
 
 
 class IdentificationError(LatentcatError):
-    """Closed-form identification failed its assumption checks.
-
-    Carries the diagnostics gathered up to the failure point when available.
-    """
+    """A covariate cell could not be identified: ``identify`` exits with this
+    class's code when a cell's fit fails or the cell is empty."""
 
     exit_code = 2
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
 
 class EstimationError(LatentcatError):

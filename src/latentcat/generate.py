@@ -117,6 +117,12 @@ class GeneratorSpec:
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        for name, high in (("eigenvalue_separation", np.inf), ("ord_margin", np.inf),
+                           ("min_singular_value", np.inf), ("z_mix", 1.0),
+                           ("latent_uniform_mix", 1.0)):
+            value = getattr(self, name)
+            if not 0.0 <= value <= high:
+                raise ConfigurationError(f"{name} must lie in [0, {high:g}], got {value}")
 
 
 @dataclass(frozen=True)

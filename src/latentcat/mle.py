@@ -7,19 +7,22 @@ of the cell's (S_X, 2, S_Z) count array m (``data.tabulate``) is
 
     sum_j m_j * log sum_s P(x_j|s) P(y_j|s) P(z_j|s) P(s),
 
-a non-concave mixture objective, so fits are multi-start. Every start runs
-EM to convergence, accelerated by SQUAREM (Varadhan & Roland 2008), in one
-batched loop over every cell and start (and, in a bootstrap, every
-replicate of a chunk). Each EM map reads the log-likelihood and every
-block's update off one posterior tensor (the per-state terms of the joint
-pmf), with the batch on the last axis so that each op walks contiguous runs
-of items; ``MisclassificationModel.split`` cuts out the blocks. No item's
-numbers depend on the batch around it. EM keeps each probability block on
-its simplex, so the fit needs no parameterization. The likelihood does not
-change when the latent states are relabelled, so the monotone-reporting
-restriction (last reporting row increasing in the latent state) is
-enforced, when asked, by sorting the winning start's states. The default
-only checks it and flags a violation, which sorting would hide.
+a non-concave mixture objective, so fits are multi-start. The first start
+is ``spectral.closed_form`` projected into the open simplex; where that
+closed form is itself a valid model it is already the maximum (see
+``saturated_loglik``). Every start runs EM to convergence, accelerated by
+SQUAREM (Varadhan & Roland 2008), in one batched loop over every cell and
+start (and, in a bootstrap, every replicate of a chunk). Each EM map reads
+the log-likelihood and every block's update off one posterior tensor (the
+per-state terms of the joint pmf), with the batch on the last axis so that
+each op walks contiguous runs of items; ``MisclassificationModel.split``
+cuts out the blocks. No item's numbers depend on the batch around it. EM
+keeps each probability block on its simplex, so the fit needs no
+parameterization. The likelihood does not change when the latent states are
+relabelled, so the monotone-reporting restriction (last reporting row
+increasing in the latent state) is enforced, when asked, by sorting the
+winning start's states. The default only checks it and flags a violation,
+which sorting would hide.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ from .spectral import (
     MisclassificationModel,
     _check_table,
     _state_terms,
-    branch_operator,
     build_matrices,
-    check_rank,
+    closed_form,
     order_by_last_row,
 )
 
@@ -45,6 +47,7 @@ __all__ = [
     "StartDiagnostics",
     "param_count",
     "loglik",
+    "saturated_loglik",
     "fit",
     "fit_tables",
 ]
@@ -75,9 +78,9 @@ class CmleConfig:
     ``ord_constraint`` is "check-only" (fit unrestricted, flag violations)
     or "enforce" (sort the winning start's latent states by the last
     reporting row). ``n_starts`` counts total optimizations; start 0 is the
-    closed-form spectral solution when it exists, the rest are flat draws
-    from the simplex interior seeded by ``seed``. Iteration limits and
-    tolerances are the module constants.
+    closed form projected into the simplex when it exists, the rest are
+    flat draws from the simplex interior seeded by ``seed``. Iteration
+    limits and tolerances are the module constants.
     """
 
     n_starts: int = 10
@@ -152,6 +155,17 @@ def loglik(model: MisclassificationModel, counts: np.ndarray) -> float:
     if np.any(p[active] <= 0):
         return -np.inf
     return float(np.sum(counts[active] * np.log(p[active])))
+
+
+def saturated_loglik(counts: np.ndarray) -> float:
+    """The log-likelihood of a count array's own frequencies, sum m log(m/n)
+    over its positive counts m of total n, which no model exceeds. A fit
+    that falls short of it does not reproduce the table; with S_X = S_Z the
+    model is just-identified, so that gap is 0 up to rounding exactly where
+    ``closed_form`` is a valid model. With S_Z > S_X twice the gap is the
+    G^2 fit statistic."""
+    m = counts[counts > 0]
+    return float(np.sum(m * np.log(m / counts.sum())))
 
 
 # ---------------------------------------------------------------------------
@@ -308,36 +322,25 @@ def _random_model(rng, s_x: int, s_z: int) -> MisclassificationModel:
     )
 
 
-def _projected_spectral_start(counts: np.ndarray) -> MisclassificationModel | None:
-    """Eigendecomposition start, projected into the open simplex.
-
-    Unlike the identification routine this never rejects: real parts are
-    taken, entries clipped interior, columns renormalized. The result only
-    has to land in the right basin with the right latent-state ordering.
+def _spectral_start(counts: np.ndarray) -> MisclassificationModel | None:
+    """``closed_form`` of the pmf ``counts / counts.sum()``, projected into
+    the open simplex: P(X|s) and P(Y=1|s) clipped 1e-6 inside it, then P(s)
+    and P(Z|s) solved against the projected P(X|s) and clipped in turn. It
+    only has to land in the right basin with the right latent-state
+    ordering. None where there is no closed form, or where the projected
+    P(X|s) is too ill-conditioned to solve against.
     """
-    s_x, _, s_z = counts.shape
-    if s_x != s_z:
-        return None
     probs = counts / counts.sum()
-    m_xz, m_per_y = build_matrices(probs)
-    try:
-        if not check_rank(m_xz, tol=1e-10).rank_ok:
-            return None
-        vals, vecs = np.linalg.eig(branch_operator(m_xz, m_per_y[1]))
-    except np.linalg.LinAlgError:
+    exact = closed_form(probs)
+    if exact is None:
         return None
-    vals = vals.real
-    vecs = vecs.real
-    sums = vecs.sum(axis=0)
-    if np.any(np.abs(sums) < 1e-12):
-        return None
-    vals, vecs = order_by_last_row(vals, vecs / sums)
-    m_x = _interior(vecs, 1e-6)
-    f_y = np.clip(vals, 1e-6, 1.0 - 1e-6)
+    m_x = _interior(exact.m_x_given_xstar, 1e-6)
+    f_y = np.clip(exact.f_y_given_xstar, 1e-6, 1.0 - 1e-6)
     # A singular m_x has an infinite condition number; an ill-conditioned one
     # fails the start as well.
     if np.linalg.cond(m_x, 1) * np.finfo(float).eps >= 1.0:
         return None
+    m_xz, _ = build_matrices(probs)
     f_xstar = np.linalg.solve(m_x, probs.sum(axis=(1, 2)))
     f_xstar = _interior(f_xstar[:, None], 1e-6).ravel()
     m_z = _interior((np.linalg.solve(m_x, m_xz) / f_xstar[:, None]).T, 1e-6)
@@ -369,7 +372,7 @@ def _starts(counts: np.ndarray, config: CmleConfig,
     if warm_start is not None:
         starts = [("warm", warm_start)]
     else:
-        projected = _projected_spectral_start(counts)
+        projected = _spectral_start(counts)
         starts = [] if projected is None else [("spectral", projected)]
     s_x, _, s_z = counts.shape
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x636D6C65)))
@@ -435,8 +438,8 @@ def fit(
     array, such as ``data.tabulate``'s, with multiple seeded starts.
 
     Start 0 is (in order of preference) the caller's ``warm_start``, else
-    the closed-form spectral solution on the pmf ``counts / counts.sum()``
-    when it exists; remaining starts are flat draws from the simplex
+    the closed form of the pmf ``counts / counts.sum()`` projected into the
+    open simplex, when it exists; remaining starts are flat draws from the simplex
     interior. Each start runs SQUAREM-accelerated EM to convergence. The
     winner is the lowest-indexed start whose value ties the best within
     ``AGREE_RTOL`` (relative), so a well-ordered warm start beats permuted

@@ -121,6 +121,8 @@ def render_models(payload: dict) -> str:
             notes.append("monotone-reporting check FAILED")
         if "loglik" in entry:
             notes.append(f"loglik {entry['loglik']:.2f}")
+            if "saturation_gap" in entry:
+                notes.append(f"saturation gap {entry['saturation_gap']:.3g}")
             notes.append(
                 f"{entry['n_starts_agreeing']}/{entry['n_starts_converged']} "
                 "converged starts agree"
@@ -224,13 +226,14 @@ def render_csv(payload: dict) -> str:
             lines.append("bootstrap,value")
             lines.extend(f"{k},{v}" for k, v in _boot_items(payload["boot"]))
     elif "cells" in payload and "method" in payload:
-        lines.append("w_cell,n,loglik,b,n_dropped,dropped_emptied_cell,"
+        lines.append("w_cell,n,loglik,saturation_gap,b,n_dropped,dropped_emptied_cell,"
                      "dropped_estimator_failed,boundary_hits")
         for entry in payload["cells"]:
             boot = entry.get("boot") or {}
             reasons = boot.get("dropped", {})
             values = [entry.get("w_cell") or "pooled", entry.get("n"),
-                      entry.get("loglik"), boot.get("b"), boot.get("n_dropped"),
+                      entry.get("loglik"), entry.get("saturation_gap"), boot.get("b"),
+                      boot.get("n_dropped"),
                       reasons.get("emptied_cell"), reasons.get("estimator_failed"),
                       boot.get("boundary_hits")]
             lines.append(",".join("" if v is None else str(v) for v in values))

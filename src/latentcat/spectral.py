@@ -13,12 +13,15 @@ its eigenvectors, normalized to sum 1, are the columns of the reporting
 matrix P(X | latent state). Eigenpairs are ordered by the monotone-reporting
 restriction (last row of the reporting matrix increasing in the latent
 state; states whose last-row entries tie are ordered by the row above); the
-latent marginal and the Z matrix then follow by linear solves.
+latent marginal and the Z matrix then follow by linear solves. This is Hu's
+(2008) identification argument.
 
-The decomposition is exact on population pmfs. On finite samples it can
-produce complex pairs or negative entries; those are tolerance-gated errors
-here, never silently repaired, because estimation is the job of the
-likelihood module.
+``closed_form`` is that solution, exact and unprojected, and the package's
+one eigendecomposition. On a population pmf it recovers the model. With
+S_X = S_Z the model is just-identified, so where the solution lies in the
+simplex it reproduces the table and is the maximum-likelihood fit. On a
+sample it can leave the simplex; the likelihood module projects it into
+the open simplex as EM's first start either way.
 
 ``BLOCKS`` names the cell model's four blocks in pack order. With
 ``MisclassificationModel.blocks``, ``pack`` and ``split`` (pack-ordered
@@ -29,25 +32,28 @@ once; the EM kernel and every other reader go through them.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, IdentificationError
+from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "MisclassificationModel",
-    "IdentificationDiagnostics",
     "build_matrices",
     "check_rank",
-    "check_tol",
     "order_by_last_row",
     "branch_operator",
-    "eigendecompose_identify",
+    "closed_form",
     "population_pmf",
 ]
 
 STOCHASTIC_TOL = 1e-9
+# ``check_rank``'s floor on M_xz's smallest singular value, relative to its largest.
+RANK_TOL = 1e-10
+# Eigenvector columns whose last-row entries lie this close tie, and are
+# ordered by the rows above (``order_by_last_row``).
+TIE_TOL = 1e-8
 
 # P(X|s), P(Y=1|s), P(Z|s) and P(s), in pack order; matrices are named m_*.
 BLOCKS = ("m_x_given_xstar", "f_y_given_xstar", "m_z_given_xstar", "f_xstar")
@@ -160,23 +166,6 @@ class MisclassificationModel:
         return cls(**{name: block(name) for name in BLOCKS})
 
 
-@dataclass(frozen=True)
-class IdentificationDiagnostics:
-    """Assumption checks gathered while identifying one cell."""
-
-    rank_ok: bool
-    min_singular_value: float
-    eigenvalue_gap: float = np.nan
-    complex_discarded: float = np.nan
-    ord_satisfied: bool = False
-    clipped_mass: float = 0.0
-    condition_number: float = np.nan
-    y_branch_max_dev: float = np.nan
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def _check_table(table) -> np.ndarray:
     """``table`` as an array, refused (DomainError) unless it is (S_X, 2, S_Z)."""
     table = np.asarray(table)
@@ -202,39 +191,11 @@ def build_matrices(probs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return m_per_y[0] + m_per_y[1], m_per_y
 
 
-def check_rank(m_xz: np.ndarray, tol: float = 1e-8) -> IdentificationDiagnostics:
-    """Relative singular-value gate for the invertibility condition.
-
-    ``rank_ok`` iff the smallest singular value exceeds ``tol`` times the
-    largest. Failure is reported, not raised: the condition is on
-    observables and the caller decides what to do with a deficient cell.
-    """
-    m = np.asarray(m_xz, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigurationError("rank check needs a square matrix")
-    svals = np.linalg.svd(m, compute_uv=False)
-    smax = float(svals[0]) if svals.size else 0.0
-    smin = float(svals[-1]) if svals.size else 0.0
-    ok = smax > 0 and smin > tol * smax
-    cond = smax / smin if smin > 0 else np.inf
-    return IdentificationDiagnostics(
-        rank_ok=bool(ok), min_singular_value=smin, condition_number=cond
-    )
-
-
-def check_tol(tol: float) -> float:
-    """``tol`` if it lies in (0, 1), else a ``DomainError``: at 1 or more the
-    rank gate can never pass, at 0 or less the eigenvalue-gap gate never fires."""
-    if not 0.0 < tol < 1.0:  # NaN fails too
-        raise DomainError(f"tol must lie in (0, 1), got {tol!r}")
-    return tol
-
-
-def _normalize_columns(vectors: np.ndarray) -> np.ndarray:
-    sums = vectors.sum(axis=0)
-    if np.any(np.abs(sums) < 1e-14):
-        raise IdentificationError("an eigenvector has (near) zero column sum")
-    return vectors / sums
+def check_rank(m_xz: np.ndarray, tol: float = RANK_TOL) -> bool:
+    """The invertibility condition: whether the smallest singular value of
+    the square ``m_xz`` exceeds ``tol`` times the largest."""
+    svals = np.linalg.svd(m_xz, compute_uv=False)
+    return bool(svals[0] > 0 and svals[-1] > tol * svals[0])
 
 
 def order_by_last_row(values: np.ndarray, vectors: np.ndarray, tol: float = 0.0):
@@ -259,128 +220,38 @@ def branch_operator(m_xz: np.ndarray, m_y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(m_xz.T, m_y.T).T
 
 
-def _decompose_branch(a: np.ndarray, tol: float):
-    """Eigendecompose one branch operator; returns ordered real (values, columns)."""
-    eigvals, eigvecs = np.linalg.eig(a)
-    complex_mag = max(
-        float(np.abs(eigvals.imag).max()), float(np.abs(eigvecs.imag).max())
-    )
-    if complex_mag > tol:
-        raise IdentificationError(
-            f"complex eigenstructure (imaginary magnitude {complex_mag:.3e} "
-            f"> tol {tol:.1e}); the conditional-independence factorization "
-            "does not hold at this tolerance"
-        )
-    vals = eigvals.real.copy()
-    vecs = _normalize_columns(eigvecs.real.copy())
-    vals, vecs = order_by_last_row(vals, vecs, tol)
-    return vals, vecs, complex_mag
+def closed_form(probs: np.ndarray) -> MisclassificationModel | None:
+    """The exact solution of an (S_X, 2, S_Z) pmf array, unprojected; None
+    where it has no real one: a support that is not square, an M_xz that
+    fails ``check_rank``, a failed eigendecomposition or solve, or an
+    eigenvector summing to (near) 0. Any other array shape raises
+    DomainError.
 
-
-def _clip_unit(
-    arr: np.ndarray, tol: float, what: str, upper: float | None = None
-) -> tuple[np.ndarray, float]:
-    low = float(arr.min())
-    if low < -tol:
-        raise IdentificationError(
-            f"{what} has entry {low:.3e} below -tol; identification rejected"
-        )
-    if upper is not None and float(arr.max()) > upper + tol:
-        raise IdentificationError(
-            f"{what} has entry {float(arr.max()):.3e} above {upper} + tol"
-        )
-    clipped = float(np.abs(np.minimum(arr, 0.0)).sum())
-    out = np.clip(arr, 0.0, upper)
-    if upper is not None:
-        clipped += float(np.maximum(arr - upper, 0.0).sum())
-    return out, clipped
-
-
-def eigendecompose_identify(
-    probs: np.ndarray, tol: float = 1e-8
-) -> tuple[MisclassificationModel, IdentificationDiagnostics]:
-    """Recover the misclassification model from a (population-grade)
-    (S_X, 2, S_Z) pmf array.
-
-    Pipeline: rank gate on M_xz; eigendecomposition of the y=1 branch
-    operator; column normalization and monotone-reporting ordering; latent
-    marginal and Z matrix by linear solves; cross-validation against an
-    independent decomposition of the y=0 branch (eigenvalues must complement
-    to 1, eigenvectors must match).
-
-    ``tol``, in (0, 1), gates the rank check, the complex-part rejection, the
-    minimum eigenvalue gap, and negative-entry clipping. Diagnostic-grade
-    output: prefer the likelihood estimator for finite-sample work.
+    The eigenpairs keep only their real parts and nothing is clipped: on a
+    sample the solution can have a negative entry, which ``validate``
+    refuses, and the real parts of a complex pair do not reproduce the
+    table. On a population pmf it is the model behind it, states in
+    monotone-reporting order.
     """
-    check_tol(tol)
-    if float(probs.sum()) <= 0:
-        raise DomainError("all-zero pmf")
+    s_x, _, s_z = _check_table(probs).shape
+    if s_x != s_z:
+        return None
     m_xz, m_per_y = build_matrices(probs)
-    diag = check_rank(m_xz, tol=tol)
-    if not diag.rank_ok:
-        raise IdentificationError(
-            f"observable matrix fails the rank gate (min singular value "
-            f"{diag.min_singular_value:.3e}); cannot invert",
-            diagnostics=diag,
-        )
-
-    a1 = branch_operator(m_xz, m_per_y[1])
-    vals1, vecs1, cmag1 = _decompose_branch(a1, tol)
-
-    gap = float(np.min(np.abs(np.subtract.outer(vals1, vals1))
-                       [~np.eye(vals1.size, dtype=bool)])) if vals1.size > 1 else np.inf
-    if gap < tol:
-        raise IdentificationError(
-            f"eigenvalue gap {gap:.3e} below tol; the auxiliary indicator "
-            "does not separate the latent states",
-            diagnostics=replace(diag, eigenvalue_gap=gap, complex_discarded=cmag1),
-        )
-
-    # Cross-validate on the y=0 branch: an independent decomposition must give
-    # the complementary eigenvalues and the same ordered eigenvectors.
-    a0 = branch_operator(m_xz, m_per_y[0])
-    vals0, vecs0, cmag0 = _decompose_branch(a0, tol)
-    # Both branches share the last-row ordering, so the comparison is slotwise.
-    y_dev = max(
-        float(np.abs((1.0 - vals0) - vals1).max()),
-        float(np.abs(vecs0 - vecs1).max()),
-    )
-    if y_dev > max(100 * tol, 1e-6):
-        raise IdentificationError(
-            f"y-branch cross-check deviates by {y_dev:.3e}; the two auxiliary "
-            "branches disagree about the latent structure",
-            diagnostics=replace(diag, eigenvalue_gap=gap, y_branch_max_dev=y_dev),
-        )
-
-    m_x, clip_x = _clip_unit(vecs1, tol, "reporting matrix")
-    m_x = m_x / m_x.sum(axis=0)
-    f_y, clip_y = _clip_unit(vals1, tol, "P(Y=1 | latent)", upper=1.0)
-
-    f_x = probs.sum(axis=(1, 2))
-    f_xstar = np.linalg.solve(m_x, f_x)
-    f_xstar, clip_s = _clip_unit(f_xstar, max(tol, 1e-7), "latent marginal")
-    total = f_xstar.sum()
-    if total <= 0:
-        raise IdentificationError("latent marginal sums to zero after clipping")
-    f_xstar = f_xstar / total
-
-    # Z matrix from the marginal system: M_xz = M_x diag(f_xstar) M_z^T.
-    if np.any(f_xstar < 1e-12):
-        raise IdentificationError("a latent state has (near) zero mass")
-    m_z_t = np.linalg.solve(m_x, m_xz) / f_xstar[:, None]
-    m_z, clip_z = _clip_unit(m_z_t.T, max(tol, 1e-7), "second-measure matrix")
-    m_z = m_z / m_z.sum(axis=0)
-
-    model = MisclassificationModel(m_x, f_y, m_z, f_xstar)
-    diag = replace(
-        diag,
-        eigenvalue_gap=gap,
-        complex_discarded=max(cmag1, cmag0),
-        ord_satisfied=model.ord_satisfied,
-        clipped_mass=clip_x + clip_y + clip_s + clip_z,
-        y_branch_max_dev=y_dev,
-    )
-    return model, diag
+    try:
+        if not check_rank(m_xz):
+            return None
+        vals, vecs = np.linalg.eig(branch_operator(m_xz, m_per_y[1]))
+        vals, vecs = vals.real, vecs.real
+        sums = vecs.sum(axis=0)
+        if np.any(np.abs(sums) < 1e-12):
+            return None
+        f_y, m_x = order_by_last_row(vals, vecs / sums, TIE_TOL)
+        # P(X) = M_x P(s), and M_xz = M_x diag(P(s)) M_z^T.
+        f_xstar = np.linalg.solve(m_x, probs.sum(axis=(1, 2)))
+        m_z = (np.linalg.solve(m_x, m_xz) / f_xstar[:, None]).T
+    except np.linalg.LinAlgError:
+        return None
+    return MisclassificationModel(m_x, f_y, m_z, f_xstar)
 
 
 def _state_terms(theta: np.ndarray, s_x: int, s_z: int) -> np.ndarray:

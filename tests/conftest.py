@@ -83,6 +83,13 @@ def model_distance(a: MisclassificationModel, b: MisclassificationModel) -> floa
     )
 
 
+def min_gap(values: np.ndarray) -> float:
+    """Smallest distance between two entries of ``values``: for P(Y=1 | latent),
+    the closed form's eigenvalue gap."""
+    return float(np.min(np.abs(np.subtract.outer(values, values))
+                        [~np.eye(values.size, dtype=bool)]))
+
+
 # Published group-"0" distribution fixture (reporting matrix columns, latent
 # marginal, reported marginal). The auxiliary blocks below are NOT published;
 # they are filled with plausible values wherever a complete generating model

@@ -25,12 +25,13 @@ from latentcat.generate import (
 from latentcat.mle import CmleConfig, fit, param_count
 from latentcat.ordered import hetero_ordered_probit, skedastic
 from latentcat.pipeline import fit_cells, parametric_fit
-from latentcat.spectral import eigendecompose_identify, population_pmf
+from latentcat.spectral import closed_form, population_pmf
 
 from conftest import (
     PUBLISHED_F_X,
     PUBLISHED_F_XSTAR,
     PUBLISHED_M_X_GIVEN_XSTAR,
+    min_gap,
     model_distance,
 )
 
@@ -48,8 +49,8 @@ def test_criterion_1_spectral_population_oracle():
             eigenvalue_separation=0.1, seed=seed,
         )
         [model] = make_model(spec)
-        recovered, diag = eigendecompose_identify(population_pmf(model))
-        assert diag.eigenvalue_gap >= 0.1 - 1e-12
+        recovered = closed_form(population_pmf(model))
+        assert min_gap(recovered.f_y_given_xstar) >= 0.1 - 1e-12
         worst = max(worst, model_distance(recovered, model))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and elapsed < 5.0

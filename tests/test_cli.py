@@ -116,6 +116,21 @@ def test_replay_drops_the_retired_threads_option(pipeline, tmp_path, capsys):
         assert (out_dir / out.name).read_bytes() == out.read_bytes()
 
 
+def test_replay_of_a_spectral_manifest_exits_64(pipeline, tmp_path, capsys):
+    # A manifest of the deleted spectral route: its --tol is dropped, and
+    # --method spectral is refused before anything is written.
+    manifest = json.loads(Path(str(pipeline["models"]) + ".manifest.json").read_text())
+    manifest["options"].update(method="spectral", tol=1e-6)
+    old_manifest = tmp_path / "spectral.manifest.json"
+    old_manifest.write_text(json.dumps(manifest))
+    out_dir = tmp_path / "replayed"
+    assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 64
+    err = capsys.readouterr().err
+    assert "ignoring options this version does not take: ['tol']" in err
+    assert "argument --method: invalid choice: 'spectral'" in err
+    assert not (out_dir / pipeline["models"].name).exists()
+
+
 def test_replay_rejects_changed_inputs(pipeline, tmp_path):
     manifest = json.loads((str(pipeline["models"]) + ".manifest.json") and
                           Path(str(pipeline["models"]) + ".manifest.json").read_text())
@@ -246,13 +261,15 @@ def test_identify_boot_telemetry_in_artifact_and_report(pipeline, tmp_path, caps
     text = capsys.readouterr().out
     assert run(["report", str(out), "--format", "csv"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert rows[0] == ("w_cell,n,loglik,b,n_dropped,dropped_emptied_cell,"
+    assert rows[0] == ("w_cell,n,loglik,saturation_gap,b,n_dropped,dropped_emptied_cell,"
                        "dropped_estimator_failed,boundary_hits")
     for entry, row in zip(cells, rows[1:]):
         boot = entry["boot"]
         assert set(boot["dropped"]) == {"emptied_cell", "estimator_failed"}
         assert f"boundary_hits={boot['boundary_hits']}" in text
+        assert f"saturation gap {entry['saturation_gap']:.3g}" in text
         assert row.split(",")[0] == entry["w_cell"]
+        assert row.split(",")[3] == repr(entry["saturation_gap"])
         assert row.split(",")[-1] == str(boot["boundary_hits"])
     out_dir = tmp_path / "replayed"
     assert run(["replay", str(out) + ".manifest.json", "--out-dir", str(out_dir)]) == 0
@@ -302,6 +319,14 @@ def test_simulate_malformed_spec_exit(tmp_path, capsys):
         ("[generator]\nlatent_uniform_mix = nan\n", "latent_uniform_mix must be finite"),
         ("[generator]\nmin_singular_value = nan\n", "min_singular_value must be finite"),
         ("[generator]\nord_margin = nan\n", "ord_margin must be finite"),
+        # Out-of-domain numbers once sampled models that fail validate.
+        ("[generator]\nseparation = -0.1\n", "eigenvalue_separation must lie in [0, inf]"),
+        ("[generator]\nord_margin = -0.01\n", "ord_margin must lie in [0, inf]"),
+        ("[generator]\nmin_singular_value = -1\n", "min_singular_value must lie in [0, inf]"),
+        ("[generator]\nw_cells = 1\nz_mix = 2\n", "z_mix must lie in [0, 1]"),
+        ("[generator]\nz_mix = -0.5\n", "z_mix must lie in [0, 1]"),
+        ("[generator]\nlatent_uniform_mix = 1.5\n", "latent_uniform_mix must lie in [0, 1]"),
+        ("[generator]\nlatent_uniform_mix = -1\n", "latent_uniform_mix must lie in [0, 1]"),
         ("[generator]\nw_cells = 2\n\n[probit]\nbeta = 0.5, 0.1\n"
          "sigma = nan, 1\ncutpoints = 0, 1\n", "probit sigma_by_cell must be finite"),
         ("[generator]\nw_cells = 2\n\n[probit]\nbeta = nan, 0.1\n"
@@ -590,36 +615,41 @@ def test_int_csv_writer_matches_savetxt(matrix, block_rows):
         assert path.read_bytes() == reference.getvalue()
 
 
-def test_identify_spectral_method(pipeline, tmp_path):
+def test_identify_spectral_method(tmp_path, capsys):
+    # The spectral route is gone: cmle starts from the same closed form and
+    # writes its certificate (saturation_gap). The inputs do not exist, so
+    # reading one would exit 1, not 64.
+    missing = str(tmp_path / "missing.csv")
     out = tmp_path / "spectral.json"
-    code = run(["identify", "--input", str(pipeline["synth"]), "--schema",
-                str(pipeline["schema"]), "--by-cell", "--method", "spectral",
-                "--seed", "1", "--tol", "1e-4", "--out", str(out)])
-    assert code in (0, 2)  # finite-sample cells may fail assumption gates
-    payload = json.loads(out.read_text())
-    assert payload["method"] == "spectral"
-    assert len(payload["cells"]) == 2
-    for entry in payload["cells"]:
-        assert "model" in entry or "error" in entry
-        if "model" in entry:
-            mat = entry["model"]["m_x_given_xstar"]
-            assert mat["rows"] == 3 and mat["cols"] == 3
-            assert len(mat["data"]) == 9
-            assert "diagnostics" in entry
-
-
-def test_identify_spectral_refuses_boot(pipeline, tmp_path, capsys):
-    out = tmp_path / "spectral-boot.json"
-    code = run(["identify", "--input", str(pipeline["synth"]), "--schema",
-                str(pipeline["schema"]), "--by-cell", "--method", "spectral",
-                "--boot", "3", "--seed", "1", "--out", str(out)])
-    assert code == 64
-    assert "--boot applies only to --method cmle" in capsys.readouterr().err
+    assert run(["identify", "--input", missing, "--schema", missing, "--by-cell",
+                "--method", "spectral", "--seed", "1", "--out", str(out)]) == 64
+    assert "argument --method: invalid choice: 'spectral'" in capsys.readouterr().err
     assert not out.exists()
 
 
+def test_identify_spectral_refuses_boot(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    out = tmp_path / "spectral-boot.json"
+    assert run(["identify", "--input", missing, "--schema", missing, "--by-cell",
+                "--method", "spectral", "--boot", "3", "--seed", "1",
+                "--out", str(out)]) == 64
+    assert "invalid choice: 'spectral'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_identify_writes_each_cells_saturation_gap(pipeline):
+    from latentcat.data import ingest, load_schema, tabulate
+    from latentcat.mle import saturated_loglik
+
+    data, _ = ingest(str(pipeline["synth"]), load_schema(str(pipeline["schema"])))
+    for cell, entry in enumerate(json.loads(pipeline["models"].read_text())["cells"]):
+        table = tabulate(data, cell)
+        assert entry["saturation_gap"] == saturated_loglik(table) - entry["loglik"]
+        assert entry["saturation_gap"] >= -1e-9 * abs(entry["loglik"])
+
+
 IDENTIFY_CMLE = ["identify", "--by-cell", "--method", "cmle"]
-IDENTIFY_SPECTRAL = ["identify", "--by-cell", "--method", "spectral"]
+IDENTIFY_POOLED = ["identify", "--method", "cmle"]
 ESTIMATE_LATENT = ["estimate", "--model", "hoprobit", "--target", "latent"]
 TEST_BY_CELL = ["test", "--by-cell"]
 SIMULATE = ["simulate"]
@@ -628,7 +658,7 @@ SIMULATE = ["simulate"]
 @pytest.mark.parametrize("command,option,value", [
     *[(IDENTIFY_CMLE, option, value) for option, value in
       [("--boot", "-1"), ("--starts", "0"), ("--boot-starts", "0"), ("--seed", "-1")]],
-    (IDENTIFY_SPECTRAL, "--boot", "-1"),
+    (IDENTIFY_POOLED, "--boot", "-1"),
     (ESTIMATE_LATENT, "--boot", "-1"),
     (ESTIMATE_LATENT, "--boot-starts", "0"),
     (TEST_BY_CELL, "--B", "98"),
@@ -666,13 +696,12 @@ def test_clamp_outside_its_domain_refused_before_ingest(tmp_path, capsys, clamp)
 
 @pytest.mark.parametrize("tol", ["-1", "0", "1", "nan", "inf"])
 def test_tol_outside_its_domain_refused_before_ingest(tmp_path, capsys, tol):
-    # A negative tol once failed every cell as complex, and nan or inf the
-    # rank gate of a full-rank table.
+    # --tol gated the deleted spectral route; no value of it is taken now.
     missing = str(tmp_path / "missing.csv")
     out = tmp_path / "out.json"
-    assert run([*IDENTIFY_SPECTRAL, "--input", missing, "--schema", missing,
+    assert run([*IDENTIFY_CMLE, "--input", missing, "--schema", missing,
                 "--tol", tol, "--seed", "1", "--out", str(out)]) == 64
-    assert "argument --tol: tol must lie in (0, 1)" in capsys.readouterr().err
+    assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from latentcat import mle
+from latentcat import mle, spectral
 from latentcat.data import tabulate
 from latentcat.errors import DomainError, GeneratorError, OptimizationError
 from latentcat.generate import GeneratorSpec, draw, make_model
@@ -17,19 +17,21 @@ from latentcat.mle import (
     _boundary_flags,
     _em_fit,
     _interior,
-    _projected_spectral_start,
     _random_model,
+    _spectral_start,
     fit,
     fit_tables,
     loglik,
     param_count,
+    saturated_loglik,
 )
-from latentcat.spectral import (MisclassificationModel, eigendecompose_identify,
-                                order_by_last_row)
+from latentcat.spectral import (MisclassificationModel, branch_operator, build_matrices,
+                                closed_form, order_by_last_row, population_pmf)
 
 from conftest import (
     PUBLISHED_F_XSTAR,
     PUBLISHED_F_XSTAR_SE,
+    min_gap,
     model_distance,
     population_table,
     published_cell_model,
@@ -172,20 +174,89 @@ def recovery_spec(seed):
     )
 
 
+TINY = 2.0**-54
+# Two reporting columns 2^-54 apart: LU factors the matrix without a zero
+# pivot, but its 1-norm condition number is at least 1/eps.
+NEAR_TWINS = np.array([[0.25, 0.25, 0.6], [0.25, 0.25 + TINY, 0.2],
+                       [0.5, 0.5 - TINY, 0.2]])
+
+
+def near_twins_order(vals, vecs, tol=0.0):
+    """An ``order_by_last_row`` whose eigenvectors are NEAR_TWINS."""
+    return vals, NEAR_TWINS
+
+
+def reference_spectral_start(counts):
+    """The projected spectral start computed on its own, without
+    ``closed_form``: the reference ``_spectral_start`` must match bit for bit."""
+    s_x, _, s_z = counts.shape
+    if s_x != s_z:
+        return None
+    probs = counts / counts.sum()
+    m_xz, m_per_y = build_matrices(probs)
+    try:
+        svals = np.linalg.svd(m_xz, compute_uv=False)
+        if not (svals[0] > 0 and svals[-1] > 1e-10 * svals[0]):
+            return None
+        vals, vecs = np.linalg.eig(branch_operator(m_xz, m_per_y[1]))
+    except np.linalg.LinAlgError:
+        return None
+    vals = vals.real
+    vecs = vecs.real
+    sums = vecs.sum(axis=0)
+    if np.any(np.abs(sums) < 1e-12):
+        return None
+    vals, vecs = spectral.order_by_last_row(vals, vecs / sums)
+    m_x = _interior(vecs, 1e-6)
+    f_y = np.clip(vals, 1e-6, 1.0 - 1e-6)
+    if np.linalg.cond(m_x, 1) * np.finfo(float).eps >= 1.0:
+        return None
+    f_xstar = np.linalg.solve(m_x, probs.sum(axis=(1, 2)))
+    f_xstar = _interior(f_xstar[:, None], 1e-6).ravel()
+    m_z = _interior((np.linalg.solve(m_x, m_xz) / f_xstar[:, None]).T, 1e-6)
+    return MisclassificationModel(m_x, f_y, m_z, f_xstar)
+
+
+def assert_same_start(table):
+    got, want = _spectral_start(table), reference_spectral_start(table)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.pack().tobytes() == want.pack().tobytes()
+    return got
+
+
 def test_spectral_start_fails_on_an_ill_conditioned_reporting_matrix(
         valid_model, monkeypatch):
     """An m_x whose 1-norm condition number is at least 1/eps is no start,
     though LU factors it without a zero pivot."""
     table = population_table(valid_model, n=100_000)
-    assert _projected_spectral_start(table) is not None
-    tiny = 2.0**-54
-    near_twins = np.array([[0.25, 0.25, 0.6], [0.25, 0.25 + tiny, 0.2],
-                           [0.5, 0.5 - tiny, 0.2]])
-    m_x = _interior(near_twins, 1e-6)
+    assert assert_same_start(table) is not None
+    m_x = _interior(NEAR_TWINS, 1e-6)
     assert np.linalg.cond(m_x, 1) * np.finfo(float).eps >= 1.0
     assert np.isfinite(np.linalg.solve(m_x, np.full(3, 1 / 3))).all()
-    monkeypatch.setattr(mle, "order_by_last_row", lambda vals, vecs: (vals, near_twins))
-    assert _projected_spectral_start(table) is None
+    monkeypatch.setattr(spectral, "order_by_last_row", near_twins_order)
+    assert closed_form(table / table.sum()) is not None
+    assert assert_same_start(table) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), s=st.integers(2, 4),
+       strength=st.sampled_from([0.0, 0.2, 0.5, 0.8]), n=st.integers(50, 50_000),
+       kind=st.sampled_from(["sampled", "rank-deficient", "non-square"]))
+def test_spectral_start_is_the_projected_closed_form_bit_for_bit(seed, s, strength, n,
+                                                                 kind):
+    try:
+        [model] = make_model(GeneratorSpec(
+            s_x=s, s_z=s + (kind == "non-square"), misclassification_strength=strength,
+            eigenvalue_separation=0.1, seed=seed))
+    except GeneratorError:
+        assume(False)
+    table = tabulate(draw([model], [1.0], n, seed=seed + 1).data)
+    if kind == "rank-deficient":  # two equal z columns
+        table = np.concatenate([table[:, :, :1], table[:, :, :-1]], axis=2)
+    start = assert_same_start(table)
+    if kind != "sampled":
+        assert start is None
 
 
 def test_fit_recovers_single_model():
@@ -317,12 +388,36 @@ def test_fit_check_only_flags_without_permuting():
 def test_fit_agreement_with_spectral_on_population():
     [model] = make_model(recovery_spec(38))
     table = population_table(model, n=10_000_000)
-    spectral_model, diag = eigendecompose_identify(table / table.sum(), tol=1e-6)
-    assert diag.eigenvalue_gap > 0.05
+    spectral_model = closed_form(table / table.sum())
+    assert min_gap(spectral_model.f_y_given_xstar) > 0.05
     result = fit(
         table, CmleConfig(n_starts=4, seed=39, ord_constraint="enforce")
     )
     assert model_distance(result.model, spectral_model) < 1e-4
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_saturation_gap_certifies_a_valid_closed_form(seed):
+    # A population table reproduced by its own closed form: the fit reaches
+    # the saturated log-likelihood.
+    models = make_model(GeneratorSpec(misclassification_strength=0.4, n_w_cells=2,
+                                      eigenvalue_separation=0.15, seed=seed))
+    for model in models:
+        table = population_pmf(model) * 1e6
+        closed_form(table / table.sum()).validate()
+        result = fit(table, CmleConfig(n_starts=2, seed=seed))
+        assert abs(saturated_loglik(table) - result.loglik) <= 1e-9 * abs(result.loglik)
+
+
+def test_saturation_gap_is_positive_where_the_closed_form_leaves_the_simplex():
+    [model] = make_model(GeneratorSpec(misclassification_strength=0.6,
+                                       eigenvalue_separation=0.2,
+                                       min_singular_value=0.08, seed=11))
+    table = tabulate(draw([model], [1.0], 400, seed=12).data)
+    with pytest.raises(DomainError):
+        closed_form(table / table.sum()).validate()
+    result = fit(table, CmleConfig(n_starts=3, seed=1))
+    assert saturated_loglik(table) - result.loglik > 1e-3
 
 
 NEGATIVE_COUNT = np.ones((3, 2, 3), dtype=int)

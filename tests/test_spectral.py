@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from latentcat.citest import ts_statistic
 from latentcat.data import tabulate
-from latentcat.errors import (
-    ConfigurationError, DomainError, GeneratorError, IdentificationError
-)
+from latentcat.errors import ConfigurationError, DomainError, GeneratorError
 from latentcat.generate import GeneratorSpec, draw, make_model
 from latentcat.mle import _random_model
 from latentcat.spectral import (
@@ -17,15 +15,15 @@ from latentcat.spectral import (
     MisclassificationModel,
     build_matrices,
     check_rank,
-    eigendecompose_identify,
+    closed_form,
     population_pmf,
 )
 
-from conftest import model_distance
+from conftest import min_gap, model_distance
 
 
-@pytest.mark.parametrize("entry", [ts_statistic, build_matrices, eigendecompose_identify],
-                         ids=["ts_statistic", "build_matrices", "eigendecompose_identify"])
+@pytest.mark.parametrize("entry", [ts_statistic, build_matrices, closed_form],
+                         ids=["ts_statistic", "build_matrices", "closed_form"])
 @pytest.mark.parametrize("probs", [
     np.full((3, 3), 1 / 9),
     np.random.default_rng(0).dirichlet(np.ones(27)).reshape(3, 3, 3),
@@ -35,15 +33,6 @@ def test_pmf_entry_points_refuse_a_table_not_sx_2_sz(entry, probs):
     # 3-level middle axis was read as y in {0, 1}, its last slice dropped.
     with pytest.raises(DomainError, match=r"a table is an \(S_X, 2, S_Z\) array"):
         entry(probs)
-
-
-@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, np.nan, np.inf])
-def test_eigendecompose_identify_refuses_tol_outside_0_1(tol):
-    # At 1 or more the rank gate can never pass; at 0 or less the
-    # eigenvalue-gap gate never fires.
-    [model] = make_model(spec_for(3))
-    with pytest.raises(DomainError, match=r"tol must lie in \(0, 1\)"):
-        eigendecompose_identify(population_pmf(model), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -132,49 +121,56 @@ def test_build_matrices_rejects_nonsquare():
 
 
 def test_check_rank_scaled_identity():
-    diag = check_rank(np.eye(3) / 3)
-    assert diag.rank_ok
-    assert diag.min_singular_value == pytest.approx(1 / 3)
+    # All three singular values are 1/3: the gate passes below a relative
+    # floor of 1 and fails at 1.
+    assert check_rank(np.eye(3) / 3)
+    assert check_rank(np.eye(3) / 3, tol=1 - 1e-9)
+    assert not check_rank(np.eye(3) / 3, tol=1.0)
 
 
 def test_check_rank_rank_one():
     m = np.outer([0.2, 0.3, 0.5], [0.25, 0.35, 0.4])
-    assert not check_rank(m).rank_ok
+    assert not check_rank(m)
 
 
 def test_check_rank_sample_close_to_population():
+    # The sample's smallest singular value, relative to its largest, lies
+    # within 10% of the population's.
     [model] = make_model(spec_for(3))
     pop_m, _ = build_matrices(population_pmf(model))
-    pop_smin = np.linalg.svd(pop_m, compute_uv=False)[-1]
+    svals = np.linalg.svd(pop_m, compute_uv=False)
+    pop_ratio = svals[-1] / svals[0]
     sample = draw([model], [1.0], 50_000, seed=4).data
     emp_m, _ = build_matrices(tabulate(sample) / sample.n)
-    diag = check_rank(emp_m)
-    assert diag.rank_ok
-    assert abs(diag.min_singular_value - pop_smin) <= 0.1 * pop_smin
+    assert check_rank(emp_m)
+    assert check_rank(emp_m, tol=0.9 * pop_ratio)
+    assert not check_rank(emp_m, tol=1.1 * pop_ratio)
 
 
 # ---------------------------------------------------------------------------
-# eigendecompose_identify
+# closed_form
 # ---------------------------------------------------------------------------
 
 
 def test_identity_misclassification_exact():
     [model] = make_model(spec_for(5, misclassification_strength=0.0))
     assert np.array_equal(model.m_x_given_xstar, np.eye(3))
-    rec, diag = eigendecompose_identify(population_pmf(model))
+    rec = closed_form(population_pmf(model))
     assert np.allclose(rec.m_x_given_xstar, np.eye(3), atol=1e-12)
     assert np.allclose(rec.f_y_given_xstar, model.f_y_given_xstar, atol=1e-12)
-    assert diag.rank_ok
+    rec.validate()
 
 
 def test_population_recovery_across_models():
     for seed in range(8):
         [model] = make_model(spec_for(40 + seed))
-        rec, diag = eigendecompose_identify(population_pmf(model))
+        pmf = population_pmf(model)
+        rec = closed_form(pmf)
         assert model_distance(rec, model) < 1e-10
-        assert diag.ord_satisfied
-        assert diag.eigenvalue_gap >= 0.2 - 1e-9
-        assert diag.y_branch_max_dev < 1e-8
+        assert rec.ord_satisfied
+        assert min_gap(rec.f_y_given_xstar) >= 0.2 - 1e-9
+        # Both y branches of the table, not only the decomposed y=1 one.
+        assert np.abs(population_pmf(rec) - pmf).max() < 1e-8
 
 
 @settings(max_examples=25, deadline=None)
@@ -185,8 +181,7 @@ def test_population_recovery_across_models():
     n_w_cells=st.sampled_from([1, 2, 4]),
 )
 # Strength 0 gives identity reporting matrices, whose last row ties in all
-# but one state: ordering by the last row alone once swapped two states here
-# and failed the y-branch cross-check here.
+# but one state: ordering by the last row alone once swapped two states here.
 @example(seed=0, strength=0.0, separation=0.168, n_w_cells=2)
 @example(seed=0, strength=0.0, separation=0.25, n_w_cells=1)
 def test_population_round_trip_on_random_specs(seed, strength, separation, n_w_cells):
@@ -200,14 +195,14 @@ def test_population_round_trip_on_random_specs(seed, strength, separation, n_w_c
     except GeneratorError:
         assume(False)
     for model in models:
-        rec, _ = eigendecompose_identify(population_pmf(model))
+        rec = closed_form(population_pmf(model))
         assert model_distance(rec, model) < 1e-8
 
 
 def test_reconstruction_identity_both_branches():
     [model] = make_model(spec_for(6))
     pmf = population_pmf(model)
-    rec, _ = eigendecompose_identify(pmf)
+    rec = closed_form(pmf)
     d_pi = np.diag(rec.f_xstar)
     for y in (0, 1):
         fy = rec.f_y_given_xstar if y == 1 else 1 - rec.f_y_given_xstar
@@ -218,7 +213,7 @@ def test_reconstruction_identity_both_branches():
 def test_marginal_identity():
     [model] = make_model(spec_for(7))
     pmf = population_pmf(model)
-    rec, _ = eigendecompose_identify(pmf)
+    rec = closed_form(pmf)
     f_x = pmf.sum(axis=(1, 2))
     assert np.allclose(rec.m_x_given_xstar @ rec.f_xstar, f_x, atol=1e-10)
 
@@ -228,57 +223,42 @@ def test_z_relabeling_only_permutes_z_rows():
     pmf = population_pmf(model)
     perm = [2, 0, 1]
     permuted = pmf[:, :, perm]
-    rec_a, _ = eigendecompose_identify(pmf)
-    rec_b, _ = eigendecompose_identify(permuted)
+    rec_a = closed_form(pmf)
+    rec_b = closed_form(permuted)
     assert np.allclose(rec_a.m_x_given_xstar, rec_b.m_x_given_xstar, atol=1e-10)
     assert np.allclose(rec_a.f_xstar, rec_b.f_xstar, atol=1e-10)
     assert np.allclose(rec_a.m_z_given_xstar[perm, :], rec_b.m_z_given_xstar,
                        atol=1e-10)
 
 
-def test_near_equal_eigenvalues_rejected():
-    [model] = make_model(spec_for(9))
-    squeezed = MisclassificationModel(
-        m_x_given_xstar=model.m_x_given_xstar,
-        f_y_given_xstar=np.array([0.5, 0.5 + 1e-10, 0.8]),
-        m_z_given_xstar=model.m_z_given_xstar,
-        f_xstar=model.f_xstar,
-    )
-    with pytest.raises(IdentificationError, match="gap"):
-        eigendecompose_identify(population_pmf(squeezed), tol=1e-8)
-
-
-def test_rank_gate_failure_raises_with_diagnostics():
-    # A second measure that ignores the latent state kills invertibility.
+def test_closed_form_is_none_without_a_real_solution():
     [model] = make_model(spec_for(10))
+    # A second measure that ignores the latent state kills invertibility.
     flat = MisclassificationModel(
         m_x_given_xstar=model.m_x_given_xstar,
         f_y_given_xstar=model.f_y_given_xstar,
         m_z_given_xstar=np.full((3, 3), 1 / 3),
         f_xstar=model.f_xstar,
     )
-    with pytest.raises(IdentificationError) as info:
-        eigendecompose_identify(population_pmf(flat))
-    assert info.value.diagnostics is not None
-    assert not info.value.diagnostics.rank_ok
+    assert closed_form(population_pmf(flat)) is None
+    assert closed_form(np.zeros((3, 2, 3))) is None
+    assert closed_form(np.full((3, 2, 2), 1 / 12)) is None  # not square
 
 
 def test_finite_sample_negative_entries_rejected_not_repaired():
-    # At small n the decomposition can produce materially negative entries;
-    # the identification routine must refuse rather than clip them away.
+    # At small n the decomposition produces materially negative entries;
+    # the closed form keeps them, and the model they make is refused.
     [model] = make_model(spec_for(11, misclassification_strength=0.6))
     sample = draw([model], [1.0], 400, seed=12).data
-    pmf = tabulate(sample) / sample.n
-    try:
-        rec, diag = eigendecompose_identify(pmf, tol=1e-8)
-    except IdentificationError:
-        return
-    rec.validate()  # if it went through, the output is a valid bundle
+    rec = closed_form(tabulate(sample) / sample.n)
+    assert min(block.min() for block in rec.blocks) < -0.01
+    with pytest.raises(DomainError, match="outside"):
+        rec.validate()
 
 
 def test_ord_flag_reports_not_reorders():
     [model] = make_model(spec_for(13))
-    rec, diag = eigendecompose_identify(population_pmf(model))
-    assert diag.ord_satisfied == rec.ord_satisfied
+    rec = closed_form(population_pmf(model))
+    assert rec.ord_satisfied
     last = rec.m_x_given_xstar[-1, :]
     assert np.all(np.diff(last) >= 0)  # ordering device sorts ascending

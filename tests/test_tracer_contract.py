@@ -5,12 +5,17 @@ SUMMARIES) is a public function that the tracer wraps, and the summary of
 otherwise show up only as ``trace.absent_names`` in a traced benchmark run.
 
 ``tracer.install`` rebinds module globals, so the check runs in a subprocess.
+The benchmark's command lines (``perfbench/run.py``'s ``stage_args``) are a
+contract too: each must parse, or every benchmark run fails.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from latentcat import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,3 +47,17 @@ def test_tracer_wraps_every_name_the_benchmark_reads():
     assert not result["fit_summary_failed"]
     assert result["fit_summary"]["starts"] == 1
     assert result["fit_summary"]["converged"] == 1
+
+
+def test_cli_parses_every_benchmark_command_line(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # dataclasses look it up
+    spec.loader.exec_module(bench)
+    parser = cli._build_parser()
+    for workload in bench.WORKLOADS.values():
+        for stage in bench.OUTPUTS:  # every stage a run can start
+            for seed in (0, 1, 10):
+                argv = bench.stage_args(stage, workload, seed)
+                args = parser.parse_args(argv)
+                assert args.command == argv[0]
