@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -462,8 +463,11 @@ def _cmd_estimate(args) -> int:
         artifact = _read_json(args.models)
         manifest.add_input(args.models)
         models = _models_from_artifact(artifact, data)
-    point = parametric_fit(data, args.model, args.target, models, clamp=args.clamp,
-                           skedastic_kind=args.skedastic)
+    [point] = parametric_fit([data], args.model, args.target,
+                             None if models is None else [models],
+                             clamp=args.clamp, skedastic_kind=args.skedastic)
+    if isinstance(point, LatentcatError):
+        raise point
     manifest.stage("point_fit")
 
     boot_meta = None
@@ -658,7 +662,9 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    gc.freeze()  # every artifact is written; skip the full collection at shutdown
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -554,7 +554,8 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
         if missing:
             raise SchemaError(f"input is missing declared columns: {missing}")
         cols = [header.index(c) for c in needed]
-        bit_values = 1 << np.arange(len(schema.w_columns))
+        # float64, exact for these bit sums: integer matmul has no BLAS path
+        bit_values = 2.0 ** np.arange(len(schema.w_columns))
         reasons: dict[str, int] = {}
         n_read = 0
         for fields, integers in _field_blocks(stream, len(header), cols):
@@ -580,7 +581,7 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
                 y = (y > float(schema.y_binning)).astype(np.int64)
             if fixed_z:
                 z = _apply_cuts(z, schema.z_binning)
-            rows = (x_codes[keep], y, z, w[keep].astype(np.int64) @ bit_values)
+            rows = (x_codes[keep], y, z, (w[keep] @ bit_values).astype(np.int64))
             if fixed_y and fixed_z:
                 counts += _count_codes(*rows, support, n_cells)
             else:

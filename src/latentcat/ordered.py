@@ -20,7 +20,10 @@ involved; these are exact inversions of the model's cell probabilities.
 Maximum-likelihood fits on the reported outcome (the conventional
 benchmarks) are also provided, fitted by Fisher scoring on the analytic
 derivatives of the cell pmf and re-normalized into the same (0, 1) cutpoint
-scheme so coefficient vectors are directly comparable. The normal cdf and
+scheme so coefficient vectors are directly comparable. They take a list
+of datasets and fit those that share a design as one stacked Fisher
+scoring, with a leading batch axis; each item's iterates are those it
+gets alone, and a failure ends that item's fit alone. The normal cdf and
 quantile come from the standard library (``math.erfc``,
 ``statistics.NormalDist``), so this module needs numpy alone.
 
@@ -263,8 +266,9 @@ def linear_projection(lc: LatentConditional, target: str = "latent") -> Parametr
 
 def _norm_cdf(x: np.ndarray) -> np.ndarray:
     """Standard normal cdf, elementwise: 0.5 * erfc(-x / sqrt(2))."""
-    return np.reshape([0.5 * math.erfc(-v / _SQRT2) for v in np.ravel(x).tolist()],
-                      np.shape(x))
+    x = np.asarray(x, dtype=float)
+    erfc = np.fromiter(map(math.erfc, (-x / _SQRT2).ravel().tolist()), float, x.size)
+    return 0.5 * erfc.reshape(x.shape)
 
 
 def _norm_ppf(u: float) -> float:
@@ -399,165 +403,260 @@ def _cell_design(data: Dataset) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]
     return rows, hist[populated].astype(float), design_columns(data.w_columns)
 
 
+def _masses(cdf: np.ndarray, top: float) -> np.ndarray:
+    """Differences of (0, cdf, top) along the second-last axis: the mass of
+    each level, given the cdf (or a derivative of it) at the cutpoints."""
+    return np.concatenate((cdf[..., :1, :], cdf[..., 1:, :] - cdf[..., :-1, :],
+                           top - cdf[..., -1:, :]), axis=-2)
+
+
 def _cell_probs(index: np.ndarray, scale: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Ordered-probit pmf over outcome levels, one row per (index, scale)."""
-    edges = np.concatenate(([-np.inf], cuts, [np.inf]))
-    z = (edges[None, :] - index[:, None]) / scale[:, None]
-    return np.diff(_norm_cdf(z), axis=1)
+    """Ordered-probit pmf over outcome levels, one row per (index, scale).
+
+    ``index`` and ``scale`` are (..., cells) and ``cuts`` (..., cutpoints).
+    """
+    z = (cuts[..., None, :] - index[..., None]) / scale[..., None]
+    return _masses(_norm_cdf(z)[..., None], 1.0)[..., 0]
 
 
 def _pmf_and_jacobian(index, log_scale, cuts, d_index, d_log_scale, d_cuts):
-    """Cell pmf rows and their derivatives in the parameters (last axis).
+    """Cell pmf rows and their derivatives in the parameters, for a stack of
+    parameter vectors: (items, cells, levels) and (items, cells, levels, p).
 
-    ``d_index`` and ``d_log_scale`` are (cells, p) and ``d_cuts`` is
-    (cutpoints, p). At an interior edge z = (cut - index) / scale, so
-    dz = (d_cut - d_index) / scale - z * d_log_scale, and each level's
-    probability moves by the difference of pdf(z) * dz across its edges.
+    ``index`` and ``log_scale`` are (items, cells), ``cuts`` (items,
+    cutpoints), ``d_index`` and ``d_log_scale`` ([items,] cells, p) and
+    ``d_cuts`` (items, cutpoints, p); ``log_scale`` None pins every scale at
+    1. At an interior edge z = (cut - index) / scale, so dz = (d_cut -
+    d_index) / scale - z * d_log_scale, and each level's probability moves
+    by the difference of pdf(z) * dz across its edges.
     """
-    scale = np.exp(log_scale)
-    probs = _cell_probs(index, scale, cuts)
-    z = (cuts[None, :] - index[:, None]) / scale[:, None]
-    dz = ((d_cuts[None] - d_index[:, None]) / scale[:, None, None]
-          - z[..., None] * d_log_scale[:, None])
+    z = cuts[:, None, :] - index[..., None]
+    dz = d_cuts[:, None] - d_index[..., None, :]
+    if log_scale is not None:
+        scale = np.exp(log_scale)[..., None]
+        z = z / scale
+        dz = dz / scale[..., None] - z[..., None] * d_log_scale[..., None, :]
     d_cdf = (np.exp(-0.5 * z * z) / _SQRT_2PI)[..., None] * dz
-    tails = np.zeros_like(d_cdf[:, :1])
-    return probs, np.diff(np.concatenate((tails, d_cdf, tails), axis=1), axis=1)
+    return _masses(_norm_cdf(z)[..., None], 1.0)[..., 0], _masses(d_cdf, 0.0)
 
 
-def _chained_cuts(anchor, log_gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """anchor + (0, cumsum(exp(log_gaps))) and its Jacobian in ``log_gaps``."""
-    gaps = np.exp(log_gaps)
-    cuts = anchor + np.concatenate(([0.0], np.cumsum(gaps)))
-    below = np.tril(np.broadcast_to(gaps, (gaps.size, gaps.size)))
-    return cuts, np.vstack((np.zeros(gaps.size), below))
+def _chained_cuts(anchor: np.ndarray, log_gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, anchor + (0, cumsum(gaps)) with gaps = exp(log_gaps), and the
+    gaps: cutpoint i moves by gap j in log gap j < i."""
+    gaps = np.exp(np.ascontiguousarray(log_gaps))
+    zero = np.zeros((len(gaps), 1))
+    return anchor[:, None] + np.concatenate((zero, np.cumsum(gaps, axis=1)), axis=1), gaps
 
 
-def _loglik(probs: np.ndarray, counts: np.ndarray) -> float:
-    return float(np.sum(counts * np.log(np.maximum(probs, 1e-300))))
+def _loglik(probs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    return np.sum(counts * np.log(np.maximum(probs, 1e-300)), axis=(1, 2))
 
 
-def _fisher_scoring(model, theta: np.ndarray, counts: np.ndarray, what: str) -> np.ndarray:
-    """Maximize sum(counts * log P(theta)) by Fisher scoring.
+def _solve(info: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """inv(info) score per item; NaN where an item's information is singular."""
+    try:
+        return np.linalg.solve(info, score[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # one singular item fails the whole stack
+        step = np.full_like(score, np.nan)
+        for i, (a, b) in enumerate(zip(info, score)):
+            try:
+                step[i] = np.linalg.solve(a, b[:, None])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return step
 
-    ``model(theta)`` returns the cell pmf rows P and their Jacobian dP. The
-    score is sum(n / P * dP) and the information sum(N_r / P * dP dP'),
-    which is positive semi-definite. Each step is halved until the
-    log-likelihood does not fall; the fit stops when the decrement
-    score' step drops below ``SCORING_TOL``.
+
+def _fisher_scoring(model, theta0: np.ndarray, counts: np.ndarray,
+                    what: str) -> list[np.ndarray | EstimationError]:
+    """Maximize sum(counts * log P(theta)) by Fisher scoring from ``theta0``,
+    for a stack of items: counts (items, cells, levels).
+
+    ``model(theta)`` returns the cell pmf rows P and their Jacobian dP of any
+    stack of parameter vectors. Per item, the score is sum(n / P * dP) and
+    the information sum(N_r / P * dP dP'), which is positive semi-definite.
+    Each step is halved until the item's log-likelihood does not fall; the
+    item stops when its decrement score' step drops below ``SCORING_TOL``.
+    Items leave the stack as they stop or fail, and every operation acts on
+    each item alone, so an item's iterates do not depend on the stack.
+    Returns per item its maximizer or the EstimationError that ends it.
     """
-    totals = counts.sum(axis=1)
-    probs, jac = model(theta)
+    n = len(counts)
+    results: list = [None] * n
+    items = np.arange(n)  # the items still iterating
+    totals = counts.sum(axis=2)
+    theta = np.tile(theta0, (n, 1))
+    # Every item starts at theta0, so one evaluation serves them all.
+    probs, jac = (np.repeat(a, n, axis=0) for a in model(theta0[None]))
     loglik = _loglik(probs, counts)
     for _ in range(SCORING_MAX_ITERATIONS):
         safe = np.maximum(probs, 1e-300)
-        score = np.einsum("rj,rjp->p", counts / safe, jac)
-        info = np.einsum("r,rjp,rjq->pq", totals, jac / safe[..., None], jac)
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            step = np.full_like(score, np.nan)
-        if not np.isfinite(step).all():
-            raise EstimationError(f"{what} did not converge: singular information matrix")
-        if float(score @ step) < SCORING_TOL:
-            return theta
+        flat = jac.reshape(len(items), -1, jac.shape[-1])  # per item, (cells * levels, p)
+        score = np.matmul((counts[items] / safe).reshape(len(items), 1, -1), flat)[:, 0]
+        weighted = jac / safe[..., None] * totals[items][..., None, None]
+        info = np.matmul(weighted.reshape(flat.shape).transpose(0, 2, 1), flat)
+        step = _solve(info, score)
+        singular = ~np.isfinite(step).all(axis=1)
+        for i in items[singular]:
+            results[i] = EstimationError(f"{what} did not converge: "
+                                         "singular information matrix")
+        done = ~singular & (np.sum(score * step, axis=1) < SCORING_TOL)
+        for i, best in zip(items[done], theta[done]):
+            results[i] = best
+        go = ~(singular | done)
+        if not go.all():
+            items, theta, step, loglik, probs, jac = (
+                a[go] for a in (items, theta, step, loglik, probs, jac))
+        pending = np.arange(len(items))  # the items whose line search goes on
         for halving in range(SCORING_MAX_HALVINGS):
-            trial = theta + step / 2.0**halving
-            trial_probs, trial_jac = model(trial)
-            trial_loglik = _loglik(trial_probs, counts)
-            if trial_loglik >= loglik:
+            if not pending.size:
                 break
-        else:
-            raise EstimationError(f"{what} did not converge: line search failed")
-        theta, probs, jac, loglik = trial, trial_probs, trial_jac, trial_loglik
-    raise EstimationError(
-        f"{what} did not converge: iteration cap of {SCORING_MAX_ITERATIONS} reached"
-    )
+            trial = theta[pending] + step[pending] / 2.0**halving
+            trial_probs, trial_jac = model(trial)
+            trial_loglik = _loglik(trial_probs, counts[items[pending]])
+            up = trial_loglik >= loglik[pending]
+            accepted = pending[up]
+            theta[accepted], probs[accepted], jac[accepted], loglik[accepted] = (
+                trial[up], trial_probs[up], trial_jac[up], trial_loglik[up])
+            pending = pending[~up]
+        if pending.size:
+            for i in items[pending]:
+                results[i] = EstimationError(f"{what} did not converge: line search failed")
+            kept = np.ones(len(items), dtype=bool)
+            kept[pending] = False
+            items, theta, probs, jac, loglik = (
+                a[kept] for a in (items, theta, probs, jac, loglik))
+        if not items.size:
+            return results
+    for i in items:
+        results[i] = EstimationError(f"{what} did not converge: iteration cap of "
+                                     f"{SCORING_MAX_ITERATIONS} reached")
+    return results
 
 
-def ordered_probit_mle(data: Dataset) -> ParametricFit:
-    """Homoskedastic ordered-probit ML benchmark on the reported counts.
+def _ml_fits(datasets: list[Dataset], what: str, setup, finish) -> list:
+    """Per dataset, ``finish(theta, data, names)`` at its ML estimate, or the
+    EstimationError that ended its fit.
+
+    The datasets that share a design (populated cells and outcome levels)
+    are fitted as one stack: ``setup(q, n_levels)`` gives the design's
+    ``model`` and start for ``_fisher_scoring``. Grouping, not padding with
+    unpopulated rows, keeps each item's rows those it has when fitted alone.
+    """
+    designs = [_cell_design(data) for data in datasets]
+    groups: dict[tuple, list[int]] = {}
+    for i, (q, counts, _) in enumerate(designs):
+        groups.setdefault((q.shape, q.tobytes(), counts.shape[1]), []).append(i)
+    thetas: list = [None] * len(datasets)
+    for members in groups.values():
+        q, counts, _ = designs[members[0]]
+        model, theta0 = setup(q, counts.shape[1])
+        stack = np.stack([designs[i][1] for i in members])
+        fitted = _fisher_scoring(model, theta0, stack, what)
+        for i, theta in zip(members, fitted):
+            thetas[i] = theta
+    return [theta if isinstance(theta, EstimationError) else finish(theta, data, names)
+            for theta, data, (_, _, names) in zip(thetas, datasets, designs)]
+
+
+def _index(q: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """q @ coefficients for each row of ``coefficients``: (items, cells). One
+    matrix-vector product per item, so each row rounds as it does alone
+    (a product of the whole stack with q.T would not)."""
+    return np.matmul(q, coefficients[..., None])[..., 0]
+
+
+def ordered_probit_mle(datasets: list[Dataset]) -> list[ParametricFit | EstimationError]:
+    """Homoskedastic ordered-probit ML benchmark on the reported counts of
+    each dataset: its fit, or the EstimationError that ended it.
 
     Conventional maximum likelihood, re-normalized to the (0, 1) cutpoint
     scheme with the constant disturbance scale in ``scale``. The parameters
     are the slopes, the first cutpoint and the log gaps between cutpoints.
     """
-    q, counts, names = _cell_design(data)
-    n_levels = counts.shape[1]
-    k = q.shape[1] - 1
-    n_cells, n_params = q.shape[0], k + n_levels - 1
-    d_index = np.zeros((n_cells, n_params))
-    d_index[:, :k] = q[:, 1:]
-    d_cuts = np.zeros((n_levels - 1, n_params))
-    d_cuts[:, k] = 1.0
 
-    def unpack(theta):
-        return theta[:k], _chained_cuts(theta[k], theta[k + 1 :])
+    def setup(q, n_levels):
+        k = q.shape[1] - 1
+        n_params = k + n_levels - 1
+        d_index = np.zeros((len(q), n_params))
+        d_index[:, :k] = q[:, 1:]
+        below = np.tri(n_levels - 1, n_levels - 2, k=-1)
 
-    def model(theta):
-        slopes, (cuts, d_gaps) = unpack(theta)
-        d_cuts[:, k + 1 :] = d_gaps
-        return _pmf_and_jacobian(q[:, 1:] @ slopes, np.zeros(n_cells), cuts,
-                                 d_index, np.zeros((n_cells, n_params)), d_cuts)
+        def model(theta):
+            cuts, gaps = _chained_cuts(theta[:, k], theta[:, k + 1 :])
+            d_cuts = np.zeros((len(theta), n_levels - 1, n_params))
+            d_cuts[..., k] = 1.0
+            d_cuts[..., k + 1 :] = gaps[:, None] * below
+            return _pmf_and_jacobian(_index(q[:, 1:], theta[:, :k]), None, cuts,
+                                     d_index, None, d_cuts)
 
-    theta0 = np.zeros(n_params)
-    theta0[k] = -0.5
-    theta = _fisher_scoring(model, theta0, counts, "ordered-probit MLE")
-    slopes, (cuts, _) = unpack(theta)
-    gap = cuts[1] - cuts[0]
-    beta = np.concatenate(([-cuts[0] / gap], slopes / gap))
-    norm_cuts = (cuts - cuts[0]) / gap
-    return ParametricFit(
-        kind="ordered-probit-homoskedastic",
-        target="reported",
-        beta=beta,
-        column_names=names,
-        cutpoints=norm_cuts,
-        scale=1.0 / gap,
-    )
+        theta0 = np.zeros(n_params)
+        theta0[k] = -0.5
+        return model, theta0
+
+    def finish(theta, data, names):
+        k = len(names) - 1
+        [cuts], _ = _chained_cuts(theta[k : k + 1], theta[None, k + 1 :])
+        gap = cuts[1] - cuts[0]
+        return ParametricFit(
+            kind="ordered-probit-homoskedastic",
+            target="reported",
+            beta=np.concatenate(([-cuts[0] / gap], theta[:k] / gap)),
+            column_names=names,
+            cutpoints=(cuts - cuts[0]) / gap,
+            scale=1.0 / gap,
+        )
+
+    return _ml_fits(datasets, "ordered-probit MLE", setup, finish)
 
 
-def exponential_skedastic_probit(data: Dataset) -> ParametricFit:
-    """Parametric heteroskedastic benchmark on the reported outcome.
+def exponential_skedastic_probit(
+        datasets: list[Dataset]) -> list[ParametricFit | EstimationError]:
+    """Parametric heteroskedastic benchmark on the reported outcome of each
+    dataset: its fit, or the EstimationError that ended it.
 
     Scale specified as exp(gamma0 + W' gamma) with the (0, 1) cutpoint
     normalization, which identifies the whole parameter vector. Fully
     parametric ML; the nonparametric route is the closed-form estimator.
     The parameters are beta, gamma and the log gaps past the second cutpoint.
     """
-    q, counts, names = _cell_design(data)
-    n_levels = counts.shape[1]
-    dim = q.shape[1]
-    n_params = 2 * dim + max(n_levels - 3, 0)
-    d_index = np.zeros((q.shape[0], n_params))
-    d_index[:, :dim] = q
-    d_cuts = np.zeros((n_levels - 1, n_params))
 
-    def unpack(theta):
-        cuts, d_gaps = _chained_cuts(1.0, theta[2 * dim :])
-        return theta[:dim], theta[dim : 2 * dim], np.concatenate(([0.0], cuts)), d_gaps
+    def setup(q, n_levels):
+        dim = q.shape[1]
+        n_params = 2 * dim + max(n_levels - 3, 0)
+        d_index = np.zeros((len(q), n_params))
+        d_index[:, :dim] = q
+        below = np.tri(n_levels - 2, n_levels - 3, k=-1)
 
-    def model(theta):
-        beta, gamma, cuts, d_gaps = unpack(theta)
-        d_cuts[1:, 2 * dim :] = d_gaps
-        log_scale = q @ gamma
-        inside = np.abs(log_scale) < 20  # the scale is exp(clip(q @ gamma, -20, 20))
-        d_log_scale = np.zeros_like(d_index)
-        d_log_scale[:, dim : 2 * dim] = q * inside[:, None]
-        return _pmf_and_jacobian(q @ beta, np.clip(log_scale, -20, 20), cuts,
-                                 d_index, d_log_scale, d_cuts)
+        def model(theta):
+            n = len(theta)
+            cuts, gaps = _chained_cuts(np.ones(n), theta[:, 2 * dim :])
+            d_cuts = np.zeros((n, n_levels - 1, n_params))
+            d_cuts[:, 1:, 2 * dim :] = gaps[:, None] * below
+            log_scale = _index(q, theta[:, dim : 2 * dim])
+            inside = np.abs(log_scale) < 20  # the scale is exp(clip(q @ gamma, -20, 20))
+            d_log_scale = np.zeros((n, len(q), n_params))
+            d_log_scale[..., dim : 2 * dim] = q * inside[..., None]
+            return _pmf_and_jacobian(_index(q, theta[:, :dim]), np.clip(log_scale, -20, 20),
+                                     np.concatenate((np.zeros((n, 1)), cuts), axis=1),
+                                     d_index, d_log_scale, d_cuts)
 
-    theta0 = np.zeros(n_params)
-    theta0[0] = 0.5
-    theta = _fisher_scoring(model, theta0, counts, "heteroskedastic probit MLE")
-    beta, gamma, cuts, _ = unpack(theta)
-    rows = cell_rows(len(data.w_columns))
-    sigma = {label: float(np.exp(row @ gamma))
-             for label, row in zip(data.w_labels, rows)}
-    return ParametricFit(
-        kind="ordered-probit-heteroskedastic",
-        target="reported",
-        beta=beta,
-        column_names=names,
-        cutpoints=cuts,
-        sigma_by_cell=sigma,
-    )
+        theta0 = np.zeros(n_params)
+        theta0[0] = 0.5
+        return model, theta0
+
+    def finish(theta, data, names):
+        dim = len(names)
+        [cuts], _ = _chained_cuts(np.ones(1), theta[None, 2 * dim :])
+        gamma = theta[dim : 2 * dim]
+        rows = cell_rows(len(data.w_columns))
+        return ParametricFit(
+            kind="ordered-probit-heteroskedastic",
+            target="reported",
+            beta=theta[:dim],
+            column_names=names,
+            cutpoints=np.concatenate(([0.0], cuts)),
+            sigma_by_cell={label: float(np.exp(row @ gamma))
+                           for label, row in zip(data.w_labels, rows)},
+        )
+
+    return _ml_fits(datasets, "heteroskedastic probit MLE", setup, finish)

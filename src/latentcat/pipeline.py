@@ -8,11 +8,13 @@ it. The latent conditional is assembled from cell models identified with
 ``--ord enforce`` (the parametric layer feeds latent-state labels into
 normal-quantile transforms, so the ordering has to be guaranteed), with
 empirical cell weights. ``parametric_fit`` is the one dispatch from a
-(model, target, skedastic) choice to an estimator. Bootstrap standard
-errors come from refits on redraws (no analytic sandwich), and both
-bootstraps go through ``resampling.run_plan``, which hands them a chunk of
-redraws at a time: ``bootstrap_std_errors`` refits the chunk's cells in
-one ``fit_cells`` call, then runs ``parametric_fit`` on each redraw, and
+(model, target, skedastic) choice to an estimator, for a list of datasets
+at once: the closed forms loop over it, and the reported ML benchmarks fit
+it as one stacked Fisher scoring. Bootstrap standard errors come from
+refits on redraws (no analytic sandwich), and both bootstraps go through
+``resampling.run_plan``, which hands them a chunk of redraws at a time:
+``bootstrap_std_errors`` refits the chunk's cells in one ``fit_cells``
+call, then runs one ``parametric_fit`` on the chunk's redraws, and
 ``model_std_errors`` bootstraps the cell models themselves (the s.e. of
 ``identify --boot``).
 """
@@ -109,38 +111,58 @@ def conditional_for_target(
 
 
 def parametric_fit(
-    data: Dataset,
+    datasets: list[Dataset],
     model: str,
     target: str,
-    models: list[MisclassificationModel] | None = None,
+    models: list[list[MisclassificationModel]] | None = None,
     clamp: float = 1e-6,
     skedastic_kind: str = "nonparametric",
-) -> ParametricFit:
-    """One named fit: model in {linear, oprobit, hoprobit}, either target.
+) -> list[ParametricFit | EmptyCellError | EstimationError]:
+    """One named fit of each dataset: model in {linear, oprobit, hoprobit},
+    either target. Returns per dataset its fit, or the EmptyCellError or
+    EstimationError that its fit alone raises.
 
     The reported-target homoskedastic probit is the conventional ML
     benchmark on the counts; ``skedastic_kind="exponential"`` selects the
     exponential-index ML benchmark for the reported-target heteroskedastic
-    probit. Everything else goes through the conditional representation
-    and the closed forms, the latent target on the given cell ``models``.
+    probit. Both fit every dataset in one stacked Fisher scoring.
+    Everything else goes through the conditional representation and the
+    closed forms, one dataset at a time, the latent target on the cell
+    models ``models[i]`` of dataset i. An unknown model or target, or a
+    skedastic kind on another model, raises for the whole call.
     """
     if skedastic_kind != "nonparametric":
         if (model, target, skedastic_kind) != ("hoprobit", "reported", "exponential"):
             raise ConfigurationError(
                 f"skedastic kind {skedastic_kind!r} needs the reported hoprobit"
             )
-        return exponential_skedastic_probit(data)
+        return exponential_skedastic_probit(datasets)
+    if target not in ("latent", "reported"):
+        raise EstimationError(f"unknown target {target!r}")
+    if model not in ("linear", "oprobit", "hoprobit"):
+        raise EstimationError(f"unknown model {model!r}")
     if model == "oprobit" and target == "reported":
-        return ordered_probit_mle(data)
-    lc = conditional_for_target(data, target, models)
+        return ordered_probit_mle(datasets)
+    if models is not None and len(models) != len(datasets):
+        raise ConfigurationError(f"{len(models)} model lists for {len(datasets)} datasets")
+    fits = []
+    for data, cell_models in zip(datasets, models or [None] * len(datasets)):
+        try:
+            fits.append(_closed_form(conditional_for_target(data, target, cell_models),
+                                     model, target, clamp))
+        except (EmptyCellError, EstimationError) as exc:
+            fits.append(exc)
+    return fits
+
+
+def _closed_form(lc: LatentConditional, model: str, target: str,
+                 clamp: float) -> ParametricFit:
     if model == "linear":
         return linear_projection(lc, target=target)
     if model == "oprobit":
         return homo_ordered_probit(lc, target=target, clamp=clamp)
-    if model == "hoprobit":
-        sigma, _ = skedastic(lc, clamp=clamp)
-        return hetero_ordered_probit(lc, sigma, target=target, clamp=clamp)
-    raise EstimationError(f"unknown model {model!r}")
+    sigma, _ = skedastic(lc, clamp=clamp)
+    return hetero_ordered_probit(lc, sigma, target=target, clamp=clamp)
 
 
 def bootstrap_std_errors(
@@ -158,33 +180,31 @@ def bootstrap_std_errors(
 ) -> tuple[ParametricFit, BootstrapRun]:
     """Re-run the point fit on every bootstrap redraw; attach s.e. vector.
 
-    Every replicate calls ``parametric_fit`` with the point estimate's
-    choices. Returns the fit with ``std_errors`` filled plus the run, which
-    counts dropped replicates by reason and boundary hits. For the latent
-    target, a chunk's cells are refitted first in one ``fit_cells`` call:
-    cell c under ``enforce`` at ``replicate_starts`` starts seeded
-    ``seed + 7919 * c``, start 0 warm at the point ``models``.
+    Every chunk of redraws goes through one ``parametric_fit`` call with
+    the point estimate's choices, so the reported ML benchmarks fit a chunk
+    as one stack. Returns the fit with ``std_errors`` filled plus the run,
+    which counts dropped replicates by reason and boundary hits. For the
+    latent target, a chunk's cells are refitted first in one ``fit_cells``
+    call: cell c under ``enforce`` at ``replicate_starts`` starts seeded
+    ``seed + 7919 * c``, start 0 warm at the point ``models``; a redraw
+    whose cell fits fail is dropped before the parametric fit.
     """
     cells = list(range(data.n_w_cells))
     configs = [CmleConfig(n_starts=replicate_starts, ord_constraint="enforce",
                           seed=seed + 7919 * cell) for cell in cells]
 
-    def replicate(redraw: Dataset, fits):
-        """One redraw's (beta, boundary flagged), or the error that drops it;
-        ``fits`` are its cell fits, none for the reported target."""
-        if failure := _first_failure(fits):
-            return failure
-        try:
-            rep = parametric_fit(redraw, model, target, [fit.model for fit in fits] or None,
-                                 clamp, skedastic_kind)
-        except (EmptyCellError, EstimationError) as exc:
-            return exc
-        return rep.beta, any(fit.boundary_flags for fit in fits)
-
     def estimator(redraws: list[Dataset]):
         fitted = (fit_cells(redraws, cells, configs, models) if target == "latent"
                   else [[]] * len(redraws))
-        return [replicate(redraw, fits) for redraw, fits in zip(redraws, fitted)]
+        outcomes = [_first_failure(fits) for fits in fitted]
+        kept = [i for i, failure in enumerate(outcomes) if failure is None]
+        reps = parametric_fit([redraws[i] for i in kept], model, target,
+                              [[fit.model for fit in fitted[i]] or None for i in kept],
+                              clamp, skedastic_kind)
+        for i, rep in zip(kept, reps):
+            outcomes[i] = rep if isinstance(rep, (EmptyCellError, EstimationError)) else (
+                rep.beta, any(fit.boundary_flags for fit in fitted[i]))
+        return outcomes
 
     run = run_plan(data, estimator, b, seed, stratify_by_cell=stratify)
     return replace(point, std_errors=run.se()), run

@@ -9,7 +9,9 @@ Replicate i has its own random stream, keyed SeedSequence((seed, i,
 0x7273)), so its estimate depends only on the data, the seed, the
 stratification and i. The replicates are handed to the estimator
 ``BOOT_CHUNK`` at a time, in index order, so that it can fit a whole chunk
-as one batch. Replicates whose estimator fails are dropped and
+as one batch: one EM over every cell of every redraw for the latent
+target and ``identify --boot``, one stacked Fisher scoring for the
+reported ML benchmarks. Replicates whose estimator fails are dropped and
 counted by reason (an emptied covariate cell, or an estimation error)
 rather than poisoning the aggregate; boundary-flagged replicates are
 counted too, because interior-solution asymptotics are in doubt there.

@@ -43,6 +43,14 @@ def per_redraw(estimator):
     return chunk
 
 
+def fitted(outcome):
+    """One outcome of a stacked fit (``parametric_fit``, the ML benchmarks):
+    the fit, or raise the error that ended it."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 @pytest.fixture(scope="session")
 def valid_model() -> MisclassificationModel:
     [model] = make_model(

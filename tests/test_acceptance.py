@@ -228,8 +228,8 @@ def test_criterion_7_end_to_end_latent_recovery():
     [fits] = fit_cells([sample], cells, [
         CmleConfig(ord_constraint="enforce", n_starts=10, seed=5 + 7919 * c) for c in cells
     ])
-    latent = parametric_fit(sample, "hoprobit", "latent", [fit_.model for fit_ in fits])
-    reported = parametric_fit(sample, "hoprobit", "reported")
+    [latent] = parametric_fit([sample], "hoprobit", "latent", [[fit_.model for fit_ in fits]])
+    [reported] = parametric_fit([sample], "hoprobit", "reported")
     err_latent = float(np.abs(latent.beta - params.beta).max())
     err_reported = float(np.abs(reported.beta - params.beta).max())
     elapsed = time.monotonic() - t0

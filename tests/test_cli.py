@@ -413,6 +413,40 @@ def test_exit_codes_subprocess():
     assert code(["report"]) == 64
 
 
+def test_cli_exit_keeps_output_and_artifacts(pipeline, tmp_path, capsys):
+    # main freezes the garbage collector between run() and sys.exit: the
+    # table, the artifact, the manifest and the error line all precede it.
+    def cli_process(*args):
+        return subprocess.run([sys.executable, "-m", "latentcat.cli", *args],
+                              capture_output=True, text=True, env=dict(os.environ))
+
+    out = tmp_path / "fit.json"
+    data = ["--data", str(pipeline["synth"]), "--schema", str(pipeline["schema"])]
+    proc = cli_process("estimate", *data, "--model", "oprobit", "--target", "reported",
+                       "--boot", "5", "--seed", "2", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(out.read_text())
+    assert payload["boot"]["b"] == 5
+    assert json.loads(Path(str(out) + ".manifest.json").read_text())["command"] == "estimate"
+    capsys.readouterr()
+    assert run(["report", str(out)]) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+    proc = cli_process("estimate", "--data", str(tmp_path / "missing.csv"), "--schema",
+                       str(pipeline["schema"]), "--model", "oprobit", "--target",
+                       "reported", "--seed", "2", "--out", str(tmp_path / "none.json"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+
+    proc = cli_process("estimate", *data, "--model", "probit", "--target", "reported",
+                       "--seed", "2", "--out", str(tmp_path / "none.json"))
+    assert proc.returncode == 64
+    assert "invalid choice" in proc.stderr
+    assert not (tmp_path / "none.json").exists()
+
+
 @pytest.mark.parametrize("preset,expected", [
     ({}, "1"),
     ({"OPENBLAS_NUM_THREADS": "3"}, "3"),

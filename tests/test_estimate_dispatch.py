@@ -11,7 +11,7 @@ from latentcat.data import ingest, load_schema
 from latentcat.ordered import exponential_skedastic_probit
 from latentcat.resampling import run_plan
 
-from conftest import per_redraw
+from conftest import fitted, per_redraw
 
 GEN_CFG = """\
 [generator]
@@ -63,7 +63,7 @@ def test_exponential_bootstrap_refits_the_exponential_model(inputs):
 
     data, _ = ingest(str(inputs["synth"]), load_schema(str(inputs["schema"])))
     refits = run_plan(data, per_redraw(
-        lambda redraw: exponential_skedastic_probit(redraw).beta), b=8, seed=4)
+        lambda redraw: fitted(exponential_skedastic_probit([redraw])[0]).beta), b=8, seed=4)
     assert np.array_equal(exp_se, refits.se())
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from latentcat.ordered import (
     _cell_design,
     _clamped_ppf,
     _norm_cdf,
+    _solve,
     exponential_skedastic_probit,
     hetero_ordered_probit,
     homo_ordered_probit,
@@ -323,7 +325,7 @@ def test_homo_probit_mle_recovers_truth():
         cutpoints=np.array([0.0, 1.0]),
     )
     data = probit_dataset(params, 20_000, seed=13)
-    fit_ = ordered_probit_mle(data)
+    [fit_] = ordered_probit_mle([data])
     # se of a cell mean at n=5k scales like 0.02; allow 4 sigma
     assert np.abs(fit_.beta - params.beta).max() < 0.08
     assert fit_.scale == pytest.approx(0.8, abs=0.08)
@@ -336,7 +338,7 @@ def test_latent_and_reported_agree_without_misclassification():
         cutpoints=np.array([0.0, 1.0]),
     )
     data = probit_dataset(params, 40_000, seed=14, strength=0.0)
-    reported_mle = ordered_probit_mle(data)
+    [reported_mle] = ordered_probit_mle([data])
     lc = reported_conditional(data)
     latent_closed = homo_ordered_probit(lc, target="latent")
     assert np.abs(reported_mle.beta - latent_closed.beta).max() < 0.02
@@ -351,7 +353,7 @@ def test_exponential_skedastic_probit_benchmark():
         cutpoints=np.array([0.0, 1.0]),
     )
     data = probit_dataset(params, 40_000, seed=16)
-    fit_ = exponential_skedastic_probit(data)
+    [fit_] = exponential_skedastic_probit([data])
     assert np.abs(fit_.beta - params.beta).max() < 0.08
     fitted_sigma = np.array([fit_.sigma_by_cell["0"], fit_.sigma_by_cell["A"]])
     assert np.abs(fitted_sigma - sigma).max() < 0.1
@@ -500,7 +502,7 @@ def test_fisher_scoring_matches_the_lbfgs_reference(seed, n_cols, n_levels, n):
         (ordered_probit_mle, lbfgs_ordered_probit_mle),
         (exponential_skedastic_probit, lbfgs_exponential_skedastic_probit),
     ):
-        got = fit_ml(data)
+        [got] = fit_ml([data])
         try:
             ref = reference(data)
         except EstimationError:
@@ -508,6 +510,191 @@ def test_fisher_scoring_matches_the_lbfgs_reference(seed, n_cols, n_levels, n):
         ref_loglik = fit_loglik(ref, data)
         assert fit_loglik(got, data) >= ref_loglik - 1e-9 * abs(ref_loglik)
         assert np.abs(got.beta - ref.beta).max() <= 1e-5
+
+
+# The serial Fisher scoring that the stacked kernel replaced, one dataset
+# per call, kept as the reference for the stacked fits.
+
+
+def serial_norm_cdf(x: np.ndarray) -> np.ndarray:
+    return np.reshape([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in np.ravel(x).tolist()],
+                      np.shape(x))
+
+
+def serial_pmf_and_jacobian(index, log_scale, cuts, d_index, d_log_scale, d_cuts):
+    scale = np.exp(log_scale)
+    edges = np.concatenate(([-np.inf], cuts, [np.inf]))
+    probs = np.diff(serial_norm_cdf((edges[None, :] - index[:, None]) / scale[:, None]),
+                    axis=1)
+    z = (cuts[None, :] - index[:, None]) / scale[:, None]
+    dz = ((d_cuts[None] - d_index[:, None]) / scale[:, None, None]
+          - z[..., None] * d_log_scale[:, None])
+    d_cdf = (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))[..., None] * dz
+    tails = np.zeros_like(d_cdf[:, :1])
+    return probs, np.diff(np.concatenate((tails, d_cdf, tails), axis=1), axis=1)
+
+
+def serial_chained_cuts(anchor, log_gaps: np.ndarray):
+    gaps = np.exp(log_gaps)
+    cuts = anchor + np.concatenate(([0.0], np.cumsum(gaps)))
+    below = np.tril(np.broadcast_to(gaps, (gaps.size, gaps.size)))
+    return cuts, np.vstack((np.zeros(gaps.size), below))
+
+
+def serial_loglik(probs: np.ndarray, counts: np.ndarray) -> float:
+    return float(np.sum(counts * np.log(np.maximum(probs, 1e-300))))
+
+
+def serial_fisher_scoring(model, theta: np.ndarray, counts: np.ndarray,
+                          what: str) -> np.ndarray:
+    from latentcat.ordered import SCORING_MAX_HALVINGS, SCORING_MAX_ITERATIONS, SCORING_TOL
+
+    totals = counts.sum(axis=1)
+    probs, jac = model(theta)
+    loglik = serial_loglik(probs, counts)
+    for _ in range(SCORING_MAX_ITERATIONS):
+        safe = np.maximum(probs, 1e-300)
+        score = np.einsum("rj,rjp->p", counts / safe, jac)
+        info = np.einsum("r,rjp,rjq->pq", totals, jac / safe[..., None], jac)
+        try:
+            step = np.linalg.solve(info, score)
+        except np.linalg.LinAlgError:
+            step = np.full_like(score, np.nan)
+        if not np.isfinite(step).all():
+            raise EstimationError(f"{what} did not converge: singular information matrix")
+        if float(score @ step) < SCORING_TOL:
+            return theta
+        for halving in range(SCORING_MAX_HALVINGS):
+            trial = theta + step / 2.0**halving
+            trial_probs, trial_jac = model(trial)
+            trial_loglik = serial_loglik(trial_probs, counts)
+            if trial_loglik >= loglik:
+                break
+        else:
+            raise EstimationError(f"{what} did not converge: line search failed")
+        theta, probs, jac, loglik = trial, trial_probs, trial_jac, trial_loglik
+    raise EstimationError(
+        f"{what} did not converge: iteration cap of {SCORING_MAX_ITERATIONS} reached"
+    )
+
+
+def serial_ordered_probit_mle(data: Dataset) -> ParametricFit:
+    q, counts, names = _cell_design(data)
+    n_levels = counts.shape[1]
+    k = q.shape[1] - 1
+    n_cells, n_params = q.shape[0], k + n_levels - 1
+    d_index = np.zeros((n_cells, n_params))
+    d_index[:, :k] = q[:, 1:]
+    d_cuts = np.zeros((n_levels - 1, n_params))
+    d_cuts[:, k] = 1.0
+
+    def unpack(theta):
+        return theta[:k], serial_chained_cuts(theta[k], theta[k + 1 :])
+
+    def model(theta):
+        slopes, (cuts, d_gaps) = unpack(theta)
+        d_cuts[:, k + 1 :] = d_gaps
+        return serial_pmf_and_jacobian(q[:, 1:] @ slopes, np.zeros(n_cells), cuts,
+                                       d_index, np.zeros((n_cells, n_params)), d_cuts)
+
+    theta0 = np.zeros(n_params)
+    theta0[k] = -0.5
+    theta = serial_fisher_scoring(model, theta0, counts, "ordered-probit MLE")
+    slopes, (cuts, _) = unpack(theta)
+    gap = cuts[1] - cuts[0]
+    return ParametricFit(kind="ordered-probit-homoskedastic", target="reported",
+                         beta=np.concatenate(([-cuts[0] / gap], slopes / gap)),
+                         column_names=names, cutpoints=(cuts - cuts[0]) / gap,
+                         scale=1.0 / gap)
+
+
+def serial_exponential_skedastic_probit(data: Dataset) -> ParametricFit:
+    q, counts, names = _cell_design(data)
+    n_levels = counts.shape[1]
+    dim = q.shape[1]
+    n_params = 2 * dim + max(n_levels - 3, 0)
+    d_index = np.zeros((q.shape[0], n_params))
+    d_index[:, :dim] = q
+    d_cuts = np.zeros((n_levels - 1, n_params))
+
+    def unpack(theta):
+        cuts, d_gaps = serial_chained_cuts(1.0, theta[2 * dim :])
+        return theta[:dim], theta[dim : 2 * dim], np.concatenate(([0.0], cuts)), d_gaps
+
+    def model(theta):
+        beta, gamma, cuts, d_gaps = unpack(theta)
+        d_cuts[1:, 2 * dim :] = d_gaps
+        log_scale = q @ gamma
+        inside = np.abs(log_scale) < 20
+        d_log_scale = np.zeros_like(d_index)
+        d_log_scale[:, dim : 2 * dim] = q * inside[:, None]
+        return serial_pmf_and_jacobian(q @ beta, np.clip(log_scale, -20, 20), cuts,
+                                       d_index, d_log_scale, d_cuts)
+
+    theta0 = np.zeros(n_params)
+    theta0[0] = 0.5
+    theta = serial_fisher_scoring(model, theta0, counts, "heteroskedastic probit MLE")
+    beta, gamma, cuts, _ = unpack(theta)
+    rows = cell_rows(len(data.w_columns))
+    return ParametricFit(kind="ordered-probit-heteroskedastic", target="reported",
+                         beta=beta, column_names=names, cutpoints=cuts,
+                         sigma_by_cell={label: float(np.exp(row @ gamma))
+                                        for label, row in zip(data.w_labels, rows)})
+
+
+def serial_outcome(reference, data):
+    try:
+        return reference(data)
+    except EstimationError as exc:
+        return exc
+
+
+def close_to(fit_, ref, rtol: float) -> bool:
+    """Every vector of ``fit_`` within ``rtol`` of ``ref``'s, relative to
+    the largest entry of that vector (a slope near 0 has no digits of its
+    own to match)."""
+    pairs = [(fit_.beta, ref.beta), (fit_.cutpoints, ref.cutpoints)]
+    if ref.scale is not None:
+        pairs.append(([fit_.scale], [ref.scale]))
+    if ref.sigma_by_cell is not None:
+        pairs.append((list(fit_.sigma_by_cell.values()), list(ref.sigma_by_cell.values())))
+    return all(np.abs(np.subtract(a, b)).max() <= rtol * np.abs(b).max() for a, b in pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_cols=st.integers(1, 4),
+       n_levels=st.integers(3, 5), n=st.sampled_from([500, 5_000, 50_000]),
+       n_items=st.integers(1, 16), emptied=st.lists(st.integers(0, 15), max_size=4))
+def test_stacked_fits_equal_lone_fits_and_the_serial_reference(
+        seed, n_cols, n_levels, n, n_items, emptied):
+    """Redraws of one probit sample, some with a cell emptied: each stacked
+    fit equals that dataset's fit alone bit for bit, and the serial
+    reference's within 1e-12, failures included. Where an outcome level is
+    never observed, the outer cutpoint has no finite maximizer: the scoring
+    stops wherever rounding lets the decrement fall below tolerance (or the
+    information become singular), so only the stack is checked there."""
+    rng = np.random.default_rng(seed)
+    base = probit_counts(random_probit_params(rng, n_cols, n_levels), n, seed)
+    stack = []
+    for i in range(n_items):
+        counts = rng.multinomial(n, base.counts.ravel() / n).reshape(base.counts.shape)
+        if i in emptied:
+            counts[rng.integers(len(counts))] = 0
+        stack.append(Dataset(counts, base.w_columns, base.w_labels))
+    for fit_ml, reference in ((ordered_probit_mle, serial_ordered_probit_mle),
+                              (exponential_skedastic_probit,
+                               serial_exponential_skedastic_probit)):
+        fits = fit_ml(stack)
+        assert [fit_bits(f) for f in fits] == [fit_bits(fit_ml([d])[0]) for d in stack]
+        for fit_, data in zip(fits, stack):
+            if not data.outcome_counts().sum(axis=0).all():
+                continue
+            ref = serial_outcome(reference, data)
+            if isinstance(ref, EstimationError):
+                assert repr(fit_) == repr(ref)
+            else:
+                assert not isinstance(fit_, EstimationError), fit_
+                assert close_to(fit_, ref, 1e-12)
 
 
 def test_fisher_scoring_failures_are_estimation_errors(monkeypatch):
@@ -518,14 +705,55 @@ def test_fisher_scoring_failures_are_estimation_errors(monkeypatch):
     # Covariate B is 0 in every populated cell, so its slope is not identified.
     lone_b = Dataset(data.counts * (cell_rows(2)[:, 2] == 0)[:, None, None, None],
                      data.w_columns, data.w_labels)
+
+    def failures(fits, message):
+        assert all(isinstance(fit_, EstimationError) for fit_ in fits)
+        assert all(message in str(fit_) for fit_ in fits)
+
     for fit_ml in (ordered_probit_mle, exponential_skedastic_probit):
-        with pytest.raises(EstimationError, match="singular information matrix"):
-            fit_ml(lone_b)
+        failures(fit_ml([lone_b]), "singular information matrix")
         with monkeypatch.context() as patch:
             patch.setattr(ordered, "SCORING_MAX_ITERATIONS", 1)
-            with pytest.raises(EstimationError, match="iteration cap of 1 reached"):
-                fit_ml(data)
+            failures(fit_ml([data, data]), "iteration cap of 1 reached")
         with monkeypatch.context() as patch:
             patch.setattr(ordered, "SCORING_MAX_HALVINGS", 0)
-            with pytest.raises(EstimationError, match="line search failed"):
-                fit_ml(data)
+            failures(fit_ml([data]), "line search failed")
+
+
+def fit_bits(fit_: ParametricFit | EstimationError):
+    """Every number of a fit, bit for bit, or the message of its error."""
+    if isinstance(fit_, EstimationError):
+        return repr(fit_)
+    return (fit_.beta.tobytes(), fit_.cutpoints.tobytes(), repr(fit_.scale),
+            repr(fit_.sigma_by_cell), fit_.column_names)
+
+
+def test_a_singular_item_fails_alone():
+    # Among good datasets, lone_b's singular information matrix ends its fit
+    # alone; the others fit as they do alone.
+    rng = np.random.default_rng(17)
+    data = probit_counts(random_probit_params(rng, 2), 5_000, 17)
+    lone_b = Dataset(data.counts * (cell_rows(2)[:, 2] == 0)[:, None, None, None],
+                     data.w_columns, data.w_labels)
+    stack = [probit_counts(random_probit_params(rng, 2), 5_000, 1), lone_b, data]
+    for fit_ml in (ordered_probit_mle, exponential_skedastic_probit):
+        fits = fit_ml(stack)
+        assert isinstance(fits[1], EstimationError)
+        assert "singular information matrix" in str(fits[1])
+        assert not isinstance(fits[0], EstimationError)
+        assert [fit_bits(f) for f in fits] == [fit_bits(fit_ml([d])[0]) for d in stack]
+
+
+def test_solve_marks_a_singular_item_of_a_stack():
+    # Items that share a design are one np.linalg.solve call, which raises
+    # if any item is singular; that item alone gets a NaN step.
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 3, 3))
+    info = a @ a.transpose(0, 2, 1) + np.eye(3)
+    info[2] = 0.0
+    score = rng.normal(size=(4, 3))
+    step = _solve(info, score)
+    assert np.isnan(step[2]).all()
+    for i in (0, 1, 3):
+        assert step[i].tobytes() == _solve(info[i : i + 1], score[i : i + 1])[0].tobytes()
+        assert np.allclose(info[i] @ step[i], score[i])

@@ -13,6 +13,7 @@ from latentcat.errors import (
 )
 from latentcat.generate import GeneratorSpec, ProbitParams, draw, make_model
 from latentcat.mle import CmleConfig, fit
+from latentcat.ordered import ordered_probit_mle
 from latentcat.pipeline import (
     bootstrap_std_errors,
     conditional_for_target,
@@ -20,6 +21,8 @@ from latentcat.pipeline import (
     model_std_errors,
     parametric_fit,
 )
+
+from conftest import fitted, per_redraw
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +116,9 @@ def test_fit_cells_refuses_lists_that_are_not_one_per_cell(probit_sample):
 def test_latent_fit_needs_cell_models(probit_sample):
     _, _, data = probit_sample
     with pytest.raises(ConfigurationError, match="needs cell models"):
-        parametric_fit(data, "hoprobit", "latent")
+        parametric_fit([data], "hoprobit", "latent")
+    with pytest.raises(ConfigurationError, match="1 model lists for 2 datasets"):
+        parametric_fit([data, data], "hoprobit", "latent", [None])
 
 
 def test_model_std_errors_per_cell_independent_of_the_batch(probit_sample):
@@ -175,8 +180,8 @@ def test_parametric_fit_latent_beats_reported(probit_sample):
     params, _, data = probit_sample
     config = CmleConfig(n_starts=6, seed=2, ord_constraint="enforce")
     models = [result.model for result in every_cell(data, config)]
-    latent = parametric_fit(data, "hoprobit", "latent", models)
-    reported = parametric_fit(data, "hoprobit", "reported")
+    [latent] = parametric_fit([data], "hoprobit", "latent", [models])
+    [reported] = parametric_fit([data], "hoprobit", "reported")
     err_latent = np.abs(latent.beta - params.beta).max()
     err_reported = np.abs(reported.beta - params.beta).max()
     assert err_latent < err_reported
@@ -184,18 +189,18 @@ def test_parametric_fit_latent_beats_reported(probit_sample):
 
 def test_parametric_fit_linear_and_oprobit(probit_sample):
     _, _, data = probit_sample
-    linear = parametric_fit(data, "linear", "reported")
+    [linear] = parametric_fit([data], "linear", "reported")
     assert linear.kind == "linear"
-    oprobit = parametric_fit(data, "oprobit", "reported")
+    [oprobit] = parametric_fit([data], "oprobit", "reported")
     assert oprobit.kind == "ordered-probit-homoskedastic"
     assert oprobit.scale is not None
     with pytest.raises(EstimationError):
-        parametric_fit(data, "mystery", "reported")
+        parametric_fit([data], "mystery", "reported")
 
 
 def test_bootstrap_std_errors_linear_reported(probit_sample):
     _, _, data = probit_sample
-    point = parametric_fit(data, "linear", "reported")
+    [point] = parametric_fit([data], "linear", "reported")
     updated, run = bootstrap_std_errors(data, "linear", "reported", point, b=60, seed=5)
     assert run.n_dropped == 0
     assert updated.std_errors is not None
@@ -215,7 +220,7 @@ def test_reported_bootstrap_drops_replicates_that_empty_a_cell():
         z=rng.integers(1, 4, size=n), w=(np.arange(n) < 2).astype(int),
         support=(3, 2, 3), w_columns=("a",), w_labels=("0", "A"),
     )
-    point = parametric_fit(data, "linear", "reported")
+    [point] = parametric_fit([data], "linear", "reported")
     updated, run = bootstrap_std_errors(data, "linear", "reported", point, b=50, seed=1)
     assert run.dropped["emptied_cell"] >= 1
     assert run.dropped["estimator_failed"] == 0
@@ -257,7 +262,7 @@ def test_bootstraps_independent_of_the_chunk_size(probit_sample, seed, b):
     try:
         results = every_cell(sparse, config)
         models = [result.model for result in results]
-        point = parametric_fit(sparse, "hoprobit", "latent", models)
+        point = fitted(parametric_fit([sparse], "hoprobit", "latent", [models])[0])
     except EstimationError:
         assume(False)
 
@@ -279,3 +284,44 @@ def test_bootstraps_independent_of_the_chunk_size(probit_sample, seed, b):
     if (seed, b) == (0, 20):
         [(_, _, dropped, _)] = outcomes[0][0]
         assert dropped["emptied_cell"] > 0 and dropped["estimator_failed"] > 0
+
+
+@pytest.mark.parametrize("model,skedastic", [("oprobit", "nonparametric"),
+                                             ("hoprobit", "exponential")])
+def test_reported_ml_bootstrap_independent_of_the_chunk_size(probit_sample, model,
+                                                             skedastic):
+    # The reported ML benchmarks fit a chunk of redraws as one stack; each
+    # item's fit is the one it gets alone, so the chunk size changes nothing.
+    _, _, data = probit_sample
+    [point] = parametric_fit([data], model, "reported", skedastic_kind=skedastic)
+    runs = []
+    for chunk in (1, 5, 16):
+        with mock.patch.object(resampling, "BOOT_CHUNK", chunk):
+            _, run = bootstrap_std_errors(data, model, "reported", point, b=20, seed=3,
+                                          skedastic_kind=skedastic)
+        runs.append(run)
+    assert all(run.n_dropped == 0 for run in runs)
+    assert runs[0].estimates.tobytes() == runs[1].estimates.tobytes() == \
+        runs[2].estimates.tobytes()
+
+
+def test_reported_ml_bootstrap_drops_a_failed_fit_and_keeps_its_chunk(probit_sample):
+    # Cell B holds 2 records and AB none, so a redraw that misses both leaves
+    # the B slope unidentified: a singular information matrix. At this seed
+    # that happens to redraws 8 and 11 of 20, which share the first chunk of
+    # 16 with 14 redraws that fit; those are kept as they fit alone.
+    _, _, data = probit_sample
+    counts = data.counts.copy()
+    counts[2] = 0
+    counts[2, 0, 0, 0] = counts[2, 2, 1, 2] = 1
+    counts[3] = 0
+    sparse = Dataset(counts, data.w_columns, data.w_labels)
+    [point] = parametric_fit([sparse], "oprobit", "reported")
+    _, run = bootstrap_std_errors(sparse, "oprobit", "reported", point, b=20, seed=1)
+    assert resampling.BOOT_CHUNK == 16
+    assert run.dropped == {"emptied_cell": 0, "estimator_failed": 2}
+    assert run.estimates.shape[0] == 18
+    alone = resampling.run_plan(sparse, per_redraw(
+        lambda redraw: fitted(ordered_probit_mle([redraw])[0]).beta), b=20, seed=1)
+    assert alone.dropped == run.dropped
+    assert alone.estimates.tobytes() == run.estimates.tobytes()
