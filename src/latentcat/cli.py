@@ -41,10 +41,11 @@ from .errors import (
 from .generate import (
     GeneratorSpec, ProbitParams, SyntheticSample, draw, make_cell_weights, make_model
 )
-from .mle import CmleConfig, CmleResult, saturated_loglik
+from .mle import CmleResult, saturated_loglik
 from .ordered import check_clamp
 from .pipeline import (
-    SKEDASTIC, bootstrap_std_errors, fit_cells, model_std_errors, parametric_fit
+    SKEDASTIC, bootstrap_std_errors, cell_configs, fit_cells, model_std_errors,
+    parametric_fit,
 )
 from .report import render, render_csv, render_exclusions
 from .spectral import MisclassificationModel
@@ -356,29 +357,27 @@ def _cmd_identify(args) -> int:
     manifest = _Manifest("identify", vars(args))
     data = _load_data(args.input, args.schema, manifest)
     counts = data.cell_counts()
-    # Cell indices, or [None] for the pooled table; cell c fits at seed + c,
-    # and its bootstrap replicates refit with the same config.
+    # Cell indices, or [None] for the pooled table.
     indices = list(range(data.n_w_cells)) if args.by_cell else [None]
     populated = [c for c in indices if c is None or counts[c] > 0]
-    configs = [CmleConfig(n_starts=args.starts, seed=args.seed + (c or 0),
-                          ord_constraint=args.ord) for c in populated]
-    [fits] = fit_cells([data], populated, configs)
-    fitted = iter(zip(configs, fits))
+    [fits] = fit_cells([data], populated,
+                       cell_configs(populated, args.seed, args.ord, args.starts))
+    fitted = iter(fits)
     cells: list[dict] = []
-    point_fits: list[tuple] = []  # (cell index, CmleResult, config, entry) per fitted cell
+    point_fits: list[tuple] = []  # (cell index, CmleResult, entry) per fitted cell
     for cell in indices:
         if cell is not None and counts[cell] == 0:
             cells.append({"w_cell": data.w_labels[cell], "n": 0, "error": "empty cell"})
             continue
-        config, result = next(fitted)
+        result = next(fitted)
         label = None if cell is None else data.w_labels[cell]
         cells.append(_identify_cell(label, tabulate(data, cell), result))
         if isinstance(result, CmleResult):
-            point_fits.append((cell, result, config, cells[-1]))
+            point_fits.append((cell, result, cells[-1]))
     if args.boot and point_fits:
-        index, results, point_configs, entries = zip(*point_fits)
-        runs = model_std_errors(data, list(index), list(results), list(point_configs),
-                                args.boot, args.seed, args.boot_starts)
+        index, results, entries = zip(*point_fits)
+        runs = model_std_errors(data, list(index), list(results), args.ord,
+                                args.boot, args.seed)
         manifest.payload["bootstrap"] = runs[0].counters()
         for entry, result, run in zip(entries, results, runs):
             entry["std_errors"] = MisclassificationModel.unpack(
@@ -480,8 +479,6 @@ def _cmd_estimate(args) -> int:
             b=args.boot,
             seed=args.seed,
             models=models,
-            replicate_starts=args.boot_starts,
-            stratify=args.stratify,
             clamp=args.clamp,
             skedastic_kind=args.skedastic,
         )
@@ -528,12 +525,15 @@ def _cmd_replay(args) -> int:
             and isinstance(manifest.get("inputs", {}), dict)):
         raise DataError(f"{args.manifest} is not a run manifest")
     command = manifest["command"]
-    # Options this version does not take are dropped. The retired ones (the
-    # bootstrap worker count, estimate's start count) never changed an artifact.
+    # Options this version does not take are dropped with a note. Unlike
+    # --threads, the retired bootstrap options changed artifacts: such a run
+    # replays under the one replicate rule.
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    parser = sub.choices.get(command)
-    known = {action.dest for action in parser._actions} if parser else set()
+    actions = sub.choices[command]._actions if command in sub.choices else []
+    known = {action.dest for action in actions}
+    flags = {action.dest for action in actions
+             if isinstance(action, argparse._StoreTrueAction)}
     options = {k: v for k, v in manifest["options"].items() if k in known}
     if len(options) < len(manifest["options"]):
         ignored = sorted(set(manifest["options"]) - known)
@@ -550,10 +550,9 @@ def _cmd_replay(args) -> int:
             if options.get(key):
                 options[key] = os.path.join(args.out_dir, os.path.basename(options[key]))
     argv = [command]
-    skip = {"by_cell", "stratify"}
     for key, value in options.items():
         flag = "--" + key.replace("_", "-")
-        if key in skip:
+        if key in flags:
             if value:
                 argv.append(flag)
             continue
@@ -607,8 +606,6 @@ def _build_parser() -> _Parser:
                       default="check-only")
     p_id.add_argument("--boot", type=_replicates, default=0,
                       help="bootstrap replicates for parameter standard errors")
-    p_id.add_argument("--boot-starts", type=_int_at_least(1), default=3,
-                      dest="boot_starts")
     p_id.add_argument("--out", required=True)
     p_id.set_defaults(func=_cmd_identify)
 
@@ -620,16 +617,12 @@ def _build_parser() -> _Parser:
                        required=True)
     p_est.add_argument("--target", choices=["latent", "reported"], required=True)
     p_est.add_argument("--boot", type=_replicates, default=0)
-    p_est.add_argument("--boot-starts", type=_int_at_least(1), default=3,
-                       dest="boot_starts")
     p_est.add_argument("--seed", type=_int_at_least(0), required=True)
     p_est.add_argument("--clamp", type=_number_in(check_clamp), default=1e-6)
     p_est.add_argument("--skedastic", choices=SKEDASTIC,
                        default="nonparametric",
                        help="reported-target heteroskedastic scale: closed-form "
                             "per-cell inversion or exponential-index ML benchmark")
-    p_est.add_argument("--stratify", action="store_true",
-                       help="stratify bootstrap redraws by covariate cell")
     p_est.add_argument("--out", required=True)
     p_est.set_defaults(func=_cmd_estimate)
 

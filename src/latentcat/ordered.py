@@ -535,18 +535,26 @@ def _fisher_scoring(model, theta0: np.ndarray, counts: np.ndarray,
 
 def _ml_fits(datasets: list[Dataset], what: str, setup, finish) -> list:
     """Per dataset, ``finish(theta, data, names)`` at its ML estimate, or the
-    EstimationError that ended its fit.
+    EstimationError that ended or refused its fit.
 
-    The datasets that share a design (populated cells and outcome levels)
-    are fitted as one stack: ``setup(q, n_levels)`` gives the design's
-    ``model`` and start for ``_fisher_scoring``. Grouping, not padding with
-    unpopulated rows, keeps each item's rows those it has when fitted alone.
+    A dataset in which an outcome level holds no record is refused before
+    scoring: a cutpoint next to that level runs off, so the likelihood has
+    no maximum. The other datasets that share a design (populated cells and
+    outcome levels) are fitted as one stack: ``setup(q, n_levels)`` gives
+    the design's ``model`` and start for ``_fisher_scoring``. Grouping, not
+    padding with unpopulated rows, keeps each item's rows those it has when
+    fitted alone.
     """
     designs = [_cell_design(data) for data in datasets]
+    thetas: list = [None] * len(datasets)
     groups: dict[tuple, list[int]] = {}
     for i, (q, counts, _) in enumerate(designs):
-        groups.setdefault((q.shape, q.tobytes(), counts.shape[1]), []).append(i)
-    thetas: list = [None] * len(datasets)
+        unseen = np.flatnonzero(counts.sum(axis=0) == 0) + 1
+        if unseen.size:
+            thetas[i] = EstimationError(
+                f"{what} has no maximum: no record at outcome levels {unseen.tolist()}")
+        else:
+            groups.setdefault((q.shape, q.tobytes(), counts.shape[1]), []).append(i)
     for members in groups.values():
         q, counts, _ = designs[members[0]]
         model, theta0 = setup(q, counts.shape[1])

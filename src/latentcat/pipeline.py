@@ -3,20 +3,22 @@
 ``fit_cells`` is the one path from datasets to cell fits: it tabulates the
 listed covariate cells of every dataset and fits them all in one
 ``fit_tables`` batch (one vectorized, accelerated EM over every cell and
-start); ``identify``'s point fits and both bootstraps' refits go through
-it. The latent conditional is assembled from cell models identified with
+start). ``identify``'s point fits and both bootstraps' refits go through
+it, seeded by ``cell_configs``' one rule: cell c's starts at ``seed + c``.
+The latent conditional is assembled from cell models identified with
 ``--ord enforce`` (the parametric layer feeds latent-state labels into
 normal-quantile transforms, so the ordering has to be guaranteed), with
 empirical cell weights. ``parametric_fit`` is the one dispatch from a
 (model, target, skedastic) choice to an estimator, for a list of datasets
 at once: the closed forms loop over it, and the reported ML benchmarks fit
-it as one stacked Fisher scoring. Bootstrap standard errors come from
-refits on redraws (no analytic sandwich), and both bootstraps go through
-``resampling.run_plan``, which hands them a chunk of redraws at a time:
-``bootstrap_std_errors`` refits the chunk's cells in one ``fit_cells``
-call, then runs one ``parametric_fit`` on the chunk's redraws, and
-``model_std_errors`` bootstraps the cell models themselves (the s.e. of
-``identify --boot``).
+it as one stacked Fisher scoring. Both bootstraps get their redraws from
+``resampling.run_plan``, a chunk at a time, and refit a replicate's cells
+at ``BOOT_STARTS`` starts, start 0 warm at the point models:
+``model_std_errors`` under the point fits' ``--ord`` (the s.e. of
+``identify --boot``), and ``bootstrap_std_errors`` under ``enforce`` for
+the latent target, before one ``parametric_fit`` per chunk. So at one seed
+``identify --by-cell --ord enforce --boot`` and latent ``estimate --boot``
+on its models refit the same replicate cell models.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from .data import Dataset, design_columns, tabulate
-from .errors import (
-    ConfigurationError, DomainError, EmptyCellError, EstimationError, OptimizationError
-)
+from .errors import ConfigurationError, DomainError, EstimationError, OptimizationError
 from .mle import CmleConfig, CmleResult, fit_tables
 from .ordered import (
     LatentConditional,
@@ -46,6 +46,7 @@ from .resampling import BootstrapRun, run_plan
 from .spectral import MisclassificationModel
 
 __all__ = [
+    "cell_configs",
     "fit_cells",
     "conditional_for_target",
     "parametric_fit",
@@ -55,40 +56,45 @@ __all__ = [
 
 SKEDASTIC = ("nonparametric", "exponential")
 
+BOOT_STARTS = 3  # per cell refit of a replicate: the warm start and two random ones
+
+
+def cell_configs(cells: list[int | None], seed: int, ord_constraint: str,
+                 n_starts: int = BOOT_STARTS) -> list[CmleConfig]:
+    """The config of each listed cell's fit: cell c's starts seeded
+    ``seed + c`` (the pooled table, ``None``, at ``seed``). The one seed
+    rule of ``identify``'s point fits and of every bootstrap replicate."""
+    return [CmleConfig(n_starts=n_starts, ord_constraint=ord_constraint,
+                       seed=seed + (cell or 0)) for cell in cells]
+
 
 def fit_cells(
     datasets: list[Dataset],
     cells: list[int | None],
     configs: list[CmleConfig],
     warm_starts: list[MisclassificationModel | None] | None = None,
-) -> list[list[CmleResult | OptimizationError] | EmptyCellError]:
+) -> list[list[CmleResult | OptimizationError]]:
     """Constrained ML fits of the listed cells of every dataset, all tables
     in one ``fit_tables`` batch.
 
     ``None`` in ``cells`` stands for the pooled table. ``configs`` and
     ``warm_starts`` hold one entry per cell, else DomainError, as for an
-    empty ``cells``. Returns, per dataset, one entry per listed cell, a
+    empty ``cells``; an empty listed cell raises ``tabulate``'s
+    EmptyCellError. Returns, per dataset, one entry per listed cell, a
     CmleResult or the OptimizationError that ``fit`` would raise on that
-    table; or an EmptyCellError naming the dataset's empty listed cells.
+    table.
     """
     warm = warm_starts or [None] * len(cells)
     if not cells or not len(configs) == len(warm) == len(cells):
         raise DomainError("fit_cells needs one or more cells, a config and a warm start each")
-    empty = [[data.w_labels[c] for c in cells if c is not None and counts[c] == 0]
-             for data, counts in zip(datasets, map(Dataset.cell_counts, datasets))]
-    tables = [tabulate(data, c) for data, labels in zip(datasets, empty) if not labels
-              for c in cells]
-    n_fitted = len(tables) // len(cells)
-    fits = iter(fit_tables(tables, configs * n_fitted, warm * n_fitted) if tables else ())
-    return [EmptyCellError(f"cannot fit empty covariate cells: {labels}") if labels
-            else [next(fits) for _ in cells] for labels in empty]
+    tables = [tabulate(data, c) for data in datasets for c in cells]
+    fits = iter(fit_tables(tables, configs * len(datasets), warm * len(datasets)))
+    return [[next(fits) for _ in cells] for _ in datasets]
 
 
-def _first_failure(fits: list | EmptyCellError) -> OptimizationError | EmptyCellError | None:
-    """What drops a bootstrap redraw: its ``fit_cells`` EmptyCellError, else
-    its first failing cell's OptimizationError; None when nothing does."""
-    if isinstance(fits, EmptyCellError):
-        return fits
+def _first_failure(fits: list) -> OptimizationError | None:
+    """What drops a bootstrap redraw: its first failing cell's
+    OptimizationError; None when every cell fits."""
     return next((fit for fit in fits if isinstance(fit, OptimizationError)), None)
 
 
@@ -117,10 +123,10 @@ def parametric_fit(
     models: list[list[MisclassificationModel]] | None = None,
     clamp: float = 1e-6,
     skedastic_kind: str = "nonparametric",
-) -> list[ParametricFit | EmptyCellError | EstimationError]:
+) -> list[ParametricFit | EstimationError]:
     """One named fit of each dataset: model in {linear, oprobit, hoprobit},
-    either target. Returns per dataset its fit, or the EmptyCellError or
-    EstimationError that its fit alone raises.
+    either target. Returns per dataset its fit, or the EstimationError that
+    its fit alone raises.
 
     The reported-target homoskedastic probit is the conventional ML
     benchmark on the counts; ``skedastic_kind="exponential"`` selects the
@@ -128,8 +134,9 @@ def parametric_fit(
     probit. Both fit every dataset in one stacked Fisher scoring.
     Everything else goes through the conditional representation and the
     closed forms, one dataset at a time, the latent target on the cell
-    models ``models[i]`` of dataset i. An unknown model or target, or a
-    skedastic kind on another model, raises for the whole call.
+    models ``models[i]`` of dataset i. An unknown model or target, a
+    skedastic kind on another model, or an empty covariate cell under a
+    reported closed form (``EmptyCellError``) raises for the whole call.
     """
     if skedastic_kind != "nonparametric":
         if (model, target, skedastic_kind) != ("hoprobit", "reported", "exponential"):
@@ -150,7 +157,7 @@ def parametric_fit(
         try:
             fits.append(_closed_form(conditional_for_target(data, target, cell_models),
                                      model, target, clamp))
-        except (EmptyCellError, EstimationError) as exc:
+        except EstimationError as exc:
             fits.append(exc)
     return fits
 
@@ -173,8 +180,6 @@ def bootstrap_std_errors(
     b: int,
     seed: int,
     models: list[MisclassificationModel] | None = None,
-    replicate_starts: int = 3,
-    stratify: bool = False,
     clamp: float = 1e-6,
     skedastic_kind: str = "nonparametric",
 ) -> tuple[ParametricFit, BootstrapRun]:
@@ -183,15 +188,14 @@ def bootstrap_std_errors(
     Every chunk of redraws goes through one ``parametric_fit`` call with
     the point estimate's choices, so the reported ML benchmarks fit a chunk
     as one stack. Returns the fit with ``std_errors`` filled plus the run,
-    which counts dropped replicates by reason and boundary hits. For the
-    latent target, a chunk's cells are refitted first in one ``fit_cells``
-    call: cell c under ``enforce`` at ``replicate_starts`` starts seeded
-    ``seed + 7919 * c``, start 0 warm at the point ``models``; a redraw
-    whose cell fits fail is dropped before the parametric fit.
+    which counts dropped replicates and boundary hits. For the latent
+    target, a chunk's cells are refitted first in one ``fit_cells`` call,
+    under ``enforce`` by ``cell_configs``' rule, start 0 warm at the point
+    ``models``; a redraw whose cell fits fail is dropped before the
+    parametric fit.
     """
     cells = list(range(data.n_w_cells))
-    configs = [CmleConfig(n_starts=replicate_starts, ord_constraint="enforce",
-                          seed=seed + 7919 * cell) for cell in cells]
+    configs = cell_configs(cells, seed, "enforce")
 
     def estimator(redraws: list[Dataset]):
         fitted = (fit_cells(redraws, cells, configs, models) if target == "latent"
@@ -202,11 +206,11 @@ def bootstrap_std_errors(
                               [[fit.model for fit in fitted[i]] or None for i in kept],
                               clamp, skedastic_kind)
         for i, rep in zip(kept, reps):
-            outcomes[i] = rep if isinstance(rep, (EmptyCellError, EstimationError)) else (
+            outcomes[i] = rep if isinstance(rep, EstimationError) else (
                 rep.beta, any(fit.boundary_flags for fit in fitted[i]))
         return outcomes
 
-    run = run_plan(data, estimator, b, seed, stratify_by_cell=stratify)
+    run = run_plan(data, estimator, b, seed)
     return replace(point, std_errors=run.se()), run
 
 
@@ -214,25 +218,23 @@ def model_std_errors(
     data: Dataset,
     cells: list[int | None],
     results: list[CmleResult],
-    configs: list[CmleConfig],
+    ord_constraint: str,
     b: int,
     seed: int,
-    n_starts: int,
 ) -> list[BootstrapRun]:
     """Bootstrap every parameter of the listed cells' models, all cells at once.
 
     ``cells`` holds the cell indices of the point fits ``results``, or
-    ``[None]`` for the pooled table, and ``configs`` the config each point
-    fit ran with. Replicate redraws are stratified by cell unless pooled.
-    Every listed cell of every redraw in a chunk is refitted in one
-    ``fit_cells`` call, with its point fit's config at ``n_starts``
-    starts (so its states are sorted only if the point's were),
-    warm-started at the point models; a replicate in which any cell's fit
-    fails is dropped for every cell. Returns one run per cell: its columns
-    of the replicate estimates (``MisclassificationModel.pack`` order) and
-    the kept replicates in which its own fit flagged a boundary.
+    ``[None]`` for the pooled table, and ``ord_constraint`` the point fits'
+    ``--ord`` (so a replicate's states are sorted only if the point's
+    were). Every listed cell of every redraw in a chunk is refitted in one
+    ``fit_cells`` call by ``cell_configs``' rule, warm-started at the point
+    models; a replicate in which any cell's fit fails is dropped for every
+    cell. Returns one run per cell: its columns of the replicate estimates
+    (``MisclassificationModel.pack`` order) and the kept replicates in
+    which its own fit flagged a boundary.
     """
-    configs = [replace(config, n_starts=n_starts) for config in configs]
+    configs = cell_configs(cells, seed, ord_constraint)
     warm = [result.model for result in results]
 
     def estimator(redraws: list[Dataset]):
@@ -243,7 +245,7 @@ def model_std_errors(
             for fits in fit_cells(redraws, cells, configs, warm)
         ]
 
-    run = run_plan(data, estimator, b, seed, stratify_by_cell=cells != [None])
+    run = run_plan(data, estimator, b, seed)
     # The cells share one support, so their vectors have one length.
     return [
         replace(run, estimates=block, boundary_hits=hits)

@@ -226,15 +226,13 @@ def render_csv(payload: dict) -> str:
             lines.append("bootstrap,value")
             lines.extend(f"{k},{v}" for k, v in _boot_items(payload["boot"]))
     elif "cells" in payload and "method" in payload:
-        lines.append("w_cell,n,loglik,saturation_gap,b,n_dropped,dropped_emptied_cell,"
+        lines.append("w_cell,n,loglik,saturation_gap,b,n_dropped,"
                      "dropped_estimator_failed,boundary_hits")
         for entry in payload["cells"]:
             boot = entry.get("boot") or {}
-            reasons = boot.get("dropped", {})
             values = [entry.get("w_cell") or "pooled", entry.get("n"),
                       entry.get("loglik"), entry.get("saturation_gap"), boot.get("b"),
-                      boot.get("n_dropped"),
-                      reasons.get("emptied_cell"), reasons.get("estimator_failed"),
+                      boot.get("n_dropped"), boot.get("dropped", {}).get("estimator_failed"),
                       boot.get("boundary_hits")]
             lines.append(",".join("" if v is None else str(v) for v in values))
     else:

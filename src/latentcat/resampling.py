@@ -1,20 +1,20 @@
 """Shared nonparametric bootstrap engine.
 
 Every statistic depends on the sample only through its (cell, x, y, z)
-count table, so a replicate redraws that table: one multinomial over all
-entries, or one per covariate cell when stratified (preserving cell counts
-exactly). This has the same distribution as redrawing n records with
-replacement. ``run_plan(data, estimator, b, seed)`` runs b replicates.
-Replicate i has its own random stream, keyed SeedSequence((seed, i,
-0x7273)), so its estimate depends only on the data, the seed, the
-stratification and i. The replicates are handed to the estimator
-``BOOT_CHUNK`` at a time, in index order, so that it can fit a whole chunk
-as one batch: one EM over every cell of every redraw for the latent
-target and ``identify --boot``, one stacked Fisher scoring for the
-reported ML benchmarks. Replicates whose estimator fails are dropped and
-counted by reason (an emptied covariate cell, or an estimation error)
-rather than poisoning the aggregate; boundary-flagged replicates are
-counted too, because interior-solution asymptotics are in doubt there.
+count table, so a replicate redraws that table: one multinomial per
+covariate cell at the cell's total, which keeps every cell's count and so
+can empty none. This has the same distribution as redrawing each cell's
+records with replacement; with one cell, it is the plain n-record redraw.
+``run_plan(data, estimator, b, seed)`` runs b replicates. Replicate i has
+its own random stream, keyed SeedSequence((seed, i, 0x7273)), so its
+estimate depends only on the data, the seed and i. The replicates are
+handed to the estimator ``BOOT_CHUNK`` at a time, in index order, so that
+it can fit a whole chunk as one batch: one EM over every cell of every
+redraw for the latent target and ``identify --boot``, one stacked Fisher
+scoring for the reported ML benchmarks. Replicates whose estimator fails
+are dropped and counted (``estimator_failed``) rather than poisoning the
+aggregate; boundary-flagged replicates are counted too, because
+interior-solution asymptotics are in doubt there.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, nearest_rank
-from .errors import DomainError, EmptyCellError, EstimationError
+from .errors import DomainError, EstimationError
 
 __all__ = [
     "BootstrapRun",
@@ -40,23 +40,19 @@ __all__ = [
 BOOT_CHUNK = 16
 
 
-def resample(data: Dataset, seed, stratify_by_cell: bool = False) -> Dataset:
-    """One bootstrap redraw of the n records, as a redraw of the count table.
+def resample(data: Dataset, seed) -> Dataset:
+    """One bootstrap redraw of the records within each covariate cell, as a
+    redraw of the count table.
 
-    ``seed`` may be an int or a SeedSequence. Unstratified, the table is one
-    Multinomial(n, counts / n) draw over all (cell, x, y, z) entries; with
-    stratification, each covariate cell is its own multinomial at the
-    cell's total, so per-cell counts are preserved exactly.
+    ``seed`` may be an int or a SeedSequence. Each cell's (x, y, z) table is
+    its own Multinomial(total, counts / total) draw, so per-cell counts are
+    preserved exactly.
     """
-    rng = np.random.default_rng(seed)
-    counts = data.counts
-    if stratify_by_cell:
-        cells = counts.reshape(counts.shape[0], -1)
-        totals = cells.sum(axis=1)
-        redraw = rng.multinomial(totals, cells / np.maximum(totals, 1)[:, None])
-    else:
-        redraw = rng.multinomial(data.n, counts.ravel() / data.n)
-    return replace(data, counts=redraw.reshape(counts.shape))
+    cells = data.counts.reshape(data.counts.shape[0], -1)
+    totals = cells.sum(axis=1)
+    redraw = np.random.default_rng(seed).multinomial(
+        totals, cells / np.maximum(totals, 1)[:, None])
+    return replace(data, counts=redraw.reshape(data.counts.shape))
 
 
 def boot_se(replicate_estimates) -> np.ndarray:
@@ -110,17 +106,16 @@ class BootstrapRun:
         }
 
 
-def run_plan(data: Dataset, estimator, b: int, seed: int,
-             stratify_by_cell: bool = False) -> BootstrapRun:
+def run_plan(data: Dataset, estimator, b: int, seed: int) -> BootstrapRun:
     """Apply a pure estimator to ``b`` replicates, ``BOOT_CHUNK`` at a time.
 
     ``estimator(redraws)`` gets a list of consecutive replicates' redraws
-    (``resample``, stratified or not), replicate i's keyed by
-    SeedSequence((seed, i, 0x7273)), and returns one outcome per redraw:
-    a 1-d parameter vector, a ``(vector, flagged)`` pair with ``flagged``
-    one bool or one bool per model (summed elementwise into the boundary
-    hits), or the ``EmptyCellError`` or ``EstimationError`` that drops that
-    replicate alone. ``b < 1`` and a negative ``seed`` raise DomainError.
+    (``resample``), replicate i's keyed by SeedSequence((seed, i, 0x7273)),
+    and returns one outcome per redraw: a 1-d parameter vector, a
+    ``(vector, flagged)`` pair with ``flagged`` one bool or one bool per
+    model (summed elementwise into the boundary hits), or the
+    ``EstimationError`` that drops that replicate alone. ``b < 1`` and a
+    negative ``seed`` raise DomainError.
     """
     if b < 1:
         raise DomainError("need at least one replicate")
@@ -130,18 +125,13 @@ def run_plan(data: Dataset, estimator, b: int, seed: int,
     chunk_s: list[float] = []
     for lo in range(0, b, BOOT_CHUNK):
         t0 = time.perf_counter()
-        redraws = [resample(data, np.random.SeedSequence((seed, i, 0x7273)),
-                            stratify_by_cell) for i in range(lo, min(lo + BOOT_CHUNK, b))]
+        redraws = [resample(data, np.random.SeedSequence((seed, i, 0x7273)))
+                   for i in range(lo, min(lo + BOOT_CHUNK, b))]
         outcomes += estimator(redraws)
         chunk_s.append(time.perf_counter() - t0)
-    # Why a replicate was dropped: its redraw emptied a covariate cell the
-    # estimator needs, or the estimator failed on it.
-    dropped = {
-        "emptied_cell": sum(isinstance(o, EmptyCellError) for o in outcomes),
-        "estimator_failed": sum(isinstance(o, EstimationError) for o in outcomes),
-    }
+    dropped = {"estimator_failed": sum(isinstance(o, EstimationError) for o in outcomes)}
     kept = [o if isinstance(o, tuple) else (o, False) for o in outcomes
-            if not isinstance(o, (EmptyCellError, EstimationError))]
+            if not isinstance(o, EstimationError)]
     if not kept:
         raise EstimationError(f"every bootstrap replicate was dropped: {dropped}")
     return BootstrapRun(

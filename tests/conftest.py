@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latentcat.data import Schema, ingest
-from latentcat.errors import EmptyCellError, EstimationError
+from latentcat.errors import EstimationError
 from latentcat.generate import GeneratorSpec, make_model
 from latentcat.spectral import MisclassificationModel
 
@@ -28,15 +28,15 @@ def ingest_text(text: str, schema: Schema):
 
 def per_redraw(estimator):
     """A chunk estimator for ``run_plan`` from a function of one redraw: its
-    value on each redraw of the chunk, or the EmptyCellError or
-    EstimationError it raised there."""
+    value on each redraw of the chunk, or the EstimationError it raised
+    there."""
 
     def chunk(redraws):
         outcomes = []
         for redraw in redraws:
             try:
                 outcomes.append(estimator(redraw))
-            except (EmptyCellError, EstimationError) as exc:
+            except EstimationError as exc:
                 outcomes.append(exc)
         return outcomes
 

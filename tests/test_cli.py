@@ -97,23 +97,46 @@ def test_replay_drops_the_retired_threads_option(pipeline, tmp_path, capsys):
     estimate = ["estimate", "--models", str(pipeline["models"]), "--data",
                 str(pipeline["synth"]), "--schema", str(pipeline["schema"]),
                 "--model", "linear", "--target", "latent", "--boot", "3",
-                "--boot-starts", "1", "--seed", "11", "--out", str(out)]
+                "--seed", "11", "--out", str(out)]
     for retired in (["--threads", "2"], ["--starts", "10"]):
         assert run([*estimate, *retired]) == 64
         assert f"unrecognized arguments: {' '.join(retired)}" in (
             capsys.readouterr().err)
     assert run(estimate) == 0
-    # A manifest written while an option existed records it.
-    for option, value in (("threads", 2), ("starts", 10)):
+    # A manifest written while an option existed records it. Unlike --threads,
+    # the retired bootstrap options changed artifacts; such a manifest replays
+    # under the one replicate rule, with the same note.
+    for retired in ({"threads": 2}, {"starts": 10}, {"boot_starts": 2, "stratify": True}):
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
-        manifest["options"][option] = value
-        old_manifest = tmp_path / f"old-{option}.manifest.json"
+        manifest["options"].update(retired)
+        name = "-".join(retired)
+        old_manifest = tmp_path / f"old-{name}.manifest.json"
         old_manifest.write_text(json.dumps(manifest))
-        out_dir = tmp_path / f"replayed-{option}"
+        out_dir = tmp_path / f"replayed-{name}"
         assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 0
-        assert f"ignoring options this version does not take: ['{option}']" in (
+        assert f"ignoring options this version does not take: {sorted(retired)}" in (
             capsys.readouterr().err)
         assert (out_dir / out.name).read_bytes() == out.read_bytes()
+
+
+def test_option_inventory():
+    """Every option of every subcommand, by dest: a new knob is a visible
+    edit here."""
+    import argparse
+
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert {name: {action.dest for action in parser._actions} - {"help"}
+            for name, parser in sub.choices.items()} == {
+        "simulate": {"spec", "n", "seed", "out", "truth"},
+        "test": {"input", "schema", "by_cell", "B", "seed", "min_cell", "out"},
+        "identify": {"input", "schema", "by_cell", "method", "starts", "seed", "ord",
+                     "boot", "out"},
+        "estimate": {"models", "data", "schema", "model", "target", "boot", "seed",
+                     "clamp", "skedastic", "out"},
+        "report": {"inputs", "format", "out"},
+        "replay": {"manifest", "out_dir"},
+    }
 
 
 def test_replay_of_a_spectral_manifest_exits_64(pipeline, tmp_path, capsys):
@@ -188,8 +211,7 @@ def test_estimate_latent_bootstrap_se(pipeline, tmp_path):
     assert run(["estimate", "--models", str(pipeline["models"]), "--data",
                 str(pipeline["synth"]), "--schema", str(pipeline["schema"]),
                 "--model", "linear", "--target", "latent", "--boot", "12",
-                "--boot-starts", "2", "--seed", "11",
-                "--out", str(out)]) == 0
+                "--seed", "11", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     se = payload["fit"]["std_errors"]
     assert se is not None and len(se) == 2
@@ -208,11 +230,10 @@ def test_boot_artifacts_independent_of_the_chunk_size(pipeline, tmp_path, monkey
     if command == "estimate":
         args = ["estimate", "--models", str(pipeline["models"]), "--data",
                 str(pipeline["synth"]), *data, "--model", "hoprobit",
-                "--target", "latent", "--boot-starts", "2"]
+                "--target", "latent"]
     else:
         args = ["identify", "--input", str(pipeline["synth"]), *data, "--by-cell",
-                "--method", "cmle", "--starts", "2", "--ord", "enforce",
-                "--boot-starts", "1"]
+                "--method", "cmle", "--starts", "2", "--ord", "enforce"]
     artifacts = []
     for chunk in (1, 3, 16):
         monkeypatch.setattr(latentcat.resampling, "BOOT_CHUNK", chunk)
@@ -232,17 +253,16 @@ def test_estimate_boot_telemetry_in_artifact_and_report(pipeline, tmp_path, caps
     assert run(["estimate", "--models", str(pipeline["models"]), "--data",
                 str(pipeline["synth"]), "--schema", str(pipeline["schema"]),
                 "--model", "linear", "--target", "latent", "--boot", "4",
-                "--boot-starts", "2", "--seed", "11",
-                "--out", str(out)]) == 0
+                "--seed", "11", "--out", str(out)]) == 0
     boot = json.loads(out.read_text())["boot"]
-    assert set(boot["dropped"]) == {"emptied_cell", "estimator_failed"}
+    assert set(boot["dropped"]) == {"estimator_failed"}
     assert boot["n_dropped"] == sum(boot["dropped"].values())
     hits = boot["boundary_hits"]
     capsys.readouterr()
     assert run(["report", str(out)]) == 0
     text = capsys.readouterr().out
     assert f"boundary_hits={hits}" in text
-    assert f"dropped_emptied_cell={boot['dropped']['emptied_cell']}" in text
+    assert f"dropped_estimator_failed={boot['dropped']['estimator_failed']}" in text
     assert run(["report", str(out), "--format", "csv"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert f"boundary_hits,{hits}" in rows
@@ -254,18 +274,18 @@ def test_identify_boot_telemetry_in_artifact_and_report(pipeline, tmp_path, caps
     assert run(["identify", "--input", str(pipeline["synth"]), "--schema",
                 str(pipeline["schema"]), "--by-cell", "--method", "cmle",
                 "--starts", "2", "--seed", "7", "--ord", "enforce", "--boot", "3",
-                "--boot-starts", "1", "--out", str(out)]) == 0
+                "--out", str(out)]) == 0
     cells = json.loads(out.read_text())["cells"]
     capsys.readouterr()
     assert run(["report", str(out)]) == 0
     text = capsys.readouterr().out
     assert run(["report", str(out), "--format", "csv"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert rows[0] == ("w_cell,n,loglik,saturation_gap,b,n_dropped,dropped_emptied_cell,"
+    assert rows[0] == ("w_cell,n,loglik,saturation_gap,b,n_dropped,"
                        "dropped_estimator_failed,boundary_hits")
     for entry, row in zip(cells, rows[1:]):
         boot = entry["boot"]
-        assert set(boot["dropped"]) == {"emptied_cell", "estimator_failed"}
+        assert set(boot["dropped"]) == {"estimator_failed"}
         assert f"boundary_hits={boot['boundary_hits']}" in text
         assert f"saturation gap {entry['saturation_gap']:.3g}" in text
         assert row.split(",")[0] == entry["w_cell"]
@@ -296,7 +316,7 @@ def test_identify_boot_fits_every_cell_of_a_chunk_in_one_batch(
     assert run(["identify", "--input", str(pipeline["synth"]), "--schema",
                 str(pipeline["schema"]), "--by-cell", "--method", "cmle",
                 "--starts", "2", "--seed", "7", "--ord", "enforce", "--boot", "3",
-                "--boot-starts", "1", "--out", str(out)]) == 0
+                "--out", str(out)]) == 0
     # The point fits, then one batch of both cells of every replicate in a chunk.
     assert calls == [2, *batches]
 
@@ -521,7 +541,7 @@ def test_stages_load_only_the_scipy_they_call(pipeline, tmp_path):
         "latent estimate --boot": [
             "estimate", "--models", str(pipeline["models"]), "--data", synth, *data,
             "--model", "hoprobit", "--target", "latent", "--boot", "2",
-            "--boot-starts", "1", "--out", str(tmp_path / "fl.json")],
+            "--out", str(tmp_path / "fl.json")],
         "reported estimate --boot": [
             "estimate", "--data", synth, *data, "--model", "oprobit",
             "--target", "reported", "--boot", "5", "--out", str(tmp_path / "fr.json")],
@@ -691,10 +711,10 @@ SIMULATE = ["simulate"]
 
 @pytest.mark.parametrize("command,option,value", [
     *[(IDENTIFY_CMLE, option, value) for option, value in
-      [("--boot", "-1"), ("--starts", "0"), ("--boot-starts", "0"), ("--seed", "-1")]],
+      [("--boot", "-1"), ("--starts", "0"), ("--starts", "-1"), ("--seed", "-1")]],
     (IDENTIFY_POOLED, "--boot", "-1"),
     (ESTIMATE_LATENT, "--boot", "-1"),
-    (ESTIMATE_LATENT, "--boot-starts", "0"),
+    (ESTIMATE_LATENT, "--seed", "-1"),
     (TEST_BY_CELL, "--B", "98"),
     (TEST_BY_CELL, "--min-cell", "0"),
     (SIMULATE, "--n", "0"),
@@ -714,6 +734,53 @@ def test_counts_below_their_minimum_refused_before_ingest(tmp_path, capsys,
     out = tmp_path / "out.json"
     assert run([*command, *inputs, *args, "--out", str(out)]) == 64
     assert f"argument {option}: must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,option", [
+    (IDENTIFY_CMLE, ["--boot-starts", "2"]),
+    (ESTIMATE_LATENT, ["--boot-starts", "2"]),
+    (ESTIMATE_LATENT, ["--stratify"]),
+])
+def test_retired_bootstrap_options_refused_before_ingest(tmp_path, capsys, command,
+                                                         option):
+    # Every bootstrap redraws within cells and refits cells at a fixed start
+    # count, so neither choice is taken any more.
+    missing = str(tmp_path / "missing.csv")
+    inputs = {"identify": ["--input", missing, "--schema", missing],
+              "estimate": ["--models", missing, "--data", missing, "--schema", missing]}
+    out = tmp_path / "out.json"
+    assert run([*command, *inputs[command[0]], "--boot", "3", *option, "--seed", "1",
+                "--out", str(out)]) == 64
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_latent_estimate_boot_on_data_with_an_empty_cell_is_one_error_line(tmp_path,
+                                                                           capsys):
+    # A redraw within cells cannot empty a cell, so a cell is empty only when
+    # the data's is: a data error (exit 1) on the first chunk's cell refits,
+    # not a run whose every replicate is dropped.
+    spec = tmp_path / "gen.cfg"
+    spec.write_text(GEN_CFG.replace("w_cells = 2", "w_cells = 4"))
+    synth, schema = tmp_path / "synth.csv", tmp_path / "synth.schema.cfg"
+    models = tmp_path / "models.json"
+    assert run(["simulate", "--spec", str(spec), "--n", "4000", "--seed", "3",
+                "--out", str(synth)]) == 0
+    assert run(["identify", "--input", str(synth), "--schema", str(schema), "--by-cell",
+                "--starts", "2", "--seed", "7", "--ord", "enforce",
+                "--out", str(models)]) == 0
+    lines = synth.read_text().splitlines()
+    no_ab = tmp_path / "no-ab.csv"  # cell AB's records (w1 = w2 = 1) left out
+    no_ab.write_text("\n".join(line for line in lines if not line.endswith(",1,1")) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "fit.json"
+    assert run(["estimate", "--models", str(models), "--data", str(no_ab), "--schema",
+                str(schema), "--model", "linear", "--target", "latent", "--boot", "3",
+                "--seed", "1", "--out", str(out)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error")]
+    assert errors == ["error: covariate cell 'AB' has no records"]
     assert not out.exists()
 
 
@@ -752,7 +819,7 @@ def test_identify_boot_standard_errors(pipeline, tmp_path):
     assert run(["identify", "--input", str(pipeline["synth"]), "--schema",
                 str(pipeline["schema"]), "--method", "cmle", "--starts", "3",
                 "--seed", "7", "--ord", "enforce", "--boot", "30",
-                "--boot-starts", "2", "--out", str(out)]) == 0
+                "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     entry = payload["cells"][0]
     assert "std_errors" in entry

@@ -670,9 +670,8 @@ def test_stacked_fits_equal_lone_fits_and_the_serial_reference(
     """Redraws of one probit sample, some with a cell emptied: each stacked
     fit equals that dataset's fit alone bit for bit, and the serial
     reference's within 1e-12, failures included. Where an outcome level is
-    never observed, the outer cutpoint has no finite maximizer: the scoring
-    stops wherever rounding lets the decrement fall below tolerance (or the
-    information become singular), so only the stack is checked there."""
+    never observed, a cutpoint has no finite maximizer, so that dataset is
+    refused, stacked and alone."""
     rng = np.random.default_rng(seed)
     base = probit_counts(random_probit_params(rng, n_cols, n_levels), n, seed)
     stack = []
@@ -688,6 +687,8 @@ def test_stacked_fits_equal_lone_fits_and_the_serial_reference(
         assert [fit_bits(f) for f in fits] == [fit_bits(fit_ml([d])[0]) for d in stack]
         for fit_, data in zip(fits, stack):
             if not data.outcome_counts().sum(axis=0).all():
+                assert isinstance(fit_, EstimationError)
+                assert "has no maximum: no record at outcome levels" in str(fit_)
                 continue
             ref = serial_outcome(reference, data)
             if isinstance(ref, EstimationError):
@@ -695,6 +696,23 @@ def test_stacked_fits_equal_lone_fits_and_the_serial_reference(
             else:
                 assert not isinstance(fit_, EstimationError), fit_
                 assert close_to(fit_, ref, 1e-12)
+
+
+def test_ml_fit_refuses_an_unobserved_outcome_level():
+    # With no record at a level, the cutpoints next to it run off (to the
+    # outer edge, or together): the likelihood has no maximum, and the fit
+    # is refused before scoring whatever rounding would make of it.
+    rng = np.random.default_rng(19)
+    data = probit_counts(random_probit_params(rng, 2, 4), 5_000, 19)
+    for level in range(4):
+        counts = data.counts.copy()
+        counts[:, level] = 0
+        unseen = Dataset(counts, data.w_columns, data.w_labels)
+        for fit_ml in (ordered_probit_mle, exponential_skedastic_probit):
+            [refused, kept] = fit_ml([unseen, data])
+            assert isinstance(refused, EstimationError)
+            assert f"no record at outcome levels [{level + 1}]" in str(refused)
+            assert fit_bits(kept) == fit_bits(fit_ml([data])[0])
 
 
 def test_fisher_scoring_failures_are_estimation_errors(monkeypatch):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,15 +11,17 @@ from latentcat.errors import (
     ConfigurationError, DomainError, EmptyCellError, EstimationError, OptimizationError
 )
 from latentcat.generate import GeneratorSpec, ProbitParams, draw, make_model
-from latentcat.mle import CmleConfig, fit
+from latentcat.mle import CmleConfig, CmleResult, fit
 from latentcat.ordered import ordered_probit_mle
 from latentcat.pipeline import (
     bootstrap_std_errors,
+    cell_configs,
     conditional_for_target,
     fit_cells,
     model_std_errors,
     parametric_fit,
 )
+from latentcat.spectral import MisclassificationModel
 
 from conftest import fitted, per_redraw
 
@@ -47,17 +48,12 @@ def probit_sample():
     return params, models, data
 
 
-def enforced(cells, seed):
-    """``identify --ord enforce``'s configs: cell c's starts at seed + c."""
-    return [CmleConfig(seed=seed + (cell or 0), ord_constraint="enforce") for cell in cells]
-
-
-def every_cell(data, config):
-    """Fits of every cell of ``data`` with ``config``, cell c's starts seeded
-    ``config.seed + 7919 * c``; raises the first failing cell's error."""
+def every_cell(data, n_starts, seed):
+    """Fits of every cell of ``data`` under ``enforce`` at ``n_starts``
+    starts, cell c's seeded ``seed + c`` (``cell_configs``); raises the
+    first failing cell's error."""
     cells = list(range(data.n_w_cells))
-    [fits] = fit_cells([data], cells,
-                       [replace(config, seed=config.seed + 7919 * c) for c in cells])
+    [fits] = fit_cells([data], cells, cell_configs(cells, seed, "enforce", n_starts))
     for fit_ in fits:
         if isinstance(fit_, OptimizationError):
             raise fit_
@@ -66,8 +62,7 @@ def every_cell(data, config):
 
 def test_fit_cells_covers_every_cell(probit_sample):
     _, models, data = probit_sample
-    config = CmleConfig(n_starts=4, seed=1, ord_constraint="enforce")
-    results = every_cell(data, config)
+    results = every_cell(data, 4, 1)
     assert len(results) == 4
     for result, truth in zip(results, models):
         assert np.abs(result.model.f_xstar - truth.f_xstar).max() < 0.05
@@ -89,20 +84,17 @@ def test_fit_cells_fits_each_table_as_fit_alone(probit_sample):
             assert result.loglik == alone.loglik
 
 
-def test_fit_cells_drops_a_dataset_with_an_empty_listed_cell(probit_sample):
+def test_fit_cells_raises_on_an_empty_listed_cell(probit_sample):
+    # A redraw within cells keeps every cell's total, so a cell is empty
+    # only when the data's is: that is a data error, not a dropped replicate.
     _, _, data = probit_sample
     counts = data.counts.copy()
     counts[1] = 0
     emptied = Dataset(counts, data.w_columns, data.w_labels)
-    cells = [0, 1]
-    configs = [CmleConfig(n_starts=1, seed=c) for c in cells]
-    [alone] = fit_cells([data], cells, configs)
-    emptied_fits, kept = fit_cells([emptied, data], cells, configs)
-    assert isinstance(emptied_fits, EmptyCellError)
-    assert repr(data.w_labels[1]) in str(emptied_fits)
-    assert [r.model.pack().tobytes() for r in kept] == [
-        r.model.pack().tobytes() for r in alone]
-    assert [r.loglik for r in kept] == [r.loglik for r in alone]
+    with pytest.raises(EmptyCellError, match=repr(data.w_labels[1])):
+        fit_cells([data, emptied], [0, 1], cell_configs([0, 1], 0, "enforce", 1))
+    [fits] = fit_cells([emptied], [0, 2], cell_configs([0, 2], 0, "enforce", 1))
+    assert all(isinstance(fit_, CmleResult) for fit_ in fits)
 
 
 def test_fit_cells_refuses_lists_that_are_not_one_per_cell(probit_sample):
@@ -126,17 +118,14 @@ def test_model_std_errors_per_cell_independent_of_the_batch(probit_sample):
     # listed, and fit_tables fits each table as it would alone; so a cell's
     # s.e. and boundary count do not depend on the other cells.
     _, _, data = probit_sample
-    config = CmleConfig(n_starts=2, seed=1, ord_constraint="enforce")
-    results = every_cell(data, config)
-    together = model_std_errors(data, [0, 1, 2, 3], results, enforced([0, 1, 2, 3], 9),
-                                b=3, seed=9, n_starts=1)
+    results = every_cell(data, 2, 1)
+    together = model_std_errors(data, [0, 1, 2, 3], results, "enforce", b=3, seed=9)
     assert all(run.n_dropped == 0 for run in together)
     # At this seed only cell 3's fits touch a boundary, so a shared count
     # would show.
     assert [run.boundary_hits for run in together] == [0, 0, 0, 2]
     for cell in (0, 3):
-        [alone] = model_std_errors(data, [cell], [results[cell]], enforced([cell], 9),
-                                   b=3, seed=9, n_starts=1)
+        [alone] = model_std_errors(data, [cell], [results[cell]], "enforce", b=3, seed=9)
         assert alone.n_dropped == 0
         assert np.array_equal(alone.estimates, together[cell].estimates)
         assert np.array_equal(alone.se(), together[cell].se())
@@ -144,8 +133,7 @@ def test_model_std_errors_per_cell_independent_of_the_batch(probit_sample):
     # Cell 0's rows come first in the stratified stream, so they equal a
     # pooled bootstrap of that cell alone at the same seed.
     cell_0 = Dataset(data.counts[:1], w_labels=data.w_labels[:1])
-    [pooled] = model_std_errors(cell_0, [None], results[:1], enforced([None], 9),
-                                b=3, seed=9, n_starts=1)
+    [pooled] = model_std_errors(cell_0, [None], results[:1], "enforce", b=3, seed=9)
     assert np.array_equal(pooled.se(), together[0].se())
     assert pooled.boundary_hits == together[0].boundary_hits
 
@@ -162,8 +150,7 @@ def test_model_std_errors_refit_with_the_point_config():
         config = CmleConfig(n_starts=3, ord_constraint="check-only", seed=seed)
         result = fit(tabulate(data), config)
         assert not result.model.ord_satisfied
-        [run] = model_std_errors(data, [None], [result], [config], b=10, seed=seed,
-                                 n_starts=1)
+        [run] = model_std_errors(data, [None], [result], "check-only", b=10, seed=seed)
         assert run.n_dropped == 0
         assert np.abs(run.estimates.mean(axis=0) - result.model.pack()).max() < 0.1
 
@@ -178,8 +165,7 @@ def test_conditional_for_target_routes(probit_sample):
 
 def test_parametric_fit_latent_beats_reported(probit_sample):
     params, _, data = probit_sample
-    config = CmleConfig(n_starts=6, seed=2, ord_constraint="enforce")
-    models = [result.model for result in every_cell(data, config)]
+    models = [result.model for result in every_cell(data, 6, 2)]
     [latent] = parametric_fit([data], "hoprobit", "latent", [models])
     [reported] = parametric_fit([data], "hoprobit", "reported")
     err_latent = np.abs(latent.beta - params.beta).max()
@@ -210,9 +196,10 @@ def test_bootstrap_std_errors_linear_reported(probit_sample):
     assert np.all(updated.std_errors < 0.1)
 
 
-def test_reported_bootstrap_drops_replicates_that_empty_a_cell():
-    # 298 records in cell 0 and 2 in cell A: an unstratified replicate empties
-    # cell A with probability (298/300)^300, about 0.13.
+def test_reported_bootstrap_redraws_keep_a_two_record_cell():
+    # 298 records in cell 0 and 2 in cell A. A redraw of all 300 records
+    # would empty cell A with probability (298/300)^300, about 0.13; a
+    # redraw within cells keeps its two records, so no replicate is lost.
     rng = np.random.default_rng(0)
     n = 300
     data = Dataset.from_records(
@@ -222,13 +209,9 @@ def test_reported_bootstrap_drops_replicates_that_empty_a_cell():
     )
     [point] = parametric_fit([data], "linear", "reported")
     updated, run = bootstrap_std_errors(data, "linear", "reported", point, b=50, seed=1)
-    assert run.dropped["emptied_cell"] >= 1
-    assert run.dropped["estimator_failed"] == 0
-    assert run.estimates.shape[0] == 50 - run.n_dropped
+    assert run.dropped == {"estimator_failed": 0}
+    assert run.estimates.shape[0] == 50
     assert np.all(np.isfinite(updated.std_errors))
-    stratified, run = bootstrap_std_errors(data, "linear", "reported", point, b=50,
-                                           seed=1, stratify=True)
-    assert run.n_dropped == 0
 
 
 def run_fields(run):
@@ -251,16 +234,15 @@ def outcome(call):
 def test_bootstraps_independent_of_the_chunk_size(probit_sample, seed, b):
     # Replicate i's redraw comes from its own seed and every fit is
     # independent of its batch, so how many redraws are fitted together
-    # changes nothing. Cell 2 holds 3 records, so unstratified redraws
-    # empty it now and then, inside a chunk of redraws that do not.
+    # changes nothing. Cell 2 holds 3 records, so its refits fail now and
+    # then, inside a chunk of redraws that fit.
     _, _, data = probit_sample
     counts = data.counts.copy()
     cell = counts[2].ravel() / counts[2].sum()
     counts[2] = np.random.default_rng(0).multinomial(3, cell).reshape(counts[2].shape)
     sparse = Dataset(counts, data.w_columns, data.w_labels)
-    config = CmleConfig(n_starts=2, seed=seed, ord_constraint="enforce")
     try:
-        results = every_cell(sparse, config)
+        results = every_cell(sparse, 2, seed)
         models = [result.model for result in results]
         point = fitted(parametric_fit([sparse], "hoprobit", "latent", [models])[0])
     except EstimationError:
@@ -268,8 +250,7 @@ def test_bootstraps_independent_of_the_chunk_size(probit_sample, seed, b):
 
     def latent():
         fitted, run = bootstrap_std_errors(sparse, "hoprobit", "latent", point, b=b,
-                                           seed=seed, models=models,
-                                           replicate_starts=2)
+                                           seed=seed, models=models)
         assert np.array_equal(fitted.std_errors, run.se())
         assert run.counters()["chunks"] == -(-b // resampling.BOOT_CHUNK)
         return [run]
@@ -278,12 +259,11 @@ def test_bootstraps_independent_of_the_chunk_size(probit_sample, seed, b):
     for chunk in (1, 3, 16):
         with mock.patch.object(resampling, "BOOT_CHUNK", chunk):
             outcomes.append((outcome(latent), outcome(lambda: model_std_errors(
-                sparse, [0, 1, 2, 3], results, enforced([0, 1, 2, 3], seed), b=b,
-                seed=seed, n_starts=1))))
+                sparse, [0, 1, 2, 3], results, "enforce", b=b, seed=seed))))
     assert outcomes[0] == outcomes[1] == outcomes[2]
     if (seed, b) == (0, 20):
         [(_, _, dropped, _)] = outcomes[0][0]
-        assert dropped["emptied_cell"] > 0 and dropped["estimator_failed"] > 0
+        assert dropped["estimator_failed"] > 0
 
 
 @pytest.mark.parametrize("model,skedastic", [("oprobit", "nonparametric"),
@@ -306,22 +286,59 @@ def test_reported_ml_bootstrap_independent_of_the_chunk_size(probit_sample, mode
 
 
 def test_reported_ml_bootstrap_drops_a_failed_fit_and_keeps_its_chunk(probit_sample):
-    # Cell B holds 2 records and AB none, so a redraw that misses both leaves
-    # the B slope unidentified: a singular information matrix. At this seed
-    # that happens to redraws 8 and 11 of 20, which share the first chunk of
-    # 16 with 14 redraws that fit; those are kept as they fit alone.
+    # One record, in cell AB, holds outcome level 3. A redraw that misses it
+    # has no record at that level, so its ML fit is refused. At this seed
+    # that happens to redraws 4, 8, 10 and 14 of 20, which share the first
+    # chunk of 16 with 12 redraws that fit; those are kept as they fit alone.
     _, _, data = probit_sample
     counts = data.counts.copy()
-    counts[2] = 0
-    counts[2, 0, 0, 0] = counts[2, 2, 1, 2] = 1
-    counts[3] = 0
+    counts[:, 2] = 0
+    counts[3, 2, 0, 0] = 1
     sparse = Dataset(counts, data.w_columns, data.w_labels)
     [point] = parametric_fit([sparse], "oprobit", "reported")
     _, run = bootstrap_std_errors(sparse, "oprobit", "reported", point, b=20, seed=1)
     assert resampling.BOOT_CHUNK == 16
-    assert run.dropped == {"emptied_cell": 0, "estimator_failed": 2}
-    assert run.estimates.shape[0] == 18
+    assert run.dropped == {"estimator_failed": 4}
+    assert run.estimates.shape[0] == 16
     alone = resampling.run_plan(sparse, per_redraw(
         lambda redraw: fitted(ordered_probit_mle([redraw])[0]).beta), b=20, seed=1)
     assert alone.dropped == run.dropped
     assert alone.estimates.tobytes() == run.estimates.tobytes()
+
+
+def test_both_latent_bootstraps_refit_the_same_replicate_cell_models(probit_sample,
+                                                                     monkeypatch):
+    # identify --by-cell --ord enforce --boot and latent estimate --boot on
+    # its models draw the same redraws and refit each cell by one rule, so
+    # at one seed they fit the same replicate cell models, bit for bit. The
+    # models reach estimate through JSON, which round-trips them exactly.
+    import json
+
+    from latentcat import pipeline
+
+    _, _, data = probit_sample
+    cells = list(range(data.n_w_cells))
+    results = every_cell(data, 2, 4)
+    models = [MisclassificationModel.from_dict(json.loads(json.dumps(result.model.to_dict())))
+              for result in results]
+    fitted_packs = []
+
+    def spy(*args):  # every start's trace too: a winning warm start hides the seeds
+        fits = fit_cells(*args)
+        fitted_packs.append([[(fit_.model.pack().tobytes(), repr(fit_.starts))
+                              for fit_ in row] for row in fits])
+        return fits
+
+    monkeypatch.setattr(pipeline, "fit_cells", spy)
+    b = resampling.BOOT_CHUNK + 2  # two chunks
+    runs = model_std_errors(data, cells, results, "enforce", b=b, seed=6)
+    identify_packs = list(fitted_packs)
+    fitted_packs.clear()
+    [point] = parametric_fit([data], "linear", "latent", [models])
+    _, run = bootstrap_std_errors(data, "linear", "latent", point, b=b, seed=6,
+                                  models=models)
+    assert len(identify_packs) == 2
+    assert fitted_packs == identify_packs
+    assert all(r.n_dropped == 0 for r in runs) and run.n_dropped == 0
+    assert np.hstack([r.estimates for r in runs]).tobytes() == b"".join(
+        pack for chunk in identify_packs for rep in chunk for pack, _ in rep)

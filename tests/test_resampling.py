@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latentcat.data import Dataset, nearest_rank, tabulate
-from latentcat.errors import DomainError, EmptyCellError, EstimationError
+from latentcat.errors import DomainError, EstimationError
 from latentcat.generate import GeneratorSpec, draw, make_model
 from latentcat.mle import CmleConfig, fit
 from latentcat.ordered import linear_projection, reported_conditional
@@ -60,7 +60,7 @@ def test_resample_same_seed_identical():
 
 def test_resample_stratified_preserves_cell_counts():
     data = small_dataset(n=200, seed=3, n_cells=4)
-    redraw = resample(data, seed=11, stratify_by_cell=True)
+    redraw = resample(data, seed=11)
     assert np.array_equal(redraw.cell_counts(), data.cell_counts())
 
 
@@ -145,13 +145,10 @@ def test_run_plan_rows_follow_replicate_seeds():
     def estimator(d):
         return np.array([mean_x(d), mean_y(d), *d.cell_counts()])
 
-    for stratify in (False, True):
-        run = run_plan(data, per_redraw(estimator), b=24, seed=13,
-                       stratify_by_cell=stratify)
-        keyed = [estimator(resample(data, np.random.SeedSequence((13, i, 0x7273)),
-                                    stratify))
-                 for i in range(24)]
-        assert np.array_equal(run.estimates, np.vstack(keyed))
+    run = run_plan(data, per_redraw(estimator), b=24, seed=13)
+    keyed = [estimator(resample(data, np.random.SeedSequence((13, i, 0x7273))))
+             for i in range(24)]
+    assert np.array_equal(run.estimates, np.vstack(keyed))
 
 
 def test_run_plan_drops_failed_replicates():
@@ -223,23 +220,17 @@ def test_boot_se_matches_monte_carlo_sd():
 # ---------------------------------------------------------------------------
 
 
-def record_gather(sample, seed, stratify_by_cell=False):
-    """The former engine: draw n records with replacement (within each
-    covariate cell when stratified), then count them."""
+def record_gather(sample, seed):
+    """The former engine: draw each covariate cell's records with
+    replacement, then count them."""
     rng = np.random.default_rng(seed)
-    n = sample.x.size
-    if not stratify_by_cell:
-        idx = rng.integers(0, n, size=n)
-    else:
-        idx = np.empty(n, dtype=np.int64)
-        pos = 0
-        for cell in range(sample.data.n_w_cells):
-            members = np.flatnonzero(sample.w == cell)
-            if members.size == 0:
-                continue
-            take = rng.integers(0, members.size, size=members.size)
-            idx[pos : pos + members.size] = members[take]
-            pos += members.size
+    idx = np.empty(sample.x.size, dtype=np.int64)
+    pos = 0
+    for cell in range(sample.data.n_w_cells):
+        members = np.flatnonzero(sample.w == cell)
+        take = rng.integers(0, members.size, size=members.size)
+        idx[pos : pos + members.size] = members[take]
+        pos += members.size
     data = sample.data
     return Dataset.from_records(
         sample.x[idx], sample.y[idx], sample.z[idx], sample.w[idx],
@@ -247,8 +238,7 @@ def record_gather(sample, seed, stratify_by_cell=False):
     )
 
 
-@pytest.mark.parametrize("stratify", [False, True])
-def test_count_redraws_match_record_redraws_in_distribution(stratify):
+def test_count_redraws_match_record_redraws_in_distribution():
     # Bootstrap SEs of the reported linear-projection coefficients from
     # B = 2000 replicates of each engine. Each SE has a relative Monte Carlo
     # sd of about 1/sqrt(2(B-1)) = 1.6%, so the ratio of two independent
@@ -261,10 +251,10 @@ def test_count_redraws_match_record_redraws_in_distribution(stratify):
         return linear_projection(reported_conditional(d), target="reported").beta
 
     b = 2000
-    counts = run_plan(data, per_redraw(beta), b=b, seed=31, stratify_by_cell=stratify)
+    counts = run_plan(data, per_redraw(beta), b=b, seed=31)
     assert counts.n_dropped == 0
     records = np.vstack([
-        beta(record_gather(sample, np.random.SeedSequence((32, i)), stratify))
+        beta(record_gather(sample, np.random.SeedSequence((32, i))))
         for i in range(b)
     ])
     ratio = counts.se() / records.std(axis=0, ddof=1)
@@ -273,35 +263,41 @@ def test_count_redraws_match_record_redraws_in_distribution(stratify):
 
 def test_stratified_redraws_keep_every_cell_total():
     data = small_dataset(n=300, seed=22, n_cells=8)
-    unstratified_moved = False
+    counts = data.counts.copy()
+    counts[5] = 0  # an empty cell stays empty
+    data = Dataset(counts, data.w_columns, data.w_labels)
     for i in range(50):
-        redraw = resample(data, np.random.SeedSequence((5, i)), stratify_by_cell=True)
+        redraw = resample(data, np.random.SeedSequence((5, i)))
         assert np.array_equal(redraw.cell_counts(), data.cell_counts())
-        plain = resample(data, np.random.SeedSequence((5, i)))
-        assert plain.n == data.n
-        unstratified_moved |= not np.array_equal(plain.cell_counts(), data.cell_counts())
-    assert unstratified_moved
+
+
+def test_one_cell_redraw_is_the_whole_table_multinomial():
+    # With one covariate cell, the redraw within cells is the redraw of all
+    # n records: one Multinomial(n, counts / n) over the table, bit for bit.
+    data = small_dataset(n=300, seed=23, n_cells=1)
+    for i in range(50):
+        seed = np.random.SeedSequence((6, i))
+        whole = np.random.default_rng(seed).multinomial(data.n, data.counts.ravel() / data.n)
+        assert np.array_equal(resample(data, seed).counts.ravel(), whole)
 
 
 def test_run_plan_counts_drops_by_reason():
     data = small_dataset(n=60, seed=12, n_cells=2)
-    empties = more_x1_than(data)
+    fails = more_x1_than(data)
 
     def estimator(d):
-        if empties(d):
-            raise EmptyCellError("synthetic empty cell")
-        if d.counts[:, 1].sum() > data.counts[:, 1].sum():
+        if fails(d):
             raise EstimationError("synthetic failure")
         return np.array([mean_x(d)])
 
     run = run_plan(data, per_redraw(estimator), b=40, seed=16)
-    assert run.dropped["emptied_cell"] >= 1 and run.dropped["estimator_failed"] >= 1
+    assert run.dropped["estimator_failed"] >= 1
     assert run.n_dropped == sum(run.dropped.values())
     assert run.to_dict()["dropped"] == run.dropped
     assert run.estimates.shape[0] == 40 - run.n_dropped
 
-    def always_empty(d):
-        raise EmptyCellError("synthetic empty cell")
+    def always_fails(d):
+        raise EstimationError("synthetic failure")
 
-    with pytest.raises(EstimationError, match="'emptied_cell': 5"):
-        run_plan(data, per_redraw(always_empty), b=5, seed=16)
+    with pytest.raises(EstimationError, match="'estimator_failed': 5"):
+        run_plan(data, per_redraw(always_fails), b=5, seed=16)
