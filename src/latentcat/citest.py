@@ -221,25 +221,20 @@ def conditional_test_suite(
     data: Dataset,
     b: int = DEFAULT_B,
     seed: int = 0,
-    min_cell_count: int = MIN_CELL_COUNT,
 ) -> SuiteReport:
-    """Pooled test plus one per-cell test for every sufficiently large cell.
-
-    Cells under ``min_cell_count`` records (including empty ones) are
-    reported as skipped, so ``min_cell_count`` must be at least 1. Per-cell
-    seeds derive from the master seed and the cell index, so reports do not
-    depend on evaluation order.
+    """Pooled test plus one per-cell test for every cell of at least
+    ``MIN_CELL_COUNT`` records; smaller cells, empty ones included, are
+    reported as skipped. Per-cell seeds derive from the master seed and the
+    cell index, so reports do not depend on evaluation order.
     """
-    if min_cell_count < 1:
-        raise DomainError(f"min_cell_count must be at least 1, got {min_cell_count}")
     pooled = bootstrap_test(data, None, b, seed)
     counts = data.cell_counts()
     reports: list[TestReport] = []
     skipped: list[SkippedCell] = []
     for cell in range(data.n_w_cells):
         n_cell = int(counts[cell])
-        if n_cell < min_cell_count:
-            reason = "empty" if n_cell == 0 else f"fewer than {min_cell_count} records"
+        if n_cell < MIN_CELL_COUNT:
+            reason = "empty" if n_cell == 0 else f"fewer than {MIN_CELL_COUNT} records"
             skipped.append(
                 SkippedCell(w_cell=data.w_labels[cell], n=n_cell, reason=reason)
             )

@@ -27,14 +27,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .citest import DEFAULT_B, MIN_B, MIN_CELL_COUNT, bootstrap_test, conditional_test_suite
+from .citest import DEFAULT_B, MIN_B, bootstrap_test, conditional_test_suite
 from .data import Dataset, cell_rows, ingest, load_schema, tabulate
 from .errors import (
     ConfigurationError,
     DataError,
     DomainError,
     EstimationError,
-    IdentificationError,
     LatentcatError,
     OptimizationError,
 )
@@ -42,7 +41,6 @@ from .generate import (
     GeneratorSpec, ProbitParams, SyntheticSample, draw, make_cell_weights, make_model
 )
 from .mle import CmleResult, saturated_loglik
-from .ordered import check_clamp
 from .pipeline import (
     SKEDASTIC, bootstrap_std_errors, cell_configs, fit_cells, model_std_errors,
     parametric_fit,
@@ -78,16 +76,6 @@ def _replicates(value: str) -> int:
     number = int(value)
     if number < 2 and number != 0:
         raise argparse.ArgumentTypeError("must be at least 2, or 0 for none")
-    return number
-
-
-def _number_in(check):
-    """argparse type for a float option in ``check``'s domain, refused before ingest."""
-    def number(value: str) -> float:
-        try:
-            return check(float(value))
-        except DomainError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
     return number
 
 
@@ -320,9 +308,7 @@ def _cmd_test(args) -> int:
     manifest = _Manifest("test", vars(args))
     data = _load_data(args.input, args.schema, manifest)
     if args.by_cell:
-        suite = conditional_test_suite(
-            data, b=args.B, seed=args.seed, min_cell_count=args.min_cell
-        )
+        suite = conditional_test_suite(data, b=args.B, seed=args.seed)
         payload = {"schema_version": "1", **suite.to_dict()}
     else:
         rep = bootstrap_test(data, None, b=args.B, seed=args.seed)
@@ -396,7 +382,7 @@ def _cmd_identify(args) -> int:
     if n_failed:
         print(f"{n_failed} of {len(cells)} cells failed identification",
               file=sys.stderr)
-    return 0 if n_failed == 0 else IdentificationError.exit_code
+    return 0 if n_failed == 0 else OptimizationError.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +450,7 @@ def _cmd_estimate(args) -> int:
         models = _models_from_artifact(artifact, data)
     [point] = parametric_fit([data], args.model, args.target,
                              None if models is None else [models],
-                             clamp=args.clamp, skedastic_kind=args.skedastic)
+                             skedastic_kind=args.skedastic)
     if isinstance(point, LatentcatError):
         raise point
     manifest.stage("point_fit")
@@ -479,7 +465,6 @@ def _cmd_estimate(args) -> int:
             b=args.boot,
             seed=args.seed,
             models=models,
-            clamp=args.clamp,
             skedastic_kind=args.skedastic,
         )
         boot_meta = {**run.to_dict(), "seed": args.seed}
@@ -527,7 +512,8 @@ def _cmd_replay(args) -> int:
     command = manifest["command"]
     # Options this version does not take are dropped with a note. Unlike
     # --threads, the retired bootstrap options changed artifacts: such a run
-    # replays under the one replicate rule.
+    # replays under the one replicate rule. --clamp and --min-cell are
+    # constants: a run that set another value replays under them.
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     actions = sub.choices[command]._actions if command in sub.choices else []
@@ -590,8 +576,6 @@ def _build_parser() -> _Parser:
     p_test.add_argument("--by-cell", action="store_true", dest="by_cell")
     p_test.add_argument("--B", type=_int_at_least(MIN_B), default=DEFAULT_B)
     p_test.add_argument("--seed", type=_int_at_least(0), required=True)
-    p_test.add_argument("--min-cell", type=_int_at_least(1), default=MIN_CELL_COUNT,
-                        dest="min_cell")
     p_test.add_argument("--out", required=True)
     p_test.set_defaults(func=_cmd_test)
 
@@ -618,7 +602,6 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--target", choices=["latent", "reported"], required=True)
     p_est.add_argument("--boot", type=_replicates, default=0)
     p_est.add_argument("--seed", type=_int_at_least(0), required=True)
-    p_est.add_argument("--clamp", type=_number_in(check_clamp), default=1e-6)
     p_est.add_argument("--skedastic", choices=SKEDASTIC,
                        default="nonparametric",
                        help="reported-target heteroskedastic scale: closed-form "

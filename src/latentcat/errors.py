@@ -2,9 +2,9 @@
 
 The CLI exits with the class's ``exit_code``: 1 for input-side problems
 (schema, data, configuration, generator specs), 2 for numerical failures of
-the tests and estimators. Public functions raise these, never bare ValueError;
-``IdentificationError`` is raised by none and only names ``identify``'s exit
-code for a cell that failed.
+the tests and estimators. Public functions raise these, never bare ValueError.
+``identify`` exits with ``OptimizationError``'s code when a cell's fit fails or
+the cell is empty.
 """
 
 
@@ -40,13 +40,6 @@ class GeneratorError(LatentcatError):
 
 class IndependenceTestError(LatentcatError):
     """The independence test cannot be run on this (sub)sample."""
-
-    exit_code = 2
-
-
-class IdentificationError(LatentcatError):
-    """A covariate cell could not be identified: ``identify`` exits with this
-    class's code when a cell's fit fails or the cell is empty."""
 
     exit_code = 2
 

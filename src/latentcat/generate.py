@@ -222,13 +222,9 @@ def make_model(spec: GeneratorSpec) -> list[MisclassificationModel]:
     return models
 
 
-def make_cell_weights(n_cells: int, seed: int | None = None) -> np.ndarray:
-    """Covariate-cell weights: uniform, or mildly random when seeded."""
-    if seed is None:
-        return np.full(n_cells, 1.0 / n_cells)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x776774)))
-    raw = rng.dirichlet(np.full(n_cells, 8.0))
-    return raw / raw.sum()
+def make_cell_weights(n_cells: int) -> np.ndarray:
+    """Uniform covariate-cell weights."""
+    return np.full(n_cells, 1.0 / n_cells)
 
 
 def draw(
@@ -297,11 +293,11 @@ def draw(
     return SyntheticSample(data, x, y, z, w, truth=xstar if keep_truth else None)
 
 
-def probit_population(params: ProbitParams, weights=None) -> LatentConditional:
+def probit_population(params: ProbitParams) -> LatentConditional:
     """Exact latent cell pmfs from the ordered-response formula (no sampling).
 
     Returns a LatentConditional over all 2^k cells of the k covariates that
-    follow the intercept in ``params.beta``; weights default to uniform.
+    follow the intercept in ``params.beta``, with uniform weights.
     """
     n_cols = params.beta.size - 1
     q = cell_rows(n_cols)
@@ -309,7 +305,7 @@ def probit_population(params: ProbitParams, weights=None) -> LatentConditional:
         raise ConfigurationError("beta and sigma_by_cell imply different cell counts")
     return LatentConditional(
         q=q,
-        weights=np.full(len(q), 1.0 / len(q)) if weights is None else weights,
+        weights=make_cell_weights(len(q)),
         # Per-row dot products: q @ beta rounds differently, and make_model's
         # latent marginals (so simulated records) rest on these bits.
         probs=_cell_probs(np.array([row @ params.beta for row in q]),
@@ -324,7 +320,7 @@ def random_probit_params(
     """Draw ordered-probit parameters that keep every cell probability interior.
 
     Slopes and scales are bounded so that no cumulative probability comes
-    near the inversion clamp, preserving exact closed-form round trips.
+    near ``ordered.CLAMP``, preserving exact closed-form round trips.
     """
     n_cells = 2**n_covariates
     beta = np.concatenate(

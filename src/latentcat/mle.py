@@ -58,6 +58,8 @@ EM_MAX_ITERATIONS = 5000
 EM_RTOL = 1e-13
 # Starts agree when their log-likelihoods tie the best within this (relative).
 AGREE_RTOL = 1e-6
+# The spectral start's probabilities are clipped this far inside the simplex.
+START_FLOOR = 1e-6
 # A probability (or last-row gap) this close to 0 or 1 is a boundary flag.
 BOUNDARY_TOL = 1e-2
 # The boundary flags' name of each block, in ``spectral.BLOCKS`` order.
@@ -173,9 +175,9 @@ def saturated_loglik(counts: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _interior(p: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Columns (axis -2) clipped to ``floor`` and renormalized to sum to 1."""
-    p = np.clip(p, floor, None)
+def _interior(p: np.ndarray) -> np.ndarray:
+    """Columns (axis -2) clipped to ``START_FLOOR`` and renormalized to sum to 1."""
+    p = np.clip(p, START_FLOOR, None)
     return p / p.sum(axis=-2, keepdims=True)
 
 
@@ -206,9 +208,8 @@ def _em_map(theta: np.ndarray, counts: np.ndarray, totals: np.ndarray,
     of the joint pmf (``spectral._state_terms``): the posterior count of
     latent state s in cell (x, y, z) is counts / p * q, and F sets every
     block to those counts summed over the other axes, normalized (each
-    clipped at 1e-12 first, as ``_interior`` does). F keeps its output
-    strictly inside the simplex. Each item's numbers do not depend on the
-    rest of the batch.
+    clipped at 1e-12 first). F keeps its output strictly inside the
+    simplex. Each item's numbers do not depend on the rest of the batch.
     """
     q = _state_terms(theta, s_x, s_z)
     p = np.maximum(_add(q, axis=3), P_FLOOR)
@@ -324,9 +325,9 @@ def _random_model(rng, s_x: int, s_z: int) -> MisclassificationModel:
 
 def _spectral_start(counts: np.ndarray) -> MisclassificationModel | None:
     """``closed_form`` of the pmf ``counts / counts.sum()``, projected into
-    the open simplex: P(X|s) and P(Y=1|s) clipped 1e-6 inside it, then P(s)
-    and P(Z|s) solved against the projected P(X|s) and clipped in turn. It
-    only has to land in the right basin with the right latent-state
+    the open simplex: P(X|s) and P(Y=1|s) clipped ``START_FLOOR`` inside it,
+    then P(s) and P(Z|s) solved against the projected P(X|s) and clipped in
+    turn. It only has to land in the right basin with the right latent-state
     ordering. None where there is no closed form, or where the projected
     P(X|s) is too ill-conditioned to solve against.
     """
@@ -334,16 +335,16 @@ def _spectral_start(counts: np.ndarray) -> MisclassificationModel | None:
     exact = closed_form(probs)
     if exact is None:
         return None
-    m_x = _interior(exact.m_x_given_xstar, 1e-6)
-    f_y = np.clip(exact.f_y_given_xstar, 1e-6, 1.0 - 1e-6)
+    m_x = _interior(exact.m_x_given_xstar)
+    f_y = np.clip(exact.f_y_given_xstar, START_FLOOR, 1.0 - START_FLOOR)
     # A singular m_x has an infinite condition number; an ill-conditioned one
     # fails the start as well.
     if np.linalg.cond(m_x, 1) * np.finfo(float).eps >= 1.0:
         return None
     m_xz, _ = build_matrices(probs)
     f_xstar = np.linalg.solve(m_x, probs.sum(axis=(1, 2)))
-    f_xstar = _interior(f_xstar[:, None], 1e-6).ravel()
-    m_z = _interior((np.linalg.solve(m_x, m_xz) / f_xstar[:, None]).T, 1e-6)
+    f_xstar = _interior(f_xstar[:, None]).ravel()
+    m_z = _interior((np.linalg.solve(m_x, m_xz) / f_xstar[:, None]).T)
     return MisclassificationModel(m_x, f_y, m_z, f_xstar)
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, cell_rows, design_columns
-from .errors import ConfigurationError, DomainError, EmptyCellError, EstimationError
+from .errors import ConfigurationError, EmptyCellError, EstimationError
 from .spectral import MisclassificationModel
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "latent_conditional",
     "reported_conditional",
     "linear_projection",
-    "check_clamp",
     "skedastic",
     "hetero_ordered_probit",
     "homo_ordered_probit",
@@ -58,7 +57,7 @@ __all__ = [
     "exponential_skedastic_probit",
 ]
 
-DEFAULT_CLAMP = 1e-6
+CLAMP = 1e-6  # cumulative probabilities are clipped into [CLAMP, 1-CLAMP] before inversion
 EFFECT_SCALE_NOTE = "conditional-median scale"
 
 # Fisher scoring stops once the decrement score' inv(information) score falls
@@ -278,36 +277,25 @@ def _norm_ppf(u: float) -> float:
     return -math.inf if u <= 0.0 else math.inf
 
 
-def check_clamp(clamp: float) -> float:
-    """``clamp`` if it lies in (0, 0.5), where [clamp, 1-clamp] is a
-    nonempty interval inside (0, 1); else a ``DomainError``."""
-    if not 0.0 < clamp < 0.5:  # NaN fails too
-        raise DomainError(f"clamp must lie in (0, 0.5), got {clamp!r}")
-    return clamp
-
-
-def _clamped_ppf(cum: np.ndarray, clamp: float) -> tuple[np.ndarray, int]:
-    clipped = np.clip(cum, clamp, 1.0 - clamp)
+def _clamped_ppf(cum: np.ndarray) -> tuple[np.ndarray, int]:
+    clipped = np.clip(cum, CLAMP, 1.0 - CLAMP)
     events = int(np.count_nonzero(clipped != cum))
     return np.asarray([_norm_ppf(u) for u in clipped.tolist()]), events
 
 
-def skedastic(
-    lc: LatentConditional, clamp: float = DEFAULT_CLAMP
-) -> tuple[dict[str, float], int]:
+def skedastic(lc: LatentConditional) -> tuple[dict[str, float], int]:
     """Per-cell disturbance scale from the two pinned cutpoints.
 
-    Cumulative probabilities are clamped into [clamp, 1-clamp] before
-    inversion; the clamp-event count comes back with the map. A clamp
-    outside (0, 0.5) is a ``DomainError``. A non-positive scale (possible
-    only after clamping) is an estimation error naming the cell.
+    Cumulative probabilities are clamped into [CLAMP, 1-CLAMP] before
+    inversion; the clamp-event count comes back with the map. A
+    non-positive scale (possible only after clamping) is an estimation
+    error naming the cell.
     """
-    check_clamp(clamp)
     if lc.n_levels < 3:
         raise ConfigurationError("need at least three outcome levels")
     p = lc.probs
-    ppf1, e1 = _clamped_ppf(p[:, 0], clamp)
-    ppf2, e2 = _clamped_ppf(p[:, 0] + p[:, 1], clamp)
+    ppf1, e1 = _clamped_ppf(p[:, 0])
+    ppf2, e2 = _clamped_ppf(p[:, 0] + p[:, 1])
     denom = ppf2 - ppf1
     if (denom <= 0).any():
         label = lc.labels[np.argmax(denom <= 0)]
@@ -326,7 +314,6 @@ def hetero_ordered_probit(
     lc: LatentConditional,
     sigma: dict[str, float],
     target: str = "latent",
-    clamp: float = DEFAULT_CLAMP,
 ) -> ParametricFit:
     """Heteroskedastic ordered-probit coefficients by exact inversion.
 
@@ -335,14 +322,13 @@ def hetero_ordered_probit(
     levels) are weight-averaged across cells with their spread reported.
     ``norm_identity_max_dev`` is the worst per-cell deviation between that
     outcome and the second cutpoint's form 1 - sigma(q) * PhiInv(P[V<=2|q]).
-    Cumulative probabilities are clamped into [clamp, 1-clamp] as in
-    ``skedastic``; a clamp outside (0, 0.5) is a ``DomainError``.
+    Cumulative probabilities are clamped into [CLAMP, 1-CLAMP] as in
+    ``skedastic``.
     """
-    check_clamp(clamp)
     sig = _sigma_vector(lc, sigma)
     cum = np.cumsum(lc.probs, axis=1)
-    ppf1, e1 = _clamped_ppf(cum[:, 0], clamp)
-    ppf2, e2 = _clamped_ppf(cum[:, 1], clamp)
+    ppf1, e1 = _clamped_ppf(cum[:, 0])
+    ppf2, e2 = _clamped_ppf(cum[:, 1])
     beta = _weighted_solve(lc.q, lc.weights, -sig * ppf1, lc.column_names)
 
     norm_dev = float(np.max(np.abs(sig * ppf1 - (sig * ppf2 - 1.0))))
@@ -355,7 +341,7 @@ def hetero_ordered_probit(
         index = lc.q @ beta
         spreads = []
         for i in range(3, n_levels):
-            ppf_i, e_i = _clamped_ppf(cum[:, i - 1], clamp)
+            ppf_i, e_i = _clamped_ppf(cum[:, i - 1])
             clamp_events += e_i
             per_cell = index + sig * ppf_i
             mean = float(np.sum(lc.weights * per_cell))
@@ -375,15 +361,14 @@ def hetero_ordered_probit(
     )
 
 
-def homo_ordered_probit(lc: LatentConditional, target: str = "latent",
-                        clamp: float = DEFAULT_CLAMP) -> ParametricFit:
+def homo_ordered_probit(lc: LatentConditional, target: str = "latent") -> ParametricFit:
     """Homoskedastic ordered probit by exact inversion, scale pinned to 1.
 
     Applies to either target's conditional; ``ordered_probit_mle`` is the
     maximum-likelihood benchmark on the reported counts.
     """
     unit = dict.fromkeys(lc.labels, 1.0)
-    fit_ = hetero_ordered_probit(lc, unit, target=target, clamp=clamp)
+    fit_ = hetero_ordered_probit(lc, unit, target=target)
     return replace(fit_, kind="ordered-probit-homoskedastic", sigma_by_cell=None,
                    scale=1.0)
 

@@ -48,7 +48,6 @@ from .spectral import MisclassificationModel
 __all__ = [
     "cell_configs",
     "fit_cells",
-    "conditional_for_target",
     "parametric_fit",
     "bootstrap_std_errors",
     "model_std_errors",
@@ -98,30 +97,11 @@ def _first_failure(fits: list) -> OptimizationError | None:
     return next((fit for fit in fits if isinstance(fit, OptimizationError)), None)
 
 
-def conditional_for_target(
-    data: Dataset,
-    target: str,
-    models: list[MisclassificationModel] | None = None,
-) -> LatentConditional:
-    """Outcome conditional for either target, the latent one on the given
-    cell ``models`` (ConfigurationError without them)."""
-    if target == "reported":
-        return reported_conditional(data)
-    if target != "latent":
-        raise EstimationError(f"unknown target {target!r}")
-    if models is None:
-        raise ConfigurationError("the latent target needs cell models")
-    return latent_conditional(models, data.cell_counts() / data.n,
-                              column_names=design_columns(data.w_columns),
-                              labels=data.w_labels)
-
-
 def parametric_fit(
     datasets: list[Dataset],
     model: str,
     target: str,
     models: list[list[MisclassificationModel]] | None = None,
-    clamp: float = 1e-6,
     skedastic_kind: str = "nonparametric",
 ) -> list[ParametricFit | EstimationError]:
     """One named fit of each dataset: model in {linear, oprobit, hoprobit},
@@ -135,8 +115,9 @@ def parametric_fit(
     Everything else goes through the conditional representation and the
     closed forms, one dataset at a time, the latent target on the cell
     models ``models[i]`` of dataset i. An unknown model or target, a
-    skedastic kind on another model, or an empty covariate cell under a
-    reported closed form (``EmptyCellError``) raises for the whole call.
+    latent target without one model list per dataset, a skedastic kind on
+    another model, or an empty covariate cell under a reported closed form
+    (``EmptyCellError``) raises for the whole call.
     """
     if skedastic_kind != "nonparametric":
         if (model, target, skedastic_kind) != ("hoprobit", "reported", "exponential"):
@@ -150,26 +131,29 @@ def parametric_fit(
         raise EstimationError(f"unknown model {model!r}")
     if model == "oprobit" and target == "reported":
         return ordered_probit_mle(datasets)
-    if models is not None and len(models) != len(datasets):
-        raise ConfigurationError(f"{len(models)} model lists for {len(datasets)} datasets")
+    if target == "latent" and (models is None or len(models) != len(datasets)):
+        raise ConfigurationError(f"the latent target needs cell models: {len(models or [])} "
+                                 f"model lists for {len(datasets)} datasets")
     fits = []
-    for data, cell_models in zip(datasets, models or [None] * len(datasets)):
+    for i, data in enumerate(datasets):
         try:
-            fits.append(_closed_form(conditional_for_target(data, target, cell_models),
-                                     model, target, clamp))
+            lc = (reported_conditional(data) if target == "reported" else
+                  latent_conditional(models[i], data.cell_counts() / data.n,
+                                     column_names=design_columns(data.w_columns),
+                                     labels=data.w_labels))
+            fits.append(_closed_form(lc, model, target))
         except EstimationError as exc:
             fits.append(exc)
     return fits
 
 
-def _closed_form(lc: LatentConditional, model: str, target: str,
-                 clamp: float) -> ParametricFit:
+def _closed_form(lc: LatentConditional, model: str, target: str) -> ParametricFit:
     if model == "linear":
         return linear_projection(lc, target=target)
     if model == "oprobit":
-        return homo_ordered_probit(lc, target=target, clamp=clamp)
-    sigma, _ = skedastic(lc, clamp=clamp)
-    return hetero_ordered_probit(lc, sigma, target=target, clamp=clamp)
+        return homo_ordered_probit(lc, target=target)
+    sigma, _ = skedastic(lc)
+    return hetero_ordered_probit(lc, sigma, target=target)
 
 
 def bootstrap_std_errors(
@@ -180,7 +164,6 @@ def bootstrap_std_errors(
     b: int,
     seed: int,
     models: list[MisclassificationModel] | None = None,
-    clamp: float = 1e-6,
     skedastic_kind: str = "nonparametric",
 ) -> tuple[ParametricFit, BootstrapRun]:
     """Re-run the point fit on every bootstrap redraw; attach s.e. vector.
@@ -203,8 +186,8 @@ def bootstrap_std_errors(
         outcomes = [_first_failure(fits) for fits in fitted]
         kept = [i for i, failure in enumerate(outcomes) if failure is None]
         reps = parametric_fit([redraws[i] for i in kept], model, target,
-                              [[fit.model for fit in fitted[i]] or None for i in kept],
-                              clamp, skedastic_kind)
+                              [[fit.model for fit in fitted[i]] for i in kept],
+                              skedastic_kind)
         for i, rep in zip(kept, reps):
             outcomes[i] = rep if isinstance(rep, EstimationError) else (
                 rep.beta, any(fit.boundary_flags for fit in fitted[i]))

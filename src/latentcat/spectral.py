@@ -101,7 +101,7 @@ class MisclassificationModel:
         last = self.m_x_given_xstar[-1, :]
         return bool(np.all(np.diff(last) > 0))
 
-    def validate(self, tol: float = STOCHASTIC_TOL) -> None:
+    def validate(self) -> None:
         """Raise DomainError unless the blocks fit one model and all are valid
         probability objects."""
         shapes = tuple(np.shape(block) for block in self.blocks)
@@ -111,13 +111,13 @@ class MisclassificationModel:
         # The matrices first, then the vectors, each in pack order.
         for name in sorted(BLOCKS, key=lambda name: -getattr(self, name).ndim):
             block = getattr(self, name)
-            if (block < -tol).any() or (block > 1 + tol).any():
+            if (block < -STOCHASTIC_TOL).any() or (block > 1 + STOCHASTIC_TOL).any():
                 raise DomainError(f"{name} entries outside [0,1]")
             if block.ndim == 2:
                 dev = np.abs(block.sum(axis=0) - 1.0).max()
-                if dev > tol:
+                if dev > STOCHASTIC_TOL:
                     raise DomainError(f"{name} columns sum to 1 +/- {dev:.2e}")
-        if abs(self.f_xstar.sum() - 1.0) > tol:
+        if abs(self.f_xstar.sum() - 1.0) > STOCHASTIC_TOL:
             raise DomainError("f_xstar does not sum to 1")
 
     def pack(self) -> np.ndarray:

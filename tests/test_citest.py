@@ -215,7 +215,7 @@ def test_pvalue_monotone_in_dependence():
 
 def test_suite_shapes_and_skips():
     data = sample_dataset(0.5, 3000, seed=14, n_cells=4)
-    suite = conditional_test_suite(data, b=149, seed=2, min_cell_count=100)
+    suite = conditional_test_suite(data, b=149, seed=2)
     assert isinstance(suite, SuiteReport)
     assert suite.pooled.n == 3000
     assert len(suite.cells) + len(suite.skipped) == 4
@@ -235,13 +235,19 @@ def test_suite_constant_covariate_skips_half():
     assert len(empty) == 3
 
 
-@pytest.mark.parametrize("min_cell_count", [0, -1])
-def test_suite_refuses_min_cell_count_below_one(min_cell_count):
-    # Every cell is populated, so the refusal is the bound itself; with an
-    # empty cell a bound below 1 would run a test on no records.
-    data = sample_dataset(0.5, 1200, seed=14, n_cells=2)
-    with pytest.raises(DomainError, match="min_cell_count must be at least 1"):
-        conditional_test_suite(data, b=99, seed=2, min_cell_count=min_cell_count)
+def test_suite_tests_cells_of_at_least_100_records():
+    # citest.MIN_CELL_COUNT is 100: a 99-record cell is skipped, a 100-record one tested.
+    base = sample_records(0.5, 1200, seed=15)
+    w = np.zeros(base.data.n, dtype=int)
+    w[:99], w[99:199] = 1, 2
+    data = Dataset.from_records(
+        x=base.x, y=base.y, z=base.z, w=w, support=base.data.support,
+        w_columns=("c1", "c2"), w_labels=("0", "A", "B", "AB"),
+    )
+    suite = conditional_test_suite(data, b=99, seed=4)
+    assert [report.w_cell for report in suite.cells] == ["0", "B"]
+    assert [(s.w_cell, s.n, s.reason) for s in suite.skipped] == [
+        ("A", 99, "fewer than 100 records"), ("AB", 0, "empty")]
 
 
 def test_suite_deterministic_under_permutation():

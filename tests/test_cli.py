@@ -105,9 +105,13 @@ def test_replay_drops_the_retired_threads_option(pipeline, tmp_path, capsys):
     assert run(estimate) == 0
     # A manifest written while an option existed records it. Unlike --threads,
     # the retired bootstrap options changed artifacts; such a manifest replays
-    # under the one replicate rule, with the same note.
-    for retired in ({"threads": 2}, {"starts": 10}, {"boot_starts": 2, "stratify": True}):
-        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    # under the one replicate rule, with the same note. --clamp and --min-cell
+    # recorded their defaults, which are now constants.
+    for artifact, retired in ((out, {"threads": 2}), (out, {"starts": 10}),
+                              (out, {"boot_starts": 2, "stratify": True}),
+                              (out, {"clamp": 1e-06}),
+                              (pipeline["report"], {"min_cell": 100})):
+        manifest = json.loads(Path(str(artifact) + ".manifest.json").read_text())
         manifest["options"].update(retired)
         name = "-".join(retired)
         old_manifest = tmp_path / f"old-{name}.manifest.json"
@@ -116,7 +120,7 @@ def test_replay_drops_the_retired_threads_option(pipeline, tmp_path, capsys):
         assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 0
         assert f"ignoring options this version does not take: {sorted(retired)}" in (
             capsys.readouterr().err)
-        assert (out_dir / out.name).read_bytes() == out.read_bytes()
+        assert (out_dir / artifact.name).read_bytes() == artifact.read_bytes()
 
 
 def test_option_inventory():
@@ -129,11 +133,11 @@ def test_option_inventory():
     assert {name: {action.dest for action in parser._actions} - {"help"}
             for name, parser in sub.choices.items()} == {
         "simulate": {"spec", "n", "seed", "out", "truth"},
-        "test": {"input", "schema", "by_cell", "B", "seed", "min_cell", "out"},
+        "test": {"input", "schema", "by_cell", "B", "seed", "out"},
         "identify": {"input", "schema", "by_cell", "method", "starts", "seed", "ord",
                      "boot", "out"},
         "estimate": {"models", "data", "schema", "model", "target", "boot", "seed",
-                     "clamp", "skedastic", "out"},
+                     "skedastic", "out"},
         "report": {"inputs", "format", "out"},
         "replay": {"manifest", "out_dir"},
     }
@@ -716,7 +720,7 @@ SIMULATE = ["simulate"]
     (ESTIMATE_LATENT, "--boot", "-1"),
     (ESTIMATE_LATENT, "--seed", "-1"),
     (TEST_BY_CELL, "--B", "98"),
-    (TEST_BY_CELL, "--min-cell", "0"),
+    (TEST_BY_CELL, "--seed", "-1"),
     (SIMULATE, "--n", "0"),
     (SIMULATE, "--n", "-3"),
     (IDENTIFY_CMLE, "--boot", "1"),
@@ -741,16 +745,21 @@ def test_counts_below_their_minimum_refused_before_ingest(tmp_path, capsys,
     (IDENTIFY_CMLE, ["--boot-starts", "2"]),
     (ESTIMATE_LATENT, ["--boot-starts", "2"]),
     (ESTIMATE_LATENT, ["--stratify"]),
+    (ESTIMATE_LATENT, ["--clamp", "0.01"]),
+    (TEST_BY_CELL, ["--min-cell", "50"]),
 ])
 def test_retired_bootstrap_options_refused_before_ingest(tmp_path, capsys, command,
                                                          option):
     # Every bootstrap redraws within cells and refits cells at a fixed start
-    # count, so neither choice is taken any more.
+    # count, so neither choice is taken any more; the inversion clamp and the
+    # per-cell test's minimum size are constants.
     missing = str(tmp_path / "missing.csv")
-    inputs = {"identify": ["--input", missing, "--schema", missing],
-              "estimate": ["--models", missing, "--data", missing, "--schema", missing]}
+    inputs = {"identify": ["--input", missing, "--schema", missing, "--boot", "3"],
+              "test": ["--input", missing, "--schema", missing],
+              "estimate": ["--models", missing, "--data", missing, "--schema", missing,
+                           "--boot", "3"]}
     out = tmp_path / "out.json"
-    assert run([*command, *inputs[command[0]], "--boot", "3", *option, "--seed", "1",
+    assert run([*command, *inputs[command[0]], *option, "--seed", "1",
                 "--out", str(out)]) == 64
     assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
     assert not out.exists()
@@ -786,12 +795,13 @@ def test_latent_estimate_boot_on_data_with_an_empty_cell_is_one_error_line(tmp_p
 
 @pytest.mark.parametrize("clamp", ["nan", "-1", "0", "0.5", "0.7", "inf"])
 def test_clamp_outside_its_domain_refused_before_ingest(tmp_path, capsys, clamp):
+    # The clamp is the constant ordered.CLAMP; no value of --clamp is taken now.
     missing = str(tmp_path / "missing.csv")
     out = tmp_path / "out.json"
     assert run([*ESTIMATE_LATENT, "--models", missing, "--data", missing,
                 "--schema", missing, "--clamp", clamp, "--seed", "1",
                 "--out", str(out)]) == 64
-    assert "argument --clamp: clamp must lie in (0, 0.5)" in capsys.readouterr().err
+    assert f"unrecognized arguments: --clamp {clamp}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -104,11 +104,7 @@ def test_misclassification_rate_converges():
 
 
 def test_make_cell_weights():
-    uniform = make_cell_weights(8)
-    assert np.allclose(uniform, 1 / 8)
-    seeded = make_cell_weights(8, seed=3)
-    assert seeded.sum() == pytest.approx(1.0)
-    assert not np.allclose(seeded, 1 / 8)
+    assert np.allclose(make_cell_weights(8), 1 / 8)
 
 
 def test_probit_population_constant_beta_zero():

@@ -207,13 +207,13 @@ def reference_spectral_start(counts):
     if np.any(np.abs(sums) < 1e-12):
         return None
     vals, vecs = spectral.order_by_last_row(vals, vecs / sums)
-    m_x = _interior(vecs, 1e-6)
+    m_x = _interior(vecs)
     f_y = np.clip(vals, 1e-6, 1.0 - 1e-6)
     if np.linalg.cond(m_x, 1) * np.finfo(float).eps >= 1.0:
         return None
     f_xstar = np.linalg.solve(m_x, probs.sum(axis=(1, 2)))
-    f_xstar = _interior(f_xstar[:, None], 1e-6).ravel()
-    m_z = _interior((np.linalg.solve(m_x, m_xz) / f_xstar[:, None]).T, 1e-6)
+    f_xstar = _interior(f_xstar[:, None]).ravel()
+    m_z = _interior((np.linalg.solve(m_x, m_xz) / f_xstar[:, None]).T)
     return MisclassificationModel(m_x, f_y, m_z, f_xstar)
 
 
@@ -231,7 +231,7 @@ def test_spectral_start_fails_on_an_ill_conditioned_reporting_matrix(
     though LU factors it without a zero pivot."""
     table = population_table(valid_model, n=100_000)
     assert assert_same_start(table) is not None
-    m_x = _interior(NEAR_TWINS, 1e-6)
+    m_x = _interior(NEAR_TWINS)
     assert np.linalg.cond(m_x, 1) * np.finfo(float).eps >= 1.0
     assert np.isfinite(np.linalg.solve(m_x, np.full(3, 1 / 3))).all()
     monkeypatch.setattr(spectral, "order_by_last_row", near_twins_order)

@@ -9,7 +9,7 @@ from scipy import optimize, special
 from scipy.stats import norm
 
 from latentcat.data import Dataset, cell_rows
-from latentcat.errors import ConfigurationError, DomainError, EstimationError
+from latentcat.errors import ConfigurationError, EstimationError
 from latentcat.generate import (
     GeneratorSpec,
     ProbitParams,
@@ -211,24 +211,18 @@ def test_skedastic_recovers_cell_scales():
 
 def test_skedastic_clamps_boundary_cell():
     lc = lc_from_probs([[0.0, 0.6, 0.4], [0.2, 0.5, 0.3]])
-    sigma, events = skedastic(lc, clamp=1e-6)
+    sigma, events = skedastic(lc)
     assert events >= 1
     assert all(np.isfinite(v) and v > 0 for v in sigma.values())
+    # P[V<=1] = 0 in cell 0 is clamped to ordered.CLAMP = 1e-6.
+    expected = 1.0 / (norm.ppf(0.6) - norm.ppf(1e-6))
+    assert sigma["0"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_skedastic_nonpositive_scale_error():
     lc = lc_from_probs([[1.0 - 2e-10, 1e-10, 1e-10], [0.2, 0.5, 0.3]])
     with pytest.raises(EstimationError, match="cell"):
-        skedastic(lc, clamp=1e-6)
-
-
-@pytest.mark.parametrize("clamp", [float("nan"), -1.0, 0.0, 0.5, 0.7, float("inf")])
-def test_clamp_outside_its_domain_is_refused(clamp):
-    lc = lc_from_probs([[0.2, 0.5, 0.3], [0.3, 0.4, 0.3]])
-    with pytest.raises(DomainError, match="clamp must lie in"):
-        skedastic(lc, clamp=clamp)
-    with pytest.raises(DomainError, match="clamp must lie in"):
-        hetero_ordered_probit(lc, dict.fromkeys(lc.labels, 1.0), clamp=clamp)
+        skedastic(lc)
 
 
 def test_skedastic_needs_three_levels():
@@ -377,7 +371,7 @@ def test_normal_cdf_and_ppf_match_scipy():
     assert np.abs(_norm_cdf(x) - special.ndtr(x)).max() <= 1e-14
     u = np.concatenate([np.linspace(1e-6, 1 - 1e-6, 100_001),
                         np.geomspace(1e-6, 0.5, 10_001), 1 - np.geomspace(1e-6, 0.5, 10_001)])
-    ppf, events = _clamped_ppf(u, 1e-6)
+    ppf, events = _clamped_ppf(u)
     assert events == 0
     assert np.abs(ppf - special.ndtri(u)).max() <= 1e-14
 

@@ -16,7 +16,6 @@ from latentcat.ordered import ordered_probit_mle
 from latentcat.pipeline import (
     bootstrap_std_errors,
     cell_configs,
-    conditional_for_target,
     fit_cells,
     model_std_errors,
     parametric_fit,
@@ -155,12 +154,14 @@ def test_model_std_errors_refit_with_the_point_config():
         assert np.abs(run.estimates.mean(axis=0) - result.model.pack()).max() < 0.1
 
 
-def test_conditional_for_target_routes(probit_sample):
+def test_parametric_fit_routes_the_target(probit_sample):
     _, _, data = probit_sample
-    lc_rep = conditional_for_target(data, "reported")
-    assert len(lc_rep.labels) == 4
-    with pytest.raises(EstimationError):
-        conditional_for_target(data, "unknown")
+    [reported] = parametric_fit([data], "hoprobit", "reported")
+    assert reported.target == "reported" and len(reported.sigma_by_cell) == 4
+    with pytest.raises(EstimationError, match="unknown target"):
+        parametric_fit([data], "hoprobit", "unknown")
+    with pytest.raises(ConfigurationError, match="the latent target needs cell models"):
+        parametric_fit([data], "hoprobit", "latent")
 
 
 def test_parametric_fit_latent_beats_reported(probit_sample):
