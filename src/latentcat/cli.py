@@ -42,8 +42,7 @@ from .generate import (
 )
 from .mle import CmleResult, saturated_loglik
 from .pipeline import (
-    SKEDASTIC, bootstrap_std_errors, cell_configs, fit_cells, model_std_errors,
-    parametric_fit,
+    bootstrap_std_errors, cell_configs, fit_cells, model_std_errors, parametric_fit,
 )
 from .report import render, render_csv, render_exclusions
 from .spectral import MisclassificationModel
@@ -433,12 +432,6 @@ def _models_from_artifact(payload: dict, data: Dataset) -> list[Misclassificatio
 
 
 def _cmd_estimate(args) -> int:
-    if args.skedastic == "exponential" and (args.model, args.target) != (
-        "hoprobit", "reported"
-    ):
-        print("latentcat estimate: error: --skedastic exponential applies only to "
-              "--model hoprobit --target reported", file=sys.stderr)
-        return USAGE_EXIT
     manifest = _Manifest("estimate", vars(args))
     data = _load_data(args.data, args.schema, manifest)
     models = None
@@ -449,8 +442,7 @@ def _cmd_estimate(args) -> int:
         manifest.add_input(args.models)
         models = _models_from_artifact(artifact, data)
     [point] = parametric_fit([data], args.model, args.target,
-                             None if models is None else [models],
-                             skedastic_kind=args.skedastic)
+                             None if models is None else [models])
     if isinstance(point, LatentcatError):
         raise point
     manifest.stage("point_fit")
@@ -465,7 +457,6 @@ def _cmd_estimate(args) -> int:
             b=args.boot,
             seed=args.seed,
             models=models,
-            skedastic_kind=args.skedastic,
         )
         boot_meta = {**run.to_dict(), "seed": args.seed}
         manifest.stage("bootstrap")
@@ -513,7 +504,16 @@ def _cmd_replay(args) -> int:
     # Options this version does not take are dropped with a note. Unlike
     # --threads, the retired bootstrap options changed artifacts: such a run
     # replays under the one replicate rule. --clamp and --min-cell are
-    # constants: a run that set another value replays under them.
+    # constants: a run that set another value replays under them. --skedastic
+    # nonparametric named the closed form, which is now the only estimator;
+    # any other value named the retired parametric-scale ML fit, which no
+    # estimator here reproduces, so that run is refused.
+    scale_kind = manifest["options"].get("skedastic", "nonparametric")
+    if command == "estimate" and scale_kind != "nonparametric":
+        print(f"latentcat replay: error: the run's estimator, estimate --skedastic "
+              f"{scale_kind}, is retired; the reported hoprobit has the closed form "
+              "alone", file=sys.stderr)
+        return USAGE_EXIT
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     actions = sub.choices[command]._actions if command in sub.choices else []
@@ -602,10 +602,6 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--target", choices=["latent", "reported"], required=True)
     p_est.add_argument("--boot", type=_replicates, default=0)
     p_est.add_argument("--seed", type=_int_at_least(0), required=True)
-    p_est.add_argument("--skedastic", choices=SKEDASTIC,
-                       default="nonparametric",
-                       help="reported-target heteroskedastic scale: closed-form "
-                            "per-cell inversion or exponential-index ML benchmark")
     p_est.add_argument("--out", required=True)
     p_est.set_defaults(func=_cmd_estimate)
 

@@ -17,14 +17,14 @@ cutpoints at 0 and 1, the disturbance scale per cell is
 and the coefficient vector solves a weighted least-squares system in the
 transformed outcome -sigma(q) * PhiInv(P[V=1|q]). No optimization is
 involved; these are exact inversions of the model's cell probabilities.
-Maximum-likelihood fits on the reported outcome (the conventional
-benchmarks) are also provided, fitted by Fisher scoring on the analytic
-derivatives of the cell pmf and re-normalized into the same (0, 1) cutpoint
-scheme so coefficient vectors are directly comparable. They take a list
-of datasets and fit those that share a design as one stacked Fisher
-scoring, with a leading batch axis; each item's iterates are those it
-gets alone, and a failure ends that item's fit alone. The normal cdf and
-quantile come from the standard library (``math.erfc``,
+The homoskedastic ordered probit by maximum likelihood on the reported
+outcome (the conventional benchmark) is also provided, fitted by Fisher
+scoring on the analytic derivatives of the cell pmf and re-normalized into
+the same (0, 1) cutpoint scheme so coefficient vectors are directly
+comparable. It takes a list of datasets and fits those that share a design
+as one stacked Fisher scoring, with a leading batch axis; each item's
+iterates are those it gets alone, and a failure ends that item's fit alone.
+The normal cdf and quantile come from the standard library (``math.erfc``,
 ``statistics.NormalDist``), so this module needs numpy alone.
 
 Probit coefficients are statements about the conditional *median* of the
@@ -54,7 +54,6 @@ __all__ = [
     "hetero_ordered_probit",
     "homo_ordered_probit",
     "ordered_probit_mle",
-    "exponential_skedastic_probit",
 ]
 
 CLAMP = 1e-6  # cumulative probabilities are clipped into [CLAMP, 1-CLAMP] before inversion
@@ -374,7 +373,7 @@ def homo_ordered_probit(lc: LatentConditional, target: str = "latent") -> Parame
 
 
 # ---------------------------------------------------------------------------
-# Maximum-likelihood benchmarks on the reported outcome
+# Maximum-likelihood benchmark on the reported outcome
 # ---------------------------------------------------------------------------
 
 
@@ -404,23 +403,17 @@ def _cell_probs(index: np.ndarray, scale: np.ndarray, cuts: np.ndarray) -> np.nd
     return _masses(_norm_cdf(z)[..., None], 1.0)[..., 0]
 
 
-def _pmf_and_jacobian(index, log_scale, cuts, d_index, d_log_scale, d_cuts):
+def _pmf_and_jacobian(index, cuts, d_index, d_cuts):
     """Cell pmf rows and their derivatives in the parameters, for a stack of
     parameter vectors: (items, cells, levels) and (items, cells, levels, p).
 
-    ``index`` and ``log_scale`` are (items, cells), ``cuts`` (items,
-    cutpoints), ``d_index`` and ``d_log_scale`` ([items,] cells, p) and
-    ``d_cuts`` (items, cutpoints, p); ``log_scale`` None pins every scale at
-    1. At an interior edge z = (cut - index) / scale, so dz = (d_cut -
-    d_index) / scale - z * d_log_scale, and each level's probability moves
-    by the difference of pdf(z) * dz across its edges.
+    ``index`` is (items, cells), ``cuts`` (items, cutpoints), ``d_index``
+    (cells, p) and ``d_cuts`` (items, cutpoints, p); every scale is 1. At an
+    interior edge z = cut - index, so dz = d_cut - d_index, and each level's
+    probability moves by the difference of pdf(z) * dz across its edges.
     """
     z = cuts[:, None, :] - index[..., None]
-    dz = d_cuts[:, None] - d_index[..., None, :]
-    if log_scale is not None:
-        scale = np.exp(log_scale)[..., None]
-        z = z / scale
-        dz = dz / scale[..., None] - z[..., None] * d_log_scale[..., None, :]
+    dz = d_cuts[:, None] - d_index[:, None]
     d_cdf = (np.exp(-0.5 * z * z) / _SQRT_2PI)[..., None] * dz
     return _masses(_norm_cdf(z)[..., None], 1.0)[..., 0], _masses(d_cdf, 0.0)
 
@@ -518,57 +511,34 @@ def _fisher_scoring(model, theta0: np.ndarray, counts: np.ndarray,
     return results
 
 
-def _ml_fits(datasets: list[Dataset], what: str, setup, finish) -> list:
-    """Per dataset, ``finish(theta, data, names)`` at its ML estimate, or the
-    EstimationError that ended or refused its fit.
+def ordered_probit_mle(datasets: list[Dataset]) -> list[ParametricFit | EstimationError]:
+    """Homoskedastic ordered-probit ML benchmark on the reported counts of
+    each dataset: its fit, or the EstimationError that ended or refused it.
 
+    Conventional maximum likelihood, re-normalized to the (0, 1) cutpoint
+    scheme with the constant disturbance scale in ``scale``. The parameters
+    are the slopes, the first cutpoint and the log gaps between cutpoints.
     A dataset in which an outcome level holds no record is refused before
     scoring: a cutpoint next to that level runs off, so the likelihood has
     no maximum. The other datasets that share a design (populated cells and
-    outcome levels) are fitted as one stack: ``setup(q, n_levels)`` gives
-    the design's ``model`` and start for ``_fisher_scoring``. Grouping, not
+    outcome levels) are fitted as one stacked Fisher scoring. Grouping, not
     padding with unpopulated rows, keeps each item's rows those it has when
     fitted alone.
     """
+    what = "ordered-probit MLE"
     designs = [_cell_design(data) for data in datasets]
-    thetas: list = [None] * len(datasets)
+    fits: list = [None] * len(datasets)
     groups: dict[tuple, list[int]] = {}
     for i, (q, counts, _) in enumerate(designs):
         unseen = np.flatnonzero(counts.sum(axis=0) == 0) + 1
         if unseen.size:
-            thetas[i] = EstimationError(
+            fits[i] = EstimationError(
                 f"{what} has no maximum: no record at outcome levels {unseen.tolist()}")
         else:
             groups.setdefault((q.shape, q.tobytes(), counts.shape[1]), []).append(i)
     for members in groups.values():
         q, counts, _ = designs[members[0]]
-        model, theta0 = setup(q, counts.shape[1])
-        stack = np.stack([designs[i][1] for i in members])
-        fitted = _fisher_scoring(model, theta0, stack, what)
-        for i, theta in zip(members, fitted):
-            thetas[i] = theta
-    return [theta if isinstance(theta, EstimationError) else finish(theta, data, names)
-            for theta, data, (_, _, names) in zip(thetas, datasets, designs)]
-
-
-def _index(q: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """q @ coefficients for each row of ``coefficients``: (items, cells). One
-    matrix-vector product per item, so each row rounds as it does alone
-    (a product of the whole stack with q.T would not)."""
-    return np.matmul(q, coefficients[..., None])[..., 0]
-
-
-def ordered_probit_mle(datasets: list[Dataset]) -> list[ParametricFit | EstimationError]:
-    """Homoskedastic ordered-probit ML benchmark on the reported counts of
-    each dataset: its fit, or the EstimationError that ended it.
-
-    Conventional maximum likelihood, re-normalized to the (0, 1) cutpoint
-    scheme with the constant disturbance scale in ``scale``. The parameters
-    are the slopes, the first cutpoint and the log gaps between cutpoints.
-    """
-
-    def setup(q, n_levels):
-        k = q.shape[1] - 1
+        k, n_levels = q.shape[1] - 1, counts.shape[1]
         n_params = k + n_levels - 1
         d_index = np.zeros((len(q), n_params))
         d_index[:, :k] = q[:, 1:]
@@ -579,77 +549,26 @@ def ordered_probit_mle(datasets: list[Dataset]) -> list[ParametricFit | Estimati
             d_cuts = np.zeros((len(theta), n_levels - 1, n_params))
             d_cuts[..., k] = 1.0
             d_cuts[..., k + 1 :] = gaps[:, None] * below
-            return _pmf_and_jacobian(_index(q[:, 1:], theta[:, :k]), None, cuts,
-                                     d_index, None, d_cuts)
+            # One matrix-vector product per item, so each item's index rounds
+            # as it does alone (a product of the stack with q.T would not).
+            index = np.matmul(q[:, 1:], theta[:, :k, None])[..., 0]
+            return _pmf_and_jacobian(index, cuts, d_index, d_cuts)
 
         theta0 = np.zeros(n_params)
         theta0[k] = -0.5
-        return model, theta0
-
-    def finish(theta, data, names):
-        k = len(names) - 1
-        [cuts], _ = _chained_cuts(theta[k : k + 1], theta[None, k + 1 :])
-        gap = cuts[1] - cuts[0]
-        return ParametricFit(
-            kind="ordered-probit-homoskedastic",
-            target="reported",
-            beta=np.concatenate(([-cuts[0] / gap], theta[:k] / gap)),
-            column_names=names,
-            cutpoints=(cuts - cuts[0]) / gap,
-            scale=1.0 / gap,
-        )
-
-    return _ml_fits(datasets, "ordered-probit MLE", setup, finish)
-
-
-def exponential_skedastic_probit(
-        datasets: list[Dataset]) -> list[ParametricFit | EstimationError]:
-    """Parametric heteroskedastic benchmark on the reported outcome of each
-    dataset: its fit, or the EstimationError that ended it.
-
-    Scale specified as exp(gamma0 + W' gamma) with the (0, 1) cutpoint
-    normalization, which identifies the whole parameter vector. Fully
-    parametric ML; the nonparametric route is the closed-form estimator.
-    The parameters are beta, gamma and the log gaps past the second cutpoint.
-    """
-
-    def setup(q, n_levels):
-        dim = q.shape[1]
-        n_params = 2 * dim + max(n_levels - 3, 0)
-        d_index = np.zeros((len(q), n_params))
-        d_index[:, :dim] = q
-        below = np.tri(n_levels - 2, n_levels - 3, k=-1)
-
-        def model(theta):
-            n = len(theta)
-            cuts, gaps = _chained_cuts(np.ones(n), theta[:, 2 * dim :])
-            d_cuts = np.zeros((n, n_levels - 1, n_params))
-            d_cuts[:, 1:, 2 * dim :] = gaps[:, None] * below
-            log_scale = _index(q, theta[:, dim : 2 * dim])
-            inside = np.abs(log_scale) < 20  # the scale is exp(clip(q @ gamma, -20, 20))
-            d_log_scale = np.zeros((n, len(q), n_params))
-            d_log_scale[..., dim : 2 * dim] = q * inside[..., None]
-            return _pmf_and_jacobian(_index(q, theta[:, :dim]), np.clip(log_scale, -20, 20),
-                                     np.concatenate((np.zeros((n, 1)), cuts), axis=1),
-                                     d_index, d_log_scale, d_cuts)
-
-        theta0 = np.zeros(n_params)
-        theta0[0] = 0.5
-        return model, theta0
-
-    def finish(theta, data, names):
-        dim = len(names)
-        [cuts], _ = _chained_cuts(np.ones(1), theta[None, 2 * dim :])
-        gamma = theta[dim : 2 * dim]
-        rows = cell_rows(len(data.w_columns))
-        return ParametricFit(
-            kind="ordered-probit-heteroskedastic",
-            target="reported",
-            beta=theta[:dim],
-            column_names=names,
-            cutpoints=np.concatenate(([0.0], cuts)),
-            sigma_by_cell={label: float(np.exp(row @ gamma))
-                           for label, row in zip(data.w_labels, rows)},
-        )
-
-    return _ml_fits(datasets, "heteroskedastic probit MLE", setup, finish)
+        stack = np.stack([designs[i][1] for i in members])
+        for i, theta in zip(members, _fisher_scoring(model, theta0, stack, what)):
+            if isinstance(theta, EstimationError):
+                fits[i] = theta
+                continue
+            [cuts], _ = _chained_cuts(theta[k : k + 1], theta[None, k + 1 :])
+            gap = cuts[1] - cuts[0]
+            fits[i] = ParametricFit(
+                kind="ordered-probit-homoskedastic",
+                target="reported",
+                beta=np.concatenate(([-cuts[0] / gap], theta[:k] / gap)),
+                column_names=designs[i][2],
+                cutpoints=(cuts - cuts[0]) / gap,
+                scale=1.0 / gap,
+            )
+    return fits

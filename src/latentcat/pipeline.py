@@ -9,9 +9,9 @@ The latent conditional is assembled from cell models identified with
 ``--ord enforce`` (the parametric layer feeds latent-state labels into
 normal-quantile transforms, so the ordering has to be guaranteed), with
 empirical cell weights. ``parametric_fit`` is the one dispatch from a
-(model, target, skedastic) choice to an estimator, for a list of datasets
-at once: the closed forms loop over it, and the reported ML benchmarks fit
-it as one stacked Fisher scoring. Both bootstraps get their redraws from
+(model, target) choice to its one estimator, for a list of datasets at
+once: the closed forms loop over it, and the reported ML benchmark fits it
+as one stacked Fisher scoring. Both bootstraps get their redraws from
 ``resampling.run_plan``, a chunk at a time, and refit a replicate's cells
 at ``BOOT_STARTS`` starts, start 0 warm at the point models:
 ``model_std_errors`` under the point fits' ``--ord`` (the s.e. of
@@ -33,7 +33,6 @@ from .mle import CmleConfig, CmleResult, fit_tables
 from .ordered import (
     LatentConditional,
     ParametricFit,
-    exponential_skedastic_probit,
     hetero_ordered_probit,
     homo_ordered_probit,
     latent_conditional,
@@ -52,8 +51,6 @@ __all__ = [
     "bootstrap_std_errors",
     "model_std_errors",
 ]
-
-SKEDASTIC = ("nonparametric", "exponential")
 
 BOOT_STARTS = 3  # per cell refit of a replicate: the warm start and two random ones
 
@@ -102,29 +99,20 @@ def parametric_fit(
     model: str,
     target: str,
     models: list[list[MisclassificationModel]] | None = None,
-    skedastic_kind: str = "nonparametric",
 ) -> list[ParametricFit | EstimationError]:
     """One named fit of each dataset: model in {linear, oprobit, hoprobit},
     either target. Returns per dataset its fit, or the EstimationError that
     its fit alone raises.
 
     The reported-target homoskedastic probit is the conventional ML
-    benchmark on the counts; ``skedastic_kind="exponential"`` selects the
-    exponential-index ML benchmark for the reported-target heteroskedastic
-    probit. Both fit every dataset in one stacked Fisher scoring.
+    benchmark on the counts, every dataset in one stacked Fisher scoring.
     Everything else goes through the conditional representation and the
     closed forms, one dataset at a time, the latent target on the cell
     models ``models[i]`` of dataset i. An unknown model or target, a
-    latent target without one model list per dataset, a skedastic kind on
-    another model, or an empty covariate cell under a reported closed form
-    (``EmptyCellError``) raises for the whole call.
+    latent target without one model list per dataset, or an empty
+    covariate cell under a reported closed form (``EmptyCellError``)
+    raises for the whole call.
     """
-    if skedastic_kind != "nonparametric":
-        if (model, target, skedastic_kind) != ("hoprobit", "reported", "exponential"):
-            raise ConfigurationError(
-                f"skedastic kind {skedastic_kind!r} needs the reported hoprobit"
-            )
-        return exponential_skedastic_probit(datasets)
     if target not in ("latent", "reported"):
         raise EstimationError(f"unknown target {target!r}")
     if model not in ("linear", "oprobit", "hoprobit"):
@@ -164,12 +152,11 @@ def bootstrap_std_errors(
     b: int,
     seed: int,
     models: list[MisclassificationModel] | None = None,
-    skedastic_kind: str = "nonparametric",
 ) -> tuple[ParametricFit, BootstrapRun]:
     """Re-run the point fit on every bootstrap redraw; attach s.e. vector.
 
     Every chunk of redraws goes through one ``parametric_fit`` call with
-    the point estimate's choices, so the reported ML benchmarks fit a chunk
+    the point estimate's choices, so the reported ML benchmark fits a chunk
     as one stack. Returns the fit with ``std_errors`` filled plus the run,
     which counts dropped replicates and boundary hits. For the latent
     target, a chunk's cells are refitted first in one ``fit_cells`` call,
@@ -186,8 +173,7 @@ def bootstrap_std_errors(
         outcomes = [_first_failure(fits) for fits in fitted]
         kept = [i for i, failure in enumerate(outcomes) if failure is None]
         reps = parametric_fit([redraws[i] for i in kept], model, target,
-                              [[fit.model for fit in fitted[i]] for i in kept],
-                              skedastic_kind)
+                              [[fit.model for fit in fitted[i]] for i in kept])
         for i, rep in zip(kept, reps):
             outcomes[i] = rep if isinstance(rep, EstimationError) else (
                 rep.beta, any(fit.boundary_flags for fit in fitted[i]))

@@ -106,10 +106,12 @@ def test_replay_drops_the_retired_threads_option(pipeline, tmp_path, capsys):
     # A manifest written while an option existed records it. Unlike --threads,
     # the retired bootstrap options changed artifacts; such a manifest replays
     # under the one replicate rule, with the same note. --clamp and --min-cell
-    # recorded their defaults, which are now constants.
+    # recorded their defaults, which are now constants, and --skedastic
+    # nonparametric the closed form, now the one estimator.
     for artifact, retired in ((out, {"threads": 2}), (out, {"starts": 10}),
                               (out, {"boot_starts": 2, "stratify": True}),
                               (out, {"clamp": 1e-06}),
+                              (out, {"skedastic": "nonparametric"}),
                               (pipeline["report"], {"min_cell": 100})):
         manifest = json.loads(Path(str(artifact) + ".manifest.json").read_text())
         manifest["options"].update(retired)
@@ -137,7 +139,7 @@ def test_option_inventory():
         "identify": {"input", "schema", "by_cell", "method", "starts", "seed", "ord",
                      "boot", "out"},
         "estimate": {"models", "data", "schema", "model", "target", "boot", "seed",
-                     "skedastic", "out"},
+                     "out"},
         "report": {"inputs", "format", "out"},
         "replay": {"manifest", "out_dir"},
     }
@@ -156,6 +158,24 @@ def test_replay_of_a_spectral_manifest_exits_64(pipeline, tmp_path, capsys):
     assert "ignoring options this version does not take: ['tol']" in err
     assert "argument --method: invalid choice: 'spectral'" in err
     assert not (out_dir / pipeline["models"].name).exists()
+
+
+def test_replay_of_an_exponential_skedastic_manifest_exits_64(pipeline, tmp_path,
+                                                              capsys):
+    # A manifest of the retired exponential-index ML fit names an estimator
+    # this version does not have; replaying it under the closed form would
+    # change the estimator, so it is refused before anything is written.
+    manifest = json.loads(Path(str(pipeline["fit"]) + ".manifest.json").read_text())
+    manifest["options"].update(model="hoprobit", target="reported",
+                               skedastic="exponential")
+    old_manifest = tmp_path / "exponential.manifest.json"
+    old_manifest.write_text(json.dumps(manifest))
+    out_dir = tmp_path / "replayed"
+    assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "error:" in err[0]
+    assert "--skedastic exponential, is retired" in err[0]
+    assert not out_dir.exists()
 
 
 def test_replay_rejects_changed_inputs(pipeline, tmp_path):
@@ -747,12 +767,15 @@ def test_counts_below_their_minimum_refused_before_ingest(tmp_path, capsys,
     (ESTIMATE_LATENT, ["--stratify"]),
     (ESTIMATE_LATENT, ["--clamp", "0.01"]),
     (TEST_BY_CELL, ["--min-cell", "50"]),
+    (["estimate", "--model", "hoprobit", "--target", "reported"],
+     ["--skedastic", "exponential"]),
 ])
 def test_retired_bootstrap_options_refused_before_ingest(tmp_path, capsys, command,
                                                          option):
     # Every bootstrap redraws within cells and refits cells at a fixed start
     # count, so neither choice is taken any more; the inversion clamp and the
-    # per-cell test's minimum size are constants.
+    # per-cell test's minimum size are constants; the reported hoprobit has
+    # one estimator, the closed form.
     missing = str(tmp_path / "missing.csv")
     inputs = {"identify": ["--input", missing, "--schema", missing, "--boot", "3"],
               "test": ["--input", missing, "--schema", missing],

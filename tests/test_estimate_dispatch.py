@@ -1,5 +1,4 @@
-"""`estimate` runs one estimator for the point estimate and its bootstrap,
-and refuses option combinations and models artifacts it cannot honour."""
+"""`estimate` refuses models artifacts and data it cannot honour."""
 
 import json
 
@@ -7,11 +6,6 @@ import numpy as np
 import pytest
 
 from latentcat.cli import run
-from latentcat.data import ingest, load_schema
-from latentcat.ordered import exponential_skedastic_probit
-from latentcat.resampling import run_plan
-
-from conftest import fitted, per_redraw
 
 GEN_CFG = """\
 [generator]
@@ -49,32 +43,6 @@ def estimate(inputs, out, *options):
     return run(["estimate", "--data", str(inputs["synth"]), "--schema",
                 str(inputs["schema"]), "--seed", "4", "--out",
                 str(out), *options])
-
-
-def test_exponential_bootstrap_refits_the_exponential_model(inputs):
-    boot = ["--model", "hoprobit", "--target", "reported", "--boot", "8"]
-    exp_out = inputs["root"] / "fit-exp.json"
-    closed_out = inputs["root"] / "fit-closed.json"
-    assert estimate(inputs, exp_out, *boot, "--skedastic", "exponential") == 0
-    assert estimate(inputs, closed_out, *boot) == 0
-    exp_se = np.asarray(json.loads(exp_out.read_text())["fit"]["std_errors"])
-    closed_se = np.asarray(json.loads(closed_out.read_text())["fit"]["std_errors"])
-    assert not np.allclose(exp_se, closed_se)
-
-    data, _ = ingest(str(inputs["synth"]), load_schema(str(inputs["schema"])))
-    refits = run_plan(data, per_redraw(
-        lambda redraw: fitted(exponential_skedastic_probit([redraw])[0]).beta), b=8, seed=4)
-    assert np.array_equal(exp_se, refits.se())
-
-
-@pytest.mark.parametrize("model,target", [("hoprobit", "latent"), ("linear", "reported")])
-def test_exponential_skedastic_is_a_usage_error_elsewhere(inputs, capsys, model, target):
-    out = inputs["root"] / "fit-unused.json"
-    code = estimate(inputs, out, "--models", str(inputs["models"]), "--model", model,
-                    "--target", target, "--skedastic", "exponential")
-    assert code == 64
-    assert "--skedastic" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_latent_estimate_refuses_unordered_cells(inputs, capsys):

@@ -25,7 +25,6 @@ from latentcat.ordered import (
     _clamped_ppf,
     _norm_cdf,
     _solve,
-    exponential_skedastic_probit,
     hetero_ordered_probit,
     homo_ordered_probit,
     latent_conditional,
@@ -338,21 +337,6 @@ def test_latent_and_reported_agree_without_misclassification():
     assert np.abs(reported_mle.beta - latent_closed.beta).max() < 0.02
 
 
-def test_exponential_skedastic_probit_benchmark():
-    gamma0, gamma1 = -0.2, 0.45
-    sigma = np.exp(gamma0 + gamma1 * np.array([0.0, 1.0]))
-    params = ProbitParams(
-        beta=np.array([0.5, 0.25]),
-        sigma_by_cell=sigma,
-        cutpoints=np.array([0.0, 1.0]),
-    )
-    data = probit_dataset(params, 40_000, seed=16)
-    [fit_] = exponential_skedastic_probit([data])
-    assert np.abs(fit_.beta - params.beta).max() < 0.08
-    fitted_sigma = np.array([fit_.sigma_by_cell["0"], fit_.sigma_by_cell["A"]])
-    assert np.abs(fitted_sigma - sigma).max() < 0.1
-
-
 def test_effect_scale_labels():
     probs = [[0.5, 0.3, 0.2], [0.1, 0.4, 0.5]]
     lc = lc_from_probs(probs)
@@ -420,56 +404,11 @@ def lbfgs_ordered_probit_mle(data: Dataset) -> ParametricFit:
     )
 
 
-def lbfgs_exponential_skedastic_probit(data: Dataset) -> ParametricFit:
-    """``exponential_skedastic_probit`` as fitted by scipy's L-BFGS-B (the reference)."""
-    q, counts, names = _cell_design(data)
-    n_levels = counts.shape[1]
-    dim = q.shape[1]
-
-    def unpack(theta):
-        beta = theta[:dim]
-        gamma = theta[dim : 2 * dim]
-        extra = np.exp(theta[2 * dim :])
-        cuts = np.concatenate(([0.0, 1.0], 1.0 + np.cumsum(extra)))
-        return beta, gamma, cuts
-
-    def nll(theta):
-        beta, gamma, cuts = unpack(theta)
-        index = q @ beta
-        scale = np.exp(np.clip(q @ gamma, -20, 20))
-        return _reference_nll(index, scale, cuts, counts)
-
-    theta0 = np.zeros(2 * dim + max(n_levels - 3, 0))
-    theta0[0] = 0.5
-    res = optimize.minimize(nll, theta0, method="L-BFGS-B",
-                            options={"maxiter": 5000, "ftol": 1e-13})
-    if not res.success:
-        raise EstimationError(
-            f"heteroskedastic probit MLE did not converge: {res.message}"
-        )
-    beta, gamma, cuts = unpack(res.x)
-    rows = cell_rows(len(data.w_columns))
-    sigma = {label: float(np.exp(row @ gamma))
-             for label, row in zip(data.w_labels, rows)}
-    return ParametricFit(
-        kind="ordered-probit-heteroskedastic",
-        target="reported",
-        beta=beta,
-        column_names=names,
-        cutpoints=cuts,
-        sigma_by_cell=sigma,
-    )
-
-
 def fit_loglik(fit_: ParametricFit, data: Dataset) -> float:
     """Log-likelihood of a reported-outcome ML fit on the populated cells."""
     q, counts, _ = _cell_design(data)
-    if fit_.sigma_by_cell is None:
-        scale = np.full(q.shape[0], fit_.scale)
-    else:
-        labels = np.asarray(data.w_labels)[data.cell_counts() > 0]
-        scale = np.asarray([fit_.sigma_by_cell[label] for label in labels])
-    return -_reference_nll(q @ fit_.beta, scale, fit_.cutpoints, counts)
+    return -_reference_nll(q @ fit_.beta, np.full(q.shape[0], fit_.scale),
+                           fit_.cutpoints, counts)
 
 
 def probit_counts(params, n: int, seed: int) -> Dataset:
@@ -489,21 +428,17 @@ def probit_counts(params, n: int, seed: int) -> Dataset:
 @given(seed=st.integers(0, 2**32 - 1), n_cols=st.integers(1, 5),
        n_levels=st.integers(3, 5), n=st.sampled_from([2_000, 20_000, 200_000]))
 def test_fisher_scoring_matches_the_lbfgs_reference(seed, n_cols, n_levels, n):
-    """Both ML benchmarks reach at least the reference's optimum, at its betas."""
+    """The ML benchmark reaches at least the reference's optimum, at its betas."""
     rng = np.random.default_rng(seed)
     data = probit_counts(random_probit_params(rng, n_cols, n_levels), n, seed)
-    for fit_ml, reference in (
-        (ordered_probit_mle, lbfgs_ordered_probit_mle),
-        (exponential_skedastic_probit, lbfgs_exponential_skedastic_probit),
-    ):
-        [got] = fit_ml([data])
-        try:
-            ref = reference(data)
-        except EstimationError:
-            continue  # L-BFGS-B stopped abnormally (1 of 300 draws); scoring fitted
-        ref_loglik = fit_loglik(ref, data)
-        assert fit_loglik(got, data) >= ref_loglik - 1e-9 * abs(ref_loglik)
-        assert np.abs(got.beta - ref.beta).max() <= 1e-5
+    [got] = ordered_probit_mle([data])
+    try:
+        ref = lbfgs_ordered_probit_mle(data)
+    except EstimationError:
+        return  # L-BFGS-B stopped abnormally; scoring fitted
+    ref_loglik = fit_loglik(ref, data)
+    assert fit_loglik(got, data) >= ref_loglik - 1e-9 * abs(ref_loglik)
+    assert np.abs(got.beta - ref.beta).max() <= 1e-5
 
 
 # The serial Fisher scoring that the stacked kernel replaced, one dataset
@@ -602,40 +537,6 @@ def serial_ordered_probit_mle(data: Dataset) -> ParametricFit:
                          scale=1.0 / gap)
 
 
-def serial_exponential_skedastic_probit(data: Dataset) -> ParametricFit:
-    q, counts, names = _cell_design(data)
-    n_levels = counts.shape[1]
-    dim = q.shape[1]
-    n_params = 2 * dim + max(n_levels - 3, 0)
-    d_index = np.zeros((q.shape[0], n_params))
-    d_index[:, :dim] = q
-    d_cuts = np.zeros((n_levels - 1, n_params))
-
-    def unpack(theta):
-        cuts, d_gaps = serial_chained_cuts(1.0, theta[2 * dim :])
-        return theta[:dim], theta[dim : 2 * dim], np.concatenate(([0.0], cuts)), d_gaps
-
-    def model(theta):
-        beta, gamma, cuts, d_gaps = unpack(theta)
-        d_cuts[1:, 2 * dim :] = d_gaps
-        log_scale = q @ gamma
-        inside = np.abs(log_scale) < 20
-        d_log_scale = np.zeros_like(d_index)
-        d_log_scale[:, dim : 2 * dim] = q * inside[:, None]
-        return serial_pmf_and_jacobian(q @ beta, np.clip(log_scale, -20, 20), cuts,
-                                       d_index, d_log_scale, d_cuts)
-
-    theta0 = np.zeros(n_params)
-    theta0[0] = 0.5
-    theta = serial_fisher_scoring(model, theta0, counts, "heteroskedastic probit MLE")
-    beta, gamma, cuts, _ = unpack(theta)
-    rows = cell_rows(len(data.w_columns))
-    return ParametricFit(kind="ordered-probit-heteroskedastic", target="reported",
-                         beta=beta, column_names=names, cutpoints=cuts,
-                         sigma_by_cell={label: float(np.exp(row @ gamma))
-                                        for label, row in zip(data.w_labels, rows)})
-
-
 def serial_outcome(reference, data):
     try:
         return reference(data)
@@ -647,11 +548,8 @@ def close_to(fit_, ref, rtol: float) -> bool:
     """Every vector of ``fit_`` within ``rtol`` of ``ref``'s, relative to
     the largest entry of that vector (a slope near 0 has no digits of its
     own to match)."""
-    pairs = [(fit_.beta, ref.beta), (fit_.cutpoints, ref.cutpoints)]
-    if ref.scale is not None:
-        pairs.append(([fit_.scale], [ref.scale]))
-    if ref.sigma_by_cell is not None:
-        pairs.append((list(fit_.sigma_by_cell.values()), list(ref.sigma_by_cell.values())))
+    pairs = [(fit_.beta, ref.beta), (fit_.cutpoints, ref.cutpoints),
+             ([fit_.scale], [ref.scale])]
     return all(np.abs(np.subtract(a, b)).max() <= rtol * np.abs(b).max() for a, b in pairs)
 
 
@@ -674,22 +572,20 @@ def test_stacked_fits_equal_lone_fits_and_the_serial_reference(
         if i in emptied:
             counts[rng.integers(len(counts))] = 0
         stack.append(Dataset(counts, base.w_columns, base.w_labels))
-    for fit_ml, reference in ((ordered_probit_mle, serial_ordered_probit_mle),
-                              (exponential_skedastic_probit,
-                               serial_exponential_skedastic_probit)):
-        fits = fit_ml(stack)
-        assert [fit_bits(f) for f in fits] == [fit_bits(fit_ml([d])[0]) for d in stack]
-        for fit_, data in zip(fits, stack):
-            if not data.outcome_counts().sum(axis=0).all():
-                assert isinstance(fit_, EstimationError)
-                assert "has no maximum: no record at outcome levels" in str(fit_)
-                continue
-            ref = serial_outcome(reference, data)
-            if isinstance(ref, EstimationError):
-                assert repr(fit_) == repr(ref)
-            else:
-                assert not isinstance(fit_, EstimationError), fit_
-                assert close_to(fit_, ref, 1e-12)
+    fits = ordered_probit_mle(stack)
+    assert [fit_bits(f) for f in fits] == [fit_bits(ordered_probit_mle([d])[0])
+                                           for d in stack]
+    for fit_, data in zip(fits, stack):
+        if not data.outcome_counts().sum(axis=0).all():
+            assert isinstance(fit_, EstimationError)
+            assert "has no maximum: no record at outcome levels" in str(fit_)
+            continue
+        ref = serial_outcome(serial_ordered_probit_mle, data)
+        if isinstance(ref, EstimationError):
+            assert repr(fit_) == repr(ref)
+        else:
+            assert not isinstance(fit_, EstimationError), fit_
+            assert close_to(fit_, ref, 1e-12)
 
 
 def test_ml_fit_refuses_an_unobserved_outcome_level():
@@ -702,11 +598,10 @@ def test_ml_fit_refuses_an_unobserved_outcome_level():
         counts = data.counts.copy()
         counts[:, level] = 0
         unseen = Dataset(counts, data.w_columns, data.w_labels)
-        for fit_ml in (ordered_probit_mle, exponential_skedastic_probit):
-            [refused, kept] = fit_ml([unseen, data])
-            assert isinstance(refused, EstimationError)
-            assert f"no record at outcome levels [{level + 1}]" in str(refused)
-            assert fit_bits(kept) == fit_bits(fit_ml([data])[0])
+        [refused, kept] = ordered_probit_mle([unseen, data])
+        assert isinstance(refused, EstimationError)
+        assert f"no record at outcome levels [{level + 1}]" in str(refused)
+        assert fit_bits(kept) == fit_bits(ordered_probit_mle([data])[0])
 
 
 def test_fisher_scoring_failures_are_estimation_errors(monkeypatch):
@@ -722,14 +617,13 @@ def test_fisher_scoring_failures_are_estimation_errors(monkeypatch):
         assert all(isinstance(fit_, EstimationError) for fit_ in fits)
         assert all(message in str(fit_) for fit_ in fits)
 
-    for fit_ml in (ordered_probit_mle, exponential_skedastic_probit):
-        failures(fit_ml([lone_b]), "singular information matrix")
-        with monkeypatch.context() as patch:
-            patch.setattr(ordered, "SCORING_MAX_ITERATIONS", 1)
-            failures(fit_ml([data, data]), "iteration cap of 1 reached")
-        with monkeypatch.context() as patch:
-            patch.setattr(ordered, "SCORING_MAX_HALVINGS", 0)
-            failures(fit_ml([data]), "line search failed")
+    failures(ordered_probit_mle([lone_b]), "singular information matrix")
+    with monkeypatch.context() as patch:
+        patch.setattr(ordered, "SCORING_MAX_ITERATIONS", 1)
+        failures(ordered_probit_mle([data, data]), "iteration cap of 1 reached")
+    with monkeypatch.context() as patch:
+        patch.setattr(ordered, "SCORING_MAX_HALVINGS", 0)
+        failures(ordered_probit_mle([data]), "line search failed")
 
 
 def fit_bits(fit_: ParametricFit | EstimationError):
@@ -748,12 +642,12 @@ def test_a_singular_item_fails_alone():
     lone_b = Dataset(data.counts * (cell_rows(2)[:, 2] == 0)[:, None, None, None],
                      data.w_columns, data.w_labels)
     stack = [probit_counts(random_probit_params(rng, 2), 5_000, 1), lone_b, data]
-    for fit_ml in (ordered_probit_mle, exponential_skedastic_probit):
-        fits = fit_ml(stack)
-        assert isinstance(fits[1], EstimationError)
-        assert "singular information matrix" in str(fits[1])
-        assert not isinstance(fits[0], EstimationError)
-        assert [fit_bits(f) for f in fits] == [fit_bits(fit_ml([d])[0]) for d in stack]
+    fits = ordered_probit_mle(stack)
+    assert isinstance(fits[1], EstimationError)
+    assert "singular information matrix" in str(fits[1])
+    assert not isinstance(fits[0], EstimationError)
+    assert [fit_bits(f) for f in fits] == [fit_bits(ordered_probit_mle([d])[0])
+                                           for d in stack]
 
 
 def test_solve_marks_a_singular_item_of_a_stack():

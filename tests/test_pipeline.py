@@ -12,7 +12,9 @@ from latentcat.errors import (
 )
 from latentcat.generate import GeneratorSpec, ProbitParams, draw, make_model
 from latentcat.mle import CmleConfig, CmleResult, fit
-from latentcat.ordered import ordered_probit_mle
+from latentcat.ordered import (
+    hetero_ordered_probit, ordered_probit_mle, reported_conditional, skedastic
+)
 from latentcat.pipeline import (
     bootstrap_std_errors,
     cell_configs,
@@ -155,9 +157,20 @@ def test_model_std_errors_refit_with_the_point_config():
 
 
 def test_parametric_fit_routes_the_target(probit_sample):
+    # One estimator per reported model: the hoprobit's closed form, and the
+    # oprobit's ML benchmark.
     _, _, data = probit_sample
     [reported] = parametric_fit([data], "hoprobit", "reported")
+    lc = reported_conditional(data)
+    closed = hetero_ordered_probit(lc, skedastic(lc)[0], target="reported")
+    assert reported.to_dict() == closed.to_dict()
+    assert reported.beta.tobytes() == closed.beta.tobytes()
     assert reported.target == "reported" and len(reported.sigma_by_cell) == 4
+    [oprobit] = parametric_fit([data], "oprobit", "reported")
+    [ml] = ordered_probit_mle([data])
+    assert oprobit.scale is not None and oprobit.to_dict() == ml.to_dict()
+    with pytest.raises(TypeError, match="skedastic_kind"):
+        parametric_fit([data], "hoprobit", "reported", skedastic_kind="exponential")
     with pytest.raises(EstimationError, match="unknown target"):
         parametric_fit([data], "hoprobit", "unknown")
     with pytest.raises(ConfigurationError, match="the latent target needs cell models"):
@@ -267,19 +280,16 @@ def test_bootstraps_independent_of_the_chunk_size(probit_sample, seed, b):
         assert dropped["estimator_failed"] > 0
 
 
-@pytest.mark.parametrize("model,skedastic", [("oprobit", "nonparametric"),
-                                             ("hoprobit", "exponential")])
-def test_reported_ml_bootstrap_independent_of_the_chunk_size(probit_sample, model,
-                                                             skedastic):
-    # The reported ML benchmarks fit a chunk of redraws as one stack; each
+def test_reported_ml_bootstrap_independent_of_the_chunk_size(probit_sample):
+    # The reported ML benchmark fits a chunk of redraws as one stack; each
     # item's fit is the one it gets alone, so the chunk size changes nothing.
     _, _, data = probit_sample
-    [point] = parametric_fit([data], model, "reported", skedastic_kind=skedastic)
+    [point] = parametric_fit([data], "oprobit", "reported")
     runs = []
     for chunk in (1, 5, 16):
         with mock.patch.object(resampling, "BOOT_CHUNK", chunk):
-            _, run = bootstrap_std_errors(data, model, "reported", point, b=20, seed=3,
-                                          skedastic_kind=skedastic)
+            _, run = bootstrap_std_errors(data, "oprobit", "reported", point, b=20,
+                                          seed=3)
         runs.append(run)
     assert all(run.n_dropped == 0 for run in runs)
     assert runs[0].estimates.tobytes() == runs[1].estimates.tobytes() == \
