@@ -9,6 +9,12 @@ bit-for-bit reproducibility contract: artifact JSON is written with sorted
 keys and repr-round-trip floats, so identical configuration plus identical
 inputs yields identical bytes.
 
+Each command imports the modules it runs when it runs, so that a process
+compiles no other: ``simulate`` loads the generator and no estimator, and
+``test`` loads the test and neither. A command line whose outputs would
+overwrite one of its inputs, or each other, is refused before anything is
+read or written.
+
 Exit codes: 0 success; 1 schema/data/configuration problems; 2 test,
 identification, or estimation failures; 64 usage errors.
 """
@@ -23,12 +29,11 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .citest import DEFAULT_B, MIN_B, bootstrap_test, conditional_test_suite
-from .data import Dataset, cell_rows, ingest, load_schema, tabulate
 from .errors import (
     ConfigurationError,
     DataError,
@@ -37,15 +42,11 @@ from .errors import (
     LatentcatError,
     OptimizationError,
 )
-from .generate import (
-    GeneratorSpec, ProbitParams, SyntheticSample, draw, make_cell_weights, make_model
-)
-from .mle import CmleResult, saturated_loglik
-from .pipeline import (
-    bootstrap_std_errors, cell_configs, fit_cells, model_std_errors, parametric_fit,
-)
-from .report import render, render_csv, render_exclusions
-from .spectral import MisclassificationModel
+
+if TYPE_CHECKING:
+    from .data import Dataset
+    from .generate import GeneratorSpec, SyntheticSample
+    from .spectral import MisclassificationModel
 
 USAGE_EXIT = 64
 
@@ -76,6 +77,14 @@ def _replicates(value: str) -> int:
     if number < 2 and number != 0:
         raise argparse.ArgumentTypeError("must be at least 2, or 0 for none")
     return number
+
+
+def _test_replicates(value: str) -> int:
+    """argparse type for ``test --B``: at least ``citest.MIN_B``; refused
+    before ingest. Left out, ``--B`` is ``citest.DEFAULT_B``."""
+    from .citest import MIN_B
+
+    return _int_at_least(MIN_B)(value)
 
 
 def _sha256(path: str) -> str:
@@ -145,6 +154,9 @@ class _Manifest:
 
 
 def _load_data(input_path: str, schema_path: str, manifest: _Manifest) -> Dataset:
+    from .data import ingest, load_schema
+    from .report import render_exclusions
+
     schema = load_schema(schema_path)
     manifest.add_input(schema_path)
     manifest.add_input(input_path)
@@ -171,6 +183,8 @@ _GENERATOR_KEYS = {
 
 def _parse_generator_config(path: str) -> tuple[GeneratorSpec, np.ndarray | None]:
     import configparser
+
+    from .generate import GeneratorSpec, ProbitParams
 
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
@@ -218,7 +232,7 @@ def _parse_generator_config(path: str) -> tuple[GeneratorSpec, np.ndarray | None
 
 
 # Rows formatted per block by _write_int_csv; bounds its temporaries.
-_CSV_BLOCK_ROWS = 16384
+_CSV_BLOCK_ROWS = 1 << 16
 
 
 def _write_int_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
@@ -226,8 +240,9 @@ def _write_int_csv(path: str, header: list[str], columns: list[np.ndarray]) -> N
     ``np.savetxt(fmt="%d", delimiter=",", header=..., comments="")`` writes.
 
     A block of rows is one uint8 array holding, per column, a digit field as
-    wide as the block's largest value and a separator; a mask drops the
-    leading-zero slots, and the kept bytes are written at once.
+    wide as the block's largest value and a separator. In a block where some
+    field is wider than one digit, a mask drops the leading-zero slots; a
+    block of single digits has none to drop. Each block is written at once.
     """
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode("utf-8"))
@@ -235,24 +250,34 @@ def _write_int_csv(path: str, header: list[str], columns: list[np.ndarray]) -> N
             block = [c[start:start + _CSV_BLOCK_ROWS] for c in columns]
             widths = [len(str(int(c.max()))) for c in block]
             text = np.empty((len(block[0]), sum(widths) + len(block)), dtype=np.uint8)
-            keep = np.ones(text.shape, dtype=bool)
+            keep = np.ones(text.shape, dtype=bool) if max(widths) > 1 else None
             at = 0
             for values, width in zip(block, widths):
-                powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-                text[:, at:at + width] = values[:, None] // powers % 10 + ord("0")
-                keep[:, at:at + width - 1] = values[:, None] >= powers[:-1]
+                if width == 1:
+                    np.add(values, ord("0"), out=text[:, at], casting="unsafe")
+                else:
+                    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+                    text[:, at:at + width] = values[:, None] // powers % 10 + ord("0")
+                    keep[:, at:at + width - 1] = values[:, None] >= powers[:-1]
                 at += width
                 text[:, at] = ord(",")
                 at += 1
             text[:, -1] = ord("\n")
-            handle.write(text[keep].tobytes())
+            handle.write(text if keep is None else text[keep])
 
 
 def _write_dataset_csv(path: str, sample: SyntheticSample) -> None:
+    from .data import cell_rows
+
     w_columns = sample.data.w_columns
-    bits = cell_rows(len(w_columns))[:, 1:].astype(np.int64)[sample.w]
+    bits = np.take(cell_rows(len(w_columns))[:, 1:].astype(np.uint8), sample.w, axis=0)
     _write_int_csv(path, ["x", "y", "z", *w_columns],
                    [sample.x, sample.y, sample.z, *bits.T])
+
+
+def _schema_path(out: str) -> str:
+    """Where ``simulate --out OUT`` writes the schema sidecar."""
+    return os.path.splitext(out)[0] + ".schema.cfg"
 
 
 def _schema_sidecar(path: str, data: Dataset) -> None:
@@ -274,6 +299,8 @@ def _schema_sidecar(path: str, data: Dataset) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from .generate import draw, make_cell_weights, make_model
+
     manifest = _Manifest("simulate", vars(args))
     spec, weights = _parse_generator_config(args.spec)
     manifest.add_input(args.spec)
@@ -289,7 +316,7 @@ def _cmd_simulate(args) -> int:
     if keep_truth:
         _write_int_csv(args.truth, ["x_latent"], [sample.truth])
         manifest.add_output(args.truth)
-    schema_path = os.path.splitext(args.out)[0] + ".schema.cfg"
+    schema_path = _schema_path(args.out)
     _schema_sidecar(schema_path, sample.data)
     manifest.add_output(args.out)
     manifest.add_output(schema_path)
@@ -304,6 +331,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_test(args) -> int:
+    from .citest import DEFAULT_B, bootstrap_test, conditional_test_suite
+    from .report import render
+
+    if args.B is None:  # the parser leaves citest unloaded
+        args.B = DEFAULT_B
     manifest = _Manifest("test", vars(args))
     data = _load_data(args.input, args.schema, manifest)
     if args.by_cell:
@@ -329,6 +361,8 @@ def _identify_cell(label, counts, fitted) -> dict:
     """One cell's entry, under its ``label`` (None when pooled): its cmle
     fit (``fitted``, a CmleResult or OptimizationError) and the fit's
     ``saturation_gap``, the saturated log-likelihood minus the fit's."""
+    from .mle import saturated_loglik
+
     entry: dict = {"w_cell": label, "n": int(counts.sum())}
     if isinstance(fitted, OptimizationError):
         entry["error"] = str(fitted)
@@ -339,6 +373,11 @@ def _identify_cell(label, counts, fitted) -> dict:
 
 
 def _cmd_identify(args) -> int:
+    from .data import tabulate
+    from .mle import CmleResult
+    from .pipeline import cell_configs, fit_cells, model_std_errors
+    from .spectral import MisclassificationModel
+
     manifest = _Manifest("identify", vars(args))
     data = _load_data(args.input, args.schema, manifest)
     counts = data.cell_counts()
@@ -398,6 +437,8 @@ def _models_from_artifact(payload: dict, data: Dataset) -> list[Misclassificatio
     An unlabelled (pooled) entry is the model of the only cell of a
     one-cell dataset; a dataset with covariates needs one entry per cell.
     """
+    from .spectral import MisclassificationModel
+
     labels = data.w_labels
     entries = payload.get("cells", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -432,6 +473,9 @@ def _models_from_artifact(payload: dict, data: Dataset) -> list[Misclassificatio
 
 
 def _cmd_estimate(args) -> int:
+    from .pipeline import bootstrap_std_errors, parametric_fit
+    from .report import render
+
     manifest = _Manifest("estimate", vars(args))
     data = _load_data(args.data, args.schema, manifest)
     models = None
@@ -476,6 +520,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .report import render, render_csv
+
     sections = []
     render_one = render_csv if args.format == "csv" else render
     for path in args.inputs:
@@ -574,7 +620,7 @@ def _build_parser() -> _Parser:
     p_test.add_argument("--input", required=True)
     p_test.add_argument("--schema", required=True)
     p_test.add_argument("--by-cell", action="store_true", dest="by_cell")
-    p_test.add_argument("--B", type=_int_at_least(MIN_B), default=DEFAULT_B)
+    p_test.add_argument("--B", type=_test_replicates)
     p_test.add_argument("--seed", type=_int_at_least(0), required=True)
     p_test.add_argument("--out", required=True)
     p_test.set_defaults(func=_cmd_test)
@@ -619,13 +665,41 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _overwritten(args) -> str | None:
+    """Why an output of the command line would overwrite one of its inputs
+    or another of its outputs, or None; paths compare by their real path.
+    ``replay`` is checked when it runs the recorded command line."""
+    inputs = [(f"--{key}", getattr(args, key)) for key in
+              ("input", "data", "schema", "models", "spec") if getattr(args, key, None)]
+    inputs += [("an input", path) for path in getattr(args, "inputs", [])]
+    outputs = [(f"--{key}", getattr(args, key)) for key in ("out", "truth")
+               if getattr(args, key, None)]
+    if args.command == "simulate":
+        outputs.append(("the schema sidecar", _schema_path(args.out)))
+    if args.command in ("simulate", "test", "identify", "estimate"):
+        outputs.append(("the run manifest", args.out + ".manifest.json"))
+    claimed = {os.path.realpath(path): name for name, path in inputs}
+    for name, path in outputs:
+        real = os.path.realpath(path)
+        if real in claimed:
+            return f"{name} {path} is the same file as {claimed[real]}"
+        claimed[real] = name
+    return None
+
+
 def run(argv) -> int:
-    """Execute one CLI invocation; returns the exit code."""
+    """Execute one CLI invocation; returns the exit code. A command line
+    whose outputs would overwrite its inputs or each other is a usage error,
+    refused before any input is read."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    overwritten = _overwritten(args)
+    if overwritten:
+        print(f"error: {overwritten}", file=sys.stderr)
+        return USAGE_EXIT
     try:
         return args.func(args)
     except LatentcatError as exc:

@@ -239,6 +239,13 @@ def draw(
     Each record draws its covariate cell from ``cell_weights``, a latent
     state from that cell's latent marginal, then (x, y, z) independently
     given the latent state; conditional independence holds by construction.
+
+    The records are grouped by cell once, by a stable sort of the cell
+    draws, so that cell c's m records keep their order. Cell by cell, in
+    cell order, they take the next 4m uniforms of the stream: m each for the
+    latent state, x, y and z. A code is 1 plus the number of the first S-1
+    levels of its cdf below its uniform; a cell's codes are scattered to
+    its records' rows.
     """
     if n < 1:
         raise ConfigurationError("need at least one record")
@@ -254,35 +261,40 @@ def draw(
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x647277)))
     w = rng.choice(n_cells, size=n, p=weights)
-    xstar = np.empty(n, dtype=np.int64)
-    x = np.empty(n, dtype=np.int64)
-    y = np.empty(n, dtype=np.int64)
-    z = np.empty(n, dtype=np.int64)
+    # Cell c's records are order[bounds[c]:bounds[c + 1]], in record order;
+    # numpy sorts keys of 16 bits or fewer by radix sort.
+    order = np.argsort(w.astype(np.min_scalar_type(n_cells - 1)), kind="stable")
+    sizes = np.bincount(w, minlength=n_cells)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    # Buffers reused by every cell; random() draws uniform()'s doubles.
+    uniforms = np.empty(4 * sizes.max())
+    cell_codes = np.empty((4, sizes.max()), dtype=np.int64)
+    # xstar, x, y and z by record, in the smallest type that holds them.
+    codes = np.empty((4, n), dtype=np.min_scalar_type(max(s_x, s_z)))
 
-    def sample_codes(cdf_cols: np.ndarray, states: np.ndarray, u: np.ndarray):
-        # cdf_cols[:, s] is the cdf of the code distribution given state s;
-        # the final level is forced to 1 so cumsum slack cannot leak codes.
-        cdf = cdf_cols.copy()
-        cdf[-1, :] = 1.0
-        picked = cdf[:, states]
-        return 1 + (u[None, :] > picked).sum(axis=0)
+    def sample_codes(cdf: np.ndarray, u: np.ndarray, states=None) -> np.ndarray:
+        # cdf[k] is the k-th cdf level, or with states cdf[k, s] that of the
+        # code distribution given state s. The last level counts as 1, which
+        # no uniform reaches, so cumsum slack cannot leak a code past S.
+        picked = np.ones(u.size, dtype=np.int64)
+        for level in cdf[:-1]:
+            picked += u > (level if states is None else level[states])
+        return picked
 
     for cell, model in enumerate(models):
-        mask = w == cell
-        m = int(mask.sum())
+        m = sizes[cell]
         if m == 0:
             continue
-        u_star = rng.uniform(size=m)
-        cdf_star = np.cumsum(model.f_xstar)[:, None]
-        cdf_star[-1, 0] = 1.0
-        states = (u_star[None, :] > cdf_star).sum(axis=0)
-        xstar[mask] = states + 1
-        x[mask] = sample_codes(np.cumsum(model.m_x_given_xstar, axis=0), states,
-                               rng.uniform(size=m))
-        y[mask] = (rng.uniform(size=m) < model.f_y_given_xstar[states]).astype(np.int64)
-        z[mask] = sample_codes(np.cumsum(model.m_z_given_xstar, axis=0), states,
-                               rng.uniform(size=m))
+        u_star, u_x, u_y, u_z = rng.random(out=uniforms[:4 * m]).reshape(4, m)
+        block = cell_codes[:, :m]
+        block[0] = sample_codes(np.cumsum(model.f_xstar), u_star)
+        states = block[0] - 1
+        block[1] = sample_codes(np.cumsum(model.m_x_given_xstar, axis=0), u_x, states)
+        block[2] = u_y < model.f_y_given_xstar[states]
+        block[3] = sample_codes(np.cumsum(model.m_z_given_xstar, axis=0), u_z, states)
+        codes[:, order[bounds[cell]:bounds[cell + 1]]] = block
 
+    xstar, x, y, z = codes.astype(np.int64)
     w = w.astype(np.int64)
     data = Dataset.from_records(
         x, y, z, w,

@@ -530,9 +530,11 @@ def test_every_public_definition_is_in_its_module_all():
         assert all(hasattr(module, name) for name in module.__all__), module.__name__
 
 
-def scipy_loaded(code: str) -> set[str]:
-    """The scipy modules a fresh interpreter holds after running ``code``."""
-    probe = code + "\nprint(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+def modules_loaded(code: str, package: str) -> set[str]:
+    """The modules of ``package`` (its name with a trailing dot) that a fresh
+    interpreter holds after running ``code``."""
+    probe = code + (f"\nprint(*sorted(m for m in sys.modules "
+                    f"if m.startswith({package!r})))")
     out = subprocess.run([sys.executable, "-c", "import sys\n" + probe],
                          capture_output=True, text=True, check=True).stdout
     return set(out.splitlines()[-1].split())
@@ -544,7 +546,7 @@ def test_cli_import_leaves_scipy_unloaded():
     Importing scipy.stats alone took about 0.5 s, and the whole of scipy
     about 1 s. The package runs on numpy and the standard library alone.
     """
-    assert scipy_loaded("import latentcat, latentcat.cli") == set()
+    assert modules_loaded("import latentcat, latentcat.cli", "scipy") == set()
 
 
 def test_stages_load_only_the_scipy_they_call(pipeline, tmp_path):
@@ -571,7 +573,39 @@ def test_stages_load_only_the_scipy_they_call(pipeline, tmp_path):
             "--target", "reported", "--boot", "5", "--out", str(tmp_path / "fr.json")],
     }
     for name, args in stages.items():
-        assert scipy_loaded(stage(args)) == set(), name
+        assert modules_loaded(stage(args), "scipy") == set(), name
+
+
+def test_each_command_loads_only_the_modules_it_runs(pipeline, tmp_path):
+    """Each command is its own process, which compiles every module it
+    imports. ``simulate`` loads the generator and no estimator; ``test``
+    loads the test and neither; the fits load no generator."""
+    synth, schema = str(pipeline["synth"]), str(pipeline["schema"])
+    data = ["--schema", schema, "--seed", "1"]
+    stage = ("from latentcat.cli import run\n"
+             "assert run({!r}) == 0").format
+    core = {"cli", "data", "errors", "spectral"}
+    fits = core | {"mle", "ordered", "pipeline", "report", "resampling"}
+    commands = {
+        "simulate": (["simulate", "--spec", str(pipeline["spec"]), "--n", "2000",
+                      "--seed", "1", "--out", str(tmp_path / "s.csv")],
+                     core | {"generate", "ordered"}),
+        "test --by-cell": (["test", "--input", synth, *data, "--by-cell", "--B", "99",
+                            "--out", str(tmp_path / "r.json")],
+                           core | {"citest", "report"}),
+        "identify --by-cell": (["identify", "--input", synth, *data, "--by-cell",
+                                "--starts", "2", "--out", str(tmp_path / "m.json")],
+                               fits),
+        "latent estimate": (["estimate", "--models", str(pipeline["models"]), "--data",
+                             synth, *data, "--model", "hoprobit", "--target", "latent",
+                             "--out", str(tmp_path / "fl.json")], fits),
+        "reported estimate": (["estimate", "--data", synth, *data, "--model",
+                               "oprobit", "--target", "reported",
+                               "--out", str(tmp_path / "fr.json")], fits),
+    }
+    for name, (args, modules) in commands.items():
+        assert modules_loaded(stage(args), "latentcat.") == {
+            f"latentcat.{module}" for module in modules}, name
 
 
 def test_input_that_is_not_utf8_is_one_error_line(tmp_path):
@@ -643,6 +677,45 @@ def test_simulate_truth_sidecar(tmp_path):
     assert truth.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--spec", "g.cfg", "--n", "100", "--seed", "1", "--out", "h.csv",
+     "--truth", "h.csv"],
+    ["simulate", "--spec", "g.cfg", "--n", "100", "--seed", "1", "--out", "g.cfg"],
+    ["simulate", "--spec", "g.cfg", "--n", "100", "--seed", "1", "--out", "h.csv",
+     "--truth", "h.schema.cfg"],
+    ["simulate", "--spec", "g.cfg", "--n", "100", "--seed", "1", "--out", "h.csv",
+     "--truth", "h.csv.manifest.json"],
+    ["test", "--input", "a.csv", "--schema", "a.schema.cfg", "--B", "99", "--seed", "1",
+     "--out", "a.schema.cfg"],
+    ["identify", "--input", "a.csv", "--schema", "a.schema.cfg", "--starts", "1",
+     "--seed", "1", "--out", "a.csv"],
+    ["estimate", "--models", "m.json", "--data", "a.csv", "--schema", "a.schema.cfg",
+     "--model", "linear", "--target", "latent", "--seed", "1", "--out", "m.json"],
+    ["report", "m.json", "r.json", "--out", "./r.json"],
+    ["replay", "run/g.cfg.manifest.json", "--out-dir", "."],
+], ids=["simulate-truth-is-out", "simulate-out-is-spec", "simulate-truth-is-sidecar",
+        "simulate-truth-is-manifest", "test", "identify", "estimate", "report",
+        "replay"])
+def test_an_output_that_would_overwrite_an_input_or_output_is_refused(
+        pipeline, tmp_path, capsys, monkeypatch, argv):
+    # Checked on real paths before any input is read: nothing is written.
+    monkeypatch.chdir(tmp_path)
+    for name, key in (("g.cfg", "spec"), ("a.csv", "synth"), ("a.schema.cfg", "schema"),
+                      ("m.json", "models"), ("r.json", "report")):
+        (tmp_path / name).write_bytes(pipeline[key].read_bytes())
+    if argv[0] == "replay":  # a run whose --out, replayed into ".", is its spec
+        (tmp_path / "run").mkdir()
+        assert run(["simulate", "--spec", "g.cfg", "--n", "100", "--seed", "1",
+                    "--out", "run/g.cfg"]) == 0
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    assert run(argv) == 64
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "is the same file as" in line
+    assert {path: path.read_bytes()
+            for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
 def test_replay_out_dir_receives_the_truth_file(tmp_path):
     spec = tmp_path / "gen.cfg"
     spec.write_text(GEN_CFG)
@@ -681,6 +754,10 @@ def int_matrices(draw_from):
 @given(int_matrices(), st.integers(1, 41))
 @example(np.arange(3 * (2 * cli._CSV_BLOCK_ROWS + 1)).reshape(-1, 3) * 7919,
          cli._CSV_BLOCK_ROWS)
+# A block of single digits, written without the leading-zero mask, then a
+# block holding wider fields.
+@example(np.vstack([np.arange(3 * cli._CSV_BLOCK_ROWS).reshape(-1, 3) % 10,
+                    [[0, 10, 5], [123456789, 0, 9]]]), cli._CSV_BLOCK_ROWS)
 def test_int_csv_writer_matches_savetxt(matrix, block_rows):
     header = [f"c{k}" for k in range(matrix.shape[1])]
     reference = io.BytesIO()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentcat.citest import ts_statistic
-from latentcat.data import tabulate
+from latentcat.data import Dataset, cell_labels, tabulate
 from latentcat.errors import ConfigurationError, GeneratorError
 from latentcat.generate import (
     GeneratorSpec,
@@ -12,7 +14,7 @@ from latentcat.generate import (
     make_model,
     probit_population,
 )
-from latentcat.spectral import population_pmf
+from latentcat.spectral import MisclassificationModel, population_pmf
 
 from conftest import PUBLISHED_F_X, published_cell_model
 
@@ -163,3 +165,83 @@ def test_probit_params_drive_latent_marginals():
     lc = probit_population(params)
     for model, probs in zip(models, lc.probs):
         assert np.allclose(model.f_xstar, probs, atol=1e-12)
+
+
+def reference_draw(models, cell_weights, n, seed, keep_truth=False):
+    """``draw`` as it was before it grouped the records by cell: a boolean
+    scan of all records per cell, and an (S, m) cdf table summed per code."""
+    weights = np.asarray(cell_weights, dtype=float)
+    n_cells = len(models)
+    n_cols = max(n_cells - 1, 0).bit_length()
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x647277)))
+    w = rng.choice(n_cells, size=n, p=weights)
+    xstar = np.empty(n, dtype=np.int64)
+    x = np.empty(n, dtype=np.int64)
+    y = np.empty(n, dtype=np.int64)
+    z = np.empty(n, dtype=np.int64)
+
+    def sample_codes(cdf_cols, states, u):
+        cdf = cdf_cols.copy()
+        cdf[-1, :] = 1.0
+        picked = cdf[:, states]
+        return 1 + (u[None, :] > picked).sum(axis=0)
+
+    for cell, model in enumerate(models):
+        mask = w == cell
+        m = int(mask.sum())
+        if m == 0:
+            continue
+        u_star = rng.uniform(size=m)
+        cdf_star = np.cumsum(model.f_xstar)[:, None]
+        cdf_star[-1, 0] = 1.0
+        states = (u_star[None, :] > cdf_star).sum(axis=0)
+        xstar[mask] = states + 1
+        x[mask] = sample_codes(np.cumsum(model.m_x_given_xstar, axis=0), states,
+                               rng.uniform(size=m))
+        y[mask] = (rng.uniform(size=m) < model.f_y_given_xstar[states]).astype(np.int64)
+        z[mask] = sample_codes(np.cumsum(model.m_z_given_xstar, axis=0), states,
+                               rng.uniform(size=m))
+
+    w = w.astype(np.int64)
+    data = Dataset.from_records(
+        x, y, z, w, support=(models[0].s_x, 2, models[0].s_z),
+        w_columns=tuple(f"w{k + 1}" for k in range(n_cols)),
+        w_labels=cell_labels(n_cols),
+    )
+    return data, x, y, z, w, (xstar if keep_truth else None)
+
+
+@st.composite
+def draw_inputs(draw_from):
+    """Random cell models (not generator-admissible ones: ``draw`` reads only
+    their pmfs), weights with some cells at zero, and a draw's arguments."""
+    n_cells = draw_from(st.integers(1, 64))
+    s_x, s_z = draw_from(st.integers(2, 5)), draw_from(st.integers(2, 5))
+    rng = np.random.default_rng(draw_from(st.integers(0, 2**32 - 1)))
+    models = [MisclassificationModel(
+        m_x_given_xstar=rng.dirichlet(np.ones(s_x), size=s_x).T,
+        f_y_given_xstar=rng.uniform(size=s_x),
+        m_z_given_xstar=rng.dirichlet(np.ones(s_z), size=s_x).T,
+        f_xstar=rng.dirichlet(np.ones(s_x)),
+    ) for _ in range(n_cells)]
+    weights = rng.uniform(size=n_cells) * (rng.uniform(size=n_cells) < 0.7)
+    weights[rng.integers(n_cells)] += 1.0  # at least one cell is populated
+    n = draw_from(st.one_of(st.integers(1, 50), st.integers(1, 20_000)))
+    return models, weights / weights.sum(), n, draw_from(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw_inputs(), st.booleans())
+def test_draw_equals_the_per_cell_scan_bit_for_bit(inputs, keep_truth):
+    models, weights, n, seed = inputs
+    sample = draw(models, weights, n, seed=seed, keep_truth=keep_truth)
+    data, x, y, z, w, truth = reference_draw(models, weights, n, seed, keep_truth)
+    for got, want in ((sample.x, x), (sample.y, y), (sample.z, z), (sample.w, w),
+                      (sample.data.counts, data.counts)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if keep_truth:
+        assert sample.truth.dtype == truth.dtype and np.array_equal(sample.truth, truth)
+    else:
+        assert sample.truth is None
+    assert (sample.data.w_columns, sample.data.w_labels) == (data.w_columns,
+                                                             data.w_labels)
