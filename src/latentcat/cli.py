@@ -2,12 +2,13 @@
 
 Every run writes its outputs plus a run manifest (<out>.manifest.json)
 recording the resolved configuration, explicit seed, package version,
-per-stage timings (and a bootstrap's chunk counters), and content digests
-of all inputs. ``replay`` re-executes a manifest (after verifying input
-digests) into a target directory and is the mechanism behind the
-bit-for-bit reproducibility contract: artifact JSON is written with sorted
-keys and repr-round-trip floats, so identical configuration plus identical
-inputs yields identical bytes.
+per-stage timings (and a bootstrap's chunk counters), the rows each of
+ingest's parsers read, and content digests of all inputs. ``replay``
+re-executes a manifest (after verifying input digests) into a target
+directory and is the mechanism behind the bit-for-bit reproducibility
+contract: artifact JSON is written with sorted keys and repr-round-trip
+floats, so identical configuration plus identical inputs yields identical
+bytes.
 
 Each command imports the modules it runs when it runs, so that a process
 compiles no other: ``simulate`` loads the generator and no estimator, and
@@ -163,6 +164,7 @@ def _load_data(input_path: str, schema_path: str, manifest: _Manifest) -> Datase
     data, exclusions = ingest(input_path, schema)
     print(render_exclusions(exclusions.to_dict()), file=sys.stderr, end="")
     manifest.stage("ingest")
+    manifest.payload["rows_by_parser"] = exclusions.rows_by_parser
     return data
 
 

@@ -10,6 +10,12 @@ Everything downstream (tests, identification, estimation, bootstrap
 redraws) reads it, a cell at a time as ``tabulate``'s (S_X, 2, S_Z) count
 array, whose pmf is counts / n; cell labels live only in ``Dataset.w_labels``.
 
+``ingest`` reads an extract a block of lines at a time, each with the first
+of four parsers that takes it whole (``PARSERS``). A block of one-digit
+fields, which is what ``simulate`` writes, is a fixed-width byte table: it
+is checked, coded and counted through 10-entry lookup tables built from the
+schema's own rules, with no per-field parsing.
+
 Discretization conventions
 --------------------------
 * ``median_split``: 1 iff strictly above the sample median (midpoint of the
@@ -214,11 +220,17 @@ def load_schema(path_or_text) -> Schema:
 
 @dataclass(frozen=True)
 class ExclusionReport:
-    """Counts of records dropped during ingestion, by reason."""
+    """Counts of records dropped during ingestion, by reason.
+
+    ``rows_by_parser`` counts the rows each of ingest's parsers read
+    (``PARSERS``). It says how the input was read, not what was read, so
+    ``to_dict`` and equality leave it out.
+    """
 
     n_read: int
     n_kept: int
     reasons: dict[str, int] = field(default_factory=dict)
+    rows_by_parser: dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def n_excluded(self) -> int:
@@ -395,6 +407,10 @@ INGEST_BLOCK_CHARS = 1 << 16
 # Widest field the integer parser reads: 18 digits are exact in int64.
 _INT_DIGITS = 18
 
+# The parsers ingest tries on a block, in order; the report counts the
+# rows each one read.
+PARSERS = ("one_digit", "integer", "loadtxt", "csv_reader")
+
 
 def _blocks(stream):
     """The text of ``stream`` in blocks of whole lines."""
@@ -402,6 +418,29 @@ def _blocks(stream):
         if not text.endswith("\n"):
             text += stream.readline()
         yield text
+
+
+def _digit_table(text: str, n_fields: int) -> np.ndarray | None:
+    """A block of one-digit lines as its (lines, n_fields) table of digits.
+
+    None unless every line of the block is ``n_fields`` ASCII digits joined
+    by "," and ended by "\\n" (the input's last line may lack it). Such a
+    block is a table of 2·n_fields bytes a line. Read as little-endian byte
+    pairs, a line less the pairs of the line "0,0,...,0\\n" is its digits; a
+    byte other than a digit in a digit's place, or other than the separator
+    in a separator's place, leaves a pair above 9.
+    """
+    if not text.endswith("\n"):
+        text += "\n"  # the last line of the input lacks its line end
+    width = 2 * n_fields
+    # The first test turns most other blocks away at their first line.
+    if text[width - 1:width] != "\n" or len(text) % width or not text.isascii():
+        return None
+    zeros = np.frombuffer(b"0," * (n_fields - 1) + b"0\n", dtype="<u2")
+    digits = np.frombuffer(text.encode("ascii"), dtype="<u2").reshape(-1, n_fields) - zeros
+    if digits.max() > 9:
+        return None
+    return digits
 
 
 def _int_fields(text: str, n_fields: int, cols: list[int]) -> np.ndarray | None:
@@ -459,29 +498,102 @@ def _csv_fields(rows, cols: list[int]) -> np.ndarray:
 
 
 def _field_blocks(stream, n_fields: int, cols: list[int]):
-    """Fields ``cols`` of the data rows, a block at a time (see ``ingest``),
-    each with whether ``_int_fields`` parsed it (then every field is a
-    finite integer)."""
+    """The data rows a block at a time (see ``ingest``), each with the name
+    of the parser that read it (``PARSERS``). A ``one_digit`` block is the
+    digit table of all ``n_fields`` fields; any other is fields ``cols`` as
+    floats, every one a finite integer when the parser is ``integer``."""
     for text in _blocks(stream):
+        digits = _digit_table(text, n_fields)
+        if digits is not None:
+            yield digits, "one_digit"
+            continue
         if '"' in text:  # csv.reader reads the rest, this block's line count at a time
             reader = csv.reader(itertools.chain(io.StringIO(text), stream))
             n_rows = text.count("\n") + 1
             while rows := list(itertools.islice(reader, n_rows)):
-                yield _csv_fields(rows, cols), False
+                yield _csv_fields(rows, cols), "csv_reader"
             return
         fields = _int_fields(text, n_fields, cols)
         if fields is not None:
-            yield fields, True
+            yield fields, "integer"
             continue
         if not text.strip("\r\n"):
             continue  # empty lines only, which loadtxt would warn about
         lines = io.StringIO(text).readlines()
         try:
-            fields = np.loadtxt(lines, delimiter=",", usecols=cols, comments=None,
-                                quotechar=None, dtype=float, ndmin=2)
+            fields, parser = np.loadtxt(lines, delimiter=",", usecols=cols, comments=None,
+                                        quotechar=None, dtype=float, ndmin=2), "loadtxt"
         except ValueError:
-            fields = _csv_fields(csv.reader(lines), cols)
-        yield fields, False
+            fields, parser = _csv_fields(csv.reader(lines), cols), "csv_reader"
+        yield fields, parser
+
+
+def _recode(x: np.ndarray, x_recode: dict[int, int]) -> np.ndarray:
+    """The recoded codes of raw x values, 0 where ``x_recode`` maps none."""
+    x_codes = np.zeros(len(x), dtype=np.int64)  # recode targets start at 1
+    for raw, code in x_recode.items():
+        x_codes[x == raw] = code
+    return x_codes
+
+
+def _bin_fixed(y: np.ndarray, z: np.ndarray, schema: Schema):
+    """y and z coded by the schema's fixed rules; a column whose rule needs
+    the whole column (``median``, ``tercile``) is returned as it is."""
+    if schema.y_binning != "median":
+        y = (y > float(schema.y_binning)).astype(np.int64)
+    if schema.z_binning != "tercile":
+        z = _apply_cuts(z, schema.z_binning)
+    return y, z
+
+
+def _failures(x_codes: np.ndarray, w: np.ndarray,
+              fields: np.ndarray | None) -> dict[str, np.ndarray]:
+    """Each exclusion rule's mask of the rows that fail it (see ``ingest``).
+    ``fields`` is None when every field is a finite integer, on which the
+    first two rules cannot fire."""
+    rules = {}  # in priority order: a row is tallied under the first it fails
+    if fields is not None:
+        x = fields[:, 0]
+        rules["missing_or_nonnumeric"] = ~np.isfinite(fields).all(axis=1)
+        rules["noninteger_x"] = ~(np.isfinite(x) & (x == np.floor(x)))
+    rules["unmapped_x"] = x_codes == 0
+    rules["nonbinary_w"] = ((w != 0) & (w != 1)).any(axis=1)
+    return rules
+
+
+def _digit_tables(schema: Schema) -> tuple[list[np.ndarray], list[tuple[str, int, int]]]:
+    """Lookup tables over the digits 0-9 that code and count a block of
+    one-digit rows under fixed binning, one table per needed field (x, y, z,
+    then the covariates), built from the schema's recode map, binning rules
+    and little-endian bit weights, and the exclusion rules of ``_failures``.
+
+    A row's entries sum to its flat (cell, x, y, z) count-table index when
+    its digits pass every rule. A digit that fails a rule has, in place of
+    its index part, the rule's base; each base exceeds every sum that
+    failing only lower rules can reach. So the rows tallied under a rule
+    are those whose sum falls in its range: (reason, base, next base).
+    """
+    digits = np.arange(10)
+    s_x, s_z, n_w = schema.s_x, schema.s_z, len(schema.w_columns)
+    x_codes = _recode(digits, schema.x_recode)
+    y_codes, z_codes = _bin_fixed(digits, digits, schema)
+    tables = [(x_codes - 1) * 2 * s_z, y_codes * s_z, z_codes - 1,
+              *np.outer(2 ** np.arange(n_w), digits) * (s_x * 2 * s_z)]
+    # The rules each digit fails as an x code (beside no covariate) and as a
+    # covariate (beside a mapped x code); a y or z digit fails none.
+    fails = [_failures(x_codes, np.zeros((10, 0)), None), None, None,
+             *[_failures(np.ones(10), digits[:, None], None)] * n_w]
+    top = 2**n_w * s_x * 2 * s_z  # the count table's size
+    ranges = []
+    for reason in reversed(fails[0]):  # lowest priority first, so the first rule wins
+        base, failing = top, 0
+        for table, rules in zip(tables, fails):
+            if rules is not None and rules[reason].any():
+                table[rules[reason]] = base
+                failing += 1
+        top = base * (1 + failing)
+        ranges.append((reason, base, top))
+    return tables, ranges
 
 
 def _not_utf8(source, exc: UnicodeDecodeError) -> DataError:
@@ -502,29 +614,36 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
 
     ``source`` is a path (UTF-8, a leading BOM ignored, any line ends) or an
     open text stream whose lines end at "\\n", with a header row naming all
-    schema columns. Blank rows are skipped and not counted. Each needed field is ``float(field.strip())``,
-    or NaN when it is missing, empty or unparsable. The exclusion rules are
-    column masks, in priority order: ``missing_or_nonnumeric`` (any
-    non-finite field), ``noninteger_x``, ``unmapped_x`` (an x code absent
-    from the recode map), ``nonbinary_w`` (a covariate other than 0/1).
-    Excluded rows are dropped listwise and tallied in the returned report
-    under the first rule they fail; a rule that never fires has no entry.
+    schema columns, none of them twice. Blank rows are skipped and not
+    counted. Each needed field is ``float(field.strip())``, or NaN when it is
+    missing, empty or unparsable. The exclusion rules are column masks, in
+    priority order: ``missing_or_nonnumeric`` (any non-finite field),
+    ``noninteger_x``, ``unmapped_x`` (an x code absent from the recode map),
+    ``nonbinary_w`` (a covariate other than 0/1). Excluded rows are dropped
+    listwise and tallied in the returned report under the first rule they
+    fail; a rule that never fires has no entry.
 
     The lines after the header are read in blocks of ``INGEST_BLOCK_CHARS``
-    characters, each finished at the end of its last line. A block of
-    integer lines is parsed by ``_int_fields`` in one vectorized pass.
+    characters, each finished at the end of its last line, and each block
+    goes to the first of four parsers (``PARSERS``) that takes it whole; the
+    report's ``rows_by_parser`` counts the rows each one read.
+    ``_digit_table`` takes a block whose every line is one-digit fields
+    joined by "," and ended by "\\n": a fixed-width byte table, checked in
+    a few vectorized ops. ``_int_fields`` takes a block of integer lines.
     ``np.loadtxt`` parses any other block without a quote character. Where
     it accepts a field, the value is ``float``'s; it rejects more (``1_0``,
     non-ASCII digits, empty fields, short rows, whitespace-only lines), and
-    a block it rejects is parsed again by ``csv.reader`` and ``float``. Both
-    skip empty lines, so every block gives the fields the ``csv.reader``
-    path alone would. From the first block with a quote, ``csv.reader``
-    reads the rest of the input, because a quoted field may span lines and
-    blocks. Input that ``csv.reader`` refuses (a field over its size limit,
-    a bare ``\\r`` inside a line of a stream) is a ``DataError``.
+    a block it rejects is parsed again by ``csv.reader`` and ``float``. So
+    every block gives the fields the ``csv.reader`` path alone would. From
+    the first block with a quote, ``csv.reader`` reads the rest of the
+    input, because a quoted field may span lines and blocks. Input that
+    ``csv.reader`` refuses (a field over its size limit, a bare ``\\r``
+    inside a line of a stream) is a ``DataError``.
 
     Each block's kept rows are recoded, binned and added to the count table
-    at once, so with fixed binning of y and z no record outlives its block.
+    at once, so with fixed binning of y and z no record outlives its block;
+    a one-digit block is coded, checked and counted through 10-entry lookup
+    tables of the schema's own rules (``_digit_tables``) and one bincount.
     A ``median`` or ``tercile`` rule needs the whole column, so only then
     are the kept rows' codes and raw values held until the input ends.
     """
@@ -553,35 +672,45 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
         missing = [c for c in needed if c not in header]
         if missing:
             raise SchemaError(f"input is missing declared columns: {missing}")
+        for column in dict.fromkeys(needed):
+            at = [i + 1 for i, h in enumerate(header) if h == column]
+            if len(at) > 1:
+                raise SchemaError(f"input header names declared column {column!r} "
+                                  f"more than once, at columns {at}")
         cols = [header.index(c) for c in needed]
         # float64, exact for these bit sums: integer matmul has no BLAS path
         bit_values = 2.0 ** np.arange(len(schema.w_columns))
+        if fixed_y and fixed_z:
+            tables, ranges = _digit_tables(schema)
         reasons: dict[str, int] = {}
-        n_read = 0
-        for fields, integers in _field_blocks(stream, len(header), cols):
-            n_read += len(fields)
+        rows_by_parser = dict.fromkeys(PARSERS, 0)
+        for fields, parser in _field_blocks(stream, len(header), cols):
+            rows_by_parser[parser] += len(fields)
+            if parser == "one_digit":
+                if fixed_y and fixed_z:
+                    digits = fields.astype(np.intp)  # indexes without a cast per field
+                    flat = tables[0][digits[:, cols[0]]]
+                    for table, c in zip(tables[1:], cols[1:]):
+                        flat += table[digits[:, c]]
+                    tally = np.bincount(flat, minlength=ranges[-1][2])
+                    counts += tally[:counts.size].reshape(counts.shape)
+                    for reason, base, top in ranges:
+                        if n := int(tally[base:top].sum()):
+                            reasons[reason] = reasons.get(reason, 0) + n
+                    continue
+                fields = fields[:, cols].astype(float)
             x, w = fields[:, 0], fields[:, 3:]
-            x_codes = np.zeros(len(fields), dtype=np.int64)  # recode targets start at 1
-            for raw, code in schema.x_recode.items():
-                x_codes[x == raw] = code
-            rules = {}  # in priority order: a row is tallied under the first it fails
-            if not integers:  # the first two rules cannot fire on integer fields
-                rules["missing_or_nonnumeric"] = ~np.isfinite(fields).all(axis=1)
-                rules["noninteger_x"] = ~(np.isfinite(x) & (x == np.floor(x)))
-            rules["unmapped_x"] = x_codes == 0
-            rules["nonbinary_w"] = ((w != 0) & (w != 1)).any(axis=1)
+            x_codes = _recode(x, schema.x_recode)
+            integers = parser in ("one_digit", "integer")
+            rules = _failures(x_codes, w, None if integers else fields)
             first = np.select(list(rules.values()), range(len(rules)),
                               default=len(rules))
             for reason, n in zip(rules, np.bincount(first, minlength=len(rules))):
                 if n:
                     reasons[reason] = reasons.get(reason, 0) + int(n)
             keep = first == len(rules)
-            y, z = fields[keep, 1], fields[keep, 2]
-            if fixed_y:
-                y = (y > float(schema.y_binning)).astype(np.int64)
-            if fixed_z:
-                z = _apply_cuts(z, schema.z_binning)
-            rows = (x_codes[keep], y, z, (w[keep] @ bit_values).astype(np.int64))
+            rows = (x_codes[keep], *_bin_fixed(fields[keep, 1], fields[keep, 2], schema),
+                    (w[keep] @ bit_values).astype(np.int64))
             if fixed_y and fixed_z:
                 counts += _count_codes(*rows, support, n_cells)
             else:
@@ -594,8 +723,9 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
         if close:
             stream.close()
 
+    n_read = sum(rows_by_parser.values())
     report = ExclusionReport(n_read=n_read, n_kept=n_read - sum(reasons.values()),
-                             reasons=reasons)
+                             reasons=reasons, rows_by_parser=rows_by_parser)
     if not report.n_kept:
         raise DataError(
             f"no usable records after exclusions "

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from latentcat import cli
 from latentcat.cli import run
+from latentcat.data import ingest, load_schema
+from latentcat.errors import SchemaError
 from latentcat.generate import GeneratorSpec, draw, make_cell_weights, make_model
 
 GEN_CFG = """\
@@ -644,6 +646,74 @@ def test_field_over_the_csv_limit_is_one_error_line(tmp_path):
     assert proc.stderr.splitlines() == [
         "error: cannot parse input as CSV: field larger than field limit (131072)"]
     assert set(tmp_path.iterdir()) == {schema, data}  # no artifact, no manifest
+
+
+DIGIT_SCHEMA = ("[columns]\nx=x\ny=y\nz=z\nw=w\n\n[recode]\nx = 1:1 2:2 3:3\n\n"
+                "[binning]\nz = cuts 1 2\ny = above 0.5\n")
+
+
+def test_a_header_naming_a_declared_column_twice_is_one_error_line(tmp_path, capsys):
+    schema = tmp_path / "s.cfg"
+    schema.write_text(DIGIT_SCHEMA)
+    data = tmp_path / "d.csv"
+    data.write_text("x,y,z,w,x\n1,0,1,0,3\n2,1,2,1,3\n3,0,3,0,3\n")
+    out = tmp_path / "r.json"
+    assert run(["test", "--input", str(data), "--schema", str(schema), "--seed", "1",
+                "--out", str(out)]) == SchemaError.exit_code
+    assert capsys.readouterr().err.splitlines() == [
+        "error: input header names declared column 'x' more than once, at columns [1, 5]"]
+    assert set(tmp_path.iterdir()) == {schema, data}  # no artifact, no manifest
+
+
+def test_manifest_counts_the_rows_each_parser_read(tmp_path):
+    # The same records twice: z written as one digit, then as two ("01").
+    # Ingest reads the first file as a one-digit table and the second with
+    # the integer parser; the artifacts are the same bytes.
+    schema = tmp_path / "s.cfg"
+    schema.write_text(DIGIT_SCHEMA)
+    rng = np.random.default_rng(0)
+    rows = rng.integers([1, 0, 1, 0], [4, 2, 4, 2], size=(400, 4))
+    artifacts = {}
+    for name, width, parser in (("one", 1, "one_digit"), ("two", 2, "integer")):
+        data = tmp_path / f"{name}.csv"
+        data.write_text("x,y,z,w\n" + "".join(
+            f"{x},{y},{str(z).zfill(width)},{w}\n" for x, y, z, w in rows))
+        out = tmp_path / f"{name}.json"
+        assert run(["test", "--input", str(data), "--schema", str(schema), "--B", "99",
+                    "--seed", "1", "--out", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["rows_by_parser"] == {
+            "one_digit": 0, "integer": 0, "loadtxt": 0, "csv_reader": 0, parser: 400}
+        artifacts[name] = out.read_bytes()
+    assert artifacts["one"] == artifacts["two"]
+
+
+# perfbench's survey generator: S=3, 32 covariate cells.
+SURVEY_CFG = """\
+[generator]
+s_x = 3
+s_z = 3
+w_cells = 32
+strength = 0.4
+separation = 0.25
+ord_margin = 0.05
+min_singular_value = 0.08
+z_mix = 0.75
+latent_uniform_mix = 0.45
+"""
+
+
+def test_simulated_input_is_read_as_a_one_digit_table(tmp_path):
+    # The benchmark reads what simulate writes: every row must reach ingest's
+    # fastest parser, so a change to the writer cannot quietly slow it.
+    spec = tmp_path / "gen.cfg"
+    spec.write_text(SURVEY_CFG)
+    out = tmp_path / "d.csv"
+    assert run(["simulate", "--spec", str(spec), "--n", "20000", "--seed", "1",
+                "--out", str(out)]) == 0
+    _, report = ingest(str(out), load_schema(str(tmp_path / "d.schema.cfg")))
+    assert report.rows_by_parser == {
+        "one_digit": 20000, "integer": 0, "loadtxt": 0, "csv_reader": 0}
 
 
 def test_missing_input_file_exit(tmp_path):

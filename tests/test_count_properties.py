@@ -501,6 +501,76 @@ def test_integer_ingest_equals_the_row_loop(tmp_path):
     assert sum(n > 0 for n in parsed) >= len(parsed) / 4
 
 
+# The schema simulate writes beside its CSV: a fixed y threshold and z cuts
+# at digits, which a z digit meets.
+SIDECAR = Schema(x_column="x", y_column="y", z_column="z", w_columns=("w1", "w2", "w3"),
+                 x_recode={1: 1, 2: 2, 3: 3}, z_binning=(1.0, 2.0), y_binning=0.5)
+DIGIT_SCHEMAS = (SIDECAR, *INGEST_SCHEMAS)
+
+
+@st.composite
+def digit_extracts(draw):
+    """A CSV of one-digit fields over one of DIGIT_SCHEMAS: (text, line end
+    of the file, BOM, schema, block size). x codes include unmapped digits
+    and covariates non-binary ones; a two-digit field is rare, and the last
+    line may lack its line end."""
+    schema = draw(st.sampled_from(DIGIT_SCHEMAS))
+    mapped = [k for k in schema.x_recode if 0 <= k <= 9]
+    values = {schema.x_column: st.sampled_from(mapped * 4 + [8, 9]),
+              **dict.fromkeys(schema.w_columns, st.sampled_from([0, 1] * 6 + [2, 9]))}
+    names = [schema.x_column, schema.y_column, schema.z_column, *schema.w_columns]
+    names = draw(st.permutations(names + (["id"] if rarely(draw) else [])))
+    row = st.tuples(*[values.get(n, st.integers(0, 9)) for n in names]).map(list)
+    wide = row.map(lambda r: [10 + r[0], *r[1:]])
+    rows = draw(st.lists(st.sampled_from([row] * 29 + [wide]).flatmap(lambda r: r),
+                         min_size=1, max_size=40))
+    text = "\n".join(",".join(map(str, line)) for line in [names, *rows])
+    if not rarely(draw):
+        text += "\n"
+    return (text, draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans()), schema,
+            draw(BLOCK_CHARS))
+
+
+def test_one_digit_ingest_equals_the_row_loop(tmp_path):
+    digit_table = data_module._digit_table
+    parsed = []  # per example, the blocks that the one-digit parser read
+    path = tmp_path / "extract.csv"
+
+    def counted_digit_table(*args):
+        digits = digit_table(*args)
+        parsed[-1] += digits is not None
+        return digits
+
+    header = "x,y,z,w1,w2,w3\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(digit_extracts())
+    # A one-digit block, then a block with a two-digit field.
+    @example((header + "1,0,1,0,1,1\n2,1,2,1,0,0\n3,0,12,1,1,0\n", "\n", False,
+              SIDECAR, 16))
+    # The last line lacks its line end.
+    @example((header + "1,0,1,0,1,1\n2,1,2,1,0,0", "\r\n", True, SIDECAR, 1 << 16))
+    # Unmapped x codes and non-binary covariates, one row failing both, and
+    # z digits at the cuts.
+    @example((header + "9,0,1,2,0,1\n1,1,2,0,3,0\n0,1,1,0,0,0\n1,0,1,0,0,0\n"
+              "2,1,2,1,0,1\n3,1,3,1,1,1\n", "\n", False, SIDECAR, 1 << 16))
+    # Median and tercile rules, which hold the digits as floats.
+    @example(("ls,neuro,ghq,female,married\n1,4,2,0,1\n6,1,7,1,1\n9,3,3,0,2\n"
+              "3,0,5,1,0\n7,8,9,0,0\n", "\r\n", False, SCHEMA, 16))
+    def agrees(case):
+        text, end, bom, schema, block_chars = case
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.replace("\n", end).encode("ascii"))
+        parsed.append(0)
+        expected = ingest_outcome(row_loop_ingest, io.StringIO(text), schema)
+        with mock.patch.object(data_module, "INGEST_BLOCK_CHARS", block_chars):
+            assert ingest_outcome(ingest, str(path), schema) == expected
+            assert ingest_outcome(ingest, io.StringIO(text), schema) == expected
+
+    with mock.patch.object(data_module, "_digit_table", counted_digit_table):
+        agrees()
+    assert sum(n > 0 for n in parsed) >= len(parsed) / 4
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     cuts=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6, unique=True).map(sorted),

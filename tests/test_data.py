@@ -72,6 +72,18 @@ def test_ingest_missing_column_is_schema_error(basic_schema):
         ingest_text("ls,neuro,female,married\n1,2,0,0\n", basic_schema)
 
 
+def test_ingest_refuses_a_header_that_names_a_declared_column_twice():
+    schema = Schema(x_column="x", y_column="y", z_column="z", w_columns=(),
+                    x_recode={1: 1, 2: 2, 3: 3}, z_binning=(1.5, 2.5), y_binning=0.5)
+    text = "x,y,z, x\n1,0,1,3\n2,1,2,3\n3,0,3,3\n"  # names match once stripped
+    with pytest.raises(SchemaError, match=r"declared column 'x' more than once, "
+                                          r"at columns \[1, 4\]"):
+        ingest_text(text, schema)
+    # An undeclared column may repeat.
+    data, _ = ingest_text("id,x,y,z,id\n7,1,0,1,7\n8,2,1,2,8\n", schema)
+    assert data.n == 2
+
+
 def test_ingest_missing_and_nonbinary_values(basic_schema):
     rows = [
         (4, 1.0, 10, 0, 0),
