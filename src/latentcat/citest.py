@@ -155,21 +155,18 @@ def ts_statistic(probs: np.ndarray) -> tuple[float, tuple[int, int, int]]:
 
 def _replicate_stats(
     counts: np.ndarray, n: int, b: int, rng: np.random.Generator,
-    center: np.ndarray | None,
+    center: np.ndarray,
 ) -> np.ndarray:
     """Bootstrap statistics from multinomial count redraws.
 
-    ``center`` is the sample gap array to subtract cell-wise (None for the
-    uncentered variant). Replicate x-strata with zero mass are skipped in
-    that replicate's max.
+    ``center`` is the sample gap array to subtract cell-wise. Replicate
+    x-strata with zero mass are skipped in that replicate's max.
     """
     shape = counts.shape
     p_hat = (counts / n).ravel()
     reps = rng.multinomial(n, p_hat, size=b).reshape(b, *shape)
     gap, mask = _factorization_gap(reps.astype(float))
-    if center is not None:
-        gap = gap - center[None, ...]
-    agap = np.abs(gap)
+    agap = np.abs(gap - center[None, ...])
     agap[~mask, :, :] = -np.inf
     stats = agap.max(axis=(1, 2, 3))
     if np.any(~np.isfinite(stats)):

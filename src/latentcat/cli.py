@@ -184,18 +184,10 @@ _GENERATOR_KEYS = {
 
 
 def _parse_generator_config(path: str) -> tuple[GeneratorSpec, np.ndarray | None]:
-    import configparser
-
+    from .data import read_ini
     from .generate import GeneratorSpec, ProbitParams
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read generator spec: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigurationError(f"malformed generator spec: {exc}") from exc
+    parser = read_ini(path, "generator spec", ConfigurationError)
     if not parser.has_section("generator"):
         raise ConfigurationError("generator spec needs a [generator] section")
     g = parser["generator"]
@@ -241,31 +233,24 @@ def _write_int_csv(path: str, header: list[str], columns: list[np.ndarray]) -> N
     """Write equal-length columns of non-negative integers as CSV, the bytes
     ``np.savetxt(fmt="%d", delimiter=",", header=..., comments="")`` writes.
 
-    A block of rows is one uint8 array holding, per column, a digit field as
-    wide as the block's largest value and a separator. In a block where some
-    field is wider than one digit, a mask drops the leading-zero slots; a
-    block of single digits has none to drop. Each block is written at once.
+    A block of rows whose every value is one digit, as every record
+    ``simulate`` writes is, is one uint8 array of digits, separators and
+    line ends, written at once. A block with a wider field is written by
+    ``np.savetxt``.
     """
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             block = [c[start:start + _CSV_BLOCK_ROWS] for c in columns]
-            widths = [len(str(int(c.max()))) for c in block]
-            text = np.empty((len(block[0]), sum(widths) + len(block)), dtype=np.uint8)
-            keep = np.ones(text.shape, dtype=bool) if max(widths) > 1 else None
-            at = 0
-            for values, width in zip(block, widths):
-                if width == 1:
-                    np.add(values, ord("0"), out=text[:, at], casting="unsafe")
-                else:
-                    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-                    text[:, at:at + width] = values[:, None] // powers % 10 + ord("0")
-                    keep[:, at:at + width - 1] = values[:, None] >= powers[:-1]
-                at += width
-                text[:, at] = ord(",")
-                at += 1
+            if max(int(c.max()) for c in block) > 9:
+                np.savetxt(handle, np.column_stack(block), fmt="%d", delimiter=",")
+                continue
+            text = np.empty((len(block[0]), 2 * len(block)), dtype=np.uint8)
+            for k, values in enumerate(block):
+                np.add(values, ord("0"), out=text[:, 2 * k], casting="unsafe")
+            text[:, 1::2] = ord(",")
             text[:, -1] = ord("\n")
-            handle.write(text if keep is None else text[keep])
+            handle.write(text)
 
 
 def _write_dataset_csv(path: str, sample: SyntheticSample) -> None:

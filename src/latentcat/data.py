@@ -11,10 +11,11 @@ redraws) reads it, a cell at a time as ``tabulate``'s (S_X, 2, S_Z) count
 array, whose pmf is counts / n; cell labels live only in ``Dataset.w_labels``.
 
 ``ingest`` reads an extract a block of lines at a time, each with the first
-of four parsers that takes it whole (``PARSERS``). A block of one-digit
+of three parsers that takes it whole (``PARSERS``). A block of one-digit
 fields, which is what ``simulate`` writes, is a fixed-width byte table: it
 is checked, coded and counted through 10-entry lookup tables built from the
-schema's own rules, with no per-field parsing.
+schema's own rules, with no per-field parsing. Any other block is parsed by
+``np.loadtxt``, or by ``csv.reader`` where ``loadtxt`` cannot.
 
 Discretization conventions
 --------------------------
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, EmptyCellError, SchemaError
+from .errors import DataError, EmptyCellError, LatentcatError, SchemaError
 
 MAX_W_COLUMNS = 8
 
@@ -44,6 +45,7 @@ __all__ = [
     "Schema",
     "ExclusionReport",
     "Dataset",
+    "read_ini",
     "load_schema",
     "ingest",
     "median_split",
@@ -135,24 +137,34 @@ class Schema:
         return initials if len(set(initials)) == len(initials) else None
 
 
+def read_ini(source: str, what: str, error: type[LatentcatError],
+             is_text: bool = False) -> configparser.ConfigParser:
+    """Parse an INI file at path ``source`` (its text, if ``is_text``) in the
+    grammar of every configuration file (see README): ";" starts an inline
+    comment and "%" is a plain character. A file that cannot be read or
+    parsed is an ``error`` naming ``what`` the file is."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    try:
+        if is_text:
+            parser.read_string(source)
+        else:
+            with open(source, encoding="utf-8") as handle:
+                parser.read_file(handle)
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+    except configparser.Error as exc:
+        raise error(f"malformed {what}: {exc}") from exc
+    return parser
+
+
 def load_schema(path_or_text) -> Schema:
     """Parse a schema configuration file (INI grammar, see README).
 
     Accepts a filesystem path, or an already-read text blob (anything
     containing a newline is treated as text).
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     text = str(path_or_text)
-    try:
-        if "\n" in text:
-            parser.read_string(text)
-        else:
-            with open(text, encoding="utf-8") as handle:
-                parser.read_file(handle)
-    except OSError as exc:
-        raise SchemaError(f"cannot read schema file: {exc}") from exc
-    except configparser.Error as exc:
-        raise SchemaError(f"malformed schema file: {exc}") from exc
+    parser = read_ini(text, "schema file", SchemaError, is_text="\n" in text)
 
     try:
         cols = parser["columns"]
@@ -404,12 +416,9 @@ def _apply_cuts(values: np.ndarray, cuts: tuple[float, ...]) -> np.ndarray:
 # line; what ingest holds at once is bounded by one block.
 INGEST_BLOCK_CHARS = 1 << 16
 
-# Widest field the integer parser reads: 18 digits are exact in int64.
-_INT_DIGITS = 18
-
 # The parsers ingest tries on a block, in order; the report counts the
 # rows each one read.
-PARSERS = ("one_digit", "integer", "loadtxt", "csv_reader")
+PARSERS = ("one_digit", "loadtxt", "csv_reader")
 
 
 def _blocks(stream):
@@ -443,46 +452,6 @@ def _digit_table(text: str, n_fields: int) -> np.ndarray | None:
     return digits
 
 
-def _int_fields(text: str, n_fields: int, cols: list[int]) -> np.ndarray | None:
-    """Fields ``cols`` of a block of integer lines as floats, one row a line.
-
-    None unless the block is ASCII digits, commas and line ends ("\\n" or
-    "\\r\\n"), every line has ``n_fields`` fields, and every field has 1 to
-    ``_INT_DIGITS`` digits. A field's value is then exactly
-    ``float(field)``: the int64 it spells, rounded to the nearest double.
-    """
-    if not text.isascii():
-        return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    if buf[-1] != ord("\n"):  # the last line of the input lacks its line end
-        buf = np.append(buf, np.uint8(ord("\n")))
-    cr = buf == ord("\r")
-    if cr.any():
-        if (buf[np.flatnonzero(cr) + 1] != ord("\n")).any():
-            return None  # a bare "\r", which csv.reader refuses
-        buf = buf[~cr]
-    # Bytes above "9" are not digits; those below "0" must be "," or "\n",
-    # with a "\n" after every n_fields-th of them and nowhere else.
-    if buf.max() > ord("9"):
-        return None
-    seps = np.flatnonzero(buf < ord("0"))
-    n_lines = np.count_nonzero(buf == ord("\n"))
-    if (seps.size != n_lines * n_fields
-            or seps.size != n_lines + np.count_nonzero(buf == ord(","))
-            or (buf[seps[n_fields - 1::n_fields]] != ord("\n")).any()):
-        return None
-    gaps = np.diff(seps, prepend=-1)  # one more than each field's width
-    if gaps.min() < 2 or gaps.max() > _INT_DIGITS + 1:
-        return None
-    ends = seps.reshape(-1, n_fields)[:, cols]
-    values = buf[ends - 1].astype(np.int64) - ord("0")
-    widths = gaps.reshape(-1, n_fields)[:, cols] - 1
-    for k in range(1, int(widths.max())):  # the digit k places left of the last
-        digits = buf[ends - 1 - k].astype(np.int64) - ord("0")
-        values += np.where(widths > k, digits, 0) * 10**k
-    return values.astype(float)
-
-
 def _number(row: list[str], i: int) -> float:
     """Field i of a row as a float; NaN when it is absent, empty or unparsable."""
     try:
@@ -501,7 +470,7 @@ def _field_blocks(stream, n_fields: int, cols: list[int]):
     """The data rows a block at a time (see ``ingest``), each with the name
     of the parser that read it (``PARSERS``). A ``one_digit`` block is the
     digit table of all ``n_fields`` fields; any other is fields ``cols`` as
-    floats, every one a finite integer when the parser is ``integer``."""
+    floats."""
     for text in _blocks(stream):
         digits = _digit_table(text, n_fields)
         if digits is not None:
@@ -513,10 +482,6 @@ def _field_blocks(stream, n_fields: int, cols: list[int]):
             while rows := list(itertools.islice(reader, n_rows)):
                 yield _csv_fields(rows, cols), "csv_reader"
             return
-        fields = _int_fields(text, n_fields, cols)
-        if fields is not None:
-            yield fields, "integer"
-            continue
         if not text.strip("\r\n"):
             continue  # empty lines only, which loadtxt would warn about
         lines = io.StringIO(text).readlines()
@@ -549,8 +514,8 @@ def _bin_fixed(y: np.ndarray, z: np.ndarray, schema: Schema):
 def _failures(x_codes: np.ndarray, w: np.ndarray,
               fields: np.ndarray | None) -> dict[str, np.ndarray]:
     """Each exclusion rule's mask of the rows that fail it (see ``ingest``).
-    ``fields`` is None when every field is a finite integer, on which the
-    first two rules cannot fire."""
+    ``fields`` is None when every field is a digit, on which the first two
+    rules cannot fire."""
     rules = {}  # in priority order: a row is tallied under the first it fails
     if fields is not None:
         x = fields[:, 0]
@@ -625,20 +590,20 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
 
     The lines after the header are read in blocks of ``INGEST_BLOCK_CHARS``
     characters, each finished at the end of its last line, and each block
-    goes to the first of four parsers (``PARSERS``) that takes it whole; the
-    report's ``rows_by_parser`` counts the rows each one read.
+    goes to the first of three parsers (``PARSERS``) that takes it whole;
+    the report's ``rows_by_parser`` counts the rows each one read.
     ``_digit_table`` takes a block whose every line is one-digit fields
     joined by "," and ended by "\\n": a fixed-width byte table, checked in
-    a few vectorized ops. ``_int_fields`` takes a block of integer lines.
-    ``np.loadtxt`` parses any other block without a quote character. Where
-    it accepts a field, the value is ``float``'s; it rejects more (``1_0``,
-    non-ASCII digits, empty fields, short rows, whitespace-only lines), and
-    a block it rejects is parsed again by ``csv.reader`` and ``float``. So
-    every block gives the fields the ``csv.reader`` path alone would. From
-    the first block with a quote, ``csv.reader`` reads the rest of the
-    input, because a quoted field may span lines and blocks. Input that
-    ``csv.reader`` refuses (a field over its size limit, a bare ``\\r``
-    inside a line of a stream) is a ``DataError``.
+    a few vectorized ops. ``np.loadtxt`` parses any other block without a
+    quote character. Where it accepts a field, the value is ``float``'s; it
+    rejects more (``1_0``, non-ASCII digits, empty fields, short rows,
+    whitespace-only lines), and a block it rejects is parsed again by
+    ``csv.reader`` and ``float``. So every block gives the fields the
+    ``csv.reader`` path alone would. From the first block with a quote,
+    ``csv.reader`` reads the rest of the input, because a quoted field may
+    span lines and blocks. Input that ``csv.reader`` refuses (a field over
+    its size limit, a bare ``\\r`` inside a line of a stream) is a
+    ``DataError``.
 
     Each block's kept rows are recoded, binned and added to the count table
     at once, so with fixed binning of y and z no record outlives its block;
@@ -701,8 +666,7 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
                 fields = fields[:, cols].astype(float)
             x, w = fields[:, 0], fields[:, 3:]
             x_codes = _recode(x, schema.x_recode)
-            integers = parser in ("one_digit", "integer")
-            rules = _failures(x_codes, w, None if integers else fields)
+            rules = _failures(x_codes, w, None if parser == "one_digit" else fields)
             first = np.select(list(rules.values()), range(len(rules)),
                               default=len(rules))
             for reason, n in zip(rules, np.bincount(first, minlength=len(rules))):

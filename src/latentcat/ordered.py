@@ -411,17 +411,23 @@ def _pmf_and_jacobian(index, cuts, d_index, d_cuts):
     (cells, p) and ``d_cuts`` (items, cutpoints, p); every scale is 1. At an
     interior edge z = cut - index, so dz = d_cut - d_index, and each level's
     probability moves by the difference of pdf(z) * dz across its edges.
+    The pdf is exactly 0.0 beyond |z| of about 38.6, so z is clipped to
+    +-40 before it is squared: a line-search trial may put a cutpoint far
+    enough out that z * z would overflow.
     """
     z = cuts[:, None, :] - index[..., None]
     dz = d_cuts[:, None] - d_index[:, None]
-    d_cdf = (np.exp(-0.5 * z * z) / _SQRT_2PI)[..., None] * dz
+    edge = np.clip(z, -40.0, 40.0)
+    d_cdf = (np.exp(-0.5 * edge * edge) / _SQRT_2PI)[..., None] * dz
     return _masses(_norm_cdf(z)[..., None], 1.0)[..., 0], _masses(d_cdf, 0.0)
 
 
 def _chained_cuts(anchor: np.ndarray, log_gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, anchor + (0, cumsum(gaps)) with gaps = exp(log_gaps), and the
-    gaps: cutpoint i moves by gap j in log gap j < i."""
-    gaps = np.exp(np.ascontiguousarray(log_gaps))
+    gaps: cutpoint i moves by gap j in log gap j < i. A log gap is capped at
+    700 so that exp does not overflow on a line-search trial; a gap of
+    exp(700), about 1e304, already puts the cdf at the next cutpoint at 1.0."""
+    gaps = np.exp(np.minimum(log_gaps, 700.0))
     zero = np.zeros((len(gaps), 1))
     return anchor[:, None] + np.concatenate((zero, np.cumsum(gaps, axis=1)), axis=1), gaps
 

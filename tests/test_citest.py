@@ -173,7 +173,7 @@ def test_centering_lowers_replicate_mean():
     rng1 = np.random.default_rng(21)
     rng2 = np.random.default_rng(21)
     centered = _replicate_stats(counts, data.n, 300, rng1, center)
-    uncentered = _replicate_stats(counts, data.n, 300, rng2, None)
+    uncentered = _replicate_stats(counts, data.n, 300, rng2, np.zeros_like(center))
     assert centered.mean() < uncentered.mean()
 
 

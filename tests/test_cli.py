@@ -648,6 +648,27 @@ def test_field_over_the_csv_limit_is_one_error_line(tmp_path):
     assert set(tmp_path.iterdir()) == {schema, data}  # no artifact, no manifest
 
 
+def test_reported_ml_fit_writes_only_the_exclusion_summary(tmp_path):
+    # On these 500 records a line-search trial of the ordered-probit fit puts
+    # a cutpoint near 1e181; the rejected trial must not print a warning.
+    schema = tmp_path / "s.cfg"
+    schema.write_text("[columns]\nx=x\ny=y\nz=z\nw=w\n\n[recode]\n"
+                      "x = 1:1 2:2 3:3 4:4 5:5\n\n[binning]\nz = cuts 1 2\ny = above 0.5\n")
+    levels = {0: [41, 88, 42, 25, 28], 1: [126, 62, 23, 13, 52]}
+    data = tmp_path / "d.csv"
+    data.write_text("x,y,z,w\n" + "".join(
+        f"{x},{i % 2},{i % 3 + 1},{w}\n"
+        for w, counts in levels.items() for x, n in enumerate(counts, 1) for i in range(n)))
+    out = tmp_path / "fit.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "latentcat.cli", "estimate", "--data", str(data),
+         "--schema", str(schema), "--model", "oprobit", "--target", "reported",
+         "--seed", "1", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == "records read: 500, kept: 500, excluded: 0\n"
+
+
 DIGIT_SCHEMA = ("[columns]\nx=x\ny=y\nz=z\nw=w\n\n[recode]\nx = 1:1 2:2 3:3\n\n"
                 "[binning]\nz = cuts 1 2\ny = above 0.5\n")
 
@@ -668,13 +689,13 @@ def test_a_header_naming_a_declared_column_twice_is_one_error_line(tmp_path, cap
 def test_manifest_counts_the_rows_each_parser_read(tmp_path):
     # The same records twice: z written as one digit, then as two ("01").
     # Ingest reads the first file as a one-digit table and the second with
-    # the integer parser; the artifacts are the same bytes.
+    # np.loadtxt; the artifacts are the same bytes.
     schema = tmp_path / "s.cfg"
     schema.write_text(DIGIT_SCHEMA)
     rng = np.random.default_rng(0)
     rows = rng.integers([1, 0, 1, 0], [4, 2, 4, 2], size=(400, 4))
     artifacts = {}
-    for name, width, parser in (("one", 1, "one_digit"), ("two", 2, "integer")):
+    for name, width, parser in (("one", 1, "one_digit"), ("two", 2, "loadtxt")):
         data = tmp_path / f"{name}.csv"
         data.write_text("x,y,z,w\n" + "".join(
             f"{x},{y},{str(z).zfill(width)},{w}\n" for x, y, z, w in rows))
@@ -683,7 +704,7 @@ def test_manifest_counts_the_rows_each_parser_read(tmp_path):
                     "--seed", "1", "--out", str(out)]) == 0
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["rows_by_parser"] == {
-            "one_digit": 0, "integer": 0, "loadtxt": 0, "csv_reader": 0, parser: 400}
+            "one_digit": 0, "loadtxt": 0, "csv_reader": 0, parser: 400}
         artifacts[name] = out.read_bytes()
     assert artifacts["one"] == artifacts["two"]
 
@@ -712,8 +733,7 @@ def test_simulated_input_is_read_as_a_one_digit_table(tmp_path):
     assert run(["simulate", "--spec", str(spec), "--n", "20000", "--seed", "1",
                 "--out", str(out)]) == 0
     _, report = ingest(str(out), load_schema(str(tmp_path / "d.schema.cfg")))
-    assert report.rows_by_parser == {
-        "one_digit": 20000, "integer": 0, "loadtxt": 0, "csv_reader": 0}
+    assert report.rows_by_parser == {"one_digit": 20000, "loadtxt": 0, "csv_reader": 0}
 
 
 def test_missing_input_file_exit(tmp_path):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, special
 from scipy.stats import norm
@@ -22,8 +22,10 @@ from latentcat.ordered import (
     LatentConditional,
     ParametricFit,
     _cell_design,
+    _chained_cuts,
     _clamped_ppf,
     _norm_cdf,
+    _pmf_and_jacobian,
     _solve,
     hetero_ordered_probit,
     homo_ordered_probit,
@@ -458,7 +460,8 @@ def serial_pmf_and_jacobian(index, log_scale, cuts, d_index, d_log_scale, d_cuts
     z = (cuts[None, :] - index[:, None]) / scale[:, None]
     dz = ((d_cuts[None] - d_index[:, None]) / scale[:, None, None]
           - z[..., None] * d_log_scale[:, None])
-    d_cdf = (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))[..., None] * dz
+    edge = np.clip(z, -40.0, 40.0)  # the pdf is 0.0 beyond |z| of 38.6; z * z may overflow
+    d_cdf = (np.exp(-0.5 * edge * edge) / math.sqrt(2.0 * math.pi))[..., None] * dz
     tails = np.zeros_like(d_cdf[:, :1])
     return probs, np.diff(np.concatenate((tails, d_cdf, tails), axis=1), axis=1)
 
@@ -557,6 +560,8 @@ def close_to(fit_, ref, rtol: float) -> bool:
 @given(seed=st.integers(0, 2**32 - 1), n_cols=st.integers(1, 4),
        n_levels=st.integers(3, 5), n=st.sampled_from([500, 5_000, 50_000]),
        n_items=st.integers(1, 16), emptied=st.lists(st.integers(0, 15), max_size=4))
+# A line-search trial puts a cutpoint near 1e181, past where z * z overflows.
+@example(seed=2776246, n_cols=1, n_levels=5, n=500, n_items=5, emptied=[])
 def test_stacked_fits_equal_lone_fits_and_the_serial_reference(
         seed, n_cols, n_levels, n, n_items, emptied):
     """Redraws of one probit sample, some with a cell emptied: each stacked
@@ -586,6 +591,24 @@ def test_stacked_fits_equal_lone_fits_and_the_serial_reference(
         else:
             assert not isinstance(fit_, EstimationError), fit_
             assert close_to(fit_, ref, 1e-12)
+
+
+def test_far_trial_cutpoints_evaluate_without_overflow():
+    # A line-search trial may put a log gap past exp's range, or a cutpoint
+    # near 1e181: the trial's pmf is what infinitely far cutpoints give, its
+    # Jacobian is finite, and nothing overflows (the test configuration
+    # turns latentcat's RuntimeWarnings into errors).
+    cuts, gaps = _chained_cuts(np.array([0.0, 0.0]), np.array([[800.0, 0.0], [0.0, 0.0]]))
+    assert np.isfinite(gaps).all() and np.isfinite(cuts).all()
+    cuts[1, 1:] = [1e181, 2e181]
+    d_index = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    d_cuts = np.zeros((2, 3, 3))
+    probs, jac = _pmf_and_jacobian(np.array([[0.0, 0.5]] * 2), cuts, d_index, d_cuts)
+    far = [[0.0, np.inf, np.inf], [0.0, 1e181, np.inf]]
+    expected = [np.diff(_norm_cdf(np.concatenate(([-np.inf], c, [np.inf])) - i))
+                for c in far for i in (0.0, 0.5)]
+    assert np.array_equal(probs.reshape(4, 4), expected)
+    assert np.isfinite(jac).all()
 
 
 def test_ml_fit_refuses_an_unobserved_outcome_level():
