@@ -372,7 +372,7 @@ def _cmd_identify(args) -> int:
     indices = list(range(data.n_w_cells)) if args.by_cell else [None]
     populated = [c for c in indices if c is None or counts[c] > 0]
     [fits] = fit_cells([data], populated,
-                       cell_configs(populated, args.seed, args.ord, args.starts))
+                       cell_configs(populated, args.seed, args.starts))
     fitted = iter(fits)
     cells: list[dict] = []
     point_fits: list[tuple] = []  # (cell index, CmleResult, entry) per fitted cell
@@ -387,8 +387,7 @@ def _cmd_identify(args) -> int:
             point_fits.append((cell, result, cells[-1]))
     if args.boot and point_fits:
         index, results, entries = zip(*point_fits)
-        runs = model_std_errors(data, list(index), list(results), args.ord,
-                                args.boot, args.seed)
+        runs = model_std_errors(data, list(index), list(results), args.boot, args.seed)
         manifest.payload["bootstrap"] = runs[0].counters()
         for entry, result, run in zip(entries, results, runs):
             entry["std_errors"] = MisclassificationModel.unpack(
@@ -418,8 +417,8 @@ def _cmd_identify(args) -> int:
 def _models_from_artifact(payload: dict, data: Dataset) -> list[MisclassificationModel]:
     """One model per covariate cell, refusing a model that is not valid
     (``MisclassificationModel.validate``) or not of the data's support, and
-    cells that fail the monotone ordering: the latent state labels feed the
-    normal-quantile transforms.
+    cells not in the labelling rule's order (``ord_satisfied``): the latent
+    state labels feed the normal-quantile transforms.
 
     An unlabelled (pooled) entry is the model of the only cell of a
     one-cell dataset; a dataset with covariates needs one entry per cell.
@@ -453,8 +452,8 @@ def _models_from_artifact(payload: dict, data: Dataset) -> list[Misclassificatio
     unordered = [label for label, m in zip(labels, models) if not m.ord_satisfied]
     if unordered:
         raise EstimationError(
-            f"models artifact has cells failing the monotone-reporting check: "
-            f"{unordered}; identify them with --ord enforce"
+            f"models artifact has cells whose latent states are not sorted by the "
+            f"last reporting row: {unordered}"
         )
     return models
 
@@ -463,12 +462,14 @@ def _cmd_estimate(args) -> int:
     from .pipeline import bootstrap_std_errors, parametric_fit
     from .report import render
 
+    if (args.target == "latent") != (args.models is not None):
+        print("error: --target latent needs --models, and no other target takes it",
+              file=sys.stderr)
+        return USAGE_EXIT
     manifest = _Manifest("estimate", vars(args))
     data = _load_data(args.data, args.schema, manifest)
     models = None
     if args.target == "latent":
-        if not args.models:
-            raise ConfigurationError("--models is required for the latent target")
         artifact = _read_json(args.models)
         manifest.add_input(args.models)
         models = _models_from_artifact(artifact, data)
@@ -537,10 +538,11 @@ def _cmd_replay(args) -> int:
     # Options this version does not take are dropped with a note. Unlike
     # --threads, the retired bootstrap options changed artifacts: such a run
     # replays under the one replicate rule. --clamp and --min-cell are
-    # constants: a run that set another value replays under them. --skedastic
-    # nonparametric named the closed form, which is now the only estimator;
-    # any other value named the retired parametric-scale ML fit, which no
-    # estimator here reproduces, so that run is refused.
+    # constants: a run that set another value replays under them, and a run
+    # under --ord check-only replays under the one labelling rule.
+    # --skedastic nonparametric named the closed form, which is now the only
+    # estimator; any other value named the retired parametric-scale ML fit,
+    # which no estimator here reproduces, so that run is refused.
     scale_kind = manifest["options"].get("skedastic", "nonparametric")
     if command == "estimate" and scale_kind != "nonparametric":
         print(f"latentcat replay: error: the run's estimator, estimate --skedastic "
@@ -553,9 +555,10 @@ def _cmd_replay(args) -> int:
     known = {action.dest for action in actions}
     flags = {action.dest for action in actions
              if isinstance(action, argparse._StoreTrueAction)}
-    options = {k: v for k, v in manifest["options"].items() if k in known}
+    options = {k: v for k, v in manifest["options"].items()
+               if k in known and (k, v) != ("ord", "check-only")}
     if len(options) < len(manifest["options"]):
-        ignored = sorted(set(manifest["options"]) - known)
+        ignored = sorted(set(manifest["options"]) - set(options))
         print(f"replay: ignoring options this version does not take: {ignored}",
               file=sys.stderr)
     for path, digest in manifest.get("inputs", {}).items():
@@ -619,8 +622,7 @@ def _build_parser() -> _Parser:
     p_id.add_argument("--method", choices=["cmle"], default="cmle")
     p_id.add_argument("--starts", type=_int_at_least(1), default=10)
     p_id.add_argument("--seed", type=_int_at_least(0), required=True)
-    p_id.add_argument("--ord", choices=["check-only", "enforce"],
-                      default="check-only")
+    p_id.add_argument("--ord", choices=["enforce"], default="enforce")
     p_id.add_argument("--boot", type=_replicates, default=0,
                       help="bootstrap replicates for parameter standard errors")
     p_id.add_argument("--out", required=True)

@@ -162,11 +162,11 @@ def make_model(spec: GeneratorSpec) -> list[MisclassificationModel]:
     """Draw one valid misclassification model per covariate cell.
 
     The reporting matrix mixes the identity with random stochastic columns
-    at the requested strength (strength 0 returns the identity exactly, in
-    which case the strict monotone-reporting check is vacuous). Candidate
-    draws are rejected until P(Y=1 | latent) gaps meet the separation
-    target, the last reporting row is strictly increasing, and the implied
-    observable matrix is numerically full rank.
+    at the requested strength (strength 0 returns the identity exactly,
+    whose tied last row the labelling rule orders by the rows above).
+    Candidate draws are rejected until P(Y=1 | latent) gaps meet the
+    separation target, the last reporting row is strictly increasing, and
+    the implied observable matrix is numerically full rank.
     """
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0x6D6F64)))
     s = spec.misclassification_strength

@@ -20,9 +20,8 @@ cuts out the blocks. No item's numbers depend on the batch around it. EM
 keeps each probability block on its simplex, so the fit needs no
 parameterization. The likelihood does not change when the latent states are
 relabelled, so the monotone-reporting restriction (last reporting row
-increasing in the latent state) is enforced, when asked, by sorting the
-winning start's states. The default only checks it and flags a violation,
-which sorting would hide.
+increasing in the latent state) labels every fit: the winning start's
+states are sorted by that row.
 """
 
 from __future__ import annotations
@@ -77,16 +76,13 @@ def param_count(s_x: int, s_y: int, s_z: int) -> int:
 class CmleConfig:
     """The multi-start choices a caller makes.
 
-    ``ord_constraint`` is "check-only" (fit unrestricted, flag violations)
-    or "enforce" (sort the winning start's latent states by the last
-    reporting row). ``n_starts`` counts total optimizations; start 0 is the
-    closed form projected into the simplex when it exists, the rest are
-    flat draws from the simplex interior seeded by ``seed``. Iteration
-    limits and tolerances are the module constants.
+    ``n_starts`` counts total optimizations; start 0 is the closed form
+    projected into the simplex when it exists, the rest are flat draws from
+    the simplex interior seeded by ``seed``. Iteration limits and
+    tolerances are the module constants.
     """
 
     n_starts: int = 10
-    ord_constraint: str = "check-only"
     seed: int = 0
 
     def __post_init__(self):
@@ -94,8 +90,6 @@ class CmleConfig:
             raise DomainError("need at least one start")
         if self.seed < 0:
             raise DomainError("seed must be non-negative")
-        if self.ord_constraint not in ("check-only", "enforce"):
-            raise DomainError(f"unknown ord_constraint {self.ord_constraint!r}")
 
 
 @dataclass(frozen=True)
@@ -444,10 +438,9 @@ def fit(
     interior. Each start runs SQUAREM-accelerated EM to convergence. The
     winner is the lowest-indexed start whose value ties the best within
     ``AGREE_RTOL`` (relative), so a well-ordered warm start beats permuted
-    copies of the same optimum. Under ``ord_constraint="enforce"`` the
-    winner's latent states are then sorted by the last reporting row, which
-    leaves the likelihood unchanged. Raises OptimizationError when no start
-    converges.
+    copies of the same optimum. The winner's latent states are then sorted
+    by the last reporting row (``_relabelled``), which leaves the
+    likelihood unchanged. Raises OptimizationError when no start converges.
 
     Alone, ``fit`` fits its starts as a batch of one. ``fit_tables`` fits
     the starts of many tables in one batch and passes each table's as
@@ -482,9 +475,7 @@ def fit(
     tol = AGREE_RTOL * max(1.0, abs(best_ll))
     agreeing = [r for r in converged if best_ll - r.final_loglik <= tol]
     winner = min(agreeing, key=lambda r: r.index)
-    model = warmed[winner.index][1]
-    if config.ord_constraint == "enforce":
-        model = _relabelled(model)
+    model = _relabelled(warmed[winner.index][1])
     return CmleResult(
         model=model,
         loglik=winner.final_loglik,

@@ -5,20 +5,20 @@ listed covariate cells of every dataset and fits them all in one
 ``fit_tables`` batch (one vectorized, accelerated EM over every cell and
 start). ``identify``'s point fits and both bootstraps' refits go through
 it, seeded by ``cell_configs``' one rule: cell c's starts at ``seed + c``.
-The latent conditional is assembled from cell models identified with
-``--ord enforce`` (the parametric layer feeds latent-state labels into
-normal-quantile transforms, so the ordering has to be guaranteed), with
-empirical cell weights. ``parametric_fit`` is the one dispatch from a
-(model, target) choice to its one estimator, for a list of datasets at
-once: the closed forms loop over it, and the reported ML benchmark fits it
-as one stacked Fisher scoring. Both bootstraps get their redraws from
-``resampling.run_plan``, a chunk at a time, and refit a replicate's cells
-at ``BOOT_STARTS`` starts, start 0 warm at the point models:
-``model_std_errors`` under the point fits' ``--ord`` (the s.e. of
-``identify --boot``), and ``bootstrap_std_errors`` under ``enforce`` for
-the latent target, before one ``parametric_fit`` per chunk. So at one seed
-``identify --by-cell --ord enforce --boot`` and latent ``estimate --boot``
-on its models refit the same replicate cell models.
+Every cell fit sorts its latent states by the last reporting row
+(``mle.fit``), so the latent conditional, which feeds latent-state labels
+into normal-quantile transforms, is assembled from cell models labelled by
+one rule, with empirical cell weights. ``parametric_fit`` is the one
+dispatch from a (model, target) choice to its one estimator, for a list of
+datasets at once: the closed forms loop over it, and the reported ML
+benchmark fits it as one stacked Fisher scoring. Both bootstraps get their
+redraws from ``resampling.run_plan``, a chunk at a time, and refit a
+replicate's cells at ``BOOT_STARTS`` starts, start 0 warm at the point
+models: ``model_std_errors`` (the s.e. of ``identify --boot``), and
+``bootstrap_std_errors`` for the latent target, before one
+``parametric_fit`` per chunk. So at one seed ``identify --by-cell --boot``
+and latent ``estimate --boot`` on its models refit the same replicate cell
+models.
 """
 
 from __future__ import annotations
@@ -55,13 +55,12 @@ __all__ = [
 BOOT_STARTS = 3  # per cell refit of a replicate: the warm start and two random ones
 
 
-def cell_configs(cells: list[int | None], seed: int, ord_constraint: str,
+def cell_configs(cells: list[int | None], seed: int,
                  n_starts: int = BOOT_STARTS) -> list[CmleConfig]:
     """The config of each listed cell's fit: cell c's starts seeded
     ``seed + c`` (the pooled table, ``None``, at ``seed``). The one seed
     rule of ``identify``'s point fits and of every bootstrap replicate."""
-    return [CmleConfig(n_starts=n_starts, ord_constraint=ord_constraint,
-                       seed=seed + (cell or 0)) for cell in cells]
+    return [CmleConfig(n_starts=n_starts, seed=seed + (cell or 0)) for cell in cells]
 
 
 def fit_cells(
@@ -160,12 +159,11 @@ def bootstrap_std_errors(
     as one stack. Returns the fit with ``std_errors`` filled plus the run,
     which counts dropped replicates and boundary hits. For the latent
     target, a chunk's cells are refitted first in one ``fit_cells`` call,
-    under ``enforce`` by ``cell_configs``' rule, start 0 warm at the point
-    ``models``; a redraw whose cell fits fail is dropped before the
-    parametric fit.
+    by ``cell_configs``' rule, start 0 warm at the point ``models``; a
+    redraw whose cell fits fail is dropped before the parametric fit.
     """
     cells = list(range(data.n_w_cells))
-    configs = cell_configs(cells, seed, "enforce")
+    configs = cell_configs(cells, seed)
 
     def estimator(redraws: list[Dataset]):
         fitted = (fit_cells(redraws, cells, configs, models) if target == "latent"
@@ -187,23 +185,20 @@ def model_std_errors(
     data: Dataset,
     cells: list[int | None],
     results: list[CmleResult],
-    ord_constraint: str,
     b: int,
     seed: int,
 ) -> list[BootstrapRun]:
     """Bootstrap every parameter of the listed cells' models, all cells at once.
 
     ``cells`` holds the cell indices of the point fits ``results``, or
-    ``[None]`` for the pooled table, and ``ord_constraint`` the point fits'
-    ``--ord`` (so a replicate's states are sorted only if the point's
-    were). Every listed cell of every redraw in a chunk is refitted in one
-    ``fit_cells`` call by ``cell_configs``' rule, warm-started at the point
-    models; a replicate in which any cell's fit fails is dropped for every
-    cell. Returns one run per cell: its columns of the replicate estimates
-    (``MisclassificationModel.pack`` order) and the kept replicates in
-    which its own fit flagged a boundary.
+    ``[None]`` for the pooled table. Every listed cell of every redraw in a
+    chunk is refitted in one ``fit_cells`` call by ``cell_configs``' rule,
+    warm-started at the point models; a replicate in which any cell's fit
+    fails is dropped for every cell. Returns one run per cell: its columns
+    of the replicate estimates (``MisclassificationModel.pack`` order) and
+    the kept replicates in which its own fit flagged a boundary.
     """
-    configs = cell_configs(cells, seed, ord_constraint)
+    configs = cell_configs(cells, seed)
     warm = [result.model for result in results]
 
     def estimator(redraws: list[Dataset]):

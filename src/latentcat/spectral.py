@@ -67,9 +67,9 @@ class MisclassificationModel:
     reporting pmf of X given latent state j); ``f_y_given_xstar`` is the
     length-S_X vector of P(Y=1 | latent state); ``m_z_given_xstar`` is
     column-stochastic S_Z x S_X; ``f_xstar`` is the latent marginal.
-    ``ord_satisfied`` records whether the last row of the reporting matrix
-    is strictly increasing (the monotone-reporting check); a diagnostic,
-    never an enforced repair.
+    ``ord_satisfied`` records whether the states are in the labelling
+    rule's order, which ``order_by_last_row`` leaves in place; every
+    ``mle.fit`` result is.
     """
 
     m_x_given_xstar: np.ndarray
@@ -98,8 +98,8 @@ class MisclassificationModel:
 
     @property
     def ord_satisfied(self) -> bool:
-        last = self.m_x_given_xstar[-1, :]
-        return bool(np.all(np.diff(last) > 0))
+        order, _ = order_by_last_row(np.arange(self.s_x), self.m_x_given_xstar)
+        return bool(np.array_equal(order, np.arange(self.s_x)))
 
     def validate(self) -> None:
         """Raise DomainError unless the blocks fit one model and all are valid

@@ -79,7 +79,7 @@ def test_criterion_2_cmle_finite_sample_recovery():
         sample = draw([model], [1.0], 50_000, seed=1000 + seed).data
         result = fit(
             tabulate(sample),
-            CmleConfig(n_starts=10, seed=seed, ord_constraint="enforce"),
+            CmleConfig(n_starts=10, seed=seed),
         )
         errors.append(model_distance(result.model, model))
         agreements.append(result.n_starts_agreeing)
@@ -225,7 +225,7 @@ def test_criterion_7_end_to_end_latent_recovery():
     models = make_model(spec)
     sample = draw(models, make_cell_weights(32), 100_000, seed=9).data
     cells = list(range(32))
-    [fits] = fit_cells([sample], cells, cell_configs(cells, 5, "enforce", n_starts=10))
+    [fits] = fit_cells([sample], cells, cell_configs(cells, 5, n_starts=10))
     [latent] = parametric_fit([sample], "hoprobit", "latent", [[fit_.model for fit_ in fits]])
     [reported] = parametric_fit([sample], "hoprobit", "reported")
     err_latent = float(np.abs(latent.beta - params.beta).max())

@@ -128,23 +128,70 @@ def test_replay_drops_the_retired_threads_option(pipeline, tmp_path, capsys):
 
 
 def test_option_inventory():
-    """Every option of every subcommand, by dest: a new knob is a visible
-    edit here."""
+    """Every option of every subcommand, by dest, with its choices (None for
+    a free value): a new knob, or a new value of one, is a visible edit
+    here."""
     import argparse
 
     sub = next(action for action in cli._build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
-    assert {name: {action.dest for action in parser._actions} - {"help"}
+    free = dict.fromkeys
+    assert {name: {action.dest: action.choices for action in parser._actions
+                   if action.dest != "help"}
             for name, parser in sub.choices.items()} == {
-        "simulate": {"spec", "n", "seed", "out", "truth"},
-        "test": {"input", "schema", "by_cell", "B", "seed", "out"},
-        "identify": {"input", "schema", "by_cell", "method", "starts", "seed", "ord",
-                     "boot", "out"},
-        "estimate": {"models", "data", "schema", "model", "target", "boot", "seed",
-                     "out"},
-        "report": {"inputs", "format", "out"},
-        "replay": {"manifest", "out_dir"},
+        "simulate": free(["spec", "n", "seed", "out", "truth"]),
+        "test": free(["input", "schema", "by_cell", "B", "seed", "out"]),
+        # --method and --ord take one value each, which the benchmark's
+        # command lines still pass; ROADMAP item 1 deletes both.
+        "identify": {**free(["input", "schema", "by_cell", "starts", "seed", "boot",
+                             "out"]),
+                     "method": ["cmle"], "ord": ["enforce"]},
+        "estimate": {**free(["models", "data", "schema", "boot", "seed", "out"]),
+                     "model": ["linear", "oprobit", "hoprobit"],
+                     "target": ["latent", "reported"]},
+        "report": {**free(["inputs", "out"]), "format": ["text", "csv"]},
+        "replay": free(["manifest", "out_dir"]),
     }
+
+
+def test_replay_of_a_check_only_manifest_runs_under_the_labelling_rule(pipeline,
+                                                                       tmp_path, capsys):
+    # Every default identify run recorded --ord check-only, which is gone: the
+    # value is dropped with the usual note, and the run replays under the one
+    # labelling rule, as --ord enforce.
+    manifest = json.loads(Path(str(pipeline["models"]) + ".manifest.json").read_text())
+    manifest["options"]["ord"] = "check-only"
+    old_manifest = tmp_path / "check-only.manifest.json"
+    old_manifest.write_text(json.dumps(manifest))
+    out_dir = tmp_path / "replayed"
+    assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 0
+    assert "ignoring options this version does not take: ['ord']" in (
+        capsys.readouterr().err)
+    replayed = out_dir / pipeline["models"].name
+    assert replayed.read_bytes() == pipeline["models"].read_bytes()
+    assert json.loads(Path(f"{replayed}.manifest.json").read_text())["options"][
+        "ord"] == "enforce"
+
+
+def test_default_identify_writes_the_enforce_artifact(tmp_path):
+    # With S_X != S_Z there is no spectral start and random starts win, each
+    # with its own labelling; the default labels them by the one rule, as
+    # --ord enforce does.
+    spec = tmp_path / "gen.cfg"
+    one_cell = GEN_CFG.replace("w_cells = 2", "w_cells = 1")
+    spec.write_text(one_cell.replace("s_z = 3", "s_z = 4"))
+    synth, schema = tmp_path / "synth.csv", tmp_path / "synth.schema.cfg"
+    assert run(["simulate", "--spec", str(spec), "--n", "5000", "--seed", "1",
+                "--out", str(synth)]) == 0
+    identify = ["identify", "--input", str(synth), "--schema", str(schema),
+                "--starts", "3", "--seed", "1"]
+    default, enforce = tmp_path / "default.json", tmp_path / "enforce.json"
+    assert run([*identify, "--out", str(default)]) == 0
+    assert run([*identify, "--ord", "enforce", "--out", str(enforce)]) == 0
+    assert default.read_bytes() == enforce.read_bytes()
+    [cell] = json.loads(default.read_text())["cells"]
+    assert {start["kind"] for start in cell["starts"]} == {"random"}
+    assert cell["model"]["ord_satisfied"]
 
 
 def test_replay_of_a_spectral_manifest_exits_64(pipeline, tmp_path, capsys):
@@ -746,10 +793,28 @@ def test_missing_input_file_exit(tmp_path):
                 "--out", str(tmp_path / "r.json")]) == 1
 
 
-def test_estimate_latent_requires_models(pipeline, tmp_path):
-    assert run(["estimate", "--data", str(pipeline["synth"]), "--schema",
-                str(pipeline["schema"]), "--model", "linear", "--target",
-                "latent", "--seed", "1", "--out", str(tmp_path / "f.json")]) == 1
+def test_estimate_latent_requires_models(tmp_path, capsys):
+    # Refused before ingest: the input does not exist, and reading it would
+    # exit 1, not 64.
+    missing = str(tmp_path / "missing.csv")
+    out = tmp_path / "f.json"
+    assert run(["estimate", "--data", missing, "--schema", missing, "--model", "linear",
+                "--target", "latent", "--seed", "1", "--out", str(out)]) == 64
+    assert capsys.readouterr().err == (
+        "error: --target latent needs --models, and no other target takes it\n")
+    assert not out.exists()
+
+
+def test_reported_estimate_refuses_models_before_ingest(tmp_path, capsys):
+    # A models artifact the reported target would neither read nor hash.
+    missing = str(tmp_path / "missing.csv")
+    out = tmp_path / "f.json"
+    assert run(["estimate", "--models", missing, "--data", missing, "--schema", missing,
+                "--model", "oprobit", "--target", "reported", "--seed", "1",
+                "--out", str(out)]) == 64
+    assert capsys.readouterr().err == (
+        "error: --target latent needs --models, and no other target takes it\n")
+    assert not out.exists()
 
 
 def test_simulate_truth_sidecar(tmp_path):

@@ -67,7 +67,34 @@ def test_latent_estimate_refuses_unordered_cells(inputs, capsys):
     err = capsys.readouterr().err
     assert repr(cell["w_cell"]) in err
     assert repr(artifact["cells"][0]["w_cell"]) not in err
+    assert "--ord" not in err
     assert not out.exists()
+
+
+def test_true_models_without_misclassification_are_in_the_labelling_order():
+    # The identity's last row (0, 0, 1) ties in its first two states; the
+    # labelling rule orders them by the row above, so the true models at
+    # strength 0 pass, and a copy with those two states swapped is refused.
+    from latentcat.cli import _models_from_artifact
+    from latentcat.errors import EstimationError
+    from latentcat.generate import GeneratorSpec, draw, make_model
+    from latentcat.spectral import MisclassificationModel
+
+    models = make_model(GeneratorSpec(n_w_cells=2, misclassification_strength=0.0,
+                                      seed=1))
+    data = draw(models, [0.5, 0.5], 2000, seed=1).data
+    artifact = {"cells": [{"w_cell": label, "model": model.to_dict()}
+                          for label, model in zip(data.w_labels, models)]}
+    assert all(entry["model"]["ord_satisfied"] for entry in artifact["cells"])
+    accepted = _models_from_artifact(artifact, data)
+    assert [m.pack().tolist() for m in accepted] == [m.pack().tolist() for m in models]
+    swap = [1, 0, 2]
+    artifact["cells"][1]["model"] = MisclassificationModel(
+        *(block[..., swap] for block in models[1].blocks)).to_dict()
+    with pytest.raises(EstimationError) as refused:
+        _models_from_artifact(artifact, data)
+    assert repr(data.w_labels[1]) in str(refused.value)
+    assert repr(data.w_labels[0]) not in str(refused.value)
 
 
 ONE_CELL_CFG = GEN_CFG.replace("w_cells = 4", "w_cells = 1")

@@ -16,6 +16,7 @@ from latentcat.mle import (
     CmleConfig,
     _boundary_flags,
     _em_fit,
+    _fitted_starts,
     _interior,
     _random_model,
     _spectral_start,
@@ -264,7 +265,7 @@ def test_fit_recovers_single_model():
     sample = draw([model], [1.0], 50_000, seed=22).data
     result = fit(
         tabulate(sample),
-        CmleConfig(n_starts=10, seed=23, ord_constraint="enforce"),
+        CmleConfig(n_starts=10, seed=23),
     )
     assert model_distance(result.model, model) < 0.015
     assert result.n_starts_converged == 10
@@ -287,7 +288,7 @@ def test_fit_identity_data_boundary_flags():
     )
     sample = draw([model], [1.0], 50_000, seed=28).data
     result = fit(
-        tabulate(sample), CmleConfig(n_starts=8, seed=29, ord_constraint="enforce")
+        tabulate(sample), CmleConfig(n_starts=8, seed=29)
     )
     assert np.abs(result.model.m_x_given_xstar - np.eye(3)).max() < 0.02
     assert result.boundary_flags
@@ -347,7 +348,7 @@ def test_fit_published_scale_recovery():
     model = published_cell_model()
     sample = draw([model], [1.0], 2615, seed=30).data
     result = fit(
-        tabulate(sample), CmleConfig(n_starts=10, seed=31, ord_constraint="enforce")
+        tabulate(sample), CmleConfig(n_starts=10, seed=31)
     )
     dev = np.abs(result.model.f_xstar - PUBLISHED_F_XSTAR)
     assert np.all(dev <= 2 * PUBLISHED_F_XSTAR_SE)
@@ -357,32 +358,10 @@ def test_fit_ord_enforce_orders_last_row():
     [model] = make_model(recovery_spec(32))
     sample = draw([model], [1.0], 20_000, seed=33).data
     result = fit(
-        tabulate(sample), CmleConfig(n_starts=6, seed=34, ord_constraint="enforce")
+        tabulate(sample), CmleConfig(n_starts=6, seed=34)
     )
     assert np.all(np.diff(result.model.m_x_given_xstar[-1, :]) >= 0)
     assert result.model.ord_satisfied
-
-
-def test_fit_check_only_flags_without_permuting():
-    # Force the label-permuted basin by warm-starting there; check-only mode
-    # must return that basin's solution, flagged, rather than reordering it.
-    [model] = make_model(recovery_spec(35))
-    sample = draw([model], [1.0], 20_000, seed=36).data
-    perm = [1, 0, 2]
-    swapped = MisclassificationModel(
-        m_x_given_xstar=model.m_x_given_xstar[:, perm],
-        f_y_given_xstar=model.f_y_given_xstar[perm],
-        m_z_given_xstar=model.m_z_given_xstar[:, perm],
-        f_xstar=model.f_xstar[perm],
-    )
-    result = fit(
-        tabulate(sample),
-        CmleConfig(n_starts=1, seed=37, ord_constraint="check-only"),
-        warm_start=swapped,
-    )
-    assert not result.model.ord_satisfied
-    # the permuted optimum matches the truth under the same permutation
-    assert model_distance(result.model, swapped) < 0.05
 
 
 def test_fit_agreement_with_spectral_on_population():
@@ -391,7 +370,7 @@ def test_fit_agreement_with_spectral_on_population():
     spectral_model = closed_form(table / table.sum())
     assert min_gap(spectral_model.f_y_given_xstar) > 0.05
     result = fit(
-        table, CmleConfig(n_starts=4, seed=39, ord_constraint="enforce")
+        table, CmleConfig(n_starts=4, seed=39)
     )
     assert model_distance(result.model, spectral_model) < 1e-4
 
@@ -612,7 +591,6 @@ def test_fit_tables_independent_of_batch(seed, s, data):
     configs = [
         CmleConfig(
             n_starts=data.draw(st.integers(1, 3)),
-            ord_constraint=data.draw(st.sampled_from(["check-only", "enforce"])),
             seed=data.draw(st.integers(0, 1000)),
         )
         for _ in picked
@@ -635,11 +613,13 @@ def test_fit_tables_needs_one_support():
         fit_tables([], [])
 
 
-def winning_index(result):
-    converged = [d for d in result.starts if d.converged]
-    best = max(d.final_loglik for d in converged)
+def winning_index(starts):
+    """The index of the start ``fit`` picks from (converged, final loglik)
+    pairs: the lowest that ties the best converged value."""
+    best = max(final for converged, final in starts if converged)
     tol = AGREE_RTOL * max(1.0, abs(best))
-    return min(d.index for d in converged if best - d.final_loglik <= tol)
+    return min(i for i, (converged, final) in enumerate(starts)
+               if converged and best - final <= tol)
 
 
 def sorted_states(model):
@@ -656,10 +636,10 @@ def sorted_states(model):
 @given(seed=st.integers(0, 2**16), s=st.integers(2, 4),
        strength=st.sampled_from([0.0, 0.15, 0.3]), warm=st.booleans())
 @example(seed=41, s=3, strength=0.0, warm=False)
-def test_enforce_is_check_only_with_sorted_states(seed, s, strength, warm):
+def test_fit_is_the_em_winner_with_sorted_states(seed, s, strength, warm):
     # The likelihood does not see latent labels, so the monotone restriction
-    # only sorts each fitted start's states; the winner, its value and its
-    # model are those of the unrestricted fit. Strength 0 is the identity
+    # only sorts the winning start's states; the winner, its value and its
+    # model are those of the raw EM fits. Strength 0 is the identity
     # reporting matrix, whose last row ties in all but one state.
     try:
         models = make_model(GeneratorSpec(
@@ -671,14 +651,12 @@ def test_enforce_is_check_only_with_sorted_states(seed, s, strength, warm):
     sample = draw(models, np.full(2, 0.5), 20_000, seed=seed + 1).data
     for cell, model in enumerate(models):
         table = tabulate(sample, cell)
-        fits = {
-            mode: fit(table, CmleConfig(n_starts=3, seed=seed, ord_constraint=mode),
-                      model if warm else None)
-            for mode in ("check-only", "enforce")
-        }
-        free, enforced = fits["check-only"], fits["enforce"]
-        assert winning_index(enforced) == winning_index(free)
-        assert enforced.loglik == pytest.approx(free.loglik, rel=1e-12)
-        for e, f in zip(enforced.model.blocks, sorted_states(free.model).blocks):
-            assert np.allclose(e, f, rtol=1e-12, atol=1e-12)
-        assert enforced.model.ord_satisfied
+        config, warm_start = CmleConfig(n_starts=3, seed=seed), model if warm else None
+        [raw] = _fitted_starts([table], [config], [warm_start])
+        result = fit(table, config, warm_start)
+        index = winning_index([(start[5], start[3]) for start in raw])
+        assert winning_index([(d.converged, d.final_loglik) for d in result.starts]) == index
+        assert result.loglik == pytest.approx(raw[index][3], rel=1e-12)
+        for fitted, expected in zip(result.model.blocks, sorted_states(raw[index][1]).blocks):
+            assert np.array_equal(fitted, expected)
+        assert result.model.ord_satisfied

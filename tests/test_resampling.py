@@ -197,7 +197,7 @@ def test_boot_se_matches_monte_carlo_sd():
         seed=2024,
     )
     [model] = make_model(spec)
-    config = CmleConfig(n_starts=2, seed=0, ord_constraint="enforce")
+    config = CmleConfig(n_starts=2, seed=0)
 
     def estimator(d):
         result = fit(tabulate(d), config, warm_start=model)
