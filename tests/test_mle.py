@@ -207,7 +207,7 @@ def reference_spectral_start(counts):
     sums = vecs.sum(axis=0)
     if np.any(np.abs(sums) < 1e-12):
         return None
-    vals, vecs = spectral.order_by_last_row(vals, vecs / sums)
+    vals, vecs = spectral.order_by_last_row(vals, vecs / sums, spectral.TIE_TOL)
     m_x = _interior(vecs)
     f_y = np.clip(vals, 1e-6, 1.0 - 1e-6)
     if np.linalg.cond(m_x, 1) * np.finfo(float).eps >= 1.0:
@@ -244,6 +244,9 @@ def test_spectral_start_fails_on_an_ill_conditioned_reporting_matrix(
 @given(seed=st.integers(0, 2**16), s=st.integers(2, 4),
        strength=st.sampled_from([0.0, 0.2, 0.5, 0.8]), n=st.integers(50, 50_000),
        kind=st.sampled_from(["sampled", "rank-deficient", "non-square"]))
+# 50 records leave zero counts, so two states' last-row entries tie within
+# TIE_TOL and the rows above order them.
+@example(seed=579, s=3, strength=0.2, n=50, kind="sampled")
 def test_spectral_start_is_the_projected_closed_form_bit_for_bit(seed, s, strength, n,
                                                                  kind):
     try:
