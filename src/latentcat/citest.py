@@ -220,9 +220,11 @@ def conditional_test_suite(
     seed: int = 0,
 ) -> SuiteReport:
     """Pooled test plus one per-cell test for every cell of at least
-    ``MIN_CELL_COUNT`` records; smaller cells, empty ones included, are
-    reported as skipped. Per-cell seeds derive from the master seed and the
-    cell index, so reports do not depend on evaluation order.
+    ``MIN_CELL_COUNT`` records; smaller cells, empty ones included, and
+    cells whose records all share one (x, y, z) code, on which the
+    statistic is identically zero, are reported as skipped. Per-cell seeds
+    derive from the master seed and the cell index, so reports do not
+    depend on evaluation order.
     """
     pooled = bootstrap_test(data, None, b, seed)
     counts = data.cell_counts()
@@ -232,9 +234,10 @@ def conditional_test_suite(
         n_cell = int(counts[cell])
         if n_cell < MIN_CELL_COUNT:
             reason = "empty" if n_cell == 0 else f"fewer than {MIN_CELL_COUNT} records"
-            skipped.append(
-                SkippedCell(w_cell=data.w_labels[cell], n=n_cell, reason=reason)
-            )
+        elif np.count_nonzero(data.counts[cell]) < 2:
+            reason = "a single populated (x, y, z) cell"
+        else:
+            reports.append(bootstrap_test(data, cell, b, seed))
             continue
-        reports.append(bootstrap_test(data, cell, b, seed))
+        skipped.append(SkippedCell(w_cell=data.w_labels[cell], n=n_cell, reason=reason))
     return SuiteReport(pooled=pooled, cells=tuple(reports), skipped=tuple(skipped))

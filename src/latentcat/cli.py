@@ -318,19 +318,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    from .citest import DEFAULT_B, bootstrap_test, conditional_test_suite
+    from .citest import DEFAULT_B, conditional_test_suite
     from .report import render
 
     if args.B is None:  # the parser leaves citest unloaded
         args.B = DEFAULT_B
     manifest = _Manifest("test", vars(args))
     data = _load_data(args.input, args.schema, manifest)
-    if args.by_cell:
-        suite = conditional_test_suite(data, b=args.B, seed=args.seed)
-        payload = {"schema_version": "1", **suite.to_dict()}
-    else:
-        rep = bootstrap_test(data, None, b=args.B, seed=args.seed)
-        payload = {"schema_version": "1", **rep.to_dict()}
+    suite = conditional_test_suite(data, b=args.B, seed=args.seed)
+    payload = {"schema_version": "1", **suite.to_dict()}
     manifest.stage("test")
     _write_json(args.out, payload)
     manifest.add_output(args.out)
@@ -345,9 +341,9 @@ def _cmd_test(args) -> int:
 
 
 def _identify_cell(label, counts, fitted) -> dict:
-    """One cell's entry, under its ``label`` (None when pooled): its cmle
-    fit (``fitted``, a CmleResult or OptimizationError) and the fit's
-    ``saturation_gap``, the saturated log-likelihood minus the fit's."""
+    """One cell's entry, under its ``label``: its cmle fit (``fitted``, a
+    CmleResult or OptimizationError) and the fit's ``saturation_gap``, the
+    saturated log-likelihood minus the fit's."""
     from .mle import saturated_loglik
 
     entry: dict = {"w_cell": label, "n": int(counts.sum())}
@@ -368,20 +364,17 @@ def _cmd_identify(args) -> int:
     manifest = _Manifest("identify", vars(args))
     data = _load_data(args.input, args.schema, manifest)
     counts = data.cell_counts()
-    # Cell indices, or [None] for the pooled table.
-    indices = list(range(data.n_w_cells)) if args.by_cell else [None]
-    populated = [c for c in indices if c is None or counts[c] > 0]
+    populated = [c for c in range(data.n_w_cells) if counts[c] > 0]
     [fits] = fit_cells([data], populated,
                        cell_configs(populated, args.seed, args.starts))
     fitted = iter(fits)
     cells: list[dict] = []
     point_fits: list[tuple] = []  # (cell index, CmleResult, entry) per fitted cell
-    for cell in indices:
-        if cell is not None and counts[cell] == 0:
-            cells.append({"w_cell": data.w_labels[cell], "n": 0, "error": "empty cell"})
+    for cell, label in enumerate(data.w_labels):
+        if counts[cell] == 0:
+            cells.append({"w_cell": label, "n": 0, "error": "empty cell"})
             continue
         result = next(fitted)
-        label = None if cell is None else data.w_labels[cell]
         cells.append(_identify_cell(label, tabulate(data, cell), result))
         if isinstance(result, CmleResult):
             point_fits.append((cell, result, cells[-1]))
@@ -418,10 +411,10 @@ def _models_from_artifact(payload: dict, data: Dataset) -> list[Misclassificatio
     """One model per covariate cell, refusing a model that is not valid
     (``MisclassificationModel.validate``) or not of the data's support, and
     cells not in the labelling rule's order (``ord_satisfied``): the latent
-    state labels feed the normal-quantile transforms.
-
-    An unlabelled (pooled) entry is the model of the only cell of a
-    one-cell dataset; a dataset with covariates needs one entry per cell.
+    state labels feed the normal-quantile transforms. Each cell's model is
+    the entry under the cell's label: an artifact that lists a label twice,
+    or a cell the data does not have (as one of another cell partition
+    does), is refused.
     """
     from .spectral import MisclassificationModel
 
@@ -429,11 +422,14 @@ def _models_from_artifact(payload: dict, data: Dataset) -> list[Misclassificatio
     entries = payload.get("cells", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise DataError("models artifact's cells are not a list of JSON objects")
-    by_label: dict[str, dict] = {}
-    for entry in entries:
-        if "model" in entry:
-            label = entry.get("w_cell") or (labels[0] if len(labels) == 1 else "pooled")
-            by_label[label] = entry["model"]
+    listed = [entry.get("w_cell") for entry in entries]
+    unknown = [label for label in listed if label not in labels]
+    if unknown:
+        raise DataError(f"models artifact has cells the data does not have: {unknown}")
+    repeated = [label for label in labels if listed.count(label) > 1]
+    if repeated:
+        raise DataError(f"models artifact lists cells more than once: {repeated}")
+    by_label = {entry["w_cell"]: entry["model"] for entry in entries if "model" in entry}
     missing = [label for label in labels if label not in by_label]
     if missing:
         raise ConfigurationError(f"models artifact lacks cells: {missing}")
@@ -542,12 +538,17 @@ def _cmd_replay(args) -> int:
     # under --ord check-only replays under the one labelling rule.
     # --skedastic nonparametric named the closed form, which is now the only
     # estimator; any other value named the retired parametric-scale ML fit,
-    # which no estimator here reproduces, so that run is refused.
+    # which no estimator here reproduces, so that run is refused, as is a
+    # test or identify run on the pooled table, which now runs per cell.
     scale_kind = manifest["options"].get("skedastic", "nonparametric")
     if command == "estimate" and scale_kind != "nonparametric":
         print(f"latentcat replay: error: the run's estimator, estimate --skedastic "
               f"{scale_kind}, is retired; the reported hoprobit has the closed form "
               "alone", file=sys.stderr)
+        return USAGE_EXIT
+    if command in ("test", "identify") and manifest["options"].get("by_cell") is False:
+        print(f"latentcat replay: error: the run's pooled {command}, without --by-cell, "
+              f"is retired; {command} works per covariate cell alone", file=sys.stderr)
         return USAGE_EXIT
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -609,7 +610,8 @@ def _build_parser() -> _Parser:
     p_test = sub.add_parser("test", help="misclassification test")
     p_test.add_argument("--input", required=True)
     p_test.add_argument("--schema", required=True)
-    p_test.add_argument("--by-cell", action="store_true", dest="by_cell")
+    p_test.add_argument("--by-cell", action="store_true", dest="by_cell", default=True,
+                        help="the only mode, accepted for old command lines")
     p_test.add_argument("--B", type=_test_replicates)
     p_test.add_argument("--seed", type=_int_at_least(0), required=True)
     p_test.add_argument("--out", required=True)
@@ -618,7 +620,8 @@ def _build_parser() -> _Parser:
     p_id = sub.add_parser("identify", help="recover per-cell models")
     p_id.add_argument("--input", required=True)
     p_id.add_argument("--schema", required=True)
-    p_id.add_argument("--by-cell", action="store_true", dest="by_cell")
+    p_id.add_argument("--by-cell", action="store_true", dest="by_cell", default=True,
+                      help="the only mode, accepted for old command lines")
     p_id.add_argument("--method", choices=["cmle"], default="cmle")
     p_id.add_argument("--starts", type=_int_at_least(1), default=10)
     p_id.add_argument("--seed", type=_int_at_least(0), required=True)

@@ -16,9 +16,8 @@ redraws from ``resampling.run_plan``, a chunk at a time, and refit a
 replicate's cells at ``BOOT_STARTS`` starts, start 0 warm at the point
 models: ``model_std_errors`` (the s.e. of ``identify --boot``), and
 ``bootstrap_std_errors`` for the latent target, before one
-``parametric_fit`` per chunk. So at one seed ``identify --by-cell --boot``
-and latent ``estimate --boot`` on its models refit the same replicate cell
-models.
+``parametric_fit`` per chunk. So at one seed ``identify --boot`` and latent
+``estimate --boot`` on its models refit the same replicate cell models.
 """
 
 from __future__ import annotations
@@ -55,29 +54,28 @@ __all__ = [
 BOOT_STARTS = 3  # per cell refit of a replicate: the warm start and two random ones
 
 
-def cell_configs(cells: list[int | None], seed: int,
+def cell_configs(cells: list[int], seed: int,
                  n_starts: int = BOOT_STARTS) -> list[CmleConfig]:
     """The config of each listed cell's fit: cell c's starts seeded
-    ``seed + c`` (the pooled table, ``None``, at ``seed``). The one seed
-    rule of ``identify``'s point fits and of every bootstrap replicate."""
-    return [CmleConfig(n_starts=n_starts, seed=seed + (cell or 0)) for cell in cells]
+    ``seed + c``. The one seed rule of ``identify``'s point fits and of
+    every bootstrap replicate."""
+    return [CmleConfig(n_starts=n_starts, seed=seed + cell) for cell in cells]
 
 
 def fit_cells(
     datasets: list[Dataset],
-    cells: list[int | None],
+    cells: list[int],
     configs: list[CmleConfig],
     warm_starts: list[MisclassificationModel | None] | None = None,
 ) -> list[list[CmleResult | OptimizationError]]:
     """Constrained ML fits of the listed cells of every dataset, all tables
     in one ``fit_tables`` batch.
 
-    ``None`` in ``cells`` stands for the pooled table. ``configs`` and
-    ``warm_starts`` hold one entry per cell, else DomainError, as for an
-    empty ``cells``; an empty listed cell raises ``tabulate``'s
-    EmptyCellError. Returns, per dataset, one entry per listed cell, a
-    CmleResult or the OptimizationError that ``fit`` would raise on that
-    table.
+    ``configs`` and ``warm_starts`` hold one entry per cell, else
+    DomainError, as for an empty ``cells``; an empty listed cell raises
+    ``tabulate``'s EmptyCellError. Returns, per dataset, one entry per
+    listed cell, a CmleResult or the OptimizationError that ``fit`` would
+    raise on that table.
     """
     warm = warm_starts or [None] * len(cells)
     if not cells or not len(configs) == len(warm) == len(cells):
@@ -183,20 +181,20 @@ def bootstrap_std_errors(
 
 def model_std_errors(
     data: Dataset,
-    cells: list[int | None],
+    cells: list[int],
     results: list[CmleResult],
     b: int,
     seed: int,
 ) -> list[BootstrapRun]:
     """Bootstrap every parameter of the listed cells' models, all cells at once.
 
-    ``cells`` holds the cell indices of the point fits ``results``, or
-    ``[None]`` for the pooled table. Every listed cell of every redraw in a
-    chunk is refitted in one ``fit_cells`` call by ``cell_configs``' rule,
-    warm-started at the point models; a replicate in which any cell's fit
-    fails is dropped for every cell. Returns one run per cell: its columns
-    of the replicate estimates (``MisclassificationModel.pack`` order) and
-    the kept replicates in which its own fit flagged a boundary.
+    ``cells`` holds the cell indices of the point fits ``results``. Every
+    listed cell of every redraw in a chunk is refitted in one ``fit_cells``
+    call by ``cell_configs``' rule, warm-started at the point models; a
+    replicate in which any cell's fit fails is dropped for every cell.
+    Returns one run per cell: its columns of the replicate estimates
+    (``MisclassificationModel.pack`` order) and the kept replicates in
+    which its own fit flagged a boundary.
     """
     configs = cell_configs(cells, seed)
     warm = [result.model for result in results]

@@ -250,6 +250,34 @@ def test_suite_tests_cells_of_at_least_100_records():
         ("A", 99, "fewer than 100 records"), ("AB", 0, "empty")]
 
 
+def test_suite_skips_a_cell_of_one_populated_code():
+    # Cell A's 150 records all have codes (2, 1, 3): the statistic is
+    # identically zero there, so the cell is skipped; testing it alone
+    # still raises.
+    base = sample_records(0.5, 3000, seed=15)
+    n = base.data.n
+    data = Dataset.from_records(
+        x=np.r_[base.x, np.full(150, 2)], y=np.r_[base.y, np.ones(150, dtype=int)],
+        z=np.r_[base.z, np.full(150, 3)], w=np.r_[np.zeros(n, dtype=int),
+                                                   np.ones(150, dtype=int)],
+        support=base.data.support, w_columns=("c1",), w_labels=("0", "A"),
+    )
+    suite = conditional_test_suite(data, b=99, seed=4)
+    assert [report.w_cell for report in suite.cells] == ["0"]
+    assert [(s.w_cell, s.n, s.reason) for s in suite.skipped] == [
+        ("A", 150, "a single populated (x, y, z) cell")]
+    with pytest.raises(IndependenceTestError, match="w_cell='A'"):
+        bootstrap_test(data, 1, b=99, seed=4)
+
+
+def test_suite_pooled_entry_is_the_whole_sample_test():
+    data = sample_dataset(0.5, 3000, seed=14, n_cells=4)
+    suite = conditional_test_suite(data, b=149, seed=2).to_dict()
+    assert suite["pooled"] == bootstrap_test(data, None, 149, 2).to_dict()
+    assert suite["cells"] == [bootstrap_test(data, c, 149, 2).to_dict()
+                              for c in range(4)]
+
+
 def test_suite_deterministic_under_permutation():
     sample = sample_records(0.5, 2400, seed=16, n_cells=2)
     data = sample.data

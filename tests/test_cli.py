@@ -141,8 +141,10 @@ def test_option_inventory():
             for name, parser in sub.choices.items()} == {
         "simulate": free(["spec", "n", "seed", "out", "truth"]),
         "test": free(["input", "schema", "by_cell", "B", "seed", "out"]),
-        # --method and --ord take one value each, which the benchmark's
-        # command lines still pass; ROADMAP item 1 deletes both.
+        # --method and --ord take one value each, and --by-cell is true
+        # whether given or not (below), since every test and identify works
+        # per covariate cell. The benchmark's command lines still pass all
+        # three; ROADMAP item 1 deletes them.
         "identify": {**free(["input", "schema", "by_cell", "starts", "seed", "boot",
                              "out"]),
                      "method": ["cmle"], "ord": ["enforce"]},
@@ -152,6 +154,8 @@ def test_option_inventory():
         "report": {**free(["inputs", "out"]), "format": ["text", "csv"]},
         "replay": free(["manifest", "out_dir"]),
     }
+    for name in ("test", "identify"):
+        assert sub.choices[name].get_default("by_cell") is True
 
 
 def test_replay_of_a_check_only_manifest_runs_under_the_labelling_rule(pipeline,
@@ -225,6 +229,72 @@ def test_replay_of_an_exponential_skedastic_manifest_exits_64(pipeline, tmp_path
     assert len(err) == 1 and "error:" in err[0]
     assert "--skedastic exponential, is retired" in err[0]
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("artifact", ["report", "models"])
+def test_test_and_identify_without_by_cell_write_the_by_cell_bytes(pipeline, tmp_path,
+                                                                   artifact):
+    # The covariate cell is the only unit: --by-cell is accepted and changes
+    # nothing, and every manifest records it as true.
+    manifest = json.loads(Path(f"{pipeline[artifact]}.manifest.json").read_text())
+    assert manifest["options"]["by_cell"] is True
+    options = {k: v for k, v in manifest["options"].items() if k != "by_cell"}
+    out = tmp_path / pipeline[artifact].name
+    argv = [manifest["command"]]
+    for key, value in {**options, "out": str(out)}.items():
+        argv.extend([f"--{key.replace('_', '-')}", str(value)])
+    assert run(argv) == 0
+    assert out.read_bytes() == pipeline[artifact].read_bytes()
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["options"] == {
+        **manifest["options"], "out": str(out)}
+
+
+@pytest.mark.parametrize("artifact", ["report", "models"])
+def test_replay_of_a_pooled_manifest_exits_64(pipeline, tmp_path, capsys, artifact):
+    # A manifest of a run without --by-cell recorded a pooled test or fit,
+    # which per-cell runs do not reproduce; it is refused before anything is
+    # written.
+    manifest = json.loads(Path(f"{pipeline[artifact]}.manifest.json").read_text())
+    manifest["options"]["by_cell"] = False
+    old_manifest = tmp_path / "pooled.manifest.json"
+    old_manifest.write_text(json.dumps(manifest))
+    out_dir = tmp_path / "replayed"
+    assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "error:" in err[0]
+    assert f"pooled {manifest['command']}, without --by-cell, is retired" in err[0]
+    assert not out_dir.exists()
+
+
+def test_one_degenerate_cell_is_skipped_not_fatal(tmp_path, capsys):
+    # Cell W holds 150 records, all coded (2, 1, 3): its statistic is
+    # identically zero, so it is skipped like a small cell and cell 0 is
+    # still tested. A whole sample of one code is still a test failure.
+    rng = np.random.default_rng(5)
+    mixed = [f"{rng.integers(1, 4)},{rng.integers(0, 2)},{rng.integers(1, 4)},0"
+             for _ in range(3000)]
+    csv = tmp_path / "data.csv"
+    csv.write_text("\n".join(["x,y,z,w1", *mixed, *["2,1,3,1"] * 150]) + "\n")
+    schema = tmp_path / "data.schema.cfg"
+    schema.write_text("[columns]\nx = x\ny = y\nz = z\nw = w1\n\n"
+                      "[recode]\nx = 1:1 2:2 3:3\n\n[binning]\nz = cuts 1 2\n"
+                      "y = above 0.5\n")
+    out = tmp_path / "report.json"
+    test = ["test", "--input", str(csv), "--schema", str(schema), "--B", "99",
+            "--seed", "1", "--out", str(out)]
+    assert run(test) == 0
+    report = json.loads(out.read_text())
+    assert [cell["w_cell"] for cell in report["cells"]] == ["0"]
+    assert report["skipped"] == [
+        {"w_cell": "W", "n": 150, "reason": "a single populated (x, y, z) cell"}]
+    csv.write_text("\n".join(["x,y,z,w1", *["2,1,3,0"] * 150, *["2,1,3,1"] * 150])
+                   + "\n")
+    out.unlink()
+    capsys.readouterr()
+    assert run(test) == 2
+    assert "error: degenerate (sub)sample: a single populated cell (w_cell=None)" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_replay_rejects_changed_inputs(pipeline, tmp_path):

@@ -109,7 +109,8 @@ def test_latent_estimate_accepts_pooled_models_of_one_cell_data(tmp_path):
     assert run(["identify", "--input", str(synth), "--schema", str(schema),
                 "--method", "cmle", "--starts", "3", "--seed", "7",
                 "--ord", "enforce", "--out", str(models)]) == 0
-    assert json.loads(models.read_text())["cells"][0]["w_cell"] is None
+    [cell] = json.loads(models.read_text())["cells"]
+    assert cell["w_cell"] == cell["model"]["w_cell"] == "0"
     out = tmp_path / "fit.json"
     assert run(["estimate", "--models", str(models), "--data", str(synth),
                 "--schema", str(schema), "--model", "hoprobit", "--target",
@@ -117,16 +118,46 @@ def test_latent_estimate_accepts_pooled_models_of_one_cell_data(tmp_path):
     assert json.loads(out.read_text())["fit"]["column_names"] == ["const"]
 
 
-def test_latent_estimate_refuses_pooled_models_of_multi_cell_data(inputs, capsys):
-    pooled = inputs["root"] / "models-pooled.json"
-    assert run(["identify", "--input", str(inputs["synth"]), "--schema",
-                str(inputs["schema"]), "--method", "cmle", "--starts", "2",
-                "--seed", "7", "--ord", "enforce", "--out", str(pooled)]) == 0
-    out = inputs["root"] / "fit-pooled.json"
-    code = estimate(inputs, out, "--models", str(pooled), "--model", "hoprobit",
+def test_latent_estimate_refuses_models_of_another_cell_partition(inputs, capsys):
+    # The 4-cell models (0, A, B, AB) on the same records read with one
+    # covariate (cells 0 and A): B and AB are not the data's cells. The
+    # converse, 2-cell models on the 4-cell data, lacks B and AB.
+    schema = inputs["root"] / "w1.schema.cfg"
+    schema.write_text(inputs["schema"].read_text().replace("w = w1, w2", "w = w1")
+                      + "\n[labels]\nw_letters = A\n")
+    out = inputs["root"] / "fit-w1.json"
+    args = ["estimate", "--data", str(inputs["synth"]), "--model", "hoprobit",
+            "--target", "latent", "--seed", "4", "--out", str(out)]
+    assert run([*args, "--schema", str(schema), "--models", str(inputs["models"])]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error")]
+    assert errors == ["error: models artifact has cells the data does not have: "
+                      "['B', 'AB']"]
+    assert not out.exists()
+
+    artifact = json.loads(inputs["models"].read_text())
+    artifact["cells"] = [c for c in artifact["cells"] if c["w_cell"] in ("0", "A")]
+    two_cells = inputs["root"] / "models-w1.json"
+    two_cells.write_text(json.dumps(artifact))
+    assert run([*args, "--schema", str(inputs["schema"]), "--models",
+                str(two_cells)]) == 1
+    assert "error: models artifact lacks cells: ['B', 'AB']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_latent_estimate_refuses_a_cell_listed_twice(inputs, capsys):
+    artifact = json.loads(inputs["models"].read_text())
+    artifact["cells"].append(artifact["cells"][1])
+    edited = inputs["root"] / "models-twice.json"
+    edited.write_text(json.dumps(artifact))
+    out = inputs["root"] / "fit-twice.json"
+    code = estimate(inputs, out, "--models", str(edited), "--model", "hoprobit",
                     "--target", "latent")
     assert code == 1
-    assert "lacks cells" in capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error")]
+    assert errors == [f"error: models artifact lists cells more than once: "
+                      f"[{artifact['cells'][1]['w_cell']!r}]"]
     assert not out.exists()
 
 

@@ -131,11 +131,11 @@ def test_model_std_errors_per_cell_independent_of_the_batch(probit_sample):
         assert np.array_equal(alone.se(), together[cell].se())
         assert alone.boundary_hits == together[cell].boundary_hits
     # Cell 0's rows come first in the stratified stream, so they equal a
-    # pooled bootstrap of that cell alone at the same seed.
+    # bootstrap of a dataset of that cell alone at the same seed.
     cell_0 = Dataset(data.counts[:1], w_labels=data.w_labels[:1])
-    [pooled] = model_std_errors(cell_0, [None], results[:1], b=3, seed=9)
-    assert np.array_equal(pooled.se(), together[0].se())
-    assert pooled.boundary_hits == together[0].boundary_hits
+    [only] = model_std_errors(cell_0, [0], results[:1], b=3, seed=9)
+    assert np.array_equal(only.se(), together[0].se())
+    assert only.boundary_hits == together[0].boundary_hits
 
 
 def test_model_std_errors_refit_with_the_point_config():
@@ -151,7 +151,7 @@ def test_model_std_errors_refit_with_the_point_config():
         result = fit(tabulate(data), CmleConfig(n_starts=3, seed=seed))
         assert {start.kind for start in result.starts} == {"random"}
         assert result.model.ord_satisfied
-        [run] = model_std_errors(data, [None], [result], b=10, seed=seed)
+        [run] = model_std_errors(data, [0], [result], b=10, seed=seed)
         assert run.n_dropped == 0
         for replicate in run.estimates:
             blocks = MisclassificationModel.split(replicate, 3, 4)
