@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, nearest_rank, tabulate
+from .data import Dataset, _check_table, nearest_rank, tabulate
 from .errors import DomainError, IndependenceTestError
-from .spectral import _check_table
 
 __all__ = [
     "TestReport",

@@ -3,12 +3,14 @@
 Every run writes its outputs plus a run manifest (<out>.manifest.json)
 recording the resolved configuration, explicit seed, package version,
 per-stage timings (and a bootstrap's chunk counters), the rows each of
-ingest's parsers read, and content digests of all inputs. ``replay``
-re-executes a manifest (after verifying input digests) into a target
-directory and is the mechanism behind the bit-for-bit reproducibility
-contract: artifact JSON is written with sorted keys and repr-round-trip
-floats, so identical configuration plus identical inputs yields identical
-bytes.
+ingest's parsers read, and content digests of all inputs and outputs.
+Every artifact and manifest carries the format number ``FORMAT`` under
+``schema_version``. ``replay`` re-executes a manifest of that format (after
+verifying input digests) into a target directory and checks every output
+against its recorded digest: it is the mechanism behind the bit-for-bit
+reproducibility contract. Artifact JSON is written with sorted keys and
+repr-round-trip floats, so identical configuration plus identical inputs
+yields identical bytes.
 
 Each command imports the modules it runs when it runs, so that a process
 compiles no other: ``simulate`` loads the generator and no estimator, and
@@ -50,6 +52,9 @@ if TYPE_CHECKING:
     from .spectral import MisclassificationModel
 
 USAGE_EXIT = 64
+# The format of every artifact and manifest, under "schema_version": bumped
+# by any change that alters an artifact for the same options and input.
+FORMAT = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,7 +100,7 @@ def _sha256(path: str) -> str:
             for chunk in iter(lambda: handle.read(1 << 16), b""):
                 digest.update(chunk)
     except OSError as exc:
-        raise DataError(f"cannot read input {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc}") from exc
     return digest.hexdigest()
 
 
@@ -118,12 +123,22 @@ def _read_json(path: str) -> dict:
     return payload
 
 
+def _read_artifact(path: str) -> dict:
+    """An artifact's JSON, refused when its format field names another
+    format; a file without the field (a hand-made one) is read as it is."""
+    payload = _read_json(path)
+    if payload.get("schema_version", FORMAT) != FORMAT:
+        raise DataError(f"{path} is of format {payload['schema_version']}, this version "
+                        f"reads format {FORMAT}; re-run the command that wrote it")
+    return payload
+
+
 class _Manifest:
     """Collects everything needed to reproduce one CLI run."""
 
     def __init__(self, command: str, options: dict):
         self.payload = {
-            "schema_version": "1",
+            "schema_version": FORMAT,
             "command": command,
             "options": {
                 k: v
@@ -132,7 +147,7 @@ class _Manifest:
             },
             "version": __version__,
             "inputs": {},
-            "outputs": [],
+            "outputs": {},
             "timings": {},
         }
         self._t0 = time.monotonic()
@@ -142,7 +157,8 @@ class _Manifest:
         self.payload["inputs"][path] = _sha256(path)
 
     def add_output(self, path: str) -> None:
-        self.payload["outputs"].append(path)
+        """Record a written output with its digest."""
+        self.payload["outputs"][path] = _sha256(path)
 
     def stage(self, name: str) -> None:
         now = time.monotonic()
@@ -326,7 +342,7 @@ def _cmd_test(args) -> int:
     manifest = _Manifest("test", vars(args))
     data = _load_data(args.input, args.schema, manifest)
     suite = conditional_test_suite(data, b=args.B, seed=args.seed)
-    payload = {"schema_version": "1", **suite.to_dict()}
+    payload = {"schema_version": FORMAT, **suite.to_dict()}
     manifest.stage("test")
     _write_json(args.out, payload)
     manifest.add_output(args.out)
@@ -387,7 +403,7 @@ def _cmd_identify(args) -> int:
                 run.se(), result.model.s_x, result.model.s_z)
             entry["boot"] = run.to_dict()
     payload = {
-        "schema_version": "1",
+        "schema_version": FORMAT,
         "method": args.method,
         "cells": cells,
     }
@@ -412,9 +428,9 @@ def _models_from_artifact(payload: dict, data: Dataset) -> list[Misclassificatio
     (``MisclassificationModel.validate``) or not of the data's support, and
     cells not in the labelling rule's order (``ord_satisfied``): the latent
     state labels feed the normal-quantile transforms. Each cell's model is
-    the entry under the cell's label: an artifact that lists a label twice,
-    or a cell the data does not have (as one of another cell partition
-    does), is refused.
+    the entry under the cell's label: an artifact with an unlabelled entry,
+    one that lists a label twice, or a cell the data does not have (as one
+    of another cell partition does), is refused.
     """
     from .spectral import MisclassificationModel
 
@@ -423,6 +439,8 @@ def _models_from_artifact(payload: dict, data: Dataset) -> list[Misclassificatio
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise DataError("models artifact's cells are not a list of JSON objects")
     listed = [entry.get("w_cell") for entry in entries]
+    if None in listed:
+        raise DataError(f"models artifact's cells[{listed.index(None)}] has no w_cell label")
     unknown = [label for label in listed if label not in labels]
     if unknown:
         raise DataError(f"models artifact has cells the data does not have: {unknown}")
@@ -466,7 +484,7 @@ def _cmd_estimate(args) -> int:
     data = _load_data(args.data, args.schema, manifest)
     models = None
     if args.target == "latent":
-        artifact = _read_json(args.models)
+        artifact = _read_artifact(args.models)
         manifest.add_input(args.models)
         models = _models_from_artifact(artifact, data)
     [point] = parametric_fit([data], args.model, args.target,
@@ -490,7 +508,7 @@ def _cmd_estimate(args) -> int:
         manifest.stage("bootstrap")
         manifest.payload["bootstrap"] = run.counters()
 
-    payload = {"schema_version": "1", "fit": point.to_dict(), "boot": boot_meta}
+    payload = {"schema_version": FORMAT, "fit": point.to_dict(), "boot": boot_meta}
     _write_json(args.out, payload)
     manifest.add_output(args.out)
     manifest.write(args.out)
@@ -509,7 +527,7 @@ def _cmd_report(args) -> int:
     sections = []
     render_one = render_csv if args.format == "csv" else render
     for path in args.inputs:
-        payload = _read_json(path)
+        payload = _read_artifact(path)
         try:
             sections.append(render_one(payload))
         except (KeyError, TypeError, IndexError) as exc:
@@ -526,42 +544,21 @@ def _cmd_report(args) -> int:
 
 def _cmd_replay(args) -> int:
     manifest = _read_json(args.manifest)
+    if manifest.get("schema_version") != FORMAT:
+        print(f"latentcat replay: error: {args.manifest} is a format "
+              f"{manifest.get('schema_version')} manifest and this version replays "
+              f"format {FORMAT}; re-run its command instead", file=sys.stderr)
+        return USAGE_EXIT
     if not (isinstance(manifest.get("command"), str)
             and isinstance(manifest.get("options"), dict)
-            and isinstance(manifest.get("inputs", {}), dict)):
+            and isinstance(manifest.get("inputs", {}), dict)
+            and isinstance(manifest.get("outputs", {}), dict)):
         raise DataError(f"{args.manifest} is not a run manifest")
-    command = manifest["command"]
-    # Options this version does not take are dropped with a note. Unlike
-    # --threads, the retired bootstrap options changed artifacts: such a run
-    # replays under the one replicate rule. --clamp and --min-cell are
-    # constants: a run that set another value replays under them, and a run
-    # under --ord check-only replays under the one labelling rule.
-    # --skedastic nonparametric named the closed form, which is now the only
-    # estimator; any other value named the retired parametric-scale ML fit,
-    # which no estimator here reproduces, so that run is refused, as is a
-    # test or identify run on the pooled table, which now runs per cell.
-    scale_kind = manifest["options"].get("skedastic", "nonparametric")
-    if command == "estimate" and scale_kind != "nonparametric":
-        print(f"latentcat replay: error: the run's estimator, estimate --skedastic "
-              f"{scale_kind}, is retired; the reported hoprobit has the closed form "
-              "alone", file=sys.stderr)
-        return USAGE_EXIT
-    if command in ("test", "identify") and manifest["options"].get("by_cell") is False:
-        print(f"latentcat replay: error: the run's pooled {command}, without --by-cell, "
-              f"is retired; {command} works per covariate cell alone", file=sys.stderr)
-        return USAGE_EXIT
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    actions = sub.choices[command]._actions if command in sub.choices else []
-    known = {action.dest for action in actions}
-    flags = {action.dest for action in actions
-             if isinstance(action, argparse._StoreTrueAction)}
-    options = {k: v for k, v in manifest["options"].items()
-               if k in known and (k, v) != ("ord", "check-only")}
-    if len(options) < len(manifest["options"]):
-        ignored = sorted(set(manifest["options"]) - set(options))
-        print(f"replay: ignoring options this version does not take: {ignored}",
-              file=sys.stderr)
+
+    def relocated(path: str) -> str:
+        return os.path.join(args.out_dir, os.path.basename(path)) if args.out_dir else path
+
+    command, options = manifest["command"], dict(manifest["options"])
     for path, digest in manifest.get("inputs", {}).items():
         if not os.path.exists(path):
             raise DataError(f"replay input missing: {path}")
@@ -569,23 +566,23 @@ def _cmd_replay(args) -> int:
             raise DataError(f"replay input changed since the original run: {path}")
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        for key in ("out", "truth"):
-            if options.get(key):
-                options[key] = os.path.join(args.out_dir, os.path.basename(options[key]))
+    for key in ("out", "truth"):
+        if options.get(key):
+            options[key] = relocated(options[key])
     argv = [command]
-    for key, value in options.items():
+    for key, value in options.items():  # a boolean is a flag's
         flag = "--" + key.replace("_", "-")
-        if key in flags:
-            if value:
-                argv.append(flag)
-            continue
-        if key == "inputs":
-            argv.extend(value)
-            continue
-        if value is None:
-            continue
-        argv.extend([flag, str(value)])
-    return run(argv)
+        if isinstance(value, bool):
+            argv += [flag] if value else []
+        elif value is not None:
+            argv += [flag, str(value)]
+    code = run(argv)
+    if code:
+        return code
+    for path, digest in manifest.get("outputs", {}).items():
+        if _sha256(relocated(path)) != digest:
+            raise DataError(f"replayed output {relocated(path)} differs from the run's {path}")
+    return 0
 
 
 # ---------------------------------------------------------------------------

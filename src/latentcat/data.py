@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, EmptyCellError, LatentcatError, SchemaError
+from .errors import DataError, DomainError, EmptyCellError, LatentcatError, SchemaError
 
 MAX_W_COLUMNS = 8
 
@@ -724,3 +724,11 @@ def tabulate(data: Dataset, w_cell: int | None = None) -> np.ndarray:
     if not counts.any():
         raise EmptyCellError(f"covariate cell {data.w_labels[w_cell]!r} has no records")
     return counts
+
+
+def _check_table(table) -> np.ndarray:
+    """``table`` as an array, refused (DomainError) unless it is (S_X, 2, S_Z)."""
+    table = np.asarray(table)
+    if table.ndim != 3 or table.shape[1] != 2:
+        raise DomainError(f"a table is an (S_X, 2, S_Z) array, not {table.shape}")
+    return table

@@ -30,10 +30,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import _check_table
 from .errors import DomainError, OptimizationError
 from .spectral import (
     MisclassificationModel,
-    _check_table,
     _state_terms,
     build_matrices,
     closed_form,

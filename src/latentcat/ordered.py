@@ -37,12 +37,15 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import Dataset, cell_rows, design_columns
 from .errors import ConfigurationError, EmptyCellError, EstimationError
-from .spectral import MisclassificationModel
+
+if TYPE_CHECKING:
+    from .spectral import MisclassificationModel
 
 __all__ = [
     "LatentConditional",

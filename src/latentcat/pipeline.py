@@ -18,30 +18,26 @@ models: ``model_std_errors`` (the s.e. of ``identify --boot``), and
 ``bootstrap_std_errors`` for the latent target, before one
 ``parametric_fit`` per chunk. So at one seed ``identify --boot`` and latent
 ``estimate --boot`` on its models refit the same replicate cell models.
+
+Each function imports the estimators it calls when it runs, so that a
+command loads none it does not run.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import Dataset, design_columns, tabulate
 from .errors import ConfigurationError, DomainError, EstimationError, OptimizationError
-from .mle import CmleConfig, CmleResult, fit_tables
-from .ordered import (
-    LatentConditional,
-    ParametricFit,
-    hetero_ordered_probit,
-    homo_ordered_probit,
-    latent_conditional,
-    linear_projection,
-    ordered_probit_mle,
-    reported_conditional,
-    skedastic,
-)
-from .resampling import BootstrapRun, run_plan
-from .spectral import MisclassificationModel
+
+if TYPE_CHECKING:
+    from .mle import CmleConfig, CmleResult
+    from .ordered import LatentConditional, ParametricFit
+    from .resampling import BootstrapRun
+    from .spectral import MisclassificationModel
 
 __all__ = [
     "cell_configs",
@@ -59,6 +55,8 @@ def cell_configs(cells: list[int], seed: int,
     """The config of each listed cell's fit: cell c's starts seeded
     ``seed + c``. The one seed rule of ``identify``'s point fits and of
     every bootstrap replicate."""
+    from .mle import CmleConfig
+
     return [CmleConfig(n_starts=n_starts, seed=seed + cell) for cell in cells]
 
 
@@ -77,6 +75,8 @@ def fit_cells(
     listed cell, a CmleResult or the OptimizationError that ``fit`` would
     raise on that table.
     """
+    from .mle import fit_tables
+
     warm = warm_starts or [None] * len(cells)
     if not cells or not len(configs) == len(warm) == len(cells):
         raise DomainError("fit_cells needs one or more cells, a config and a warm start each")
@@ -110,6 +110,8 @@ def parametric_fit(
     covariate cell under a reported closed form (``EmptyCellError``)
     raises for the whole call.
     """
+    from .ordered import latent_conditional, ordered_probit_mle, reported_conditional
+
     if target not in ("latent", "reported"):
         raise EstimationError(f"unknown target {target!r}")
     if model not in ("linear", "oprobit", "hoprobit"):
@@ -133,12 +135,14 @@ def parametric_fit(
 
 
 def _closed_form(lc: LatentConditional, model: str, target: str) -> ParametricFit:
+    from . import ordered
+
     if model == "linear":
-        return linear_projection(lc, target=target)
+        return ordered.linear_projection(lc, target=target)
     if model == "oprobit":
-        return homo_ordered_probit(lc, target=target)
-    sigma, _ = skedastic(lc)
-    return hetero_ordered_probit(lc, sigma, target=target)
+        return ordered.homo_ordered_probit(lc, target=target)
+    sigma, _ = ordered.skedastic(lc)
+    return ordered.hetero_ordered_probit(lc, sigma, target=target)
 
 
 def bootstrap_std_errors(
@@ -160,12 +164,13 @@ def bootstrap_std_errors(
     by ``cell_configs``' rule, start 0 warm at the point ``models``; a
     redraw whose cell fits fail is dropped before the parametric fit.
     """
+    from .resampling import run_plan
+
     cells = list(range(data.n_w_cells))
-    configs = cell_configs(cells, seed)
 
     def estimator(redraws: list[Dataset]):
-        fitted = (fit_cells(redraws, cells, configs, models) if target == "latent"
-                  else [[]] * len(redraws))
+        fitted = (fit_cells(redraws, cells, cell_configs(cells, seed), models)
+                  if target == "latent" else [[]] * len(redraws))
         outcomes = [_first_failure(fits) for fits in fitted]
         kept = [i for i, failure in enumerate(outcomes) if failure is None]
         reps = parametric_fit([redraws[i] for i in kept], model, target,
@@ -196,6 +201,8 @@ def model_std_errors(
     (``MisclassificationModel.pack`` order) and the kept replicates in
     which its own fit flagged a boundary.
     """
+    from .resampling import run_plan
+
     configs = cell_configs(cells, seed)
     warm = [result.model for result in results]
 

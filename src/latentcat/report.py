@@ -65,16 +65,13 @@ def _layout(header: list[str], rows: list[list[str]], footer: str = "") -> str:
 
 
 def _test_reports(payload: dict) -> list[dict]:
-    """The reports of a test artifact: the pooled one, then one per cell; a
-    single test (no ``pooled``) is its own report."""
-    if "pooled" not in payload:
-        return [payload]
+    """The reports of a test suite: the pooled one, then one per cell."""
     return [payload["pooled"], *payload.get("cells", [])]
 
 
 def render_test(payload: dict) -> str:
-    """Text table for a test artifact: a single test, or a suite (pooled
-    plus per-cell rows, then any skipped cells)."""
+    """Text table for a test suite: pooled plus per-cell rows, then any
+    skipped cells."""
     header = ["group", "TS", "90%", "95%", "99%", "N"]
     out = "Conditional-independence misclassification test\n"
     out += _layout(header, _test_rows(_test_reports(payload)), STAR_NOTE)
@@ -98,10 +95,7 @@ def render_models(payload: dict) -> str:
     """Per-cell identified models with diagnostics."""
     lines = [f"Identified misclassification models (method: {payload['method']})"]
     for entry in payload["cells"]:
-        label = entry.get("w_cell") or "pooled"
-        n_val = entry.get("n")
-        n_txt = f"{n_val:,}" if isinstance(n_val, int) else "?"
-        lines.append(f"\ncell {label} (n={n_txt})")
+        lines.append(f"\ncell {entry['w_cell']} (n={entry['n']:,})")
         if "error" in entry:
             lines.append(f"  identification failed: {entry['error']}")
             continue
@@ -116,21 +110,14 @@ def render_models(payload: dict) -> str:
             "  latent marginal:   "
             + "  ".join(f"{v:8.4f}" for v in model["f_xstar"])
         )
-        notes = []
-        if not model.get("ord_satisfied", True):
-            notes.append("monotone-reporting check FAILED")
-        if "loglik" in entry:
-            notes.append(f"loglik {entry['loglik']:.2f}")
-            if "saturation_gap" in entry:
-                notes.append(f"saturation gap {entry['saturation_gap']:.3g}")
-            notes.append(
-                f"{entry['n_starts_agreeing']}/{entry['n_starts_converged']} "
-                "converged starts agree"
-            )
-        if entry.get("boundary_flags"):
+        notes = [] if model["ord_satisfied"] else ["monotone-reporting check FAILED"]
+        notes += [f"loglik {entry['loglik']:.2f}",
+                  f"saturation gap {entry['saturation_gap']:.3g}",
+                  f"{entry['n_starts_agreeing']}/{entry['n_starts_converged']} "
+                  "converged starts agree"]
+        if entry["boundary_flags"]:
             notes.append("boundary: " + "; ".join(entry["boundary_flags"]))
-        if notes:
-            lines.append("  [" + " | ".join(notes) + "]")
+        lines.append("  [" + " | ".join(notes) + "]")
         if entry.get("boot"):
             lines.append("  " + _boot_line(entry["boot"]))
     return "\n".join(lines) + "\n"
@@ -193,7 +180,7 @@ def render_exclusions(payload: dict) -> str:
 
 def render(payload: dict) -> str:
     """Dispatch on artifact shape."""
-    if "pooled" in payload or "statistic" in payload:
+    if "pooled" in payload:
         return render_test(payload)
     if "cells" in payload and "method" in payload:
         return render_models(payload)
@@ -205,7 +192,7 @@ def render(payload: dict) -> str:
 def render_csv(payload: dict) -> str:
     """Flat numeric export of an artifact."""
     lines = []
-    if "pooled" in payload or "statistic" in payload:
+    if "pooled" in payload:
         lines.append("group,statistic,cv90,cv95,cv99,p_value,n")
         for rep in _test_reports(payload):
             cvs = rep["critical_values"]
@@ -230,7 +217,7 @@ def render_csv(payload: dict) -> str:
                      "dropped_estimator_failed,boundary_hits")
         for entry in payload["cells"]:
             boot = entry.get("boot") or {}
-            values = [entry.get("w_cell") or "pooled", entry.get("n"),
+            values = [entry["w_cell"], entry.get("n"),
                       entry.get("loglik"), entry.get("saturation_gap"), boot.get("b"),
                       boot.get("n_dropped"), boot.get("dropped", {}).get("estimator_failed"),
                       boot.get("boundary_hits")]

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_table
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -164,14 +165,6 @@ class MisclassificationModel:
             return np.asarray(entry["data"], dtype=float).reshape(entry["rows"], entry["cols"])
 
         return cls(**{name: block(name) for name in BLOCKS})
-
-
-def _check_table(table) -> np.ndarray:
-    """``table`` as an array, refused (DomainError) unless it is (S_X, 2, S_Z)."""
-    table = np.asarray(table)
-    if table.ndim != 3 or table.shape[1] != 2:
-        raise DomainError(f"a table is an (S_X, 2, S_Z) array, not {table.shape}")
-    return table
 
 
 def build_matrices(probs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -79,9 +80,79 @@ def test_pipeline_artifacts_and_manifests(pipeline):
 
 
 def test_artifacts_have_schema_versions(pipeline):
+    # Every artifact and manifest carries the one format number, and every
+    # manifest records each output's digest.
+    for key in ("synth", "report", "models", "fit"):
+        manifest = json.loads(Path(f"{pipeline[key]}.manifest.json").read_text())
+        assert manifest["schema_version"] == cli.FORMAT
+        if key != "synth":
+            assert json.loads(pipeline[key].read_text())["schema_version"] == cli.FORMAT
+        expected = {pipeline[key], pipeline["schema"]} if key == "synth" else {pipeline[key]}
+        assert set(manifest["outputs"]) == {str(path) for path in expected}
+        for path, digest in manifest["outputs"].items():
+            assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+
+
+def test_replay_refuses_a_manifest_of_another_format(pipeline, tmp_path, capsys):
+    # A manifest of format 1 recorded options and artifacts that this
+    # version may not reproduce: refused before anything is read or written.
+    manifest = json.loads(Path(f"{pipeline['fit']}.manifest.json").read_text())
+    manifest["schema_version"] = "1"
+    old_manifest = tmp_path / "old.manifest.json"
+    old_manifest.write_text(json.dumps(manifest))
+    out_dir = tmp_path / "replayed"
+    capsys.readouterr()
+    assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 64
+    [line] = capsys.readouterr().err.splitlines()
+    assert "error:" in line and "format 1 manifest" in line
+    assert f"replays format {cli.FORMAT}; re-run its command" in line
+    assert not out_dir.exists()
+
+
+def test_replay_names_an_output_that_differs_from_the_run(pipeline, tmp_path, capsys):
+    # The manifest records the digest of an edited artifact: the replayed
+    # bytes do not match it, and the file is named.
+    manifest = json.loads(Path(f"{pipeline['fit']}.manifest.json").read_text())
+    edited = pipeline["fit"].read_bytes().replace(b'"beta"', b'"betas"')
+    manifest["outputs"][str(pipeline["fit"])] = hashlib.sha256(edited).hexdigest()
+    edited_manifest = tmp_path / "edited.manifest.json"
+    edited_manifest.write_text(json.dumps(manifest))
+    out_dir = tmp_path / "replayed"
+    capsys.readouterr()
+    assert run(["replay", str(edited_manifest), "--out-dir", str(out_dir)]) == 1
+    *_, line = capsys.readouterr().err.splitlines()
+    assert line == (f"error: replayed output {out_dir / 'fit.json'} differs from the "
+                    f"run's {pipeline['fit']}")
+
+
+def test_report_and_estimate_refuse_an_artifact_of_another_format(pipeline, tmp_path,
+                                                                  capsys):
+    # An artifact of format 1 is refused with one line; one without the
+    # field, as a hand-made models file is, is read as it stands.
+    data = ["--data", str(pipeline["synth"]), "--schema", str(pipeline["schema"]),
+            "--model", "linear", "--target", "latent", "--seed", "1"]
     for key in ("report", "models", "fit"):
-        payload = json.loads(pipeline[key].read_text())
-        assert payload["schema_version"] == "1"
+        old = tmp_path / f"old-{key}.json"
+        old.write_text(json.dumps({**json.loads(pipeline[key].read_text()),
+                                   "schema_version": "1"}))
+        argvs = [["report", str(old)], ["report", "--format", "csv", str(old)]]
+        if key == "models":
+            argvs.append(["estimate", "--models", str(old), *data,
+                          "--out", str(tmp_path / "fit.json")])
+        for argv in argvs:
+            capsys.readouterr()
+            assert run(argv) == 1
+            *_, line = capsys.readouterr().err.splitlines()
+            assert line == (f"error: {old} is of format 1, this version reads format "
+                            f"{cli.FORMAT}; re-run the command that wrote it")
+    assert not (tmp_path / "fit.json").exists()
+    bare = tmp_path / "bare-models.json"
+    models = json.loads(pipeline["models"].read_text())
+    del models["schema_version"]
+    bare.write_text(json.dumps(models))
+    assert run(["report", str(bare)]) == 0
+    assert run(["estimate", "--models", str(bare), *data,
+                "--out", str(tmp_path / "fit.json")]) == 0
 
 
 def test_replay_reproduces_bytes(pipeline, tmp_path):
@@ -92,39 +163,6 @@ def test_replay_reproduces_bytes(pipeline, tmp_path):
     original = pipeline["fit"].read_bytes()
     replayed = (out_dir / "fit.json").read_bytes()
     assert original == replayed
-
-
-def test_replay_drops_the_retired_threads_option(pipeline, tmp_path, capsys):
-    out = tmp_path / "fit_boot.json"
-    estimate = ["estimate", "--models", str(pipeline["models"]), "--data",
-                str(pipeline["synth"]), "--schema", str(pipeline["schema"]),
-                "--model", "linear", "--target", "latent", "--boot", "3",
-                "--seed", "11", "--out", str(out)]
-    for retired in (["--threads", "2"], ["--starts", "10"]):
-        assert run([*estimate, *retired]) == 64
-        assert f"unrecognized arguments: {' '.join(retired)}" in (
-            capsys.readouterr().err)
-    assert run(estimate) == 0
-    # A manifest written while an option existed records it. Unlike --threads,
-    # the retired bootstrap options changed artifacts; such a manifest replays
-    # under the one replicate rule, with the same note. --clamp and --min-cell
-    # recorded their defaults, which are now constants, and --skedastic
-    # nonparametric the closed form, now the one estimator.
-    for artifact, retired in ((out, {"threads": 2}), (out, {"starts": 10}),
-                              (out, {"boot_starts": 2, "stratify": True}),
-                              (out, {"clamp": 1e-06}),
-                              (out, {"skedastic": "nonparametric"}),
-                              (pipeline["report"], {"min_cell": 100})):
-        manifest = json.loads(Path(str(artifact) + ".manifest.json").read_text())
-        manifest["options"].update(retired)
-        name = "-".join(retired)
-        old_manifest = tmp_path / f"old-{name}.manifest.json"
-        old_manifest.write_text(json.dumps(manifest))
-        out_dir = tmp_path / f"replayed-{name}"
-        assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 0
-        assert f"ignoring options this version does not take: {sorted(retired)}" in (
-            capsys.readouterr().err)
-        assert (out_dir / artifact.name).read_bytes() == artifact.read_bytes()
 
 
 def test_option_inventory():
@@ -158,25 +196,6 @@ def test_option_inventory():
         assert sub.choices[name].get_default("by_cell") is True
 
 
-def test_replay_of_a_check_only_manifest_runs_under_the_labelling_rule(pipeline,
-                                                                       tmp_path, capsys):
-    # Every default identify run recorded --ord check-only, which is gone: the
-    # value is dropped with the usual note, and the run replays under the one
-    # labelling rule, as --ord enforce.
-    manifest = json.loads(Path(str(pipeline["models"]) + ".manifest.json").read_text())
-    manifest["options"]["ord"] = "check-only"
-    old_manifest = tmp_path / "check-only.manifest.json"
-    old_manifest.write_text(json.dumps(manifest))
-    out_dir = tmp_path / "replayed"
-    assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 0
-    assert "ignoring options this version does not take: ['ord']" in (
-        capsys.readouterr().err)
-    replayed = out_dir / pipeline["models"].name
-    assert replayed.read_bytes() == pipeline["models"].read_bytes()
-    assert json.loads(Path(f"{replayed}.manifest.json").read_text())["options"][
-        "ord"] == "enforce"
-
-
 def test_default_identify_writes_the_enforce_artifact(tmp_path):
     # With S_X != S_Z there is no spectral start and random starts win, each
     # with its own labelling; the default labels them by the one rule, as
@@ -198,39 +217,6 @@ def test_default_identify_writes_the_enforce_artifact(tmp_path):
     assert cell["model"]["ord_satisfied"]
 
 
-def test_replay_of_a_spectral_manifest_exits_64(pipeline, tmp_path, capsys):
-    # A manifest of the deleted spectral route: its --tol is dropped, and
-    # --method spectral is refused before anything is written.
-    manifest = json.loads(Path(str(pipeline["models"]) + ".manifest.json").read_text())
-    manifest["options"].update(method="spectral", tol=1e-6)
-    old_manifest = tmp_path / "spectral.manifest.json"
-    old_manifest.write_text(json.dumps(manifest))
-    out_dir = tmp_path / "replayed"
-    assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 64
-    err = capsys.readouterr().err
-    assert "ignoring options this version does not take: ['tol']" in err
-    assert "argument --method: invalid choice: 'spectral'" in err
-    assert not (out_dir / pipeline["models"].name).exists()
-
-
-def test_replay_of_an_exponential_skedastic_manifest_exits_64(pipeline, tmp_path,
-                                                              capsys):
-    # A manifest of the retired exponential-index ML fit names an estimator
-    # this version does not have; replaying it under the closed form would
-    # change the estimator, so it is refused before anything is written.
-    manifest = json.loads(Path(str(pipeline["fit"]) + ".manifest.json").read_text())
-    manifest["options"].update(model="hoprobit", target="reported",
-                               skedastic="exponential")
-    old_manifest = tmp_path / "exponential.manifest.json"
-    old_manifest.write_text(json.dumps(manifest))
-    out_dir = tmp_path / "replayed"
-    assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 64
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "error:" in err[0]
-    assert "--skedastic exponential, is retired" in err[0]
-    assert not out_dir.exists()
-
-
 @pytest.mark.parametrize("artifact", ["report", "models"])
 def test_test_and_identify_without_by_cell_write_the_by_cell_bytes(pipeline, tmp_path,
                                                                    artifact):
@@ -247,23 +233,6 @@ def test_test_and_identify_without_by_cell_write_the_by_cell_bytes(pipeline, tmp
     assert out.read_bytes() == pipeline[artifact].read_bytes()
     assert json.loads(Path(f"{out}.manifest.json").read_text())["options"] == {
         **manifest["options"], "out": str(out)}
-
-
-@pytest.mark.parametrize("artifact", ["report", "models"])
-def test_replay_of_a_pooled_manifest_exits_64(pipeline, tmp_path, capsys, artifact):
-    # A manifest of a run without --by-cell recorded a pooled test or fit,
-    # which per-cell runs do not reproduce; it is refused before anything is
-    # written.
-    manifest = json.loads(Path(f"{pipeline[artifact]}.manifest.json").read_text())
-    manifest["options"]["by_cell"] = False
-    old_manifest = tmp_path / "pooled.manifest.json"
-    old_manifest.write_text(json.dumps(manifest))
-    out_dir = tmp_path / "replayed"
-    assert run(["replay", str(old_manifest), "--out-dir", str(out_dir)]) == 64
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "error:" in err[0]
-    assert f"pooled {manifest['command']}, without --by-cell, is retired" in err[0]
-    assert not out_dir.exists()
 
 
 def test_one_degenerate_cell_is_skipped_not_fatal(tmp_path, capsys):
@@ -443,7 +412,7 @@ def test_identify_boot_telemetry_in_artifact_and_report(pipeline, tmp_path, caps
                          ids=["chunk16", "chunk2"])
 def test_identify_boot_fits_every_cell_of_a_chunk_in_one_batch(
         pipeline, tmp_path, monkeypatch, chunk, batches):
-    import latentcat.pipeline
+    import latentcat.mle
     import latentcat.resampling
     from latentcat.mle import fit_tables
 
@@ -453,7 +422,7 @@ def test_identify_boot_fits_every_cell_of_a_chunk_in_one_batch(
         calls.append(len(tables))
         return fit_tables(tables, *rest)
 
-    monkeypatch.setattr(latentcat.pipeline, "fit_tables", counted)
+    monkeypatch.setattr(latentcat.mle, "fit_tables", counted)
     monkeypatch.setattr(latentcat.resampling, "BOOT_CHUNK", chunk)
     out = tmp_path / "models_boot.json"
     assert run(["identify", "--input", str(pipeline["synth"]), "--schema",
@@ -529,13 +498,17 @@ def test_json_input_of_the_wrong_shape_is_one_error_line(pipeline, tmp_path, cap
     wider = json.loads(pipeline["models"].read_text())
     [four] = make_model(GeneratorSpec(s_x=4, s_z=4, seed=1))
     wider["cells"][1]["model"] = four.to_dict()
+    unlabelled = json.loads(pipeline["models"].read_text())
+    del unlabelled["cells"][1]["w_cell"]
     data = ["--data", str(pipeline["synth"]), "--schema", str(pipeline["schema"])]
     for argv, message in (
         (["report", payload("fit.json", '{"fit": {}}')],
          "is not a well-formed artifact: KeyError"),
         (["report", "--format", "csv", payload("fit.json", '{"fit": {}}')],
          "is not a well-formed artifact: KeyError"),
-        (["replay", payload("m.json", '{"command": "test"}')], "is not a run manifest"),
+        (["replay", payload("m.json", json.dumps({"schema_version": cli.FORMAT,
+                                                  "command": "test"}))],
+         "is not a run manifest"),
         (["replay", payload("list.json", "[1, 2]")], "does not hold a JSON object"),
         (["estimate", "--models", payload("models.json", json.dumps(model)), *data,
           "--model", "linear", "--target", "latent", "--seed", "1",
@@ -549,6 +522,10 @@ def test_json_input_of_the_wrong_shape_is_one_error_line(pipeline, tmp_path, cap
           "--model", "hoprobit", "--target", "latent", "--seed", "1", "--boot", "3",
           "--out", str(tmp_path / "out.json")],
          "models artifact cell 'W' has support (4, 2, 4), the data (3, 2, 3)"),
+        (["estimate", "--models", payload("unlabelled.json", json.dumps(unlabelled)),
+          *data, "--model", "linear", "--target", "latent", "--seed", "1",
+          "--out", str(tmp_path / "out.json")],
+         "models artifact's cells[1] has no w_cell label"),
         (["estimate", "--models", payload("cells.json", '{"cells": ["model"]}'), *data,
           "--model", "linear", "--target", "latent", "--seed", "1",
           "--out", str(tmp_path / "out.json")],
@@ -698,29 +675,42 @@ def test_stages_load_only_the_scipy_they_call(pipeline, tmp_path):
 def test_each_command_loads_only_the_modules_it_runs(pipeline, tmp_path):
     """Each command is its own process, which compiles every module it
     imports. ``simulate`` loads the generator and no estimator; ``test``
-    loads the test and neither; the fits load no generator."""
+    loads the test and neither; ``identify`` loads no ordered model, and
+    ``estimate`` no likelihood fit, except for a latent bootstrap; neither
+    loads the bootstrap engine without ``--boot``."""
     synth, schema = str(pipeline["synth"]), str(pipeline["schema"])
     data = ["--schema", schema, "--seed", "1"]
     stage = ("from latentcat.cli import run\n"
              "assert run({!r}) == 0").format
-    core = {"cli", "data", "errors", "spectral"}
-    fits = core | {"mle", "ordered", "pipeline", "report", "resampling"}
+    core = {"cli", "data", "errors", "report"}
+    latent = ["estimate", "--models", str(pipeline["models"]), "--data", synth, *data,
+              "--model", "hoprobit", "--target", "latent"]
+    reported = ["estimate", "--data", synth, *data, "--model", "hoprobit",
+                "--target", "reported"]
+    identify = ["identify", "--input", synth, *data, "--by-cell", "--starts", "2"]
     commands = {
         "simulate": (["simulate", "--spec", str(pipeline["spec"]), "--n", "2000",
                       "--seed", "1", "--out", str(tmp_path / "s.csv")],
-                     core | {"generate", "ordered"}),
+                     {"cli", "data", "errors", "generate", "ordered", "spectral"}),
         "test --by-cell": (["test", "--input", synth, *data, "--by-cell", "--B", "99",
                             "--out", str(tmp_path / "r.json")],
-                           core | {"citest", "report"}),
-        "identify --by-cell": (["identify", "--input", synth, *data, "--by-cell",
-                                "--starts", "2", "--out", str(tmp_path / "m.json")],
-                               fits),
-        "latent estimate": (["estimate", "--models", str(pipeline["models"]), "--data",
-                             synth, *data, "--model", "hoprobit", "--target", "latent",
-                             "--out", str(tmp_path / "fl.json")], fits),
-        "reported estimate": (["estimate", "--data", synth, *data, "--model",
-                               "oprobit", "--target", "reported",
-                               "--out", str(tmp_path / "fr.json")], fits),
+                           core | {"citest"}),
+        "identify --by-cell": ([*identify, "--out", str(tmp_path / "m.json")],
+                               core | {"mle", "pipeline", "spectral"}),
+        "identify --boot": ([*identify, "--boot", "2", "--out", str(tmp_path / "mb.json")],
+                            core | {"mle", "pipeline", "resampling", "spectral"}),
+        "latent estimate": ([*latent, "--out", str(tmp_path / "fl.json")],
+                            core | {"ordered", "pipeline", "spectral"}),
+        "latent estimate --boot": (
+            [*latent, "--boot", "2", "--out", str(tmp_path / "flb.json")],
+            core | {"mle", "ordered", "pipeline", "resampling", "spectral"}),
+        "reported estimate": ([*reported, "--out", str(tmp_path / "fr.json")],
+                              core | {"ordered", "pipeline"}),
+        "reported estimate --boot": (
+            [*reported, "--boot", "2", "--out", str(tmp_path / "frb.json")],
+            core | {"ordered", "pipeline", "resampling"}),
+        "report": (["report", str(pipeline["report"]), str(pipeline["models"])],
+                   {"cli", "errors", "report"}),
     }
     for name, (args, modules) in commands.items():
         assert modules_loaded(stage(args), "latentcat.") == {
@@ -1071,13 +1061,16 @@ def test_counts_below_their_minimum_refused_before_ingest(tmp_path, capsys,
     (TEST_BY_CELL, ["--min-cell", "50"]),
     (["estimate", "--model", "hoprobit", "--target", "reported"],
      ["--skedastic", "exponential"]),
+    (ESTIMATE_LATENT, ["--threads", "2"]),
+    (ESTIMATE_LATENT, ["--starts", "10"]),
 ])
 def test_retired_bootstrap_options_refused_before_ingest(tmp_path, capsys, command,
                                                          option):
     # Every bootstrap redraws within cells and refits cells at a fixed start
     # count, so neither choice is taken any more; the inversion clamp and the
     # per-cell test's minimum size are constants; the reported hoprobit has
-    # one estimator, the closed form.
+    # one estimator, the closed form. The program starts no threads, and the
+    # latent point fit reads its cell models from the models artifact.
     missing = str(tmp_path / "missing.csv")
     inputs = {"identify": ["--input", missing, "--schema", missing, "--boot", "3"],
               "test": ["--input", missing, "--schema", missing],
