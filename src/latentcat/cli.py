@@ -374,15 +374,14 @@ def _identify_cell(label, counts, fitted) -> dict:
 def _cmd_identify(args) -> int:
     from .data import tabulate
     from .mle import CmleResult
-    from .pipeline import cell_configs, fit_cells, model_std_errors
+    from .pipeline import fit_cells, model_std_errors
     from .spectral import MisclassificationModel
 
     manifest = _Manifest("identify", vars(args))
     data = _load_data(args.input, args.schema, manifest)
     counts = data.cell_counts()
     populated = [c for c in range(data.n_w_cells) if counts[c] > 0]
-    [fits] = fit_cells([data], populated,
-                       cell_configs(populated, args.seed, args.starts))
+    [fits] = fit_cells([data], populated, args.seed, args.starts)
     fitted = iter(fits)
     cells: list[dict] = []
     point_fits: list[tuple] = []  # (cell index, CmleResult, entry) per fitted cell

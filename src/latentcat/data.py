@@ -90,6 +90,14 @@ class Schema:
                 f"{len(self.w_columns)} covariate columns; at most "
                 f"{MAX_W_COLUMNS} supported (2^|W| cells must stay enumerable)"
             )
+        roles: dict[str, list[str]] = {}
+        for role, column in (("x", self.x_column), ("y", self.y_column),
+                             ("z", self.z_column), *(("w", c) for c in self.w_columns)):
+            roles.setdefault(column, []).append(role)
+        for column, named in roles.items():
+            if len(named) > 1:
+                raise SchemaError(f"column {column!r} is named for {', '.join(named)}: "
+                                  "give each role and each covariate its own column")
         if not self.x_recode:
             raise SchemaError("x_recode is empty")
         targets = set(self.x_recode.values())

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import _check_table
-from .errors import DomainError, OptimizationError
+from .errors import ConfigurationError, DomainError, OptimizationError
 from .spectral import (
     MisclassificationModel,
     _state_terms,
@@ -380,8 +380,17 @@ def _fitted_starts(tables: list[np.ndarray], configs: list[CmleConfig],
                    warm_starts: list[MisclassificationModel | None]):
     """Per table, its starts as (kind, fitted model, start loglik, final
     loglik, iterations, converged) tuples; one accelerated EM runs over
-    every start of every table."""
+    every start of every table. A support with more model parameters than
+    free table probabilities (S_Z < S_X) is not identified: ConfigurationError
+    before any EM."""
     starts = [_starts(*args) for args in zip(tables, configs, warm_starts, strict=True)]
+    for s_x, s_y, s_z in {np.shape(table) for table in tables}:
+        n_params, n_free = param_count(s_x, s_y, s_z), s_x * s_y * s_z - 1
+        if n_params > n_free:
+            raise ConfigurationError(
+                f"support (S_X, S_Y, S_Z) = ({s_x}, {s_y}, {s_z}) is not identified: "
+                f"{n_params} parameters per cell against {n_free} free probabilities; "
+                f"bin z into at least {s_x} levels")
     counts = np.stack([t for t, ts in zip(tables, starts) for _ in ts])
     fitted = iter(_em_fit([m for ts in starts for _, m in ts], counts.astype(float)))
     return [[(kind, *next(fitted)) for kind, _ in ts] for ts in starts]

@@ -185,33 +185,26 @@ class ParametricFit:
 # ---------------------------------------------------------------------------
 
 
-def latent_conditional(
-    models: list[MisclassificationModel],
-    cell_weights,
-    column_names: tuple[str, ...] = (),
-    labels: tuple[str, ...] = (),
-) -> LatentConditional:
+def latent_conditional(models: list[MisclassificationModel], data: Dataset) -> LatentConditional:
     """Assemble the latent-outcome conditional from per-cell identified models.
 
-    One model per covariate cell in little-endian cell order; the covariate
-    vector of cell c is its bit pattern with an intercept prepended, and its
-    label is ``labels[c]`` (by default ``str(c)``).
+    One model per covariate cell of ``data``, in its little-endian cell
+    order; the covariate rows, labels, column names and empirical cell
+    weights are the Dataset's own, as in ``reported_conditional``.
     """
-    weights = np.asarray(cell_weights, dtype=float)
-    n_cells = weights.size
-    if len(models) != n_cells:
+    if len(models) != data.n_w_cells:
         raise ConfigurationError(
-            f"{len(models)} models for {n_cells} covariate cells"
+            f"{len(models)} models for {data.n_w_cells} covariate cells"
         )
     missing = [i for i, m in enumerate(models) if m is None]
     if missing:
         raise ConfigurationError(f"missing identified model for cells {missing}")
     return LatentConditional(
-        q=cell_rows(max(n_cells - 1, 0).bit_length())[:n_cells],
-        weights=weights,
+        q=cell_rows(len(data.w_columns)),
+        weights=data.cell_counts() / data.n,
         probs=[model.f_xstar for model in models],
-        labels=tuple(labels) or tuple(map(str, range(n_cells))),
-        column_names=tuple(column_names),
+        labels=data.w_labels,
+        column_names=design_columns(data.w_columns),
     )
 
 
@@ -251,7 +244,7 @@ def _weighted_solve(q: np.ndarray, w: np.ndarray, t: np.ndarray,
     return np.linalg.solve(gram, rhs)
 
 
-def linear_projection(lc: LatentConditional, target: str = "latent") -> ParametricFit:
+def linear_projection(lc: LatentConditional, *, target: str = "latent") -> ParametricFit:
     """Least-squares projection of the conditional outcome mean on (1, W)."""
     levels = np.arange(1, lc.n_levels + 1, dtype=float)
     beta = _weighted_solve(lc.q, lc.weights, lc.probs @ levels, lc.column_names)
@@ -305,19 +298,9 @@ def skedastic(lc: LatentConditional) -> tuple[dict[str, float], int]:
     return dict(zip(lc.labels, (1.0 / denom).tolist())), e1 + e2
 
 
-def _sigma_vector(lc: LatentConditional, sigma: dict[str, float]) -> np.ndarray:
-    try:
-        return np.asarray([sigma[label] for label in lc.labels])
-    except KeyError as exc:
-        raise ConfigurationError(f"no scale supplied for cell {exc}") from exc
-
-
-def hetero_ordered_probit(
-    lc: LatentConditional,
-    sigma: dict[str, float],
-    target: str = "latent",
-) -> ParametricFit:
-    """Heteroskedastic ordered-probit coefficients by exact inversion.
+def _inverted_probit(lc: LatentConditional, sig: np.ndarray, target: str) -> ParametricFit:
+    """Ordered-probit coefficients by exact inversion at the per-cell
+    scales ``sig`` (in ``lc.labels`` order).
 
     The transformed outcome is -sigma(q) * PhiInv(P[V=1|q]); coefficients
     solve the weighted normal equations. Extra cutpoints (more than three
@@ -327,7 +310,6 @@ def hetero_ordered_probit(
     Cumulative probabilities are clamped into [CLAMP, 1-CLAMP] as in
     ``skedastic``.
     """
-    sig = _sigma_vector(lc, sigma)
     cum = np.cumsum(lc.probs, axis=1)
     ppf1, e1 = _clamped_ppf(cum[:, 0])
     ppf2, e2 = _clamped_ppf(cum[:, 1])
@@ -356,23 +338,29 @@ def hetero_ordered_probit(
         beta=beta,
         column_names=lc.column_names,
         cutpoints=np.asarray(cuts),
-        sigma_by_cell=dict(sigma),
         clamp_events=clamp_events,
         norm_identity_max_dev=norm_dev,
         cutpoint_spread=spread,
     )
 
 
-def homo_ordered_probit(lc: LatentConditional, target: str = "latent") -> ParametricFit:
+def hetero_ordered_probit(lc: LatentConditional, *, target: str = "latent") -> ParametricFit:
+    """Heteroskedastic ordered probit by exact inversion at the per-cell
+    scales that ``skedastic`` estimates from ``lc``, reported in
+    ``sigma_by_cell``."""
+    sigma, _ = skedastic(lc)
+    fit_ = _inverted_probit(lc, np.asarray(list(sigma.values())), target)
+    return replace(fit_, sigma_by_cell=sigma)
+
+
+def homo_ordered_probit(lc: LatentConditional, *, target: str = "latent") -> ParametricFit:
     """Homoskedastic ordered probit by exact inversion, scale pinned to 1.
 
     Applies to either target's conditional; ``ordered_probit_mle`` is the
     maximum-likelihood benchmark on the reported counts.
     """
-    unit = dict.fromkeys(lc.labels, 1.0)
-    fit_ = hetero_ordered_probit(lc, unit, target=target)
-    return replace(fit_, kind="ordered-probit-homoskedastic", sigma_by_cell=None,
-                   scale=1.0)
+    fit_ = _inverted_probit(lc, np.ones(len(lc.labels)), target)
+    return replace(fit_, kind="ordered-probit-homoskedastic", scale=1.0)
 
 
 # ---------------------------------------------------------------------------

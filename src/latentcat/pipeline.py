@@ -4,7 +4,7 @@
 listed covariate cells of every dataset and fits them all in one
 ``fit_tables`` batch (one vectorized, accelerated EM over every cell and
 start). ``identify``'s point fits and both bootstraps' refits go through
-it, seeded by ``cell_configs``' one rule: cell c's starts at ``seed + c``.
+it, seeded by one rule: cell c's starts at ``seed + c``.
 Every cell fit sorts its latent states by the last reporting row
 (``mle.fit``), so the latent conditional, which feeds latent-state labels
 into normal-quantile transforms, is assembled from cell models labelled by
@@ -30,17 +30,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import Dataset, design_columns, tabulate
+from .data import Dataset, tabulate
 from .errors import ConfigurationError, DomainError, EstimationError, OptimizationError
 
 if TYPE_CHECKING:
-    from .mle import CmleConfig, CmleResult
-    from .ordered import LatentConditional, ParametricFit
+    from .mle import CmleResult
+    from .ordered import ParametricFit
     from .resampling import BootstrapRun
     from .spectral import MisclassificationModel
 
 __all__ = [
-    "cell_configs",
     "fit_cells",
     "parametric_fit",
     "bootstrap_std_errors",
@@ -50,36 +49,30 @@ __all__ = [
 BOOT_STARTS = 3  # per cell refit of a replicate: the warm start and two random ones
 
 
-def cell_configs(cells: list[int], seed: int,
-                 n_starts: int = BOOT_STARTS) -> list[CmleConfig]:
-    """The config of each listed cell's fit: cell c's starts seeded
-    ``seed + c``. The one seed rule of ``identify``'s point fits and of
-    every bootstrap replicate."""
-    from .mle import CmleConfig
-
-    return [CmleConfig(n_starts=n_starts, seed=seed + cell) for cell in cells]
-
-
 def fit_cells(
     datasets: list[Dataset],
     cells: list[int],
-    configs: list[CmleConfig],
+    seed: int,
+    n_starts: int = BOOT_STARTS,
     warm_starts: list[MisclassificationModel | None] | None = None,
 ) -> list[list[CmleResult | OptimizationError]]:
     """Constrained ML fits of the listed cells of every dataset, all tables
     in one ``fit_tables`` batch.
 
-    ``configs`` and ``warm_starts`` hold one entry per cell, else
-    DomainError, as for an empty ``cells``; an empty listed cell raises
-    ``tabulate``'s EmptyCellError. Returns, per dataset, one entry per
-    listed cell, a CmleResult or the OptimizationError that ``fit`` would
-    raise on that table.
+    Cell c's fit runs ``n_starts`` starts seeded ``seed + c``: the one seed
+    rule of ``identify``'s point fits and of every bootstrap replicate.
+    ``warm_starts`` holds one entry per cell, else DomainError, as for an
+    empty ``cells``; an empty listed cell raises ``tabulate``'s
+    EmptyCellError. Returns, per dataset, one entry per listed cell, a
+    CmleResult or the OptimizationError that ``fit`` would raise on that
+    table.
     """
-    from .mle import fit_tables
+    from .mle import CmleConfig, fit_tables
 
     warm = warm_starts or [None] * len(cells)
-    if not cells or not len(configs) == len(warm) == len(cells):
-        raise DomainError("fit_cells needs one or more cells, a config and a warm start each")
+    if not cells or len(warm) != len(cells):
+        raise DomainError("fit_cells needs one or more cells, and a warm start each")
+    configs = [CmleConfig(n_starts=n_starts, seed=seed + cell) for cell in cells]
     tables = [tabulate(data, c) for data in datasets for c in cells]
     fits = iter(fit_tables(tables, configs * len(datasets), warm * len(datasets)))
     return [[next(fits) for _ in cells] for _ in datasets]
@@ -110,39 +103,29 @@ def parametric_fit(
     covariate cell under a reported closed form (``EmptyCellError``)
     raises for the whole call.
     """
-    from .ordered import latent_conditional, ordered_probit_mle, reported_conditional
+    from . import ordered
 
     if target not in ("latent", "reported"):
         raise EstimationError(f"unknown target {target!r}")
-    if model not in ("linear", "oprobit", "hoprobit"):
+    closed_form = {"linear": ordered.linear_projection,
+                   "oprobit": ordered.homo_ordered_probit,
+                   "hoprobit": ordered.hetero_ordered_probit}.get(model)
+    if closed_form is None:
         raise EstimationError(f"unknown model {model!r}")
     if model == "oprobit" and target == "reported":
-        return ordered_probit_mle(datasets)
+        return ordered.ordered_probit_mle(datasets)
     if target == "latent" and (models is None or len(models) != len(datasets)):
         raise ConfigurationError(f"the latent target needs cell models: {len(models or [])} "
                                  f"model lists for {len(datasets)} datasets")
     fits = []
     for i, data in enumerate(datasets):
         try:
-            lc = (reported_conditional(data) if target == "reported" else
-                  latent_conditional(models[i], data.cell_counts() / data.n,
-                                     column_names=design_columns(data.w_columns),
-                                     labels=data.w_labels))
-            fits.append(_closed_form(lc, model, target))
+            lc = (ordered.reported_conditional(data) if target == "reported"
+                  else ordered.latent_conditional(models[i], data))
+            fits.append(closed_form(lc, target=target))
         except EstimationError as exc:
             fits.append(exc)
     return fits
-
-
-def _closed_form(lc: LatentConditional, model: str, target: str) -> ParametricFit:
-    from . import ordered
-
-    if model == "linear":
-        return ordered.linear_projection(lc, target=target)
-    if model == "oprobit":
-        return ordered.homo_ordered_probit(lc, target=target)
-    sigma, _ = ordered.skedastic(lc)
-    return ordered.hetero_ordered_probit(lc, sigma, target=target)
 
 
 def bootstrap_std_errors(
@@ -161,15 +144,15 @@ def bootstrap_std_errors(
     as one stack. Returns the fit with ``std_errors`` filled plus the run,
     which counts dropped replicates and boundary hits. For the latent
     target, a chunk's cells are refitted first in one ``fit_cells`` call,
-    by ``cell_configs``' rule, start 0 warm at the point ``models``; a
-    redraw whose cell fits fail is dropped before the parametric fit.
+    start 0 warm at the point ``models``; a redraw whose cell fits fail is
+    dropped before the parametric fit.
     """
     from .resampling import run_plan
 
     cells = list(range(data.n_w_cells))
 
     def estimator(redraws: list[Dataset]):
-        fitted = (fit_cells(redraws, cells, cell_configs(cells, seed), models)
+        fitted = (fit_cells(redraws, cells, seed, warm_starts=models)
                   if target == "latent" else [[]] * len(redraws))
         outcomes = [_first_failure(fits) for fits in fitted]
         kept = [i for i, failure in enumerate(outcomes) if failure is None]
@@ -195,15 +178,14 @@ def model_std_errors(
 
     ``cells`` holds the cell indices of the point fits ``results``. Every
     listed cell of every redraw in a chunk is refitted in one ``fit_cells``
-    call by ``cell_configs``' rule, warm-started at the point models; a
-    replicate in which any cell's fit fails is dropped for every cell.
+    call, warm-started at the point models; a replicate in which any cell's
+    fit fails is dropped for every cell.
     Returns one run per cell: its columns of the replicate estimates
     (``MisclassificationModel.pack`` order) and the kept replicates in
     which its own fit flagged a boundary.
     """
     from .resampling import run_plan
 
-    configs = cell_configs(cells, seed)
     warm = [result.model for result in results]
 
     def estimator(redraws: list[Dataset]):
@@ -211,7 +193,7 @@ def model_std_errors(
             _first_failure(fits) or (
                 np.concatenate([fit.model.pack() for fit in fits]),
                 [bool(fit.boundary_flags) for fit in fits])
-            for fits in fit_cells(redraws, cells, configs, warm)
+            for fits in fit_cells(redraws, cells, seed, warm_starts=warm)
         ]
 
     run = run_plan(data, estimator, b, seed)

@@ -114,8 +114,9 @@ def run_plan(data: Dataset, estimator, b: int, seed: int) -> BootstrapRun:
     and returns one outcome per redraw: a 1-d parameter vector, a
     ``(vector, flagged)`` pair with ``flagged`` one bool or one bool per
     model (summed elementwise into the boundary hits), or the
-    ``EstimationError`` that drops that replicate alone. ``b < 1`` and a
-    negative ``seed`` raise DomainError.
+    ``EstimationError`` that drops that replicate alone; fewer than two
+    kept replicates raise EstimationError. ``b < 1`` and a negative
+    ``seed`` raise DomainError.
     """
     if b < 1:
         raise DomainError("need at least one replicate")
@@ -132,8 +133,9 @@ def run_plan(data: Dataset, estimator, b: int, seed: int) -> BootstrapRun:
     dropped = {"estimator_failed": sum(isinstance(o, EstimationError) for o in outcomes)}
     kept = [o if isinstance(o, tuple) else (o, False) for o in outcomes
             if not isinstance(o, EstimationError)]
-    if not kept:
-        raise EstimationError(f"every bootstrap replicate was dropped: {dropped}")
+    if len(kept) < 2:
+        raise EstimationError(f"{len(kept)} of {b} bootstrap replicates kept, too few "
+                              f"for a standard error: dropped {dropped}")
     return BootstrapRun(
         estimates=np.vstack([np.asarray(vec, dtype=float) for vec, _ in kept]),
         n_requested=b,

@@ -24,7 +24,7 @@ from latentcat.generate import (
 )
 from latentcat.mle import CmleConfig, fit, param_count
 from latentcat.ordered import hetero_ordered_probit, skedastic
-from latentcat.pipeline import cell_configs, fit_cells, parametric_fit
+from latentcat.pipeline import fit_cells, parametric_fit
 from latentcat.spectral import closed_form, population_pmf
 
 from conftest import (
@@ -173,13 +173,12 @@ def test_criterion_6_heteroskedastic_probit_exactness():
     for _ in range(10):
         params = random_probit_params(rng, 5)
         lc = probit_population(params)
-        sigma, _ = skedastic(lc)
-        fit_ = hetero_ordered_probit(lc, sigma)
+        fit_ = hetero_ordered_probit(lc)
         worst = max(worst, float(np.abs(fit_.beta - params.beta).max()))
         worst = max(
             worst,
             max(
-                abs(sigma[label] - params.sigma_by_cell[i])
+                abs(fit_.sigma_by_cell[label] - params.sigma_by_cell[i])
                 for i, label in enumerate(lc.labels)
             ),
         )
@@ -224,8 +223,7 @@ def test_criterion_7_end_to_end_latent_recovery():
     )
     models = make_model(spec)
     sample = draw(models, make_cell_weights(32), 100_000, seed=9).data
-    cells = list(range(32))
-    [fits] = fit_cells([sample], cells, cell_configs(cells, 5, n_starts=10))
+    [fits] = fit_cells([sample], list(range(32)), 5, n_starts=10)
     [latent] = parametric_fit([sample], "hoprobit", "latent", [[fit_.model for fit_ in fits]])
     [reported] = parametric_fit([sample], "hoprobit", "reported")
     err_latent = float(np.abs(latent.beta - params.beta).max())

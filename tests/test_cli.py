@@ -1163,3 +1163,59 @@ def test_exclusions_reported_on_stderr(pipeline, capsys):
                 "--out", str(pipeline["root"] / "tmp_report.json")]) == 0
     err = capsys.readouterr().err
     assert "records read: 8000" in err
+
+
+def simulated(tmp_path, s_z, n, seed):
+    """``simulate`` from a two-cell spec with S_X = 3 and the given S_Z:
+    the CSV and its schema sidecar."""
+    spec = tmp_path / f"gen-{s_z}.cfg"
+    spec.write_text(f"[generator]\ns_x = 3\ns_z = {s_z}\nw_cells = 2\nstrength = 0.4\n")
+    csv = tmp_path / f"synth-{s_z}.csv"
+    assert run(["simulate", "--spec", str(spec), "--n", str(n), "--seed", str(seed),
+                "--out", str(csv)]) == 0
+    return csv, tmp_path / f"synth-{s_z}.schema.cfg"
+
+
+def test_identify_refuses_a_support_that_is_not_identified(tmp_path, capsys):
+    # With S_Z = 2 < S_X = 3 fits from seeds 1 and 2 once agreed in every
+    # log-likelihood and saturation gap but not in the latent marginals.
+    csv, schema = simulated(tmp_path, s_z=2, n=2000, seed=1)
+    out = tmp_path / "models.json"
+    for seed in ("1", "2"):
+        capsys.readouterr()
+        assert run(["identify", "--input", str(csv), "--schema", str(schema),
+                    "--starts", "5", "--seed", seed, "--out", str(out)]) == 1
+        *_, line = capsys.readouterr().err.splitlines()
+        assert line == ("error: support (S_X, S_Y, S_Z) = (3, 2, 2) is not identified: "
+                        "14 parameters per cell against 11 free probabilities; "
+                        "bin z into at least 3 levels")
+        assert not out.exists()
+
+
+def test_schema_naming_a_covariate_twice_exits_1(tmp_path, capsys):
+    csv, schema = simulated(tmp_path, s_z=3, n=200, seed=1)
+    doubled = tmp_path / "doubled.schema.cfg"
+    doubled.write_text(schema.read_text().replace("w = w1", "w = w1, w1"))
+    assert "w = w1, w1" in doubled.read_text()
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["test", "--input", str(csv), "--schema", str(doubled), "--B", "99",
+                "--seed", "1", "--out", str(out)]) == 1
+    *_, line = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "column 'w1' is named for w, w" in line
+    assert not out.exists()
+
+
+def test_a_bootstrap_that_keeps_one_replicate_exits_2(tmp_path, capsys):
+    # Twelve records: at this seed one of the two redraws misses an outcome
+    # level, so its ML fit is dropped and one replicate is left.
+    csv, schema = simulated(tmp_path, s_z=3, n=12, seed=3)
+    out = tmp_path / "fit.json"
+    capsys.readouterr()
+    assert run(["estimate", "--data", str(csv), "--schema", str(schema), "--model",
+                "oprobit", "--target", "reported", "--boot", "2", "--seed", "6",
+                "--out", str(out)]) == 2
+    *_, line = capsys.readouterr().err.splitlines()
+    assert line == ("error: 1 of 2 bootstrap replicates kept, too few for a standard "
+                    "error: dropped {'estimator_failed': 1}")
+    assert not out.exists()

@@ -311,6 +311,19 @@ def test_schema_requires_surjective_recode():
         )
 
 
+@pytest.mark.parametrize("columns,message", [
+    ({"w_columns": ("w1", "w1")}, "column 'w1' is named for w, w"),
+    ({"y_column": "x", "z_column": "x"}, "column 'x' is named for x, y, z"),
+    ({"w_columns": ("w1", "z")}, "column 'z' is named for z, w"),
+])
+def test_schema_refuses_a_column_named_for_two_roles(columns, message):
+    # A covariate listed twice would leave half the cells empty, and one
+    # column read as x, y and z makes y and z functions of x.
+    with pytest.raises(SchemaError, match=message):
+        Schema(**{"x_column": "x", "y_column": "y", "z_column": "z",
+                  "w_columns": (), "x_recode": {1: 1, 2: 2}, **columns})
+
+
 def test_schema_limits_covariates():
     with pytest.raises(SchemaError):
         Schema(

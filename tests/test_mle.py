@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from latentcat import mle, spectral
 from latentcat.data import tabulate
-from latentcat.errors import DomainError, GeneratorError, OptimizationError
+from latentcat.errors import ConfigurationError, DomainError, GeneratorError, OptimizationError
 from latentcat.generate import GeneratorSpec, draw, make_model
 from latentcat.mle import (
     AGREE_RTOL,
@@ -605,6 +605,22 @@ def test_fit_tables_independent_of_batch(seed, s, data):
     permuted = fit_tables([tables[i] for i in order], [configs[i] for i in order],
                           [warms[i] for i in order])
     assert [outcome(r) for r in permuted] == [alone[i] for i in order]
+
+
+def test_fit_refuses_a_support_that_is_not_identified(monkeypatch):
+    # With S_Z < S_X a cell model has more parameters than the table has
+    # free probabilities: (3, 2, 2) has 14 against 11. It is refused on
+    # both public fitting paths before any EM runs.
+    def no_em(*args):
+        raise AssertionError("EM ran")
+
+    monkeypatch.setattr(mle, "_em_fit", no_em)
+    table = np.ones((3, 2, 2), dtype=int)
+    message = r"\(3, 2, 2\) is not identified: 14 parameters .* 11 free .* at least 3 levels"
+    with pytest.raises(ConfigurationError, match=message):
+        fit(table)
+    with pytest.raises(ConfigurationError, match=message):
+        fit_tables([table, table], [CmleConfig(n_starts=2)] * 2)
 
 
 def test_fit_tables_needs_one_support():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import optimize, special
 from scipy.stats import norm
 
-from latentcat.data import Dataset, cell_rows
+from latentcat.data import Dataset, cell_labels, cell_rows, design_columns
 from latentcat.errors import ConfigurationError, EstimationError
 from latentcat.generate import (
     GeneratorSpec,
@@ -51,17 +51,27 @@ def lc_from_probs(prob_rows, weights=None, dim_names=()):
 # ---------------------------------------------------------------------------
 
 
+def cell_dataset(cell_counts, support=(3, 2, 3)):
+    """A Dataset whose covariate cells hold ``cell_counts`` records, all at
+    codes (1, 0, 1), over covariates w1, w2, ... labelled A, B, ..."""
+    counts = np.zeros((len(cell_counts), *support), dtype=np.int64)
+    counts[:, 0, 0, 0] = cell_counts
+    n_cols = (len(cell_counts) - 1).bit_length()
+    return Dataset(counts, tuple(f"w{k}" for k in range(1, n_cols + 1)), cell_labels(n_cols))
+
+
 def test_latent_conditional_single_cell():
     [model] = make_model(GeneratorSpec(seed=1))
-    lc = latent_conditional([model], [1.0])
+    lc = latent_conditional([model], cell_dataset([7]))
     assert lc.labels == ("0",)
+    assert lc.column_names == ("const",)
     assert lc.weights.tolist() == [1.0]
     assert np.allclose(lc.probs[0], model.f_xstar)
 
 
 def test_latent_conditional_equal_cells_equal_means():
     [model] = make_model(GeneratorSpec(seed=2))
-    lc = latent_conditional([model, model], [0.5, 0.5])
+    lc = latent_conditional([model, model], cell_dataset([5, 5]))
     levels = np.arange(1, 4)
     means = lc.probs @ levels
     assert means[0] == pytest.approx(means[1])
@@ -90,23 +100,29 @@ def test_latent_conditional_refusals(change, message):
 
 def test_latent_conditional_is_stacked_and_read_only():
     models = make_model(GeneratorSpec(n_w_cells=2, seed=3))
-    lc = latent_conditional(models, [0.25, 0.75], column_names=("const", "w1"),
-                            labels=("0", "A"))
+    data = cell_dataset([25, 75])
+    lc = latent_conditional(models, data)
     assert lc.q.tolist() == [[1.0, 0.0], [1.0, 1.0]]
     assert lc.weights.tolist() == [0.25, 0.75]
     assert np.array_equal(lc.probs, [m.f_xstar for m in models])
     assert lc.labels == ("0", "A")
+    assert lc.column_names == ("const", "w1")
     for arr in (lc.q, lc.weights, lc.probs):
         assert not arr.flags.writeable
     ragged = [models[0], replace(models[1], f_xstar=np.full(4, 0.25))]
     with pytest.raises(ConfigurationError, match="ragged cell dimensions"):
-        latent_conditional(ragged, [0.5, 0.5])
+        latent_conditional(ragged, data)
 
 
 def test_latent_conditional_missing_cell():
     [model] = make_model(GeneratorSpec(seed=3))
-    with pytest.raises(ConfigurationError):
-        latent_conditional([model, None], [0.5, 0.5])
+    data = cell_dataset([5, 5])
+    with pytest.raises(ConfigurationError, match=r"missing identified model for cells \[1\]"):
+        latent_conditional([model, None], data)
+    for models in ([model], [model] * 4):
+        with pytest.raises(ConfigurationError,
+                           match=f"{len(models)} models for 2 covariate cells"):
+            latent_conditional(models, data)
 
 
 def test_latent_conditional_weights_match_empirical():
@@ -115,11 +131,12 @@ def test_latent_conditional_weights_match_empirical():
     rng = np.random.default_rng(5)
     weights = rng.dirichlet(np.full(32, 12.0))
     sample = draw(models, weights, 60_000, seed=6).data
-    empirical = sample.cell_counts() / sample.n
-    lc = latent_conditional(models, empirical)
-    assert len(lc.labels) == 32
+    lc = latent_conditional(models, sample)
+    assert lc.labels == sample.w_labels and len(lc.labels) == 32
+    assert lc.column_names == design_columns(sample.w_columns)
+    assert lc.q.tobytes() == cell_rows(5).tobytes()
+    assert lc.weights.tobytes() == (sample.cell_counts() / sample.n).tobytes()
     assert lc.weights.sum() == pytest.approx(1.0)
-    assert np.allclose(lc.weights, empirical)
 
 
 def test_reported_conditional_from_records():
@@ -242,9 +259,9 @@ def test_hetero_probit_round_trip():
     for _ in range(5):
         params = random_probit_params(rng, 5)
         lc = probit_population(params)
-        sigma, _ = skedastic(lc)
-        fit_ = hetero_ordered_probit(lc, sigma)
+        fit_ = hetero_ordered_probit(lc)
         assert np.abs(fit_.beta - params.beta).max() < 1e-10
+        assert fit_.sigma_by_cell == skedastic(lc)[0]
         assert fit_.norm_identity_max_dev < 1e-10
         assert fit_.cutpoints.tolist() == [0.0, 1.0]
 
@@ -253,8 +270,8 @@ def test_hetero_probit_second_branch_equivalent():
     rng = np.random.default_rng(11)
     params = random_probit_params(rng, 3)
     lc = probit_population(params)
-    sigma, _ = skedastic(lc)
-    first = hetero_ordered_probit(lc, sigma)
+    first = hetero_ordered_probit(lc)
+    sigma = first.sigma_by_cell
     # The same coefficients solve the normal equations of the second
     # cutpoint's outcome 1 - sigma(q) * PhiInv(P[V<=2|q]).
     q, w, p = lc.q, lc.weights, lc.probs
@@ -269,21 +286,32 @@ def test_hetero_probit_recovers_extra_cutpoints():
     rng = np.random.default_rng(12)
     params = random_probit_params(rng, 3, n_levels=4)
     lc = probit_population(params)
-    sigma, _ = skedastic(lc)
-    fit_ = hetero_ordered_probit(lc, sigma)
+    fit_ = hetero_ordered_probit(lc)
     assert np.abs(fit_.beta - params.beta).max() < 1e-9
     assert fit_.cutpoints[2] == pytest.approx(params.cutpoints[2], abs=1e-9)
     assert fit_.cutpoint_spread < 1e-9
 
 
 def test_hetero_with_unit_scale_equals_homo_closed_form():
-    rng = np.random.default_rng(13)
-    probs = rng.dirichlet(np.ones(3), size=4)
-    lc = lc_from_probs(list(probs))
-    unit = dict.fromkeys(lc.labels, 1.0)
-    hetero = hetero_ordered_probit(lc, unit)
+    # Where every cell's true scale is 1, hetero estimates scales of 1 up to
+    # rounding, and so agrees with the closed form pinned at scale 1.
+    params = random_probit_params(np.random.default_rng(13), 5)
+    lc = probit_population(replace(params, sigma_by_cell=np.ones(32)))
+    hetero = hetero_ordered_probit(lc)
     homo = homo_ordered_probit(lc)
+    assert max(abs(v - 1.0) for v in hetero.sigma_by_cell.values()) < 1e-12
     assert np.allclose(hetero.beta, homo.beta, atol=1e-12)
+    assert homo.sigma_by_cell is None and homo.scale == 1.0
+
+
+def test_closed_forms_take_the_target_by_keyword_only():
+    # A positional second argument (the retired scale map) is refused, not
+    # bound to ``target``.
+    lc = lc_from_probs([[0.5, 0.3, 0.2], [0.1, 0.4, 0.5]])
+    for closed_form in (linear_projection, homo_ordered_probit, hetero_ordered_probit):
+        with pytest.raises(TypeError):
+            closed_form(lc, dict.fromkeys(lc.labels, 1.0))
+        assert closed_form(lc, target="reported").target == "reported"
 
 
 def test_homo_probit_closed_form_unit_scale():
@@ -343,8 +371,7 @@ def test_effect_scale_labels():
     probs = [[0.5, 0.3, 0.2], [0.1, 0.4, 0.5]]
     lc = lc_from_probs(probs)
     assert "mean" in linear_projection(lc).effect_scale
-    sigma, _ = skedastic(lc)
-    assert "median" in hetero_ordered_probit(lc, sigma).effect_scale
+    assert "median" in hetero_ordered_probit(lc).effect_scale
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +456,16 @@ def probit_counts(params, n: int, seed: int) -> Dataset:
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_cols=st.integers(1, 5),
        n_levels=st.integers(3, 5), n=st.sampled_from([2_000, 20_000, 200_000]))
+@example(seed=178865, n_cols=1, n_levels=5, n=2_000)  # no record at level 5
 def test_fisher_scoring_matches_the_lbfgs_reference(seed, n_cols, n_levels, n):
-    """The ML benchmark reaches at least the reference's optimum, at its betas."""
+    """The ML benchmark reaches at least the reference's optimum, at its betas,
+    and refuses a sample with no record at some outcome level (no maximum)."""
     rng = np.random.default_rng(seed)
     data = probit_counts(random_probit_params(rng, n_cols, n_levels), n, seed)
     [got] = ordered_probit_mle([data])
+    if not data.outcome_counts().sum(axis=0).all():
+        assert isinstance(got, EstimationError)
+        return
     try:
         ref = lbfgs_ordered_probit_mle(data)
     except EstimationError:

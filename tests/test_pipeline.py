@@ -12,12 +12,9 @@ from latentcat.errors import (
 )
 from latentcat.generate import GeneratorSpec, ProbitParams, draw, make_model
 from latentcat.mle import CmleConfig, CmleResult, fit
-from latentcat.ordered import (
-    hetero_ordered_probit, ordered_probit_mle, reported_conditional, skedastic
-)
+from latentcat.ordered import hetero_ordered_probit, ordered_probit_mle, reported_conditional
 from latentcat.pipeline import (
     bootstrap_std_errors,
-    cell_configs,
     fit_cells,
     model_std_errors,
     parametric_fit,
@@ -51,10 +48,9 @@ def probit_sample():
 
 def every_cell(data, n_starts, seed):
     """Fits of every cell of ``data`` at ``n_starts`` starts, cell c's
-    seeded ``seed + c`` (``cell_configs``); raises the first failing cell's
-    error."""
-    cells = list(range(data.n_w_cells))
-    [fits] = fit_cells([data], cells, cell_configs(cells, seed, n_starts))
+    seeded ``seed + c`` (``fit_cells``' rule); raises the first failing
+    cell's error."""
+    [fits] = fit_cells([data], list(range(data.n_w_cells)), seed, n_starts)
     for fit_ in fits:
         if isinstance(fit_, OptimizationError):
             raise fit_
@@ -72,14 +68,13 @@ def test_fit_cells_covers_every_cell(probit_sample):
 def test_fit_cells_fits_each_table_as_fit_alone(probit_sample):
     _, _, data = probit_sample
     redraw = resampling.resample(data, 3)
-    cells = [2, None, 0]
-    configs = [CmleConfig(n_starts=2, seed=7 + j) for j in range(3)]
-    fitted = fit_cells([data, redraw], cells, configs)
+    cells = [2, 3, 0]  # in any order, cell c's starts are seeded 7 + c
+    fitted = fit_cells([data, redraw], cells, 7, n_starts=2)
     assert len(fitted) == 2
     for dataset, fits in zip([data, redraw], fitted):
         assert len(fits) == len(cells)
-        for cell, config, result in zip(cells, configs, fits):
-            alone = fit(tabulate(dataset, cell), config)
+        for cell, result in zip(cells, fits):
+            alone = fit(tabulate(dataset, cell), CmleConfig(n_starts=2, seed=7 + cell))
             assert result.model.pack().tobytes() == alone.model.pack().tobytes()
             assert result.loglik == alone.loglik
 
@@ -92,17 +87,16 @@ def test_fit_cells_raises_on_an_empty_listed_cell(probit_sample):
     counts[1] = 0
     emptied = Dataset(counts, data.w_columns, data.w_labels)
     with pytest.raises(EmptyCellError, match=repr(data.w_labels[1])):
-        fit_cells([data, emptied], [0, 1], cell_configs([0, 1], 0, 1))
-    [fits] = fit_cells([emptied], [0, 2], cell_configs([0, 2], 0, 1))
+        fit_cells([data, emptied], [0, 1], 0, n_starts=1)
+    [fits] = fit_cells([emptied], [0, 2], 0, n_starts=1)
     assert all(isinstance(fit_, CmleResult) for fit_ in fits)
 
 
 def test_fit_cells_refuses_lists_that_are_not_one_per_cell(probit_sample):
     _, _, data = probit_sample
-    config = CmleConfig(n_starts=1)
-    for args in (([], []), ([0, 1], [config]), ([0], [config], [None, None])):
+    for cells, warm in (([], None), ([0, 1], [None]), ([0], [None, None])):
         with pytest.raises(DomainError, match="one or more cells"):
-            fit_cells([data], *args)
+            fit_cells([data], cells, 0, n_starts=1, warm_starts=warm)
 
 
 def test_latent_fit_needs_cell_models(probit_sample):
@@ -164,7 +158,7 @@ def test_parametric_fit_routes_the_target(probit_sample):
     _, _, data = probit_sample
     [reported] = parametric_fit([data], "hoprobit", "reported")
     lc = reported_conditional(data)
-    closed = hetero_ordered_probit(lc, skedastic(lc)[0], target="reported")
+    closed = hetero_ordered_probit(lc, target="reported")
     assert reported.to_dict() == closed.to_dict()
     assert reported.beta.tobytes() == closed.beta.tobytes()
     assert reported.target == "reported" and len(reported.sigma_by_cell) == 4
@@ -336,8 +330,8 @@ def test_both_latent_bootstraps_refit_the_same_replicate_cell_models(probit_samp
               for result in results]
     fitted_packs = []
 
-    def spy(*args):  # every start's trace too: a winning warm start hides the seeds
-        fits = fit_cells(*args)
+    def spy(*args, **kwargs):  # every start's trace too: a winning warm start hides the seeds
+        fits = fit_cells(*args, **kwargs)
         fitted_packs.append([[(fit_.model.pack().tobytes(), repr(fit_.starts))
                               for fit_ in row] for row in fits])
         return fits

@@ -299,5 +299,11 @@ def test_run_plan_counts_drops_by_reason():
     def always_fails(d):
         raise EstimationError("synthetic failure")
 
-    with pytest.raises(EstimationError, match="'estimator_failed': 5"):
+    with pytest.raises(EstimationError, match="0 of 5 .*'estimator_failed': 5"):
         run_plan(data, per_redraw(always_fails), b=5, seed=16)
+
+    def keeps_one(redraws):  # one kept replicate gives no standard error either
+        return [np.array([1.0])] + [EstimationError("synthetic failure")] * (len(redraws) - 1)
+
+    with pytest.raises(EstimationError, match="1 of 5 .*'estimator_failed': 4"):
+        run_plan(data, keeps_one, b=5, seed=16)
