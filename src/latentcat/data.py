@@ -145,19 +145,15 @@ class Schema:
         return initials if len(set(initials)) == len(initials) else None
 
 
-def read_ini(source: str, what: str, error: type[LatentcatError],
-             is_text: bool = False) -> configparser.ConfigParser:
-    """Parse an INI file at path ``source`` (its text, if ``is_text``) in the
-    grammar of every configuration file (see README): ";" starts an inline
-    comment and "%" is a plain character. A file that cannot be read or
-    parsed is an ``error`` naming ``what`` the file is."""
+def read_ini(path: str, what: str, error: type[LatentcatError]) -> configparser.ConfigParser:
+    """Parse the INI file at ``path`` (paths only) in the grammar of every
+    configuration file (see README): ";" starts an inline comment and "%" is
+    a plain character. A file that cannot be read or parsed is an ``error``
+    naming ``what`` the file is."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
-        if is_text:
-            parser.read_string(source)
-        else:
-            with open(source, encoding="utf-8") as handle:
-                parser.read_file(handle)
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
     except OSError as exc:
         raise error(f"cannot read {what}: {exc}") from exc
     except configparser.Error as exc:
@@ -165,14 +161,10 @@ def read_ini(source: str, what: str, error: type[LatentcatError],
     return parser
 
 
-def load_schema(path_or_text) -> Schema:
-    """Parse a schema configuration file (INI grammar, see README).
-
-    Accepts a filesystem path, or an already-read text blob (anything
-    containing a newline is treated as text).
-    """
-    text = str(path_or_text)
-    parser = read_ini(text, "schema file", SchemaError, is_text="\n" in text)
+def load_schema(path) -> Schema:
+    """Parse the schema configuration file at ``path`` (paths only; INI
+    grammar, see README)."""
+    parser = read_ini(path, "schema file", SchemaError)
 
     try:
         cols = parser["columns"]
@@ -569,27 +561,25 @@ def _digit_tables(schema: Schema) -> tuple[list[np.ndarray], list[tuple[str, int
     return tables, ranges
 
 
-def _not_utf8(source, exc: UnicodeDecodeError) -> DataError:
+def _not_utf8(path, exc: UnicodeDecodeError) -> DataError:
     """The error for input that is not UTF-8, naming the first bad byte."""
     where = ""
-    if not hasattr(source, "read"):  # exc.start counts from the decoder's buffer
-        try:
-            with open(source, "rb") as raw:
-                raw.read().decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc, where = whole, f" at byte offset {whole.start}"
+    try:  # exc.start counts from the decoder's buffer, so decode the whole file
+        with open(path, "rb") as raw:
+            raw.read().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        exc, where = whole, f" at byte offset {whole.start}"
     bad = exc.object[exc.start]
     return DataError(f"input is not UTF-8 text: byte 0x{bad:02x}{where} ({exc.reason})")
 
 
-def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
+def ingest(path, schema: Schema) -> tuple[Dataset, ExclusionReport]:
     """Read a delimited extract, apply the schema, and drop unusable rows.
 
-    ``source`` is a path (UTF-8, a leading BOM ignored, any line ends) or an
-    open text stream whose lines end at "\\n", with a header row naming all
-    schema columns, none of them twice. Blank rows are skipped and not
-    counted. Each needed field is ``float(field.strip())``, or NaN when it is
-    missing, empty or unparsable. The exclusion rules are column masks, in
+    ``path`` names the extract (paths only): UTF-8, a leading BOM ignored,
+    any line ends, with a header row naming all schema columns, none of them
+    twice. Blank rows are skipped and not counted. Each needed field is
+    ``float(field.strip())``, or NaN when it is missing, empty or unparsable. The exclusion rules are column masks, in
     priority order: ``missing_or_nonnumeric`` (any non-finite field),
     ``noninteger_x``, ``unmapped_x`` (an x code absent from the recode map),
     ``nonbinary_w`` (a covariate other than 0/1). Excluded rows are dropped
@@ -610,8 +600,7 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
     ``csv.reader`` path alone would. From the first block with a quote,
     ``csv.reader`` reads the rest of the input, because a quoted field may
     span lines and blocks. Input that ``csv.reader`` refuses (a field over
-    its size limit, a bare ``\\r`` inside a line of a stream) is a
-    ``DataError``.
+    its size limit) is a ``DataError``.
 
     Each block's kept rows are recoded, binned and added to the count table
     at once, so with fixed binning of y and z no record outlives its block;
@@ -620,15 +609,10 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
     A ``median`` or ``tercile`` rule needs the whole column, so only then
     are the kept rows' codes and raw values held until the input ends.
     """
-    if hasattr(source, "read"):
-        stream = source
-        close = False
-    else:
-        try:
-            stream = open(source, encoding="utf-8-sig")
-        except OSError as exc:
-            raise DataError(f"cannot read input: {exc}") from exc
-        close = True
+    try:
+        stream = open(path, encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"cannot read input: {exc}") from exc
     support = (schema.s_x, 2, schema.s_z)
     n_cells = schema.n_w_cells
     fixed_y = schema.y_binning != "median"
@@ -688,12 +672,11 @@ def ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
             else:
                 held.append(rows)
     except UnicodeDecodeError as exc:
-        raise _not_utf8(source, exc) from None
-    except csv.Error as exc:  # an oversized field, a bare "\r" inside a line
+        raise _not_utf8(path, exc) from None
+    except csv.Error as exc:  # an oversized field
         raise DataError(f"cannot parse input as CSV: {exc}") from None
     finally:
-        if close:
-            stream.close()
+        stream.close()
 
     n_read = sum(rows_by_parser.values())
     report = ExclusionReport(n_read=n_read, n_kept=n_read - sum(reasons.values()),

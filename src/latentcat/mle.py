@@ -406,21 +406,21 @@ def _relabelled(model: MisclassificationModel) -> MisclassificationModel:
 def fit_tables(
     tables: list[np.ndarray],
     configs: list[CmleConfig],
-    warm_starts: list[MisclassificationModel | None] | None = None,
+    warm_starts: list[MisclassificationModel | None],
 ) -> list[CmleResult | OptimizationError]:
     """``fit`` on one or more count arrays of one shape: per table, the
     result or the OptimizationError that ``fit`` would raise on it alone.
 
-    Every start of every table runs in one batched, accelerated EM; then
-    ``fit`` builds each table's result from its fitted starts.
+    Start 0 of table i is ``warm_starts[i]``, where not None, in place of
+    ``fit``'s projected spectral start. Every start of every table runs in
+    one batched, accelerated EM; then ``fit`` builds each table's result
+    from its fitted starts.
     ``pipeline.fit_cells`` makes one call for ``identify``'s point fits and
     one for the cell refits of each chunk of bootstrap replicates. An empty
     list or mixed shapes raise DomainError.
     """
     if len({np.shape(table) for table in tables}) != 1:
         raise DomainError("fit_tables needs one or more tables of one support")
-    if warm_starts is None:
-        warm_starts = [None] * len(tables)
     results: list[CmleResult | OptimizationError] = []
     for table, config, warmed in zip(tables, configs,
                                      _fitted_starts(tables, configs, warm_starts)):
@@ -434,18 +434,17 @@ def fit_tables(
 def fit(
     counts: np.ndarray,
     config: CmleConfig = CmleConfig(),
-    warm_start: MisclassificationModel | None = None,
     *,
     warmed: list[tuple] | None = None,
 ) -> CmleResult:
     """Maximize the conditional log-likelihood of an (S_X, 2, S_Z) count
     array, such as ``data.tabulate``'s, with multiple seeded starts.
 
-    Start 0 is (in order of preference) the caller's ``warm_start``, else
-    the closed form of the pmf ``counts / counts.sum()`` projected into the
-    open simplex, when it exists; remaining starts are flat draws from the simplex
-    interior. Each start runs SQUAREM-accelerated EM to convergence. The
-    winner is the lowest-indexed start whose value ties the best within
+    Start 0 is the closed form of the pmf ``counts / counts.sum()``
+    projected into the open simplex, when it exists (``fit_tables`` takes a
+    warm start in its place); remaining starts are flat draws from the
+    simplex interior. Each start runs SQUAREM-accelerated EM to convergence.
+    The winner is the lowest-indexed start whose value ties the best within
     ``AGREE_RTOL`` (relative), so a well-ordered warm start beats permuted
     copies of the same optimum. The winner's latent states are then sorted
     by the last reporting row (``_relabelled``), which leaves the
@@ -454,12 +453,12 @@ def fit(
     Alone, ``fit`` fits its starts as a batch of one. ``fit_tables`` fits
     the starts of many tables in one batch and passes each table's as
     ``warmed``, (kind, fitted model, start loglik, final loglik, iterations,
-    converged) per start; ``warm_start`` is then unused. The log-likelihoods
-    are the EM's own, floored at P_FLOOR per cell. A table that is not 3-d,
-    has a negative count or is empty raises DomainError.
+    converged) per start. The log-likelihoods are the EM's own, floored at
+    P_FLOOR per cell. A table that is not 3-d, has a negative count or is
+    empty raises DomainError.
     """
     if warmed is None:
-        [warmed] = _fitted_starts([counts], [config], [warm_start])
+        [warmed] = _fitted_starts([counts], [config], [None])
     records: list[StartDiagnostics] = []
     for idx, (kind, _, start_ll, final_ll, n_iter, converged) in enumerate(warmed):
         records.append(

@@ -517,10 +517,13 @@ def ordered_probit_mle(datasets: list[Dataset]) -> list[ParametricFit | Estimati
     are the slopes, the first cutpoint and the log gaps between cutpoints.
     A dataset in which an outcome level holds no record is refused before
     scoring: a cutpoint next to that level runs off, so the likelihood has
-    no maximum. The other datasets that share a design (populated cells and
-    outcome levels) are fitted as one stacked Fisher scoring. Grouping, not
-    padding with unpopulated rows, keeps each item's rows those it has when
-    fitted alone.
+    no maximum. So is a converged fit that puts a populated cell's
+    cumulative probability outside [CLAMP, 1 - CLAMP]: under quasi-complete
+    separation the likelihood rises toward infinite slopes (Albert &
+    Anderson 1984), and scoring stops on a flat tail. The other datasets
+    that share a design (populated cells and outcome levels) are fitted as
+    one stacked Fisher scoring. Grouping, not padding with unpopulated rows,
+    keeps each item's rows those it has when fitted alone.
     """
     what = "ordered-probit MLE"
     designs = [_cell_design(data) for data in datasets]
@@ -559,6 +562,12 @@ def ordered_probit_mle(datasets: list[Dataset]) -> list[ParametricFit | Estimati
                 fits[i] = theta
                 continue
             [cuts], _ = _chained_cuts(theta[k : k + 1], theta[None, k + 1 :])
+            cdf = _norm_cdf(cuts - (q[:, 1:] @ theta[:k])[:, None])
+            if ((cdf < CLAMP) | (cdf > 1.0 - CLAMP)).any():
+                fits[i] = EstimationError(
+                    f"{what} has no maximum: quasi-complete separation, a populated "
+                    f"cell's fitted cumulative probability lies within {CLAMP:g} of 0 or 1")
+                continue
             gap = cuts[1] - cuts[0]
             fits[i] = ParametricFit(
                 kind="ordered-probit-homoskedastic",

@@ -184,11 +184,11 @@ def build_matrices(probs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return m_per_y[0] + m_per_y[1], m_per_y
 
 
-def check_rank(m_xz: np.ndarray, tol: float = RANK_TOL) -> bool:
+def check_rank(m_xz: np.ndarray) -> bool:
     """The invertibility condition: whether the smallest singular value of
-    the square ``m_xz`` exceeds ``tol`` times the largest."""
+    the square ``m_xz`` exceeds ``RANK_TOL`` times the largest."""
     svals = np.linalg.svd(m_xz, compute_uv=False)
-    return bool(svals[0] > 0 and svals[-1] > tol * svals[0])
+    return bool(svals[0] > 0 and svals[-1] > RANK_TOL * svals[0])
 
 
 def order_by_last_row(values: np.ndarray, vectors: np.ndarray, tol: float = 0.0):

@@ -1,9 +1,11 @@
-import io
+import contextlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
-from latentcat.data import Schema, ingest
+from latentcat.data import Schema, ingest, load_schema
 from latentcat.errors import EstimationError
 from latentcat.generate import GeneratorSpec, make_model
 from latentcat.spectral import MisclassificationModel
@@ -22,8 +24,25 @@ def basic_schema():
     )
 
 
+@contextlib.contextmanager
+def text_file(text: str):
+    """The path of a temporary file that holds ``text`` as UTF-8, line ends
+    as given: the library's readers take paths only."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "input.txt")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        yield path
+
+
 def ingest_text(text: str, schema: Schema):
-    return ingest(io.StringIO(text), schema)
+    with text_file(text) as path:
+        return ingest(path, schema)
+
+
+def load_schema_text(text: str):
+    with text_file(text) as path:
+        return load_schema(path)
 
 
 def per_redraw(estimator):

@@ -155,6 +155,16 @@ def test_report_and_estimate_refuse_an_artifact_of_another_format(pipeline, tmp_
                 "--out", str(tmp_path / "fit.json")]) == 0
 
 
+def test_test_reads_a_schema_path_that_contains_a_newline(pipeline, tmp_path):
+    # Such a path was once parsed as INI text, and the command exited 1.
+    schema = tmp_path / "synth\nschema.cfg"
+    schema.write_bytes(pipeline["schema"].read_bytes())
+    out = tmp_path / "report.json"
+    assert run(["test", "--input", str(pipeline["synth"]), "--schema", str(schema),
+                "--by-cell", "--B", "199", "--seed", "42", "--out", str(out)]) == 0
+    assert out.read_bytes() == pipeline["report"].read_bytes()
+
+
 def test_replay_reproduces_bytes(pipeline, tmp_path):
     out_dir = tmp_path / "replayed"
     code = run(["replay", str(pipeline["fit"]) + ".manifest.json",
@@ -194,6 +204,90 @@ def test_option_inventory():
     }
     for name in ("test", "identify"):
         assert sub.choices[name].get_default("by_cell") is True
+
+
+def test_library_surface():
+    """Every public function of the library's modules, by its parameters and
+    their defaults: a new knob, or a new default, is a visible edit here."""
+    import importlib
+    import inspect
+
+    def parameters(fn):
+        signature = inspect.signature(fn)
+        return str(signature.replace(
+            parameters=[p.replace(annotation=p.empty) for p in signature.parameters.values()],
+            return_annotation=signature.empty))
+
+    modules = ("data", "spectral", "mle", "pipeline", "ordered", "citest", "resampling",
+               "generate")
+    surface = {}
+    for name in modules:
+        module = importlib.import_module(f"latentcat.{name}")
+        functions = [getattr(module, n) for n in module.__all__]
+        surface[name] = {fn.__name__: parameters(fn) for fn in functions
+                         if inspect.isfunction(fn)}
+    assert surface == {
+        "data": {
+            "read_ini": "(path, what, error)",
+            "load_schema": "(path)",
+            "ingest": "(path, schema)",
+            "median_split": "(values)",
+            "tercile_bin": "(values)",
+            "tabulate": "(data, w_cell=None)",
+            "nearest_rank": "(sorted_values, level)",
+            "cell_rows": "(n_cols)",
+            "design_columns": "(w_columns)",
+            "cell_labels": "(n_cols, letters=None)",
+        },
+        "spectral": {
+            "build_matrices": "(probs)",
+            "check_rank": "(m_xz)",
+            "order_by_last_row": "(values, vectors, tol=0.0)",
+            "branch_operator": "(m_xz, m_y)",
+            "closed_form": "(probs)",
+            "population_pmf": "(model)",
+        },
+        "mle": {
+            "param_count": "(s_x, s_y, s_z)",
+            "loglik": "(model, counts)",
+            "saturated_loglik": "(counts)",
+            "fit": "(counts, config=CmleConfig(n_starts=10, seed=0), *, "
+                   "warmed=None)",
+            "fit_tables": "(tables, configs, warm_starts)",
+        },
+        "pipeline": {
+            "fit_cells": "(datasets, cells, seed, n_starts=3, warm_starts=None)",
+            "parametric_fit": "(datasets, model, target, models=None)",
+            "bootstrap_std_errors": "(data, model, target, point, b, seed, models=None)",
+            "model_std_errors": "(data, cells, results, b, seed)",
+        },
+        "ordered": {
+            "latent_conditional": "(models, data)",
+            "reported_conditional": "(data)",
+            "linear_projection": "(lc, *, target='latent')",
+            "skedastic": "(lc)",
+            "hetero_ordered_probit": "(lc, *, target='latent')",
+            "homo_ordered_probit": "(lc, *, target='latent')",
+            "ordered_probit_mle": "(datasets)",
+        },
+        "citest": {
+            "ts_statistic": "(probs)",
+            "bootstrap_test": "(data, w_cell=None, b=999, seed=0)",
+            "conditional_test_suite": "(data, b=999, seed=0)",
+        },
+        "resampling": {
+            "resample": "(data, seed)",
+            "boot_se": "(replicate_estimates)",
+            "run_plan": "(data, estimator, b, seed)",
+        },
+        "generate": {
+            "make_model": "(spec)",
+            "make_cell_weights": "(n_cells)",
+            "draw": "(models, cell_weights, n, seed, keep_truth=False)",
+            "probit_population": "(params)",
+            "random_probit_params": "(rng, n_covariates, n_levels=3)",
+        },
+    }
 
 
 def test_default_identify_writes_the_enforce_artifact(tmp_path):

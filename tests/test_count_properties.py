@@ -32,6 +32,8 @@ from latentcat.mle import loglik
 from latentcat.ordered import _cell_design, reported_conditional
 from latentcat.spectral import MisclassificationModel, _state_terms
 
+from conftest import ingest_text, text_file
+
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -189,7 +191,7 @@ def extracts(draw):
 def ingest_rows(rows):
     text = "ls,neuro,ghq,female,married\n" + "".join(",".join(r) + "\n" for r in rows)
     try:
-        data, report = ingest(io.StringIO(text), SCHEMA)
+        data, report = ingest_text(text, SCHEMA)
     except DataError as exc:
         return str(exc), None
     return data.counts, report.to_dict()
@@ -223,23 +225,18 @@ def _parse_number(token: str) -> float:
     return value
 
 
-def row_loop_ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
+def row_loop_ingest(path, schema: Schema) -> tuple[Dataset, ExclusionReport]:
     """Read a delimited extract, apply the schema, and drop unusable rows.
 
-    ``source`` is a path or an open text stream with a header row naming all
-    schema columns. Rows with missing/unparsable fields, x codes absent from
-    the recode map, or non-binary covariate values are excluded (listwise)
-    and tallied by reason in the returned report.
+    ``path`` names a file (a leading BOM ignored) with a header row naming
+    all schema columns. Rows with missing/unparsable fields, x codes absent
+    from the recode map, or non-binary covariate values are excluded
+    (listwise) and tallied by reason in the returned report.
     """
-    if hasattr(source, "read"):
-        stream = source
-        close = False
-    else:
-        try:
-            stream = open(source, encoding="utf-8", newline="")
-        except OSError as exc:
-            raise DataError(f"cannot read input: {exc}") from exc
-        close = True
+    try:
+        stream = open(path, encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read input: {exc}") from exc
     try:
         reader = csv.reader(stream)
         try:
@@ -296,8 +293,7 @@ def row_loop_ingest(source, schema: Schema) -> tuple[Dataset, ExclusionReport]:
             z_raw.append(zv)
             w_cells.append(sum(b << k for k, b in enumerate(bits)))
     finally:
-        if close:
-            stream.close()
+        stream.close()
 
     report = ExclusionReport(n_read=n_read, n_kept=len(x_raw), reasons=reasons)
     if not x_raw:
@@ -425,9 +421,10 @@ def test_ingest_equals_the_row_loop():
     def agrees(case):
         text, schema, block_chars = case
         parsed.append(0)
-        with mock.patch.object(data_module, "INGEST_BLOCK_CHARS", block_chars):
-            got = ingest_outcome(ingest, io.StringIO(text), schema)
-        assert got == ingest_outcome(row_loop_ingest, io.StringIO(text), schema)
+        with text_file(text) as path:
+            with mock.patch.object(data_module, "INGEST_BLOCK_CHARS", block_chars):
+                got = ingest_outcome(ingest, path, schema)
+            assert got == ingest_outcome(row_loop_ingest, path, schema)
 
     with mock.patch.object(np, "loadtxt", counted_loadtxt):
         agrees()
@@ -491,10 +488,9 @@ def test_integer_ingest_equals_the_row_loop(tmp_path):
         text, bom, schema, block_chars = case
         path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("ascii"))
         parsed.append(0)
-        expected = ingest_outcome(row_loop_ingest, io.StringIO(text), schema)
+        expected = ingest_outcome(row_loop_ingest, str(path), schema)
         with mock.patch.object(data_module, "INGEST_BLOCK_CHARS", block_chars):
             assert ingest_outcome(ingest, str(path), schema) == expected
-            assert ingest_outcome(ingest, io.StringIO(text), schema) == expected
 
     with mock.patch.object(np, "loadtxt", counted_loadtxt):
         agrees()
@@ -561,10 +557,9 @@ def test_one_digit_ingest_equals_the_row_loop(tmp_path):
         text, end, bom, schema, block_chars = case
         path.write_bytes(b"\xef\xbb\xbf" * bom + text.replace("\n", end).encode("ascii"))
         parsed.append(0)
-        expected = ingest_outcome(row_loop_ingest, io.StringIO(text), schema)
+        expected = ingest_outcome(row_loop_ingest, str(path), schema)
         with mock.patch.object(data_module, "INGEST_BLOCK_CHARS", block_chars):
             assert ingest_outcome(ingest, str(path), schema) == expected
-            assert ingest_outcome(ingest, io.StringIO(text), schema) == expected
 
     with mock.patch.object(data_module, "_digit_table", counted_digit_table):
         agrees()

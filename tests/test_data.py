@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 
 import numpy as np
@@ -16,7 +15,7 @@ from latentcat.data import (
 )
 from latentcat.errors import DataError, SchemaError
 
-from conftest import ingest_text
+from conftest import ingest_text, load_schema_text
 
 
 def records_of(data):
@@ -48,11 +47,13 @@ def test_ingest_empty_file_is_data_error(basic_schema):
         ingest_text("ls,neuro,ghq,female,married\n", basic_schema)
 
 
-def test_ingest_bare_carriage_return_is_data_error(basic_schema):
-    # A text stream splits lines at "\n" only, so csv.reader sees the "\r".
-    text = make_csv([(6, 1.0, 10, 0, 0), ("7\r", 2.0, 20, 0, 0)])
-    with pytest.raises(DataError, match="cannot parse input as CSV: new-line"):
-        ingest_text(text, basic_schema)
+def test_ingest_reads_any_line_ends(basic_schema):
+    text = make_csv([(6, 1.0, 10, 0, 0), (7, 2.0, 20, 1, 0), (9, 3.0, 30, 0, 1)])
+    data, report = ingest_text(text, basic_schema)
+    for end in ("\r\n", "\r"):
+        again, again_report = ingest_text(text.replace("\n", end), basic_schema)
+        assert np.array_equal(again.counts, data.counts)
+        assert again_report == report
 
 
 def test_ingest_unmapped_codes_are_tallied(basic_schema):
@@ -351,7 +352,7 @@ y = median
 [labels]
 w_letters = D, F, H, I, M
 """
-    schema = load_schema(text)
+    schema = load_schema_text(text)
     assert schema.s_x == 3
     assert schema.n_w_cells == 32
     assert schema.letters() == ("D", "F", "H", "I", "M")
@@ -377,19 +378,26 @@ x = 1:1 2:2
 z = cuts 1 2
 y = above 0.5
 """
-    schema = load_schema(text)
+    schema = load_schema_text(text)
     assert schema.s_z == 3
     assert schema.y_binning == 0.5
 
 
+def test_load_schema_reads_a_path_that_contains_a_newline(tmp_path):
+    # Such a path was once parsed as INI text: "malformed schema file".
+    path = tmp_path / "wave\n3.schema.cfg"
+    path.write_text("[columns]\nx=a\ny=b\nz=c\n\n[recode]\nx = 1:1 2:2\n")
+    assert load_schema(str(path)).x_column == "a"
+
+
 def test_load_schema_bad_recode_pair():
     with pytest.raises(SchemaError):
-        load_schema("[columns]\nx=a\ny=b\nz=c\n\n[recode]\nx = 1-2\n")
+        load_schema_text("[columns]\nx=a\ny=b\nz=c\n\n[recode]\nx = 1-2\n")
 
 
 def test_load_schema_reads_percent_signs_literally():
     # No interpolation: "%" and "%(...)s" are part of a column's name.
-    schema = load_schema("[columns]\nx=a%b\ny=b\nz=c%(y)s\n\n[recode]\nx = 1:1 2:2\n")
+    schema = load_schema_text("[columns]\nx=a%b\ny=b\nz=c%(y)s\n\n[recode]\nx = 1:1 2:2\n")
     assert (schema.x_column, schema.y_column, schema.z_column) == ("a%b", "b", "c%(y)s")
 
 
@@ -401,7 +409,7 @@ def test_load_schema_malformed_binning_rule(rule):
     key, _, value = (part.strip() for part in rule.partition("="))
     text = f"[columns]\nx=a\ny=b\nz=c\n\n[recode]\nx = 1:1 2:2\n\n[binning]\n{rule}\n"
     with pytest.raises(SchemaError, match=rf"bad {key} binning rule '{value}'"):
-        load_schema(text)
+        load_schema_text(text)
 
 
 @pytest.mark.parametrize("rule", [
@@ -411,4 +419,4 @@ def test_load_schema_refuses_non_finite_binning_numbers(rule):
     # These once collapsed z or y to one code, or left a bin no value fills.
     text = f"[columns]\nx=a\ny=b\nz=c\n\n[recode]\nx = 1:1 2:2\n\n[binning]\n{rule}\n"
     with pytest.raises(SchemaError, match="must be finite"):
-        load_schema(text)
+        load_schema_text(text)

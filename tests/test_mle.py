@@ -416,7 +416,7 @@ def test_fit_empty_table_rejected(table):
     with pytest.raises(DomainError):
         fit(table)
     with pytest.raises(DomainError):
-        fit_tables([table], [CmleConfig()])
+        fit_tables([table], [CmleConfig()], [None])
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +569,8 @@ def outcome(result):
 
 
 def fit_alone(table, config, warm):
-    try:
-        return fit(table, config, warm).to_dict()
-    except OptimizationError as exc:
-        return outcome(exc)
+    [result] = fit_tables([table], [config], [warm])
+    return outcome(result)
 
 
 @settings(max_examples=10, deadline=None)
@@ -620,16 +618,16 @@ def test_fit_refuses_a_support_that_is_not_identified(monkeypatch):
     with pytest.raises(ConfigurationError, match=message):
         fit(table)
     with pytest.raises(ConfigurationError, match=message):
-        fit_tables([table, table], [CmleConfig(n_starts=2)] * 2)
+        fit_tables([table, table], [CmleConfig(n_starts=2)] * 2, [None] * 2)
 
 
 def test_fit_tables_needs_one_support():
     small = np.ones((2, 2, 2), dtype=int)
     large = np.ones((3, 2, 3), dtype=int)
     with pytest.raises(DomainError):
-        fit_tables([small, large], [CmleConfig(n_starts=1)] * 2)
+        fit_tables([small, large], [CmleConfig(n_starts=1)] * 2, [None] * 2)
     with pytest.raises(DomainError):
-        fit_tables([], [])
+        fit_tables([], [], [])
 
 
 def winning_index(starts):
@@ -672,7 +670,7 @@ def test_fit_is_the_em_winner_with_sorted_states(seed, s, strength, warm):
         table = tabulate(sample, cell)
         config, warm_start = CmleConfig(n_starts=3, seed=seed), model if warm else None
         [raw] = _fitted_starts([table], [config], [warm_start])
-        result = fit(table, config, warm_start)
+        [result] = fit_tables([table], [config], [warm_start])
         index = winning_index([(start[5], start[3]) for start in raw])
         assert winning_index([(d.converged, d.final_loglik) for d in result.starts]) == index
         assert result.loglik == pytest.approx(raw[index][3], rel=1e-12)

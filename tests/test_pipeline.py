@@ -194,6 +194,25 @@ def test_parametric_fit_linear_and_oprobit(probit_sample):
         parametric_fit([data], "mystery", "reported")
 
 
+def test_reported_ml_refuses_quasi_complete_separation(probit_sample):
+    # Cell B holds two records, both at outcome level 1, and cell AB none, so
+    # covariate B alone predicts the lowest level and the likelihood rises
+    # toward an infinite B slope. Scoring once stopped on that tail and
+    # returned a "converged" B slope of -7.055.
+    _, _, data = probit_sample
+    counts = data.counts.copy()
+    counts[2:] = 0
+    counts[2, 0, 0, 0] = 2
+    separated = Dataset(counts, data.w_columns, data.w_labels)
+    [refused] = parametric_fit([separated], "oprobit", "reported")
+    assert isinstance(refused, EstimationError)
+    assert "has no maximum: quasi-complete separation" in str(refused)
+    # Stacked beside a sample that fits, each keeps the outcome it has alone.
+    fit_, again = ordered_probit_mle([data, separated])
+    assert fit_.to_dict() == ordered_probit_mle([data])[0].to_dict()
+    assert str(again) == str(refused)
+
+
 def test_bootstrap_std_errors_linear_reported(probit_sample):
     _, _, data = probit_sample
     [point] = parametric_fit([data], "linear", "reported")

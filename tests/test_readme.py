@@ -3,7 +3,9 @@
 import re
 from pathlib import Path
 
-from latentcat.data import cell_labels, load_schema
+from latentcat.data import cell_labels
+
+from conftest import load_schema_text
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -24,7 +26,7 @@ def test_readme_library_block_runs():
 
 
 def test_readme_schema_block_loads():
-    schema = load_schema(block("ini", "**Schema** (INI):"))
+    schema = load_schema_text(block("ini", "**Schema** (INI):"))
     assert (schema.x_column, schema.y_column, schema.z_column) == ("ls", "neuro", "ghq")
     assert schema.w_columns == ("degree", "female", "illness", "income", "married")
     assert schema.x_recode == {1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3, 7: 3}

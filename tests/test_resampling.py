@@ -4,11 +4,11 @@ import pytest
 from latentcat.data import Dataset, nearest_rank, tabulate
 from latentcat.errors import DomainError, EstimationError
 from latentcat.generate import GeneratorSpec, draw, make_model
-from latentcat.mle import CmleConfig, fit
+from latentcat.mle import CmleConfig, fit_tables
 from latentcat.ordered import linear_projection, reported_conditional
 from latentcat.resampling import boot_se, resample, run_plan
 
-from conftest import per_redraw
+from conftest import fitted, per_redraw
 
 
 def small_sample(n=40, seed=0, n_cells=2):
@@ -200,8 +200,8 @@ def test_boot_se_matches_monte_carlo_sd():
     config = CmleConfig(n_starts=2, seed=0)
 
     def estimator(d):
-        result = fit(tabulate(d), config, warm_start=model)
-        return result.model.f_xstar
+        [result] = fit_tables([tabulate(d)], [config], [model])
+        return fitted(result).model.f_xstar
 
     base = draw([model], [1.0], 20_000, seed=1).data
     run = run_plan(base, per_redraw(estimator), b=199, seed=99)

@@ -9,6 +9,7 @@ from latentcat.citest import ts_statistic
 from latentcat.data import tabulate
 from latentcat.errors import ConfigurationError, DomainError, GeneratorError
 from latentcat.generate import GeneratorSpec, draw, make_model
+from latentcat import spectral
 from latentcat.mle import _random_model
 from latentcat.spectral import (
     BLOCKS,
@@ -120,12 +121,14 @@ def test_build_matrices_rejects_nonsquare():
 # ---------------------------------------------------------------------------
 
 
-def test_check_rank_scaled_identity():
+def test_check_rank_scaled_identity(monkeypatch):
     # All three singular values are 1/3: the gate passes below a relative
     # floor of 1 and fails at 1.
     assert check_rank(np.eye(3) / 3)
-    assert check_rank(np.eye(3) / 3, tol=1 - 1e-9)
-    assert not check_rank(np.eye(3) / 3, tol=1.0)
+    monkeypatch.setattr(spectral, "RANK_TOL", 1 - 1e-9)
+    assert check_rank(np.eye(3) / 3)
+    monkeypatch.setattr(spectral, "RANK_TOL", 1.0)
+    assert not check_rank(np.eye(3) / 3)
 
 
 def test_check_rank_rank_one():
@@ -133,7 +136,7 @@ def test_check_rank_rank_one():
     assert not check_rank(m)
 
 
-def test_check_rank_sample_close_to_population():
+def test_check_rank_sample_close_to_population(monkeypatch):
     # The sample's smallest singular value, relative to its largest, lies
     # within 10% of the population's.
     [model] = make_model(spec_for(3))
@@ -143,8 +146,10 @@ def test_check_rank_sample_close_to_population():
     sample = draw([model], [1.0], 50_000, seed=4).data
     emp_m, _ = build_matrices(tabulate(sample) / sample.n)
     assert check_rank(emp_m)
-    assert check_rank(emp_m, tol=0.9 * pop_ratio)
-    assert not check_rank(emp_m, tol=1.1 * pop_ratio)
+    monkeypatch.setattr(spectral, "RANK_TOL", 0.9 * pop_ratio)
+    assert check_rank(emp_m)
+    monkeypatch.setattr(spectral, "RANK_TOL", 1.1 * pop_ratio)
+    assert not check_rank(emp_m)
 
 
 # ---------------------------------------------------------------------------
